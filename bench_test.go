@@ -383,7 +383,7 @@ func BenchmarkSparseAggregate(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for u := range dense32 {
-				vecmath.AXPY32(1.0/n, dense32[u], dst32)
+				vecmath.AXPY(1.0/n, dense32[u], dst32)
 			}
 		}
 	})
@@ -421,21 +421,6 @@ func BenchmarkSparseAggregate(b *testing.B) {
 				}
 			}
 			_ = s
-		})
-		b.Run(name+"-f32", func(b *testing.B) {
-			defer recordBench(b)()
-			dst32 := make([]float32, d)
-			val32 := make([][]float32, n)
-			for u := range val32 {
-				val32[u] = make([]float32, k)
-				vecmath.Narrow(val32[u], val[u])
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for u := range idx {
-					vecmath.ScatterAXPY32(1.0/n, idx[u], val32[u], dst32)
-				}
-			}
 		})
 	}
 }

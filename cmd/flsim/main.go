@@ -209,9 +209,11 @@ func run() error {
 		if *freeloaders >= *clients {
 			return fmt.Errorf("need at least one honest client")
 		}
+		ids := make([]int, 0, *freeloaders)
 		for id := *clients - *freeloaders; id < *clients; id++ {
-			cfg.Freeloaders = append(cfg.Freeloaders, id)
+			ids = append(ids, id)
 		}
+		cfg.Adversaries = append(cfg.Adversaries, adversary.Freeloaders(ids))
 	}
 	codecSpec, err := buildCompress(*compressStr, *topkFrac)
 	if err != nil {
@@ -224,7 +226,7 @@ func run() error {
 		return err
 	}
 	if spec != nil {
-		cfg.Adversaries = []adversary.Spec{*spec}
+		cfg.Adversaries = append(cfg.Adversaries, *spec)
 		fmt.Printf("attack %s (scale %v): corrupt clients %v\n", spec.Kind, spec.Scale, spec.Members(*clients))
 	}
 

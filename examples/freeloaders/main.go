@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	taco "repro"
+	"repro/internal/adversary"
 )
 
 func main() {
@@ -41,7 +42,7 @@ func run() error {
 		BatchSize:   24,
 		LocalLR:     0.05,
 		Seed:        7,
-		Freeloaders: freeloaders,
+		Adversaries: []adversary.Spec{adversary.Freeloaders(freeloaders)},
 	}
 
 	alg := taco.NewTACOWith(taco.TACOConfig{

@@ -162,6 +162,22 @@ func (s Spec) Members(n int) []int {
 	return ids
 }
 
+// Freeloaders returns the always-on freeloader spec for the given client
+// IDs (Section IV-A's lazy clients), sorted and deduplicated so a caller
+// may pass them in any order. Callers put it first in Config.Adversaries,
+// so freeloading is settled before any other spec composes on a client.
+func Freeloaders(ids []int) Spec {
+	sorted := append([]int(nil), ids...)
+	sort.Ints(sorted)
+	uniq := sorted[:0]
+	for _, id := range sorted {
+		if len(uniq) == 0 || id != uniq[len(uniq)-1] {
+			uniq = append(uniq, id)
+		}
+	}
+	return Spec{Kind: KindFreeloader, Clients: uniq}
+}
+
 // Behavior compiles the spec into its strategy object with kind defaults
 // applied. The returned value implements exactly one of the capability
 // interfaces (DataCorruptor, DeltaCorruptor, Fabricator) and is safe to

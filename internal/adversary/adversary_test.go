@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -358,4 +359,29 @@ func FuzzParseAttack(f *testing.F) {
 			t.Fatalf("ParseAttack(%q) spec compiles to nil behavior", s)
 		}
 	})
+}
+
+// TestFreeloaders pins the helper the CLI, the freeload experiments and
+// the example build their leading spec with: ids sorted and deduplicated
+// without touching the caller's slice, a negative id rejected by Validate,
+// and out-of-range ids resolved smallest-first so setup reports the
+// smallest offender.
+func TestFreeloaders(t *testing.T) {
+	ids := []int{3, 1, 3}
+	s := Freeloaders(ids)
+	if s.Kind != KindFreeloader || len(s.Clients) != 2 || s.Clients[0] != 1 || s.Clients[1] != 3 {
+		t.Fatalf("Freeloaders(%v) = %+v, want freeloader spec over [1 3]", ids, s)
+	}
+	if ids[0] != 3 || ids[1] != 1 || ids[2] != 3 {
+		t.Fatalf("caller's ids mutated: %v", ids)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("valid helper spec rejected: %v", err)
+	}
+	if err := Freeloaders([]int{4, -1}).Validate(); err == nil || !strings.Contains(err.Error(), "-1") {
+		t.Fatalf("negative id: err = %v, want one naming -1", err)
+	}
+	if m := Freeloaders([]int{99, 98, 97}).Members(6); len(m) != 3 || m[0] != 97 {
+		t.Fatalf("members = %v, want ascending from 97", m)
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"repro/internal/adversary"
 	"testing"
 
 	"repro/internal/dataset"
@@ -123,7 +124,7 @@ func TestTACOFreeloaderAlphasHigh(t *testing.T) {
 	net, shards, test := tacoSetup(t, 8)
 	cfg := tacoConfig()
 	cfg.Rounds = 10
-	cfg.Freeloaders = []int{6, 7}
+	cfg.Adversaries = []adversary.Spec{adversary.Freeloaders([]int{6, 7})}
 	alg := New(Recommended())
 	if _, err := fl.Run(cfg, alg, net, shards, test); err != nil {
 		t.Fatal(err)
@@ -146,7 +147,7 @@ func TestTACOExpelsFreeloaders(t *testing.T) {
 	net, shards, test := tacoSetup(t, 8)
 	cfg := tacoConfig()
 	cfg.Rounds = 14
-	cfg.Freeloaders = []int{6, 7}
+	cfg.Adversaries = []adversary.Spec{adversary.Freeloaders([]int{6, 7})}
 	tcfg := Recommended()
 	tcfg.DetectFreeloaders = true
 	tcfg.Kappa = 0.5
@@ -171,7 +172,7 @@ func TestTACOExpelsFreeloaders(t *testing.T) {
 func TestTACOKappaOneDetectsNothing(t *testing.T) {
 	net, shards, test := tacoSetup(t, 8)
 	cfg := tacoConfig()
-	cfg.Freeloaders = []int{7}
+	cfg.Adversaries = []adversary.Spec{adversary.Freeloaders([]int{7})}
 	tcfg := Recommended()
 	tcfg.DetectFreeloaders = true
 	tcfg.Kappa = 1.01 // α never exceeds 1, Table VIII's κ=1.0 row

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/fl"
 	"repro/internal/metrics"
@@ -41,7 +42,7 @@ func Table2(r *Runner) (*report.Table, error) {
 			return nil, err
 		}
 		frees := freeloaderIDs(profile.Clients)
-		cfg.Freeloaders = frees
+		cfg.Adversaries = []adversary.Spec{adversary.Freeloaders(frees)}
 		// Detection off: Table II observes α including freeloaders for the
 		// whole run, without expelling anyone.
 		tcfg := core.Recommended()
@@ -124,7 +125,7 @@ func Table8(r *Runner) (*report.Table, error) {
 		for _, l := range lambdas {
 			key := fmt.Sprintf("table8/k%.1f/l%s", kappa, l.label)
 			res, err := r.RunOne(key, "fmnist", "TACO", func(cfg *fl.Config, alg fl.Algorithm) {
-				cfg.Freeloaders = frees
+				cfg.Adversaries = []adversary.Spec{adversary.Freeloaders(frees)}
 				taco := alg.(*core.TACO)
 				tcfg := core.Recommended()
 				tcfg.DetectFreeloaders = true

@@ -117,7 +117,7 @@ func (c *client) injectDelta(cfg *Config, delta []float64, round int, now float6
 // processed in declaration order and members in ascending ID order, so
 // setup (including which invalid ID an error reports) is deterministic.
 func setupAdversaries(cfg *Config, clients []*client, root *rng.RNG) error {
-	for si, spec := range cfg.adversarySpecs() {
+	for si, spec := range cfg.Adversaries {
 		members := spec.Members(len(clients))
 		b := spec.Behavior()
 		for _, id := range members {

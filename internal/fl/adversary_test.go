@@ -87,28 +87,6 @@ func TestAdversaryDeterminism(t *testing.T) {
 	}
 }
 
-// TestLegacyFreeloaderFieldEquivalence: Config.Freeloaders is sugar for
-// an explicit freeloader spec — bit-identical runs.
-func TestLegacyFreeloaderFieldEquivalence(t *testing.T) {
-	net, shards, test := goldenSetup(t, 6, 4)
-	base := Config{Rounds: 4, LocalSteps: 3, BatchSize: 8, LocalLR: 0.05, Seed: 11}
-	legacy := base
-	legacy.Freeloaders = []int{5, 2}
-	spec := base
-	spec.Adversaries = []adversary.Spec{{Kind: adversary.KindFreeloader, Clients: []int{2, 5}}}
-	resL, err := Run(legacy, goldenFedAvg{}, net, shards, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resS, err := Run(spec, goldenFedAvg{}, net, shards, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lh, sh := paramsHash(resL.FinalParams), paramsHash(resS.FinalParams); lh != sh {
-		t.Fatalf("legacy field and explicit spec diverge: %016x vs %016x", lh, sh)
-	}
-}
-
 // TestAdversaryErrorDeterministic is the map-order regression for the old
 // freeloader setup, which iterated a map to validate IDs and so reported
 // a random invalid ID. Members iterate sorted, so the smallest offender
@@ -116,7 +94,7 @@ func TestLegacyFreeloaderFieldEquivalence(t *testing.T) {
 func TestAdversaryErrorDeterministic(t *testing.T) {
 	net, shards, test := goldenSetup(t, 6, 4)
 	cfg := Config{Rounds: 2, LocalSteps: 2, BatchSize: 8, LocalLR: 0.05, Seed: 1}
-	cfg.Freeloaders = []int{99, 98, 97}
+	cfg.Adversaries = []adversary.Spec{adversary.Freeloaders([]int{99, 98, 97})}
 	var first string
 	for i := 0; i < 10; i++ {
 		_, err := Run(cfg, goldenFedAvg{}, net, shards, test)

@@ -48,7 +48,7 @@ type StepCtx struct {
 	// nil under Config.DType "f32"; algorithms that use it must declare
 	// the dependency via RequiresF64Engine so fp32 runs reject them at
 	// setup instead of panicking mid-round.
-	Eng *nn.Engine
+	Eng *nn.Engine[float64]
 	// Scratch is a NumParams-sized scratch vector owned by the client.
 	Scratch []float64
 

@@ -80,31 +80,28 @@ func TestSortUpdatesByClient(t *testing.T) {
 	}
 }
 
+// TestAdversarySpecNormalization: a freeloader spec built by
+// adversary.Freeloaders from unsorted, repeated ids runs bit-identically
+// to the hand-written sorted spec, alone and ahead of a second spec.
 func TestAdversarySpecNormalization(t *testing.T) {
-	// The legacy Freeloaders field compiles to a leading freeloader spec
-	// with sorted, deduplicated members, so every downstream iteration is
-	// deterministic (the old map-backed set iterated in random order).
-	cfg := Config{Freeloaders: []int{3, 1, 3}}
-	specs := cfg.adversarySpecs()
-	if len(specs) != 1 {
-		t.Fatalf("specs = %+v, want one freeloader spec", specs)
-	}
-	if specs[0].Kind != adversary.KindFreeloader {
-		t.Fatalf("kind = %v", specs[0].Kind)
-	}
-	if got := specs[0].Clients; len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("clients = %v, want sorted dedup [1 3]", got)
-	}
-	if (Config{}).adversarySpecs() != nil {
-		t.Fatal("empty corruption config must produce no specs")
-	}
-	both := Config{
-		Freeloaders: []int{2},
-		Adversaries: []adversary.Spec{{Kind: adversary.KindSignFlip, Frac: 0.5}},
-	}
-	specs = both.adversarySpecs()
-	if len(specs) != 2 || specs[0].Kind != adversary.KindFreeloader || specs[1].Kind != adversary.KindSignFlip {
-		t.Fatalf("combined specs = %+v", specs)
+	net, shards, test := goldenSetup(t, 6, 4)
+	base := Config{Rounds: 4, LocalSteps: 3, BatchSize: 8, LocalLR: 0.05, Seed: 11}
+	signflip := adversary.Spec{Kind: adversary.KindSignFlip, Clients: []int{0}}
+	for _, extra := range [][]adversary.Spec{nil, {signflip}} {
+		helper, explicit := base, base
+		helper.Adversaries = append([]adversary.Spec{adversary.Freeloaders([]int{5, 2, 5})}, extra...)
+		explicit.Adversaries = append([]adversary.Spec{{Kind: adversary.KindFreeloader, Clients: []int{2, 5}}}, extra...)
+		resH, err := Run(helper, goldenFedAvg{}, net, shards, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resE, err := Run(explicit, goldenFedAvg{}, net, shards, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hh, eh := paramsHash(resH.FinalParams), paramsHash(resE.FinalParams); hh != eh {
+			t.Fatalf("helper and explicit spec diverge (%d extra specs): %016x vs %016x", len(extra), hh, eh)
+		}
 	}
 }
 

@@ -16,7 +16,6 @@ package fl
 import (
 	"fmt"
 	"runtime"
-	"sort"
 
 	"repro/internal/adversary"
 	"repro/internal/aggstack"
@@ -107,11 +106,6 @@ type Config struct {
 	// WeightByData selects p_i = D_i/D aggregation weights instead of 1/N
 	// for the algorithms that honor static weights.
 	WeightByData bool
-	// Freeloaders lists client IDs that upload replayed global gradients
-	// instead of training (Section IV-A's lazy clients). Sugar for an
-	// always-on adversary.Spec{Kind: KindFreeloader, Clients: ...}; the
-	// engine normalizes it into the adversary pipeline.
-	Freeloaders []int
 	// Adversaries declares client corruptions (attack injectors) applied
 	// on top of the honest protocol: data-level label attacks,
 	// update-level delta injectors, freeloaders, and sybil camps, each
@@ -233,11 +227,6 @@ func (c Config) Validate() error {
 	for i, d := range c.Devices {
 		if err := d.Validate(); err != nil {
 			return fmt.Errorf("fl: device %d: %w", i, err)
-		}
-	}
-	for _, id := range c.Freeloaders {
-		if id < 0 {
-			return fmt.Errorf("fl: freeloader id %d must be non-negative", id)
 		}
 	}
 	for i, spec := range c.Adversaries {
@@ -370,27 +359,4 @@ func (c Config) evalEvery() int {
 		return c.EvalEvery
 	}
 	return 1
-}
-
-// adversarySpecs returns the run's full corruption declaration: the
-// legacy Freeloaders sugar normalized into a leading freeloader spec
-// (IDs sorted and deduplicated, so every downstream iteration is
-// deterministic — the old map-backed lookup iterated in random order),
-// followed by the explicit Adversaries.
-func (c Config) adversarySpecs() []adversary.Spec {
-	if len(c.Freeloaders) == 0 {
-		return c.Adversaries
-	}
-	ids := make([]int, len(c.Freeloaders))
-	copy(ids, c.Freeloaders)
-	sort.Ints(ids)
-	uniq := ids[:1]
-	for _, id := range ids[1:] {
-		if id != uniq[len(uniq)-1] {
-			uniq = append(uniq, id)
-		}
-	}
-	specs := make([]adversary.Spec, 0, len(c.Adversaries)+1)
-	specs = append(specs, adversary.Spec{Kind: adversary.KindFreeloader, Clients: uniq})
-	return append(specs, c.Adversaries...)
 }

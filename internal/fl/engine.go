@@ -301,7 +301,7 @@ func localUpdate(cfg *Config, alg Algorithm, c *client, sl *slot, delta []float6
 
 // localUpdate32 is the float32 twin of localUpdate, selected by
 // Config.DType "f32" (DESIGN.md §10). The client trains on the slot's fp32
-// state (w32/grad32 through Engine32), but every algorithm hook still sees
+// state (w32/grad32 through the float32 engine), but every algorithm hook still sees
 // float64: the loop widens w32 and grad32 into sl.w and sl.grad before
 // GradAdjust, and applies the hook's correction by narrowing it back to
 // fp32 for the fused step. The uploaded delta is the exact float64
@@ -340,13 +340,13 @@ func localUpdate32(cfg *Config, alg Algorithm, c *client, sl *slot, delta []floa
 			// gradient stays valid in grad32 per the FuseCorrection
 			// contract.
 			vecmath.Narrow(sl.corr32, ctx.fuseVec)
-			vecmath.AXPYPY32(-float32(cfg.LocalLR), sl.grad32, -float32(cfg.LocalLR*ctx.fuseCoeff), sl.corr32, sl.w32)
+			vecmath.AXPYPY(-float32(cfg.LocalLR), sl.grad32, -float32(cfg.LocalLR*ctx.fuseCoeff), sl.corr32, sl.w32)
 			ctx.fuseVec = nil
 		} else {
 			// Re-narrow in case the hook rewrote ctx.Grad in place
 			// (clipping, scaling); identity when it did not.
 			vecmath.Narrow(sl.grad32, sl.grad)
-			vecmath.AXPY32(-float32(cfg.LocalLR), sl.grad32, sl.w32)
+			vecmath.AXPY(-float32(cfg.LocalLR), sl.grad32, sl.w32)
 		}
 	}
 	// Δ = widen(narrow(w0) − w_K): the fp32 trajectory difference, widened
@@ -355,7 +355,7 @@ func localUpdate32(cfg *Config, alg Algorithm, c *client, sl *slot, delta []floa
 	// precision never entered the trajectory). grad32 is free as a temp
 	// after the loop.
 	vecmath.Narrow(sl.grad32, sl.w0)
-	vecmath.Sub32(sl.grad32, sl.grad32, sl.w32)
+	vecmath.Sub(sl.grad32, sl.grad32, sl.w32)
 	vecmath.Widen(delta, sl.grad32)
 	alg.EndLocal(c.id, round, delta)
 	c.lastLoss = lossSum / float64(cfg.LocalSteps)

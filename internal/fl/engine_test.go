@@ -91,7 +91,7 @@ func TestConfigValidate(t *testing.T) {
 		{"trace offset NaN", func(c *fl.Config) {
 			c.Devices = []simclock.DeviceProfile{{SpeedFactor: 1, Availability: simclock.Trace{PeriodSec: 5, OnFraction: 0.5, OffsetSec: math.NaN()}}}
 		}},
-		{"negative freeloader id", func(c *fl.Config) { c.Freeloaders = []int{-1} }},
+		{"negative freeloader id", func(c *fl.Config) { c.Adversaries = []adversary.Spec{adversary.Freeloaders([]int{-1})} }},
 		{"unknown adversary kind", func(c *fl.Config) {
 			c.Adversaries = []adversary.Spec{{Kind: "nope", Frac: 0.5}}
 		}},
@@ -282,7 +282,7 @@ func TestRunErrors(t *testing.T) {
 	})
 	t.Run("bad freeloader id", func(t *testing.T) {
 		cfg := quickConfig()
-		cfg.Freeloaders = []int{99}
+		cfg.Adversaries = []adversary.Spec{adversary.Freeloaders([]int{99})}
 		if _, err := fl.Run(cfg, baselines.NewFedAvg(), net, shards, test); err == nil {
 			t.Fatal("expected error")
 		}
@@ -384,7 +384,7 @@ func TestAggregationWeights(t *testing.T) {
 func TestFreeloaderUploadsReplay(t *testing.T) {
 	net, shards, test := testSetup(t, 6)
 	cfg := quickConfig()
-	cfg.Freeloaders = []int{5}
+	cfg.Adversaries = []adversary.Spec{adversary.Freeloaders([]int{5})}
 	res, err := fl.Run(cfg, baselines.NewFedAvg(), net, shards, test)
 	if err != nil {
 		t.Fatal(err)

@@ -212,7 +212,7 @@ func TestSyncPolicyMatchesPreSchedulerEngine(t *testing.T) {
 	}{
 		{"fedavg", func() Algorithm { return goldenFedAvg{} }, nil},
 		{"fedavg-partial", func() Algorithm { return goldenFedAvg{} }, func(c *Config) { c.ParticipationFraction = 0.5 }},
-		{"fedavg-freeloader", func() Algorithm { return goldenFedAvg{} }, func(c *Config) { c.Freeloaders = []int{5} }},
+		{"fedavg-freeloader", func() Algorithm { return goldenFedAvg{} }, func(c *Config) { c.Adversaries = []adversary.Spec{adversary.Freeloaders([]int{5})} }},
 		{"fedavg-bydata", func() Algorithm { return goldenFedAvg{} }, func(c *Config) { c.WeightByData = true }},
 		// A declared-but-empty adversary list is the honest run: it must
 		// reproduce the adversary-free golden trace bit-identically.

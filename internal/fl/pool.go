@@ -16,7 +16,7 @@ import (
 // overwritten by each local round, so which slot serves which client is
 // invisible in the results (the P=1-vs-P=8 bit-identity tests pin this).
 type slot struct {
-	eng                  *nn.Engine // float64 engine; nil under DType "f32"
+	eng                  *nn.Engine[float64] // float64 engine; nil under DType "f32"
 	w0, w, grad, scratch []float64
 	batchX               []float64
 	batchY               []int
@@ -26,7 +26,7 @@ type slot struct {
 	// loop. w0/w/grad/scratch stay allocated as the float64 views every
 	// algorithm hook reads; localUpdate32 keeps the two precisions in
 	// sync at the hook boundary.
-	eng32    *nn.Engine32
+	eng32    *nn.Engine[float32]
 	w32      []float32
 	grad32   []float32
 	corr32   []float32 // narrowed fused-correction vector

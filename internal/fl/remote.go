@@ -39,7 +39,7 @@ func validateWire(cfg *Config, alg Algorithm) error {
 	if _, ok := alg.(WireSafe); !ok {
 		return fmt.Errorf("fl: algorithm %s is not wire-safe (client hooks may read server aggregation state)", alg.Name())
 	}
-	if len(cfg.Adversaries) > 0 || len(cfg.Freeloaders) > 0 {
+	if len(cfg.Adversaries) > 0 {
 		return fmt.Errorf("fl: adversaries are not supported over the wire")
 	}
 	ckpt := cfg.CheckpointEvery > 0 || cfg.OnCheckpoint != nil

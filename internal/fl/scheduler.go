@@ -49,7 +49,7 @@ type scheduler struct {
 	active   []bool
 	expelled map[int]int
 	run      *metrics.Run
-	evalEng  *nn.Engine
+	evalEng  *nn.Engine[float64]
 	test     *dataset.Dataset
 	// baseRound is the nominal-device modeled duration of one local round
 	// (K steps with the algorithm's cost profile); per-client durations

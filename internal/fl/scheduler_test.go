@@ -3,6 +3,7 @@ package fl_test
 import (
 	"fmt"
 	"math"
+	"repro/internal/adversary"
 	"testing"
 
 	"repro/internal/baselines"
@@ -285,7 +286,7 @@ func TestAsyncWithFreeloaders(t *testing.T) {
 	net, shards, test := testSetup(t, 8)
 	cfg := policyConfig(t, fl.PolicyAsync, 11)
 	cfg.Rounds = 8
-	cfg.Freeloaders = []int{7}
+	cfg.Adversaries = []adversary.Spec{adversary.Freeloaders([]int{7})}
 	res, err := fl.Run(cfg, baselines.NewFedAvg(), net, shards, test)
 	if err != nil {
 		t.Fatal(err)

@@ -23,21 +23,12 @@ func (l *relu) outShape() Shape                { return l.in }
 func (l *relu) paramCount() int                { return 0 }
 func (l *relu) initParams([]float64, *rng.RNG) {}
 
-func (l *relu) forward(_, x, y []float64, batch int, _ *scratch) {
-	reluForward(x, y, batch*l.in.Size())
-}
-
-func (l *relu) forward32(_, x, y []float32, batch int, _ *scratch32) {
-	reluForward(x, y, batch*l.in.Size())
-}
-
-func (l *relu) backward(_, x, _, dy, dx, _ []float64, batch int, _ *scratch) {
-	reluBackward(x, dy, dx, batch*l.in.Size())
-}
-
-func (l *relu) backward32(_, x, _, dy, dx, _ []float32, batch int, _ *scratch32) {
-	reluBackward(x, dy, dx, batch*l.in.Size())
-}
+// The ReLU bodies keep their type switch on measurement: the float32
+// branches work on the value's own 32 bits, and writing them once for both
+// precisions means widening through float64, whose CVTSS2SD/CVTSD2SS pair
+// cost +19% on BenchmarkGradEval/adult-f32 (14.9 → 17.6 µs, min of 15
+// alternating runs, DESIGN.md §10). The float64 branches stay the plain
+// compare, which maps NaN to 0 — the behaviour the sync goldens pin.
 
 func reluForward[F Float](x, y []F, n int) {
 	switch xs := any(x).(type) {
@@ -105,22 +96,9 @@ func (l *tanhLayer) outShape() Shape                { return l.in }
 func (l *tanhLayer) paramCount() int                { return 0 }
 func (l *tanhLayer) initParams([]float64, *rng.RNG) {}
 
-func (l *tanhLayer) forward(_, x, y []float64, batch int, _ *scratch) {
-	tanhForward(x, y, batch*l.in.Size())
-}
-
-func (l *tanhLayer) forward32(_, x, y []float32, batch int, _ *scratch32) {
-	tanhForward(x, y, batch*l.in.Size())
-}
-
-func (l *tanhLayer) backward(_, _, y, dy, dx, _ []float64, batch int, _ *scratch) {
-	tanhBackward(y, dy, dx, batch*l.in.Size())
-}
-
-func (l *tanhLayer) backward32(_, _, y, dy, dx, _ []float32, batch int, _ *scratch32) {
-	tanhBackward(y, dy, dx, batch*l.in.Size())
-}
-
+// tanhForward keeps its type switch because the two precisions reach
+// different implementations: the float64 libm, and the AVX2 polynomial
+// vecmath.Tanh32.
 func tanhForward[F Float](x, y []F, n int) {
 	switch xs := any(x).(type) {
 	case []float32:

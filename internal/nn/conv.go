@@ -101,11 +101,7 @@ func validRange(outExtent, extent, stride, pad, koff int) (lo, hi int) {
 // x[ic][oy·stride-pad+ky][ox·stride-pad+kx], or 0 where that index falls
 // in the zero padding. It is exported for the micro-benchmarks and for
 // downstream code that wants the packed patch matrix directly.
-func Im2col(dst, x []float64, inC, inH, inW, k, stride, pad, outH, outW int) {
-	im2col(dst, x, inC, inH, inW, k, stride, pad, outH, outW)
-}
-
-func im2col[F Float](dst, x []F, inC, inH, inW, k, stride, pad, outH, outW int) {
+func Im2col[F Float](dst, x []F, inC, inH, inW, k, stride, pad, outH, outW int) {
 	n := outH * outW
 	r := 0
 	for ic := 0; ic < inC; ic++ {
@@ -117,20 +113,20 @@ func im2col[F Float](dst, x []F, inC, inH, inW, k, stride, pad, outH, outW int) 
 				r++
 				oxLo, oxHi := validRange(outW, inW, stride, pad, kx)
 				if oxLo >= oxHi {
-					zeroF(row)
+					vecmath.Zero(row)
 					continue
 				}
 				// Zero only the padding margins — the rows above/below the
 				// valid oy range and the left/right edges of valid rows —
 				// so interior taps (the common case at pad≤1) are written
 				// exactly once.
-				zeroF(row[:oyLo*outW])
-				zeroF(row[oyHi*outW:])
+				vecmath.Zero(row[:oyLo*outW])
+				vecmath.Zero(row[oyHi*outW:])
 				for oy := oyLo; oy < oyHi; oy++ {
 					iy := oy*stride - pad + ky
 					src := plane[iy*inW:]
-					zeroF(row[oy*outW : oy*outW+oxLo])
-					zeroF(row[oy*outW+oxHi : (oy+1)*outW])
+					vecmath.Zero(row[oy*outW : oy*outW+oxLo])
+					vecmath.Zero(row[oy*outW+oxHi : (oy+1)*outW])
 					seg := row[oy*outW+oxLo : oy*outW+oxHi]
 					ix := oxLo*stride - pad + kx
 					if stride == 1 {
@@ -150,12 +146,11 @@ func im2col[F Float](dst, x []F, inC, inH, inW, k, stride, pad, outH, outW int) 
 // col2im is the adjoint of im2col: it scatter-adds the K×N patch-gradient
 // matrix dcol back into the activation-gradient volume dx (inC×inH×inW),
 // which the caller must have zeroed. Taps that read zero padding in the
-// forward pass contribute nothing, mirroring im2col's valid ranges.
+// forward pass contribute nothing, mirroring im2col's valid ranges. The
+// segments are at most one image row (8 elements in every model here),
+// shorter than one stride of vecmath.Add's float32 kernel, so both
+// precisions run the plain loop rather than pay a call per segment.
 func col2im[F Float](dx, dcol []F, inC, inH, inW, k, stride, pad, outH, outW int) {
-	if dxs, ok := any(dx).([]float32); ok {
-		col2im32(dxs, any(dcol).([]float32), inC, inH, inW, k, stride, pad, outH, outW)
-		return
-	}
 	n := outH * outW
 	r := 0
 	for ic := 0; ic < inC; ic++ {
@@ -184,61 +179,7 @@ func col2im[F Float](dx, dcol []F, inC, inH, inW, k, stride, pad, outH, outW int
 	}
 }
 
-// col2im32 is the float32 specialization of col2im: identical traversal,
-// but the contiguous stride-1 segments — the whole inner loop for the
-// stride-1 convolutions every model here uses — accumulate through the
-// AVX2 vecmath.Add32 kernel instead of a scalar read-add-store per tap.
-func col2im32(dx, dcol []float32, inC, inH, inW, k, stride, pad, outH, outW int) {
-	n := outH * outW
-	r := 0
-	for ic := 0; ic < inC; ic++ {
-		plane := dx[ic*inH*inW : (ic+1)*inH*inW]
-		for ky := 0; ky < k; ky++ {
-			oyLo, oyHi := validRange(outH, inH, stride, pad, ky)
-			for kx := 0; kx < k; kx++ {
-				row := dcol[r*n : (r+1)*n]
-				r++
-				oxLo, oxHi := validRange(outW, inW, stride, pad, kx)
-				if oxLo >= oxHi {
-					continue
-				}
-				for oy := oyLo; oy < oyHi; oy++ {
-					iy := oy*stride - pad + ky
-					dst := plane[iy*inW:]
-					seg := row[oy*outW+oxLo : oy*outW+oxHi]
-					ix := oxLo*stride - pad + kx
-					if stride == 1 {
-						d := dst[ix : ix+len(seg)]
-						vecmath.Add32(d, d, seg)
-						continue
-					}
-					for i := range seg {
-						dst[ix] += seg[i]
-						ix += stride
-					}
-				}
-			}
-		}
-	}
-}
-
-func (l *conv2d) forward(params, x, y []float64, batch int, sc *scratch) {
-	convForward(l, params, x, y, batch, sc)
-}
-
-func (l *conv2d) forward32(params, x, y []float32, batch int, sc *scratch32) {
-	convForward(l, params, x, y, batch, sc)
-}
-
-func (l *conv2d) backward(params, x, _, dy, dx, dparams []float64, batch int, sc *scratch) {
-	convBackward(l, params, dy, dx, dparams, batch, sc)
-}
-
-func (l *conv2d) backward32(params, x, _, dy, dx, dparams []float32, batch int, sc *scratch32) {
-	convBackward(l, params, dy, dx, dparams, batch, sc)
-}
-
-func convForward[F Float](l *conv2d, params, x, y []F, batch int, sc *scratchOf[F]) {
+func convForward[F Float](l *conv2d, params, x, y []F, batch int, sc *scratch[F]) {
 	kp := l.patchSize()
 	n := l.out.H * l.out.W
 	w := params[:l.outC*kp]
@@ -250,17 +191,17 @@ func convForward[F Float](l *conv2d, params, x, y []F, batch int, sc *scratchOf[
 	cols := sc.colBuf(batch * kp * n)
 	for s := 0; s < batch; s++ {
 		col := cols[s*kp*n : (s+1)*kp*n]
-		im2col(col, x[s*inSize:(s+1)*inSize], l.in.C, l.in.H, l.in.W, l.k, l.stride, l.pad, l.out.H, l.out.W)
+		Im2col(col, x[s*inSize:(s+1)*inSize], l.in.C, l.in.H, l.in.W, l.k, l.stride, l.pad, l.out.H, l.out.W)
 		ys := y[s*outSize : (s+1)*outSize]
 		// ys is outC×N row-major, exactly the GEMM output layout.
-		gemm(ys, w, col, l.outC, kp, n, false)
+		vecmath.Gemm(ys, w, col, l.outC, kp, n, false)
 		for oc := 0; oc < l.outC; oc++ {
 			addConstF(bias[oc], ys[oc*n:(oc+1)*n])
 		}
 	}
 }
 
-func convBackward[F Float](l *conv2d, params, dy, dx, dparams []F, batch int, sc *scratchOf[F]) {
+func convBackward[F Float](l *conv2d, params, dy, dx, dparams []F, batch int, sc *scratch[F]) {
 	kp := l.patchSize()
 	n := l.out.H * l.out.W
 	nw := l.outC * kp
@@ -271,18 +212,18 @@ func convBackward[F Float](l *conv2d, params, dy, dx, dparams []F, batch int, sc
 	outSize := l.out.Size()
 	cols := sc.colBuf(batch * kp * n) // packed by the preceding forward
 	dcol := sc.floatBuf(kp * n)
-	zeroF(dx[:batch*inSize])
+	vecmath.Zero(dx[:batch*inSize])
 	for s := 0; s < batch; s++ {
 		col := cols[s*kp*n : (s+1)*kp*n]
 		dys := dy[s*outSize : (s+1)*outSize]
 		// dW += dY·colᵀ (outC×N · N×K).
-		gemmABT(dw, dys, col, l.outC, n, kp, true)
+		vecmath.GemmABT(dw, dys, col, l.outC, n, kp, true)
 		// db[oc] += Σ over output positions of dY[oc].
 		for oc := 0; oc < l.outC; oc++ {
 			db[oc] += sumF(dys[oc*n : (oc+1)*n])
 		}
 		// dcol = Wᵀ·dY (K×outC · outC×N), then scatter back to dX.
-		gemmATB(dcol, w, dys, l.outC, kp, n, false)
+		vecmath.GemmATB(dcol, w, dys, l.outC, kp, n, false)
 		col2im(dx[s*inSize:(s+1)*inSize], dcol, l.in.C, l.in.H, l.in.W, l.k, l.stride, l.pad, l.out.H, l.out.W)
 	}
 }

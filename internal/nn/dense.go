@@ -41,37 +41,21 @@ func (l *dense) initParams(params []float64, r *rng.RNG) {
 	vecmath.Zero(params[fanIn*fanOut:])
 }
 
-func (l *dense) forward(params, x, y []float64, batch int, _ *scratch) {
-	denseForward(l, params, x, y, batch)
-}
-
-func (l *dense) forward32(params, x, y []float32, batch int, _ *scratch32) {
-	denseForward(l, params, x, y, batch)
-}
-
-func (l *dense) backward(params, x, _, dy, dx, dparams []float64, batch int, _ *scratch) {
-	denseBackward(l, params, x, dy, dx, dparams, batch)
-}
-
-func (l *dense) backward32(params, x, _, dy, dx, dparams []float32, batch int, _ *scratch32) {
-	denseBackward(l, params, x, dy, dx, dparams, batch)
-}
-
 func denseForward[F Float](l *dense, params, x, y []F, batch int) {
 	in := l.in.Size()
 	w := params[:in*l.out]
 	bias := params[in*l.out:]
-	gemm(y[:batch*l.out], x[:batch*in], w, batch, in, l.out, false)
-	addRowVectorF(y[:batch*l.out], bias, batch, l.out)
+	vecmath.Gemm(y[:batch*l.out], x[:batch*in], w, batch, in, l.out, false)
+	vecmath.AddRowVector(y[:batch*l.out], bias, batch, l.out)
 }
 
 func denseBackward[F Float](l *dense, params, x, dy, dx, dparams []F, batch int) {
 	in := l.in.Size()
 	w := params[:in*l.out]
 	// dW += xᵀ·dy, folded straight into the gradient vector.
-	gemmATB(dparams[:in*l.out], x[:batch*in], dy[:batch*l.out], batch, in, l.out, true)
+	vecmath.GemmATB(dparams[:in*l.out], x[:batch*in], dy[:batch*l.out], batch, in, l.out, true)
 	// db += column sums of dy.
-	sumRowsAccF(dparams[in*l.out:], dy[:batch*l.out], batch, l.out)
+	vecmath.SumRowsAcc(dparams[in*l.out:], dy[:batch*l.out], batch, l.out)
 	// dx = dy·Wᵀ.
-	gemmABT(dx[:batch*in], dy[:batch*l.out], w, batch, l.out, in, false)
+	vecmath.GemmABT(dx[:batch*in], dy[:batch*l.out], w, batch, l.out, in, false)
 }

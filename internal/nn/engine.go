@@ -8,33 +8,47 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Engine executes forward and backward passes for one Network. It owns all
-// activation and scratch buffers, so it is cheap to call repeatedly but not
-// safe for concurrent use: every concurrent worker (FL client goroutine)
-// must create its own Engine against the shared Network.
-type Engine struct {
+// Engine executes forward and backward passes for one Network over
+// parameters and activations of precision F. It owns all activation and
+// scratch buffers, so it is cheap to call repeatedly but not safe for
+// concurrent use: every concurrent worker (FL client goroutine) must
+// create its own Engine against the shared Network. The loss scalar is
+// float64 at either precision — training-curve metrics stay full
+// precision even when the compute path is fp32.
+type Engine[F Float] struct {
 	net      *Network
 	maxBatch int
-	acts     [][]float64 // acts[i] is the output buffer of layer i-1 (acts[0] unused; input comes from caller)
-	dacts    [][]float64 // gradient buffers per boundary, same layout
-	scratch  []scratch
-	evalPool []*Engine // lazily grown worker engines for parallel Accuracy
+	acts     [][]F // acts[i] is the output buffer of layer i-1 (acts[0] unused; input comes from caller)
+	dacts    [][]F // gradient buffers per boundary, same layout
+	scratch  []scratch[F]
+	evalPool []*Engine[F] // lazily grown worker engines for parallel Accuracy
 }
 
-// NewEngine creates an execution engine supporting batches up to maxBatch.
-func NewEngine(net *Network, maxBatch int) *Engine {
+// NewEngine creates a float64 execution engine supporting batches up to
+// maxBatch.
+func NewEngine(net *Network, maxBatch int) *Engine[float64] {
+	return newEngine[float64](net, maxBatch)
+}
+
+// NewEngine32 creates a float32 execution engine supporting batches up to
+// maxBatch (the local-training engine of fl's DType "f32").
+func NewEngine32(net *Network, maxBatch int) *Engine[float32] {
+	return newEngine[float32](net, maxBatch)
+}
+
+func newEngine[F Float](net *Network, maxBatch int) *Engine[F] {
 	if maxBatch <= 0 {
-		panic(fmt.Sprintf("nn: NewEngine maxBatch %d must be positive", maxBatch))
+		panic(fmt.Sprintf("nn: engine maxBatch %d must be positive", maxBatch))
 	}
-	e := &Engine{
+	e := &Engine[F]{
 		net:      net,
 		maxBatch: maxBatch,
-		acts:     make([][]float64, len(net.layers)+1),
-		dacts:    make([][]float64, len(net.layers)+1),
-		scratch:  make([]scratch, len(net.layers)),
+		acts:     make([][]F, len(net.layers)+1),
+		dacts:    make([][]F, len(net.layers)+1),
+		scratch:  make([]scratch[F], len(net.layers)),
 	}
 	for i, l := range net.layers {
-		e.acts[i+1] = make([]float64, maxBatch*l.outShape().Size())
+		e.acts[i+1] = make([]F, maxBatch*l.outShape().Size())
 	}
 	return e
 }
@@ -42,20 +56,20 @@ func NewEngine(net *Network, maxBatch int) *Engine {
 // ensureGradBuffers allocates the backward-pass activation-gradient
 // buffers on first use, so inference-only engines (prediction, the
 // Accuracy worker pool) stay at half the footprint.
-func (e *Engine) ensureGradBuffers() {
+func (e *Engine[F]) ensureGradBuffers() {
 	if e.dacts[0] != nil {
 		return
 	}
-	e.dacts[0] = make([]float64, e.maxBatch*e.net.in.Size())
+	e.dacts[0] = make([]F, e.maxBatch*e.net.in.Size())
 	for i, l := range e.net.layers {
-		e.dacts[i+1] = make([]float64, e.maxBatch*l.outShape().Size())
+		e.dacts[i+1] = make([]F, e.maxBatch*l.outShape().Size())
 	}
 }
 
 // Net returns the architecture this engine executes.
-func (e *Engine) Net() *Network { return e.net }
+func (e *Engine[F]) Net() *Network { return e.net }
 
-func (e *Engine) checkBatch(x []float64, batch int) {
+func (e *Engine[F]) checkBatch(x []F, batch int) {
 	if batch <= 0 || batch > e.maxBatch {
 		panic(fmt.Sprintf("nn: batch %d out of range (1..%d)", batch, e.maxBatch))
 	}
@@ -65,12 +79,12 @@ func (e *Engine) checkBatch(x []float64, batch int) {
 }
 
 // forwardPass runs all layers; the final logits live in e.acts[len(layers)].
-func (e *Engine) forwardPass(params, x []float64, batch int) []float64 {
+func (e *Engine[F]) forwardPass(params, x []F, batch int) []F {
 	e.acts[0] = x
 	for i, l := range e.net.layers {
 		off := e.net.offsets[i]
 		p := params[off : off+l.paramCount()]
-		l.forward(p, e.acts[i], e.acts[i+1], batch, &e.scratch[i])
+		forward(l, p, e.acts[i], e.acts[i+1], batch, &e.scratch[i])
 	}
 	return e.acts[len(e.net.layers)]
 }
@@ -78,7 +92,7 @@ func (e *Engine) forwardPass(params, x []float64, batch int) []float64 {
 // Gradient runs a full forward/backward pass over the mini-batch x (row-
 // major batch×inputSize) with integer labels, writes the gradient of the
 // mean loss into grad (zeroed first), and returns the mean loss.
-func (e *Engine) Gradient(params, x []float64, labels []int, grad []float64) float64 {
+func (e *Engine[F]) Gradient(params, x []F, labels []int, grad []F) float64 {
 	batch := len(labels)
 	e.checkBatch(x, batch)
 	if len(grad) != e.net.total {
@@ -94,13 +108,13 @@ func (e *Engine) Gradient(params, x []float64, labels []int, grad []float64) flo
 		off := e.net.offsets[i]
 		p := params[off : off+l.paramCount()]
 		dp := grad[off : off+l.paramCount()]
-		l.backward(p, e.acts[i], e.acts[i+1], e.dacts[i+1], e.dacts[i], dp, batch, &e.scratch[i])
+		backward(l, p, e.acts[i], e.acts[i+1], e.dacts[i+1], e.dacts[i], dp, batch, &e.scratch[i])
 	}
 	return loss
 }
 
 // Loss runs a forward pass only and returns the mean cross-entropy loss.
-func (e *Engine) Loss(params, x []float64, labels []int) float64 {
+func (e *Engine[F]) Loss(params, x []F, labels []int) float64 {
 	batch := len(labels)
 	e.checkBatch(x, batch)
 	logits := e.forwardPass(params, x, batch)
@@ -108,7 +122,7 @@ func (e *Engine) Loss(params, x []float64, labels []int) float64 {
 }
 
 // Predict writes the argmax class of each of the batch inputs into out.
-func (e *Engine) Predict(params, x []float64, batch int, out []int) {
+func (e *Engine[F]) Predict(params, x []F, batch int, out []int) {
 	e.checkBatch(x, batch)
 	if len(out) < batch {
 		panic(fmt.Sprintf("nn: out has %d elements, need %d", len(out), batch))
@@ -126,11 +140,11 @@ func (e *Engine) Predict(params, x []float64, batch int, out []int) {
 // with its own Engine, reused across calls); because every worker counts
 // correct predictions as an integer and the shards partition the dataset,
 // the result is identical to a sequential pass regardless of scheduling.
-func (e *Engine) Accuracy(params, xs []float64, labels []int) float64 {
+func (e *Engine[F]) Accuracy(params, xs []F, labels []int) float64 {
 	return e.accuracyWorkers(params, xs, labels, runtime.GOMAXPROCS(0))
 }
 
-func (e *Engine) accuracyWorkers(params, xs []float64, labels []int, maxWorkers int) float64 {
+func (e *Engine[F]) accuracyWorkers(params, xs []F, labels []int, maxWorkers int) float64 {
 	n := len(labels)
 	if n == 0 {
 		return 0
@@ -141,7 +155,7 @@ func (e *Engine) accuracyWorkers(params, xs []float64, labels []int, maxWorkers 
 		return float64(e.countCorrect(params, xs, labels, 0, 1)) / float64(n)
 	}
 	for len(e.evalPool) < workers-1 {
-		e.evalPool = append(e.evalPool, NewEngine(e.net, e.maxBatch))
+		e.evalPool = append(e.evalPool, newEngine[F](e.net, e.maxBatch))
 	}
 	counts := make([]int, workers)
 	var wg sync.WaitGroup
@@ -163,7 +177,7 @@ func (e *Engine) accuracyWorkers(params, xs []float64, labels []int, maxWorkers 
 
 // countCorrect evaluates every stride-th batch starting at batch index
 // first and returns how many predictions match the labels.
-func (e *Engine) countCorrect(params, xs []float64, labels []int, first, stride int) int {
+func (e *Engine[F]) countCorrect(params, xs []F, labels []int, first, stride int) int {
 	n := len(labels)
 	inSize := e.net.in.Size()
 	preds := make([]int, e.maxBatch)

@@ -1,109 +1,70 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/vecmath"
 )
 
-// Float is the compute-precision constraint for the generic layer bodies.
-// Both instantiations share one gcshape (slices), so the dispatch shims
-// below compile to a single body with a dictionary-resolved type switch —
-// no allocation on the hot path (pinned by TestGenericDispatchAllocs).
-type Float interface {
-	float32 | float64
-}
+// Float is the compute-precision constraint for the engine and the generic
+// layer bodies. []float32 and []float64 are distinct gcshapes, so every
+// body is stencilled once per precision: the float64 instantiation is the
+// same machine loop a hand-written float64 function compiles to, and the
+// GEMM and level-1 calls below resolve to the vecmath driver of that
+// precision with no run-time dispatch of their own.
+type Float = vecmath.Float
 
-// The GEMM shims route each precision to its assembly-backed vecmath
-// entry point. For every other helper the two precisions run the same
-// plain Go loop, so the float64 instantiation performs bit-identical
-// arithmetic to the pre-generic layer code (same operations, same order).
-
-func gemm[F Float](c, a, b []F, m, k, n int, accumulate bool) {
-	switch cc := any(c).(type) {
-	case []float64:
-		vecmath.Gemm(cc, any(a).([]float64), any(b).([]float64), m, k, n, accumulate)
-	case []float32:
-		vecmath.Gemm32(cc, any(a).([]float32), any(b).([]float32), m, k, n, accumulate)
-	}
-}
-
-func gemmATB[F Float](c, a, b []F, m, k, n int, accumulate bool) {
-	switch cc := any(c).(type) {
-	case []float64:
-		vecmath.GemmATB(cc, any(a).([]float64), any(b).([]float64), m, k, n, accumulate)
-	case []float32:
-		vecmath.GemmATB32(cc, any(a).([]float32), any(b).([]float32), m, k, n, accumulate)
-	}
-}
-
-func gemmABT[F Float](c, a, b []F, m, k, n int, accumulate bool) {
-	switch cc := any(c).(type) {
-	case []float64:
-		vecmath.GemmABT(cc, any(a).([]float64), any(b).([]float64), m, k, n, accumulate)
-	case []float32:
-		vecmath.GemmABT32(cc, any(a).([]float32), any(b).([]float32), m, k, n, accumulate)
-	}
-}
-
-func zeroF[F Float](x []F) {
-	for i := range x {
-		x[i] = 0
-	}
-}
-
-// addF computes dst[i] = a[i] + b[i] (vecmath.Add's loop). The float32
-// instantiation routes to the AVX2 kernel; elementwise adds are order-
-// independent, so the float64 scalar loop stays as the golden reference.
-func addF[F Float](dst, a, b []F) {
-	switch d := any(dst).(type) {
-	case []float32:
-		vecmath.Add32(d, any(a).([]float32), any(b).([]float32))
+// forward computes y (batch×outSize) from x (batch×inSize) by running
+// layer l's generic body at precision F. This switch and the one in
+// backward are the single place that enumerates the (closed) set of layer
+// types.
+func forward[F Float](l layer, params, x, y []F, batch int, sc *scratch[F]) {
+	switch l := l.(type) {
+	case *dense:
+		denseForward(l, params, x, y, batch)
+	case *relu:
+		reluForward(x, y, batch*l.in.Size())
+	case *tanhLayer:
+		tanhForward(x, y, batch*l.in.Size())
+	case *conv2d:
+		convForward(l, params, x, y, batch, sc)
+	case *maxPool2d:
+		maxPoolForward(l, x, y, batch, sc)
+	case *globalAvgPool:
+		gavgForward(l, x, y, batch)
+	case *lstm:
+		lstmForward(l, params, x, y, batch, sc)
+	case *residualBlock:
+		residualForward(l, params, x, y, batch, sc)
 	default:
-		for i := range dst {
-			dst[i] = a[i] + b[i]
-		}
+		panic(fmt.Sprintf("nn: no forward pass for layer %T", l))
 	}
 }
 
-// addRowVectorF adds the length-n vector v to each of the m rows of a.
-// Under float32 each row add is one in-place vecmath.Add32 (8 lanes/iter
-// instead of a scalar loop); same-index aliasing is safe for elementwise
-// kernels.
-func addRowVectorF[F Float](a, v []F, m, n int) {
-	if as, ok := any(a).([]float32); ok {
-		vs := any(v).([]float32)
-		for i := 0; i < m; i++ {
-			row := as[i*n : (i+1)*n]
-			vecmath.Add32(row, row, vs)
-		}
-		return
-	}
-	for i := 0; i < m; i++ {
-		row := a[i*n : (i+1)*n]
-		for j, vj := range v {
-			row[j] += vj
-		}
-	}
-}
-
-// sumRowsAccF accumulates column sums: dst[j] += Σ_i a[i][j]. The row
-// order of the accumulation is preserved by both bodies — the float32
-// path folds each row into dst with one vectorized add, which is the
-// same per-column add sequence as the scalar loop.
-func sumRowsAccF[F Float](dst, a []F, m, n int) {
-	if ds, ok := any(dst).([]float32); ok {
-		as := any(a).([]float32)
-		for i := 0; i < m; i++ {
-			vecmath.Add32(ds, ds, as[i*n:(i+1)*n])
-		}
-		return
-	}
-	for i := 0; i < m; i++ {
-		row := a[i*n : (i+1)*n]
-		for j, v := range row {
-			dst[j] += v
-		}
+// backward consumes dy (batch×outSize), writes dx (batch×inSize) and
+// accumulates parameter gradients into dparams. x and y are the buffers
+// from the immediately preceding forward call with the same batch.
+func backward[F Float](l layer, params, x, y, dy, dx, dparams []F, batch int, sc *scratch[F]) {
+	switch l := l.(type) {
+	case *dense:
+		denseBackward(l, params, x, dy, dx, dparams, batch)
+	case *relu:
+		reluBackward(x, dy, dx, batch*l.in.Size())
+	case *tanhLayer:
+		tanhBackward(y, dy, dx, batch*l.in.Size())
+	case *conv2d:
+		convBackward(l, params, dy, dx, dparams, batch, sc)
+	case *maxPool2d:
+		maxPoolBackward(l, dy, dx, batch, sc.ints)
+	case *globalAvgPool:
+		gavgBackward(l, dy, dx, batch)
+	case *lstm:
+		lstmBackward(l, params, x, dy, dx, dparams, batch, sc)
+	case *residualBlock:
+		residualBackward(l, params, x, y, dy, dx, dparams, batch, sc)
+	default:
+		panic(fmt.Sprintf("nn: no backward pass for layer %T", l))
 	}
 }
 

@@ -10,20 +10,17 @@ import (
 // logits (batch×classes, row-major) against integer labels, and, when
 // dlogits is non-nil, writes the gradient of the mean loss with respect to
 // the logits into it (softmax(x) − onehot(y), scaled by 1/batch).
-func SoftmaxCrossEntropy(logits []float64, labels []int, classes int, dlogits []float64) float64 {
-	return softmaxCrossEntropy(logits, labels, classes, dlogits)
-}
-
-// softmaxCrossEntropy is the precision-generic body. The per-row reduction
-// (max, exp-sum, log) always runs in float64 — numerically it is the one
-// place fp32 accumulation visibly hurts, and the loss scalar feeds the
-// training-curve metrics, which stay float64 everywhere. Only the logit
+//
+// The per-row reduction (max, exp-sum, log) always runs in float64 —
+// numerically it is the one place fp32 accumulation visibly hurts, and the
+// loss scalar feeds the training-curve metrics, which stay float64
+// everywhere. Only the logit
 // values and the gradient rows carry the F precision; the float32
 // specialization additionally evaluates the per-element exponentials with
-// the fp32 polynomial expf32 (the sum and log still accumulate in
+// the fp32 polynomial vecmath.Exp32 (the sum and log still accumulate in
 // float64), trading ~1e-7 relative error — below the fp32 gradient
 // rounding — for staying off the float64 libm on the hot path.
-func softmaxCrossEntropy[F Float](logits []F, labels []int, classes int, dlogits []F) float64 {
+func SoftmaxCrossEntropy[F Float](logits []F, labels []int, classes int, dlogits []F) float64 {
 	if ls, ok := any(logits).([]float32); ok {
 		return softmaxCrossEntropy32(ls, labels, classes, any(dlogits).([]float32))
 	}
@@ -59,7 +56,7 @@ func softmaxCrossEntropy[F Float](logits []F, labels []int, classes int, dlogits
 // softmaxCrossEntropy32 mirrors the generic body for float32 logits:
 // row max, exp-sum, and the loss total stay in float64 (and the log-sum
 // uses the float64 math.Log — it runs once per sample, not per class),
-// but each e^x is the single-precision expf32.
+// but each e^x is the single-precision vecmath.Exp32.
 func softmaxCrossEntropy32(logits []float32, labels []int, classes int, dlogits []float32) float64 {
 	batch := len(labels)
 	invB := 1.0 / float64(batch)
@@ -93,11 +90,7 @@ func softmaxCrossEntropy32(logits []float32, labels []int, classes int, dlogits 
 }
 
 // Argmax returns the index of the largest element of row.
-func Argmax(row []float64) int {
-	return argmaxF(row)
-}
-
-func argmaxF[F Float](row []F) int {
+func Argmax[F Float](row []F) int {
 	best, bi := row[0], 0
 	for i, v := range row[1:] {
 		if v > best {

@@ -96,23 +96,7 @@ func recBlocks[F Float](recs []F, t, batch, h int) (gates, c, tc []F) {
 	return
 }
 
-func (l *lstm) forward(params, x, y []float64, batch int, sc *scratch) {
-	lstmForward(l, params, x, y, batch, sc)
-}
-
-func (l *lstm) forward32(params, x, y []float32, batch int, sc *scratch32) {
-	lstmForward(l, params, x, y, batch, sc)
-}
-
-func (l *lstm) backward(params, x, _, dy, dx, dparams []float64, batch int, sc *scratch) {
-	lstmBackward(l, params, x, dy, dx, dparams, batch, sc)
-}
-
-func (l *lstm) backward32(params, x, _, dy, dx, dparams []float32, batch int, sc *scratch32) {
-	lstmBackward(l, params, x, dy, dx, dparams, batch, sc)
-}
-
-func lstmForward[F Float](l *lstm, params, x, y []F, batch int, sc *scratchOf[F]) {
+func lstmForward[F Float](l *lstm, params, x, y []F, batch int, sc *scratch[F]) {
 	h := l.hidden
 	h4 := 4 * h
 	d := l.inDim
@@ -134,11 +118,11 @@ func lstmForward[F Float](l *lstm, params, x, y []F, batch int, sc *scratchOf[F]
 		for s := 0; s < batch; s++ {
 			copy(xbuf[s*d:(s+1)*d], x[s*inSize+t*d:s*inSize+(t+1)*d])
 		}
-		gemm(gates, xbuf, wx, batch, d, h4, false)
+		vecmath.Gemm(gates, xbuf, wx, batch, d, h4, false)
 		if t > 0 {
-			gemm(gates, hbuf, wh, batch, h, h4, true)
+			vecmath.Gemm(gates, hbuf, wh, batch, h, h4, true)
 		}
-		addRowVectorF(gates, bias, batch, h4)
+		vecmath.AddRowVector(gates, bias, batch, h4)
 		lstmGateForward(gates, c, tc, hbuf, cPrev, batch, h)
 		cPrev = c
 	}
@@ -151,8 +135,8 @@ func lstmForward[F Float](l *lstm, params, x, y []F, batch int, sc *scratchOf[F]
 // default (float64) body is the pre-split loop verbatim — same operations
 // in the same order, so the sync golden stays bit-identical — while the
 // float32 specialization runs the polynomial fp32 transcendentals from
-// mathf32.go instead of round-tripping every element through the float64
-// libm.
+// vecmath/math32.go instead of round-tripping every element through the
+// float64 libm.
 func lstmGateForward[F Float](gates, c, tc, hbuf, cPrev []F, batch, h int) {
 	h4 := 4 * h
 	switch g4 := any(gates).(type) {
@@ -215,7 +199,7 @@ func lstmGateForward32(gates, c, tc, hbuf, cPrev []float32, batch, h int) {
 	}
 }
 
-func lstmBackward[F Float](l *lstm, params, x, dy, dx, dparams []F, batch int, sc *scratchOf[F]) {
+func lstmBackward[F Float](l *lstm, params, x, dy, dx, dparams []F, batch int, sc *scratch[F]) {
 	h := l.hidden
 	h4 := 4 * h
 	d := l.inDim
@@ -244,7 +228,7 @@ func lstmBackward[F Float](l *lstm, params, x, dy, dx, dparams []F, batch int, s
 
 	inSize := l.in.Size()
 	copy(dh, dy[:batch*h])
-	zeroF(dc)
+	vecmath.Zero(dc)
 	for t := l.steps - 1; t >= 0; t-- {
 		gates, _, tc := recBlocks(recs, t, batch, h)
 		var prevGates, prevC, prevTc []F
@@ -275,13 +259,13 @@ func lstmBackward[F Float](l *lstm, params, x, dy, dx, dparams []F, batch int, s
 				dzs[3*h+j] = do * go_ * (1 - go_)
 			}
 		}
-		sumRowsAccF(db, dz, batch, h4)
+		vecmath.SumRowsAcc(db, dz, batch, h4)
 		// dWx += X_tᵀ·dZ and dX_t = dZ·Wxᵀ.
 		for s := 0; s < batch; s++ {
 			copy(xbuf[s*d:(s+1)*d], x[s*inSize+t*d:s*inSize+(t+1)*d])
 		}
-		gemmATB(dwx, xbuf, dz, batch, d, h4, true)
-		gemmABT(dxt, dz, wx, batch, h4, d, false)
+		vecmath.GemmATB(dwx, xbuf, dz, batch, d, h4, true)
+		vecmath.GemmABT(dxt, dz, wx, batch, h4, d, false)
 		for s := 0; s < batch; s++ {
 			copy(dx[s*inSize+t*d:s*inSize+(t+1)*d], dxt[s*d:(s+1)*d])
 		}
@@ -293,8 +277,8 @@ func lstmBackward[F Float](l *lstm, params, x, dy, dx, dparams []F, batch int, s
 					hbuf[s*h+j] = prevGates[s*h4+3*h+j] * prevTc[s*h+j]
 				}
 			}
-			gemmATB(dwh, hbuf, dz, batch, h, h4, true)
-			gemmABT(dh, dz, wh, batch, h4, h, false)
+			vecmath.GemmATB(dwh, hbuf, dz, batch, h, h4, true)
+			vecmath.GemmABT(dh, dz, wh, batch, h4, h, false)
 		}
 	}
 }

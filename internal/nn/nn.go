@@ -5,15 +5,20 @@
 //
 // Design notes:
 //
-//   - Model parameters live in one flat []float64. Federated-learning
+//   - Model parameters live in one flat vector ([]float64 at the server
+//     and in every algorithm hook; []float32 only inside an fp32 client's
+//     local loop). Federated-learning
 //     algorithms manipulate whole parameter vectors (deltas, corrections,
 //     EMA aggregation), so a contiguous layout makes every algorithm a few
 //     vector kernels.
 //   - A Network is an immutable architecture description shared by all
-//     clients; each concurrent worker owns an Engine, which carries the
-//     activation and scratch buffers for forward/backward passes.
-//   - Layers implement forward and backward on row-major batch buffers.
-//     Gradient correctness is enforced by finite-difference tests.
+//     clients; each concurrent worker owns an Engine[F], which carries the
+//     activation and scratch buffers for forward/backward passes at
+//     precision F.
+//   - Each layer's forward and backward pass is one precision-generic
+//     body over row-major batch buffers; the engine reaches it through
+//     the dispatch in generic.go. Gradient correctness is enforced by
+//     finite-difference tests.
 package nn
 
 import (
@@ -36,42 +41,34 @@ func Vec(n int) Shape { return Shape{C: n, H: 1, W: 1} }
 
 func (s Shape) String() string { return fmt.Sprintf("%dx%dx%d", s.C, s.H, s.W) }
 
-// scratchOf holds per-layer working memory owned by an Engine, in the
+// scratch holds per-layer working memory owned by an Engine, in the
 // engine's compute precision. Layers size the fields they need on first
 // use; buffers are reused across steps. Buffers persist between a forward
 // call and the backward call that follows it (the layer contract
 // guarantees the pairing), so layers may stash forward-pass state —
 // im2col packings, LSTM gate records — instead of recomputing it.
-type scratchOf[F Float] struct {
+type scratch[F Float] struct {
 	ints     []int
 	floats   []F
-	cols     []F              // im2col packing, kept separate so it survives floatBuf use
-	children []*scratchOf[F] // sub-layer scratches for composite layers (residual)
+	cols     []F           // im2col packing, kept separate so it survives floatBuf use
+	children []*scratch[F] // sub-layer scratches for composite layers (residual)
 }
 
-// scratch and scratch32 are the two instantiations the engines use. (Go
-// 1.22 allows aliases to instantiated generics, just not parameterized
-// aliases.)
-type (
-	scratch   = scratchOf[float64]
-	scratch32 = scratchOf[float32]
-)
-
-func (s *scratchOf[F]) intBuf(n int) []int {
+func (s *scratch[F]) intBuf(n int) []int {
 	if cap(s.ints) < n {
 		s.ints = make([]int, n)
 	}
 	return s.ints[:n]
 }
 
-func (s *scratchOf[F]) floatBuf(n int) []F {
+func (s *scratch[F]) floatBuf(n int) []F {
 	if cap(s.floats) < n {
 		s.floats = make([]F, n)
 	}
 	return s.floats[:n]
 }
 
-func (s *scratchOf[F]) colBuf(n int) []F {
+func (s *scratch[F]) colBuf(n int) []F {
 	if cap(s.cols) < n {
 		s.cols = make([]F, n)
 	}
@@ -81,19 +78,18 @@ func (s *scratchOf[F]) colBuf(n int) []F {
 // child returns the i-th sub-scratch, allocating up to it on first use.
 // Composite layers hand one to each inner layer so their buffers never
 // collide with the parent's.
-func (s *scratchOf[F]) child(i int) *scratchOf[F] {
+func (s *scratch[F]) child(i int) *scratch[F] {
 	for len(s.children) <= i {
-		s.children = append(s.children, &scratchOf[F]{})
+		s.children = append(s.children, &scratch[F]{})
 	}
 	return s.children[i]
 }
 
-// layer is the internal building-block contract. Concrete layers are
-// constructed with their input shape already resolved by the Builder, so
-// the methods carry no shape arguments. Every layer implements each pass
-// twice — float64 and float32 — as thin wrappers over one generic body
-// (Go methods cannot be generic), so the two precisions execute the same
-// operation sequence and the float64 path is unchanged by construction.
+// layer is the internal building-block contract: the shape and parameter
+// bookkeeping of one layer. Concrete layers are constructed with their
+// input shape already resolved by the Builder, so the methods carry no
+// shape arguments. The passes themselves are generic functions (Go methods
+// cannot be generic), reached through forward/backward in generic.go.
 type layer interface {
 	name() string
 	inShape() Shape
@@ -102,15 +98,6 @@ type layer interface {
 	// initParams writes initial weights into params (length paramCount).
 	// Initialization is always float64; the fp32 path narrows afterwards.
 	initParams(params []float64, r *rng.RNG)
-	// forward computes y (batch×outSize) from x (batch×inSize).
-	forward(params, x, y []float64, batch int, sc *scratch)
-	// backward consumes dy (batch×outSize), writes dx (batch×inSize) and
-	// accumulates parameter gradients into dparams. x and y are the buffers
-	// from the immediately preceding forward call with the same batch.
-	backward(params, x, y, dy, dx, dparams []float64, batch int, sc *scratch)
-	// forward32/backward32 are the float32 twins, used by Engine32.
-	forward32(params, x, y []float32, batch int, sc *scratch32)
-	backward32(params, x, y, dy, dx, dparams []float32, batch int, sc *scratch32)
 }
 
 // Network is an immutable feed-forward architecture: an ordered list of

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/rng"
+	"repro/internal/vecmath"
 )
 
 // maxPool2d is a non-overlapping k×k max pooling layer. The winning input
@@ -38,29 +39,13 @@ func (l *maxPool2d) outShape() Shape                { return l.out }
 func (l *maxPool2d) paramCount() int                { return 0 }
 func (l *maxPool2d) initParams([]float64, *rng.RNG) {}
 
-func (l *maxPool2d) forward(_, x, y []float64, batch int, sc *scratch) {
-	maxPoolForward(l, x, y, batch, sc)
-}
-
-func (l *maxPool2d) forward32(_, x, y []float32, batch int, sc *scratch32) {
-	maxPoolForward(l, x, y, batch, sc)
-}
-
-func (l *maxPool2d) backward(_, _, _, dy, dx, _ []float64, batch int, sc *scratch) {
-	maxPoolBackward(l, dy, dx, batch, sc.ints)
-}
-
-func (l *maxPool2d) backward32(_, _, _, dy, dx, _ []float32, batch int, sc *scratch32) {
-	maxPoolBackward(l, dy, dx, batch, sc.ints)
-}
-
-func maxPoolForward[F Float](l *maxPool2d, x, y []F, batch int, sc *scratchOf[F]) {
+func maxPoolForward[F Float](l *maxPool2d, x, y []F, batch int, sc *scratch[F]) {
 	inH, inW := l.in.H, l.in.W
 	outH, outW := l.out.H, l.out.W
 	inSize, outSize := l.in.Size(), l.out.Size()
 	arg := sc.intBuf(batch * outSize)
-	if xs, ok := any(x).([]float32); ok && l.k == 2 {
-		maxPool2x2Forward32(l, xs, any(y).([]float32), arg, batch)
+	if l.k == 2 {
+		maxPool2x2Forward(l, x, y, arg, batch)
 		return
 	}
 	for s := 0; s < batch; s++ {
@@ -91,14 +76,13 @@ func maxPoolForward[F Float](l *maxPool2d, x, y []F, batch int, sc *scratchOf[F]
 	}
 }
 
-// maxPool2x2Forward32 is the float32 fast path for the ubiquitous 2×2
-// window: the window loops unroll into three compares over two adjacent
+// maxPool2x2Forward is the fast path for the ubiquitous 2×2 window: the window loops unroll into three compares over two adjacent
 // input rows (no −Inf sentinel, no per-tap index arithmetic), which
 // roughly halves the pooling cost on the CNN models. Tie-breaking keeps
 // the generic loop's first-wins order (row-major within the window), so
 // the recorded argmax — and therefore the backward routing — is
 // identical.
-func maxPool2x2Forward32(l *maxPool2d, x, y []float32, arg []int, batch int) {
+func maxPool2x2Forward[F Float](l *maxPool2d, x, y []F, arg []int, batch int) {
 	inH, inW := l.in.H, l.in.W
 	outH, outW := l.out.H, l.out.W
 	inSize, outSize := l.in.Size(), l.out.Size()
@@ -136,7 +120,7 @@ func maxPool2x2Forward32(l *maxPool2d, x, y []float32, arg []int, batch int) {
 func maxPoolBackward[F Float](l *maxPool2d, dy, dx []F, batch int, ints []int) {
 	inSize, outSize := l.in.Size(), l.out.Size()
 	arg := ints[:batch*outSize] // recorded by forward
-	zeroF(dx[:batch*inSize])
+	vecmath.Zero(dx[:batch*inSize])
 	for s := 0; s < batch; s++ {
 		dys := dy[s*outSize : (s+1)*outSize]
 		dxs := dx[s*inSize : (s+1)*inSize]
@@ -163,22 +147,6 @@ func (l *globalAvgPool) inShape() Shape                 { return l.in }
 func (l *globalAvgPool) outShape() Shape                { return Vec(l.in.C) }
 func (l *globalAvgPool) paramCount() int                { return 0 }
 func (l *globalAvgPool) initParams([]float64, *rng.RNG) {}
-
-func (l *globalAvgPool) forward(_, x, y []float64, batch int, _ *scratch) {
-	gavgForward(l, x, y, batch)
-}
-
-func (l *globalAvgPool) forward32(_, x, y []float32, batch int, _ *scratch32) {
-	gavgForward(l, x, y, batch)
-}
-
-func (l *globalAvgPool) backward(_, _, _, dy, dx, _ []float64, batch int, _ *scratch) {
-	gavgBackward(l, dy, dx, batch)
-}
-
-func (l *globalAvgPool) backward32(_, _, _, dy, dx, _ []float32, batch int, _ *scratch32) {
-	gavgBackward(l, dy, dx, batch)
-}
 
 func gavgForward[F Float](l *globalAvgPool, x, y []F, batch int) {
 	hw := l.in.H * l.in.W

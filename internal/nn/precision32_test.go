@@ -9,8 +9,8 @@ import (
 )
 
 // Float32-path tests: finite-difference gradient checks against the fp32
-// analytic backward pass, and a differential check of Engine32 against the
-// float64 Engine on identical (narrowed) inputs. Tolerances are set by
+// analytic backward pass, and a differential check of the float32 engine
+// against the float64 one on identical (narrowed) inputs. Tolerances are set by
 // fp32 arithmetic, not the layer math — the generic bodies are shared with
 // the float64 path, which gradcheck_test.go pins at 1e-4.
 // The tolerance leaves headroom for the pure-Go kernel path (noasm),
@@ -137,21 +137,27 @@ func TestEngine32MatchesEngine64(t *testing.T) {
 	}
 }
 
-// TestGenericDispatchAllocs pins the property the fp32 hot path relies on:
-// the any()-type-switch inside the generic GEMM shims does not box its
-// operands, so layer passes stay allocation-free in both precisions.
+// TestGenericDispatchAllocs pins the property both precisions' hot paths
+// rely on: neither the engine's layer switch nor the kernel-table lookup
+// inside the vecmath drivers boxes an operand, so a layer pass reached
+// through the generic dispatch stays allocation-free.
 func TestGenericDispatchAllocs(t *testing.T) {
-	c64 := make([]float64, 16)
-	a64 := make([]float64, 16)
-	b64 := make([]float64, 16)
-	c32 := make([]float32, 16)
-	a32 := make([]float32, 16)
-	b32 := make([]float32, 16)
-	if n := testing.AllocsPerRun(100, func() {
-		gemm(c64, a64, b64, 4, 4, 4, false)
-		gemm(c32, a32, b32, 4, 4, 4, false)
-	}); n != 0 {
-		t.Fatalf("generic gemm dispatch allocates %v times per call pair", n)
+	run64, run32 := dispatchDense[float64](), dispatchDense[float32]()
+	if n := testing.AllocsPerRun(100, func() { run64(); run32() }); n != 0 {
+		t.Fatalf("generic layer dispatch allocates %v times per call pair", n)
+	}
+}
+
+// dispatchDense returns one forward+backward pass of a 4→4 dense layer at
+// batch 4 through the engine's dispatch, over buffers allocated up front.
+func dispatchDense[F Float]() func() {
+	var l layer = &dense{in: Vec(4), out: 4}
+	sc := new(scratch[F])
+	p, dp := make([]F, l.paramCount()), make([]F, l.paramCount())
+	x, y, dy, dx := make([]F, 16), make([]F, 16), make([]F, 16), make([]F, 16)
+	return func() {
+		forward(l, p, x, y, 4, sc)
+		backward(l, p, x, y, dy, dx, dp, 4, sc)
 	}
 }
 
@@ -176,6 +182,6 @@ func TestEngine32GradientAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() {
 		e.Gradient(params, x, labels, grad)
 	}); n != 0 {
-		t.Fatalf("Engine32.Gradient allocates %v times per call after warm-up", n)
+		t.Fatalf("Engine[float32].Gradient allocates %v times per call after warm-up", n)
 	}
 }

@@ -49,27 +49,11 @@ func (l *residualBlock) initParams(params []float64, r *rng.RNG) {
 	vecmath.Scale(0.3, params[p1:])
 }
 
-func (l *residualBlock) forward(params, x, y []float64, batch int, sc *scratch) {
-	residualForward(l, params, x, y, batch, sc)
-}
-
-func (l *residualBlock) forward32(params, x, y []float32, batch int, sc *scratch32) {
-	residualForward(l, params, x, y, batch, sc)
-}
-
-func (l *residualBlock) backward(params, x, y, dy, dx, dparams []float64, batch int, sc *scratch) {
-	residualBackward(l, params, x, y, dy, dx, dparams, batch, sc)
-}
-
-func (l *residualBlock) backward32(params, x, y, dy, dx, dparams []float32, batch int, sc *scratch32) {
-	residualBackward(l, params, x, y, dy, dx, dparams, batch, sc)
-}
-
 // scratch layout (5 regions of batch*size each):
 // h1 | a1 | dz | da1 | dxc
 // The two inner convolutions get child scratches so their im2col packings
 // survive from forward to backward alongside this block's own buffer.
-func residualForward[F Float](l *residualBlock, params, x, y []F, batch int, sc *scratchOf[F]) {
+func residualForward[F Float](l *residualBlock, params, x, y []F, batch int, sc *scratch[F]) {
 	size := l.in.Size()
 	n := batch * size
 	buf := sc.floatBuf(5 * n)
@@ -94,7 +78,7 @@ func residualForward[F Float](l *residualBlock, params, x, y []F, batch int, sc 
 	}
 }
 
-func residualBackward[F Float](l *residualBlock, params, x, y, dy, dx, dparams []F, batch int, sc *scratchOf[F]) {
+func residualBackward[F Float](l *residualBlock, params, x, y, dy, dx, dparams []F, batch int, sc *scratch[F]) {
 	size := l.in.Size()
 	n := batch * size
 	buf := sc.floatBuf(5 * n)
@@ -118,5 +102,5 @@ func residualBackward[F Float](l *residualBlock, params, x, y, dy, dx, dparams [
 	}
 	convBackward(l.conv1, params[:p1], da1, dxc, dparams[:p1], batch, sc.child(0))
 	// Skip connection adds dz to the conv path's input gradient.
-	addF(dx[:n], dxc[:n], dz[:n])
+	vecmath.Add(dx[:n], dxc[:n], dz[:n])
 }

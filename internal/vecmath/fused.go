@@ -15,26 +15,20 @@ package vecmath
 // machines, only within one process (which is what the engine's
 // parallelism-independence guarantee is stated over).
 
-// fusedLanes is the element count each assembly loop iteration consumes
-// (two 4-wide YMM vectors); tails shorter than this run in pure Go.
-const fusedLanes = 8
-
 // AXPYPY computes z[i] += a*x[i] + b*y[i] in one pass — the fused form
 // of GradAdjust-then-AXPY: with a = −ηl, x the raw mini-batch gradient,
 // b = −ηl·coeff, and y the method's correction vector, it applies the
 // corrected step w ← w − ηl·(g + coeff·c) without materializing the
 // adjusted gradient.
-func AXPYPY(a float64, x []float64, b float64, y, z []float64) {
+func AXPYPY[F Float](a F, x []F, b F, y, z []F) {
 	checkLen("AXPYPY", len(x), len(z))
 	checkLen("AXPYPY", len(y), len(z))
-	n := len(z)
-	i := 0
-	if useAVX && n >= fusedLanes {
-		head := n &^ (fusedLanes - 1)
-		axpypyKernel(a, &x[0], b, &y[0], &z[0], head)
-		i = head
+	kn := kernelsFor[F]()
+	if i := kn.head(kn.axpypy != nil, len(z)); i > 0 {
+		kn.axpypy(a, &x[0], b, &y[0], &z[0], i)
+		x, y, z = x[i:], y[i:], z[i:]
 	}
-	for ; i < n; i++ {
+	for i := range z {
 		z[i] += a*x[i] + b*y[i]
 	}
 }
@@ -42,17 +36,15 @@ func AXPYPY(a float64, x []float64, b float64, y, z []float64) {
 // SubScale computes dst[i] = s*(a[i]-b[i]) in one pass — the fused form
 // of Sub-then-Scale used by the freeloader replay ∆ = scale·(w^{t−1} −
 // w^t). dst may alias a or b.
-func SubScale(dst []float64, s float64, a, b []float64) {
+func SubScale[F Float](dst []F, s F, a, b []F) {
 	checkLen("SubScale", len(a), len(b))
 	checkLen("SubScale", len(dst), len(a))
-	n := len(dst)
-	i := 0
-	if useAVX && n >= fusedLanes {
-		head := n &^ (fusedLanes - 1)
-		subScaleKernel(s, &a[0], &b[0], &dst[0], head)
-		i = head
+	kn := kernelsFor[F]()
+	if i := kn.head(kn.subScale != nil, len(dst)); i > 0 {
+		kn.subScale(s, &a[0], &b[0], &dst[0], i)
+		dst, a, b = dst[i:], a[i:], b[i:]
 	}
-	for ; i < n; i++ {
+	for i := range dst {
 		dst[i] = s * (a[i] - b[i])
 	}
 }

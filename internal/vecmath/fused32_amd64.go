@@ -3,33 +3,20 @@
 package vecmath
 
 // axpypy32Kernel accumulates z[i] += a*x[i] + b*y[i] over the first n
-// elements with AVX2+FMA; n must be a positive multiple of fusedLanes32.
+// elements with AVX2+FMA; n must be a positive multiple of 16.
 //
 //go:noescape
 func axpypy32Kernel(a float32, x *float32, b float32, y, z *float32, n int)
 
-// subScale32Kernel writes dst[i] = s*(a[i]-b[i]) over the first n
-// elements with AVX2; n must be a positive multiple of fusedLanes32.
-//
-//go:noescape
-func subScale32Kernel(s float32, a, b, dst *float32, n int)
-
 // axpy32Kernel accumulates y[i] += alpha*x[i] over the first n elements
-// with AVX2+FMA; n must be a positive multiple of fusedLanes32.
+// with AVX2+FMA; n must be a positive multiple of 16.
 //
 //go:noescape
 func axpy32Kernel(alpha float32, x, y *float32, n int)
 
 // add32Kernel writes dst[i] = a[i]+b[i] over the first n elements with
-// AVX2; n must be a positive multiple of fusedLanes32. dst may exactly
+// AVX2; n must be a positive multiple of 16. dst may exactly
 // alias a or b.
 //
 //go:noescape
 func add32Kernel(a, b, dst *float32, n int)
-
-// dot32Kernel returns Σ a[i]*b[i] over the first n elements with
-// AVX2+FMA (two 8-wide accumulator chains, reduced pairwise at the end);
-// n must be a positive multiple of fusedLanes32.
-//
-//go:noescape
-func dot32Kernel(a, b *float32, n int) float32

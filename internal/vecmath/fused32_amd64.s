@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// Float32 fused level-1 AVX2+FMA kernels (see fused32.go). Ports of the
+// Float32 fused level-1 AVX2+FMA kernels (table entries in kernels_amd64.go). Ports of the
 // float64 kernels in fused_amd64.s at twice the lane width: each
 // iteration streams sixteen float32s (two YMM vectors). The Go wrappers
 // handle the sub-16 tails, so n is always a positive multiple of 16.
@@ -35,35 +35,6 @@ axpypy32loop:
 	ADDQ        $64, DI
 	SUBQ        $16, CX
 	JNZ         axpypy32loop
-
-	VZEROUPPER
-	RET
-
-// func subScale32Kernel(s float32, a, b, dst *float32, n int)
-// dst[i] = s*(a[i]-b[i])
-TEXT ·subScale32Kernel(SB), NOSPLIT, $0-40
-	VBROADCASTSS s+0(FP), Y15
-	MOVQ         a+8(FP), R8
-	MOVQ         b+16(FP), R9
-	MOVQ         dst+24(FP), DI
-	MOVQ         n+32(FP), CX
-
-subscale32loop:
-	VMOVUPS (R8), Y0
-	VMOVUPS 32(R8), Y1
-	VMOVUPS (R9), Y2
-	VMOVUPS 32(R9), Y3
-	VSUBPS  Y2, Y0, Y0
-	VSUBPS  Y3, Y1, Y1
-	VMULPS  Y15, Y0, Y0
-	VMULPS  Y15, Y1, Y1
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	ADDQ    $64, R8
-	ADDQ    $64, R9
-	ADDQ    $64, DI
-	SUBQ    $16, CX
-	JNZ     subscale32loop
 
 	VZEROUPPER
 	RET
@@ -118,36 +89,4 @@ add32loop:
 	JNZ     add32loop
 
 	VZEROUPPER
-	RET
-
-// func dot32Kernel(a, b *float32, n int) float32
-// Returns Σ a[i]*b[i] with two 8-lane FMA accumulator chains; the lanes
-// are reduced pairwise at the end, so the summation order differs from
-// the scalar fallback (documented in vecmath32.go).
-TEXT ·dot32Kernel(SB), NOSPLIT, $0-28
-	MOVQ   a+0(FP), R8
-	MOVQ   b+8(FP), R9
-	MOVQ   n+16(FP), CX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-
-dot32loop:
-	VMOVUPS     (R8), Y2
-	VMOVUPS     32(R8), Y3
-	VMOVUPS     (R9), Y4
-	VMOVUPS     32(R9), Y5
-	VFMADD231PS Y4, Y2, Y0
-	VFMADD231PS Y5, Y3, Y1
-	ADDQ        $64, R8
-	ADDQ        $64, R9
-	SUBQ        $16, CX
-	JNZ         dot32loop
-
-	VADDPS       Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS       X1, X0, X0
-	VHADDPS      X0, X0, X0
-	VHADDPS      X0, X0, X0
-	VZEROUPPER
-	MOVSS        X0, ret+24(FP)
 	RET

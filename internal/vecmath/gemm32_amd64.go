@@ -2,11 +2,11 @@
 
 package vecmath
 
-// Float32 GEMM microkernel declarations (bodies in gemm32_amd64.s),
-// gated by the same useAVX CPUID check as the float64 kernels. The main
-// tiles stream two 8-wide YMM vectors per C row (16 columns); the x8
-// variants handle the 8..15-column remainder so the substrate's narrow
-// dense layers stay on the vector path.
+// Float32 GEMM microkernel declarations (bodies in gemm32_amd64.s). The
+// main tiles stream two 8-wide YMM vectors per C row (16 columns); the x8
+// variants are the table's half blocks for the 8..15-column remainder, so
+// the substrate's narrow dense layers (8–48 columns) stay on the vector
+// path instead of falling to the scalar edge.
 
 // gemm32Kernel4x16 accumulates a 4×16 tile of C += A·B: the four A-row
 // pointers advance one element per step, b advances by ldb elements
@@ -62,3 +62,9 @@ func atb32Kernel1x8(a *float32, lda int, b *float32, ldb int, c *float32, m int)
 //
 //go:noescape
 func abt32Kernel2x4(a0, a1, b0, b1, b2, b3 *float32, k int, out *[8]float32)
+
+// abt32x2x4 is the table entry for abt32Kernel2x4 (see abt2x4).
+func abt32x2x4(a0, a1, b0, b1, b2, b3 *float32, k int) (out [8]float32) {
+	abt32Kernel2x4(a0, a1, b0, b1, b2, b3, k, &out)
+	return
+}

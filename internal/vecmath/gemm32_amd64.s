@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// AVX2+FMA float32 microkernels for the GEMM entry points in matrix32.go.
+// AVX2+FMA float32 microkernels for the GEMM drivers in matrix.go.
 // Mechanical ports of the float64 kernels in gemm_amd64.s at twice the
 // lane width: a YMM register holds 8 float32s, so the two-vector tiles
 // cover 16 columns and the one-vector tiles cover 8. Same structure

@@ -2,15 +2,8 @@
 
 package vecmath
 
-// useAVX gates the AVX2+FMA assembly microkernels in gemm_amd64.s. It is
-// resolved once at init from CPUID, so the dispatch in Gemm/GemmATB/
-// GemmABT is a predictable branch. The pure-Go register-tiled paths remain
-// as the fallback for CPUs without AVX2/FMA (and for tile remainders).
-var useAVX = cpuSupportsAVX2FMA()
-
-// cpuSupportsAVX2FMA reports whether the CPU supports AVX2 and FMA3 and
-// the OS has enabled YMM state (CPUID leaves 1 and 7 plus XGETBV).
-func cpuSupportsAVX2FMA() bool
+// Float64 GEMM microkernel declarations (bodies in gemm_amd64.s); the
+// drivers in matrix.go reach them through the kernel table.
 
 // gemmKernel4x8 accumulates a 4×8 tile of C += A·B: the four A-row
 // pointers advance one element per step, b advances by ldb elements
@@ -43,3 +36,11 @@ func atbKernel1x8(a *float64, lda int, b *float64, ldb int, c *float64, m int)
 //
 //go:noescape
 func abtKernel2x4(a0, a1, b0, b1, b2, b3 *float64, k int, out *[8]float64)
+
+// abt2x4 is the table entry for abtKernel2x4. It returns the tile by value
+// so the driver's copy stays on the stack: an address passed through a
+// func value always escapes, and GemmABT must not allocate.
+func abt2x4(a0, a1, b0, b1, b2, b3 *float64, k int) (out [8]float64) {
+	abtKernel2x4(a0, a1, b0, b1, b2, b3, k, &out)
+	return
+}

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// AVX2+FMA microkernels for the GEMM entry points in matrix.go. All
+// AVX2+FMA float64 microkernels for the GEMM drivers in matrix.go. All
 // kernels are leaf functions that keep their accumulator tiles in YMM
 // registers and touch C exactly once, so the inner loops are pure
 // load+FMA streams. Remainder rows/columns and short reductions are

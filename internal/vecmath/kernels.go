@@ -1,0 +1,66 @@
+package vecmath
+
+// Float is the compute-precision constraint of the generic drivers.
+// float32 and float64 are distinct gcshapes, so every driver is stencilled
+// once per precision and the float64 instantiation is the same machine
+// loop the pre-generic float64 function compiled to.
+type Float interface {
+	float32 | float64
+}
+
+// kernels is the per-precision microkernel table the generic drivers run
+// over. Each entry is an AVX2+FMA assembly body; a nil entry means there is
+// no assembly for that operation at that precision (or on this build or
+// CPU), and the driver runs its pure-Go loop instead. The drivers own all
+// edge handling, so only the assembly bodies and their declarations are
+// written per precision.
+//
+// wide is the element count of two YMM vectors (8 float64 / 16 float32):
+// the column width of the main GEMM tile and the stride of the level-1
+// kernels. One vector (wide/2) is the width of the half tile and the
+// reduction stride of the ABT kernel.
+type kernels[F Float] struct {
+	wide int
+
+	// Gemm tiles: 4×wide and 1×wide blocks of C += A·B, and the
+	// 4×(wide/2) and 1×(wide/2) half blocks for the column remainder.
+	// Only float32 has half blocks: at float64 the half tile would be a
+	// single 4-lane vector, no better than the scalar edge.
+	gemm4, gemm4Half func(a0, a1, a2, a3, b *F, ldb int, c *F, ldc, k int)
+	gemm1, gemm1Half func(a, b *F, ldb int, c *F, k int)
+
+	// GemmATB tiles, same shapes, reducing over the rows of A and B.
+	atb4, atb4Half func(a *F, lda int, b *F, ldb int, c *F, ldc, m int)
+	atb1, atb1Half func(a *F, lda int, b *F, ldb int, c *F, m int)
+
+	// abt2x4 returns the eight dot products of two A rows with four B rows
+	// over k elements (a positive multiple of wide/2), ordered
+	// {a0·b0, a0·b1, a0·b2, a0·b3, a1·b0, a1·b1, a1·b2, a1·b3}.
+	abt2x4 func(a0, a1, b0, b1, b2, b3 *F, k int) [8]F
+
+	// Level-1 bodies over the first n elements, n a positive multiple of
+	// wide. float64 has no axpy or add body on purpose: its scalar loops
+	// are the golden reference the bit-identity pins are stated against.
+	axpy     func(alpha F, x, y *F, n int)
+	axpypy   func(a F, x *F, b F, y, z *F, n int)
+	add      func(a, b, dst *F, n int)
+	subScale func(s F, a, b, dst *F, n int)
+}
+
+// kernelsFor returns the table of the instantiating precision.
+func kernelsFor[F Float]() *kernels[F] {
+	if k, ok := any(&kern64).(*kernels[F]); ok {
+		return k
+	}
+	return any(&kern32).(*kernels[F])
+}
+
+// head is the length of the prefix of an n-element vector that a level-1
+// assembly body handles (0 when there is none or n is shorter than one
+// stride); the driver's scalar loop finishes the tail.
+func (k *kernels[F]) head(have bool, n int) int {
+	if !have || n < k.wide {
+		return 0
+	}
+	return n &^ (k.wide - 1)
+}

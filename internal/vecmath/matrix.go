@@ -3,15 +3,19 @@ package vecmath
 import "fmt"
 
 // Row-major matrix kernels used by the neural-network substrate. A matrix
-// with r rows and c columns is stored as a []float64 of length r*c with
-// element (i, j) at index i*c+j. Keeping these loops here (rather than
-// inside internal/nn) lets the gradient-check tests exercise them in
-// isolation and keeps the layer code focused on calculus.
+// with r rows and c columns is stored as a []F of length r*c with element
+// (i, j) at index i*c+j. Keeping these loops here (rather than inside
+// internal/nn) lets the gradient-check tests exercise them in isolation
+// and keeps the layer code focused on calculus.
 //
-// The three GEMM entry points (Gemm, GemmATB, GemmABT) share a common
-// design: a 2×4 register tile of C accumulates in registers across the
-// whole reduction and is written back once, so the inner loop performs 16
-// flops per 6 loads with no stores. Gemm additionally blocks the reduction
+// The three GEMM drivers (Gemm, GemmATB, GemmABT) are written once over
+// the per-precision microkernel table (kernels.go): where the table has an
+// assembly tile the driver walks C in 4×wide and 1×wide blocks (plus the
+// float32 half blocks) and finishes the column remainder with scalar dots;
+// where it has none the pure-Go register tiles below run. Those share a
+// common design: a 2×4 register tile of C accumulates in registers across
+// the whole reduction and is written back once, so the inner loop performs
+// 16 flops per 6 loads with no stores. Gemm additionally blocks the reduction
 // dimension (gemmKC) so the 4-column stripe of B walked by a tile stays
 // cache-resident for long reductions, and GemmATB switches to a rank-1
 // row-panel form when the reduction is long enough to amortize streaming
@@ -51,7 +55,7 @@ func checkDims(op string, got, want int) {
 
 // Gemm computes C = A·B (or C += A·B when accumulate is true) where A is
 // m×k, B is k×n, and C is m×n. C must not alias A or B.
-func Gemm(c, a, b []float64, m, k, n int, accumulate bool) {
+func Gemm[F Float](c, a, b []F, m, k, n int, accumulate bool) {
 	checkDims("Gemm A", len(a), m*k)
 	checkDims("Gemm B", len(b), k*n)
 	checkDims("Gemm C", len(c), m*n)
@@ -64,41 +68,62 @@ func Gemm(c, a, b []float64, m, k, n int, accumulate bool) {
 		}
 		return
 	}
-	if useAVX && n >= 8 {
-		gemmAVX(c, a, b, m, k, n, accumulate)
+	kn := kernelsFor[F]()
+	if nWide, nTile := kn.tileSpans(kn.gemm4Half != nil, n); kn.gemm4 != nil && nTile > 0 {
+		gemmAVX(kn, c, a, b, m, k, n, nWide, nTile, accumulate)
 		return
 	}
 	gemmGeneric(c, a, b, m, k, n, accumulate)
 }
 
-// gemmAVX tiles C into 4×8 (and 1×8) blocks handled by the FMA
-// microkernels; the sub-tile column remainder falls back to scalar dots.
-// The kernels accumulate unconditionally, so C is cleared first unless
-// the caller asked for accumulation.
-func gemmAVX(c, a, b []float64, m, k, n int, accumulate bool) {
+// tileSpans splits n columns into the span covered by wide tiles and the
+// span covered by any assembly tile (one half block more when the table
+// has it and at least wide/2 columns remain). nTile == 0 means n is
+// narrower than every tile, and the pure-Go tiles run instead.
+func (k *kernels[F]) tileSpans(hasHalf bool, n int) (nWide, nTile int) {
+	nWide = n &^ (k.wide - 1)
+	nTile = nWide
+	if hasHalf && n-nWide >= k.wide/2 {
+		nTile += k.wide / 2
+	}
+	return
+}
+
+// gemmAVX tiles C into 4×wide (and 1×wide) blocks handled by the FMA
+// microkernels over columns [0, nWide), with one half block per row panel
+// over [nWide, nTile) where the table has it; the remaining columns fall
+// back to scalar dots. The kernels accumulate unconditionally, so C is
+// cleared first unless the caller asked for accumulation.
+func gemmAVX[F Float](kn *kernels[F], c, a, b []F, m, k, n, nWide, nTile int, accumulate bool) {
 	if !accumulate {
 		Zero(c)
 	}
+	w := kn.wide
 	mMain := m &^ 3
-	nMain := n &^ 7
 	for i := 0; i < mMain; i += 4 {
-		for j := 0; j < nMain; j += 8 {
-			gemmKernel4x8(&a[i*k], &a[(i+1)*k], &a[(i+2)*k], &a[(i+3)*k], &b[j], n, &c[i*n+j], n, k)
+		for j := 0; j < nWide; j += w {
+			kn.gemm4(&a[i*k], &a[(i+1)*k], &a[(i+2)*k], &a[(i+3)*k], &b[j], n, &c[i*n+j], n, k)
+		}
+		if nTile > nWide {
+			kn.gemm4Half(&a[i*k], &a[(i+1)*k], &a[(i+2)*k], &a[(i+3)*k], &b[nWide], n, &c[i*n+nWide], n, k)
 		}
 	}
 	for i := mMain; i < m; i++ {
-		for j := 0; j < nMain; j += 8 {
-			gemmKernel1x8(&a[i*k], &b[j], n, &c[i*n+j], k)
+		for j := 0; j < nWide; j += w {
+			kn.gemm1(&a[i*k], &b[j], n, &c[i*n+j], k)
+		}
+		if nTile > nWide {
+			kn.gemm1Half(&a[i*k], &b[nWide], n, &c[i*n+nWide], k)
 		}
 	}
-	if nMain == n {
+	if nTile == n {
 		return
 	}
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		crow := c[i*n : (i+1)*n]
-		for j := nMain; j < n; j++ {
-			var s float64
+		for j := nTile; j < n; j++ {
+			var s F
 			idx := j
 			for _, ap := range arow {
 				s += ap * b[idx]
@@ -109,7 +134,7 @@ func gemmAVX(c, a, b []float64, m, k, n int, accumulate bool) {
 	}
 }
 
-func gemmGeneric(c, a, b []float64, m, k, n int, accumulate bool) {
+func gemmGeneric[F Float](c, a, b []F, m, k, n int, accumulate bool) {
 	for p0 := 0; p0 < k; p0 += gemmKC {
 		pEnd := min(p0+gemmKC, k)
 		add := accumulate || p0 > 0
@@ -122,8 +147,8 @@ func gemmGeneric(c, a, b []float64, m, k, n int, accumulate bool) {
 			c1 := c[(i+1)*n : (i+2)*n]
 			j := 0
 			for ; j+gemmNR <= n; j += gemmNR {
-				var s00, s01, s02, s03 float64
-				var s10, s11, s12, s13 float64
+				var s00, s01, s02, s03 F
+				var s10, s11, s12, s13 F
 				idx := p0*n + j
 				for p, a0p := range a0 {
 					a1p := a1[p]
@@ -160,7 +185,7 @@ func gemmGeneric(c, a, b []float64, m, k, n int, accumulate bool) {
 				}
 			}
 			for ; j < n; j++ {
-				var s0, s1 float64
+				var s0, s1 F
 				idx := p0*n + j
 				for p, a0p := range a0 {
 					bv := b[idx]
@@ -182,7 +207,7 @@ func gemmGeneric(c, a, b []float64, m, k, n int, accumulate bool) {
 			crow := c[i*n : (i+1)*n]
 			j := 0
 			for ; j+gemmNR <= n; j += gemmNR {
-				var s0, s1, s2, s3 float64
+				var s0, s1, s2, s3 F
 				idx := p0*n + j
 				for _, ap := range arow {
 					brow := b[idx : idx+4]
@@ -205,7 +230,7 @@ func gemmGeneric(c, a, b []float64, m, k, n int, accumulate bool) {
 				}
 			}
 			for ; j < n; j++ {
-				var s float64
+				var s F
 				idx := p0*n + j
 				for _, ap := range arow {
 					s += ap * b[idx]
@@ -224,7 +249,7 @@ func gemmGeneric(c, a, b []float64, m, k, n int, accumulate bool) {
 // GemmATB computes C = Aᵀ·B (or C += Aᵀ·B when accumulate is true) where
 // A is m×k (so Aᵀ is k×m), B is m×n, and C is k×n. Used for weight
 // gradients: dW += Xᵀ·dY. C must not alias A or B.
-func GemmATB(c, a, b []float64, m, k, n int, accumulate bool) {
+func GemmATB[F Float](c, a, b []F, m, k, n int, accumulate bool) {
 	checkDims("GemmATB A", len(a), m*k)
 	checkDims("GemmATB B", len(b), m*n)
 	checkDims("GemmATB C", len(c), k*n)
@@ -237,8 +262,9 @@ func GemmATB(c, a, b []float64, m, k, n int, accumulate bool) {
 		}
 		return
 	}
-	if useAVX && n >= 8 {
-		gemmATBAVX(c, a, b, m, k, n, accumulate)
+	kn := kernelsFor[F]()
+	if nWide, nTile := kn.tileSpans(kn.atb4Half != nil, n); kn.atb4 != nil && nTile > 0 {
+		gemmATBAVX(kn, c, a, b, m, k, n, nWide, nTile, accumulate)
 		return
 	}
 	if m >= gemmATBPanelMin {
@@ -251,8 +277,8 @@ func GemmATB(c, a, b []float64, m, k, n int, accumulate bool) {
 		c1 := c[(p+1)*n : (p+2)*n]
 		j := 0
 		for ; j+gemmNR <= n; j += gemmNR {
-			var s00, s01, s02, s03 float64
-			var s10, s11, s12, s13 float64
+			var s00, s01, s02, s03 F
+			var s10, s11, s12, s13 F
 			ai := p
 			bi := j
 			for i := 0; i < m; i++ {
@@ -292,7 +318,7 @@ func GemmATB(c, a, b []float64, m, k, n int, accumulate bool) {
 			}
 		}
 		for ; j < n; j++ {
-			var s0, s1 float64
+			var s0, s1 F
 			ai := p
 			bi := j
 			for i := 0; i < m; i++ {
@@ -314,7 +340,7 @@ func GemmATB(c, a, b []float64, m, k, n int, accumulate bool) {
 	if p < k {
 		crow := c[p*n : (p+1)*n]
 		for j := 0; j < n; j++ {
-			var s float64
+			var s F
 			ai := p
 			bi := j
 			for i := 0; i < m; i++ {
@@ -331,32 +357,37 @@ func GemmATB(c, a, b []float64, m, k, n int, accumulate bool) {
 	}
 }
 
-// gemmATBAVX tiles the k×n result into 4×8 (and 1×8) blocks handled by
-// the FMA microkernels, reducing over the m rows of A and B; the column
-// remainder falls back to scalar dots.
-func gemmATBAVX(c, a, b []float64, m, k, n int, accumulate bool) {
+// gemmATBAVX tiles the k×n result the same way as gemmAVX, reducing over
+// the m rows of A and B; the column remainder falls back to scalar dots.
+func gemmATBAVX[F Float](kn *kernels[F], c, a, b []F, m, k, n, nWide, nTile int, accumulate bool) {
 	if !accumulate {
 		Zero(c)
 	}
+	w := kn.wide
 	kMain := k &^ 3
-	nMain := n &^ 7
 	for p := 0; p < kMain; p += 4 {
-		for j := 0; j < nMain; j += 8 {
-			atbKernel4x8(&a[p], k, &b[j], n, &c[p*n+j], n, m)
+		for j := 0; j < nWide; j += w {
+			kn.atb4(&a[p], k, &b[j], n, &c[p*n+j], n, m)
+		}
+		if nTile > nWide {
+			kn.atb4Half(&a[p], k, &b[nWide], n, &c[p*n+nWide], n, m)
 		}
 	}
 	for p := kMain; p < k; p++ {
-		for j := 0; j < nMain; j += 8 {
-			atbKernel1x8(&a[p], k, &b[j], n, &c[p*n+j], m)
+		for j := 0; j < nWide; j += w {
+			kn.atb1(&a[p], k, &b[j], n, &c[p*n+j], m)
+		}
+		if nTile > nWide {
+			kn.atb1Half(&a[p], k, &b[nWide], n, &c[p*n+nWide], m)
 		}
 	}
-	if nMain == n {
+	if nTile == n {
 		return
 	}
 	for p := 0; p < k; p++ {
 		crow := c[p*n : (p+1)*n]
-		for j := nMain; j < n; j++ {
-			var s float64
+		for j := nTile; j < n; j++ {
+			var s F
 			ai := p
 			bi := j
 			for i := 0; i < m; i++ {
@@ -373,7 +404,7 @@ func gemmATBAVX(c, a, b []float64, m, k, n int, accumulate bool) {
 // four C rows at a time, so each B row loaded from memory feeds four
 // multiply-add chains while the 4×n C panel stays cache-hot across the
 // whole m sweep.
-func gemmATBPanels(c, a, b []float64, m, k, n int, accumulate bool) {
+func gemmATBPanels[F Float](c, a, b []F, m, k, n int, accumulate bool) {
 	if !accumulate {
 		Zero(c)
 	}
@@ -411,7 +442,7 @@ func gemmATBPanels(c, a, b []float64, m, k, n int, accumulate bool) {
 // gradients: dX = dY·Wᵀ. Both operands are traversed along contiguous
 // rows, so this is the pure dot-product instance of the register tile.
 // C must not alias A or B.
-func GemmABT(c, a, b []float64, m, k, n int, accumulate bool) {
+func GemmABT[F Float](c, a, b []F, m, k, n int, accumulate bool) {
 	checkDims("GemmABT A", len(a), m*k)
 	checkDims("GemmABT B", len(b), n*k)
 	checkDims("GemmABT C", len(c), m*n)
@@ -424,8 +455,8 @@ func GemmABT(c, a, b []float64, m, k, n int, accumulate bool) {
 		}
 		return
 	}
-	if useAVX && k >= 4 {
-		gemmABTAVX(c, a, b, m, k, n, accumulate)
+	if kn := kernelsFor[F](); kn.abt2x4 != nil && k >= kn.wide/2 {
+		gemmABTAVX(kn, c, a, b, m, k, n, accumulate)
 		return
 	}
 	i := 0
@@ -439,8 +470,8 @@ func GemmABT(c, a, b []float64, m, k, n int, accumulate bool) {
 			b1 := b[(j+1)*k : (j+2)*k][:len(a0)]
 			b2 := b[(j+2)*k : (j+3)*k][:len(a0)]
 			b3 := b[(j+3)*k : (j+4)*k][:len(a0)]
-			var s00, s01, s02, s03 float64
-			var s10, s11, s12, s13 float64
+			var s00, s01, s02, s03 F
+			var s10, s11, s12, s13 F
 			for p, a0p := range a0 {
 				a1p := a1[p]
 				b0p, b1p, b2p, b3p := b0[p], b1[p], b2[p], b3[p]
@@ -475,7 +506,7 @@ func GemmABT(c, a, b []float64, m, k, n int, accumulate bool) {
 		}
 		for ; j < n; j++ {
 			brow := b[j*k : (j+1)*k]
-			var s0, s1 float64
+			var s0, s1 F
 			for p, bp := range brow {
 				s0 += a0[p] * bp
 				s1 += a1[p] * bp
@@ -493,7 +524,7 @@ func GemmABT(c, a, b []float64, m, k, n int, accumulate bool) {
 		arow := a[i*k : (i+1)*k]
 		for j := 0; j < n; j++ {
 			brow := b[j*k : (j+1)*k]
-			var s float64
+			var s F
 			for p, ap := range arow {
 				s += ap * brow[p]
 			}
@@ -507,13 +538,12 @@ func GemmABT(c, a, b []float64, m, k, n int, accumulate bool) {
 }
 
 // gemmABTAVX computes 2×4 tiles of dot products with the FMA kernel over
-// the largest multiple-of-4 prefix of the reduction; the k remainder and
+// the largest whole-vector prefix of the reduction; the k remainder and
 // the row/column edges are finished with scalar dots.
-func gemmABTAVX(c, a, b []float64, m, k, n int, accumulate bool) {
-	k4 := k &^ 3
+func gemmABTAVX[F Float](kn *kernels[F], c, a, b []F, m, k, n int, accumulate bool) {
+	k4 := k &^ (kn.wide/2 - 1)
 	mMain := m &^ 1
 	nMain := n &^ 3
-	var out [8]float64
 	for i := 0; i < mMain; i += 2 {
 		a0 := a[i*k : (i+1)*k]
 		a1 := a[(i+1)*k : (i+2)*k]
@@ -523,7 +553,7 @@ func gemmABTAVX(c, a, b []float64, m, k, n int, accumulate bool) {
 			b1 := b[(j+1)*k : (j+2)*k][:len(a0)]
 			b2 := b[(j+2)*k : (j+3)*k][:len(a0)]
 			b3 := b[(j+3)*k : (j+4)*k][:len(a0)]
-			abtKernel2x4(&a0[0], &a1[0], &b0[0], &b1[0], &b2[0], &b3[0], k4, &out)
+			out := kn.abt2x4(&a0[0], &a1[0], &b0[0], &b1[0], &b2[0], &b3[0], k4)
 			for p := k4; p < k; p++ {
 				a0p, a1p := a0[p], a1[p]
 				out[0] += a0p * b0[p]
@@ -557,7 +587,7 @@ func gemmABTAVX(c, a, b []float64, m, k, n int, accumulate bool) {
 		}
 		for j := nMain; j < n; j++ {
 			brow := b[j*k : (j+1)*k][:len(a0)]
-			var s0, s1 float64
+			var s0, s1 F
 			for p, bp := range brow {
 				s0 += a0[p] * bp
 				s1 += a1[p] * bp
@@ -575,7 +605,7 @@ func gemmABTAVX(c, a, b []float64, m, k, n int, accumulate bool) {
 		arow := a[mMain*k : (mMain+1)*k]
 		for j := 0; j < n; j++ {
 			brow := b[j*k : (j+1)*k][:len(arow)]
-			var s float64
+			var s F
 			for p, bp := range brow {
 				s += arow[p] * bp
 			}
@@ -588,55 +618,56 @@ func gemmABTAVX(c, a, b []float64, m, k, n int, accumulate bool) {
 	}
 }
 
-// MatMul computes C = A·B where A is m×k, B is k×n, and C is m×n.
-// C must not alias A or B. It is Gemm without accumulation, kept for
-// callers that predate the accumulate flag.
-func MatMul(c, a, b []float64, m, k, n int) {
-	Gemm(c, a, b, m, k, n, false)
-}
-
-// MatMulATB computes C = Aᵀ·B where A is m×k (so Aᵀ is k×m), B is m×n,
-// and C is k×n. C must not alias A or B.
-func MatMulATB(c, a, b []float64, m, k, n int) {
-	GemmATB(c, a, b, m, k, n, false)
-}
-
-// MatMulABT computes C = A·Bᵀ where A is m×k, B is n×k (so Bᵀ is k×n),
-// and C is m×n. C must not alias A or B.
-func MatMulABT(c, a, b []float64, m, k, n int) {
-	GemmABT(c, a, b, m, k, n, false)
+// Gemm32 is Gemm at float32, named for callers outside the module that
+// link it by name.
+func Gemm32(c, a, b []float32, m, k, n int, accumulate bool) {
+	Gemm(c, a, b, m, k, n, accumulate)
 }
 
 // AddRowVector adds the length-n vector v to each of the m rows of the
-// m×n matrix a in place. Used to apply biases to a batch.
-func AddRowVector(a, v []float64, m, n int) {
+// m×n matrix a in place. Used to apply biases to a batch. Each row is one
+// in-place Add, with the kernel prefix resolved once for all rows so
+// narrow rows cost no call.
+func AddRowVector[F Float](a, v []F, m, n int) {
 	checkDims("AddRowVector A", len(a), m*n)
 	checkDims("AddRowVector v", len(v), n)
+	kn := kernelsFor[F]()
+	head := kn.head(kn.add != nil, n)
 	for i := 0; i < m; i++ {
 		row := a[i*n : (i+1)*n]
-		for j, vj := range v {
-			row[j] += vj
+		if head > 0 {
+			kn.add(&row[0], &v[0], &row[0], head)
+		}
+		for j, vj := range v[head:] {
+			row[head+j] += vj
 		}
 	}
 }
 
 // SumRows accumulates the column sums of the m×n matrix a into the length-n
-// vector dst (dst[j] = Σ_i a[i][j]). Used for bias gradients.
+// vector dst (dst[j] = Σ_i a[i][j]).
 func SumRows(dst, a []float64, m, n int) {
 	checkDims("SumRows dst", len(dst), n)
 	Zero(dst)
 	SumRowsAcc(dst, a, m, n)
 }
 
-// SumRowsAcc is SumRows without the initial clear: dst[j] += Σ_i a[i][j].
-// Layers use it to fold bias gradients straight into the gradient vector.
-func SumRowsAcc(dst, a []float64, m, n int) {
+// SumRowsAcc is SumRows without the initial clear: dst[j] += Σ_i a[i][j],
+// one in-place row Add at a time, so every column sees the same add
+// sequence whichever body runs. Layers use it to fold bias gradients
+// straight into the gradient vector.
+func SumRowsAcc[F Float](dst, a []F, m, n int) {
 	checkDims("SumRowsAcc A", len(a), m*n)
 	checkDims("SumRowsAcc dst", len(dst), n)
+	kn := kernelsFor[F]()
+	head := kn.head(kn.add != nil, n)
 	for i := 0; i < m; i++ {
 		row := a[i*n : (i+1)*n]
-		for j, v := range row {
-			dst[j] += v
+		if head > 0 {
+			kn.add(&dst[0], &row[0], &dst[0], head)
+		}
+		for j, v := range row[head:] {
+			dst[head+j] += v
 		}
 	}
 }

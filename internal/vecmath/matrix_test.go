@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -40,18 +41,6 @@ func matricesClose(t *testing.T, got, want []float64, label string) {
 	}
 }
 
-func TestMatMulAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	for trial := 0; trial < 50; trial++ {
-		m, k, n := 1+rng.IntN(8), 1+rng.IntN(8), 1+rng.IntN(8)
-		a := randMat(rng, m*k)
-		b := randMat(rng, k*n)
-		c := make([]float64, m*n)
-		MatMul(c, a, b, m, k, n)
-		matricesClose(t, c, naiveMatMul(a, b, m, k, n), "MatMul")
-	}
-}
-
 func transpose(a []float64, r, c int) []float64 {
 	out := make([]float64, r*c)
 	for i := 0; i < r; i++ {
@@ -62,31 +51,91 @@ func transpose(a []float64, r, c int) []float64 {
 	return out
 }
 
-func TestMatMulATBAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	for trial := 0; trial < 50; trial++ {
-		m, k, n := 1+rng.IntN(8), 1+rng.IntN(8), 1+rng.IntN(8)
-		a := randMat(rng, m*k) // A is m×k, we compute Aᵀ·B (k×n)
-		b := randMat(rng, m*n)
-		c := make([]float64, k*n)
-		MatMulATB(c, a, b, m, k, n)
-		at := transpose(a, m, k) // k×m
-		matricesClose(t, c, naiveMatMul(at, b, k, m, n), "MatMulATB")
+// The three GEMM forms of the tile-edge table. Each reduces rows×red×n
+// products into a rows×n result; only the operand layouts differ.
+const (
+	formAB  = iota // Gemm:    A m×k, B k×n, rows m, reduce over k
+	formATB        // GemmATB: A m×k, B m×n, rows k, reduce over m
+	formABT        // GemmABT: A m×k, B n×k, rows m, reduce over k
+)
+
+// gemmTileEdges is the tile-edge differential test for one GEMM form at
+// one precision: every m, k in 0..11 against column counts straddling the
+// 8- and 16-wide tiles and the float32 half block, with and without
+// accumulation, against a naive float64 triple loop over the same
+// F-valued inputs. eps is the precision's unit roundoff; the budget is one
+// rounding per reduction step relative to the sum of absolute terms, far
+// below what a wrong lane, stale accumulator or off-by-one edge produces.
+func gemmTileEdges[F Float](t *testing.T, form int, eps float64) {
+	rng := rand.New(rand.NewPCG(3, uint64(form)))
+	randF := func(n int) []F {
+		v := make([]F, n)
+		for i := range v {
+			v[i] = F(rng.NormFloat64())
+		}
+		return v
+	}
+	for _, n := range []int{0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33} {
+		for m := 0; m <= 11; m++ {
+			for k := 0; k <= 11; k++ {
+				for _, acc := range []bool{false, true} {
+					rows, red, lb := m, k, k*n
+					switch form {
+					case formATB:
+						rows, red, lb = k, m, m*n
+					case formABT:
+						lb = n * k
+					}
+					a, b, seed := randF(m*k), randF(lb), randF(rows*n)
+					c := append([]F(nil), seed...)
+					switch form {
+					case formAB:
+						Gemm(c, a, b, m, k, n, acc)
+					case formATB:
+						GemmATB(c, a, b, m, k, n, acc)
+					case formABT:
+						GemmABT(c, a, b, m, k, n, acc)
+					}
+					for i := 0; i < rows; i++ {
+						for j := 0; j < n; j++ {
+							var want, abs float64
+							if acc {
+								want = float64(seed[i*n+j])
+								abs = math.Abs(want)
+							}
+							for p := 0; p < red; p++ {
+								var term float64
+								switch form {
+								case formAB:
+									term = float64(a[i*k+p]) * float64(b[p*n+j])
+								case formATB:
+									term = float64(a[p*k+i]) * float64(b[p*n+j])
+								case formABT:
+									term = float64(a[i*k+p]) * float64(b[j*k+p])
+								}
+								want += term
+								abs += math.Abs(term)
+							}
+							got := float64(c[i*n+j])
+							if d := math.Abs(got - want); !(d <= float64(red+2)*eps*(abs+1e-30)) {
+								t.Fatalf("form %d m=%d k=%d n=%d acc=%v: c[%d][%d] = %v, want %v", form, m, k, n, acc, i, j, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
-func TestMatMulABTAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 8))
-	for trial := 0; trial < 50; trial++ {
-		m, k, n := 1+rng.IntN(8), 1+rng.IntN(8), 1+rng.IntN(8)
-		a := randMat(rng, m*k)
-		b := randMat(rng, n*k) // B is n×k, we compute A·Bᵀ (m×n)
-		c := make([]float64, m*n)
-		MatMulABT(c, a, b, m, k, n)
-		bt := transpose(b, n, k) // k×n
-		matricesClose(t, c, naiveMatMul(a, bt, m, k, n), "MatMulABT")
-	}
+func testGemmTileEdges(t *testing.T, form int) {
+	t.Run("f64", func(t *testing.T) { gemmTileEdges[float64](t, form, 0x1p-52) })
+	t.Run("f32", func(t *testing.T) { gemmTileEdges[float32](t, form, 0x1p-23) })
 }
+
+func TestMatMulAgainstNaive(t *testing.T)    { testGemmTileEdges(t, formAB) }
+func TestMatMulATBAgainstNaive(t *testing.T) { testGemmTileEdges(t, formATB) }
+func TestMatMulABTAgainstNaive(t *testing.T) { testGemmTileEdges(t, formABT) }
 
 // TestGemmLargeAgainstNaive exercises the blocked paths (register-tile
 // remainders on every edge, k beyond one cache block).
@@ -188,8 +237,8 @@ func TestMatMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 10))
 	a := randMat(rng, 3*n)
 	c := make([]float64, 3*n)
-	MatMul(c, a, id, 3, n, n)
-	matricesClose(t, c, a, "MatMul identity")
+	Gemm(c, a, id, 3, n, n, false)
+	matricesClose(t, c, a, "Gemm identity")
 }
 
 func TestAddRowVector(t *testing.T) {
@@ -214,5 +263,5 @@ func TestMatMulDimensionPanics(t *testing.T) {
 			t.Fatal("expected panic on dimension mismatch")
 		}
 	}()
-	MatMul(make([]float64, 4), make([]float64, 3), make([]float64, 4), 2, 2, 2)
+	Gemm(make([]float64, 4), make([]float64, 3), make([]float64, 4), 2, 2, 2, false)
 }

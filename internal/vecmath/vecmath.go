@@ -9,11 +9,19 @@
 // # GEMM kernels and knobs
 //
 // Gemm, GemmATB, and GemmABT are register-tiled matrix products with an
-// accumulate flag (C = A·B or C += A·B). On amd64 with AVX2+FMA the main
-// tiles run in assembly microkernels (gemm_amd64.s), detected once via
-// CPUID; everywhere else, and for tile remainders, pure-Go 2×4 register
-// tiles are used. The tunable knobs are the constants in matrix.go:
-// gemmKC (reduction-dimension cache block of the pure-Go Gemm) and
+// accumulate flag (C = A·B or C += A·B), generic over the compute
+// precision: each is one driver over a per-precision microkernel table
+// (kernels.go). On amd64 with AVX2+FMA the main tiles run in assembly
+// microkernels (gemm_amd64.s, gemm32_amd64.s), detected once via CPUID;
+// everywhere else, and for tile remainders, pure-Go 2×4 register tiles
+// are used. The level-1 drivers the local-training loop calls at both
+// precisions (Zero, Add, Sub, AXPY, AXPYPY, SubScale) are generic over
+// the same table; everything the server side runs (norms, cosine
+// similarity, sparse aggregation) is float64 only, because client updates
+// are widened once at the upload boundary.
+//
+// The tunable knobs are the constants in matrix.go: gemmKC
+// (reduction-dimension cache block of the pure-Go Gemm) and
 // gemmATBPanelMin (reduction length at which the pure-Go GemmATB switches
 // to rank-1 row panels); gemmMR/gemmNR merely document the fixed 2×4 tile
 // shape baked into the unrolled loop bodies. After changing a knob,
@@ -45,7 +53,7 @@ func checkLen(op string, a, b int) {
 }
 
 // Zero sets every element of x to 0.
-func Zero(x []float64) {
+func Zero[F Float](x []F) {
 	for i := range x {
 		x[i] = 0
 	}
@@ -65,17 +73,24 @@ func Clone(x []float64) []float64 {
 	return out
 }
 
-// Add computes dst[i] = a[i] + b[i]. dst may alias a or b.
-func Add(dst, a, b []float64) {
+// Add computes dst[i] = a[i] + b[i]. dst may alias a or b. The assembly
+// body (float32 only) produces the same bits as the scalar loop — plain
+// adds, no FMA — so Add does not depend on the asm/noasm build.
+func Add[F Float](dst, a, b []F) {
 	checkLen("Add", len(a), len(b))
 	checkLen("Add", len(dst), len(a))
+	kn := kernelsFor[F]()
+	if i := kn.head(kn.add != nil, len(dst)); i > 0 {
+		kn.add(&a[0], &b[0], &dst[0], i)
+		dst, a, b = dst[i:], a[i:], b[i:]
+	}
 	for i := range dst {
 		dst[i] = a[i] + b[i]
 	}
 }
 
 // Sub computes dst[i] = a[i] - b[i]. dst may alias a or b.
-func Sub(dst, a, b []float64) {
+func Sub[F Float](dst, a, b []F) {
 	checkLen("Sub", len(a), len(b))
 	checkLen("Sub", len(dst), len(a))
 	for i := range dst {
@@ -83,19 +98,18 @@ func Sub(dst, a, b []float64) {
 	}
 }
 
-// AXPY computes y[i] += alpha * x[i] (the classic BLAS axpy kernel).
-func AXPY(alpha float64, x, y []float64) {
+// AXPY computes y[i] += alpha * x[i] (the classic BLAS axpy kernel). The
+// assembly body (float32 only) uses FMA, so there results match the
+// pure-Go tail only to within one rounding of the product term.
+func AXPY[F Float](alpha F, x, y []F) {
 	checkLen("AXPY", len(x), len(y))
+	kn := kernelsFor[F]()
+	if i := kn.head(kn.axpy != nil, len(x)); i > 0 {
+		kn.axpy(alpha, &x[0], &y[0], i)
+		x, y = x[i:], y[i:]
+	}
 	for i, xi := range x {
 		y[i] += alpha * xi
-	}
-}
-
-// AddConst computes x[i] += alpha in place. Used to apply per-channel
-// biases to contiguous activation rows.
-func AddConst(alpha float64, x []float64) {
-	for i := range x {
-		x[i] += alpha
 	}
 }
 
@@ -144,15 +158,6 @@ func Norm2Safe(x []float64) float64 {
 		s += sv * sv
 	}
 	return m * math.Sqrt(s)
-}
-
-// Norm1 returns the sum of absolute values of x.
-func Norm1(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
 }
 
 // MaxAbs returns the largest absolute element of x (0 for empty x).
@@ -254,4 +259,24 @@ func AllFinite(x []float64) bool {
 		}
 	}
 	return true
+}
+
+// Widen converts x into dst element-wise (exact: every float32 value is
+// representable as a float64). Widen and Narrow are the only conversion
+// points between the two precisions.
+func Widen(dst []float64, x []float32) {
+	checkLen("Widen", len(dst), len(x))
+	for i, v := range x {
+		dst[i] = float64(v)
+	}
+}
+
+// Narrow converts x into dst element-wise, rounding to nearest-even.
+// Narrow∘Widen is the identity, which the fl bridge buffers rely on to
+// round-trip hook state through float64 without drift.
+func Narrow(dst []float32, x []float64) {
+	checkLen("Narrow", len(dst), len(x))
+	for i, v := range x {
+		dst[i] = float32(v)
+	}
 }

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// Differential tests: every float32 kernel against its float64 twin on
-// identical inputs, within an ulp-scaled tolerance. The float64 result on
+// Differential tests: the float32 instantiation of every generic driver
+// against the float64 instantiation on identical inputs, within an ulp-scaled tolerance. The float64 result on
 // float32-representable inputs is within one f64 rounding of exact, so it
 // serves as the reference; the f32 path may accumulate one rounding per
 // reduction step, giving an error bound of roughly k·ε₃₂ relative to the
@@ -37,7 +37,7 @@ func tol32(k int, absSum float64) float64 {
 	return (8 + float64(k)) * eps32 * (absSum + 1e-30)
 }
 
-// diffClose fails unless got (f32 path) matches want (f64 twin) within
+// diffClose fails unless got (f32 path) matches want (f64 instantiation) within
 // the reduction tolerance.
 func diffClose(t *testing.T, label string, got float32, want, tol float64) {
 	t.Helper()
@@ -55,43 +55,38 @@ func TestElementwise32MatchesF64(t *testing.T) {
 		x32, x64 := randVec32(rng, n)
 		y32, y64 := randVec32(rng, n)
 
-		// AXPY32: one product and one add per element.
+		// AXPY: one product and one add per element.
 		g32 := append([]float32(nil), y32...)
 		g64 := append([]float64(nil), y64...)
-		AXPY32(0.37, x32, g32)
+		AXPY(0.37, x32, g32)
 		AXPY(0.37, x64, g64)
 		for i := range g32 {
-			diffClose(t, "AXPY32", g32[i], g64[i], tol32(2, math.Abs(g64[i])+math.Abs(x64[i])))
+			diffClose(t, "AXPY", g32[i], g64[i], tol32(2, math.Abs(g64[i])+math.Abs(x64[i])))
 		}
 
-		// Add32 / Sub32 / Scale32: exact single-rounding ops.
+		// Add / Sub: exact single-rounding ops.
 		s32 := make([]float32, n)
 		s64 := make([]float64, n)
-		Add32(s32, x32, y32)
+		Add(s32, x32, y32)
 		Add(s64, x64, y64)
 		for i := range s32 {
-			diffClose(t, "Add32", s32[i], s64[i], tol32(1, math.Abs(s64[i])))
+			diffClose(t, "Add", s32[i], s64[i], tol32(1, math.Abs(s64[i])))
 		}
-		Sub32(s32, x32, y32)
+		Sub(s32, x32, y32)
 		Sub(s64, x64, y64)
 		for i := range s32 {
-			diffClose(t, "Sub32", s32[i], s64[i], tol32(1, math.Abs(s64[i])))
-		}
-		copy(s32, x32)
-		copy(s64, x64)
-		Scale32(1.7, s32)
-		Scale(1.7, s64)
-		for i := range s32 {
-			diffClose(t, "Scale32", s32[i], s64[i], tol32(1, math.Abs(s64[i])))
+			diffClose(t, "Sub", s32[i], s64[i], tol32(1, math.Abs(s64[i])))
 		}
 
-		// Dot32 / Norm232: full-length reductions.
-		var absSum float64
-		for i := range x64 {
-			absSum += math.Abs(x64[i] * y64[i])
+		// In-place Add (dst aliases a), the form AddRowVector, SumRowsAcc
+		// and col2im use: same bits as the out-of-place result.
+		copy(s32, x32)
+		Add(s32, s32, y32)
+		for i := range s32 {
+			if want := x32[i] + y32[i]; s32[i] != want {
+				t.Fatalf("aliased Add n=%d: [%d] = %v, want %v", n, i, s32[i], want)
+			}
 		}
-		diffClose(t, "Dot32", Dot32(x32, y32), Dot(x64, y64), tol32(n, absSum))
-		diffClose(t, "Norm232", Norm232(x32), Norm2(x64), tol32(n, Dot(x64, x64)))
 	}
 }
 
@@ -103,150 +98,19 @@ func TestFused32MatchesF64(t *testing.T) {
 		z32, z64 := randVec32(rng, n)
 
 		a32, b32 := float32(-0.05), float32(0.85)
-		AXPYPY32(a32, x32, b32, y32, z32)
+		AXPYPY(a32, x32, b32, y32, z32)
 		AXPYPY(float64(a32), x64, float64(b32), y64, z64)
 		for i := range z32 {
 			scale := math.Abs(z64[i]) + math.Abs(x64[i]) + math.Abs(y64[i])
-			diffClose(t, "AXPYPY32", z32[i], z64[i], tol32(4, scale))
+			diffClose(t, "AXPYPY", z32[i], z64[i], tol32(4, scale))
 		}
 
 		d32 := make([]float32, n)
 		d64 := make([]float64, n)
-		SubScale32(d32, 0.31, x32, y32)
+		SubScale(d32, 0.31, x32, y32)
 		SubScale(d64, 0.31, x64, y64)
 		for i := range d32 {
-			diffClose(t, "SubScale32", d32[i], d64[i], tol32(2, math.Abs(x64[i])+math.Abs(y64[i])))
-		}
-	}
-}
-
-func TestGemm32MatchesF64(t *testing.T) {
-	rng := rand.New(rand.NewPCG(15, 16))
-	// Shapes crossing the 16-column main tile, the 8-column remainder
-	// block, the scalar column tail, and the sub-AVX fallback, for each
-	// of the three transposition variants and both accumulate modes.
-	shapes := [][3]int{
-		{1, 1, 1}, {2, 3, 4}, {3, 5, 7}, {4, 8, 8}, {5, 9, 10},
-		{4, 16, 16}, {7, 11, 17}, {8, 24, 24}, {6, 13, 31}, {9, 17, 33},
-		{32, 48, 10}, {32, 64, 24}, {16, 100, 40}, {3, 257, 19},
-	}
-	for _, sh := range shapes {
-		m, k, n := sh[0], sh[1], sh[2]
-		for _, acc := range []bool{false, true} {
-			a32, a64 := randVec32(rng, m*k)
-			b32, b64 := randVec32(rng, k*n)
-			c32, c64 := randVec32(rng, m*n)
-			if !acc {
-				Zero32(c32)
-				Zero(c64)
-			}
-			Gemm32(c32, a32, b32, m, k, n, acc)
-			Gemm(c64, a64, b64, m, k, n, acc)
-			for i := range c32 {
-				diffClose(t, "Gemm32", c32[i], c64[i], tol32(k+1, gemmAbsRow(a64, b64, m, k, n, i)))
-			}
-
-			// Aᵀ·B: A is m×k with the reduction over m.
-			at32, at64 := randVec32(rng, m*k)
-			bt32, bt64 := randVec32(rng, m*n)
-			ct32, ct64 := randVec32(rng, k*n)
-			if !acc {
-				Zero32(ct32)
-				Zero(ct64)
-			}
-			GemmATB32(ct32, at32, bt32, m, k, n, acc)
-			GemmATB(ct64, at64, bt64, m, k, n, acc)
-			for i := range ct32 {
-				diffClose(t, "GemmATB32", ct32[i], ct64[i], tol32(m+1, atbAbs(at64, bt64, m, k, n, i)))
-			}
-
-			// A·Bᵀ: B is n×k with the reduction over k.
-			ab32, ab64 := randVec32(rng, m*k)
-			bb32, bb64 := randVec32(rng, n*k)
-			cb32, cb64 := randVec32(rng, m*n)
-			if !acc {
-				Zero32(cb32)
-				Zero(cb64)
-			}
-			GemmABT32(cb32, ab32, bb32, m, k, n, acc)
-			GemmABT(cb64, ab64, bb64, m, k, n, acc)
-			for i := range cb32 {
-				diffClose(t, "GemmABT32", cb32[i], cb64[i], tol32(k+1, abtAbs(ab64, bb64, m, k, n, i)))
-			}
-		}
-	}
-}
-
-// gemmAbsRow returns Σ_p |A[i][p]·B[p][j]| + 1 for flat C index ij.
-func gemmAbsRow(a, b []float64, m, k, n, ij int) float64 {
-	i, j := ij/n, ij%n
-	s := 1.0
-	for p := 0; p < k; p++ {
-		s += math.Abs(a[i*k+p] * b[p*n+j])
-	}
-	return s
-}
-
-func atbAbs(a, b []float64, m, k, n, ij int) float64 {
-	p, j := ij/n, ij%n
-	s := 1.0
-	for i := 0; i < m; i++ {
-		s += math.Abs(a[i*k+p] * b[i*n+j])
-	}
-	return s
-}
-
-func abtAbs(a, b []float64, m, k, n, ij int) float64 {
-	i, j := ij/n, ij%n
-	s := 1.0
-	for p := 0; p < k; p++ {
-		s += math.Abs(a[i*k+p] * b[j*k+p])
-	}
-	return s
-}
-
-func TestSparse32MatchesF64(t *testing.T) {
-	rng := rand.New(rand.NewPCG(17, 18))
-	const d = 300
-	for _, nnz := range diffSizes {
-		idx := make([]int32, nnz)
-		for i := range idx {
-			idx[i] = int32(rng.IntN(d))
-		}
-		val32, val64 := randVec32(rng, nnz)
-		y32, y64 := randVec32(rng, d)
-
-		g32 := append([]float32(nil), y32...)
-		g64 := append([]float64(nil), y64...)
-		ScatterAXPY32(0.42, idx, val32, g32)
-		ScatterAXPY(0.42, idx, val64, g64)
-		for i := range g32 {
-			// Duplicate indices accumulate, so budget the whole nnz.
-			diffClose(t, "ScatterAXPY32", g32[i], g64[i], tol32(nnz+1, math.Abs(g64[i])+1))
-		}
-
-		var absSum float64
-		for j := range idx {
-			absSum += math.Abs(val64[j] * y64[idx[j]])
-		}
-		diffClose(t, "GatherDot32", GatherDot32(idx, val32, y32), GatherDot(idx, val64, y64), tol32(nnz, absSum))
-	}
-}
-
-// TestScatterAXPY32DuplicateOrder pins the sequential duplicate-index
-// semantics of the asm path against the scalar definition.
-func TestScatterAXPY32DuplicateOrder(t *testing.T) {
-	idx := []int32{3, 3, 3, 3, 1, 3, 1, 3, 3, 0}
-	val := []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	y := make([]float32, 4)
-	want := make([]float32, 4)
-	for j, ix := range idx {
-		want[ix] += 0.5 * val[j]
-	}
-	ScatterAXPY32(0.5, idx, val, y)
-	for i := range y {
-		if math.Abs(float64(y[i]-want[i])) > 1e-5 {
-			t.Fatalf("duplicate-index scatter: y[%d] = %v, want %v", i, y[i], want[i])
+			diffClose(t, "SubScale", d32[i], d64[i], tol32(2, math.Abs(x64[i])+math.Abs(y64[i])))
 		}
 	}
 }
@@ -269,13 +133,15 @@ func TestWidenNarrowRoundTrip(t *testing.T) {
 
 func TestLengthMismatchPanics32(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"Add32":     func() { Add32(make([]float32, 2), make([]float32, 3), make([]float32, 3)) },
-		"AXPY32":    func() { AXPY32(1, make([]float32, 2), make([]float32, 3)) },
-		"Dot32":     func() { Dot32(make([]float32, 2), make([]float32, 3)) },
-		"AXPYPY32":  func() { AXPYPY32(1, make([]float32, 2), 1, make([]float32, 3), make([]float32, 3)) },
-		"Gemm32":    func() { Gemm32(make([]float32, 4), make([]float32, 3), make([]float32, 4), 2, 2, 2, false) },
-		"Scatter32": func() { ScatterAXPY32(1, make([]int32, 2), make([]float32, 3), make([]float32, 4)) },
-		"Widen":     func() { Widen(make([]float64, 2), make([]float32, 3)) },
+		"Add":     func() { Add(make([]float32, 2), make([]float32, 3), make([]float32, 3)) },
+		"Sub":     func() { Sub(make([]float32, 2), make([]float32, 3), make([]float32, 3)) },
+		"AXPY":    func() { AXPY(1, make([]float32, 2), make([]float32, 3)) },
+		"AXPYPY":  func() { AXPYPY(1, make([]float32, 2), 1, make([]float32, 3), make([]float32, 3)) },
+		"Gemm32":  func() { Gemm32(make([]float32, 4), make([]float32, 3), make([]float32, 4), 2, 2, 2, false) },
+		"GemmATB": func() { GemmATB(make([]float32, 4), make([]float32, 3), make([]float32, 4), 2, 2, 2, false) },
+		"GemmABT": func() { GemmABT(make([]float32, 4), make([]float32, 3), make([]float32, 4), 2, 2, 2, false) },
+		"Widen":   func() { Widen(make([]float64, 2), make([]float32, 3)) },
+		"Narrow":  func() { Narrow(make([]float32, 2), make([]float64, 3)) },
 	} {
 		func() {
 			defer func() {

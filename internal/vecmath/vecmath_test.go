@@ -109,9 +109,6 @@ func TestDotNorm(t *testing.T) {
 	if got := Norm2(a); got != 5 {
 		t.Fatalf("Norm2 = %v, want 5", got)
 	}
-	if got := Norm1(a); got != 7 {
-		t.Fatalf("Norm1 = %v, want 7", got)
-	}
 }
 
 func TestMaxAbsSumMean(t *testing.T) {
