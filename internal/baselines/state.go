@@ -1,18 +1,18 @@
 package baselines
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/ckpt"
 	"repro/internal/fl"
 )
 
-// Checkpoint hooks (DESIGN.md §8). Each stateful baseline serializes
-// exactly the state that survives across rounds; per-round scratch
-// (frozen corrections, weight buffers, previous-iterate snapshots) is
-// rebuilt at the next BeginLocal and is not captured. FedAvg, FedProx,
-// and FoolsGold carry no cross-round state and need no hooks.
+// Checkpoint hooks (DESIGN.md §8). Each stateful baseline walks exactly
+// the state that survives across rounds, once, for both directions;
+// per-round scratch (frozen corrections, weight buffers, previous-iterate
+// snapshots) is rebuilt at the next BeginLocal and is not captured.
+// FedAvg, FedProx, and FoolsGold carry no cross-round state and need no
+// hooks.
 
 var (
 	_ fl.StatefulAlgorithm = (*Scaffold)(nil)
@@ -20,95 +20,63 @@ var (
 	_ fl.StatefulAlgorithm = (*FedACG)(nil)
 )
 
-// SaveState implements fl.StatefulAlgorithm: the server control variate
-// and every materialized per-client variate (nil rows mark clients that
-// have never trained).
-func (a *Scaffold) SaveState(w io.Writer) error {
-	if err := ckpt.WriteF64s(w, a.c); err != nil {
-		return err
+// pairScratch keeps a lazily allocated per-client scratch table in step
+// with the state rows it accompanies: BeginLocal allocates both together
+// and only looks at the state row, so a restored row needs its scratch
+// (whose contents are recomputed at BeginLocal) and a cleared one drops
+// it.
+func pairScratch(rows, scratch [][]float64, d int) {
+	for i, row := range rows {
+		switch {
+		case row == nil:
+			scratch[i] = nil
+		case scratch[i] == nil:
+			scratch[i] = make([]float64, d)
+		}
 	}
-	return ckpt.WriteF64Rows(w, a.ci)
 }
+
+// walk covers the server control variate and every materialized
+// per-client variate (nil rows mark clients that have never trained).
+func (a *Scaffold) walk(c *ckpt.Codec) error {
+	c.Section("scaffold c")
+	c.F64s(a.c)
+	c.Section("scaffold ci")
+	c.Rows(a.ci, a.d)
+	pairScratch(a.ci, a.corr, a.d)
+	return c.Err()
+}
+
+// SaveState implements fl.StatefulAlgorithm.
+func (a *Scaffold) SaveState(w io.Writer) error { return a.walk(ckpt.Save(w)) }
 
 // LoadState implements fl.StatefulAlgorithm.
-func (a *Scaffold) LoadState(r io.Reader) error {
-	if err := ckpt.ReadF64sInto(r, a.c); err != nil {
-		return fmt.Errorf("scaffold c: %w", err)
-	}
-	rows, err := ckpt.ReadF64Rows(r)
-	if err != nil {
-		return fmt.Errorf("scaffold ci: %w", err)
-	}
-	if rows != nil && len(rows) != len(a.ci) {
-		return fmt.Errorf("scaffold: %d control-variate rows for %d clients", len(rows), len(a.ci))
-	}
-	for i := range a.ci {
-		var row []float64
-		if rows != nil {
-			row = rows[i]
-		}
-		if row == nil {
-			a.ci[i], a.corr[i] = nil, nil
-			continue
-		}
-		if len(row) != a.d {
-			return fmt.Errorf("scaffold: client %d variate length %d, want %d", i, len(row), a.d)
-		}
-		a.ci[i] = row
-		// The frozen round correction is recomputed at BeginLocal; only
-		// its allocation pairs with ci.
-		if a.corr[i] == nil {
-			a.corr[i] = make([]float64, a.d)
-		}
-	}
-	return nil
+func (a *Scaffold) LoadState(r io.Reader) error { return a.walk(ckpt.Load(r)) }
+
+// walk covers the per-client momentum estimates (the within-round
+// previous iterate is reseeded at BeginLocal).
+func (a *STEM) walk(c *ckpt.Codec) error {
+	c.Section("stem v")
+	c.Rows(a.v, a.d)
+	pairScratch(a.v, a.wPrev, a.d)
+	return c.Err()
 }
 
-// SaveState implements fl.StatefulAlgorithm: the per-client momentum
-// estimates (the within-round previous iterate is reseeded at
-// BeginLocal).
-func (a *STEM) SaveState(w io.Writer) error {
-	return ckpt.WriteF64Rows(w, a.v)
-}
+// SaveState implements fl.StatefulAlgorithm.
+func (a *STEM) SaveState(w io.Writer) error { return a.walk(ckpt.Save(w)) }
 
 // LoadState implements fl.StatefulAlgorithm.
-func (a *STEM) LoadState(r io.Reader) error {
-	rows, err := ckpt.ReadF64Rows(r)
-	if err != nil {
-		return fmt.Errorf("stem v: %w", err)
-	}
-	if rows != nil && len(rows) != len(a.v) {
-		return fmt.Errorf("stem: %d momentum rows for %d clients", len(rows), len(a.v))
-	}
-	for i := range a.v {
-		var row []float64
-		if rows != nil {
-			row = rows[i]
-		}
-		if row == nil {
-			a.v[i], a.wPrev[i] = nil, nil
-			continue
-		}
-		if len(row) != a.d {
-			return fmt.Errorf("stem: client %d momentum length %d, want %d", i, len(row), a.d)
-		}
-		a.v[i] = row
-		if a.wPrev[i] == nil {
-			a.wPrev[i] = make([]float64, a.d)
-		}
-	}
-	return nil
+func (a *STEM) LoadState(r io.Reader) error { return a.walk(ckpt.Load(r)) }
+
+// walk covers the server momentum.
+func (a *FedACG) walk(c *ckpt.Codec) error {
+	c.Section("fedacg m")
+	c.F64s(a.m)
+	return c.Err()
 }
 
-// SaveState implements fl.StatefulAlgorithm: the server momentum.
-func (a *FedACG) SaveState(w io.Writer) error {
-	return ckpt.WriteF64s(w, a.m)
-}
+// SaveState implements fl.StatefulAlgorithm.
+func (a *FedACG) SaveState(w io.Writer) error { return a.walk(ckpt.Save(w)) }
 
 // LoadState implements fl.StatefulAlgorithm.
-func (a *FedACG) LoadState(r io.Reader) error {
-	if err := ckpt.ReadF64sInto(r, a.m); err != nil {
-		return fmt.Errorf("fedacg m: %w", err)
-	}
-	return nil
-}
+func (a *FedACG) LoadState(r io.Reader) error { return a.walk(ckpt.Load(r)) }

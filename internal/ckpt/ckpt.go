@@ -1,14 +1,17 @@
-// Package ckpt provides the little-endian binary primitives shared by
-// every checkpoint writer in the repository: the fl run checkpoint and
-// the per-algorithm state serializers (Scaffold control variates, STEM
-// momentum, TACO's alpha tracker). All encoders write fixed-width
-// little-endian words via a stack scratch buffer — no reflection, no
-// per-value allocation — and every decoder length-checks before
-// allocating so corrupt or truncated input fails with an error instead
-// of a panic or an absurd allocation.
+// Package ckpt provides the little-endian binary codec shared by every
+// checkpoint in the repository: the fl run checkpoint and the
+// per-algorithm state (Scaffold control variates, STEM momentum, TACO's
+// alpha tracker). A Codec carries its direction, so a piece of state is
+// described once — one function walks its fields and runs both on save
+// and on restore. Values move as fixed-width little-endian words through
+// the codec's own scratch — no reflection, and no allocation per value on
+// save (a cursor's MarshalBinary is the one exception) — and every
+// decode length-checks before allocating, so corrupt or truncated input
+// fails with an error instead of a panic or an absurd allocation.
 package ckpt
 
 import (
+	"encoding"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -20,297 +23,297 @@ import (
 // is corrupt input, rejected before allocation.
 const MaxElems = 1 << 28
 
-// growChunk caps a decoder's initial allocation: slices grow with the
-// data actually read (fuzz-safe against forged huge lengths).
-const growChunk = 1 << 13
-
-// WriteU64 writes one little-endian uint64.
-func WriteU64(w io.Writer, v uint64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	_, err := w.Write(buf[:])
-	return err
+// Codec moves values between memory and a checkpoint stream, in the
+// direction it was built for. Every method takes the live value's
+// address (or the live slice): Save writes what is there, Load overwrites
+// it. The first failure sticks — later calls do nothing and leave their
+// values untouched — so a walk checks Err once at the end. Bytes reach
+// the stream in call order with nothing held back between calls, so
+// codecs nested over one stream (Nested) interleave correctly.
+type Codec struct {
+	w       io.Writer // set by Save
+	r       io.Reader // set by Load
+	err     error
+	section string
+	cursor  []byte // Cursor's decode scratch
+	buf     [1024]byte
 }
 
-// ReadU64 reads one little-endian uint64.
-func ReadU64(r io.Reader) (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
+// Save returns a codec that writes the values it is shown to w.
+func Save(w io.Writer) *Codec { return &Codec{w: w} }
+
+// Load returns a codec that overwrites the values it is shown from r.
+func Load(r io.Reader) *Codec { return &Codec{r: r} }
+
+// Loading reports whether the codec restores (Load) rather than saves.
+func (c *Codec) Loading() bool { return c.r != nil }
+
+// Err returns the first failure, nil when every call so far succeeded.
+func (c *Codec) Err() error { return c.err }
+
+// Section names the part of the state the following calls belong to; a
+// failure is reported under the section it happened in.
+func (c *Codec) Section(name string) { c.section = name }
+
+// Failf records a validation failure found by the walk itself (a value
+// out of range); like any other failure it is kept only if it is the
+// first.
+func (c *Codec) Failf(format string, args ...any) {
+	if c.err != nil {
+		return
 	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
+	c.err = fmt.Errorf(format, args...)
+	if c.section != "" {
+		c.err = fmt.Errorf("%s: %w", c.section, c.err)
+	}
 }
 
-// WriteInt writes an int as a uint64 (two's complement).
-func WriteInt(w io.Writer, v int) error { return WriteU64(w, uint64(v)) }
-
-// ReadInt reads an int written by WriteInt.
-func ReadInt(r io.Reader) (int, error) {
-	v, err := ReadU64(r)
-	return int(v), err
+// move transfers b in the codec's direction.
+func (c *Codec) move(b []byte) {
+	if c.err != nil {
+		return
+	}
+	var err error
+	if c.r != nil {
+		_, err = io.ReadFull(c.r, b)
+	} else {
+		_, err = c.w.Write(b)
+	}
+	if err != nil {
+		c.Failf("%w", err)
+	}
 }
 
-// WriteBool writes a bool as one byte.
-func WriteBool(w io.Writer, v bool) error {
-	b := [1]byte{0}
-	if v {
+// U64 moves one little-endian uint64.
+func (c *Codec) U64(v *uint64) {
+	b := c.buf[:8]
+	binary.LittleEndian.PutUint64(b, *v)
+	c.move(b)
+	if c.r != nil && c.err == nil {
+		*v = binary.LittleEndian.Uint64(b)
+	}
+}
+
+// Int moves an int as a uint64 (two's complement).
+func (c *Codec) Int(v *int) {
+	u := uint64(*v)
+	c.U64(&u)
+	*v = int(u)
+}
+
+// F64 moves one float64 as its IEEE-754 bits.
+func (c *Codec) F64(v *float64) {
+	u := math.Float64bits(*v)
+	c.U64(&u)
+	*v = math.Float64frombits(u)
+}
+
+// Bool moves a bool as one byte; a byte other than 0 or 1 fails the load.
+func (c *Codec) Bool(v *bool) {
+	b := c.buf[:1]
+	b[0] = 0
+	if *v {
 		b[0] = 1
 	}
-	_, err := w.Write(b[:])
-	return err
+	c.move(b)
+	if c.r == nil || c.err != nil {
+		return
+	}
+	if b[0] > 1 {
+		c.Failf("ckpt: invalid bool byte %#x", b[0])
+		return
+	}
+	*v = b[0] == 1
 }
 
-// ReadBool reads a bool written by WriteBool, rejecting bytes other than
-// 0 or 1.
-func ReadBool(r io.Reader) (bool, error) {
-	var b [1]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return false, err
+// Expect guards a structural fact both sides must agree on — whether an
+// optional part of the state exists. Save records present; Load fails
+// when the checkpoint disagrees with the live value. It returns present,
+// so the walk can branch on it in either direction.
+func (c *Codec) Expect(present bool, what string) bool {
+	got := present
+	c.Bool(&got)
+	if got != present {
+		c.Failf("%s presence mismatch", what)
 	}
-	switch b[0] {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	default:
-		return false, fmt.Errorf("ckpt: invalid bool byte %#x", b[0])
+	return present
+}
+
+// ExpectLen is Expect for a count the live state fixes (a per-client
+// table, a stage list): Save records n, Load fails on any other value.
+func (c *Codec) ExpectLen(n int, what string) {
+	got := n
+	c.Int(&got)
+	if got != n {
+		c.Failf("checkpoint has %d %s, this run %d", got, what, n)
 	}
 }
 
-// WriteF64 writes one float64 as its IEEE-754 bits.
-func WriteF64(w io.Writer, v float64) error { return WriteU64(w, math.Float64bits(v)) }
-
-// ReadF64 reads a float64 written by WriteF64.
-func ReadF64(r io.Reader) (float64, error) {
-	v, err := ReadU64(r)
-	return math.Float64frombits(v), err
+// length moves a slice length and returns the recorded one, checked
+// against MaxElems (0 after a failure).
+func (c *Codec) length(n int, what string) int {
+	u := uint64(n)
+	c.U64(&u)
+	if u > MaxElems {
+		c.Failf("ckpt: %s length %d exceeds limit %d (corrupt checkpoint)", what, u, MaxElems)
+	}
+	if c.err != nil {
+		return 0
+	}
+	return int(u)
 }
 
-// checkLen validates a decoded element count against MaxElems.
-func checkLen(n uint64, what string) (int, error) {
-	if n > MaxElems {
-		return 0, fmt.Errorf("ckpt: %s length %d exceeds limit %d (corrupt checkpoint)", what, n, MaxElems)
+// floats moves a length-prefixed slice of fixed length in place, as
+// float64 bits whatever F is: widening float32 is exact and narrowing the
+// result is its exact inverse, so fp32 state round-trips bit-identically
+// without a second on-disk format.
+func floats[F float32 | float64](c *Codec, v []F) {
+	if n := c.length(len(v), "float slice"); c.err == nil && n != len(v) {
+		c.Failf("ckpt: recorded length %d, destination needs %d", n, len(v))
 	}
-	return int(n), nil
-}
-
-// WriteF64s writes a length-prefixed float64 slice. A nil slice and an
-// empty slice both encode as length 0.
-func WriteF64s(w io.Writer, v []float64) error {
-	if err := WriteU64(w, uint64(len(v))); err != nil {
-		return err
-	}
-	var buf [8]byte
-	for _, x := range v {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
-		if _, err := w.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadF64s reads a slice written by WriteF64s. Length 0 decodes as nil.
-func ReadF64s(r io.Reader) ([]float64, error) {
-	n, err := ReadU64(r)
-	if err != nil {
-		return nil, err
-	}
-	ln, err := checkLen(n, "float64 slice")
-	if err != nil {
-		return nil, err
-	}
-	if ln == 0 {
-		return nil, nil
-	}
-	// Grow with the data actually read, so a forged length on truncated
-	// input fails with a small allocation, not an ln-sized one.
-	out := make([]float64, 0, min(ln, growChunk))
-	var buf [8]byte
-	for i := 0; i < ln; i++ {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return nil, err
-		}
-		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[:])))
-	}
-	return out, nil
-}
-
-// ReadF64sInto reads a slice written by WriteF64s into dst, requiring the
-// recorded length to match exactly len(dst).
-func ReadF64sInto(r io.Reader, dst []float64) error {
-	n, err := ReadU64(r)
-	if err != nil {
-		return err
-	}
-	if n != uint64(len(dst)) {
-		return fmt.Errorf("ckpt: recorded length %d, destination needs %d", n, len(dst))
-	}
-	var buf [8]byte
-	for i := range dst {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return err
-		}
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-	}
-	return nil
-}
-
-// WriteF64Rows writes a length-prefixed slice of float64 slices; nil rows
-// are preserved via a presence byte (the lazy-allocation idiom used by
-// Scaffold's control variates and TACO's correction state).
-func WriteF64Rows(w io.Writer, rows [][]float64) error {
-	if err := WriteU64(w, uint64(len(rows))); err != nil {
-		return err
-	}
-	for _, row := range rows {
-		if err := WriteBool(w, row != nil); err != nil {
-			return err
-		}
-		if row != nil {
-			if err := WriteF64s(w, row); err != nil {
-				return err
+	for len(v) > 0 && c.err == nil {
+		k := min(len(v), len(c.buf)/8)
+		b := c.buf[:8*k]
+		if c.w != nil {
+			for i, x := range v[:k] {
+				binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(float64(x)))
 			}
 		}
+		c.move(b)
+		if c.r != nil && c.err == nil {
+			for i := range v[:k] {
+				v[i] = F(math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])))
+			}
+		}
+		v = v[k:]
 	}
-	return nil
 }
 
-// ReadF64Rows reads rows written by WriteF64Rows, preserving nil rows.
-func ReadF64Rows(r io.Reader) ([][]float64, error) {
-	n, err := ReadU64(r)
-	if err != nil {
-		return nil, err
+// F64s moves a float64 slice in place; Load requires the recorded length
+// to equal len(v).
+func (c *Codec) F64s(v []float64) { floats(c, v) }
+
+// row moves one lazily allocated slice: a presence byte, then the values.
+// Load sets an absent row to nil and allocates a present one that is nil
+// in the live state at the required width.
+func row[F float32 | float64](c *Codec, v *[]F, width int) {
+	present := *v != nil
+	c.Bool(&present)
+	switch {
+	case !present:
+		*v = nil
+	case *v == nil:
+		*v = make([]F, width)
 	}
-	ln, err := checkLen(n, "row slice")
-	if err != nil {
-		return nil, err
+	if present {
+		floats(c, *v)
 	}
-	if ln == 0 {
-		return nil, nil
+}
+
+// rows moves a table of rows whose count the live table fixes.
+func rows[F float32 | float64](c *Codec, t [][]F, width int) {
+	c.ExpectLen(len(t), "rows")
+	for i := range t {
+		row(c, &t[i], width)
 	}
-	rows := make([][]float64, ln)
-	for i := range rows {
-		present, err := ReadBool(r)
+}
+
+// Row moves one nil-preserving slice whose length, when present, is
+// width.
+func (c *Codec) Row(v *[]float64, width int) { row(c, v, width) }
+
+// Rows moves a per-client table of nil-preserving rows (the lazy-
+// allocation idiom of Scaffold's control variates and the EF residuals):
+// the row count is fixed by the live table, every present row is width
+// long.
+func (c *Codec) Rows(t [][]float64, width int) { rows(c, t, width) }
+
+// Rows32 is Rows for float32 rows, stored as float64 words.
+func (c *Codec) Rows32(t [][]float32, width int) { rows(c, t, width) }
+
+// Ints moves a length-prefixed int slice of any length; Load replaces *v,
+// reusing its capacity and growing with the data actually read, so a
+// forged length on truncated input fails with a small allocation.
+func (c *Codec) Ints(v *[]int) {
+	n := c.length(len(*v), "int slice")
+	if c.w != nil {
+		for i := range *v {
+			c.Int(&(*v)[i])
+		}
+		return
+	}
+	out := (*v)[:0]
+	for i := 0; i < n && c.err == nil; i++ {
+		var x int
+		c.Int(&x)
+		out = append(out, x)
+	}
+	if c.err == nil {
+		*v = out
+	}
+}
+
+// Bytes moves a length-prefixed byte slice of any length; Load replaces
+// *v the way Ints does.
+func (c *Codec) Bytes(v *[]byte) {
+	n := c.length(len(*v), "byte slice")
+	if c.w != nil {
+		c.move(*v)
+		return
+	}
+	out := (*v)[:0]
+	for n > 0 && c.err == nil {
+		k := min(n, len(c.buf))
+		c.move(c.buf[:k])
+		out = append(out, c.buf[:k]...)
+		n -= k
+	}
+	if c.err == nil {
+		*v = out
+	}
+}
+
+// Stream is a cursor Codec.Cursor can capture and restore — in this
+// repository, rng streams. UnmarshalBinary must not keep its argument.
+type Stream interface {
+	encoding.BinaryMarshaler
+	encoding.BinaryUnmarshaler
+}
+
+// Cursor moves a stream cursor. On Load, apply false consumes the
+// recorded cursor without applying it — the divergence-rollback restore,
+// which keeps the live stream positions so the replayed rounds draw fresh
+// batches. Save ignores apply.
+func (c *Codec) Cursor(s Stream, apply bool) {
+	if c.w != nil {
+		data, err := s.MarshalBinary()
 		if err != nil {
-			return nil, err
+			c.Failf("%w", err)
 		}
-		if present {
-			row, err := ReadF64s(r)
-			if err != nil {
-				return nil, err
-			}
-			if row == nil {
-				row = []float64{}
-			}
-			rows[i] = row
+		c.Bytes(&data)
+		return
+	}
+	c.Bytes(&c.cursor)
+	if apply && c.err == nil {
+		if err := s.UnmarshalBinary(c.cursor); err != nil {
+			c.Failf("%w", err)
 		}
 	}
-	return rows, nil
 }
 
-// WriteInts writes a length-prefixed int slice.
-func WriteInts(w io.Writer, v []int) error {
-	if err := WriteU64(w, uint64(len(v))); err != nil {
-		return err
+// Nested hands the stream to a state owner that speaks the io interfaces
+// (fl.StatefulAlgorithm): save on a saving codec, load on a loading one.
+func (c *Codec) Nested(save func(io.Writer) error, load func(io.Reader) error) {
+	if c.err != nil {
+		return
 	}
-	for _, x := range v {
-		if err := WriteInt(w, x); err != nil {
-			return err
-		}
+	var err error
+	if c.r != nil {
+		err = load(c.r)
+	} else {
+		err = save(c.w)
 	}
-	return nil
-}
-
-// ReadInts reads a slice written by WriteInts. Length 0 decodes as nil.
-func ReadInts(r io.Reader) ([]int, error) {
-	n, err := ReadU64(r)
 	if err != nil {
-		return nil, err
+		c.Failf("%w", err)
 	}
-	ln, err := checkLen(n, "int slice")
-	if err != nil {
-		return nil, err
-	}
-	if ln == 0 {
-		return nil, nil
-	}
-	out := make([]int, 0, min(ln, growChunk))
-	for i := 0; i < ln; i++ {
-		v, err := ReadInt(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// WriteBytes writes a length-prefixed byte slice.
-func WriteBytes(w io.Writer, v []byte) error {
-	if err := WriteU64(w, uint64(len(v))); err != nil {
-		return err
-	}
-	_, err := w.Write(v)
-	return err
-}
-
-// ReadBytes reads a slice written by WriteBytes.
-func ReadBytes(r io.Reader) ([]byte, error) {
-	n, err := ReadU64(r)
-	if err != nil {
-		return nil, err
-	}
-	ln, err := checkLen(n, "byte slice")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, min(ln, growChunk))
-	var chunk [4096]byte
-	for ln > 0 {
-		c := min(ln, len(chunk))
-		if _, err := io.ReadFull(r, chunk[:c]); err != nil {
-			return nil, err
-		}
-		out = append(out, chunk[:c]...)
-		ln -= c
-	}
-	return out, nil
-}
-
-// Marshaler is anything whose state serializes via MarshalBinary — in
-// this repository, rng stream cursors.
-type Marshaler interface {
-	MarshalBinary() ([]byte, error)
-}
-
-// Unmarshaler restores a cursor captured by WriteCursor.
-type Unmarshaler interface {
-	UnmarshalBinary([]byte) error
-}
-
-// WriteCursor serializes an rng cursor (or anything MarshalBinary-able).
-func WriteCursor(w io.Writer, m Marshaler) error {
-	data, err := m.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	return WriteBytes(w, data)
-}
-
-// ReadCursor restores a cursor written by WriteCursor.
-func ReadCursor(r io.Reader, u Unmarshaler) error {
-	data, err := ReadBytes(r)
-	if err != nil {
-		return err
-	}
-	return u.UnmarshalBinary(data)
-}
-
-// SkipCursor consumes a cursor written by WriteCursor without applying
-// it — used by the divergence-rollback restore path, which keeps the
-// live stream positions so the replayed rounds draw fresh batches.
-func SkipCursor(r io.Reader) error {
-	_, err := ReadBytes(r)
-	return err
 }

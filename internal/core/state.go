@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/ckpt"
@@ -12,7 +11,8 @@ import (
 // coefficient tracker (current α_i and the per-round history behind
 // Table II), the broadcast correction ∆^t, the output model z_t, the
 // freeloader strike counts, and the round-mean coefficient; the hybrids
-// carry subsets plus Scaffold-style control variates.
+// carry subsets plus Scaffold-style control variates. Each algorithm
+// describes its state once, in a walk that runs in both directions.
 
 var (
 	_ fl.StatefulAlgorithm = (*TACO)(nil)
@@ -20,166 +20,89 @@ var (
 	_ fl.StatefulAlgorithm = (*ScaffoldTACO)(nil)
 )
 
-// SaveState serializes the tracker's coefficients and history.
-func (t *AlphaTracker) SaveState(w io.Writer) error {
-	if err := ckpt.WriteF64s(w, t.alphas); err != nil {
-		return err
+// walk covers the tracker's coefficients and history, for a tracker
+// created for the same fleet size. The history grows by one row a round,
+// so its row count is data; on load the rows are allocated one at a time
+// as their values arrive.
+func (t *AlphaTracker) walk(c *ckpt.Codec) {
+	c.Section("alphas")
+	c.F64s(t.alphas)
+	c.Section("alpha history")
+	n := len(t.history)
+	c.Int(&n)
+	if n < 0 || n > ckpt.MaxElems {
+		c.Failf("%d rows out of range", n)
+		return
 	}
-	return ckpt.WriteF64Rows(w, t.history)
+	if c.Loading() {
+		t.history = t.history[:0]
+	}
+	for i := 0; i < n && c.Err() == nil; i++ {
+		if c.Loading() {
+			t.history = append(t.history, make([]float64, len(t.alphas)))
+		}
+		c.F64s(t.history[i])
+	}
 }
 
-// LoadState restores state written by SaveState into a tracker created
-// for the same fleet size.
-func (t *AlphaTracker) LoadState(r io.Reader) error {
-	if err := ckpt.ReadF64sInto(r, t.alphas); err != nil {
-		return fmt.Errorf("alphas: %w", err)
-	}
-	hist, err := ckpt.ReadF64Rows(r)
-	if err != nil {
-		return fmt.Errorf("alpha history: %w", err)
-	}
-	for i, row := range hist {
-		if len(row) != len(t.alphas) {
-			return fmt.Errorf("alpha history row %d has %d entries for %d clients", i, len(row), len(t.alphas))
-		}
-	}
-	t.history = hist
-	return nil
-}
-
-// SaveState implements fl.StatefulAlgorithm.
-func (a *TACO) SaveState(w io.Writer) error {
-	if err := a.tracker.SaveState(w); err != nil {
-		return err
-	}
-	if err := ckpt.WriteF64s(w, a.corr); err != nil {
-		return err
-	}
-	if err := ckpt.WriteBool(w, a.z != nil); err != nil {
-		return err
-	}
-	if a.z != nil {
-		if err := ckpt.WriteF64s(w, a.z); err != nil {
-			return err
-		}
-	}
-	if err := ckpt.WriteInts(w, a.strikes); err != nil {
-		return err
-	}
-	return ckpt.WriteF64(w, a.mean)
-}
-
-// LoadState implements fl.StatefulAlgorithm.
-func (a *TACO) LoadState(r io.Reader) error {
-	if err := a.tracker.LoadState(r); err != nil {
-		return fmt.Errorf("taco tracker: %w", err)
-	}
-	if err := ckpt.ReadF64sInto(r, a.corr); err != nil {
-		return fmt.Errorf("taco corr: %w", err)
-	}
-	hasZ, err := ckpt.ReadBool(r)
-	if err != nil {
-		return err
-	}
-	if hasZ {
-		if a.z == nil {
-			a.z = make([]float64, len(a.corr))
-		}
-		if err := ckpt.ReadF64sInto(r, a.z); err != nil {
-			return fmt.Errorf("taco z: %w", err)
-		}
-	} else {
-		a.z = nil
-	}
-	strikes, err := ckpt.ReadInts(r)
-	if err != nil {
-		return fmt.Errorf("taco strikes: %w", err)
-	}
-	if strikes != nil && len(strikes) != len(a.strikes) {
-		return fmt.Errorf("taco: %d strike counts for %d clients", len(strikes), len(a.strikes))
-	}
+func (a *TACO) walk(c *ckpt.Codec) error {
+	a.tracker.walk(c)
+	c.Section("taco corr")
+	c.F64s(a.corr)
+	c.Section("taco z")
+	c.Row(&a.z, len(a.corr))
+	c.Section("taco strikes")
+	c.ExpectLen(len(a.strikes), "strike counts")
 	for i := range a.strikes {
-		if strikes == nil {
-			a.strikes[i] = 0
-		} else {
-			a.strikes[i] = strikes[i]
-		}
+		c.Int(&a.strikes[i])
 	}
-	if a.mean, err = ckpt.ReadF64(r); err != nil {
-		return fmt.Errorf("taco mean: %w", err)
-	}
-	return nil
+	c.Section("taco mean")
+	c.F64(&a.mean)
+	return c.Err()
 }
 
 // SaveState implements fl.StatefulAlgorithm.
-func (a *FedProxTACO) SaveState(w io.Writer) error {
-	if err := a.tracker.SaveState(w); err != nil {
-		return err
-	}
-	return ckpt.WriteF64(w, a.mean)
-}
+func (a *TACO) SaveState(w io.Writer) error { return a.walk(ckpt.Save(w)) }
 
 // LoadState implements fl.StatefulAlgorithm.
-func (a *FedProxTACO) LoadState(r io.Reader) error {
-	if err := a.tracker.LoadState(r); err != nil {
-		return fmt.Errorf("fedprox(taco) tracker: %w", err)
-	}
-	var err error
-	if a.mean, err = ckpt.ReadF64(r); err != nil {
-		return fmt.Errorf("fedprox(taco) mean: %w", err)
-	}
-	return nil
+func (a *TACO) LoadState(r io.Reader) error { return a.walk(ckpt.Load(r)) }
+
+func (a *FedProxTACO) walk(c *ckpt.Codec) error {
+	a.tracker.walk(c)
+	c.Section("fedprox(taco) mean")
+	c.F64(&a.mean)
+	return c.Err()
 }
 
 // SaveState implements fl.StatefulAlgorithm.
-func (a *ScaffoldTACO) SaveState(w io.Writer) error {
-	if err := a.tracker.SaveState(w); err != nil {
-		return err
-	}
-	if err := ckpt.WriteF64(w, a.mean); err != nil {
-		return err
-	}
-	if err := ckpt.WriteF64s(w, a.c); err != nil {
-		return err
-	}
-	return ckpt.WriteF64Rows(w, a.ci)
-}
+func (a *FedProxTACO) SaveState(w io.Writer) error { return a.walk(ckpt.Save(w)) }
 
 // LoadState implements fl.StatefulAlgorithm.
-func (a *ScaffoldTACO) LoadState(r io.Reader) error {
-	if err := a.tracker.LoadState(r); err != nil {
-		return fmt.Errorf("scaffold(taco) tracker: %w", err)
-	}
-	var err error
-	if a.mean, err = ckpt.ReadF64(r); err != nil {
-		return fmt.Errorf("scaffold(taco) mean: %w", err)
-	}
-	if err := ckpt.ReadF64sInto(r, a.c); err != nil {
-		return fmt.Errorf("scaffold(taco) c: %w", err)
-	}
-	rows, err := ckpt.ReadF64Rows(r)
-	if err != nil {
-		return fmt.Errorf("scaffold(taco) ci: %w", err)
-	}
-	if rows != nil && len(rows) != len(a.ci) {
-		return fmt.Errorf("scaffold(taco): %d control-variate rows for %d clients", len(rows), len(a.ci))
-	}
-	for i := range a.ci {
-		var row []float64
-		if rows != nil {
-			row = rows[i]
-		}
-		if row == nil {
-			a.ci[i], a.corr[i] = nil, nil
-			continue
-		}
-		if len(row) != a.d {
-			return fmt.Errorf("scaffold(taco): client %d variate length %d, want %d", i, len(row), a.d)
-		}
-		a.ci[i] = row
-		if a.corr[i] == nil {
+func (a *FedProxTACO) LoadState(r io.Reader) error { return a.walk(ckpt.Load(r)) }
+
+func (a *ScaffoldTACO) walk(c *ckpt.Codec) error {
+	a.tracker.walk(c)
+	c.Section("scaffold(taco) mean")
+	c.F64(&a.mean)
+	c.Section("scaffold(taco) c")
+	c.F64s(a.c)
+	c.Section("scaffold(taco) ci")
+	c.Rows(a.ci, a.d)
+	for i, ci := range a.ci {
+		// The frozen round correction is recomputed at BeginLocal; only
+		// its allocation pairs with ci.
+		switch {
+		case ci == nil:
+			a.corr[i] = nil
+		case a.corr[i] == nil:
 			a.corr[i] = make([]float64, a.d)
 		}
 	}
-	return nil
+	return c.Err()
 }
+
+// SaveState implements fl.StatefulAlgorithm.
+func (a *ScaffoldTACO) SaveState(w io.Writer) error { return a.walk(ckpt.Save(w)) }
+
+// LoadState implements fl.StatefulAlgorithm.
+func (a *ScaffoldTACO) LoadState(r io.Reader) error { return a.walk(ckpt.Load(r)) }

@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/ckpt"
-	"repro/internal/compress"
 	"repro/internal/metrics"
-	"repro/internal/vecmath"
+	"repro/internal/wire"
 )
 
 // Run checkpointing (DESIGN.md §8). A checkpoint is the complete state
@@ -22,6 +21,8 @@ import (
 // async policy — every in-flight update, delta included. The header
 // carries a fingerprint of the configuration, architecture, and
 // algorithm so a checkpoint cannot silently resume a different run.
+// Everything after the header is described once, by walk functions over a
+// ckpt.Codec that save and restore depending on the codec's direction.
 //
 // Two consumers with different needs share the format:
 //   - server-crash recovery and external Resume apply the saved rng
@@ -30,13 +31,9 @@ import (
 //     cursors, so the replay draws fresh batches instead of marching
 //     deterministically into the same blow-up.
 
-// Format 03 added the failover fields to the per-round record
-// (ReassignedDispatches/WorkerReconnects) and the wire-execution
-// sub-blob (per-client dispatch histories plus recorded globals, the
-// record a restarted server replays to rebuild worker rng streams);
-// format 02 added the aggregation-stack fields. Older blobs are
-// rejected by the magic check rather than silently misparsed.
-var runCkptMagic = [8]byte{'F', 'L', 'C', 'K', 'P', 'T', '0', '3'}
+// The magic names the format; a blob of any older format is rejected by
+// the magic check rather than silently misparsed.
+var runCkptMagic = [8]byte{'F', 'L', 'C', 'K', 'P', 'T', '0', '4'}
 
 // StatefulAlgorithm is implemented by algorithms that carry cross-round
 // state a checkpoint must capture — control variates (Scaffold), client
@@ -71,156 +68,15 @@ func (s *scheduler) snapshot(t int) error {
 		return fmt.Errorf("fl: checkpoint at round %d with %d buffered async updates (not a round boundary)", t, len(s.buffer))
 	}
 	s.ckptBuf.Reset()
-	w := &s.ckptBuf
-	w.Write(runCkptMagic[:])
-	if err := ckpt.WriteU64(w, s.fingerprint()); err != nil {
-		return err
+	s.ckptBuf.Write(runCkptMagic[:])
+	c := ckpt.Save(&s.ckptBuf)
+	fp := s.fingerprint()
+	c.U64(&fp)
+	s.walk(c, &t, true)
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("fl: checkpoint: %w", err)
 	}
-	ckpt.WriteInt(w, t)
-	ckpt.WriteF64(w, s.now)
-	ckpt.WriteInt(w, s.version)
-	ckpt.WriteF64(w, s.lastAgg)
-	ckpt.WriteF64s(w, s.params)
-	ckpt.WriteF64s(w, s.wPrev)
-
-	ckpt.WriteInt(w, len(s.active))
-	for _, a := range s.active {
-		ckpt.WriteBool(w, a)
-	}
-	expelledIDs := make([]int, 0, len(s.expelled))
-	for id := range s.expelled {
-		expelledIDs = append(expelledIDs, id)
-	}
-	sort.Ints(expelledIDs)
-	ckpt.WriteInt(w, len(expelledIDs))
-	for _, id := range expelledIDs {
-		ckpt.WriteInt(w, id)
-		ckpt.WriteInt(w, s.expelled[id])
-	}
-	ckpt.WriteBool(w, s.cumWeights != nil)
-	if s.cumWeights != nil {
-		ckpt.WriteF64s(w, s.cumWeights)
-	}
-	writeRunHistory(w, s.run)
-
-	// rng cursors, in the derivation order of newScheduler.
-	if err := ckpt.WriteCursor(w, s.partRNG); err != nil {
-		return err
-	}
-	for _, c := range s.clients {
-		if err := ckpt.WriteCursor(w, c.sampler.Stream()); err != nil {
-			return err
-		}
-	}
-	for _, c := range s.clients {
-		ckpt.WriteBool(w, c.adv != nil)
-		if c.adv == nil {
-			continue
-		}
-		if err := ckpt.WriteCursor(w, c.adv.r); err != nil {
-			return err
-		}
-		ckpt.WriteInt(w, len(c.adv.alts))
-		for _, alt := range c.adv.alts {
-			if err := ckpt.WriteCursor(w, alt.sampler.Stream()); err != nil {
-				return err
-			}
-		}
-	}
-	comp := s.pool.comp
-	ckpt.WriteBool(w, comp != nil)
-	if comp != nil {
-		for _, st := range comp.streams {
-			if err := ckpt.WriteCursor(w, st); err != nil {
-				return err
-			}
-		}
-		if comp.resid32 != nil {
-			// fp32 residuals are widened to float64 rows on the wire:
-			// widening is exact and restore's narrowing is its exact
-			// inverse, so the round-trip is bit-identical without a
-			// second on-disk row format. (DType is fingerprinted, so a
-			// blob can never be restored under the other precision.)
-			rows := make([][]float64, len(comp.resid32))
-			for i, e := range comp.resid32 {
-				if e == nil {
-					continue
-				}
-				rows[i] = make([]float64, len(e))
-				vecmath.Widen(rows[i], e)
-			}
-			if err := ckpt.WriteF64Rows(w, rows); err != nil {
-				return err
-			}
-		} else if err := ckpt.WriteF64Rows(w, comp.resid); err != nil {
-			return err
-		}
-	}
-	ckpt.WriteBool(w, s.plan != nil)
-	if s.plan != nil {
-		for _, cf := range s.plan.perClient {
-			ckpt.WriteBool(w, cf != nil)
-			if cf != nil {
-				if err := ckpt.WriteCursor(w, cf.r); err != nil {
-					return err
-				}
-			}
-		}
-	}
-
-	sa, stateful := s.alg.(StatefulAlgorithm)
-	ckpt.WriteBool(w, stateful)
-	if stateful {
-		if err := sa.SaveState(w); err != nil {
-			return fmt.Errorf("fl: checkpoint algorithm state: %w", err)
-		}
-	}
-
-	ckpt.WriteBool(w, s.cfg.Policy == PolicyAsync)
-	if s.cfg.Policy == PolicyAsync {
-		for i := range s.pending {
-			f := &s.pending[i]
-			ckpt.WriteBool(w, f.live)
-			if !f.live {
-				continue
-			}
-			ckpt.WriteInt(w, f.version)
-			ckpt.WriteF64(w, f.measured)
-			ckpt.WriteF64(w, f.finish)
-			ckpt.WriteBool(w, f.failed)
-			ckpt.WriteInt(w, f.attempt)
-			ckpt.WriteBool(w, f.dup)
-			ckpt.WriteF64(w, f.update.TrainLoss)
-			ckpt.WriteBool(w, f.update.Corrupt)
-			ckpt.WriteF64s(w, f.update.Delta)
-			ckpt.WriteBool(w, f.update.Payload != nil)
-			if f.update.Payload != nil {
-				writePayload(w, f.update.Payload)
-			}
-		}
-		if s.attempts != nil {
-			ckpt.WriteBool(w, true)
-			ckpt.WriteInts(w, s.attempts)
-		} else {
-			ckpt.WriteBool(w, false)
-		}
-	}
-
-	// Wire-execution sub-blob, last so every in-process field keeps its
-	// offset: a marker for the execution mode (a wire blob restored
-	// in-process would leave server-side sampler cursors authoritative
-	// for state that actually lives in workers, and vice versa — both
-	// are silently wrong, so cross-mode restores are rejected), then the
-	// dispatch record a restarted server needs to rebuild its workers.
-	rx, isWire := s.exec.(*remoteExec)
-	ckpt.WriteBool(w, isWire)
-	if isWire {
-		if err := rx.writeWireState(w); err != nil {
-			return fmt.Errorf("fl: checkpoint wire state: %w", err)
-		}
-	}
-
-	s.lastCkpt = append(s.lastCkpt[:0], w.Bytes()...)
+	s.lastCkpt = append(s.lastCkpt[:0], s.ckptBuf.Bytes()...)
 	s.lastCkptRound = t
 	if s.cfg.OnCheckpoint != nil {
 		s.cfg.OnCheckpoint(t, s.lastCkpt)
@@ -254,535 +110,260 @@ func (s *scheduler) restore(data []byte, applyRNG bool) error {
 	if magic != runCkptMagic {
 		return fmt.Errorf("fl: checkpoint: bad magic %q", magic[:])
 	}
-	fp, err := ckpt.ReadU64(r)
-	if err != nil {
+	c := ckpt.Load(r)
+	var fp uint64
+	c.U64(&fp)
+	if err := c.Err(); err != nil {
 		return fmt.Errorf("fl: checkpoint read: %w", err)
 	}
 	if fp != s.fingerprint() {
 		return fmt.Errorf("fl: checkpoint fingerprint %x does not match this run %x (different config, model, or algorithm)", fp, s.fingerprint())
 	}
-	if err := s.restoreBody(r, applyRNG); err != nil {
+	s.walk(c, &s.startRound, applyRNG)
+	if err := c.Err(); err != nil {
 		return fmt.Errorf("fl: checkpoint restore: %w", err)
-	}
-	return nil
-}
-
-// restoreBody decodes everything after the header. It is split out so
-// every early return funnels through restore's error wrapping.
-func (s *scheduler) restoreBody(r *bytes.Reader, applyRNG bool) error {
-	var err error
-	if s.startRound, err = ckpt.ReadInt(r); err != nil {
-		return err
-	}
-	if s.startRound < 0 || s.startRound > s.cfg.Rounds {
-		return fmt.Errorf("resume round %d outside [0,%d]", s.startRound, s.cfg.Rounds)
-	}
-	if s.now, err = ckpt.ReadF64(r); err != nil {
-		return err
-	}
-	if s.version, err = ckpt.ReadInt(r); err != nil {
-		return err
-	}
-	if s.lastAgg, err = ckpt.ReadF64(r); err != nil {
-		return err
-	}
-	if err = ckpt.ReadF64sInto(r, s.params); err != nil {
-		return fmt.Errorf("params: %w", err)
-	}
-	if err = ckpt.ReadF64sInto(r, s.wPrev); err != nil {
-		return fmt.Errorf("wPrev: %w", err)
-	}
-
-	nActive, err := ckpt.ReadInt(r)
-	if err != nil {
-		return err
-	}
-	if nActive != len(s.active) {
-		return fmt.Errorf("%d active flags for %d clients", nActive, len(s.active))
-	}
-	for i := range s.active {
-		if s.active[i], err = ckpt.ReadBool(r); err != nil {
-			return err
-		}
-	}
-	nExp, err := ckpt.ReadInt(r)
-	if err != nil {
-		return err
-	}
-	if nExp < 0 || nExp > len(s.clients) {
-		return fmt.Errorf("%d expelled entries for %d clients", nExp, len(s.clients))
-	}
-	clear(s.expelled)
-	for i := 0; i < nExp; i++ {
-		id, err := ckpt.ReadInt(r)
-		if err != nil {
-			return err
-		}
-		round, err := ckpt.ReadInt(r)
-		if err != nil {
-			return err
-		}
-		if id < 0 || id >= len(s.clients) {
-			return fmt.Errorf("expelled id %d outside [0,%d)", id, len(s.clients))
-		}
-		s.expelled[id] = round
-	}
-	hasCum, err := ckpt.ReadBool(r)
-	if err != nil {
-		return err
-	}
-	if hasCum != (s.cumWeights != nil) {
-		return fmt.Errorf("cumulative-weight presence mismatch")
-	}
-	if hasCum {
-		if err = ckpt.ReadF64sInto(r, s.cumWeights); err != nil {
-			return fmt.Errorf("cumWeights: %w", err)
-		}
-	}
-	if err = readRunHistory(r, s.run, s.cfg.Rounds); err != nil {
-		return fmt.Errorf("run history: %w", err)
-	}
-
-	cursor := func(u ckpt.Unmarshaler) error {
-		if applyRNG {
-			return ckpt.ReadCursor(r, u)
-		}
-		return ckpt.SkipCursor(r)
-	}
-	if err = cursor(s.partRNG); err != nil {
-		return fmt.Errorf("participation stream: %w", err)
-	}
-	for i, c := range s.clients {
-		if err = cursor(c.sampler.Stream()); err != nil {
-			return fmt.Errorf("client %d sampler: %w", i, err)
-		}
-	}
-	for i, c := range s.clients {
-		hasAdv, err := ckpt.ReadBool(r)
-		if err != nil {
-			return err
-		}
-		if hasAdv != (c.adv != nil) {
-			return fmt.Errorf("client %d adversary presence mismatch", i)
-		}
-		if c.adv == nil {
-			continue
-		}
-		if err = cursor(c.adv.r); err != nil {
-			return fmt.Errorf("client %d adversary stream: %w", i, err)
-		}
-		nAlts, err := ckpt.ReadInt(r)
-		if err != nil {
-			return err
-		}
-		if nAlts != len(c.adv.alts) {
-			return fmt.Errorf("client %d has %d data corruptions, checkpoint %d", i, len(c.adv.alts), nAlts)
-		}
-		for _, alt := range c.adv.alts {
-			if err = cursor(alt.sampler.Stream()); err != nil {
-				return fmt.Errorf("client %d corrupt sampler: %w", i, err)
-			}
-		}
-	}
-	hasComp, err := ckpt.ReadBool(r)
-	if err != nil {
-		return err
-	}
-	if hasComp != (s.pool.comp != nil) {
-		return fmt.Errorf("compression presence mismatch")
-	}
-	if comp := s.pool.comp; comp != nil {
-		for i, st := range comp.streams {
-			if err = cursor(st); err != nil {
-				return fmt.Errorf("client %d quantization stream: %w", i, err)
-			}
-		}
-		// EF residuals are algorithm state, not stream cursors: restored
-		// unconditionally so a rollback rewinds the error feedback too.
-		rows, err := ckpt.ReadF64Rows(r)
-		if err != nil {
-			return fmt.Errorf("EF residuals: %w", err)
-		}
-		if comp.resid32 != nil {
-			if rows != nil && len(rows) != len(comp.resid32) {
-				return fmt.Errorf("%d residual rows for %d clients", len(rows), len(comp.resid32))
-			}
-			for i := range comp.resid32 {
-				if rows == nil || rows[i] == nil {
-					comp.resid32[i] = nil
-					continue
-				}
-				if len(rows[i]) != len(s.params) {
-					return fmt.Errorf("client %d residual length %d, want %d", i, len(rows[i]), len(s.params))
-				}
-				e := comp.resid32[i]
-				if e == nil {
-					e = make([]float32, len(s.params))
-				}
-				vecmath.Narrow(e, rows[i])
-				comp.resid32[i] = e
-			}
-		} else {
-			if rows != nil && len(rows) != len(comp.resid) {
-				return fmt.Errorf("%d residual rows for %d clients", len(rows), len(comp.resid))
-			}
-			for i := range comp.resid {
-				if rows == nil || rows[i] == nil {
-					comp.resid[i] = nil
-					continue
-				}
-				if len(rows[i]) != len(s.params) {
-					return fmt.Errorf("client %d residual length %d, want %d", i, len(rows[i]), len(s.params))
-				}
-				comp.resid[i] = rows[i]
-			}
-		}
-	}
-	hasPlan, err := ckpt.ReadBool(r)
-	if err != nil {
-		return err
-	}
-	if hasPlan != (s.plan != nil) {
-		return fmt.Errorf("fault-plan presence mismatch")
-	}
-	if s.plan != nil {
-		for i, cf := range s.plan.perClient {
-			has, err := ckpt.ReadBool(r)
-			if err != nil {
-				return err
-			}
-			if has != (cf != nil) {
-				return fmt.Errorf("client %d fault-stream presence mismatch", i)
-			}
-			if cf != nil {
-				if err = cursor(cf.r); err != nil {
-					return fmt.Errorf("client %d fault stream: %w", i, err)
-				}
-			}
-		}
-	}
-
-	stateful, err := ckpt.ReadBool(r)
-	if err != nil {
-		return err
-	}
-	sa, isStateful := s.alg.(StatefulAlgorithm)
-	if stateful != isStateful {
-		return fmt.Errorf("algorithm statefulness mismatch")
-	}
-	if stateful {
-		if err = sa.LoadState(r); err != nil {
-			return fmt.Errorf("algorithm state: %w", err)
-		}
-	}
-
-	isAsync, err := ckpt.ReadBool(r)
-	if err != nil {
-		return err
-	}
-	if isAsync != (s.cfg.Policy == PolicyAsync) {
-		return fmt.Errorf("policy mismatch")
-	}
-	if isAsync {
-		if s.pending == nil {
-			s.pending = make([]flight, len(s.clients))
-			s.buffer = make([]Update, 0, s.cfg.asyncBuffer())
-		}
-		for id := range s.pending {
-			// Drop any current in-flight state; restored flights get
-			// fresh ring entries below.
-			s.pending[id] = flight{}
-			live, err := ckpt.ReadBool(r)
-			if err != nil {
-				return err
-			}
-			if !live {
-				continue
-			}
-			f := &s.pending[id]
-			f.live = true
-			if f.version, err = ckpt.ReadInt(r); err != nil {
-				return err
-			}
-			if f.measured, err = ckpt.ReadF64(r); err != nil {
-				return err
-			}
-			if f.finish, err = ckpt.ReadF64(r); err != nil {
-				return err
-			}
-			if f.failed, err = ckpt.ReadBool(r); err != nil {
-				return err
-			}
-			if f.attempt, err = ckpt.ReadInt(r); err != nil {
-				return err
-			}
-			if f.dup, err = ckpt.ReadBool(r); err != nil {
-				return err
-			}
-			u := s.pool.getUpload()
-			f.update = Update{
-				Client:     id,
-				Delta:      u.delta,
-				NumSamples: s.clients[id].data.Len(),
-				Corrupt:    s.clients[id].corrupt(),
-				ring:       u,
-			}
-			if f.update.TrainLoss, err = ckpt.ReadF64(r); err != nil {
-				return err
-			}
-			if f.update.Corrupt, err = ckpt.ReadBool(r); err != nil {
-				return err
-			}
-			if err = ckpt.ReadF64sInto(r, u.delta); err != nil {
-				return fmt.Errorf("client %d in-flight delta: %w", id, err)
-			}
-			hasPay, err := ckpt.ReadBool(r)
-			if err != nil {
-				return err
-			}
-			if hasPay != (s.pool.comp != nil) {
-				return fmt.Errorf("client %d in-flight payload presence mismatch", id)
-			}
-			if hasPay {
-				if err = readPayloadInto(r, &u.pay); err != nil {
-					return fmt.Errorf("client %d in-flight payload: %w", id, err)
-				}
-				f.update.Payload = &u.pay
-			}
-		}
-		hasAttempts, err := ckpt.ReadBool(r)
-		if err != nil {
-			return err
-		}
-		if hasAttempts != (s.attempts != nil) {
-			return fmt.Errorf("retry-attempt table presence mismatch")
-		}
-		if hasAttempts {
-			att, err := ckpt.ReadInts(r)
-			if err != nil {
-				return err
-			}
-			if att != nil && len(att) != len(s.attempts) {
-				return fmt.Errorf("%d attempt entries for %d clients", len(att), len(s.attempts))
-			}
-			for i := range s.attempts {
-				if att == nil {
-					s.attempts[i] = 0
-				} else {
-					s.attempts[i] = att[i]
-				}
-			}
-		}
-		s.buffer = s.buffer[:0]
-		s.bufMeasured = 0
-	}
-	fromWire, err := ckpt.ReadBool(r)
-	if err != nil {
-		return err
-	}
-	rx, isWire := s.exec.(*remoteExec)
-	if fromWire && !isWire {
-		return fmt.Errorf("checkpoint was written by a wire run (fl.Serve); restore it with ServeResume")
-	}
-	if !fromWire && isWire {
-		return fmt.Errorf("checkpoint was written by an in-process run (fl.Run); restore it with Resume")
-	}
-	if fromWire {
-		if err := rx.readWireState(r); err != nil {
-			return fmt.Errorf("wire state: %w", err)
-		}
 	}
 	s.stepRetries, s.stepDropped, s.stepDups, s.stepDupBytes = 0, 0, 0, 0
 	s.failStreak = 0
 	return nil
 }
 
-// writeRunHistory serializes the metric history accumulated so far.
-// The run-level recovery counters (RecoveredRounds, Rollbacks, Halt*)
-// are process-local — they describe what happened to *this* execution,
-// so restores must not erase them — and are therefore not serialized.
-func writeRunHistory(w io.Writer, run *metrics.Run) {
-	ckpt.WriteBool(w, run.Diverged)
-	ckpt.WriteInt(w, run.DivergedRound)
-	ckpt.WriteInt(w, len(run.Rounds))
-	for i := range run.Rounds {
-		writeRound(w, &run.Rounds[i])
+// walk is the one description of everything after the header: it visits
+// every field of the run's state once, and the codec's direction decides
+// whether the walk saves or restores. A field is added here and nowhere
+// else. round is the first round still to execute. applyRNG matters on
+// restore only: false consumes the recorded stream cursors without
+// applying them.
+func (s *scheduler) walk(c *ckpt.Codec, round *int, applyRNG bool) {
+	c.Section("header")
+	c.Int(round)
+	if *round < 0 || *round > s.cfg.Rounds {
+		c.Failf("resume round %d outside [0,%d]", *round, s.cfg.Rounds)
+	}
+	c.F64(&s.now)
+	c.Int(&s.version)
+	c.F64(&s.lastAgg)
+	c.Section("params")
+	c.F64s(s.params)
+	c.Section("wPrev")
+	c.F64s(s.wPrev)
+
+	// A client is expelled exactly when it is inactive, so one record per
+	// client carries both tables.
+	c.Section("expulsions")
+	c.ExpectLen(len(s.active), "active flags")
+	if c.Loading() {
+		clear(s.expelled)
+	}
+	for id := range s.active {
+		c.Bool(&s.active[id])
+		if !s.active[id] {
+			at := s.expelled[id]
+			c.Int(&at)
+			s.expelled[id] = at
+		}
+	}
+	c.Section("cumulative weights")
+	if c.Expect(s.cumWeights != nil, "cumulative-weight") {
+		c.F64s(s.cumWeights)
+	}
+	c.Section("run history")
+	walkRunHistory(c, s.run, s.cfg.Rounds)
+
+	// rng cursors, in the derivation order of newScheduler.
+	c.Section("participation stream")
+	c.Cursor(s.partRNG, applyRNG)
+	c.Section("client samplers")
+	for _, cl := range s.clients {
+		c.Cursor(cl.sampler.Stream(), applyRNG)
+	}
+	c.Section("adversary streams")
+	for _, cl := range s.clients {
+		if !c.Expect(cl.adv != nil, "adversary") {
+			continue
+		}
+		c.Cursor(cl.adv.r, applyRNG)
+		c.ExpectLen(len(cl.adv.alts), "data corruptions")
+		for _, alt := range cl.adv.alts {
+			c.Cursor(alt.sampler.Stream(), applyRNG)
+		}
+	}
+	c.Section("quantization streams")
+	comp := s.pool.comp
+	if c.Expect(comp != nil, "compression") {
+		for _, st := range comp.streams {
+			c.Cursor(st, applyRNG)
+		}
+		// EF residuals are algorithm state, not stream cursors: restored
+		// unconditionally so a rollback rewinds the error feedback too.
+		// (DType is fingerprinted, so a blob can never be restored under
+		// the other precision.)
+		c.Section("EF residuals")
+		if comp.resid32 != nil {
+			c.Rows32(comp.resid32, len(s.params))
+		} else {
+			c.Rows(comp.resid, len(s.params))
+		}
+	}
+	c.Section("fault streams")
+	if c.Expect(s.plan != nil, "fault-plan") {
+		for _, cf := range s.plan.perClient {
+			if c.Expect(cf != nil, "client fault-stream") {
+				c.Cursor(cf.r, applyRNG)
+			}
+		}
+	}
+
+	c.Section("algorithm state")
+	if sa, stateful := s.alg.(StatefulAlgorithm); c.Expect(stateful, "algorithm state") {
+		c.Nested(sa.SaveState, sa.LoadState)
+	}
+
+	c.Section("async flights")
+	if c.Expect(s.cfg.Policy == PolicyAsync, "async policy") {
+		s.walkFlights(c)
+	}
+
+	// Wire-execution record, last: a marker for the execution mode (a wire
+	// blob restored in-process would leave server-side sampler cursors
+	// authoritative for state that actually lives in workers, and vice
+	// versa — both are silently wrong, so cross-mode restores are
+	// rejected), then the dispatch record a restarted server needs to
+	// rebuild its workers.
+	c.Section("execution mode")
+	rx, isWire := s.exec.(*remoteExec)
+	fromWire := isWire
+	c.Bool(&fromWire)
+	switch {
+	case fromWire && !isWire:
+		c.Failf("checkpoint was written by a wire run (fl.Serve); restore it with ServeResume")
+	case !fromWire && isWire:
+		c.Failf("checkpoint was written by an in-process run (fl.Run); restore it with Resume")
+	case isWire:
+		c.Section("wire state")
+		rx.walkWireState(c)
 	}
 }
 
-// readRunHistory restores history written by writeRunHistory, reusing
-// the run's round slice.
-func readRunHistory(r io.Reader, run *metrics.Run, maxRounds int) error {
-	var err error
-	if run.Diverged, err = ckpt.ReadBool(r); err != nil {
-		return err
+// walkFlights covers the async policy's in-flight table: every live
+// flight with its update — delta and, when a codec is live, the encoded
+// payload — and the per-client retry-attempt table.
+func (s *scheduler) walkFlights(c *ckpt.Codec) {
+	if c.Loading() {
+		if s.pending == nil {
+			s.pending = make([]flight, len(s.clients))
+			s.buffer = make([]Update, 0, s.cfg.asyncBuffer())
+		}
+		s.buffer = s.buffer[:0]
+		s.bufMeasured = 0
 	}
-	if run.DivergedRound, err = ckpt.ReadInt(r); err != nil {
-		return err
+	var wireBuf []byte
+	for id := range s.pending {
+		f := &s.pending[id]
+		if c.Loading() {
+			// Drop any current in-flight state; restored flights get
+			// fresh ring entries below.
+			*f = flight{}
+		}
+		c.Bool(&f.live)
+		if !f.live {
+			continue
+		}
+		c.Int(&f.version)
+		c.F64(&f.measured)
+		c.F64(&f.finish)
+		c.Bool(&f.failed)
+		c.Int(&f.attempt)
+		c.Bool(&f.dup)
+		if c.Loading() {
+			u := s.pool.getUpload()
+			f.update = Update{Client: id, Delta: u.delta, NumSamples: s.clients[id].data.Len(), ring: u}
+			if s.pool.comp != nil {
+				f.update.Payload = &u.pay
+			}
+		}
+		u := &f.update
+		c.F64(&u.TrainLoss)
+		c.Bool(&u.Corrupt)
+		c.F64s(u.Delta)
+		if !c.Expect(u.Payload != nil, "in-flight payload") {
+			continue
+		}
+		// The payload travels in its wire encoding (wire.AppendPayload),
+		// the one serializer compress.Payload has, as one length-prefixed
+		// field that the decode must consume exactly.
+		if !c.Loading() {
+			wireBuf = wire.AppendPayload(wireBuf[:0], u.Payload)
+		}
+		c.Bytes(&wireBuf)
+		if c.Loading() && c.Err() == nil {
+			rest, err := wire.UnmarshalPayload(u.Payload, wireBuf)
+			switch {
+			case err != nil:
+				c.Failf("client %d payload: %w", id, err)
+			case len(rest) != 0:
+				c.Failf("client %d payload: %d trailing bytes", id, len(rest))
+			case u.Payload.Form != s.cfg.Compress.Kind || u.Payload.N != len(s.params):
+				c.Failf("client %d payload is %q over %d coordinates, want %q over %d", id, u.Payload.Form, u.Payload.N, s.cfg.Compress.Kind, len(s.params))
+			}
+		}
 	}
-	n, err := ckpt.ReadInt(r)
-	if err != nil {
-		return err
+	if c.Expect(s.attempts != nil, "retry-attempt table") {
+		c.ExpectLen(len(s.attempts), "attempt entries")
+		for i := range s.attempts {
+			c.Int(&s.attempts[i])
+		}
 	}
+}
+
+// walkRunHistory covers the metric history accumulated so far, reusing
+// the run's round slice on restore. The run-level recovery counters
+// (RecoveredRounds, Rollbacks, Halt*) are process-local — they describe
+// what happened to *this* execution, so restores must not erase them —
+// and are therefore not part of the walk.
+func walkRunHistory(c *ckpt.Codec, run *metrics.Run, maxRounds int) {
+	c.Bool(&run.Diverged)
+	c.Int(&run.DivergedRound)
+	n := len(run.Rounds)
+	c.Int(&n)
 	if n < 0 || n > maxRounds {
-		return fmt.Errorf("%d recorded rounds exceeds budget %d", n, maxRounds)
+		c.Failf("%d recorded rounds exceeds budget %d", n, maxRounds)
+		return
 	}
-	run.Rounds = run.Rounds[:0]
-	for i := 0; i < n; i++ {
-		var rec metrics.Round
-		if err := readRound(r, &rec); err != nil {
-			return err
-		}
-		run.Rounds = append(run.Rounds, rec)
+	if c.Loading() {
+		run.Rounds = slices.Grow(run.Rounds[:0], n)[:n]
 	}
-	return nil
+	for i := range run.Rounds {
+		walkRound(c, &run.Rounds[i])
+	}
 }
 
-// writeRound serializes one round record, field for field in struct
-// order; readRound mirrors it exactly.
-func writeRound(w io.Writer, rec *metrics.Round) {
-	ckpt.WriteInt(w, rec.Index)
-	ckpt.WriteF64(w, rec.Accuracy)
-	ckpt.WriteF64(w, rec.TrainLoss)
-	ckpt.WriteF64(w, rec.SlowestModeledSec)
-	ckpt.WriteF64(w, rec.SlowestMeasuredSec)
-	ckpt.WriteF64(w, rec.CumModeledSec)
-	ckpt.WriteF64(w, rec.CumMeasuredSec)
-	ckpt.WriteF64(w, rec.MeanAlpha)
-	ckpt.WriteF64(w, rec.MeanStaleness)
-	ckpt.WriteInt(w, rec.MaxStaleness)
-	ckpt.WriteInt(w, rec.DroppedClients)
-	ckpt.WriteInt(w, rec.Retries)
-	ckpt.WriteInt(w, rec.DroppedUpdates)
-	ckpt.WriteInt(w, rec.DupUpdates)
-	ckpt.WriteBool(w, rec.Degraded)
-	ckpt.WriteInt(w, rec.ZeroedUpdates)
-	ckpt.WriteInt(w, rec.ClippedUpdates)
-	ckpt.WriteF64(w, rec.ClipNorm)
-	ckpt.WriteF64(w, rec.HonestWeight)
-	ckpt.WriteF64(w, rec.CorruptWeight)
-	ckpt.WriteU64(w, uint64(rec.UplinkBytes))
-	ckpt.WriteF64(w, rec.CompressionRatio)
-	ckpt.WriteInt(w, rec.ReassignedDispatches)
-	ckpt.WriteInt(w, rec.WorkerReconnects)
-}
-
-func readRound(r io.Reader, rec *metrics.Round) error {
-	var err error
-	read := func(dst *float64) {
-		if err == nil {
-			*dst, err = ckpt.ReadF64(r)
-		}
-	}
-	readi := func(dst *int) {
-		if err == nil {
-			*dst, err = ckpt.ReadInt(r)
-		}
-	}
-	readi(&rec.Index)
-	read(&rec.Accuracy)
-	read(&rec.TrainLoss)
-	read(&rec.SlowestModeledSec)
-	read(&rec.SlowestMeasuredSec)
-	read(&rec.CumModeledSec)
-	read(&rec.CumMeasuredSec)
-	read(&rec.MeanAlpha)
-	read(&rec.MeanStaleness)
-	readi(&rec.MaxStaleness)
-	readi(&rec.DroppedClients)
-	readi(&rec.Retries)
-	readi(&rec.DroppedUpdates)
-	readi(&rec.DupUpdates)
-	if err == nil {
-		rec.Degraded, err = ckpt.ReadBool(r)
-	}
-	readi(&rec.ZeroedUpdates)
-	readi(&rec.ClippedUpdates)
-	read(&rec.ClipNorm)
-	read(&rec.HonestWeight)
-	read(&rec.CorruptWeight)
-	if err == nil {
-		var v uint64
-		v, err = ckpt.ReadU64(r)
-		rec.UplinkBytes = int64(v)
-	}
-	read(&rec.CompressionRatio)
-	readi(&rec.ReassignedDispatches)
-	readi(&rec.WorkerReconnects)
-	return err
-}
-
-// writePayload serializes an encoded update payload (the async policy's
-// in-flight uploads carry one when a codec is live).
-func writePayload(w io.Writer, p *compress.Payload) {
-	ckpt.WriteBytes(w, []byte(p.Form))
-	ckpt.WriteInt(w, p.N)
-	ckpt.WriteInt(w, p.ChunkLen)
-	ckpt.WriteInt(w, len(p.Idx))
-	for _, v := range p.Idx {
-		ckpt.WriteInt(w, int(v))
-	}
-	ckpt.WriteF64s(w, p.Val)
-	ckpt.WriteInt(w, len(p.Q))
-	for _, v := range p.Q {
-		ckpt.WriteInt(w, int(v))
-	}
-	ckpt.WriteF64s(w, p.Scale)
-}
-
-// readPayloadInto restores a payload into the ring entry's pre-grown
-// backing arrays.
-func readPayloadInto(r io.Reader, p *compress.Payload) error {
-	form, err := ckpt.ReadBytes(r)
-	if err != nil {
-		return err
-	}
-	p.Form = compress.Kind(form)
-	if p.N, err = ckpt.ReadInt(r); err != nil {
-		return err
-	}
-	if p.ChunkLen, err = ckpt.ReadInt(r); err != nil {
-		return err
-	}
-	nIdx, err := ckpt.ReadInt(r)
-	if err != nil {
-		return err
-	}
-	if nIdx < 0 || nIdx > ckpt.MaxElems {
-		return fmt.Errorf("payload index count %d out of range", nIdx)
-	}
-	p.Idx = p.Idx[:0]
-	for i := 0; i < nIdx; i++ {
-		v, err := ckpt.ReadInt(r)
-		if err != nil {
-			return err
-		}
-		p.Idx = append(p.Idx, int32(v))
-	}
-	val, err := ckpt.ReadF64s(r)
-	if err != nil {
-		return err
-	}
-	p.Val = append(p.Val[:0], val...)
-	nQ, err := ckpt.ReadInt(r)
-	if err != nil {
-		return err
-	}
-	if nQ < 0 || nQ > ckpt.MaxElems {
-		return fmt.Errorf("payload quantum count %d out of range", nQ)
-	}
-	p.Q = p.Q[:0]
-	for i := 0; i < nQ; i++ {
-		v, err := ckpt.ReadInt(r)
-		if err != nil {
-			return err
-		}
-		p.Q = append(p.Q, int8(v))
-	}
-	scale, err := ckpt.ReadF64s(r)
-	if err != nil {
-		return err
-	}
-	p.Scale = append(p.Scale[:0], scale...)
-	return nil
+// walkRound covers one round record, field for field in struct order.
+func walkRound(c *ckpt.Codec, rec *metrics.Round) {
+	c.Int(&rec.Index)
+	c.F64(&rec.Accuracy)
+	c.F64(&rec.TrainLoss)
+	c.F64(&rec.SlowestModeledSec)
+	c.F64(&rec.SlowestMeasuredSec)
+	c.F64(&rec.CumModeledSec)
+	c.F64(&rec.CumMeasuredSec)
+	c.F64(&rec.MeanAlpha)
+	c.F64(&rec.MeanStaleness)
+	c.Int(&rec.MaxStaleness)
+	c.Int(&rec.DroppedClients)
+	c.Int(&rec.Retries)
+	c.Int(&rec.DroppedUpdates)
+	c.Int(&rec.DupUpdates)
+	c.Bool(&rec.Degraded)
+	c.Int(&rec.ZeroedUpdates)
+	c.Int(&rec.ClippedUpdates)
+	c.F64(&rec.ClipNorm)
+	c.F64(&rec.HonestWeight)
+	c.F64(&rec.CorruptWeight)
+	up := uint64(rec.UplinkBytes)
+	c.U64(&up)
+	rec.UplinkBytes = int64(up)
+	c.F64(&rec.CompressionRatio)
+	c.Int(&rec.ReassignedDispatches)
+	c.Int(&rec.WorkerReconnects)
 }

@@ -76,7 +76,7 @@ func sameParams(t *testing.T, want, got []float64) {
 // faultedConfig is the checkpoint tests' base configuration: a fault mix
 // exercising every per-dispatch kind, periodic checkpoints, and the
 // policy's required knobs.
-func faultedConfig(t *testing.T, policy fl.AggregationPolicy, seed uint64, net *nn.Network) fl.Config {
+func faultedConfig(t testing.TB, policy fl.AggregationPolicy, seed uint64, net *nn.Network) fl.Config {
 	t.Helper()
 	faults, err := fault.ParseFaults("crash:0.2,drop:0.15,dup:0.2,slow:0.3:3")
 	if err != nil {
@@ -190,13 +190,23 @@ func TestCheckpointResumeStacked(t *testing.T) {
 
 // TestCheckpointResumeWithCompression pins checkpointing of the codec
 // state: quantization stream cursors, error-feedback residuals, and
-// (under async) the in-flight encoded payloads.
+// (under async) the in-flight encoded payloads, dense-quantized and
+// sparse.
 func TestCheckpointResumeWithCompression(t *testing.T) {
 	net, shards, test := testSetup(t, 8)
-	for _, policy := range []fl.AggregationPolicy{fl.PolicySync, fl.PolicyAsync} {
-		t.Run(fmt.Sprintf("%v", policy), func(t *testing.T) {
-			cfg := faultedConfig(t, policy, 11, net)
-			cfg.Compress = compress.Spec{Kind: compress.KindInt8, Chunk: 256}
+	int8Spec := compress.Spec{Kind: compress.KindInt8, Chunk: 256}
+	for _, r := range []struct {
+		name   string
+		policy fl.AggregationPolicy
+		spec   compress.Spec
+	}{
+		{"sync", fl.PolicySync, int8Spec},
+		{"async", fl.PolicyAsync, int8Spec},
+		{"async-topk", fl.PolicyAsync, compress.Spec{Kind: compress.KindTopK, TopKFrac: 0.05}},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			cfg := faultedConfig(t, r.policy, 11, net)
+			cfg.Compress = r.spec
 			cap := &ckptCapture{}
 			cfg.OnCheckpoint = cap.hook()
 			want, err := fl.Run(cfg, baselines.NewScaffold(1), net, shards, test)
@@ -222,9 +232,12 @@ func TestCheckpointResumeWithCompression(t *testing.T) {
 func TestServerCrashReplayBitIdentical(t *testing.T) {
 	net, shards, test := testSetup(t, 8)
 	algs := map[string]func() fl.Algorithm{
-		"taco":     func() fl.Algorithm { return core.New(core.Recommended()) },
-		"scaffold": func() fl.Algorithm { return baselines.NewScaffold(1) },
-		"stem":     func() fl.Algorithm { return baselines.NewSTEM(0.2) },
+		"taco":           func() fl.Algorithm { return core.New(core.Recommended()) },
+		"scaffold":       func() fl.Algorithm { return baselines.NewScaffold(1) },
+		"stem":           func() fl.Algorithm { return baselines.NewSTEM(0.2) },
+		"fedacg":         func() fl.Algorithm { return baselines.NewFedACG(0.85) },
+		"fedprox(taco)":  func() fl.Algorithm { return core.NewFedProxTACO(0.1) },
+		"scaffold(taco)": func() fl.Algorithm { return core.NewScaffoldTACO() },
 	}
 	for _, policy := range []fl.AggregationPolicy{fl.PolicySync, fl.PolicyDeadline, fl.PolicyAsync} {
 		for name, alg := range algs {
@@ -283,6 +296,11 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	bad[0] ^= 0xff
 	if _, err := fl.Resume(cfg, baselines.NewFedAvg(), net, shards, test, bad); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("corrupt magic: err = %v, want magic rejection", err)
+	}
+	stale := append([]byte(nil), blob...)
+	stale[7] = '3' // the previous format's magic over an otherwise valid blob
+	if _, err := fl.Resume(cfg, baselines.NewFedAvg(), net, shards, test, stale); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("previous-format magic: err = %v, want magic rejection", err)
 	}
 	if _, err := fl.Resume(cfg, baselines.NewFedAvg(), net, shards, test, blob[:len(blob)/2]); err == nil {
 		t.Fatal("truncated checkpoint accepted")
@@ -374,10 +392,23 @@ func FuzzCheckpointRestore(f *testing.F) {
 	}
 	shards := part.Shards(train)
 
-	cfg := fl.Config{Rounds: 3, LocalSteps: 2, BatchSize: 8, LocalLR: 0.05, Seed: 5, CheckpointEvery: 1}
+	// One run with every optional part of the state present, so mutation
+	// reaches the whole walk: async in-flight int8 payloads, EF residuals,
+	// fault streams, the stack wrapper's estimates and moments, and
+	// TACO's own state inside it.
+	cfg := faultedConfig(f, fl.PolicyAsync, 5, net)
+	cfg.Rounds, cfg.LocalSteps, cfg.BatchSize, cfg.CheckpointEvery = 3, 2, 8, 1
+	cfg.Compress = compress.Spec{Kind: compress.KindInt8, Chunk: 256}
+	if cfg.AggStack, err = aggstack.ParseStack("zeroing|clip"); err != nil {
+		f.Fatal(err)
+	}
+	if cfg.ServerOpt, err = aggstack.ParseServerOpt("adam:0.01"); err != nil {
+		f.Fatal(err)
+	}
+	alg := func() fl.Algorithm { return core.New(core.Recommended()) }
 	cap := &ckptCapture{}
 	cfg.OnCheckpoint = cap.hook()
-	if _, err := fl.Run(cfg, baselines.NewFedAvg(), net, shards, test); err != nil {
+	if _, err := fl.Run(cfg, alg(), net, shards, test); err != nil {
 		f.Fatal(err)
 	}
 	cfg.OnCheckpoint = nil
@@ -388,8 +419,9 @@ func FuzzCheckpointRestore(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("FLCKPT01 but then garbage follows the magic bytes here"))
 	f.Add([]byte("FLCKPT02 but then garbage follows the magic bytes here"))
+	f.Add([]byte("FLCKPT03 but then garbage follows the magic bytes here"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = fl.Resume(cfg, baselines.NewFedAvg(), net, shards, test, data)
+		_, _ = fl.Resume(cfg, alg(), net, shards, test, data)
 	})
 }

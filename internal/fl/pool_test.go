@@ -412,3 +412,53 @@ func TestDeltaRingReuse(t *testing.T) {
 		t.Fatalf("delta ring grew from %d to %d buffers in steady state", high, len(s.pool.free))
 	}
 }
+
+// TestSnapshotAllocBudget pins what a checkpoint costs once the encode
+// buffers are warm: one marshalled cursor per rng stream plus a fixed
+// overhead (the codec, the fingerprint, the payload scratch) — O(clients),
+// and nothing per recorded round, per in-flight update, or per
+// coordinate.
+func TestSnapshotAllocBudget(t *testing.T) {
+	const n = 8
+	net, shards, test := poolSetup(t, n)
+	cfg := Config{
+		Rounds: 400, LocalSteps: 3, BatchSize: 8, LocalLR: 0.05, Seed: 11, EvalEvery: 1000,
+		Policy: PolicyAsync, AsyncBuffer: 3,
+		Compress: compress.Spec{Kind: compress.KindInt8, Chunk: 256},
+	}
+	s, err := newScheduler(cfg, goldenFedAvg{}, net, shards, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.pool.close()
+	if err := s.setupAsync(); err != nil {
+		t.Fatal(err)
+	}
+	round := 0
+	measure := func(upTo int) float64 {
+		for ; round < upTo; round++ {
+			if _, err := s.asyncStep(round); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := func() {
+			if err := s.snapshot(round); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap()
+		return testing.AllocsPerRun(5, snap)
+	}
+	early, late := measure(40), measure(200)
+	streams := 1 + 2*n // participation, samplers, quantization
+	t.Logf("%.0f allocs per snapshot at round 40, %.0f at round 200 (%d streams, d=%d)", early, late, streams, len(s.params))
+	// The slack absorbs fmt's sync.Pool misses in the fingerprint (the race
+	// detector drops pooled items at random); 160 more recorded rounds cost
+	// thousands when a snapshot allocates per round.
+	if late > early+16 {
+		t.Errorf("snapshot allocations grow with the history: %.0f at round 40, %.0f at round 200", early, late)
+	}
+	if budget := float64(2*streams + 96); late > budget {
+		t.Errorf("snapshot allocated %.0f times, budget %.0f for %d streams", late, budget, streams)
+	}
+}

@@ -278,15 +278,6 @@ func (s *scheduler) slowestHonest(ids []int, measured []float64, at float64) flo
 	return slowest
 }
 
-// runSync is the paper's lock-step loop: every participant trains, the
-// server waits for all of them — including any wait for an off-window
-// device to come back, which is where the synchronous policy pays for
-// heterogeneity in modeled wall time. With a uniform fleet it reproduces
-// the pre-scheduler engine bit-identically (golden-tested: for an
-// always-available device finishRel collapses to Seconds(baseRound)
-// exactly).
-func (s *scheduler) runSync() error { return s.runRounds(s.syncRound) }
-
 // runAll drives the configured policy's round loop. resumed marks a run
 // restored from a checkpoint, whose async in-flight state was rebuilt by
 // restore instead of setupAsync's initial dispatch wave.
@@ -580,14 +571,6 @@ func (s *scheduler) finishRel(id int, now float64) float64 {
 	return wait + s.finishDur(id)
 }
 
-// runDeadline is round-based partial aggregation: participants whose
-// modeled finish time exceeds the round deadline are dropped before any
-// work is dispatched (the server will not wait, so the straggler's round
-// is abandoned) and retry from the next round's fresh model. When every
-// participant would miss the deadline the server admits the earliest
-// finisher so the round always aggregates at least one update.
-func (s *scheduler) runDeadline() error { return s.runRounds(s.deadlineRound) }
-
 // deadlineRound executes one deadline round; halt reports divergence.
 // Under a fault plan each dispatch is fault-resolved first; a dispatch
 // whose retry budget is exhausted counts as a dropped *update* (the
@@ -790,20 +773,6 @@ func (s *scheduler) setupAsync() error {
 		return err
 	}
 	return s.dispatch(ids, 0)
-}
-
-// runAsync is FedBuff-style buffered asynchronous aggregation: every
-// client trains continuously; the server steps once asyncBuffer updates
-// have arrived, tagging each with its staleness (server versions elapsed
-// since the client downloaded its base model). A client restarts from
-// the then-current model immediately after uploading; the update that
-// triggers a server step restarts after it, on the new model. Cfg.Rounds
-// counts server steps.
-func (s *scheduler) runAsync() error {
-	if err := s.setupAsync(); err != nil {
-		return err
-	}
-	return s.runRounds(s.asyncStep)
 }
 
 // asyncStep drains arrivals in virtual-time order (ties broken by client

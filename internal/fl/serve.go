@@ -2,7 +2,6 @@ package fl
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"sort"
@@ -1068,84 +1067,37 @@ func (e *remoteExec) resyncWorkers() error {
 	return nil
 }
 
-// writeWireState serializes the dispatch record (per-client histories
-// plus the recorded globals) — the executor's contribution to a run
-// checkpoint, and what makes a checkpointed server restart able to
-// rebuild workers.
-func (e *remoteExec) writeWireState(w io.Writer) error {
+// walkWireState covers the dispatch record (per-client histories plus the
+// recorded globals, in ascending round order) — the executor's
+// contribution to a run checkpoint, and what makes a checkpointed server
+// restart able to rebuild workers. A load replaces the live record
+// (checkpoint truncation is automatic: the blob only holds dispatches
+// from before the snapshot).
+func (e *remoteExec) walkWireState(c *ckpt.Codec) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := ckpt.WriteInt(w, len(e.hist)); err != nil {
-		return err
-	}
-	for _, h := range e.hist {
-		if err := ckpt.WriteInts(w, h); err != nil {
-			return err
-		}
+	c.ExpectLen(len(e.hist), "dispatch histories")
+	for i := range e.hist {
+		c.Ints(&e.hist[i])
 	}
 	rounds := make([]int, 0, len(e.globals))
 	for t := range e.globals {
 		rounds = append(rounds, t)
 	}
 	sort.Ints(rounds)
-	if err := ckpt.WriteInt(w, len(rounds)); err != nil {
-		return err
+	c.Ints(&rounds)
+	if c.Loading() {
+		clear(e.globals)
 	}
 	for _, t := range rounds {
-		if err := ckpt.WriteInt(w, t); err != nil {
-			return err
+		if c.Err() != nil {
+			break
 		}
-		if err := ckpt.WriteF64s(w, e.globals[t]); err != nil {
-			return err
+		if e.globals[t] == nil {
+			e.globals[t] = make([]float64, e.numParams)
 		}
+		c.F64s(e.globals[t])
 	}
-	return nil
-}
-
-// readWireState restores the dispatch record written by writeWireState,
-// replacing the live one (checkpoint truncation is automatic: the blob
-// only holds dispatches from before the snapshot).
-func (e *remoteExec) readWireState(r io.Reader) error {
-	n, err := ckpt.ReadInt(r)
-	if err != nil {
-		return err
-	}
-	if n != len(e.hist) {
-		return fmt.Errorf("%d dispatch histories for %d clients", n, len(e.hist))
-	}
-	hist := make([][]int, n)
-	for i := range hist {
-		if hist[i], err = ckpt.ReadInts(r); err != nil {
-			return err
-		}
-	}
-	ng, err := ckpt.ReadInt(r)
-	if err != nil {
-		return err
-	}
-	if ng < 0 || ng > ckpt.MaxElems {
-		return fmt.Errorf("recorded-global count %d out of range", ng)
-	}
-	globals := make(map[int][]float64, ng)
-	for i := 0; i < ng; i++ {
-		t, err := ckpt.ReadInt(r)
-		if err != nil {
-			return err
-		}
-		g, err := ckpt.ReadF64s(r)
-		if err != nil {
-			return err
-		}
-		if len(g) != e.numParams {
-			return fmt.Errorf("recorded global for round %d has %d params, want %d", t, len(g), e.numParams)
-		}
-		globals[t] = g
-	}
-	e.mu.Lock()
-	e.hist = hist
-	e.globals = globals
-	e.mu.Unlock()
-	return nil
 }
 
 // ingest decodes one Updates frame into the pending ring entries. The

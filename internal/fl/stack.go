@@ -244,85 +244,42 @@ func (a *stackedAlg) clearStackStats() {
 	a.lastZeroed, a.lastClipped, a.lastClipNorm = 0, 0, 0
 }
 
-// SaveState implements StatefulAlgorithm: the stage quantile estimates,
-// the optimizer state, and the inner algorithm's own state when it has
-// any. The wrapper is stateful even over a stateless inner rule — the
-// adaptive bounds and moments must survive a checkpoint bit-identically.
-func (a *stackedAlg) SaveState(w io.Writer) error {
-	ckpt.WriteInt(w, len(a.stages))
+// walk covers the stage quantile estimates, the optimizer state, and the
+// inner algorithm's own state when it has any. The wrapper is stateful
+// even over a stateless inner rule — the adaptive bounds and moments must
+// survive a checkpoint bit-identically.
+func (a *stackedAlg) walk(c *ckpt.Codec) error {
+	c.Section("stack")
+	c.ExpectLen(len(a.stages), "stage estimates")
 	for _, st := range a.stages {
-		ckpt.WriteF64(w, st.Estimate())
-	}
-	ckpt.WriteBool(w, a.opt != nil)
-	if a.opt != nil {
-		step, m, v := a.opt.State()
-		ckpt.WriteInt(w, step)
-		if err := ckpt.WriteF64s(w, m); err != nil {
-			return err
-		}
-		if err := ckpt.WriteF64s(w, v); err != nil {
-			return err
-		}
-	}
-	ckpt.WriteBool(w, a.innerSA != nil)
-	if a.innerSA != nil {
-		return a.innerSA.SaveState(w)
-	}
-	return nil
-}
-
-// LoadState implements StatefulAlgorithm.
-func (a *stackedAlg) LoadState(r io.Reader) error {
-	nStages, err := ckpt.ReadInt(r)
-	if err != nil {
-		return err
-	}
-	if nStages != len(a.stages) {
-		return fmt.Errorf("stack: %d stage estimates for %d stages", nStages, len(a.stages))
-	}
-	for _, st := range a.stages {
-		est, err := ckpt.ReadF64(r)
-		if err != nil {
-			return err
-		}
-		if est <= 0 {
-			return fmt.Errorf("stack: non-positive stage estimate %v", est)
+		est := st.Estimate()
+		c.F64(&est)
+		if c.Loading() && est <= 0 {
+			c.Failf("non-positive stage estimate %v", est)
+			break
 		}
 		st.SetEstimate(est)
 	}
-	hasOpt, err := ckpt.ReadBool(r)
-	if err != nil {
-		return err
-	}
-	if hasOpt != (a.opt != nil) {
-		return fmt.Errorf("stack: optimizer presence mismatch")
-	}
-	if a.opt != nil {
-		step, err := ckpt.ReadInt(r)
-		if err != nil {
-			return err
-		}
-		m, err := ckpt.ReadF64s(r)
-		if err != nil {
-			return err
-		}
-		v, err := ckpt.ReadF64s(r)
-		if err != nil {
-			return err
-		}
-		if err := a.opt.Restore(step, m, v); err != nil {
-			return err
+	if c.Expect(a.opt != nil, "optimizer") {
+		step, m, v := a.opt.State()
+		c.Int(&step)
+		c.F64s(m)
+		c.F64s(v)
+		if c.Loading() {
+			// The moments moved in place; Restore range-checks the step.
+			if err := a.opt.Restore(step, m, v); err != nil {
+				c.Failf("%w", err)
+			}
 		}
 	}
-	hasInner, err := ckpt.ReadBool(r)
-	if err != nil {
-		return err
+	if c.Expect(a.innerSA != nil, "inner-state") {
+		c.Nested(a.innerSA.SaveState, a.innerSA.LoadState)
 	}
-	if hasInner != (a.innerSA != nil) {
-		return fmt.Errorf("stack: inner-state presence mismatch")
-	}
-	if a.innerSA != nil {
-		return a.innerSA.LoadState(r)
-	}
-	return nil
+	return c.Err()
 }
+
+// SaveState implements StatefulAlgorithm.
+func (a *stackedAlg) SaveState(w io.Writer) error { return a.walk(ckpt.Save(w)) }
+
+// LoadState implements StatefulAlgorithm.
+func (a *stackedAlg) LoadState(r io.Reader) error { return a.walk(ckpt.Load(r)) }
