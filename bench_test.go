@@ -249,8 +249,10 @@ func BenchmarkGEMM(b *testing.B) {
 	})
 }
 
-// BenchmarkIm2col tracks the patch-packing step that lowers convolution
-// onto GEMM, at the conv shapes of the model zoo.
+// BenchmarkIm2col tracks the exported patch-packing entry point at the conv
+// shapes of the model zoo. nn.Im2col resolves the geometry into its offset
+// table on every call; a conv layer does that once at construction, so the
+// layer's own packing cost is read from BenchmarkConvLayer in internal/nn.
 func BenchmarkIm2col(b *testing.B) {
 	cases := []struct {
 		name                          string

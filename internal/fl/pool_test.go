@@ -307,7 +307,8 @@ func TestSlotPoolMemoryFootprint(t *testing.T) {
 // activation/gradient/col buffers, which halve exactly under fp32; the
 // five float64 bridge buffers each slot keeps for hook visibility pull
 // the ratio back up, so the bound is a conservative 0.70 rather than a
-// strict 0.5.
+// strict 0.5. The absolute per-slot figures are bounded too, just below
+// what they were while the engine still carried an input-gradient buffer.
 func TestSlotPoolF32Footprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("footprint measurement in -short mode")
@@ -381,6 +382,15 @@ func TestSlotPoolF32Footprint(t *testing.T) {
 		slot64/(1<<10), slot32/(1<<10), ratio)
 	if ratio > 0.70 {
 		t.Fatalf("f32 per-slot heap %.0f B is not ≤0.70x the f64 per-slot heap %.0f B", slot32, slot64)
+	}
+	// The engine keeps no gradient buffer for the network input and conv1
+	// no dcol scratch: batch 32 × 64 inputs and 9 × 64 patch elements, 20.5
+	// KiB at float64, 10.3 at float32. With them a slot read 1327.3 and
+	// 836.8 KiB, without them it reads 1307.2 and 826.8; each bound sits
+	// between the two, so neither buffer can come back unnoticed.
+	if slot64 > 1317<<10 || slot32 > 832<<10 {
+		t.Fatalf("per-slot heap f64 %.1f KiB / f32 %.1f KiB: above the 1317 / 832 KiB a slot without an input-gradient buffer stays under",
+			slot64/(1<<10), slot32/(1<<10))
 	}
 }
 

@@ -1,0 +1,168 @@
+package nn
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/rng"
+	"repro/internal/vecmath"
+)
+
+// Layer benchmarks for the parts of the local step a profile names. Plain
+// `go test -bench`: they print, and record nothing under results/.
+
+const benchBatch = 24
+
+func benchRand(r *rng.RNG, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = r.Normal(0, 1)
+	}
+	return v
+}
+
+// BenchmarkConvLayer measures one convolution's forward and backward pass
+// in flops/s of its matrix products (2·outC·K·N per sample forward; dW and,
+// where the layer is not the network's first, dcol backward), at batch 24:
+// the two convolutions of the fmnist CNN as they sit in the model — conv1
+// first, so without an input gradient — and ResNetLite's stride-2
+// transition. Packing, bias, scatter-add and the GemmABT edges are inside
+// the measurement; that is the point.
+func BenchmarkConvLayer(b *testing.B) {
+	for _, c := range []struct {
+		name            string
+		in              Shape
+		outC, k, stride int
+		first           bool
+	}{
+		{"fmnist-conv1", Shape{C: 1, H: 8, W: 8}, 6, 3, 1, true},
+		{"fmnist-conv2", Shape{C: 6, H: 4, W: 4}, 12, 3, 1, false},
+		{"resnet-transition-s2", Shape{C: 8, H: 8, W: 8}, 16, 3, 2, false},
+	} {
+		l, err := newConv2D(c.in, c.outC, c.k, c.stride, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := rng.New(61)
+		params := benchRand(r, l.paramCount())
+		x := benchRand(r, benchBatch*l.in.Size())
+		y := make([]float64, benchBatch*l.out.Size())
+		dy := benchRand(r, len(y))
+		dparams := make([]float64, len(params))
+		var dx []float64
+		if !c.first {
+			dx = make([]float64, len(x))
+		}
+		var sc scratch[float64]
+		product := float64(2 * benchBatch * l.outC * l.patchSize() * l.out.H * l.out.W)
+		b.Run(c.name+"/fwd", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				convForward(l, params, x, y, benchBatch, &sc)
+			}
+			b.ReportMetric(product*float64(b.N)/b.Elapsed().Seconds(), "flops/s")
+		})
+		b.Run(c.name+"/bwd", func(b *testing.B) {
+			convForward(l, params, x, y, benchBatch, &sc) // backward reads the packing
+			flops := product
+			if dx != nil {
+				flops *= 2
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				convBackward(l, params, dy, dx, dparams, benchBatch, &sc)
+			}
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds(), "flops/s")
+		})
+	}
+}
+
+// largestProduct returns the dimensions of the biggest matrix product of
+// one forward pass, a convolution counted as the single outC × K × batch·N
+// product it would be if lowered per batch (the convention of
+// bench/workloads.go).
+func largestProduct(net *Network, batch int) (m, k, n int) {
+	consider := func(mm, kk, nn int) {
+		if mm*kk*nn > m*k*n {
+			m, k, n = mm, kk, nn
+		}
+	}
+	var visit func(l layer)
+	visit = func(l layer) {
+		switch l := l.(type) {
+		case *dense:
+			consider(batch, l.in.Size(), l.out)
+		case *conv2d:
+			consider(l.outC, l.patchSize(), batch*l.out.H*l.out.W)
+		case *lstm:
+			consider(batch, l.inDim, 4*l.hidden)
+			consider(batch, l.hidden, 4*l.hidden)
+		case *residualBlock:
+			visit(l.conv1)
+			visit(l.conv2)
+		}
+	}
+	for _, l := range net.layers {
+		visit(l)
+	}
+	return
+}
+
+// BenchmarkGradEvalShare reports how much of the kernel's speed one whole
+// gradient evaluation reaches: GradFlops per second of Engine.Gradient at
+// batch 24 ("flops/s") over the flops/s of vecmath.Gemm at the model's
+// largest product ("gemm-flops/s"), as "gemm-share". 1.0 would mean the
+// step costs what its matrix products cost.
+func BenchmarkGradEvalShare(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		net  *Network
+	}{
+		{"adult-MLP", MLP(20, 2)},
+		{"fmnist-CNN", CNN(Shape{C: 1, H: 8, W: 8}, 10)},
+		{"cifar100-ResNetLite", ResNetLite(Shape{C: 3, H: 8, W: 8}, 100, 1)},
+		{"shakespeare-CharLSTM", CharLSTM(8, 12, 16)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			r := rng.New(67)
+			net := c.net
+			params := net.InitParams(r)
+			x := benchRand(r, benchBatch*net.in.Size())
+			labels := randLabels(r, benchBatch, net.classes)
+			grad := make([]float64, net.total)
+			eng := NewEngine(net, benchBatch)
+
+			m, k, n := largestProduct(net, benchBatch)
+			ga, gb, gc := benchRand(r, m*k), benchRand(r, k*n), make([]float64, m*n)
+			gemmFlops := bestRate(float64(2*m*k*n), func() { vecmath.Gemm(gc, ga, gb, m, k, n, false) })
+
+			eng.Gradient(params, x, labels, grad) // size the lazy buffers
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Gradient(params, x, labels, grad)
+			}
+			gradFlops := float64(net.GradFlops(benchBatch)) * float64(b.N) / b.Elapsed().Seconds()
+			b.ReportMetric(gradFlops, "flops/s")
+			b.ReportMetric(gemmFlops, "gemm-flops/s")
+			b.ReportMetric(gradFlops/gemmFlops, "gemm-share")
+		})
+	}
+}
+
+// bestRate returns work per second of f over the fastest of a few short
+// timed batches, so a reference rate measured inside another benchmark's
+// set-up does not inherit a scheduling hiccup.
+func bestRate(work float64, f func()) float64 {
+	f()
+	var best float64
+	for trial := 0; trial < 5; trial++ {
+		const reps = 200
+		start := time.Now()
+		for i := 0; i < reps; i++ {
+			f()
+		}
+		if rate := work * reps / time.Since(start).Seconds(); rate > best {
+			best = rate
+		}
+	}
+	return best
+}

@@ -16,14 +16,15 @@ import (
 // im2col/col2im (see DESIGN.md §2): each sample's input is packed into a
 // K×N patch matrix (K = inC·k·k patch rows, N = outH·outW output
 // positions), so the convolution itself is a dense outC×K×N matrix
-// product. Stride and zero padding are resolved once per row in the
-// packing step, which keeps every inner loop branch-free.
+// product. Stride and zero padding are resolved once per layer, into the
+// offset table the packing and its adjoint walk.
 type conv2d struct {
 	in          Shape
 	out         Shape
 	outC        int
 	k           int
 	stride, pad int
+	patches     patchTable
 }
 
 // Conv2D appends a convolution with outC output channels, k×k kernels, the
@@ -44,12 +45,13 @@ func newConv2D(in Shape, outC, k, stride, pad int) (*conv2d, error) {
 		return nil, fmt.Errorf("nn: Conv2D kernel %d does not fit input %v with stride %d pad %d", k, in, stride, pad)
 	}
 	return &conv2d{
-		in:     in,
-		out:    Shape{C: outC, H: oh, W: ow},
-		outC:   outC,
-		k:      k,
-		stride: stride,
-		pad:    pad,
+		in:      in,
+		out:     Shape{C: outC, H: oh, W: ow},
+		outC:    outC,
+		k:       k,
+		stride:  stride,
+		pad:     pad,
+		patches: newPatchTable(in.C, in.H, in.W, k, stride, pad, oh, ow),
 	}, nil
 }
 
@@ -71,27 +73,69 @@ func (l *conv2d) initParams(params []float64, r *rng.RNG) {
 	vecmath.Zero(params[nw:])
 }
 
-// validRange returns the [lo, hi) interval of output coordinates whose
-// input coordinate o*stride-pad+koff lands inside [0, extent). Outside the
-// interval the tap reads implicit zero padding. Resolving the interval
-// here is what removes the per-element bounds checks from the pack loops.
-func validRange(outExtent, extent, stride, pad, koff int) (lo, hi int) {
-	lo = 0
-	if d := pad - koff; d > 0 {
-		lo = (d + stride - 1) / stride
+// patchTable is the im2col lowering of one convolution geometry, resolved
+// once: entry r·N+p is the offset within a sample's input volume
+// (inC×inH×inW, row-major) that patch row r = (ic·k+ky)·k+kx reads at
+// output position p = oy·outW+ox. A tap that falls in the zero padding
+// holds the volume's size, one past its last element. Stride and padding
+// cost nothing per call, and because the table is walked front to back
+// both the packing and its adjoint touch elements in the order of the
+// definition — row by row, position by position — which fixes the order of
+// every sum col2im forms. It depends on the geometry only, so one table
+// serves every engine at either precision.
+type patchTable []int32
+
+func newPatchTable(inC, inH, inW, k, stride, pad, outH, outW int) patchTable {
+	t := make(patchTable, 0, inC*k*k*outH*outW)
+	padding := int32(inC * inH * inW)
+	for ic := 0; ic < inC; ic++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				for oy := 0; oy < outH; oy++ {
+					iy := oy*stride - pad + ky
+					for ox := 0; ox < outW; ox++ {
+						ix := ox*stride - pad + kx
+						off := padding
+						if iy >= 0 && iy < inH && ix >= 0 && ix < inW {
+							off = int32((ic*inH+iy)*inW + ix)
+						}
+						t = append(t, off)
+					}
+				}
+			}
+		}
 	}
-	hi = outExtent
-	top := extent - 1 + pad - koff
-	if top < 0 {
-		return 0, 0
+	return t
+}
+
+// im2col writes the K×N patch matrix of the sample x into dst. staged, one
+// element longer than x, receives x followed by a zero, so that padding
+// taps gather like any other and the loop has no branch to mispredict.
+// Kept out of line: inlined into convForward the loop spills its counter
+// and both bases to the stack on every element.
+//
+//go:noinline
+func im2col[F Float](t patchTable, dst, x, staged []F) {
+	staged[copy(staged, x)] = 0
+	dst = dst[:len(t)]
+	for i, off := range t {
+		dst[i] = staged[off]
 	}
-	if h := top/stride + 1; h < hi {
-		hi = h
+}
+
+// col2im is the adjoint of im2col: it scatter-adds the K×N patch-gradient
+// matrix dcol into the input-gradient volume dx, which the caller must
+// have zeroed. Taps that read padding contribute nothing. Out of line for
+// the same reason as im2col.
+//
+//go:noinline
+func col2im[F Float](t patchTable, dx, dcol []F) {
+	dcol = dcol[:len(t)]
+	for i, off := range t {
+		if int(off) < len(dx) {
+			dx[off] += dcol[i]
+		}
 	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
 }
 
 // Im2col packs one sample's activation volume (inC×inH×inW, row-major)
@@ -99,84 +143,11 @@ func validRange(outExtent, extent, stride, pad, koff int) (lo, hi int) {
 // Row r = (ic·k+ky)·k+kx of dst holds, for every output position
 // (oy, ox) in column oy·outW+ox, the input element
 // x[ic][oy·stride-pad+ky][ox·stride-pad+kx], or 0 where that index falls
-// in the zero padding. It is exported for the micro-benchmarks and for
-// downstream code that wants the packed patch matrix directly.
+// in the zero padding. It resolves the geometry on every call; a conv2d
+// layer does so once, at construction.
 func Im2col[F Float](dst, x []F, inC, inH, inW, k, stride, pad, outH, outW int) {
-	n := outH * outW
-	r := 0
-	for ic := 0; ic < inC; ic++ {
-		plane := x[ic*inH*inW : (ic+1)*inH*inW]
-		for ky := 0; ky < k; ky++ {
-			oyLo, oyHi := validRange(outH, inH, stride, pad, ky)
-			for kx := 0; kx < k; kx++ {
-				row := dst[r*n : (r+1)*n]
-				r++
-				oxLo, oxHi := validRange(outW, inW, stride, pad, kx)
-				if oxLo >= oxHi {
-					vecmath.Zero(row)
-					continue
-				}
-				// Zero only the padding margins — the rows above/below the
-				// valid oy range and the left/right edges of valid rows —
-				// so interior taps (the common case at pad≤1) are written
-				// exactly once.
-				vecmath.Zero(row[:oyLo*outW])
-				vecmath.Zero(row[oyHi*outW:])
-				for oy := oyLo; oy < oyHi; oy++ {
-					iy := oy*stride - pad + ky
-					src := plane[iy*inW:]
-					vecmath.Zero(row[oy*outW : oy*outW+oxLo])
-					vecmath.Zero(row[oy*outW+oxHi : (oy+1)*outW])
-					seg := row[oy*outW+oxLo : oy*outW+oxHi]
-					ix := oxLo*stride - pad + kx
-					if stride == 1 {
-						copy(seg, src[ix:ix+len(seg)])
-						continue
-					}
-					for i := range seg {
-						seg[i] = src[ix]
-						ix += stride
-					}
-				}
-			}
-		}
-	}
-}
-
-// col2im is the adjoint of im2col: it scatter-adds the K×N patch-gradient
-// matrix dcol back into the activation-gradient volume dx (inC×inH×inW),
-// which the caller must have zeroed. Taps that read zero padding in the
-// forward pass contribute nothing, mirroring im2col's valid ranges. The
-// segments are at most one image row (8 elements in every model here),
-// shorter than one stride of vecmath.Add's float32 kernel, so both
-// precisions run the plain loop rather than pay a call per segment.
-func col2im[F Float](dx, dcol []F, inC, inH, inW, k, stride, pad, outH, outW int) {
-	n := outH * outW
-	r := 0
-	for ic := 0; ic < inC; ic++ {
-		plane := dx[ic*inH*inW : (ic+1)*inH*inW]
-		for ky := 0; ky < k; ky++ {
-			oyLo, oyHi := validRange(outH, inH, stride, pad, ky)
-			for kx := 0; kx < k; kx++ {
-				row := dcol[r*n : (r+1)*n]
-				r++
-				oxLo, oxHi := validRange(outW, inW, stride, pad, kx)
-				if oxLo >= oxHi {
-					continue
-				}
-				for oy := oyLo; oy < oyHi; oy++ {
-					iy := oy*stride - pad + ky
-					dst := plane[iy*inW:]
-					seg := row[oy*outW+oxLo : oy*outW+oxHi]
-					ix := oxLo*stride - pad + kx
-					for i := range seg {
-						dst[ix] += seg[i]
-						ix += stride
-					}
-				}
-			}
-		}
-	}
+	x = x[:inC*inH*inW]
+	im2col(newPatchTable(inC, inH, inW, k, stride, pad, outH, outW), dst, x, make([]F, len(x)+1))
 }
 
 func convForward[F Float](l *conv2d, params, x, y []F, batch int, sc *scratch[F]) {
@@ -189,9 +160,10 @@ func convForward[F Float](l *conv2d, params, x, y []F, batch int, sc *scratch[F]
 	// One K×N patch matrix per sample, kept in sc.cols so backward can
 	// reuse the packing for the dW and dX products.
 	cols := sc.colBuf(batch * kp * n)
+	staged := sc.floatBuf(inSize + 1)
 	for s := 0; s < batch; s++ {
 		col := cols[s*kp*n : (s+1)*kp*n]
-		Im2col(col, x[s*inSize:(s+1)*inSize], l.in.C, l.in.H, l.in.W, l.k, l.stride, l.pad, l.out.H, l.out.W)
+		im2col(l.patches, col, x[s*inSize:(s+1)*inSize], staged)
 		ys := y[s*outSize : (s+1)*outSize]
 		// ys is outC×N row-major, exactly the GEMM output layout.
 		vecmath.Gemm(ys, w, col, l.outC, kp, n, false)
@@ -211,8 +183,11 @@ func convBackward[F Float](l *conv2d, params, dy, dx, dparams []F, batch int, sc
 	inSize := l.in.Size()
 	outSize := l.out.Size()
 	cols := sc.colBuf(batch * kp * n) // packed by the preceding forward
-	dcol := sc.floatBuf(kp * n)
-	vecmath.Zero(dx[:batch*inSize])
+	var dcol []F
+	if dx != nil {
+		dcol = sc.floatBuf(kp * n)
+		vecmath.Zero(dx[:batch*inSize])
+	}
 	for s := 0; s < batch; s++ {
 		col := cols[s*kp*n : (s+1)*kp*n]
 		dys := dy[s*outSize : (s+1)*outSize]
@@ -222,8 +197,11 @@ func convBackward[F Float](l *conv2d, params, dy, dx, dparams []F, batch int, sc
 		for oc := 0; oc < l.outC; oc++ {
 			db[oc] += sumF(dys[oc*n : (oc+1)*n])
 		}
+		if dx == nil {
+			continue
+		}
 		// dcol = Wᵀ·dY (K×outC · outC×N), then scatter back to dX.
 		vecmath.GemmATB(dcol, w, dys, l.outC, kp, n, false)
-		col2im(dx[s*inSize:(s+1)*inSize], dcol, l.in.C, l.in.H, l.in.W, l.k, l.stride, l.pad, l.out.H, l.out.W)
+		col2im(l.patches, dx[s*inSize:(s+1)*inSize], dcol)
 	}
 }

@@ -56,6 +56,9 @@ func denseBackward[F Float](l *dense, params, x, dy, dx, dparams []F, batch int)
 	vecmath.GemmATB(dparams[:in*l.out], x[:batch*in], dy[:batch*l.out], batch, in, l.out, true)
 	// db += column sums of dy.
 	vecmath.SumRowsAcc(dparams[in*l.out:], dy[:batch*l.out], batch, l.out)
+	if dx == nil {
+		return
+	}
 	// dx = dy·Wᵀ.
 	vecmath.GemmABT(dx[:batch*in], dy[:batch*l.out], w, batch, l.out, in, false)
 }

@@ -19,9 +19,11 @@ type Engine[F Float] struct {
 	net      *Network
 	maxBatch int
 	acts     [][]F // acts[i] is the output buffer of layer i-1 (acts[0] unused; input comes from caller)
-	dacts    [][]F // gradient buffers per boundary, same layout
+	dacts    [][]F // gradient buffers per boundary, same layout (dacts[0] stays nil: no input gradient)
 	scratch  []scratch[F]
 	evalPool []*Engine[F] // lazily grown worker engines for parallel Accuracy
+	preds    []int        // countCorrect's per-batch predictions, sized on first evaluation
+	counts   []int        // accuracyWorkers' per-worker tallies
 }
 
 // NewEngine creates a float64 execution engine supporting batches up to
@@ -55,12 +57,13 @@ func newEngine[F Float](net *Network, maxBatch int) *Engine[F] {
 
 // ensureGradBuffers allocates the backward-pass activation-gradient
 // buffers on first use, so inference-only engines (prediction, the
-// Accuracy worker pool) stay at half the footprint.
+// Accuracy worker pool) stay at half the footprint. There is none for the
+// network input: nothing consumes the gradient with respect to the data,
+// so dacts[0] stays nil and the first layer skips computing it.
 func (e *Engine[F]) ensureGradBuffers() {
-	if e.dacts[0] != nil {
+	if e.dacts[len(e.net.layers)] != nil {
 		return
 	}
-	e.dacts[0] = make([]F, e.maxBatch*e.net.in.Size())
 	for i, l := range e.net.layers {
 		e.dacts[i+1] = make([]F, e.maxBatch*l.outShape().Size())
 	}
@@ -157,7 +160,10 @@ func (e *Engine[F]) accuracyWorkers(params, xs []F, labels []int, maxWorkers int
 	for len(e.evalPool) < workers-1 {
 		e.evalPool = append(e.evalPool, newEngine[F](e.net, e.maxBatch))
 	}
-	counts := make([]int, workers)
+	if cap(e.counts) < workers {
+		e.counts = make([]int, workers)
+	}
+	counts := e.counts[:workers]
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
@@ -180,7 +186,10 @@ func (e *Engine[F]) accuracyWorkers(params, xs []F, labels []int, maxWorkers int
 func (e *Engine[F]) countCorrect(params, xs []F, labels []int, first, stride int) int {
 	n := len(labels)
 	inSize := e.net.in.Size()
-	preds := make([]int, e.maxBatch)
+	if e.preds == nil {
+		e.preds = make([]int, e.maxBatch)
+	}
+	preds := e.preds
 	correct := 0
 	for start := first * e.maxBatch; start < n; start += stride * e.maxBatch {
 		end := min(start+e.maxBatch, n)

@@ -24,7 +24,8 @@ func forward[F Float](l layer, params, x, y []F, batch int, sc *scratch[F]) {
 	case *dense:
 		denseForward(l, params, x, y, batch)
 	case *relu:
-		reluForward(x, y, batch*l.in.Size())
+		n := batch * l.in.Size()
+		vecmath.ReLU(y[:n], x[:n])
 	case *tanhLayer:
 		tanhForward(x, y, batch*l.in.Size())
 	case *conv2d:
@@ -44,13 +45,20 @@ func forward[F Float](l layer, params, x, y []F, batch int, sc *scratch[F]) {
 
 // backward consumes dy (batch×outSize), writes dx (batch×inSize) and
 // accumulates parameter gradients into dparams. x and y are the buffers
-// from the immediately preceding forward call with the same batch.
+// from the immediately preceding forward call with the same batch. A nil
+// dx means nobody reads the input gradient (the network's first layer):
+// parameter gradients are accumulated exactly as otherwise and the
+// products that would only feed dx are skipped.
 func backward[F Float](l layer, params, x, y, dy, dx, dparams []F, batch int, sc *scratch[F]) {
+	if dx == nil && l.paramCount() == 0 {
+		return
+	}
 	switch l := l.(type) {
 	case *dense:
 		denseBackward(l, params, x, dy, dx, dparams, batch)
 	case *relu:
-		reluBackward(x, dy, dx, batch*l.in.Size())
+		n := batch * l.in.Size()
+		vecmath.ReLUGrad(dx[:n], dy[:n], x[:n])
 	case *tanhLayer:
 		tanhBackward(y, dy, dx, batch*l.in.Size())
 	case *conv2d:

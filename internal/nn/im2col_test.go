@@ -83,7 +83,7 @@ func TestCol2imAdjoint(t *testing.T) {
 	col := make([]float64, kp*n)
 	Im2col(col, x, inC, inH, inW, k, stride, pad, outH, outW)
 	back := make([]float64, inC*inH*inW)
-	col2im(back, u, inC, inH, inW, k, stride, pad, outH, outW)
+	col2im(newPatchTable(inC, inH, inW, k, stride, pad, outH, outW), back, u)
 
 	var lhs, rhs float64
 	for i := range col {

@@ -265,9 +265,11 @@ func lstmBackward[F Float](l *lstm, params, x, dy, dx, dparams []F, batch int, s
 			copy(xbuf[s*d:(s+1)*d], x[s*inSize+t*d:s*inSize+(t+1)*d])
 		}
 		vecmath.GemmATB(dwx, xbuf, dz, batch, d, h4, true)
-		vecmath.GemmABT(dxt, dz, wx, batch, h4, d, false)
-		for s := 0; s < batch; s++ {
-			copy(dx[s*inSize+t*d:s*inSize+(t+1)*d], dxt[s*d:(s+1)*d])
+		if dx != nil {
+			vecmath.GemmABT(dxt, dz, wx, batch, h4, d, false)
+			for s := 0; s < batch; s++ {
+				copy(dx[s*inSize+t*d:s*inSize+(t+1)*d], dxt[s*d:(s+1)*d])
+			}
 		}
 		if t > 0 {
 			// Recompute H_{t-1} = o_{t-1}*tanh(c_{t-1}) batch-major, then

@@ -256,3 +256,71 @@ func TestEnginePanicsOnBadBatch(t *testing.T) {
 	}()
 	eng.Predict(params, make([]float64, 4*12), 3, make([]int, 3))
 }
+
+// TestEngineHoldsNoInputGradient pins that nothing input-sized is kept for
+// the backward pass: the gradient with respect to the data has no reader,
+// so after Gradient the engine owns no buffer of maxBatch × in.Size()
+// elements — the first layer was handed a nil dx and skipped that product.
+func TestEngineHoldsNoInputGradient(t *testing.T) {
+	for name, net := range map[string]*Network{
+		"CNN":        CNN(Shape{C: 1, H: 8, W: 8}, 10),
+		"MLP":        MLP(14, 2),
+		"ResNetLite": ResNetLite(Shape{C: 3, H: 8, W: 8}, 10, 1),
+		"CharLSTM":   CharLSTM(8, 12, 16),
+	} {
+		const maxBatch = 5
+		r := rng.New(19)
+		eng := NewEngine(net, maxBatch)
+		x := randInput(r, maxBatch*net.in.Size())
+		eng.Gradient(net.InitParams(r), x, randLabels(r, maxBatch, net.classes), make([]float64, net.total))
+		if eng.dacts[0] != nil {
+			t.Fatalf("%s: engine allocated an input-gradient buffer of %d elements", name, len(eng.dacts[0]))
+		}
+		inputSized := maxBatch * net.in.Size()
+		var walk func(where string, sc *scratch[float64])
+		walk = func(where string, sc *scratch[float64]) {
+			if cap(sc.floats) == inputSized || cap(sc.cols) == inputSized {
+				t.Fatalf("%s: %s scratch holds an input-sized buffer (%d elements)", name, where, inputSized)
+			}
+			for _, c := range sc.children {
+				walk(where+" child", c)
+			}
+		}
+		for i := range net.layers {
+			// acts[0] is the caller's x, not the engine's.
+			for _, buf := range [][]float64{eng.acts[i+1], eng.dacts[i+1]} {
+				if len(buf) == inputSized {
+					t.Fatalf("%s: layer %d holds an input-sized buffer (%d elements)", name, i, inputSized)
+				}
+			}
+			walk(net.layers[i].name(), &eng.scratch[i])
+		}
+	}
+}
+
+// TestAccuracyReusesBuffers pins that evaluation runs out of buffers the
+// engine owns: after the first call a sequential pass allocates nothing,
+// and a sharded pass allocates only what starting its goroutines costs —
+// independent of the batch size and of how many batches there are.
+func TestAccuracyReusesBuffers(t *testing.T) {
+	net := MLP(6, 3)
+	r := rng.New(43)
+	params := net.InitParams(r)
+	perWorker := func(maxBatch, total, workers int) float64 {
+		xs := randInput(r, total*6)
+		labels := randLabels(r, total, 3)
+		eng := NewEngine(net, maxBatch)
+		eng.accuracyWorkers(params, xs, labels, workers) // first call sizes the buffers
+		return testing.AllocsPerRun(20, func() { eng.accuracyWorkers(params, xs, labels, workers) })
+	}
+	if n := perWorker(8, 103, 1); n != 0 {
+		t.Fatalf("sequential Accuracy allocates %v times per call after the first", n)
+	}
+	small, large := perWorker(8, 103, 3), perWorker(64, 1030, 3)
+	if small != large {
+		t.Fatalf("sharded Accuracy allocations depend on the data: %v at batch 8 × 13 batches, %v at batch 64 × 17", small, large)
+	}
+	if small > 2*3 {
+		t.Fatalf("sharded Accuracy allocates %v times per call with 3 workers, want at most goroutine start-up", small)
+	}
+}

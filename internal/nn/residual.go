@@ -60,22 +60,10 @@ func residualForward[F Float](l *residualBlock, params, x, y []F, batch int, sc 
 	h1, a1 := buf[:n], buf[n:2*n]
 	p1 := l.conv1.paramCount()
 	convForward(l.conv1, params[:p1], x, h1, batch, sc.child(0))
-	for i := 0; i < n; i++ {
-		if h1[i] > 0 {
-			a1[i] = h1[i]
-		} else {
-			a1[i] = 0
-		}
-	}
+	vecmath.ReLU(a1, h1)
 	convForward(l.conv2, params[p1:], a1, y, batch, sc.child(1))
-	for i := 0; i < n; i++ {
-		v := y[i] + x[i]
-		if v > 0 {
-			y[i] = v
-		} else {
-			y[i] = 0
-		}
-	}
+	vecmath.Add(y[:n], y[:n], x[:n])
+	vecmath.ReLU(y[:n], y[:n])
 }
 
 func residualBackward[F Float](l *residualBlock, params, x, y, dy, dx, dparams []F, batch int, sc *scratch[F]) {
@@ -85,22 +73,17 @@ func residualBackward[F Float](l *residualBlock, params, x, y, dy, dx, dparams [
 	h1 := buf[:n] // a1 lives in buf[n:2n] but backward only needs h1's mask
 	dz, da1, dxc := buf[2*n:3*n], buf[3*n:4*n], buf[4*n:]
 	// Final ReLU: its pre-activation is positive exactly where y > 0.
-	for i := 0; i < n; i++ {
-		if y[i] > 0 {
-			dz[i] = dy[i]
-		} else {
-			dz[i] = 0
-		}
-	}
+	vecmath.ReLUGrad(dz, dy[:n], y[:n])
 	p1 := l.conv1.paramCount()
 	convBackward(l.conv2, params[p1:], dz, da1, dparams[p1:], batch, sc.child(1))
 	// Inner ReLU mask from h1.
-	for i := 0; i < n; i++ {
-		if h1[i] <= 0 {
-			da1[i] = 0
-		}
+	vecmath.ReLUGrad(da1, da1, h1)
+	if dx == nil {
+		dxc = nil
 	}
 	convBackward(l.conv1, params[:p1], da1, dxc, dparams[:p1], batch, sc.child(0))
-	// Skip connection adds dz to the conv path's input gradient.
-	vecmath.Add(dx[:n], dxc[:n], dz[:n])
+	if dx != nil {
+		// Skip connection adds dz to the conv path's input gradient.
+		vecmath.Add(dx[:n], dxc[:n], dz[:n])
+	}
 }

@@ -56,15 +56,8 @@ func atb32Kernel4x8(a *float32, lda int, b *float32, ldb int, c *float32, ldc, m
 //go:noescape
 func atb32Kernel1x8(a *float32, lda int, b *float32, ldb int, c *float32, m int)
 
-// abt32Kernel2x4 computes the eight dot products of two A rows with four
-// B rows over k elements (k must be a positive multiple of 8), writing
-// {a0·b0, a0·b1, a0·b2, a0·b3, a1·b0, a1·b1, a1·b2, a1·b3} into out.
+// abt32Kernel2xN is abtKernel2xN at float32: 8-lane prefix, k%8 tail,
+// k ≥ 8.
 //
 //go:noescape
-func abt32Kernel2x4(a0, a1, b0, b1, b2, b3 *float32, k int, out *[8]float32)
-
-// abt32x2x4 is the table entry for abt32Kernel2x4 (see abt2x4).
-func abt32x2x4(a0, a1, b0, b1, b2, b3 *float32, k int) (out [8]float32) {
-	abt32Kernel2x4(a0, a1, b0, b1, b2, b3, k, &out)
-	return
-}
+func abt32Kernel2xN(a0, a1, b *float32, k, nq int, c0, c1 *float32, accumulate bool)

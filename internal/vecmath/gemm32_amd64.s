@@ -353,17 +353,27 @@ atb32_1x8loop:
 	VZEROUPPER
 	RET
 
-// func abt32Kernel2x4(a0, a1, b0, b1, b2, b3 *float32, k int, out *[8]float32)
-TEXT ·abt32Kernel2x4(SB), NOSPLIT, $0-64
+// func abt32Kernel2xN(a0, a1, b *float32, k, nq int, c0, c1 *float32, accumulate bool)
+//
+// The float32 form of abtKernel2xN: the vector prefix is k &^ 7 elements
+// in eight FMA lanes, folded as ((l0+l4)+(l1+l5))+((l2+l6)+(l3+l7)), and
+// the k%8 tail products are added one at a time.
+TEXT ·abt32Kernel2xN(SB), NOSPLIT, $0-57
 	MOVQ a0+0(FP), R8
 	MOVQ a1+8(FP), R9
-	MOVQ b0+16(FP), R10
-	MOVQ b1+24(FP), R11
-	MOVQ b2+32(FP), R12
-	MOVQ b3+40(FP), R13
-	MOVQ k+48(FP), CX
-	MOVQ out+56(FP), DI
+	MOVQ b+16(FP), R10
+	MOVQ k+24(FP), R14
+	MOVQ nq+32(FP), BX
+	MOVQ c0+40(FP), DI
+	MOVQ c1+48(FP), SI
+	MOVQ R14, DX
+	ANDQ $-8, DX  // elements in the vector prefix
+	SHLQ $2, R14  // bytes per row
 
+abt32group:
+	LEAQ   (R10)(R14*1), R11
+	LEAQ   (R11)(R14*1), R12
+	LEAQ   (R12)(R14*1), R13
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -372,14 +382,16 @@ TEXT ·abt32Kernel2x4(SB), NOSPLIT, $0-64
 	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
+	XORQ   AX, AX
+	MOVQ   DX, CX
 
-abt32_2x4loop:
-	VMOVUPS     (R8), Y8
-	VMOVUPS     (R9), Y9
-	VMOVUPS     (R10), Y10
-	VMOVUPS     (R11), Y11
-	VMOVUPS     (R12), Y12
-	VMOVUPS     (R13), Y13
+abt32vec:
+	VMOVUPS     (R8)(AX*1), Y8
+	VMOVUPS     (R9)(AX*1), Y9
+	VMOVUPS     (R10)(AX*1), Y10
+	VMOVUPS     (R11)(AX*1), Y11
+	VMOVUPS     (R12)(AX*1), Y12
+	VMOVUPS     (R13)(AX*1), Y13
 	VFMADD231PS Y10, Y8, Y0
 	VFMADD231PS Y11, Y8, Y1
 	VFMADD231PS Y12, Y8, Y2
@@ -388,55 +400,96 @@ abt32_2x4loop:
 	VFMADD231PS Y11, Y9, Y5
 	VFMADD231PS Y12, Y9, Y6
 	VFMADD231PS Y13, Y9, Y7
-	ADDQ        $32, R8
-	ADDQ        $32, R9
-	ADDQ        $32, R10
-	ADDQ        $32, R11
-	ADDQ        $32, R12
-	ADDQ        $32, R13
+	ADDQ        $32, AX
 	SUBQ        $8, CX
-	JNZ         abt32_2x4loop
+	JNZ         abt32vec
 
-	// Horizontal reduction of each 8-lane accumulator into out[0..7].
+	// Horizontal reduction of each 8-lane accumulator into its low lane.
 	VEXTRACTF128 $1, Y0, X8
 	VADDPS       X8, X0, X0
 	VHADDPS      X0, X0, X0
 	VHADDPS      X0, X0, X0
-	VMOVSS       X0, (DI)
 	VEXTRACTF128 $1, Y1, X8
 	VADDPS       X8, X1, X1
 	VHADDPS      X1, X1, X1
 	VHADDPS      X1, X1, X1
-	VMOVSS       X1, 4(DI)
 	VEXTRACTF128 $1, Y2, X8
 	VADDPS       X8, X2, X2
 	VHADDPS      X2, X2, X2
 	VHADDPS      X2, X2, X2
-	VMOVSS       X2, 8(DI)
 	VEXTRACTF128 $1, Y3, X8
 	VADDPS       X8, X3, X3
 	VHADDPS      X3, X3, X3
 	VHADDPS      X3, X3, X3
-	VMOVSS       X3, 12(DI)
 	VEXTRACTF128 $1, Y4, X8
 	VADDPS       X8, X4, X4
 	VHADDPS      X4, X4, X4
 	VHADDPS      X4, X4, X4
-	VMOVSS       X4, 16(DI)
 	VEXTRACTF128 $1, Y5, X8
 	VADDPS       X8, X5, X5
 	VHADDPS      X5, X5, X5
 	VHADDPS      X5, X5, X5
-	VMOVSS       X5, 20(DI)
 	VEXTRACTF128 $1, Y6, X8
 	VADDPS       X8, X6, X6
 	VHADDPS      X6, X6, X6
 	VHADDPS      X6, X6, X6
-	VMOVSS       X6, 24(DI)
 	VEXTRACTF128 $1, Y7, X8
 	VADDPS       X8, X7, X7
 	VHADDPS      X7, X7, X7
 	VHADDPS      X7, X7, X7
-	VMOVSS       X7, 28(DI)
+
+	CMPQ AX, R14
+	JGE  abt32store
+
+abt32tail:
+	VMOVSS (R8)(AX*1), X8
+	VMOVSS (R9)(AX*1), X9
+	VMOVSS (R10)(AX*1), X10
+	VMOVSS (R11)(AX*1), X11
+	VMOVSS (R12)(AX*1), X12
+	VMOVSS (R13)(AX*1), X13
+	VMULSS X10, X8, X14
+	VADDSS X14, X0, X0
+	VMULSS X11, X8, X14
+	VADDSS X14, X1, X1
+	VMULSS X12, X8, X14
+	VADDSS X14, X2, X2
+	VMULSS X13, X8, X14
+	VADDSS X14, X3, X3
+	VMULSS X10, X9, X14
+	VADDSS X14, X4, X4
+	VMULSS X11, X9, X14
+	VADDSS X14, X5, X5
+	VMULSS X12, X9, X14
+	VADDSS X14, X6, X6
+	VMULSS X13, X9, X14
+	VADDSS X14, X7, X7
+	ADDQ   $4, AX
+	CMPQ   AX, R14
+	JLT    abt32tail
+
+abt32store:
+	// Gather the eight low lanes into one vector per C row.
+	VUNPCKLPS X1, X0, X0
+	VUNPCKLPS X3, X2, X2
+	VMOVLHPS  X2, X0, X0
+	VUNPCKLPS X5, X4, X4
+	VUNPCKLPS X7, X6, X6
+	VMOVLHPS  X6, X4, X4
+	MOVBLZX   accumulate+56(FP), CX
+	TESTL     CX, CX
+	JZ        abt32put
+	VADDPS    (DI), X0, X0
+	VADDPS    (SI), X4, X4
+
+abt32put:
+	VMOVUPS X0, (DI)
+	VMOVUPS X4, (SI)
+	ADDQ    $16, DI
+	ADDQ    $16, SI
+	LEAQ    (R13)(R14*1), R10
+	DECQ    BX
+	JNZ     abt32group
+
 	VZEROUPPER
 	RET

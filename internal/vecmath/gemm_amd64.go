@@ -30,17 +30,11 @@ func atbKernel4x8(a *float64, lda int, b *float64, ldb int, c *float64, ldc, m i
 //go:noescape
 func atbKernel1x8(a *float64, lda int, b *float64, ldb int, c *float64, m int)
 
-// abtKernel2x4 computes the eight dot products of two A rows with four B
-// rows over k elements (k must be a positive multiple of 4), writing
-// {a0·b0, a0·b1, a0·b2, a0·b3, a1·b0, a1·b1, a1·b2, a1·b3} into out.
+// abtKernel2xN computes the dot products of two A rows with nq groups of
+// four consecutive B rows (b points at the first, rows are k apart; k ≥ 4)
+// and stores them to — or, with accumulate, adds them into — c0[:4nq] and
+// c1[:4nq]. Each dot product is its 4-lane FMA prefix plus the k%4 tail
+// products added in order; see the body for the exact association.
 //
 //go:noescape
-func abtKernel2x4(a0, a1, b0, b1, b2, b3 *float64, k int, out *[8]float64)
-
-// abt2x4 is the table entry for abtKernel2x4. It returns the tile by value
-// so the driver's copy stays on the stack: an address passed through a
-// func value always escapes, and GemmABT must not allocate.
-func abt2x4(a0, a1, b0, b1, b2, b3 *float64, k int) (out [8]float64) {
-	abtKernel2x4(a0, a1, b0, b1, b2, b3, k, &out)
-	return
-}
+func abtKernel2xN(a0, a1, b *float64, k, nq int, c0, c1 *float64, accumulate bool)

@@ -239,17 +239,30 @@ atb1x8loop:
 	VZEROUPPER
 	RET
 
-// func abtKernel2x4(a0, a1, b0, b1, b2, b3 *float64, k int, out *[8]float64)
-TEXT ·abtKernel2x4(SB), NOSPLIT, $0-64
+// func abtKernel2xN(a0, a1, b *float64, k, nq int, c0, c1 *float64, accumulate bool)
+//
+// Two A rows against nq groups of four consecutive B rows (row length k).
+// Each of the eight dot products of a group accumulates its whole-vector
+// prefix (k &^ 3 elements, at least one vector) in four FMA lanes, folds
+// them as (l0+l2)+(l1+l3), then adds the remaining k%4 products one at a
+// time, multiply and add rounded separately; the finished tile is stored
+// to, or added into, c0[4g..4g+3] and c1[4g..4g+3].
+TEXT ·abtKernel2xN(SB), NOSPLIT, $0-57
 	MOVQ a0+0(FP), R8
 	MOVQ a1+8(FP), R9
-	MOVQ b0+16(FP), R10
-	MOVQ b1+24(FP), R11
-	MOVQ b2+32(FP), R12
-	MOVQ b3+40(FP), R13
-	MOVQ k+48(FP), CX
-	MOVQ out+56(FP), DI
+	MOVQ b+16(FP), R10
+	MOVQ k+24(FP), R14
+	MOVQ nq+32(FP), BX
+	MOVQ c0+40(FP), DI
+	MOVQ c1+48(FP), SI
+	MOVQ R14, DX
+	ANDQ $-4, DX  // elements in the vector prefix
+	SHLQ $3, R14  // bytes per row
 
+abtgroup:
+	LEAQ   (R10)(R14*1), R11
+	LEAQ   (R11)(R14*1), R12
+	LEAQ   (R12)(R14*1), R13
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -258,14 +271,16 @@ TEXT ·abtKernel2x4(SB), NOSPLIT, $0-64
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
+	XORQ   AX, AX
+	MOVQ   DX, CX
 
-abt2x4loop:
-	VMOVUPD     (R8), Y8
-	VMOVUPD     (R9), Y9
-	VMOVUPD     (R10), Y10
-	VMOVUPD     (R11), Y11
-	VMOVUPD     (R12), Y12
-	VMOVUPD     (R13), Y13
+abtvec:
+	VMOVUPD     (R8)(AX*1), Y8
+	VMOVUPD     (R9)(AX*1), Y9
+	VMOVUPD     (R10)(AX*1), Y10
+	VMOVUPD     (R11)(AX*1), Y11
+	VMOVUPD     (R12)(AX*1), Y12
+	VMOVUPD     (R13)(AX*1), Y13
 	VFMADD231PD Y10, Y8, Y0
 	VFMADD231PD Y11, Y8, Y1
 	VFMADD231PD Y12, Y8, Y2
@@ -274,47 +289,88 @@ abt2x4loop:
 	VFMADD231PD Y11, Y9, Y5
 	VFMADD231PD Y12, Y9, Y6
 	VFMADD231PD Y13, Y9, Y7
-	ADDQ        $32, R8
-	ADDQ        $32, R9
-	ADDQ        $32, R10
-	ADDQ        $32, R11
-	ADDQ        $32, R12
-	ADDQ        $32, R13
+	ADDQ        $32, AX
 	SUBQ        $4, CX
-	JNZ         abt2x4loop
+	JNZ         abtvec
 
-	// Horizontal reduction of each accumulator into out[0..7].
+	// Horizontal reduction of each accumulator into its low lane.
 	VEXTRACTF128 $1, Y0, X8
 	VADDPD       X8, X0, X0
 	VHADDPD      X0, X0, X0
-	VMOVSD       X0, (DI)
 	VEXTRACTF128 $1, Y1, X8
 	VADDPD       X8, X1, X1
 	VHADDPD      X1, X1, X1
-	VMOVSD       X1, 8(DI)
 	VEXTRACTF128 $1, Y2, X8
 	VADDPD       X8, X2, X2
 	VHADDPD      X2, X2, X2
-	VMOVSD       X2, 16(DI)
 	VEXTRACTF128 $1, Y3, X8
 	VADDPD       X8, X3, X3
 	VHADDPD      X3, X3, X3
-	VMOVSD       X3, 24(DI)
 	VEXTRACTF128 $1, Y4, X8
 	VADDPD       X8, X4, X4
 	VHADDPD      X4, X4, X4
-	VMOVSD       X4, 32(DI)
 	VEXTRACTF128 $1, Y5, X8
 	VADDPD       X8, X5, X5
 	VHADDPD      X5, X5, X5
-	VMOVSD       X5, 40(DI)
 	VEXTRACTF128 $1, Y6, X8
 	VADDPD       X8, X6, X6
 	VHADDPD      X6, X6, X6
-	VMOVSD       X6, 48(DI)
 	VEXTRACTF128 $1, Y7, X8
 	VADDPD       X8, X7, X7
 	VHADDPD      X7, X7, X7
-	VMOVSD       X7, 56(DI)
+
+	CMPQ AX, R14
+	JGE  abtstore
+
+abttail:
+	VMOVSD (R8)(AX*1), X8
+	VMOVSD (R9)(AX*1), X9
+	VMOVSD (R10)(AX*1), X10
+	VMOVSD (R11)(AX*1), X11
+	VMOVSD (R12)(AX*1), X12
+	VMOVSD (R13)(AX*1), X13
+	VMULSD X10, X8, X14
+	VADDSD X14, X0, X0
+	VMULSD X11, X8, X14
+	VADDSD X14, X1, X1
+	VMULSD X12, X8, X14
+	VADDSD X14, X2, X2
+	VMULSD X13, X8, X14
+	VADDSD X14, X3, X3
+	VMULSD X10, X9, X14
+	VADDSD X14, X4, X4
+	VMULSD X11, X9, X14
+	VADDSD X14, X5, X5
+	VMULSD X12, X9, X14
+	VADDSD X14, X6, X6
+	VMULSD X13, X9, X14
+	VADDSD X14, X7, X7
+	ADDQ   $8, AX
+	CMPQ   AX, R14
+	JLT    abttail
+
+abtstore:
+	// Gather the eight low lanes into one vector per C row.
+	VUNPCKLPD   X1, X0, X0
+	VUNPCKLPD   X3, X2, X2
+	VINSERTF128 $1, X2, Y0, Y0
+	VUNPCKLPD   X5, X4, X4
+	VUNPCKLPD   X7, X6, X6
+	VINSERTF128 $1, X6, Y4, Y4
+	MOVBLZX     accumulate+56(FP), CX
+	TESTL       CX, CX
+	JZ          abtput
+	VADDPD      (DI), Y0, Y0
+	VADDPD      (SI), Y4, Y4
+
+abtput:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y4, (SI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	LEAQ    (R13)(R14*1), R10
+	DECQ    BX
+	JNZ     abtgroup
+
 	VZEROUPPER
 	RET

@@ -33,10 +33,12 @@ type kernels[F Float] struct {
 	atb4, atb4Half func(a *F, lda int, b *F, ldb int, c *F, ldc, m int)
 	atb1, atb1Half func(a *F, lda int, b *F, ldb int, c *F, m int)
 
-	// abt2x4 returns the eight dot products of two A rows with four B rows
-	// over k elements (a positive multiple of wide/2), ordered
-	// {a0·b0, a0·b1, a0·b2, a0·b3, a1·b0, a1·b1, a1·b2, a1·b3}.
-	abt2x4 func(a0, a1, b0, b1, b2, b3 *F, k int) [8]F
+	// abt2 is a whole row pair of GemmABT: the dot products of two A rows
+	// with nq groups of four consecutive length-k B rows, stored to (or
+	// added into) c0[:4nq] and c1[:4nq]. k must be at least wide/2; each
+	// dot product reduces its whole-vector prefix in wide/2 FMA lanes and
+	// adds the tail products in order.
+	abt2 func(a0, a1, b *F, k, nq int, c0, c1 *F, accumulate bool)
 
 	// Level-1 bodies over the first n elements, n a positive multiple of
 	// wide. float64 has no axpy or add body on purpose: its scalar loops
@@ -45,6 +47,8 @@ type kernels[F Float] struct {
 	axpypy   func(a F, x *F, b F, y, z *F, n int)
 	add      func(a, b, dst *F, n int)
 	subScale func(s F, a, b, dst *F, n int)
+	relu     func(x, y *F, n int)
+	reluGrad func(x, dy, dx *F, n int)
 }
 
 // kernelsFor returns the table of the instantiating precision.

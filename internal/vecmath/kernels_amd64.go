@@ -23,9 +23,11 @@ func avxKernels() (k64 kernels[float64], k32 kernels[float32]) {
 		gemm1:    gemmKernel1x8,
 		atb4:     atbKernel4x8,
 		atb1:     atbKernel1x8,
-		abt2x4:   abt2x4,
+		abt2:     abtKernel2xN,
 		axpypy:   axpypyKernel,
 		subScale: subScaleKernel,
+		relu:     reluKernel,
+		reluGrad: reluGradKernel,
 	}
 	k32 = kernels[float32]{
 		wide:      16,
@@ -37,10 +39,12 @@ func avxKernels() (k64 kernels[float64], k32 kernels[float32]) {
 		atb4Half:  atb32Kernel4x8,
 		atb1:      atb32Kernel1x16,
 		atb1Half:  atb32Kernel1x8,
-		abt2x4:    abt32x2x4,
+		abt2:      abt32Kernel2xN,
 		axpy:      axpy32Kernel,
 		axpypy:    axpypy32Kernel,
 		add:       add32Kernel,
+		relu:      relu32Kernel,
+		reluGrad:  reluGrad32Kernel,
 	}
 	return
 }

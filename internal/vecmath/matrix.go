@@ -98,22 +98,23 @@ func gemmAVX[F Float](kn *kernels[F], c, a, b []F, m, k, n, nWide, nTile int, ac
 	if !accumulate {
 		Zero(c)
 	}
-	w := kn.wide
+	// The table's func values are read once, not per tile.
+	w, gemm4, gemm4Half, gemm1, gemm1Half := kn.wide, kn.gemm4, kn.gemm4Half, kn.gemm1, kn.gemm1Half
 	mMain := m &^ 3
 	for i := 0; i < mMain; i += 4 {
 		for j := 0; j < nWide; j += w {
-			kn.gemm4(&a[i*k], &a[(i+1)*k], &a[(i+2)*k], &a[(i+3)*k], &b[j], n, &c[i*n+j], n, k)
+			gemm4(&a[i*k], &a[(i+1)*k], &a[(i+2)*k], &a[(i+3)*k], &b[j], n, &c[i*n+j], n, k)
 		}
 		if nTile > nWide {
-			kn.gemm4Half(&a[i*k], &a[(i+1)*k], &a[(i+2)*k], &a[(i+3)*k], &b[nWide], n, &c[i*n+nWide], n, k)
+			gemm4Half(&a[i*k], &a[(i+1)*k], &a[(i+2)*k], &a[(i+3)*k], &b[nWide], n, &c[i*n+nWide], n, k)
 		}
 	}
 	for i := mMain; i < m; i++ {
 		for j := 0; j < nWide; j += w {
-			kn.gemm1(&a[i*k], &b[j], n, &c[i*n+j], k)
+			gemm1(&a[i*k], &b[j], n, &c[i*n+j], k)
 		}
 		if nTile > nWide {
-			kn.gemm1Half(&a[i*k], &b[nWide], n, &c[i*n+nWide], k)
+			gemm1Half(&a[i*k], &b[nWide], n, &c[i*n+nWide], k)
 		}
 	}
 	if nTile == n {
@@ -363,22 +364,22 @@ func gemmATBAVX[F Float](kn *kernels[F], c, a, b []F, m, k, n, nWide, nTile int,
 	if !accumulate {
 		Zero(c)
 	}
-	w := kn.wide
+	w, atb4, atb4Half, atb1, atb1Half := kn.wide, kn.atb4, kn.atb4Half, kn.atb1, kn.atb1Half
 	kMain := k &^ 3
 	for p := 0; p < kMain; p += 4 {
 		for j := 0; j < nWide; j += w {
-			kn.atb4(&a[p], k, &b[j], n, &c[p*n+j], n, m)
+			atb4(&a[p], k, &b[j], n, &c[p*n+j], n, m)
 		}
 		if nTile > nWide {
-			kn.atb4Half(&a[p], k, &b[nWide], n, &c[p*n+nWide], n, m)
+			atb4Half(&a[p], k, &b[nWide], n, &c[p*n+nWide], n, m)
 		}
 	}
 	for p := kMain; p < k; p++ {
 		for j := 0; j < nWide; j += w {
-			kn.atb1(&a[p], k, &b[j], n, &c[p*n+j], m)
+			atb1(&a[p], k, &b[j], n, &c[p*n+j], m)
 		}
 		if nTile > nWide {
-			kn.atb1Half(&a[p], k, &b[nWide], n, &c[p*n+nWide], m)
+			atb1Half(&a[p], k, &b[nWide], n, &c[p*n+nWide], m)
 		}
 	}
 	if nTile == n {
@@ -455,7 +456,7 @@ func GemmABT[F Float](c, a, b []F, m, k, n int, accumulate bool) {
 		}
 		return
 	}
-	if kn := kernelsFor[F](); kn.abt2x4 != nil && k >= kn.wide/2 {
+	if kn := kernelsFor[F](); kn.abt2 != nil && k >= kn.wide/2 {
 		gemmABTAVX(kn, c, a, b, m, k, n, accumulate)
 		return
 	}
@@ -537,84 +538,68 @@ func GemmABT[F Float](c, a, b []F, m, k, n int, accumulate bool) {
 	}
 }
 
-// gemmABTAVX computes 2×4 tiles of dot products with the FMA kernel over
-// the largest whole-vector prefix of the reduction; the k remainder and
-// the row/column edges are finished with scalar dots.
+// gemmABTAVX hands each pair of C rows to the table's row-pair kernel over
+// the columns that form whole groups of four, then finishes the n%4 column
+// remainder and an odd last row with dots summed in element order.
 func gemmABTAVX[F Float](kn *kernels[F], c, a, b []F, m, k, n int, accumulate bool) {
-	k4 := k &^ (kn.wide/2 - 1)
 	mMain := m &^ 1
 	nMain := n &^ 3
-	for i := 0; i < mMain; i += 2 {
-		a0 := a[i*k : (i+1)*k]
-		a1 := a[(i+1)*k : (i+2)*k]
-		a1 = a1[:len(a0)]
-		for j := 0; j < nMain; j += 4 {
-			b0 := b[(j+0)*k : (j+1)*k][:len(a0)]
-			b1 := b[(j+1)*k : (j+2)*k][:len(a0)]
-			b2 := b[(j+2)*k : (j+3)*k][:len(a0)]
-			b3 := b[(j+3)*k : (j+4)*k][:len(a0)]
-			out := kn.abt2x4(&a0[0], &a1[0], &b0[0], &b1[0], &b2[0], &b3[0], k4)
-			for p := k4; p < k; p++ {
-				a0p, a1p := a0[p], a1[p]
-				out[0] += a0p * b0[p]
-				out[1] += a0p * b1[p]
-				out[2] += a0p * b2[p]
-				out[3] += a0p * b3[p]
-				out[4] += a1p * b0[p]
-				out[5] += a1p * b1[p]
-				out[6] += a1p * b2[p]
-				out[7] += a1p * b3[p]
-			}
-			if accumulate {
-				c[i*n+j] += out[0]
-				c[i*n+j+1] += out[1]
-				c[i*n+j+2] += out[2]
-				c[i*n+j+3] += out[3]
-				c[(i+1)*n+j] += out[4]
-				c[(i+1)*n+j+1] += out[5]
-				c[(i+1)*n+j+2] += out[6]
-				c[(i+1)*n+j+3] += out[7]
-			} else {
-				c[i*n+j] = out[0]
-				c[i*n+j+1] = out[1]
-				c[i*n+j+2] = out[2]
-				c[i*n+j+3] = out[3]
-				c[(i+1)*n+j] = out[4]
-				c[(i+1)*n+j+1] = out[5]
-				c[(i+1)*n+j+2] = out[6]
-				c[(i+1)*n+j+3] = out[7]
-			}
-		}
-		for j := nMain; j < n; j++ {
-			brow := b[j*k : (j+1)*k][:len(a0)]
-			var s0, s1 F
-			for p, bp := range brow {
-				s0 += a0[p] * bp
-				s1 += a1[p] * bp
-			}
-			if accumulate {
-				c[i*n+j] += s0
-				c[(i+1)*n+j] += s1
-			} else {
-				c[i*n+j] = s0
-				c[(i+1)*n+j] = s1
-			}
+	if nMain > 0 {
+		abt2 := kn.abt2
+		for i := 0; i < mMain; i += 2 {
+			abt2(&a[i*k], &a[(i+1)*k], &b[0], k, nMain/4, &c[i*n], &c[(i+1)*n], accumulate)
 		}
 	}
+	// Remainder columns of the paired rows, then an odd last row. Each is
+	// one vector against consecutive rows of the other operand, and the
+	// results are consecutive along a column or a row of C.
+	for j := nMain; j < n; j++ {
+		abtEdge(c[j:], n, a[:mMain*k], b[j*k:(j+1)*k], accumulate)
+	}
 	if mMain < m {
-		arow := a[mMain*k : (mMain+1)*k]
-		for j := 0; j < n; j++ {
-			brow := b[j*k : (j+1)*k][:len(arow)]
-			var s F
-			for p, bp := range brow {
-				s += arow[p] * bp
-			}
-			if accumulate {
-				c[mMain*n+j] += s
-			} else {
-				c[mMain*n+j] = s
-			}
+		abtEdge(c[mMain*n:], 1, b, a[mMain*k:], accumulate)
+	}
+}
+
+// abtEdge stores (or adds) the dot product of y with each length-len(y)
+// row of rows into out[0], out[stride], out[2·stride], … Every dot product
+// is summed front to back with each product rounded before it is added —
+// the order GemmABT's edges are pinned to — and four of them run at a time,
+// so four independent add chains are in flight instead of one.
+func abtEdge[F Float](out []F, stride int, rows, y []F, accumulate bool) {
+	k := len(y)
+	put := func(at int, s F) {
+		if accumulate {
+			out[at*stride] += s
+		} else {
+			out[at*stride] = s
 		}
+	}
+	r, nr := 0, len(rows)/k
+	for ; r+4 <= nr; r += 4 {
+		x0 := rows[r*k : (r+1)*k][:k]
+		x1 := rows[(r+1)*k : (r+2)*k][:k]
+		x2 := rows[(r+2)*k : (r+3)*k][:k]
+		x3 := rows[(r+3)*k : (r+4)*k][:k]
+		var s0, s1, s2, s3 F
+		for p, yp := range y {
+			s0 += x0[p] * yp
+			s1 += x1[p] * yp
+			s2 += x2[p] * yp
+			s3 += x3[p] * yp
+		}
+		put(r, s0)
+		put(r+1, s1)
+		put(r+2, s2)
+		put(r+3, s3)
+	}
+	for ; r < nr; r++ {
+		x := rows[r*k : (r+1)*k][:k]
+		var s F
+		for p, yp := range y {
+			s += x[p] * yp
+		}
+		put(r, s)
 	}
 }
 

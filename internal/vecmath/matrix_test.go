@@ -265,3 +265,97 @@ func TestMatMulDimensionPanics(t *testing.T) {
 	}()
 	Gemm(make([]float64, 4), make([]float64, 3), make([]float64, 4), 2, 2, 2, false)
 }
+
+// fmaF is a fused multiply-add rounded once to F. At float32 the float64
+// FMA is exact enough: the product of two float32 values is exact in
+// float64, and the one float64 rounding of the sum sits 29 bits below the
+// float32 rounding that follows.
+func fmaF[F Float](a, b, c F) F {
+	return F(math.FMA(float64(a), float64(b), float64(c)))
+}
+
+// abtDotInPinnedOrder computes one dot product of GemmABT the way the
+// summation order is pinned. On the assembly path an element of the
+// row-pair × column-quad interior accumulates its whole-vector prefix in
+// `lanes` interleaved FMA chains, folds the upper half of the lanes onto
+// the lower (one vector add), then neighbours pairwise down to one value
+// (horizontal adds), and adds the tail products one at a time; every other
+// element — edges, short
+// reductions, builds without the kernel — is the front-to-back sum of
+// individually rounded products.
+func abtDotInPinnedOrder[F Float](x, y []F, lanes int, interior bool) F {
+	k := len(x)
+	var s F
+	p := 0
+	if interior && lanes > 0 && k >= lanes {
+		acc := make([]F, lanes)
+		for ; p+lanes <= k; p += lanes {
+			for l := range acc {
+				acc[l] = fmaF(x[p+l], y[p+l], acc[l])
+			}
+		}
+		for l := 0; l < lanes/2; l++ {
+			acc[l] += acc[l+lanes/2]
+		}
+		for w := lanes / 2; w > 1; w /= 2 {
+			for l := 0; l < w/2; l++ {
+				acc[l] = acc[2*l] + acc[2*l+1]
+			}
+		}
+		s = acc[0]
+	}
+	for ; p < k; p++ {
+		s += x[p] * y[p]
+	}
+	return s
+}
+
+// TestGemmABTSummationOrder pins GemmABT bit for bit, not to a tolerance:
+// the conv weight gradient and every dense input gradient go through it,
+// and the run hashes depend on the order in which each of its dot products
+// is summed. Shapes cover zero to three vector steps with every tail
+// length, odd row counts and every column remainder, stored and
+// accumulated.
+func TestGemmABTSummationOrder(t *testing.T) {
+	t.Run("f64", testGemmABTSummationOrder[float64])
+	t.Run("f32", testGemmABTSummationOrder[float32])
+}
+
+func testGemmABTSummationOrder[F Float](t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 43))
+	randF := func(n int) []F {
+		v := make([]F, n)
+		for i := range v {
+			v[i] = F(rng.NormFloat64())
+		}
+		return v
+	}
+	lanes := 0
+	if kn := kernelsFor[F](); kn.abt2 != nil {
+		lanes = kn.wide / 2
+	}
+	for m := 0; m <= 5; m++ {
+		for n := 0; n <= 9; n++ {
+			for k := 0; k <= 31; k++ {
+				for _, acc := range []bool{false, true} {
+					a, b, seed := randF(m*k), randF(n*k), randF(m*n)
+					c := append([]F(nil), seed...)
+					GemmABT(c, a, b, m, k, n, acc)
+					for i := 0; i < m; i++ {
+						for j := 0; j < n; j++ {
+							interior := i < m&^1 && j < n&^3
+							want := abtDotInPinnedOrder(a[i*k:(i+1)*k], b[j*k:(j+1)*k], lanes, interior)
+							if acc {
+								want += seed[i*n+j]
+							}
+							if got := c[i*n+j]; bitsOf(got) != bitsOf(want) {
+								t.Fatalf("m=%d k=%d n=%d acc=%v: c[%d][%d] = %v (%#x), pinned order gives %v (%#x)",
+									m, k, n, acc, i, j, got, bitsOf(got), want, bitsOf(want))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -15,8 +15,8 @@
 // microkernels (gemm_amd64.s, gemm32_amd64.s), detected once via CPUID;
 // everywhere else, and for tile remainders, pure-Go 2×4 register tiles
 // are used. The level-1 drivers the local-training loop calls at both
-// precisions (Zero, Add, Sub, AXPY, AXPYPY, SubScale) are generic over
-// the same table; everything the server side runs (norms, cosine
+// precisions (Zero, Add, Sub, AXPY, AXPYPY, SubScale, ReLU, ReLUGrad) are
+// generic over the same table; everything the server side runs (norms, cosine
 // similarity, sparse aggregation) is float64 only, because client updates
 // are widened once at the upload boundary.
 //
