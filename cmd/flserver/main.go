@@ -13,9 +13,10 @@
 //	flserver -mode local  -dataset adult -alg FedAvg -rounds 3
 //	flserver -mode serve -network unix -addr /tmp/fl.sock -workers 1 -compress topk
 //
-// Every topology flag (-dataset … -seed) must be passed identically to
-// the server and each worker: both sides rebuild the run from the flags,
-// and a config fingerprint in the handshake rejects mismatches.
+// flserver takes flsim's run flags (internal/runflag), passed identically
+// to the server and each worker: the Hello fingerprint of the config and
+// data split rejects mismatches. Serve and worker modes reject what the
+// wire cannot carry (adversaries, TACO's state, async checkpointing).
 package main
 
 import (
@@ -31,14 +32,8 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/compress"
-	"repro/internal/dataset"
-	"repro/internal/experiments"
 	"repro/internal/fl"
-	"repro/internal/nn"
-	"repro/internal/partition"
-	"repro/internal/rng"
-	"repro/internal/simclock"
+	"repro/internal/runflag"
 )
 
 func main() {
@@ -60,41 +55,14 @@ func run() error {
 		heartbeat  = flag.Float64("heartbeat", 0, "liveness probe seconds (0 = 5, negative disables)")
 		grace      = flag.Float64("grace", 0, "serve: seconds to wait for a dead worker to re-dial before reassigning its clients (0 = don't wait)")
 		noReassign = flag.Bool("no-reassign", false, "serve: never move clients between workers (a lost worker degrades rounds until it re-attaches)")
-		ckptEvery  = flag.Int("checkpoint-every", 0, "serve/local: checkpoint every N rounds (0 = off unless -checkpoint-file is set)")
-		ckptFile   = flag.String("checkpoint-file", "", "serve/local: file the newest checkpoint blob is written to (atomic replace)")
+		ckptFile   = flag.String("checkpoint-file", "", "serve/local: file the newest checkpoint blob is written to (atomic replace; implies -checkpoint-every 1 when unset)")
 		resume     = flag.String("resume", "", "serve/local: checkpoint file to restore and continue from")
 		reattach   = flag.Bool("reattach", false, "worker: re-dial and re-attach after a connection loss or server pause")
-
-		dsName      = flag.String("dataset", "adult", "dataset: "+strings.Join(dataset.Names(), "|"))
-		algName     = flag.String("alg", "FedAvg", "wire-safe algorithm: FedAvg|FedProx")
-		clients     = flag.Int("clients", 20, "number of clients")
-		rounds      = flag.Int("rounds", 5, "communication rounds T")
-		localSteps  = flag.Int("k", 10, "local steps per round K")
-		batch       = flag.Int("batch", 24, "mini-batch size s")
-		lr          = flag.Float64("lr", 0.05, "local learning rate ηl")
-		globalLR    = flag.Float64("glr", 0, "global learning rate ηg (0 = K·ηl)")
-		partKind    = flag.String("partition", "dir", "partition: groups|dir|iid|natural")
-		phi         = flag.Float64("phi", 0.5, "Dirichlet concentration for -partition dir")
-		seed        = flag.Uint64("seed", 7, "random seed")
-		scaleName   = flag.String("scale", "small", "dataset scale: small|full")
-		policyName  = flag.String("policy", "sync", "aggregation policy: "+strings.Join(fl.PolicyNames(), "|"))
-		deadlineSec = flag.Float64("deadline", 0, "deadline policy: modeled seconds per round (0 = 1.5× the nominal modeled round)")
-		buffer      = flag.Int("buffer", 0, "async policy: buffered updates per server step (0 = clients/4, min 1)")
-		hetero      = flag.String("hetero", "uniform", "device fleet: "+strings.Join(simclock.FleetNames(), "|"))
-		compressStr = flag.String("compress", "", "uplink codec: none|topk[:frac]|int8[:chunk]")
-		participate = flag.Float64("participation", 0, "fraction of clients dispatched per round (0 = all)")
-		parallel    = flag.Int("parallelism", 0, "local-training parallelism per process (0 = GOMAXPROCS)")
 	)
+	r := runflag.Register(flag.CommandLine, runflag.Server)
 	flag.Parse()
 
-	cfg, alg, net_, shards, test, err := buildRun(runFlags{
-		dsName: *dsName, algName: *algName, clients: *clients, rounds: *rounds,
-		localSteps: *localSteps, batch: *batch, lr: *lr, globalLR: *globalLR,
-		partKind: *partKind, phi: *phi, seed: *seed, scaleName: *scaleName,
-		policyName: *policyName, deadlineSec: *deadlineSec, buffer: *buffer,
-		hetero: *hetero, compressStr: *compressStr, participate: *participate,
-		parallel: *parallel,
-	})
+	cfg, alg, net_, shards, test, err := r.Build()
 	if err != nil {
 		return err
 	}
@@ -104,21 +72,17 @@ func run() error {
 	// always leaves a complete checkpoint to -resume from. The flag set
 	// including these must match between a checkpoint writer and its
 	// resumer (the blob fingerprints the config).
-	if *ckptEvery > 0 {
-		cfg.CheckpointEvery = *ckptEvery
-	}
 	if *ckptFile != "" {
 		if cfg.CheckpointEvery == 0 {
 			cfg.CheckpointEvery = 1
 		}
-		path := *ckptFile
 		cfg.OnCheckpoint = func(round int, blob []byte) {
-			tmp := path + ".tmp"
-			if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "checkpoint at round %d not written: %v\n", round, err)
-				return
+			tmp := *ckptFile + ".tmp"
+			err := os.WriteFile(tmp, blob, 0o644)
+			if err == nil {
+				err = os.Rename(tmp, *ckptFile)
 			}
-			if err := os.Rename(tmp, path); err != nil {
+			if err != nil {
 				fmt.Fprintf(os.Stderr, "checkpoint at round %d not written: %v\n", round, err)
 			}
 		}
@@ -130,11 +94,12 @@ func run() error {
 		}
 	}
 
+	var res *fl.Result
 	switch *mode {
 	case "serve":
-		ln, err := net.Listen(*network, *addr)
-		if err != nil {
-			return err
+		ln, lerr := net.Listen(*network, *addr)
+		if lerr != nil {
+			return lerr
 		}
 		defer ln.Close()
 		// SIGINT/SIGTERM pause the run at the next round boundary: a
@@ -158,18 +123,12 @@ func run() error {
 			DisableReassign:  *noReassign,
 			Interrupt:        interrupt,
 		}
-		fmt.Fprintf(os.Stderr, "serving %s on %s %s, waiting for %d workers\n", *algName, *network, *addr, *workers)
-		var res *fl.Result
+		fmt.Fprintf(os.Stderr, "serving %s on %s %s, waiting for %d workers\n", r.Alg, *network, *addr, *workers)
 		if resumeBlob != nil {
 			res, err = fl.ServeResume(ln, opt, resumeBlob, *cfg, alg, net_, shards, test)
 		} else {
 			res, err = fl.Serve(ln, opt, *cfg, alg, net_, shards, test)
 		}
-		if err != nil {
-			return err
-		}
-		printSummary("serve", res, cfg)
-		return nil
 	case "worker":
 		wh := *heartbeat
 		if wh == 0 {
@@ -184,7 +143,7 @@ func run() error {
 				return err
 			}
 			wopt := fl.WorkerOptions{Index: *index, Workers: *workers, Attach: attach, HeartbeatSec: wh}
-			err = fl.RunWorkerOpts(conn, wopt, *cfg, alg, net_, shards, *dsName)
+			err = fl.RunWorkerOpts(conn, wopt, *cfg, alg, net_, shards, r.Dataset)
 			if err == nil {
 				fmt.Fprintf(os.Stderr, "worker %d/%d done\n", *index, *workers)
 				return nil
@@ -201,109 +160,19 @@ func run() error {
 			time.Sleep(300 * time.Millisecond)
 		}
 	case "local":
-		var res *fl.Result
 		if resumeBlob != nil {
 			res, err = fl.Resume(*cfg, alg, net_, shards, test, resumeBlob)
 		} else {
 			res, err = fl.Run(*cfg, alg, net_, shards, test)
 		}
-		if err != nil {
-			return err
-		}
-		printSummary("local", res, cfg)
-		return nil
 	default:
 		return fmt.Errorf("unknown -mode %q (serve|worker|local)", *mode)
 	}
-}
-
-// runFlags is the topology every process rebuilds identically.
-type runFlags struct {
-	dsName, algName                 string
-	clients, rounds, localSteps     int
-	batch, buffer, parallel         int
-	lr, globalLR, phi, deadlineSec  float64
-	participate                     float64
-	partKind, scaleName, policyName string
-	hetero, compressStr             string
-	seed                            uint64
-}
-
-// buildRun materializes the run from the shared flags: dataset, shards,
-// model, algorithm, and config. Server and workers call it with the same
-// flag values; the handshake fingerprint rejects divergence.
-func buildRun(f runFlags) (*fl.Config, fl.Algorithm, *nn.Network, []*dataset.Dataset, *dataset.Dataset, error) {
-	fail := func(err error) (*fl.Config, fl.Algorithm, *nn.Network, []*dataset.Dataset, *dataset.Dataset, error) {
-		return nil, nil, nil, nil, nil, err
-	}
-	scale := dataset.ScaleSmall
-	if f.scaleName == "full" {
-		scale = dataset.ScaleFull
-	}
-	train, test, err := dataset.Standard(f.dsName, scale, f.seed)
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	network, err := dataset.Model(f.dsName)
-	if err != nil {
-		return fail(err)
-	}
-	r := rng.New(f.seed).Derive("partition", 0)
-	var part *partition.Partition
-	switch f.partKind {
-	case "groups":
-		part, _, err = partition.Groups(train, partition.PaperGroups(f.clients), r)
-	case "dir":
-		part, err = partition.Dirichlet(train, f.clients, f.phi, r)
-	case "iid":
-		part, err = partition.IID(train, f.clients, r)
-	case "natural":
-		part, err = partition.ByNaturalGroups(train, f.clients, r)
-	default:
-		err = fmt.Errorf("unknown partition %q", f.partKind)
-	}
-	if err != nil {
-		return fail(err)
-	}
-	alg, err := experiments.NewAlgorithm(f.algName)
-	if err != nil {
-		return fail(err)
-	}
-	policy, err := fl.ParsePolicy(f.policyName)
-	if err != nil {
-		return fail(err)
-	}
-	spec, err := compress.ParseSpec(f.compressStr)
-	if err != nil {
-		return fail(err)
-	}
-	nominal := simclock.RoundSeconds(network.GradFlops(f.batch), f.localSteps, simclock.Plain())
-	fleet, err := simclock.FleetByName(f.hetero, f.clients, nominal, f.seed)
-	if err != nil {
-		return fail(err)
-	}
-	cfg := &fl.Config{
-		Rounds:                f.rounds,
-		LocalSteps:            f.localSteps,
-		BatchSize:             f.batch,
-		LocalLR:               f.lr,
-		GlobalLR:              f.globalLR,
-		Seed:                  f.seed,
-		Policy:                policy,
-		Devices:               fleet,
-		Compress:              spec,
-		ParticipationFraction: f.participate,
-		Parallelism:           f.parallel,
-	}
-	cfg.RoundDeadlineSec = f.deadlineSec
-	cfg.AsyncBuffer = f.buffer
-	if policy == fl.PolicyDeadline && cfg.RoundDeadlineSec == 0 {
-		cfg.RoundDeadlineSec = 1.5 * nominal
-	}
-	if policy == fl.PolicyAsync && cfg.AsyncBuffer == 0 {
-		cfg.AsyncBuffer = max(f.clients/4, 1)
-	}
-	return cfg, alg, network, part.Shards(train), test, nil
+	printSummary(*mode, res)
+	return nil
 }
 
 // dialRetry dials until the server is listening (workers usually start
@@ -327,13 +196,11 @@ func dialRetry(network, addr string, budget time.Duration) (net.Conn, error) {
 // of the final parameter bits. Every stdout field is modeled or exact —
 // no wall times, no mode label (status goes to stderr) — so CI checks
 // wire-path bit-identity with a plain `diff` of local vs serve stdout.
-func printSummary(mode string, res *fl.Result, cfg *fl.Config) {
+func printSummary(mode string, res *fl.Result) {
 	run := res.Run
 	for _, rec := range run.Rounds {
-		// re/rc are the failover counters (reassigned dispatches, worker
-		// reconnects) — always printed, and always zero for local runs
-		// and undisturbed serve runs, so the plain-diff bit-identity
-		// check keeps working.
+		// re/rc (reassigned dispatches, worker reconnects) are always
+		// printed, and always zero for local and undisturbed serve runs.
 		fmt.Printf("round %3d  acc %.6f  loss %.6f  t_model %.3fs  re %d  rc %d\n",
 			rec.Index+1, rec.Accuracy, rec.TrainLoss, rec.SlowestModeledSec,
 			rec.ReassignedDispatches, rec.WorkerReconnects)

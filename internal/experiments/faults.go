@@ -60,14 +60,9 @@ func Faults(r *Runner) (*report.Table, error) {
 					cfg.Rounds = faultRounds(r.Scale)
 					cfg.Policy = policy
 					cfg.Faults = specs
-					switch policy {
-					case fl.PolicyDeadline:
-						// 1.5× the nominal round, as the straggler study
-						// uses: slow-faulted clients blow the deadline.
-						cfg.RoundDeadlineSec = 1.5 * nominal
-					case fl.PolicyAsync:
-						cfg.AsyncBuffer = max(base.Clients/4, 1)
-					}
+					// The straggler study's 1.5× nominal deadline:
+					// slow-faulted clients blow it.
+					PolicyDefaults(cfg, nominal, base.Clients)
 					if len(specs) > 0 && policy != fl.PolicyAsync {
 						// Commit rounds at half the dispatched cohort;
 						// anything below is recorded as degraded.

@@ -51,6 +51,8 @@ const (
 	PartGroups PartitionKind = "groups"
 	// PartDirichlet is Dir(φ) label skew.
 	PartDirichlet PartitionKind = "dirichlet"
+	// PartIID deals samples out uniformly at random.
+	PartIID PartitionKind = "iid"
 	// PartNatural partitions by the dataset's natural groups (speakers).
 	PartNatural PartitionKind = "natural"
 )
@@ -137,7 +139,10 @@ func ProfileFor(name string, scale Scale) (Profile, error) {
 	return p, nil
 }
 
-// Materialize builds the profile's model, client shards, and test set.
+// Materialize builds the profile's client shards and test set, plus the
+// training config the profile fixes. It is the repository's one
+// partition switch: experiments and the flsim/flserver command lines
+// (internal/runflag) all split data here.
 func (p Profile) Materialize(seed uint64) (*fl.Config, []*dataset.Dataset, *dataset.Dataset, []int, error) {
 	train, test, err := dataset.Standard(p.Dataset, p.DataScale, seed)
 	if err != nil {
@@ -153,6 +158,8 @@ func (p Profile) Materialize(seed uint64) (*fl.Config, []*dataset.Dataset, *data
 		part, groupOf, err = partition.Groups(train, partition.PaperGroups(p.Clients), r)
 	case PartDirichlet:
 		part, err = partition.Dirichlet(train, p.Clients, p.DirPhi, r)
+	case PartIID:
+		part, err = partition.IID(train, p.Clients, r)
 	case PartNatural:
 		part, err = partition.ByNaturalGroups(train, p.Clients, r)
 	default:
@@ -177,6 +184,19 @@ func (p Profile) Materialize(seed uint64) (*fl.Config, []*dataset.Dataset, *data
 		shards = tiled
 	}
 	return cfg, shards, test, groupOf, nil
+}
+
+// PolicyDefaults fills the scheduling knobs a run left at zero: the
+// deadline policy cuts rounds at 1.5× the nominal modeled round (which
+// admits mildly slow devices and cuts off the hard stragglers), and the
+// async policy steps the server every quarter of the clients (min 1).
+func PolicyDefaults(cfg *fl.Config, nominal float64, clients int) {
+	if cfg.Policy == fl.PolicyDeadline && cfg.RoundDeadlineSec == 0 {
+		cfg.RoundDeadlineSec = 1.5 * nominal
+	}
+	if cfg.Policy == fl.PolicyAsync && cfg.AsyncBuffer == 0 {
+		cfg.AsyncBuffer = max(clients/4, 1)
+	}
 }
 
 // Model returns the dataset's model architecture.

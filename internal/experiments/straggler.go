@@ -48,14 +48,7 @@ func Straggler(r *Runner) (*report.Table, error) {
 					cfg.Rounds = stragglerRounds(r.Scale)
 					cfg.Devices = fleet
 					cfg.Policy = policy
-					switch policy {
-					case fl.PolicyDeadline:
-						// 1.5× the nominal round admits mildly slow devices
-						// and cuts off the hard stragglers.
-						cfg.RoundDeadlineSec = 1.5 * nominal
-					case fl.PolicyAsync:
-						cfg.AsyncBuffer = max(base.Clients/4, 1)
-					}
+					PolicyDefaults(cfg, nominal, base.Clients)
 				})
 				if err != nil {
 					return nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"repro/internal/dataset"
 	"repro/internal/fault"
 	"repro/internal/wire"
 )
@@ -57,17 +58,27 @@ func validateWire(cfg *Config, alg Algorithm) error {
 // serveFingerprint hashes everything that must agree between the server
 // and a worker for their replayed rng derivations and local training to
 // be bit-identical: the training config, the codec, the algorithm, and
-// the data geometry. Workers send it in Hello; a mismatch is rejected
-// before any training happens.
-func serveFingerprint(cfg *Config, algName, dsName string, numClients, numParams int) uint64 {
+// the data geometry — every client's sample count and labels, so a
+// worker that split the data differently (another partition, φ or
+// scale) is caught even when the config agrees. Workers send it in
+// Hello; a mismatch is rejected before any training happens.
+func serveFingerprint(cfg *Config, algName, dsName string, shards []*dataset.Dataset, numParams int) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "v1|%d|%d|%d|%x|%x|%d|%s|%v|%x|%d|%s|%x|%d|%s|%g|%d|%s|%s|%d|%d",
+	fmt.Fprintf(h, "v2|%d|%d|%d|%x|%x|%d|%s|%v|%x|%d|%s|%x|%d|%s|%g|%d|%s|%s|%d|%d",
 		cfg.Rounds, cfg.LocalSteps, cfg.BatchSize,
 		cfg.LocalLR, cfg.GlobalLR, cfg.Seed, cfg.DType,
 		cfg.WeightByData, cfg.ParticipationFraction,
 		int(cfg.Policy), cfg.Policy.String(), cfg.RoundDeadlineSec, cfg.AsyncBuffer,
 		cfg.Compress.Kind, cfg.Compress.TopKFrac, cfg.Compress.Chunk,
-		algName, dsName, numClients, numParams)
+		algName, dsName, len(shards), numParams)
+	var buf []byte
+	for _, shard := range shards {
+		buf = wire.AppendUvarint(buf[:0], uint64(shard.Len()))
+		for _, y := range shard.Y {
+			buf = wire.AppendUvarint(buf, uint64(y))
+		}
+		h.Write(buf)
+	}
 	return h.Sum64()
 }
 

@@ -155,7 +155,7 @@ func newServeScheduler(ln net.Listener, opt ServeOptions, cfg Config, alg Algori
 	if err := validateWire(&cfg, alg); err != nil {
 		return nil, nil, err
 	}
-	fp := serveFingerprint(&cfg, alg.Name(), test.Name, len(shards), network.NumParams())
+	fp := serveFingerprint(&cfg, alg.Name(), test.Name, shards, network.NumParams())
 	s, err := newSchedulerExec(cfg, alg, network, shards, test, true)
 	if err != nil {
 		return nil, nil, err

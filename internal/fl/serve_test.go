@@ -9,9 +9,12 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/compress"
+	"repro/internal/dataset"
 	"repro/internal/fault"
 	"repro/internal/fl"
 	"repro/internal/metrics"
+	"repro/internal/partition"
+	"repro/internal/rng"
 )
 
 // runWire executes cfg over a loopback TCP socket: fl.Serve in this
@@ -190,33 +193,54 @@ func TestServeRejectsUnsafe(t *testing.T) {
 }
 
 // TestServeFingerprintMismatch pins the handshake: a worker built from a
-// diverging config (here a different seed) is rejected before any
-// training, and both sides surface the mismatch.
+// diverging run is rejected before any training, and both sides surface
+// the mismatch. The run diverges either in its config (a different seed)
+// or only in its data split (shards from another Dirichlet φ under the
+// same config).
 func TestServeFingerprintMismatch(t *testing.T) {
 	network, shards, test := testSetup(t, 8)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	train, _, err := dataset.Standard("adult", dataset.ScaleSmall, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-
-	workerErr := make(chan error, 1)
-	go func() {
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			workerErr <- err
-			return
-		}
-		bad := quickConfig()
-		bad.Seed++
-		workerErr <- fl.RunWorker(conn, 0, 1, bad, baselines.NewFedAvg(), network, shards, test.Name)
-	}()
-
-	_, err = fl.Serve(ln, fl.ServeOptions{Workers: 1}, quickConfig(), baselines.NewFedAvg(), network, shards, test)
-	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("serve: got err %v, want fingerprint mismatch", err)
+	part, err := partition.Dirichlet(train, 8, 0.1, rng.New(4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if werr := <-workerErr; werr == nil || !strings.Contains(werr.Error(), "rejected") {
-		t.Fatalf("worker: got err %v, want rejection", werr)
+	seeded := quickConfig()
+	seeded.Seed++
+	for _, tc := range []struct {
+		name   string
+		cfg    fl.Config
+		shards []*dataset.Dataset
+	}{
+		{"seed", seeded, shards},
+		{"data split", quickConfig(), part.Shards(train)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+
+			workerErr := make(chan error, 1)
+			go func() {
+				conn, err := net.Dial("tcp", ln.Addr().String())
+				if err != nil {
+					workerErr <- err
+					return
+				}
+				workerErr <- fl.RunWorker(conn, 0, 1, tc.cfg, baselines.NewFedAvg(), network, tc.shards, test.Name)
+			}()
+
+			_, err = fl.Serve(ln, fl.ServeOptions{Workers: 1}, quickConfig(), baselines.NewFedAvg(), network, shards, test)
+			if err == nil || !strings.Contains(err.Error(), "fingerprint") {
+				t.Fatalf("serve: got err %v, want fingerprint mismatch", err)
+			}
+			if werr := <-workerErr; werr == nil || !strings.Contains(werr.Error(), "rejected") {
+				t.Fatalf("worker: got err %v, want rejection", werr)
+			}
+		})
 	}
 }

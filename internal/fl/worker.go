@@ -85,7 +85,7 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 		return fmt.Errorf("fl: worker index %d out of range [0,%d)", index, workers)
 	}
 	n := len(shards)
-	fp := serveFingerprint(&cfg, alg.Name(), dsName, n, network.NumParams())
+	fp := serveFingerprint(&cfg, alg.Name(), dsName, shards, network.NumParams())
 
 	env := &Env{
 		Net:        network,
