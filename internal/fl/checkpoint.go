@@ -149,7 +149,8 @@ func (s *scheduler) walk(c *ckpt.Codec, round *int, applyRNG bool) {
 	c.F64s(s.wPrev)
 
 	// A client is expelled exactly when it is inactive, so one record per
-	// client carries both tables.
+	// client carries both tables. The active-id list is derived from the
+	// flags, so it is rebuilt on load rather than stored.
 	c.Section("expulsions")
 	c.ExpectLen(len(s.active), "active flags")
 	if c.Loading() {
@@ -162,6 +163,9 @@ func (s *scheduler) walk(c *ckpt.Codec, round *int, applyRNG bool) {
 			c.Int(&at)
 			s.expelled[id] = at
 		}
+	}
+	if c.Loading() {
+		s.rebuildActive()
 	}
 	c.Section("cumulative weights")
 	if c.Expect(s.cumWeights != nil, "cumulative-weight") {

@@ -267,6 +267,44 @@ func TestServerCrashReplayBitIdentical(t *testing.T) {
 	}
 }
 
+// TestServerCrashRestoresActiveSet pins the restore of the sampler's
+// active set: a client expelled at round 4 is active again in the round-3
+// checkpoint the servercrash at round 5 restores, so the replayed rounds
+// sample over the full fleet and the run stays bit-identical to the
+// crash-free one — which it cannot if the restore leaves the engine's
+// active-id list as it was at the crash.
+func TestServerCrashRestoresActiveSet(t *testing.T) {
+	net, shards, test := testSetup(t, 8)
+	for _, policy := range []fl.AggregationPolicy{fl.PolicySync, fl.PolicyDeadline} {
+		t.Run(policy.String(), func(t *testing.T) {
+			base := faultedConfig(t, policy, 11, net)
+			base.Faults = nil
+			base.CheckpointEvery = 0
+			base.ParticipationFraction = 0.5
+			want, err := fl.Run(base, &expelEarly{victim: 6, atRound: 4}, net, shards, test)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Expelled[6] != 4 {
+				t.Fatalf("Expelled = %v, want client 6 at round 4", want.Expelled)
+			}
+
+			crashed := base
+			crashed.Faults = []fault.Spec{{Kind: fault.KindServerCrash, Round: 5}}
+			crashed.CheckpointEvery = 3
+			got, err := fl.Run(crashed, &expelEarly{victim: 6, atRound: 4}, net, shards, test)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameParams(t, want.FinalParams, got.FinalParams)
+			sameRounds(t, want.Run.Rounds, got.Run.Rounds)
+			if got.Run.RecoveredRounds != 2 {
+				t.Fatalf("RecoveredRounds = %d, want 2 (crash at 5, checkpoint at 3)", got.Run.RecoveredRounds)
+			}
+		})
+	}
+}
+
 // TestResumeRejectsMismatch pins the fingerprint guard: a checkpoint
 // must not resume under a different config, algorithm, or after header
 // corruption.

@@ -237,6 +237,14 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 		measured:  make([]float64, n),
 	}
 	s.exec = pool
+	s.activeIDs = make([]int, 0, n)
+	s.rebuildActive()
+	if take, sampled := s.cohort(n); sampled {
+		// The active set only shrinks from n, and a restore refills it to at
+		// most n, so these bounds hold for the whole run.
+		s.permBuf = make([]int32, n)
+		s.picked = make([]int, take)
+	}
 	s.stack, _ = alg.(*stackedAlg)
 	if plan != nil && plan.anyDispatch {
 		s.dupFlags = make([]bool, 0, n)

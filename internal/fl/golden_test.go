@@ -3,6 +3,7 @@ package fl
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
 	"sort"
 	"testing"
@@ -88,7 +89,9 @@ func referenceRun(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.
 		}
 		if f := cfg.ParticipationFraction; f > 0 && f < 1 {
 			take := max(int(f*float64(len(ids))+0.5), 1)
-			picked := participationRNG.SampleWithoutReplacement(len(ids), take)
+			// Drawn with the stdlib's Perm, not the engine's sampler, so
+			// the oracle stays independent of the code it checks.
+			picked := participationRNG.Perm(len(ids))[:take]
 			sort.Ints(picked)
 			sampled := make([]int, take)
 			for j, p := range picked {
@@ -212,6 +215,9 @@ func TestSyncPolicyMatchesPreSchedulerEngine(t *testing.T) {
 	}{
 		{"fedavg", func() Algorithm { return goldenFedAvg{} }, nil},
 		{"fedavg-partial", func() Algorithm { return goldenFedAvg{} }, func(c *Config) { c.ParticipationFraction = 0.5 }},
+		// Expulsions shrink the set the sampler draws from: the scheduler's
+		// kept active-id list must match the reference's per-round walk.
+		{"fedavg-partial-expel", func() Algorithm { return goldenExpelFedAvg{victims: map[int]int{1: 2, 3: 4}} }, func(c *Config) { c.ParticipationFraction = 0.5 }},
 		{"fedavg-freeloader", func() Algorithm { return goldenFedAvg{} }, func(c *Config) { c.Adversaries = []adversary.Spec{adversary.Freeloaders([]int{5})} }},
 		{"fedavg-bydata", func() Algorithm { return goldenFedAvg{} }, func(c *Config) { c.WeightByData = true }},
 		// A declared-but-empty adversary list is the honest run: it must
@@ -256,6 +262,9 @@ func TestSyncPolicyMatchesPreSchedulerEngine(t *testing.T) {
 			if wh, gh := paramsHash(want.FinalParams), paramsHash(got.FinalParams); wh != gh {
 				t.Fatalf("FinalParams hash mismatch: reference %016x, scheduler %016x", wh, gh)
 			}
+			if !maps.Equal(want.Expelled, got.Expelled) {
+				t.Fatalf("expulsions: reference %v, scheduler %v", want.Expelled, got.Expelled)
+			}
 			if len(want.Run.Rounds) != len(got.Run.Rounds) {
 				t.Fatalf("round count: reference %d, scheduler %d", len(want.Run.Rounds), len(got.Run.Rounds))
 			}
@@ -285,5 +294,19 @@ type goldenFedAvg struct{ Base }
 
 func (goldenFedAvg) Name() string { return "FedAvg" }
 func (goldenFedAvg) Aggregate(s *ServerCtx, updates []Update) {
+	FedAvgStep(s, updates)
+}
+
+// goldenExpelFedAvg is goldenFedAvg that expels victims[round] at that
+// round, whether or not the client participated.
+type goldenExpelFedAvg struct {
+	goldenFedAvg
+	victims map[int]int
+}
+
+func (a goldenExpelFedAvg) Aggregate(s *ServerCtx, updates []Update) {
+	if id, ok := a.victims[s.Round]; ok {
+		s.Expel(id)
+	}
 	FedAvgStep(s, updates)
 }

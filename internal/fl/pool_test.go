@@ -69,6 +69,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		faults   []fault.Spec
 		quorum   float64
 		stacked  bool
+		partial  float64
 	}{
 		{name: "", adv: false},
 		{name: "-injectors", adv: true},
@@ -83,9 +84,16 @@ func TestSteadyStateAllocs(t *testing.T) {
 		// Stack + injectors exercises the weight re-map path with the
 		// honest/corrupt mass accounting live every round.
 		{name: "-stack-injectors", stacked: true, adv: true},
+		// Partial participation samples into the scheduler's reused
+		// Fisher–Yates buffer and maps through its kept active-id list.
+		// Validate rejects it under async, which has no rounds to sample.
+		{name: "-partial", partial: 0.25},
 	}
 	for _, v := range variants {
 		for _, policy := range []AggregationPolicy{PolicySync, PolicyDeadline, PolicyAsync} {
+			if v.partial > 0 && policy == PolicyAsync {
+				continue
+			}
 			name := policy.String() + v.name
 			t.Run(name, func(t *testing.T) {
 				cfg := Config{
@@ -98,6 +106,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 					Policy:     policy,
 					Compress:   v.compress,
 				}
+				cfg.ParticipationFraction = v.partial
 				if v.adv {
 					cfg.Adversaries = injectors
 				}
@@ -159,6 +168,32 @@ func TestSteadyStateAllocs(t *testing.T) {
 			})
 		}
 	}
+}
+
+// BenchmarkParticipants times the round's participant sample alone on the
+// 100k fleet's shape — 100 shards tiled by pointer to 100 000 clients,
+// fraction 1e-4, so 10 clients a round: one Fisher–Yates pass over the
+// active set in the reused buffer, then the cohort's sort and mapping.
+func BenchmarkParticipants(b *testing.B) {
+	net, base, test := poolSetup(b, 100)
+	shards := make([]*dataset.Dataset, 100_000)
+	for i := range shards {
+		shards[i] = base[i%len(base)]
+	}
+	cfg := Config{Rounds: 1, LocalSteps: 1, BatchSize: 8, LocalLR: 0.05, Seed: 11, ParticipationFraction: 1e-4}
+	s, err := newScheduler(cfg, goldenFedAvg{}, net, shards, test)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.pool.close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.participants(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/round")
 }
 
 // TestSlotPoolStressBitIdentity is the n ≫ P stress regression: with 32

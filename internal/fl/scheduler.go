@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/metrics"
@@ -29,9 +29,10 @@ import (
 // an update still waiting in the server buffer.
 //
 // Steady-state rounds are allocation-free: the per-round ids/updates/
-// measured slices, the aggregation context, the async flight table, and
-// the upload deltas (slot-pool ring, pool.go) are all owned by the
-// scheduler and reused round over round (pinned by TestSteadyStateAllocs).
+// measured slices, the participant sampler's buffers, the aggregation
+// context, the async flight table, and the upload deltas (slot-pool ring,
+// pool.go) are all owned by the scheduler and reused round over round
+// (pinned by TestSteadyStateAllocs).
 type scheduler struct {
 	cfg     Config
 	alg     Algorithm
@@ -56,6 +57,17 @@ type scheduler struct {
 	// scale it by the device's speed factor.
 	baseRound float64
 	partRNG   *rng.RNG
+
+	// activeIDs lists the active clients in ascending order (capacity n).
+	// It is rebuilt in place only where active changes — expulsion in
+	// aggregate and the load direction of the checkpoint walk — so a
+	// round reads it instead of walking the fleet's flags.
+	activeIDs []int
+	// Partial-participation sampler buffers, sized at setup: permBuf is
+	// the Fisher–Yates scratch over active positions, picked the cohort's
+	// sampled positions.
+	permBuf []int32
+	picked  []int
 
 	// Reusable per-round state (capacity n, sliced per round).
 	ids      []int
@@ -127,29 +139,48 @@ type scheduler struct {
 // participants collects the round's participating clients in ID order
 // into the scheduler's reusable ids buffer, applying the partial-
 // participation sampler, and errors when every client has been expelled.
+// The sample is Perm(active)[:take] drawn into the reused buffers, sorted,
+// and mapped through activeIDs, so ids stays ascending.
 func (s *scheduler) participants(t int) ([]int, error) {
-	ids := s.ids[:0]
-	for i := range s.clients {
-		if s.active[i] {
-			ids = append(ids, i)
-		}
-	}
-	if len(ids) == 0 {
+	act := s.activeIDs
+	if len(act) == 0 {
 		return nil, fmt.Errorf("fl: all clients expelled by round %d", t)
 	}
-	if f := s.cfg.ParticipationFraction; f > 0 && f < 1 {
-		take := max(int(f*float64(len(ids))+0.5), 1)
-		picked := s.partRNG.SampleWithoutReplacement(len(ids), take)
-		sort.Ints(picked)
-		for j, p := range picked {
-			// picked is sorted ascending, so ids[p] is never overwritten
-			// before it is read: in-place compaction is safe.
-			ids[j] = ids[p]
-		}
-		ids = ids[:take]
+	take, sampled := s.cohort(len(act))
+	if !sampled {
+		// Callers compact ids in place, so they get a copy, never the list.
+		return append(s.ids[:0], act...), nil
 	}
-	s.ids = ids[:0]
+	picked := s.picked[:take]
+	s.partRNG.SampleInto(picked, s.permBuf, len(act))
+	slices.Sort(picked)
+	ids := s.ids[:take]
+	for j, p := range picked {
+		ids[j] = act[p]
+	}
 	return ids, nil
+}
+
+// cohort returns how many of nActive active clients a round takes and
+// whether they are sampled: ParticipationFraction of them rounded to
+// nearest, at least one, when the fraction is in (0, 1) — the sampler
+// then draws even if that rounds to everyone — else all, unsampled.
+func (s *scheduler) cohort(nActive int) (take int, sampled bool) {
+	if f := s.cfg.ParticipationFraction; f > 0 && f < 1 {
+		return max(int(f*float64(nActive)+0.5), 1), true
+	}
+	return nActive, false
+}
+
+// rebuildActive refreshes activeIDs from the active flags, in place.
+func (s *scheduler) rebuildActive() {
+	ids := s.activeIDs[:0]
+	for id, on := range s.active {
+		if on {
+			ids = append(ids, id)
+		}
+	}
+	s.activeIDs = ids
 }
 
 // aggregate runs one server step over updates: snapshot w^t, apply the
@@ -164,11 +195,16 @@ func (s *scheduler) aggregate(t int, updates []Update) (diverged bool) {
 	s.server.reported = s.server.reported[:0]
 	s.alg.Aggregate(&s.server, updates)
 	s.recordWeightMass(updates)
+	changed := false
 	for _, id := range s.server.expelled {
 		if s.active[id] {
 			s.active[id] = false
 			s.expelled[id] = t
+			changed = true
 		}
+	}
+	if changed {
+		s.rebuildActive()
 	}
 	if !vecmath.AllFinite(s.params) {
 		s.run.Diverged = true

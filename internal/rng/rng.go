@@ -13,6 +13,7 @@ package rng
 import (
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 )
 
@@ -180,11 +181,58 @@ func (r *RNG) Categorical(weights []float64) int {
 }
 
 // SampleWithoutReplacement returns k distinct indices drawn uniformly from
-// [0, n). It panics when k > n.
+// [0, n): the first k entries of Perm(n), consuming the same draws. It
+// panics when k > n.
 func (r *RNG) SampleWithoutReplacement(n, k int) []int {
 	if k > n {
 		panic("rng: SampleWithoutReplacement requires k <= n")
 	}
-	perm := r.Perm(n)
-	return perm[:k]
+	out := make([]int, k)
+	r.SampleInto(out, make([]int32, n), n)
+	return out
+}
+
+// SampleInto writes Perm(n)[:len(dst)] into dst and leaves the stream at
+// the cursor Perm(n) would: it runs Shuffle's Fisher–Yates loop over the
+// identity in scratch[:n], drawing each swap index with uint64n's exact
+// reduction straight from the PCG. The caller owns both buffers, so a
+// reused pair samples without allocating. It panics when len(dst) > n,
+// when len(scratch) < n, or when n exceeds MaxInt32.
+func (r *RNG) SampleInto(dst []int, scratch []int32, n int) {
+	if len(dst) > n {
+		panic("rng: SampleInto requires len(dst) <= n")
+	}
+	if n > math.MaxInt32 {
+		panic("rng: SampleInto requires n <= MaxInt32")
+	}
+	p := scratch[:n]
+	for i := range p {
+		p[i] = int32(i)
+	}
+	for i := n - 1; i > 0; i-- {
+		j := r.uint64n(uint64(i + 1))
+		p[i], p[j] = p[j], p[i]
+	}
+	for i := range dst {
+		dst[i] = int(p[i])
+	}
+}
+
+// uint64n is math/rand/v2's uniform reduction to [0, n) — a mask for a
+// power of two, else the high word of a 128-bit product with Lemire's
+// rejection — drawn from the PCG directly, so each draw skips the
+// Rand→Source interface call. It must stay draw-for-draw equal to
+// Rand.IntN (pinned by TestSampleIntoMatchesPerm).
+func (r *RNG) uint64n(n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.pcg.Uint64() & (n - 1)
+	}
+	hi, lo := bits.Mul64(r.pcg.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(r.pcg.Uint64(), n)
+		}
+	}
+	return hi
 }

@@ -190,8 +190,8 @@ func TestCategoricalPanics(t *testing.T) {
 func TestSampleWithoutReplacement(t *testing.T) {
 	r := New(29)
 	got := r.SampleWithoutReplacement(10, 5)
-	if len(got) != 5 {
-		t.Fatalf("got %d samples, want 5", len(got))
+	if len(got) != 5 || cap(got) != 5 {
+		t.Fatalf("got %d samples (capacity %d), want 5 (5)", len(got), cap(got))
 	}
 	seen := make(map[int]bool, len(got))
 	for _, v := range got {
@@ -202,6 +202,31 @@ func TestSampleWithoutReplacement(t *testing.T) {
 			t.Fatalf("duplicate sample %d", v)
 		}
 		seen[v] = true
+	}
+}
+
+// TestSampleIntoMatchesPerm pins SampleInto to the stdlib: for sizes on
+// both sides of the power-of-two mask branch, dst must equal Perm(n)[:k]
+// from a twin stream, and the next draw must agree — the same cursor.
+func TestSampleIntoMatchesPerm(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 16, 17, 1000, 1024, 4097, 100000} {
+		scratch := make([]int32, n)
+		for seed := uint64(1); seed <= 5; seed++ {
+			for _, k := range []int{1, (n + 9) / 10, n} {
+				got, want := New(seed), New(seed)
+				dst := make([]int, k)
+				got.SampleInto(dst, scratch, n)
+				perm := want.Perm(n)[:k]
+				for i := range dst {
+					if dst[i] != perm[i] {
+						t.Fatalf("n=%d seed=%d k=%d: dst[%d] = %d, Perm gives %d", n, seed, k, i, dst[i], perm[i])
+					}
+				}
+				if g, w := got.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("n=%d seed=%d k=%d: next draw %x, Perm's stream gives %x", n, seed, k, g, w)
+				}
+			}
+		}
 	}
 }
 
