@@ -5,7 +5,7 @@
 // described once — one function walks its fields and runs both on save
 // and on restore. Values move as fixed-width little-endian words through
 // the codec's own scratch — no reflection, and no allocation per value on
-// save (a cursor's MarshalBinary is the one exception) — and every
+// save (a stream cursor is appended into a reused buffer) — and every
 // decode length-checks before allocating, so corrupt or truncated input
 // fails with an error instead of a panic or an absurd allocation.
 package ckpt
@@ -35,7 +35,7 @@ type Codec struct {
 	r       io.Reader // set by Load
 	err     error
 	section string
-	cursor  []byte // Cursor's decode scratch
+	cursor  []byte // Cursor's scratch in either direction
 	buf     [1024]byte
 }
 
@@ -274,23 +274,26 @@ func (c *Codec) Bytes(v *[]byte) {
 }
 
 // Stream is a cursor Codec.Cursor can capture and restore — in this
-// repository, rng streams. UnmarshalBinary must not keep its argument.
+// repository, rng streams. AppendBinary appends the cursor to b (the
+// method of Go 1.24's encoding.BinaryAppender, spelled out for older
+// toolchains); UnmarshalBinary must not keep its argument.
 type Stream interface {
-	encoding.BinaryMarshaler
+	AppendBinary(b []byte) ([]byte, error)
 	encoding.BinaryUnmarshaler
 }
 
 // Cursor moves a stream cursor. On Load, apply false consumes the
 // recorded cursor without applying it — the divergence-rollback restore,
 // which keeps the live stream positions so the replayed rounds draw fresh
-// batches. Save ignores apply.
+// batches. Save ignores apply and appends the cursor into the codec's
+// reused buffer.
 func (c *Codec) Cursor(s Stream, apply bool) {
 	if c.w != nil {
-		data, err := s.MarshalBinary()
-		if err != nil {
+		var err error
+		if c.cursor, err = s.AppendBinary(c.cursor[:0]); err != nil {
 			c.Failf("%w", err)
 		}
-		c.Bytes(&data)
+		c.Bytes(&c.cursor)
 		return
 	}
 	c.Bytes(&c.cursor)

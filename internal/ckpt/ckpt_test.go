@@ -263,8 +263,8 @@ func TestCorruptInputErrors(t *testing.T) {
 
 type fakeCursor struct{ state []byte }
 
-func (c *fakeCursor) MarshalBinary() ([]byte, error) { return c.state, nil }
-func (c *fakeCursor) UnmarshalBinary(d []byte) error { c.state = append([]byte(nil), d...); return nil }
+func (c *fakeCursor) AppendBinary(b []byte) ([]byte, error) { return append(b, c.state...), nil }
+func (c *fakeCursor) UnmarshalBinary(d []byte) error        { c.state = append([]byte(nil), d...); return nil }
 
 func TestCursorRoundTripAndSkip(t *testing.T) {
 	var b bytes.Buffer
@@ -318,7 +318,7 @@ func TestCursorRoundTripAndSkip(t *testing.T) {
 }
 
 // TestSaveAllocs pins the package doc: with the codec built and the
-// buffer warm, saving scalars and slices allocates nothing.
+// buffer warm, saving scalars, slices and cursors allocates nothing.
 func TestSaveAllocs(t *testing.T) {
 	var b bytes.Buffer
 	w := Save(&b)
@@ -327,8 +327,10 @@ func TestSaveAllocs(t *testing.T) {
 	rows32 := [][]float32{make([]float32, 300), nil}
 	ints := []int{1, 2, 3}
 	raw := []byte("payload")
+	cur := &fakeCursor{state: []byte("pcg:0123456789abcdef")}
 	save := func() {
 		b.Reset()
+		w.Cursor(cur, false)
 		w.Int(&n)
 		w.F64(&f)
 		w.Bool(&flag)

@@ -229,9 +229,10 @@ type Codec interface {
 	Grow(p *Payload, d int)
 	// Encode writes the encoded form of x into p, reusing p's backing
 	// arrays. r drives any stochastic rounding (may be nil for
-	// deterministic codecs); scratch must have len(x) capacity for
-	// codecs that need selection workspace (may be nil otherwise).
-	// Encode never panics on non-finite inputs.
+	// deterministic codecs); scratch is workspace of len(x) capacity,
+	// distinct from x — TopK's selection buffer, Int8's uniforms (Int8
+	// allocates its own when it is nil; None ignores it). Encode never
+	// panics on non-finite inputs.
 	Encode(p *Payload, x []float64, r *rng.RNG, scratch []float64)
 	// Decode overwrites dst (length p.N) with the decoded vector. The
 	// decode of a finite input's encode is always finite.

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/rng"
+	"repro/internal/vecmath"
 )
 
 // Int8 is QSGD-style stochastic quantization: each chunk of Chunk
@@ -34,61 +35,94 @@ func (c *Int8) Grow(p *Payload, d int) {
 	}
 }
 
-// Encode implements Codec. A chunk whose magnitude is zero or non-finite
-// is transmitted as zeros (scale 0) and consumes no stream draws; the
+// Encode implements Codec. Each chunk's coordinates x are scaled by
+// inv = 1/scale and rounded by vecmath.QuantizeInt8: ⌊x·inv⌋, plus one
+// when the coordinate's uniform lies below the fraction, clamped to ±127.
+//
+// Draw order: one Float64 per coordinate whose scaled value is finite, in
+// coordinate order; a non-finite scaled value (a NaN coordinate, or every
+// coordinate when inv overflows for a subnormal maximum) quantizes to 0
+// and consumes none. A chunk whose magnitude is zero or infinite is
+// transmitted as zeros (scale 0) and consumes no draws either. The
 // per-client draw count therefore depends only on the client's own data,
 // never on scheduling.
-func (c *Int8) Encode(p *Payload, x []float64, r *rng.RNG, _ []float64) {
+//
+// The uniforms are drawn a chunk at a time into scratch, which needs
+// min(len(x), Chunk) capacity; a shorter scratch (nil) costs one
+// allocation.
+func (c *Int8) Encode(p *Payload, x []float64, r *rng.RNG, scratch []float64) {
 	d := len(x)
 	c.Grow(p, d)
 	p.Form, p.N, p.ChunkLen = KindInt8, d, c.Chunk
 	p.Idx, p.Val = p.Idx[:0], p.Val[:0]
 	q := p.Q[:d]
 	sc := p.Scale[:0]
+	u := scratch[:cap(scratch)]
+	if need := min(d, c.Chunk); len(u) < need {
+		u = make([]float64, need)
+	}
 	for base := 0; base < d; base += c.Chunk {
 		end := min(base+c.Chunk, d)
-		var m float64
-		for _, v := range x[base:end] {
-			if a := math.Abs(v); a > m {
-				m = a
-			}
-		}
-		if m == 0 || math.IsInf(m, 0) || math.IsNaN(m) {
-			sc = append(sc, 0)
-			for i := base; i < end; i++ {
-				q[i] = 0
-			}
-			continue
-		}
+		xs, qs, us := x[base:end], q[base:end], u[:end-base]
+		m, nans := maxAbsCountNaN(xs)
 		scale := m / 127
+		if math.IsInf(m, 0) {
+			scale = 0
+		}
 		sc = append(sc, scale)
 		inv := 1 / scale
-		for i := base; i < end; i++ {
-			q[i] = quantize(x[i]*inv, r)
+		if math.IsInf(inv, 1) {
+			// scale is 0 (a zero or infinite maximum, or one that
+			// underflows) or so small that 1/scale overflows: every scaled
+			// value is 0·Inf, ±Inf or NaN, so the chunk is all zeros.
+			clear(qs)
+			continue
 		}
+		// With inv finite and every non-NaN |x| ≤ m, x·inv stays within
+		// a few ulps of ±127, so the scaled value is non-finite exactly
+		// where x is NaN.
+		if nans == 0 {
+			r.Float64s(us)
+		} else {
+			drawSkippingNaN(r, us, xs, nans)
+		}
+		vecmath.QuantizeInt8(qs, xs, inv, us)
 	}
 	p.Q, p.Scale = q, sc
 }
 
-// quantize stochastically rounds v (nominally in [−127, 127]) to a
-// signed byte: floor plus a Bernoulli(frac) increment. Non-finite v —
-// possible when the chunk holds a NaN that escaped the maxAbs scan —
-// quantizes to 0.
-func quantize(v float64, r *rng.RNG) int8 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
+// maxAbsCountNaN returns the largest |x[i]| over the non-NaN coordinates
+// (0 when there are none; a compare with NaN is false) and the number of
+// NaN coordinates. Both branches are predictable — the maximum settles
+// within a few coordinates — which keeps the scan off a serial
+// conditional-move chain.
+func maxAbsCountNaN(x []float64) (m float64, nans int) {
+	for _, v := range x {
+		if a := math.Abs(v); a > m {
+			m = a
+		}
+		if v != v {
+			nans++
+		}
 	}
-	f := math.Floor(v)
-	qi := f
-	if r.Float64() < v-f {
-		qi++
+	return m, nans
+}
+
+// drawSkippingNaN fills u[i] with the next draw for every non-NaN x[i], in
+// order, consuming len(x)−nans draws; u is 0 where x is NaN (QuantizeInt8
+// ignores it there). It draws the block first and spreads it from the back,
+// so each draw moves at most once.
+func drawSkippingNaN(r *rng.RNG, u, x []float64, nans int) {
+	j := len(x) - nans
+	r.Float64s(u[:j])
+	for i := len(x) - 1; i >= 0; i-- {
+		if x[i] != x[i] {
+			u[i] = 0
+			continue
+		}
+		j--
+		u[i] = u[j]
 	}
-	if qi > 127 {
-		qi = 127
-	} else if qi < -127 {
-		qi = -127
-	}
-	return int8(qi)
 }
 
 // Decode implements Codec.

@@ -182,7 +182,8 @@ func (c *compressor) compress(u *Update, sl *slot) {
 
 // slotPool decouples per-client identity from per-client training
 // resources. Exactly P = min(Parallelism, clients) slots exist, each
-// pinned to one long-lived worker goroutine, so a run's training memory
+// pinned to one long-lived worker goroutine (worker 0's slot also serves
+// one-client rounds on the caller's goroutine), so a run's training memory
 // is O(P·d) for the heavy state instead of O(n·d): a thousand-client
 // fleet no longer owns a thousand engines (DESIGN.md §5).
 //
@@ -196,6 +197,9 @@ type slotPool struct {
 	jobs chan int
 	wg   sync.WaitGroup
 	task roundTask
+	// first is worker 0's slot, which runRound borrows to run a
+	// one-client round on the calling goroutine.
+	first *slot
 	// comp is the uplink codec state, nil for dense transport (the
 	// entire compression path is skipped, bit-identical to the
 	// pre-codec engine).
@@ -234,6 +238,9 @@ func newSlotPool(net *nn.Network, cfg Config, n int) *slotPool {
 			sl.batchX32 = make([]float32, cfg.BatchSize*inSize)
 		} else {
 			sl.eng = nn.NewEngine(net, cfg.BatchSize)
+		}
+		if w == 0 {
+			p.first = sl
 		}
 		go p.worker(sl)
 	}
@@ -275,6 +282,12 @@ func newRingPool(numParams int) *slotPool {
 // update and filling updates/measured slot-by-slot (position j matches
 // ids[j]). It returns once every client's update is written; the error
 // is always nil (the executor seam's remote implementation can fail).
+//
+// A one-client round — every async dispatch, and a single-id wire replay —
+// runs on the calling goroutine in worker 0's slot instead of waking a
+// worker and waiting for it: the slot is idle, because runRound is the
+// only producer of jobs and waits for every job it queues, and which slot
+// serves a client is invisible in the results.
 func (p *slotPool) runRound(cfg *Config, alg Algorithm, clients []*client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) error {
 	for j, id := range ids {
 		u := p.getUpload()
@@ -301,6 +314,10 @@ func (p *slotPool) runRound(cfg *Config, alg Algorithm, clients []*client, ids [
 		updates:    updates,
 		measured:   measured,
 		now:        now,
+	}
+	if len(ids) == 1 {
+		p.task.run(0, p.first)
+		return nil
 	}
 	p.wg.Add(len(ids))
 	for j := range ids {

@@ -18,36 +18,44 @@ import (
 )
 
 // RNG is a deterministic random source with the distribution samplers this
-// repository needs beyond math/rand/v2. It retains its underlying PCG so
-// the stream cursor can be checkpointed (MarshalBinary) and restored
-// (UnmarshalBinary) for bit-identical resume.
+// repository needs beyond math/rand/v2. It owns its PCG (pcg.go) so the
+// stream cursor can be checkpointed (MarshalBinary, AppendBinary) and
+// restored (UnmarshalBinary) for bit-identical resume, and so the hot
+// draws (Uint64, Float64, Float64s, SampleInto) skip the Rand→Source
+// interface call; src wraps the same PCG for the stdlib's samplers.
 type RNG struct {
+	pcg pcg
 	src *rand.Rand
-	pcg *rand.PCG
 }
 
 // New returns an RNG seeded with the given seed.
 func New(seed uint64) *RNG {
 	// The second PCG word is a fixed golden-ratio constant so that nearby
 	// seeds still produce decorrelated streams.
-	pcg := rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)
-	return &RNG{src: rand.New(pcg), pcg: pcg}
+	r := &RNG{pcg: pcg{hi: seed, lo: seed ^ 0x9e3779b97f4a7c15}}
+	r.src = rand.New(&r.pcg)
+	return r
 }
 
 // MarshalBinary captures the stream cursor. Every sampler in this package
 // draws statelessly from the underlying source, so the cursor alone is the
 // full RNG state.
-func (r *RNG) MarshalBinary() ([]byte, error) { return r.pcg.MarshalBinary() }
+func (r *RNG) MarshalBinary() ([]byte, error) { return r.pcg.AppendBinary(make([]byte, 0, 20)) }
+
+// AppendBinary appends the MarshalBinary cursor to b, so a caller with a
+// reused buffer saves it without allocating.
+func (r *RNG) AppendBinary(b []byte) ([]byte, error) { return r.pcg.AppendBinary(b) }
 
 // UnmarshalBinary restores a cursor captured by MarshalBinary; subsequent
 // draws continue the original stream bit-identically.
 func (r *RNG) UnmarshalBinary(data []byte) error { return r.pcg.UnmarshalBinary(data) }
 
-// Derive returns a new independent RNG whose stream is a pure function of
-// this RNG's original seed is NOT used; instead the label alone plus the
-// parent's next value determine the child stream. To keep parallel client
-// execution deterministic, call Derive for all children before any of them
-// starts consuming randomness.
+// Derive returns a new independent RNG whose seed is the parent's next
+// Uint64 mixed with an FNV-1a hash of label and index; the parent's
+// original seed is not consulted. The child stream therefore depends on
+// the parent's cursor, so to keep parallel client execution deterministic,
+// call Derive for all children before any of them starts consuming
+// randomness.
 func (r *RNG) Derive(label string, index int) *RNG {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(label))
@@ -58,14 +66,19 @@ func (r *RNG) Derive(label string, index int) *RNG {
 	}
 	_, _ = h.Write(buf[:])
 	mix := h.Sum64()
-	return New(r.src.Uint64() ^ mix)
+	return New(r.pcg.Uint64() ^ mix)
 }
 
 // Uint64 returns a uniformly distributed 64-bit value.
-func (r *RNG) Uint64() uint64 { return r.src.Uint64() }
+func (r *RNG) Uint64() uint64 { return r.pcg.Uint64() }
 
 // Float64 returns a uniform value in [0, 1).
-func (r *RNG) Float64() float64 { return r.src.Float64() }
+func (r *RNG) Float64() float64 { return unit(r.pcg.Uint64()) }
+
+// Float64s fills dst with consecutive Float64 draws — the same values and
+// the same cursor as len(dst) calls to Float64, at the cost of the
+// arithmetic alone.
+func (r *RNG) Float64s(dst []float64) { r.pcg.float64s(dst) }
 
 // IntN returns a uniform value in [0, n). It panics if n <= 0.
 func (r *RNG) IntN(n int) int { return r.src.IntN(n) }

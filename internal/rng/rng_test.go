@@ -1,9 +1,93 @@
 package rng
 
 import (
+	"bytes"
 	"math"
+	"math/rand/v2"
 	"testing"
 )
+
+// TestPCGMatchesStdlib pins the package's own PCG to math/rand/v2's:
+// for many seeds, a random mix of every draw the package makes —
+// Uint64, Float64, bulk Float64s, and the stdlib samplers run over the
+// owned PCG (IntN, Perm, NormFloat64) — must equal the same calls on a
+// Rand over rand.NewPCG with the same seed words, draw for draw. The
+// cursors must marshal to the same bytes, and each type must restore
+// from the other's bytes and continue in step.
+func TestPCGMatchesStdlib(t *testing.T) {
+	ops := rand.New(rand.NewPCG(5, 6))
+	buf := make([]float64, 300)
+	for seed := uint64(0); seed < 64; seed++ {
+		got := New(seed)
+		ref := rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)
+		want := rand.New(ref)
+		for step := 0; step < 200; step++ {
+			switch op := ops.IntN(7); op {
+			case 0:
+				if g, w := got.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("seed %d step %d: Uint64 %x, stdlib %x", seed, step, g, w)
+				}
+			case 1:
+				if g, w := got.Float64(), want.Float64(); g != w {
+					t.Fatalf("seed %d step %d: Float64 %v, stdlib %v", seed, step, g, w)
+				}
+			case 2:
+				dst := buf[:ops.IntN(len(buf)+1)]
+				got.Float64s(dst)
+				for i, g := range dst {
+					if w := want.Float64(); g != w {
+						t.Fatalf("seed %d step %d: Float64s[%d] of %d = %v, stdlib %v", seed, step, i, len(dst), g, w)
+					}
+				}
+			case 3:
+				n := 1 + ops.IntN(1000)
+				if g, w := got.IntN(n), want.IntN(n); g != w {
+					t.Fatalf("seed %d step %d: IntN(%d) %d, stdlib %d", seed, step, n, g, w)
+				}
+			case 4:
+				n := ops.IntN(40)
+				g, w := got.Perm(n), want.Perm(n)
+				for i := range g {
+					if g[i] != w[i] {
+						t.Fatalf("seed %d step %d: Perm(%d) %v, stdlib %v", seed, step, n, g, w)
+					}
+				}
+			case 5:
+				if g, w := got.src.NormFloat64(), want.NormFloat64(); g != w {
+					t.Fatalf("seed %d step %d: NormFloat64 %v, stdlib %v", seed, step, g, w)
+				}
+			case 6:
+				g, err := got.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := ref.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(g, w) {
+					t.Fatalf("seed %d step %d: MarshalBinary %x, stdlib %x", seed, step, g, w)
+				}
+				if a, _ := got.AppendBinary([]byte("x")); !bytes.Equal(a[1:], w) {
+					t.Fatalf("seed %d step %d: AppendBinary %x, stdlib %x", seed, step, a[1:], w)
+				}
+				// Swap cursors: each side restores from the other's bytes.
+				if err := got.UnmarshalBinary(w); err != nil {
+					t.Fatalf("seed %d: UnmarshalBinary of the stdlib's cursor: %v", seed, err)
+				}
+				if err := ref.UnmarshalBinary(g); err != nil {
+					t.Fatalf("seed %d: stdlib UnmarshalBinary of our cursor: %v", seed, err)
+				}
+			}
+		}
+	}
+	bad := New(1)
+	for _, data := range [][]byte{nil, []byte("pcg:"), []byte("PCG:0123456789abcdef")} {
+		if bad.UnmarshalBinary(data) == nil || rand.NewPCG(0, 0).UnmarshalBinary(data) == nil {
+			t.Fatalf("UnmarshalBinary(%q) accepted a malformed cursor", data)
+		}
+	}
+}
 
 func TestDeterminism(t *testing.T) {
 	a := New(42)

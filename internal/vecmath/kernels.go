@@ -49,6 +49,13 @@ type kernels[F Float] struct {
 	subScale func(s F, a, b, dst *F, n int)
 	relu     func(x, y *F, n int)
 	reluGrad func(x, dy, dx *F, n int)
+
+	// The precision bridge and the int8 stochastic rounding (convert.go),
+	// level-1 bodies at the float64 stride. They are filled in the float64
+	// table only: each is one operation, not one per precision.
+	widen    func(x *float32, y *float64, n int)
+	narrow   func(x *float64, y *float32, n int)
+	quantize func(x, u *float64, inv float64, q *int8, n int)
 }
 
 // kernelsFor returns the table of the instantiating precision.

@@ -28,6 +28,9 @@ func avxKernels() (k64 kernels[float64], k32 kernels[float32]) {
 		subScale: subScaleKernel,
 		relu:     reluKernel,
 		reluGrad: reluGradKernel,
+		widen:    widenKernel,
+		narrow:   narrowKernel,
+		quantize: quantizeKernel,
 	}
 	k32 = kernels[float32]{
 		wide:      16,

@@ -260,23 +260,3 @@ func AllFinite(x []float64) bool {
 	}
 	return true
 }
-
-// Widen converts x into dst element-wise (exact: every float32 value is
-// representable as a float64). Widen and Narrow are the only conversion
-// points between the two precisions.
-func Widen(dst []float64, x []float32) {
-	checkLen("Widen", len(dst), len(x))
-	for i, v := range x {
-		dst[i] = float64(v)
-	}
-}
-
-// Narrow converts x into dst element-wise, rounding to nearest-even.
-// Narrow∘Widen is the identity, which the fl bridge buffers rely on to
-// round-trip hook state through float64 without drift.
-func Narrow(dst []float32, x []float64) {
-	checkLen("Narrow", len(dst), len(x))
-	for i, v := range x {
-		dst[i] = float32(v)
-	}
-}

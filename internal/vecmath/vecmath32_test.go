@@ -142,6 +142,9 @@ func TestLengthMismatchPanics32(t *testing.T) {
 		"GemmABT": func() { GemmABT(make([]float32, 4), make([]float32, 3), make([]float32, 4), 2, 2, 2, false) },
 		"Widen":   func() { Widen(make([]float64, 2), make([]float32, 3)) },
 		"Narrow":  func() { Narrow(make([]float32, 2), make([]float64, 3)) },
+		// The int8 quantizer sits beside the bridge in convert.go.
+		"QuantizeInt8 q": func() { QuantizeInt8(make([]int8, 3), make([]float64, 4), 1, make([]float64, 4)) },
+		"QuantizeInt8 u": func() { QuantizeInt8(make([]int8, 4), make([]float64, 4), 1, make([]float64, 3)) },
 	} {
 		func() {
 			defer func() {
