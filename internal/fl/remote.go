@@ -122,10 +122,7 @@ func appendDispatch(dst []byte, round int, ids []int, global []float64) []byte {
 		dst = wire.AppendUvarint(dst, uint64(id))
 	}
 	dst = wire.AppendUvarint(dst, uint64(len(global)))
-	for _, v := range global {
-		dst = wire.AppendF64(dst, v)
-	}
-	return dst
+	return wire.AppendF64s(dst, global)
 }
 
 // byePausing is the Bye body code for a server that is pausing the run
@@ -159,9 +156,7 @@ func parseDispatch(body []byte) (*dispatchMsg, error) {
 	}
 	n := d.Count(wire.MaxElems, 8)
 	m.global = make([]float64, n)
-	for i := 0; i < n && d.Err == nil; i++ {
-		m.global[i] = d.F64()
-	}
+	d.F64s(m.global)
 	if d.Err == nil && d.Len() != 0 {
 		d.Err = fmt.Errorf("fl: %d trailing bytes in dispatch", d.Len())
 	}

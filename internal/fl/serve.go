@@ -590,9 +590,7 @@ func (e *remoteExec) runRound(cfg *Config, alg Algorithm, clients []*client, ids
 			}
 		}
 		buf = wire.AppendUvarint(buf, uint64(len(global)))
-		for _, v := range global {
-			buf = wire.AppendF64(buf, v)
-		}
+		buf = wire.AppendF64s(buf, global)
 		wire.EndFrame(buf, 0)
 		e.dispatchBuf = buf
 		if err := sc.write(buf); err != nil {
@@ -754,7 +752,6 @@ func (e *remoteExec) Holds() int {
 func (e *remoteExec) readLoop(sc *serveConn) {
 	defer e.readers.Done()
 	var fr wire.Frame
-	var scratch compress.Payload // dense staging for uncompressed runs
 	for {
 		if err := wire.ReadFrame(sc.c, &fr); err != nil {
 			if e.isClosed() {
@@ -766,7 +763,7 @@ func (e *remoteExec) readLoop(sc *serveConn) {
 		atomic.StoreInt64(&sc.lastRecv, time.Now().UnixNano())
 		switch fr.Type {
 		case wire.FrameUpdates:
-			if err := e.ingest(sc, fr.Body, &scratch); err != nil {
+			if err := e.ingest(sc, fr.Body); err != nil {
 				e.down(sc, err)
 				return
 			}
@@ -1103,8 +1100,11 @@ func (e *remoteExec) walkWireState(c *ckpt.Codec) {
 // ingest decodes one Updates frame into the pending ring entries. The
 // payload decodes outside the lock — the settle contract guarantees the
 // scheduler does not touch a pending entry's buffers until arrived flips
-// — then arrival is published and backpressure evaluated.
-func (e *remoteExec) ingest(sc *serveConn, body []byte, scratch *compress.Payload) error {
+// — then arrival is published and backpressure evaluated. A dense upload
+// decodes straight into the entry's delta, and only once its form and
+// length have checked out (wire.DecodeDense), so a hostile frame never
+// writes into a pending entry.
+func (e *remoteExec) ingest(sc *serveConn, body []byte) error {
 	d := wire.Dec{B: body}
 	cnt := d.Count(wire.MaxElems, 1)
 	for i := 0; i < cnt && d.Err == nil; i++ {
@@ -1135,14 +1135,8 @@ func (e *remoteExec) ingest(sc *serveConn, body []byte, scratch *compress.Payloa
 				return fmt.Errorf("client %d payload dimension %d, want %d", id, u.pay.N, e.numParams)
 			}
 			e.codec.Decode(u.delta, &u.pay)
-		} else {
-			if err := wire.DecodePayload(scratch, &d); err != nil {
-				return err
-			}
-			if scratch.Form != compress.KindNone || scratch.N != e.numParams {
-				return fmt.Errorf("client %d dense upload form %q dimension %d, want %d raw values", id, scratch.Form, scratch.N, e.numParams)
-			}
-			copy(u.delta, scratch.Val)
+		} else if err := wire.DecodeDense(u.delta, &d); err != nil {
+			return fmt.Errorf("client %d dense upload: %w", id, err)
 		}
 		u.loss, u.measured = loss, meas
 		e.mu.Lock()

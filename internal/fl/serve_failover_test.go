@@ -13,6 +13,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fl"
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // failoverCodecs is the acceptance matrix: worker failure must be
@@ -122,69 +123,164 @@ func totalRecovery(run *metrics.Run) (re, rc int) {
 	return run.TotalReassignedDispatches(), run.TotalWorkerReconnects()
 }
 
+// updatesWriter wraps a worker-side connection and counts the Updates
+// frames the worker writes; with killAt > 0 it closes the connection
+// right after the killAt-th one. The worker writes every frame with one
+// Write call, so a write's third byte is its frame type.
+type updatesWriter struct {
+	net.Conn
+	mu      sync.Mutex
+	updates int
+	killAt  int
+}
+
+func (u *updatesWriter) Write(p []byte) (int, error) {
+	n, err := u.Conn.Write(p)
+	if err == nil && len(p) >= wire.HeaderLen && wire.FrameType(p[2]) == wire.FrameUpdates {
+		u.mu.Lock()
+		u.updates++
+		kill := u.updates == u.killAt
+		u.mu.Unlock()
+		if kill {
+			u.Conn.Close()
+		}
+	}
+	return n, err
+}
+
+// frames returns how many Updates frames went through.
+func (u *updatesWriter) frames() int {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	return u.updates
+}
+
 // TestServeFailoverKillWorker is the tentpole acceptance test: one of
-// two workers dies mid-round (its connection closes right after the
-// round-2 dispatch is delivered, before the reply), the survivor adopts
-// its clients by history replay, and the run finishes bit-identical to
-// the uninterrupted in-process fl.Run — under dense and top-k codecs.
+// two workers dies mid-round, the survivor adopts its clients by history
+// replay, and the run finishes bit-identical to the uninterrupted
+// in-process fl.Run — under dense and top-k codecs. The worker dies
+// either right after the round-2 dispatch is delivered, before any
+// reply, or between the two Updates frames of its 40-client round-2
+// batch: then the 32 clients that arrived replay as Adopt and the other
+// 8 as a live Dispatch.
 func TestServeFailoverKillWorker(t *testing.T) {
 	for _, tc := range failoverCodecs {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := quickConfig()
-			cfg.Compress = tc.spec
-			network, shards, test := testSetup(t, 8)
-			local, err := fl.Run(cfg, baselines.NewFedAvg(), network, shards, test)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			errs := make([]error, 2)
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				conn, err := net.Dial("tcp", ln.Addr().String())
-				if err != nil {
-					errs[0] = err
-					return
-				}
-				errs[0] = fl.RunWorker(conn, 0, 2, cfg, baselines.NewFedAvg(), network, shards, test.Name)
-			}()
-			go func() {
-				defer wg.Done()
-				conn, err := net.Dial("tcp", ln.Addr().String())
-				if err != nil {
-					errs[1] = err
-					return
-				}
-				// Dies after the third inbound frame (dispatches for
-				// rounds 0, 1, 2): round 2 is left in flight.
-				kc := &killAfterFrames{Conn: conn, remain: 3}
-				errs[1] = fl.RunWorkerOpts(kc, fl.WorkerOptions{Index: 1, Workers: 2}, cfg, baselines.NewFedAvg(), network, shards, test.Name)
-			}()
-			opt := fl.ServeOptions{Workers: 2, HeartbeatSec: -1}
-			wired, serveErr := fl.Serve(ln, opt, cfg, baselines.NewFedAvg(), network, shards, test)
-			ln.Close()
-			wg.Wait()
-			if serveErr != nil {
-				t.Fatal(serveErr)
-			}
-			if errs[0] != nil {
-				t.Fatalf("surviving worker: %v", errs[0])
-			}
-			if errs[1] == nil {
-				t.Fatal("killed worker returned nil — the kill never fired")
-			}
-			assertSameRun(t, local, wired)
-			if re, _ := totalRecovery(wired.Run); re == 0 {
-				t.Fatal("no dispatches were reassigned — failover never engaged")
-			}
+			// Dies after the third inbound frame (dispatches for rounds 0,
+			// 1, 2): all 4 of its round-2 clients are left in flight.
+			runKillWorker(t, tc.spec, 8, 4, func(c net.Conn) net.Conn { return &killAfterFrames{Conn: c, remain: 3} })
+		})
+		t.Run(tc.name+" between updates", func(t *testing.T) {
+			// Two Updates frames a round (32 + 8 clients): the fifth is the
+			// first of round 2, so 8 clients are left in flight.
+			runKillWorker(t, tc.spec, 80, 8, func(c net.Conn) net.Conn { return &updatesWriter{Conn: c, killAt: 5} })
 		})
 	}
+}
+
+// runKillWorker runs quickConfig with the given codec over two workers
+// of clients/2 clients each, worker 1's connection wrapped by kill, and
+// requires the run to equal fl.Run with wantRe dispatches reassigned —
+// the clients of the cut batch that had not arrived.
+func runKillWorker(t *testing.T, spec compress.Spec, clients, wantRe int, kill func(net.Conn) net.Conn) {
+	t.Helper()
+	cfg := quickConfig()
+	cfg.Compress = spec
+	network, shards, test := testSetup(t, clients)
+	local, err := fl.Run(cfg, baselines.NewFedAvg(), network, shards, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			errs[0] = err
+			return
+		}
+		errs[0] = fl.RunWorker(conn, 0, 2, cfg, baselines.NewFedAvg(), network, shards, test.Name)
+	}()
+	go func() {
+		defer wg.Done()
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			errs[1] = err
+			return
+		}
+		errs[1] = fl.RunWorkerOpts(kill(conn), fl.WorkerOptions{Index: 1, Workers: 2}, cfg, baselines.NewFedAvg(), network, shards, test.Name)
+	}()
+	opt := fl.ServeOptions{Workers: 2, HeartbeatSec: -1}
+	wired, serveErr := fl.Serve(ln, opt, cfg, baselines.NewFedAvg(), network, shards, test)
+	ln.Close()
+	wg.Wait()
+	if serveErr != nil {
+		t.Fatal(serveErr)
+	}
+	if errs[0] != nil {
+		t.Fatalf("surviving worker: %v", errs[0])
+	}
+	if errs[1] == nil {
+		t.Fatal("killed worker returned nil — the kill never fired")
+	}
+	assertSameRun(t, local, wired)
+	if re, _ := totalRecovery(wired.Run); re != wantRe {
+		t.Fatalf("%d dispatches reassigned, want %d (0: failover never engaged)", re, wantRe)
+	}
+}
+
+// TestServeStreamsSubBatches pins the worker's upload streaming: a
+// 40-client batch arrives as two Updates frames (32 + 8), not one per
+// batch, and the run still equals fl.Run.
+func TestServeStreamsSubBatches(t *testing.T) {
+	cfg := quickConfig()
+	network, shards, test := testSetup(t, 80)
+	local, err := fl.Run(cfg, baselines.NewFedAvg(), network, shards, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	conns := make([]*updatesWriter, 2)
+	for i := range conns {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			conns[i] = &updatesWriter{Conn: conn}
+			errs[i] = fl.RunWorkerOpts(conns[i], fl.WorkerOptions{Index: i, Workers: 2}, cfg, baselines.NewFedAvg(), network, shards, test.Name)
+		}(i)
+	}
+	wired, serveErr := fl.Serve(ln, fl.ServeOptions{Workers: 2, HeartbeatSec: -1}, cfg, baselines.NewFedAvg(), network, shards, test)
+	ln.Close()
+	wg.Wait()
+	if serveErr != nil {
+		t.Fatal(serveErr)
+	}
+	for i, e := range errs {
+		if e != nil {
+			t.Fatalf("worker %d: %v", i, e)
+		}
+		if got, want := conns[i].frames(), 2*cfg.Rounds; got != want {
+			t.Fatalf("worker %d wrote %d Updates frames for %d rounds of 40 clients, want %d", i, got, cfg.Rounds, want)
+		}
+	}
+	assertSameRun(t, local, wired)
 }
 
 // TestServeFailoverReconnect pins re-admission: with reassignment

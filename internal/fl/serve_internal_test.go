@@ -1,12 +1,15 @@
 package fl
 
 import (
+	"math"
 	"net"
 	"testing"
 
+	"repro/internal/compress"
 	"repro/internal/dataset"
 	"repro/internal/partition"
 	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
 // wireAvg is a minimal wire-safe algorithm for internal serve tests
@@ -79,6 +82,63 @@ func TestServeBackpressureHolds(t *testing.T) {
 	for i := range local.FinalParams {
 		if res.FinalParams[i] != local.FinalParams[i] {
 			t.Fatalf("FinalParams[%d]: wire %v != local %v under backpressure", i, res.FinalParams[i], local.FinalParams[i])
+		}
+	}
+}
+
+// TestIngestRejectsHostileDense sends Updates frames whose dense payload
+// is too short, too long, or of another form: each is rejected, and the
+// pending ring entry's delta keeps its canary — a hostile frame never
+// writes into a pending entry. The well-formed frame then lands.
+func TestIngestRejectsHostileDense(t *testing.T) {
+	const d = 12
+	e := newRemoteExec(newRingPool(d), compress.Spec{}, 1, d, ServeOptions{Workers: 1}, 3)
+	sc := &serveConn{index: 0}
+	e.conns[0] = sc
+	u := e.ring.getUpload()
+	e.pend[0] = u
+	canary := math.Float64frombits(0x7ff8_0000_cafe_f00d)
+	for i := range u.delta {
+		u.delta[i] = canary
+	}
+	vals := make([]float64, d+1)
+	for i := range vals {
+		vals[i] = float64(i) - 0.25
+	}
+	topk := compress.Payload{Form: compress.KindTopK, N: d, Idx: []int32{3}, Val: []float64{1}}
+	frame := func(up *Update) []byte {
+		return appendUpdateEntry(wire.AppendUvarint(nil, 1), up, 0.5)
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"too short", frame(&Update{Delta: vals[:d-1]})},
+		{"too long", frame(&Update{Delta: vals})},
+		{"topk form", frame(&Update{Payload: &topk})},
+		{"truncated", frame(&Update{Delta: vals[:d]})[:8*d]},
+	} {
+		if err := e.ingest(sc, c.body); err == nil {
+			t.Fatalf("%s: hostile dense upload accepted", c.name)
+		}
+		if e.arrived[0] {
+			t.Fatalf("%s: rejected upload marked as arrived", c.name)
+		}
+		for i, v := range u.delta {
+			if math.Float64bits(v) != math.Float64bits(canary) {
+				t.Fatalf("%s: rejected upload wrote delta[%d] = %v", c.name, i, v)
+			}
+		}
+	}
+	if err := e.ingest(sc, frame(&Update{Delta: vals[:d], TrainLoss: 0.75})); err != nil {
+		t.Fatal(err)
+	}
+	if !e.arrived[0] || u.loss != 0.75 || u.measured != 0.5 {
+		t.Fatalf("well-formed upload: arrived %v loss %v measured %v", e.arrived[0], u.loss, u.measured)
+	}
+	for i, v := range u.delta {
+		if v != vals[i] {
+			t.Fatalf("well-formed upload: delta[%d] = %v, want %v", i, v, vals[i])
 		}
 	}
 }

@@ -13,3 +13,22 @@ func axpypyKernel(a float64, x *float64, b float64, y, z *float64, n int)
 //
 //go:noescape
 func subScaleKernel(s float64, a, b, dst *float64, n int)
+
+// axpyKernel accumulates y[i] += alpha*x[i] over the first n elements
+// with AVX2, multiplying then adding (no FMA), so every element rounds as
+// the scalar loop does; n must be a positive multiple of 8.
+//
+//go:noescape
+func axpyKernel(alpha float64, x, y *float64, n int)
+
+// addKernel writes dst[i] = a[i]+b[i] over the first n elements with
+// AVX2; n must be a positive multiple of 8. dst may exactly alias a or b.
+//
+//go:noescape
+func addKernel(a, b, dst *float64, n int)
+
+// subKernel writes dst[i] = a[i]-b[i] over the first n elements with
+// AVX2; n must be a positive multiple of 8. dst may exactly alias a or b.
+//
+//go:noescape
+func subKernel(a, b, dst *float64, n int)

@@ -41,11 +41,13 @@ type kernels[F Float] struct {
 	abt2 func(a0, a1, b *F, k, nq int, c0, c1 *F, accumulate bool)
 
 	// Level-1 bodies over the first n elements, n a positive multiple of
-	// wide. float64 has no axpy or add body on purpose: its scalar loops
-	// are the golden reference the bit-identity pins are stated against.
+	// wide. The float64 axpy, add and sub bodies multiply, then add, with
+	// no FMA, so they round exactly as the scalar loops do (DESIGN.md §2,
+	// exactness rule); the float32 axpy fuses.
 	axpy     func(alpha F, x, y *F, n int)
 	axpypy   func(a F, x *F, b F, y, z *F, n int)
 	add      func(a, b, dst *F, n int)
+	sub      func(a, b, dst *F, n int)
 	subScale func(s F, a, b, dst *F, n int)
 	relu     func(x, y *F, n int)
 	reluGrad func(x, dy, dx *F, n int)

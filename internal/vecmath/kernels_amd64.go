@@ -24,7 +24,10 @@ func avxKernels() (k64 kernels[float64], k32 kernels[float32]) {
 		atb4:     atbKernel4x8,
 		atb1:     atbKernel1x8,
 		abt2:     abtKernel2xN,
+		axpy:     axpyKernel,
 		axpypy:   axpypyKernel,
+		add:      addKernel,
+		sub:      subKernel,
 		subScale: subScaleKernel,
 		relu:     reluKernel,
 		reluGrad: reluGradKernel,

@@ -74,8 +74,8 @@ func Clone(x []float64) []float64 {
 }
 
 // Add computes dst[i] = a[i] + b[i]. dst may alias a or b. The assembly
-// body (float32 only) produces the same bits as the scalar loop — plain
-// adds, no FMA — so Add does not depend on the asm/noasm build.
+// bodies produce the same bits as the scalar loop — plain adds, no FMA —
+// so Add does not depend on the asm/noasm build.
 func Add[F Float](dst, a, b []F) {
 	checkLen("Add", len(a), len(b))
 	checkLen("Add", len(dst), len(a))
@@ -89,17 +89,24 @@ func Add[F Float](dst, a, b []F) {
 	}
 }
 
-// Sub computes dst[i] = a[i] - b[i]. dst may alias a or b.
+// Sub computes dst[i] = a[i] - b[i]. dst may alias a or b. The assembly
+// body (float64 only) is a plain subtract, bit-identical to the loop.
 func Sub[F Float](dst, a, b []F) {
 	checkLen("Sub", len(a), len(b))
 	checkLen("Sub", len(dst), len(a))
+	kn := kernelsFor[F]()
+	if i := kn.head(kn.sub != nil, len(dst)); i > 0 {
+		kn.sub(&a[0], &b[0], &dst[0], i)
+		dst, a, b = dst[i:], a[i:], b[i:]
+	}
 	for i := range dst {
 		dst[i] = a[i] - b[i]
 	}
 }
 
 // AXPY computes y[i] += alpha * x[i] (the classic BLAS axpy kernel). The
-// assembly body (float32 only) uses FMA, so there results match the
+// float64 assembly body multiplies, then adds, so it matches the scalar
+// loop bit for bit; the float32 body uses FMA, so there results match the
 // pure-Go tail only to within one rounding of the product term.
 func AXPY[F Float](alpha F, x, y []F) {
 	checkLen("AXPY", len(x), len(y))

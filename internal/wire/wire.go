@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"unsafe"
 
 	"repro/internal/compress"
 )
@@ -164,6 +166,31 @@ func AppendF64(dst []byte, v float64) []byte {
 // AppendUvarint appends v in unsigned varint encoding.
 func AppendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
 
+// hostLittleEndian selects the bulk float64 path: on a little-endian host
+// the wire bytes of a []float64 are its memory bytes, so AppendF64s and
+// F64s are one copy. It is a variable only so tests can force the
+// portable loop.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f64Bytes is the byte view of x's backing array. Byte alignment is 1,
+// so the view is valid for any float64 slice (checkptr accepts it).
+func f64Bytes(x []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(x))), 8*len(x))
+}
+
+// AppendF64s appends every element of x as AppendF64 would, byte for
+// byte, growing dst once.
+func AppendF64s(dst []byte, x []float64) []byte {
+	if hostLittleEndian {
+		return append(dst, f64Bytes(x)...)
+	}
+	dst = slices.Grow(dst, 8*len(x))
+	for _, v := range x {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
+}
+
 // Dec is a bounds-checked decoder over a frame body. Every accessor
 // returns the zero value once an underflow has occurred; check Err after
 // a decode sequence (the ckpt cursor idiom — no panics on hostile input).
@@ -225,6 +252,22 @@ func (d *Dec) U64() uint64 {
 
 // F64 consumes little-endian IEEE-754 bits.
 func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
+
+// F64s fills dst with len(dst) consecutive F64 values after one bounds
+// check; on underflow it records the error and leaves dst untouched.
+func (d *Dec) F64s(dst []float64) {
+	b := d.Take(8 * len(dst))
+	if len(b) == 0 {
+		return
+	}
+	if hostLittleEndian {
+		copy(f64Bytes(dst), b)
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+}
 
 // Uvarint consumes an unsigned varint.
 func (d *Dec) Uvarint() uint64 {
@@ -290,25 +333,17 @@ func AppendPayload(dst []byte, p *compress.Payload) []byte {
 			dst = AppendUvarint(dst, uint64(i-prev))
 			prev = i
 		}
-		for _, v := range p.Val {
-			dst = AppendF64(dst, v)
-		}
+		dst = AppendF64s(dst, p.Val)
 	case compress.KindInt8:
 		dst = append(dst, formInt8)
 		dst = AppendUvarint(dst, uint64(len(p.Q)))
 		dst = AppendUvarint(dst, uint64(p.ChunkLen))
-		for _, s := range p.Scale {
-			dst = AppendF64(dst, s)
-		}
+		dst = AppendF64s(dst, p.Scale)
 		for _, q := range p.Q {
 			dst = append(dst, byte(q))
 		}
 	default:
-		dst = append(dst, formDense)
-		dst = AppendUvarint(dst, uint64(len(p.Val)))
-		for _, v := range p.Val {
-			dst = AppendF64(dst, v)
-		}
+		dst = AppendDense(dst, p.Val)
 	}
 	return dst
 }
@@ -319,10 +354,21 @@ func AppendPayload(dst []byte, p *compress.Payload) []byte {
 func AppendDense(dst []byte, x []float64) []byte {
 	dst = append(dst, formDense)
 	dst = AppendUvarint(dst, uint64(len(x)))
-	for _, v := range x {
-		dst = AppendF64(dst, v)
+	return AppendF64s(dst, x)
+}
+
+// DecodeDense decodes one dense payload straight into dst, accepting only
+// the dense form with exactly len(dst) values. Form and count are checked
+// before any value is written, so a rejected payload leaves dst untouched.
+func DecodeDense(dst []float64, d *Dec) error {
+	if form := d.Byte(); d.Err == nil && form != formDense {
+		d.fail("wire: payload form 0x%02x, want dense", form)
 	}
-	return dst
+	if n := d.Count(MaxElems, 8); d.Err == nil && n != len(dst) {
+		d.fail("wire: dense payload of %d values, want %d", n, len(dst))
+	}
+	d.F64s(dst)
+	return d.Err
 }
 
 // PayloadWireSize returns the exact AppendPayload encoding size in bytes.
@@ -371,9 +417,7 @@ func DecodePayload(p *compress.Payload, d *Dec) error {
 		n := d.Count(MaxElems, 8)
 		p.Form, p.N = compress.KindNone, n
 		p.Val = grow64(p.Val, n)
-		for i := 0; i < n && d.Err == nil; i++ {
-			p.Val[i] = d.F64()
-		}
+		d.F64s(p.Val)
 	case formTopK:
 		n := d.Count(MaxElems, 0)
 		k := d.Count(n, 1) // every index delta takes ≥ 1 byte
@@ -395,9 +439,7 @@ func DecodePayload(p *compress.Payload, d *Dec) error {
 			prev = int32(idx)
 			p.Idx[j] = prev
 		}
-		for j := 0; j < k && d.Err == nil; j++ {
-			p.Val[j] = d.F64()
-		}
+		d.F64s(p.Val)
 	case formInt8:
 		n := d.Count(MaxElems, 1)
 		chunk := d.Count(MaxElems, 0)
@@ -413,9 +455,7 @@ func DecodePayload(p *compress.Payload, d *Dec) error {
 			d.fail("wire: %d int8 scales need %d bytes, have %d", scales, 8*scales, d.Len())
 		}
 		p.Scale = grow64(p.Scale, scales)
-		for j := 0; j < scales && d.Err == nil; j++ {
-			p.Scale[j] = d.F64()
-		}
+		d.F64s(p.Scale)
 		q := d.Take(n)
 		p.Q = growI8(p.Q, n)
 		for i := range q {

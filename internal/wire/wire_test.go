@@ -233,3 +233,114 @@ func TestReadFrameReusesBody(t *testing.T) {
 		t.Fatalf("warm ReadFrame allocated %.1f times", readAllocs)
 	}
 }
+
+// f64Specials are the float64 bit patterns the bulk codec must carry
+// untouched: quiet and signalling NaNs with payload bits, ±0, ±Inf,
+// subnormals and ±MaxFloat64.
+var f64Specials = []uint64{
+	0x7ff8_0000_0000_0123, 0xfff8_dead_beef_0001, // quiet NaNs
+	0x7ff0_0000_0000_0001, 0xfff4_0000_0000_0456, // signalling NaNs
+	0, 1 << 63, // ±0
+	0x7ff0_0000_0000_0000, 0xfff0_0000_0000_0000, // ±Inf
+	1, 0x800f_ffff_ffff_ffff, // subnormals
+	0x7fef_ffff_ffff_ffff, 0xffef_ffff_ffff_ffff, // ±MaxFloat64
+}
+
+// TestF64sMatchesPerElement pins AppendF64s and Dec.F64s to AppendF64 and
+// F64 loops, byte for byte and bit for bit, on the memmove path and the
+// portable loop, appending at odd offsets so the destination bytes are
+// unaligned.
+func TestF64sMatchesPerElement(t *testing.T) {
+	for _, path := range []struct {
+		name string
+		le   bool
+	}{{"memmove", true}, {"portable", false}} {
+		if path.le && !hostLittleEndian {
+			continue
+		}
+		t.Run(path.name, func(t *testing.T) {
+			defer func(old bool) { hostLittleEndian = old }(hostLittleEndian)
+			hostLittleEndian = path.le
+			r := rng.New(5)
+			lengths := []int{1354}
+			for n := 0; n <= 33; n++ {
+				lengths = append(lengths, n)
+			}
+			for _, n := range lengths {
+				x := make([]float64, n)
+				for i := range x {
+					if i%3 == 0 {
+						x[i] = math.Float64frombits(f64Specials[(i/3)%len(f64Specials)])
+					} else {
+						x[i] = r.Normal(0, 1)
+					}
+				}
+				for _, off := range []int{0, 1, 3, 7} {
+					pre := bytes.Repeat([]byte{0xa5}, off)
+					want := append([]byte(nil), pre...)
+					for _, v := range x {
+						want = AppendF64(want, v)
+					}
+					got := AppendF64s(append([]byte(nil), pre...), x)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("n=%d off=%d: AppendF64s bytes differ from the AppendF64 loop", n, off)
+					}
+
+					d := Dec{B: want[off:]}
+					back := make([]float64, n)
+					d.F64s(back)
+					ref := Dec{B: want[off:]}
+					for i := range back {
+						if g, w := math.Float64bits(back[i]), math.Float64bits(ref.F64()); g != w {
+							t.Fatalf("n=%d off=%d i=%d: F64s bits %#x, F64 gives %#x", n, off, i, g, w)
+						}
+					}
+					if d.Err != nil || ref.Err != nil || d.Len() != 0 {
+						t.Fatalf("n=%d off=%d: err %v / %v, %d bytes left", n, off, d.Err, ref.Err, d.Len())
+					}
+
+					if n == 0 {
+						continue
+					}
+					// A truncated body errors and leaves dst untouched.
+					canary := math.Float64frombits(0x7ff8_0000_cafe_f00d)
+					dst := make([]float64, n)
+					for i := range dst {
+						dst[i] = canary
+					}
+					d = Dec{B: want[off : len(want)-1]}
+					d.F64s(dst)
+					if d.Err == nil {
+						t.Fatalf("n=%d off=%d: truncated body decoded", n, off)
+					}
+					for i, v := range dst {
+						if math.Float64bits(v) != math.Float64bits(canary) {
+							t.Fatalf("n=%d off=%d: truncated decode wrote dst[%d]", n, off, i)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDenseWire reports the bulk float64 codec's throughput in GB/s
+// of payload (encode plus decode) at the adult MLP's parameter count: one
+// AppendF64s into a warm buffer and one F64s back out per op.
+func BenchmarkDenseWire(b *testing.B) {
+	const d = 1354
+	r := rng.New(3)
+	x, back := make([]float64, d), make([]float64, d)
+	for i := range x {
+		x[i] = r.Normal(0, 1)
+	}
+	buf := AppendF64s(nil, x)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = AppendF64s(buf[:0], x)
+		dec := Dec{B: buf}
+		dec.F64s(back)
+	}
+	b.ReportMetric(2*8*d*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+}
