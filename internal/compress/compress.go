@@ -295,13 +295,20 @@ func EncodeEF(c Codec, p *Payload, x, e []float64, r *rng.RNG, scratch []float64
 	if e != nil {
 		vecmath.Sub(e, x, dec)
 		for i, v := range e {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
+			if nonFinite(v) {
 				e[i] = 0
 			}
 		}
 	}
 	copy(x, dec)
 }
+
+// expMask selects a float64's exponent field.
+const expMask = 0x7ff0_0000_0000_0000
+
+// nonFinite reports whether v is NaN or ±Inf — exactly the values whose
+// exponent is all ones — in one compare.
+func nonFinite(v float64) bool { return math.Float64bits(v)&expMask == expMask }
 
 // EncodeEF32 is EncodeEF with a float32 residual, for runs whose client
 // compute state is float32 (fl's DType "f32"): the residual carries
@@ -322,7 +329,7 @@ func EncodeEF32(c Codec, p *Payload, x []float64, e32 []float32, r *rng.RNG, scr
 	c.Decode(dec, p)
 	for i := range e32 {
 		v := x[i] - dec[i]
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if nonFinite(v) {
 			v = 0
 		}
 		e32[i] = float32(v)

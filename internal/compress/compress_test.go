@@ -322,31 +322,69 @@ func TestErrorFeedbackRecoversDroppedMass(t *testing.T) {
 // TestErrorFeedbackNonFiniteRecovery pins the residual-sanitizing
 // contract: one non-finite upload (a transient attack or divergence)
 // must not poison the client's feedback — the residual stays finite and
-// later finite uploads flow through at full mass again.
+// later finite uploads flow through at full mass again — while a finite
+// residual, down to the largest subnormal, is kept bit for bit: every
+// step's residual must be exactly (x+e) − decode where that is finite
+// and 0 where it is not. The float32 residual of EncodeEF32 must come
+// out finite too.
 func TestErrorFeedbackNonFiniteRecovery(t *testing.T) {
 	const d = 256
+	maxSubnormal := math.Float64frombits(0x000f_ffff_ffff_ffff)
+	signalling := math.Float64frombits(0xfff0_0000_0000_0b0b) // negative sNaN with payload bits
 	for _, c := range []Codec{&Int8{Chunk: 64}, &TopK{Frac: 0.5}} {
 		t.Run(c.Name(), func(t *testing.T) {
 			stream := rng.New(7)
 			e := make([]float64, d)
+			e32 := make([]float32, d)
 			scratch := make([]float64, d)
 			x := make([]float64, d)
+			folded := make([]float64, d)
 			var p Payload
-			step := func(poison bool) {
+			fill := func(poison bool) {
 				for i := range x {
 					x[i] = 1
 				}
 				if poison {
 					x[3] = math.Inf(1)
+					x[7] = math.Inf(-1)
 					x[100] = math.NaN()
+					x[101] = signalling
+				}
+			}
+			encode := func() {
+				for i := range x {
+					folded[i] = x[i] + e[i]
 				}
 				EncodeEF(c, &p, x, e, stream, scratch)
+				for i, v := range e {
+					want := folded[i] - x[i] // x now holds the decoded update
+					if math.IsNaN(want) || math.IsInf(want, 0) {
+						want = 0
+					}
+					if math.Float64bits(v) != math.Float64bits(want) {
+						t.Fatalf("residual[%d] = %v, want %v", i, v, want)
+					}
+				}
+			}
+			step := func(poison bool) {
+				fill(poison)
+				encode()
+			}
+			// The largest subnormal is dropped by both codecs (a top-k tail
+			// coordinate; an int8 quantum of 0) and must survive in e as is.
+			fill(false)
+			x[200] = maxSubnormal
+			encode()
+			if math.Float64bits(e[200]) != math.Float64bits(maxSubnormal) {
+				t.Fatalf("largest-subnormal residual became %v", e[200])
 			}
 			step(false)
 			step(true)
-			for i, v := range e {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("residual poisoned at %d: %v", i, v)
+			fill(true)
+			EncodeEF32(c, &p, x, e32, stream, scratch)
+			for i, v := range e32 {
+				if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+					t.Fatalf("float32 residual poisoned at %d: %v", i, v)
 				}
 			}
 			// A few clean rounds later the decoded mass must track the

@@ -11,12 +11,21 @@ import (
 // FuzzCodecRoundtrip drives every codec over arbitrary vectors — any
 // length, any bit pattern including NaN and ±Inf — and checks the codec
 // contract: encode/decode never panics, and when the input is entirely
-// finite the decoded vector is entirely finite too.
+// finite the decoded vector is entirely finite too. TopK must also equal
+// the frozen reference encoder (reference_test.go) bit for bit.
 func FuzzCodecRoundtrip(f *testing.F) {
 	f.Add(uint8(0), uint8(50), []byte{})
 	f.Add(uint8(1), uint8(10), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint8(2), uint8(3), []byte{0x7f, 0xf0, 0, 0, 0, 0, 0, 0, 0xff})
 	f.Add(uint8(1), uint8(100), []byte{0x7f, 0xf8, 0, 0, 0, 0, 0, 1})
+	// A Normal delta at the adult MLP's length under top-k 5 %, so the
+	// sampled threshold bound runs from the first seed on.
+	g := rng.New(17)
+	adult := make([]byte, 8*1354)
+	for i := 0; i < len(adult); i += 8 {
+		binary.LittleEndian.PutUint64(adult[i:], math.Float64bits(g.Normal(0, 0.01)))
+	}
+	f.Add(uint8(1), uint8(4), adult)
 	f.Fuzz(func(t *testing.T, kind, param uint8, raw []byte) {
 		var c Codec
 		switch kind % 3 {
@@ -59,6 +68,13 @@ func FuzzCodecRoundtrip(f *testing.F) {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					t.Fatalf("%s: finite input decoded to %v at %d (x[%d]=%v)", c.Name(), v, i, i, x[i])
 				}
+			}
+		}
+		if tk, ok := c.(*TopK); ok {
+			var want Payload
+			refTopKEncode(tk.Frac, &want, x)
+			if err := sameTopK(&p, &want); err != nil {
+				t.Fatalf("%s over %d coordinates: %v", c.Name(), d, err)
 			}
 		}
 		// TopK's drop-NaN contract: a NaN coordinate is never selected, so

@@ -192,3 +192,349 @@ func BenchmarkInt8Encode(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/d, "ns/coord")
 }
+
+// The frozen reference top-k encoder: TopK.Encode, kthLargest and
+// medianOf3 as they stood before the threshold selection ran over a
+// sampled candidate set — one Dutch-flag quickselect over all d
+// magnitudes, a pass counting the magnitudes above the threshold, and
+// the tie-filling emission. TestTopKEncodeMatchesFrozenReference and
+// FuzzCodecRoundtrip require the live encoder to produce the same
+// header, the same indices and the same value bits.
+//
+// Do not modernize anything below this line up to sameTopK: the bodies
+// are the oracle, and divergence from them is the bug.
+
+func refTopKEncode(frac float64, p *Payload, x []float64) {
+	d := len(x)
+	k := min(max(int(frac*float64(d)+0.5), 1), d)
+	p.Form, p.N, p.ChunkLen = KindTopK, d, 0
+	p.Q, p.Scale = p.Q[:0], p.Scale[:0]
+	idx, val := p.Idx[:0], p.Val[:0]
+	if k == d {
+		for i, v := range x {
+			if math.IsNaN(v) {
+				continue
+			}
+			idx = append(idx, int32(i))
+			val = append(val, v)
+		}
+		p.Idx, p.Val = idx, val
+		return
+	}
+	mags := make([]float64, d)
+	for i, v := range x {
+		mags[i] = refAbsTotal(v)
+	}
+	tau := refKthLargest(mags, k)
+	ties := k
+	for _, v := range x {
+		if refAbsTotal(v) > tau {
+			ties--
+		}
+	}
+	for i, v := range x {
+		if math.IsNaN(v) {
+			continue
+		}
+		m := refAbsTotal(v)
+		if m > tau {
+			idx = append(idx, int32(i))
+			val = append(val, v)
+		} else if m == tau && ties > 0 {
+			ties--
+			idx = append(idx, int32(i))
+			val = append(val, v)
+		}
+	}
+	p.Idx, p.Val = idx, val
+}
+
+func refAbsTotal(v float64) float64 {
+	if math.IsNaN(v) {
+		return 0
+	}
+	return math.Abs(v)
+}
+
+func refKthLargest(a []float64, k int) float64 {
+	lo, hi := 0, len(a)
+	target := len(a) - k
+	for hi-lo > 1 {
+		pivot := refMedianOf3(a[lo], a[lo+(hi-lo)/2], a[hi-1])
+		lt, gt := lo, hi
+		for i := lo; i < gt; {
+			switch {
+			case a[i] < pivot:
+				a[i], a[lt] = a[lt], a[i]
+				lt++
+				i++
+			case a[i] > pivot:
+				gt--
+				a[i], a[gt] = a[gt], a[i]
+			default:
+				i++
+			}
+		}
+		switch {
+		case target < lt:
+			hi = lt
+		case target < gt:
+			return pivot
+		default:
+			lo = gt
+		}
+	}
+	return a[lo]
+}
+
+func refMedianOf3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		b = a
+	}
+	return b
+}
+
+// sameTopK compares a live top-k payload with the reference's: the
+// header, the int8 fields an earlier encode may have left behind, every
+// index, and the bits of every value.
+func sameTopK(got, want *Payload) error {
+	if got.Form != want.Form || got.N != want.N || got.ChunkLen != want.ChunkLen {
+		return fmt.Errorf("header (%v, %d, %d), reference (%v, %d, %d)", got.Form, got.N, got.ChunkLen, want.Form, want.N, want.ChunkLen)
+	}
+	if len(got.Q) != 0 || len(got.Scale) != 0 {
+		return fmt.Errorf("%d quanta and %d scales left in a top-k payload", len(got.Q), len(got.Scale))
+	}
+	if len(got.Idx) != len(want.Idx) || len(got.Val) != len(want.Val) {
+		return fmt.Errorf("%d indices and %d values, reference %d and %d", len(got.Idx), len(got.Val), len(want.Idx), len(want.Val))
+	}
+	for j := range want.Idx {
+		if got.Idx[j] != want.Idx[j] {
+			return fmt.Errorf("Idx[%d] = %d, reference %d", j, got.Idx[j], want.Idx[j])
+		}
+		if math.Float64bits(got.Val[j]) != math.Float64bits(want.Val[j]) {
+			return fmt.Errorf("Val[%d] = %#x, reference %#x", j, math.Float64bits(got.Val[j]), math.Float64bits(want.Val[j]))
+		}
+	}
+	return nil
+}
+
+// topkCase is one top-k encoder input: a name, the kept fraction and the
+// vector.
+type topkCase struct {
+	name string
+	frac float64
+	x    []float64
+}
+
+// topkReferenceCases builds the inputs the top-k reference test walks.
+// Every vector family comes at d ∈ {1, 2, 7, 100, 511, 512, 1 354, 4 096}
+// with k ∈ {1, d−1, d} and the codec fractions .01, .05 and .3: Normal
+// deltas; quiet and signalling NaNs with payload bits among ±Inf, ±0 and
+// subnormals; all-equal vectors (ties at the threshold span the whole
+// vector); mostly-zero vectors (threshold 0, where NaN must still be
+// dropped); NaN-heavy vectors that emit fewer than k pairs; sorted
+// ascending and descending vectors; and vectors whose large magnitudes
+// sit exactly on the sampled positions, so the sampled bound admits
+// fewer than k candidates and the full selection runs. Then vectors
+// where k−1, k and k+1 magnitudes reach the sampled bound exactly.
+func topkReferenceCases() []topkCase {
+	g := rng.New(202)
+	specials := []float64{
+		math.Float64frombits(0x7ff8_0000_0000_0123), // quiet NaN, payload
+		math.Float64frombits(0xfff8_0000_dead_0000), // negative quiet NaN
+		math.Float64frombits(0x7ff0_0000_0000_0001), // signalling NaN
+		math.Float64frombits(0xfff4_0000_0000_0abc), // negative signalling NaN
+		math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		5e-324, -5e-324, math.Float64frombits(0x000f_ffff_ffff_ffff), -2.2250738585072014e-308,
+	}
+	families := []struct {
+		name string
+		gen  func(d int) []float64
+	}{
+		{"normal", func(d int) []float64 {
+			x := make([]float64, d)
+			for i := range x {
+				x[i] = g.Normal(0, 0.01)
+			}
+			return x
+		}},
+		{"specials", func(d int) []float64 {
+			x := make([]float64, d)
+			for i := range x {
+				if g.Float64() < 0.2 {
+					x[i] = specials[g.IntN(len(specials))]
+				} else {
+					x[i] = g.Normal(0, 1)
+				}
+			}
+			return x
+		}},
+		{"allEqual", func(d int) []float64 {
+			x := make([]float64, d)
+			for i := range x {
+				x[i] = 0.25
+				if i%3 == 1 {
+					x[i] = -0.25
+				}
+			}
+			return x
+		}},
+		{"mostlyZero", func(d int) []float64 {
+			x := make([]float64, d)
+			for i := range x {
+				switch u := g.Float64(); {
+				case u < 0.01:
+					x[i] = g.Normal(0, 1)
+				case u < 0.03:
+					x[i] = math.NaN()
+				case u < 0.5:
+					x[i] = math.Copysign(0, -1)
+				}
+			}
+			return x
+		}},
+		{"nanHeavy", func(d int) []float64 {
+			x := make([]float64, d)
+			for i := range x {
+				if g.Float64() < 0.9 {
+					x[i] = math.Float64frombits(0x7ff8_0000_0000_0000 | g.Uint64()&0xffff)
+				} else {
+					x[i] = g.Normal(0, 1)
+				}
+			}
+			return x
+		}},
+		{"ascending", func(d int) []float64 {
+			x := make([]float64, d)
+			for i := range x {
+				x[i] = float64(i) / 8
+			}
+			return x
+		}},
+		{"descending", func(d int) []float64 {
+			x := make([]float64, d)
+			for i := range x {
+				x[i] = -float64(d-i) / 8
+			}
+			return x
+		}},
+		{"sampleAdversary", func(d int) []float64 {
+			x := make([]float64, d)
+			for i := range x {
+				x[i] = g.Normal(0, 1e-3)
+			}
+			for j := 0; j < topkSample; j++ {
+				x[j*d/topkSample] = 1 + float64(j)
+			}
+			return x
+		}},
+	}
+	var cases []topkCase
+	for _, d := range []int{1, 2, 7, 100, 511, 512, 1354, 4096} {
+		for _, f := range families {
+			x := f.gen(d)
+			for _, k := range []int{1, d - 1, d} {
+				if k < 1 {
+					continue
+				}
+				cases = append(cases, topkCase{fmt.Sprintf("%s/d%d/k%d", f.name, d, k), float64(k) / float64(d), x})
+			}
+			for _, frac := range []float64{0.01, 0.05, 0.3} {
+				cases = append(cases, topkCase{fmt.Sprintf("%s/d%d/frac%g", f.name, d, frac), frac, x})
+			}
+		}
+	}
+	// Exactly k−1, k and k+1 magnitudes reach the sampled bound: r sampled
+	// positions and enough unsampled ones hold ±2 over a tiny background,
+	// so the bound is 2 and the compaction's count sits on either side of
+	// k.
+	const frac = 0.05
+	for _, d := range []int{512, 1354, 4096} {
+		k := (&TopK{Frac: frac}).K(d)
+		r := 2*k*topkSample/d + 4
+		for _, n := range []int{k - 1, k, k + 1} {
+			x := make([]float64, d)
+			for i := range x {
+				x[i] = g.Normal(0, 1e-3)
+			}
+			sampled := make(map[int]bool, topkSample)
+			for j := 0; j < topkSample; j++ {
+				sampled[j*d/topkSample] = true
+			}
+			for j := 0; j < r; j++ {
+				x[j*d/topkSample] = math.Copysign(2, float64(j%2)-0.5)
+			}
+			for i, placed := d-1, r; placed < n; i-- {
+				if !sampled[i] {
+					x[i] = 2
+					placed++
+				}
+			}
+			cases = append(cases, topkCase{fmt.Sprintf("bound/d%d/%d-at-bound", d, n), frac, x})
+		}
+	}
+	return cases
+}
+
+// TestTopKEncodeMatchesFrozenReference pins the top-k encoder to the
+// frozen reference above on every case of topkReferenceCases. The live
+// encoder runs into one reused payload, which an int8 encode dirties
+// before every other case, with a reused scratch left full of the last
+// selection, and again with a fresh payload and scratch.
+func TestTopKEncodeMatchesFrozenReference(t *testing.T) {
+	var reused, want Payload
+	scratch := make([]float64, 4096)
+	dirty := &Int8{Chunk: 7}
+	for ci, c := range topkReferenceCases() {
+		codec := &TopK{Frac: c.frac}
+		if k := codec.K(len(c.x)); k != min(max(int(c.frac*float64(len(c.x))+0.5), 1), len(c.x)) {
+			t.Fatalf("%s: K = %d disagrees with the reference's k", c.name, k)
+		}
+		refTopKEncode(c.frac, &want, c.x)
+		if ci%2 == 0 {
+			dirty.Encode(&reused, c.x, rng.New(uint64(ci)), scratch)
+		}
+		var fresh Payload
+		for _, run := range []struct {
+			name    string
+			p       *Payload
+			scratch []float64
+		}{
+			{"reused", &reused, scratch},
+			{"fresh", &fresh, make([]float64, len(c.x))},
+		} {
+			codec.Encode(run.p, c.x, nil, run.scratch)
+			if err := sameTopK(run.p, &want); err != nil {
+				t.Fatalf("%s (%s payload): %v", c.name, run.name, err)
+			}
+		}
+	}
+}
+
+// BenchmarkTopKEncode reports the top-k encoder's cost per coordinate at
+// the adult MLP's update length (d = 1 354, the failover workload's
+// per-update encode) with Frac .05 and a reused scratch.
+func BenchmarkTopKEncode(b *testing.B) {
+	const d = 1354
+	g := rng.New(3)
+	x := make([]float64, d)
+	for i := range x {
+		x[i] = g.Normal(0, 0.01)
+	}
+	c := &TopK{Frac: 0.05}
+	var p Payload
+	c.Grow(&p, d)
+	scratch := make([]float64, d)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Encode(&p, x, nil, scratch)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/d, "ns/coord")
+}

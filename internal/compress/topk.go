@@ -10,9 +10,11 @@ import (
 
 // TopK keeps the k = max(1, round(Frac·d)) largest-magnitude coordinates
 // of the update as (index, value) pairs, in ascending index order. The
-// selection is fully deterministic: the k-th magnitude is found by
-// median-of-three quickselect over a caller-provided scratch copy, and
-// ties at the threshold are broken by the smallest index.
+// selection is fully deterministic: the k-th magnitude τ is found by
+// median-of-three quickselect over the magnitudes at or above a sampled
+// lower bound (all of them when the bound fails or d is small), copied
+// into a caller-provided scratch, and ties at τ are broken by the
+// smallest index.
 //
 // Non-finite contract: NaN coordinates are dropped — never selected,
 // never transmitted — so one poisoned coordinate cannot claim a top-k
@@ -49,7 +51,7 @@ func (c *TopK) Grow(p *Payload, d int) {
 }
 
 // absTotal maps a coordinate to its selection magnitude under a total
-// order: NaN maps to 0 so the quickselect partition always makes progress
+// order: NaN maps to 0 so the selection's comparisons stay consistent
 // (no NaN ever reaches the comparison loops). NaN coordinates are
 // additionally skipped by every emit loop — a zero magnitude could still
 // win a tie slot when the threshold is 0 — which implements the drop-NaN
@@ -82,33 +84,30 @@ func (c *TopK) Encode(p *Payload, x []float64, _ *rng.RNG, scratch []float64) {
 		return
 	}
 
-	mags := scratch[:d]
-	for i, v := range x {
-		mags[i] = absTotal(v)
-	}
-	tau := kthLargest(mags, k)
-	// Keep everything strictly above the threshold, then fill the
-	// remaining slots with threshold-magnitude coordinates in index
-	// order; both scans emit ascending indices.
-	ties := k
-	for _, v := range x {
-		if absTotal(v) > tau {
-			ties--
-		}
-	}
-	for i, v := range x {
-		if math.IsNaN(v) {
-			// A NaN holds a rank (its 0 magnitude went through the
-			// selection) but is dropped at emission, so the payload may
-			// carry fewer than k pairs.
-			continue
-		}
-		m := absTotal(v)
+	// cand holds every magnitude ≥ tau, so counting over it counts over x.
+	cand := candidates(x, k, scratch[:d])
+	tau := kthLargest(cand, k)
+	above := 0
+	for _, m := range cand {
 		if m > tau {
-			idx = append(idx, int32(i))
-			val = append(val, v)
-		} else if m == tau && ties > 0 {
-			ties--
+			above++
+		}
+	}
+	// Keep everything strictly above the threshold and fill the remaining
+	// slots with threshold-magnitude coordinates in index order; the scan
+	// emits ascending indices. Most coordinates fall below tau, so one
+	// compare rejects them. A NaN holds a rank (its 0 magnitude went
+	// through the selection) but is dropped here — the compare is false
+	// for |NaN| — so the payload may carry fewer than k pairs.
+	ties := k - above
+	for i, v := range x {
+		if m := math.Abs(v); m >= tau {
+			if m == tau {
+				if ties == 0 {
+					continue
+				}
+				ties--
+			}
 			idx = append(idx, int32(i))
 			val = append(val, v)
 		}
@@ -124,40 +123,83 @@ func (c *TopK) Decode(dst []float64, p *Payload) {
 	}
 }
 
-// kthLargest returns the k-th largest element of a (1 ≤ k ≤ len(a)),
-// permuting a in place. Elements must compare under a total order (no
-// NaNs — see absTotal). Deterministic: median-of-three pivots, three-way
-// partitioning (guaranteed progress on duplicate-heavy inputs).
-func kthLargest(a []float64, k int) float64 {
-	lo, hi := 0, len(a)
-	target := len(a) - k // rank in ascending order
-	for hi-lo > 1 {
-		pivot := medianOf3(a[lo], a[lo+(hi-lo)/2], a[hi-1])
-		// Dutch-flag partition of [lo,hi) into < pivot, == pivot, > pivot.
-		lt, gt := lo, hi
-		for i := lo; i < gt; {
-			switch {
-			case a[i] < pivot:
-				a[i], a[lt] = a[lt], a[i]
-				lt++
-				i++
-			case a[i] > pivot:
-				gt--
-				a[i], a[gt] = a[gt], a[i]
-			default:
-				i++
+// topkSample is how many magnitudes candidates samples to bound the
+// threshold from below.
+const topkSample = 128
+
+// candidates returns the magnitudes the threshold selection must see: a
+// prefix of mags (len(x) long) that holds every magnitude at or above the
+// k-th largest, and at least k of them. For d ≥ 4·topkSample it takes a
+// strided sample of topkSample magnitudes, keeps the sample's r-th
+// largest as a lower bound t0 with r = 2km/d + 4 (twice the sample's
+// expected share of the top k, plus a margin), and compacts the
+// magnitudes ≥ t0 in one pass — about 12 % of d at Frac .05. Every
+// magnitude is a candidate when d is small, when k is near d/2, when t0
+// is 0 (NaN counts as magnitude 0, and the compaction drops NaN), or when
+// fewer than k magnitudes reach t0 (an unlucky sample).
+func candidates(x []float64, k int, mags []float64) []float64 {
+	d := len(x)
+	if r := 2*k*topkSample/d + 4; d >= 4*topkSample && r < topkSample {
+		var s [topkSample]float64
+		for j := range s {
+			s[j] = absTotal(x[j*d/topkSample])
+		}
+		if t0 := kthLargest(s[:], r); t0 > 0 {
+			n := 0
+			for _, v := range x {
+				a := math.Abs(v)
+				mags[n] = a
+				if a >= t0 {
+					n++
+				}
+			}
+			if n >= k {
+				return mags[:n]
 			}
 		}
+	}
+	for i, v := range x {
+		mags[i] = absTotal(v)
+	}
+	return mags
+}
+
+// kthLargest returns the k-th largest element of a (1 ≤ k ≤ len(a)),
+// permuting a in place. Elements must compare under a total order (no
+// NaNs — see absTotal). Deterministic: median-of-three pivots and a Hoare
+// partition whose scans stop on pivot-equal elements, so a
+// duplicate-heavy range still splits near its middle, with a swap only
+// for each out-of-place pair.
+func kthLargest(a []float64, k int) float64 {
+	target := len(a) - k // rank in ascending order
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		pivot := medianOf3(a[lo], a[lo+(hi-lo)/2], a[hi])
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for a[j] > pivot {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// a[lo..j] ≤ pivot ≤ a[i..hi]; anything between equals pivot.
 		switch {
-		case target < lt:
-			hi = lt
-		case target < gt:
-			return pivot
+		case target <= j:
+			hi = j
+		case target >= i:
+			lo = i
 		default:
-			lo = gt
+			return pivot
 		}
 	}
-	return a[lo]
+	return a[target]
 }
 
 // medianOf3 returns the median of its arguments.

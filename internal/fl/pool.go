@@ -283,7 +283,7 @@ func newRingPool(numParams int) *slotPool {
 // ids[j]). It returns once every client's update is written; the error
 // is always nil (the executor seam's remote implementation can fail).
 //
-// A one-client round — every async dispatch, and a single-id wire replay —
+// A one-client round — every async dispatch, and a one-client wire frame —
 // runs on the calling goroutine in worker 0's slot instead of waking a
 // worker and waiting for it: the slot is idle, because runRound is the
 // only producer of jobs and waits for every job it queues, and which slot

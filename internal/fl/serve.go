@@ -276,7 +276,6 @@ type remoteExec struct {
 
 	dispatchBuf []byte
 	replayBuf   []byte
-	replayID    [1]int
 	readers     sync.WaitGroup
 	acceptWG    sync.WaitGroup
 }
@@ -990,13 +989,13 @@ func (e *remoteExec) watchRejoin(index int) {
 
 // replayTo rebuilds a worker's training state from the dispatch record
 // (recoverMu held): optionally a Restore (reset to the freshly-started
-// state), then each client's history in per-client ascending-round
-// order — Adopt (train and discard) for settled batches, a live
-// Dispatch for the one still in flight. Per-client order is the only
-// order that matters: rng streams and EF residuals are per-client, so
-// interleaving across clients is free and batches are replayed one
-// client at a time. The write deadline bounds a wedged target so
-// recovery cannot hang the run.
+// state), then the clients' histories merged into one frame per round
+// (groupReplay) — Adopt (train and discard) for settled entries, a live
+// Dispatch for the ones still in flight — each frame carrying its
+// round's global once. Per-client order is the only order that matters:
+// rng streams and EF residuals are per-client, so grouping clients that
+// share a round is free as long as no frame names a client twice. The
+// write deadline bounds a wedged target so recovery cannot hang the run.
 func (e *remoteExec) replayTo(sc *serveConn, ids []int, restore bool) error {
 	_ = sc.c.SetWriteDeadline(time.Now().Add(60 * time.Second))
 	defer sc.c.SetWriteDeadline(time.Time{})
@@ -1005,31 +1004,78 @@ func (e *remoteExec) replayTo(sc *serveConn, ids []int, restore bool) error {
 			return err
 		}
 	}
-	for _, id := range ids {
-		e.mu.Lock()
-		h := e.hist[id]
-		liveLast := e.pend[id] != nil && !e.arrived[id] && !e.pend[id].lost
-		e.mu.Unlock()
-		for k, round := range h {
-			t := wire.FrameAdopt
-			if liveLast && k == len(h)-1 {
-				t = wire.FrameDispatch
+	hist := make([][]int, len(ids))
+	live := make([]bool, len(ids))
+	e.mu.Lock()
+	for j, id := range ids {
+		hist[j] = e.hist[id]
+		live[j] = e.pend[id] != nil && !e.arrived[id] && !e.pend[id].lost
+	}
+	e.mu.Unlock()
+	return groupReplay(ids, hist, live, func(round int, frame []int, dispatch bool) error {
+		g := e.globals[round]
+		if g == nil {
+			return fmt.Errorf("fl: no recorded global for round %d (replay of client %d)", round, frame[0])
+		}
+		t := wire.FrameAdopt
+		if dispatch {
+			t = wire.FrameDispatch
+		}
+		buf := wire.BeginFrame(e.replayBuf[:0], t)
+		buf = appendDispatch(buf, round, frame, g)
+		wire.EndFrame(buf, 0)
+		e.replayBuf = buf
+		return sc.write(buf)
+	})
+}
+
+// groupReplay merges the dispatch histories of ids (hist[j] is ids[j]'s,
+// ascending rounds; live[j] marks its last entry as still in flight) into
+// replay frames, in ascending round order. Each step takes the smallest
+// round r any client's next entry holds and emits the clients whose next
+// entry is r: those whose entry is their live last one as one Dispatch
+// frame (dispatch true), the rest as one Adopt frame before it. Every
+// client advances one entry per step, so no id appears twice in a frame
+// and each client's entries go out in hist order; a client with two
+// entries at the same round — the async policy dispatches by model
+// version — lands in two successive frames. emit must not retain frame.
+func groupReplay(ids []int, hist [][]int, live []bool, emit func(round int, frame []int, dispatch bool) error) error {
+	next := make([]int, len(ids))
+	var adopt, dispatch []int
+	for {
+		r, pending := 0, false
+		for j, h := range hist {
+			if k := next[j]; k < len(h) && (!pending || h[k] < r) {
+				r, pending = h[k], true
 			}
-			g := e.globals[round]
-			if g == nil {
-				return fmt.Errorf("fl: no recorded global for round %d (replay of client %d)", round, id)
+		}
+		if !pending {
+			return nil
+		}
+		adopt, dispatch = adopt[:0], dispatch[:0]
+		for j, h := range hist {
+			k := next[j]
+			if k == len(h) || h[k] != r {
+				continue
 			}
-			e.replayID[0] = id
-			buf := wire.BeginFrame(e.replayBuf[:0], t)
-			buf = appendDispatch(buf, round, e.replayID[:1], g)
-			wire.EndFrame(buf, 0)
-			e.replayBuf = buf
-			if err := sc.write(buf); err != nil {
+			next[j]++
+			if live[j] && k == len(h)-1 {
+				dispatch = append(dispatch, ids[j])
+			} else {
+				adopt = append(adopt, ids[j])
+			}
+		}
+		if len(adopt) > 0 {
+			if err := emit(r, adopt, false); err != nil {
+				return err
+			}
+		}
+		if len(dispatch) > 0 {
+			if err := emit(r, dispatch, true); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
 }
 
 // resyncWorkers rebuilds every live worker from the just-restored

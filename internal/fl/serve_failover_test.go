@@ -1,6 +1,7 @@
 package fl_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -283,69 +284,153 @@ func TestServeStreamsSubBatches(t *testing.T) {
 	assertSameRun(t, local, wired)
 }
 
-// TestServeFailoverReconnect pins re-admission: with reassignment
-// disabled and a grace window, a worker that dies mid-round and
-// re-dials (Attach=1) is reset, rebuilt by history replay, and the run
-// still finishes bit-identical to fl.Run.
-func TestServeFailoverReconnect(t *testing.T) {
-	cfg := quickConfig()
-	network, shards, test := testSetup(t, 8)
-	local, err := fl.Run(cfg, baselines.NewFedAvg(), network, shards, test)
-	if err != nil {
-		t.Fatal(err)
-	}
+// inboundRecorder wraps a worker-side connection and keeps a copy of
+// every byte the server sent through it, for frame-level assertions once
+// the run is over.
+type inboundRecorder struct {
+	net.Conn
+	mu  sync.Mutex
+	buf []byte
+}
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+func (r *inboundRecorder) Read(p []byte) (int, error) {
+	n, err := r.Conn.Read(p)
+	r.mu.Lock()
+	r.buf = append(r.buf, p[:n]...)
+	r.mu.Unlock()
+	return n, err
+}
+
+// trainFrames parses the recorded stream and counts its Adopt and
+// Dispatch frames by the round they carry, and its Adopt frames alone.
+func (r *inboundRecorder) trainFrames() (perRound map[int]int, adopts int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	perRound = make(map[int]int)
+	in := bytes.NewReader(r.buf)
+	var fr wire.Frame
+	for wire.ReadFrame(in, &fr) == nil {
+		if fr.Type != wire.FrameAdopt && fr.Type != wire.FrameDispatch {
+			continue
+		}
+		if fr.Type == wire.FrameAdopt {
+			adopts++
+		}
+		d := wire.Dec{B: fr.Body}
+		perRound[int(d.Uvarint())]++
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			errs[0] = err
-			return
-		}
-		errs[0] = fl.RunWorker(conn, 0, 2, cfg, baselines.NewFedAvg(), network, shards, test.Name)
-	}()
-	go func() {
-		defer wg.Done()
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			errs[1] = err
-			return
-		}
-		kc := &killAfterFrames{Conn: conn, remain: 2}
-		if err := fl.RunWorkerOpts(kc, fl.WorkerOptions{Index: 1, Workers: 2}, cfg, baselines.NewFedAvg(), network, shards, test.Name); err == nil {
-			errs[1] = errors.New("killed worker returned nil — the kill never fired")
-			return
-		}
-		conn2, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			errs[1] = err
-			return
-		}
-		errs[1] = fl.RunWorkerOpts(conn2, fl.WorkerOptions{Index: 1, Workers: 2, Attach: 1}, cfg, baselines.NewFedAvg(), network, shards, test.Name)
-	}()
-	opt := fl.ServeOptions{Workers: 2, HeartbeatSec: -1, DisableReassign: true, FailoverGraceSec: 30}
-	wired, serveErr := fl.Serve(ln, opt, cfg, baselines.NewFedAvg(), network, shards, test)
-	ln.Close()
-	wg.Wait()
-	if serveErr != nil {
-		t.Fatal(serveErr)
+	return perRound, adopts
+}
+
+// TestServeFailoverReconnect pins re-admission: with reassignment
+// disabled and a grace window, a worker that dies mid-run and re-dials
+// (Attach=1) is reset, rebuilt by history replay, and the run still
+// finishes bit-identical to fl.Run — under dense and top-k transport,
+// under the async policy, and for a worker cut at its first Dispatch,
+// whose replay holds no Adopt frame. On the sync rows the re-dialed
+// worker receives its history one frame per round (an Adopt frame, plus a
+// Dispatch frame for the round still in flight), not one frame per
+// dispatched client.
+func TestServeFailoverReconnect(t *testing.T) {
+	rows := []struct {
+		name   string
+		mutate func(*fl.Config)
+		// kill is how many inbound frames worker 1's first connection
+		// delivers before it is closed.
+		kill int
+		// settled is whether worker 1 held settled history when it died,
+		// so its replay must include Adopt frames.
+		settled, sync bool
+	}{
+		// Killed at its first Dispatch: the replay is the Restore plus
+		// that live Dispatch alone.
+		{"dense-first-dispatch", func(*fl.Config) {}, 1, false, true},
+		// Killed at round 2's Dispatch, with round 1 settled.
+		{"dense", func(*fl.Config) {}, 2, true, true},
+		{"topk", func(c *fl.Config) { c.Compress = compress.Spec{Kind: compress.KindTopK, TopKFrac: 0.25} }, 4, true, true},
+		// Async dispatches one client per frame: the fifth follows worker
+		// 1's four initial dispatches, so part of its history has settled.
+		{"async", func(c *fl.Config) { c.Policy, c.AsyncBuffer = fl.PolicyAsync, 3 }, 5, true, false},
 	}
-	for i, e := range errs {
-		if e != nil {
-			t.Fatalf("worker %d: %v", i, e)
-		}
-	}
-	assertSameRun(t, local, wired)
-	re, rc := totalRecovery(wired.Run)
-	if rc == 0 || re == 0 {
-		t.Fatalf("reassigned %d, reconnects %d — re-admission never engaged", re, rc)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := quickConfig()
+			row.mutate(&cfg)
+			network, shards, test := testSetup(t, 8)
+			local, err := fl.Run(cfg, baselines.NewFedAvg(), network, shards, test)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			errs := make([]error, 2)
+			var redialed *inboundRecorder
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				conn, err := net.Dial("tcp", ln.Addr().String())
+				if err != nil {
+					errs[0] = err
+					return
+				}
+				errs[0] = fl.RunWorker(conn, 0, 2, cfg, baselines.NewFedAvg(), network, shards, test.Name)
+			}()
+			go func() {
+				defer wg.Done()
+				conn, err := net.Dial("tcp", ln.Addr().String())
+				if err != nil {
+					errs[1] = err
+					return
+				}
+				kc := &killAfterFrames{Conn: conn, remain: row.kill}
+				if err := fl.RunWorkerOpts(kc, fl.WorkerOptions{Index: 1, Workers: 2}, cfg, baselines.NewFedAvg(), network, shards, test.Name); err == nil {
+					errs[1] = errors.New("killed worker returned nil — the kill never fired")
+					return
+				}
+				conn2, err := net.Dial("tcp", ln.Addr().String())
+				if err != nil {
+					errs[1] = err
+					return
+				}
+				redialed = &inboundRecorder{Conn: conn2}
+				errs[1] = fl.RunWorkerOpts(redialed, fl.WorkerOptions{Index: 1, Workers: 2, Attach: 1}, cfg, baselines.NewFedAvg(), network, shards, test.Name)
+			}()
+			opt := fl.ServeOptions{Workers: 2, HeartbeatSec: -1, DisableReassign: true, FailoverGraceSec: 30}
+			wired, serveErr := fl.Serve(ln, opt, cfg, baselines.NewFedAvg(), network, shards, test)
+			ln.Close()
+			wg.Wait()
+			if serveErr != nil {
+				t.Fatal(serveErr)
+			}
+			for i, e := range errs {
+				if e != nil {
+					t.Fatalf("worker %d: %v", i, e)
+				}
+			}
+			assertSameRun(t, local, wired)
+			re, rc := totalRecovery(wired.Run)
+			if rc == 0 || re == 0 {
+				t.Fatalf("reassigned %d, reconnects %d — re-admission never engaged", re, rc)
+			}
+			perRound, adopts := redialed.trainFrames()
+			if (adopts > 0) != row.settled {
+				t.Fatalf("the re-dialed worker received %d Adopt frames; settled history: %v", adopts, row.settled)
+			}
+			if !row.sync {
+				return
+			}
+			// Worker 1 owns 4 clients, all dispatched every round: per-client
+			// replay would send 4 frames for each round of history.
+			for round, n := range perRound {
+				if n > 2 {
+					t.Fatalf("round %d reached the re-dialed worker in %d frames, want at most 2 (one Adopt, one live Dispatch)", round, n)
+				}
+			}
+		})
 	}
 }
 

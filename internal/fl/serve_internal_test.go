@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"errors"
 	"math"
 	"net"
 	"testing"
@@ -140,5 +141,156 @@ func TestIngestRejectsHostileDense(t *testing.T) {
 		if v != vals[i] {
 			t.Fatalf("well-formed upload: delta[%d] = %v, want %v", i, v, vals[i])
 		}
+	}
+}
+
+// replayFrame is one frame groupReplay emitted, copied out of the emit
+// callback.
+type replayFrame struct {
+	round    int
+	ids      []int
+	dispatch bool
+}
+
+// collectReplay runs groupReplay and returns its frames.
+func collectReplay(t *testing.T, ids []int, hist [][]int, live []bool) []replayFrame {
+	t.Helper()
+	var frames []replayFrame
+	err := groupReplay(ids, hist, live, func(round int, frame []int, dispatch bool) error {
+		frames = append(frames, replayFrame{round, append([]int(nil), frame...), dispatch})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frames
+}
+
+// checkReplayContract asserts groupReplay's contract on one history:
+// frames in ascending round order, no id twice in a frame, each client's
+// entries in hist order and all of them, and a live client's last entry
+// — and only that one — sent as a Dispatch frame after every other entry
+// of that client.
+func checkReplayContract(t *testing.T, ids []int, hist [][]int, live []bool, frames []replayFrame) {
+	t.Helper()
+	pos := make(map[int]int, len(ids))
+	for j, id := range ids {
+		pos[id] = j
+	}
+	sent := make([][]int, len(ids))
+	for f, fr := range frames {
+		if f > 0 && fr.round < frames[f-1].round {
+			t.Fatalf("frame %d carries round %d after round %d", f, fr.round, frames[f-1].round)
+		}
+		if len(fr.ids) == 0 {
+			t.Fatalf("frame %d is empty", f)
+		}
+		seen := make(map[int]bool, len(fr.ids))
+		for _, id := range fr.ids {
+			if seen[id] {
+				t.Fatalf("frame %d (round %d) names client %d twice", f, fr.round, id)
+			}
+			seen[id] = true
+			j := pos[id]
+			sent[j] = append(sent[j], fr.round)
+			last := len(sent[j]) == len(hist[j])
+			if want := live[j] && last; fr.dispatch != want {
+				t.Fatalf("frame %d: client %d entry %d sent with dispatch=%v, want %v", f, id, len(sent[j])-1, fr.dispatch, want)
+			}
+		}
+	}
+	for j, id := range ids {
+		if len(sent[j]) != len(hist[j]) {
+			t.Fatalf("client %d: replayed rounds %v, history %v", id, sent[j], hist[j])
+		}
+		for k := range hist[j] {
+			if sent[j][k] != hist[j][k] {
+				t.Fatalf("client %d: replayed rounds %v, history %v", id, sent[j], hist[j])
+			}
+		}
+	}
+}
+
+// TestGroupReplayContract pins the replay merge behind replayTo on a
+// hand-built history with duplicate (id, round) pairs, gaps, a client
+// never dispatched, and live entries at different rounds — the exact
+// frame sequence and the general contract — then on random histories,
+// where strictly ascending (sync-like) ones must also take at most two
+// frames per round, and an emit error must stop the merge.
+func TestGroupReplayContract(t *testing.T) {
+	ids := []int{4, 9, 2, 7, 5}
+	hist := [][]int{
+		{0, 1, 1, 3, 5}, // client 4: two entries at round 1; live at 5
+		{1, 2, 5},       // client 9: settled
+		{0, 0, 0},       // client 2: three entries at round 0; live
+		{},              // client 7: never dispatched
+		{3, 7},          // client 5: live at 7, after everyone else
+	}
+	live := []bool{true, false, true, false, true}
+	want := []replayFrame{
+		{0, []int{4, 2}, false},
+		{0, []int{2}, false},
+		{0, []int{2}, true},
+		{1, []int{4, 9}, false},
+		{1, []int{4}, false},
+		{2, []int{9}, false},
+		{3, []int{4, 5}, false},
+		{5, []int{9}, false},
+		{5, []int{4}, true},
+		{7, []int{5}, true},
+	}
+	got := collectReplay(t, ids, hist, live)
+	checkReplayContract(t, ids, hist, live, got)
+	if len(got) != len(want) {
+		t.Fatalf("%d frames %v, want %d %v", len(got), got, len(want), want)
+	}
+	for f := range want {
+		g, w := got[f], want[f]
+		if g.round != w.round || g.dispatch != w.dispatch || len(g.ids) != len(w.ids) {
+			t.Fatalf("frame %d = %v, want %v", f, g, w)
+		}
+		for i := range w.ids {
+			if g.ids[i] != w.ids[i] {
+				t.Fatalf("frame %d = %v, want %v", f, g, w)
+			}
+		}
+	}
+
+	r := rng.New(31)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.IntN(12)
+		strict := trial%2 == 0
+		ids, hist, live := make([]int, n), make([][]int, n), make([]bool, n)
+		for j := range ids {
+			ids[j] = 3*j + r.IntN(3)
+			round := r.IntN(3)
+			for e := r.IntN(8); e > 0; e-- {
+				hist[j] = append(hist[j], round)
+				if step := r.IntN(3); strict || step > 0 {
+					round += max(step, 1)
+				}
+			}
+			live[j] = len(hist[j]) > 0 && r.IntN(2) == 0
+		}
+		frames := collectReplay(t, ids, hist, live)
+		checkReplayContract(t, ids, hist, live, frames)
+		if strict {
+			perRound := make(map[int]int)
+			for _, fr := range frames {
+				if perRound[fr.round]++; perRound[fr.round] > 2 {
+					t.Fatalf("trial %d: round %d took %d frames with no repeated rounds", trial, fr.round, perRound[fr.round])
+				}
+			}
+		}
+	}
+
+	stop := errors.New("write failed")
+	calls := 0
+	err := groupReplay(ids, hist, live, func(int, []int, bool) error {
+		calls++
+		return stop
+	})
+	if !errors.Is(err, stop) || calls != 1 {
+		t.Fatalf("emit error: groupReplay returned %v after %d calls, want the error after 1", err, calls)
 	}
 }
