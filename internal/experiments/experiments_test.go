@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fl"
+	"repro/internal/metrics"
 )
 
 func TestProfilesForAllDatasets(t *testing.T) {
@@ -170,6 +171,25 @@ func TestRobustnessArtifact(t *testing.T) {
 	for _, frag := range []string{"FedAvg", "Scaffold", "FG", "TACO", "det P/R", "|0."} {
 		if !strings.Contains(s, frag) {
 			t.Fatalf("robustness render missing %q:\n%s", frag, s)
+		}
+	}
+}
+
+// TestDetectionCell pins the detection columns' rendering: a detector that
+// flagged nobody reads as such, not as perfect precision.
+func TestDetectionCell(t *testing.T) {
+	for _, c := range []struct {
+		d    metrics.Detection
+		want string
+	}{
+		{metrics.Detection{FN: 3, TN: 7}, "— (0 flagged)"},
+		{metrics.Detection{TN: 10}, "— (0 flagged)"},
+		{metrics.Detection{TP: 3, TN: 7}, "1.00/1.00"},
+		{metrics.Detection{TP: 1, FP: 1, FN: 2, TN: 6}, "0.50/0.33"},
+		{metrics.Detection{FP: 2, FN: 3, TN: 5}, "0.00/0.00"},
+	} {
+		if got := detectionCell(c.d); got != c.want {
+			t.Fatalf("detectionCell(%+v) = %q, want %q", c.d, got, c.want)
 		}
 	}
 }

@@ -122,15 +122,13 @@ func Robustness(r *Runner) (*report.Table, error) {
 				}
 				switch algName {
 				case "FG":
-					d := metrics.EvalDetection(suppressedClients(res.CumWeights), truth)
-					fgDet = fmt.Sprintf("%.2f/%.2f", d.Precision(), d.Recall())
+					fgDet = detectionCell(metrics.EvalDetection(suppressedClients(res.CumWeights), truth))
 				case "TACO":
 					flagged := make([]bool, profile.Clients)
 					for id := range res.Expelled {
 						flagged[id] = true
 					}
-					d := metrics.EvalDetection(flagged, truth)
-					tacoDet = fmt.Sprintf("%.2f/%.2f", d.Precision(), d.Recall())
+					tacoDet = detectionCell(metrics.EvalDetection(flagged, truth))
 				}
 			}
 			row = append(row, fgDet, tacoDet)
@@ -145,6 +143,16 @@ func Robustness(r *Runner) (*report.Table, error) {
 		"FoolsGold flags clients whose cumulative weight falls below half the uniform",
 		"share; TACO flags by Eq. (10) expulsion.")
 	return t, nil
+}
+
+// detectionCell renders a detector's precision/recall. A detector that
+// flagged nobody has no precision to show: Detection.Precision's
+// no-false-alarm convention would print it as a perfect 1.00.
+func detectionCell(d metrics.Detection) string {
+	if d.TP+d.FP == 0 {
+		return "— (0 flagged)"
+	}
+	return fmt.Sprintf("%.2f/%.2f", d.Precision(), d.Recall())
 }
 
 // suppressedClients flags clients whose cumulative reported aggregation

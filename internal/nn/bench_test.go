@@ -13,6 +13,12 @@ import (
 
 const benchBatch = 24
 
+// benchRotate is how many distinct input batches a layer benchmark cycles
+// through. A loop that branches on the data learns one repeated batch:
+// the 2×2 max-pool's compare-and-branch loop ran 4× faster on a repeated
+// batch than on fresh ones, which is what a training step feeds it.
+const benchRotate = 64
+
 func benchRand(r *rng.RNG, n int) []float64 {
 	v := make([]float64, n)
 	for i := range v {
@@ -21,13 +27,23 @@ func benchRand(r *rng.RNG, n int) []float64 {
 	return v
 }
 
+// benchBatches returns benchRotate inputs of n random normals each.
+func benchBatches(r *rng.RNG, n int) [][]float64 {
+	bs := make([][]float64, benchRotate)
+	for i := range bs {
+		bs[i] = benchRand(r, n)
+	}
+	return bs
+}
+
 // BenchmarkConvLayer measures one convolution's forward and backward pass
 // in flops/s of its matrix products (2·outC·K·N per sample forward; dW and,
 // where the layer is not the network's first, dcol backward), at batch 24:
 // the two convolutions of the fmnist CNN as they sit in the model — conv1
 // first, so without an input gradient — and ResNetLite's stride-2
 // transition. Packing, bias, scatter-add and the GemmABT edges are inside
-// the measurement; that is the point.
+// the measurement; that is the point. Forward cycles through benchRotate
+// input batches and backward through as many output gradients.
 func BenchmarkConvLayer(b *testing.B) {
 	for _, c := range []struct {
 		name            string
@@ -45,31 +61,31 @@ func BenchmarkConvLayer(b *testing.B) {
 		}
 		r := rng.New(61)
 		params := benchRand(r, l.paramCount())
-		x := benchRand(r, benchBatch*l.in.Size())
+		xs := benchBatches(r, benchBatch*l.in.Size())
 		y := make([]float64, benchBatch*l.out.Size())
-		dy := benchRand(r, len(y))
+		dys := benchBatches(r, len(y))
 		dparams := make([]float64, len(params))
 		var dx []float64
 		if !c.first {
-			dx = make([]float64, len(x))
+			dx = make([]float64, len(xs[0]))
 		}
 		var sc scratch[float64]
 		product := float64(2 * benchBatch * l.outC * l.patchSize() * l.out.H * l.out.W)
 		b.Run(c.name+"/fwd", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				convForward(l, params, x, y, benchBatch, &sc)
+				convForward(l, params, xs[i%benchRotate], y, benchBatch, &sc)
 			}
 			b.ReportMetric(product*float64(b.N)/b.Elapsed().Seconds(), "flops/s")
 		})
 		b.Run(c.name+"/bwd", func(b *testing.B) {
-			convForward(l, params, x, y, benchBatch, &sc) // backward reads the packing
+			convForward(l, params, xs[0], y, benchBatch, &sc) // backward reads the packing
 			flops := product
 			if dx != nil {
 				flops *= 2
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				convBackward(l, params, dy, dx, dparams, benchBatch, &sc)
+				convBackward(l, params, dys[i%benchRotate], dx, dparams, benchBatch, &sc)
 			}
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds(), "flops/s")
 		})
@@ -111,7 +127,8 @@ func largestProduct(net *Network, batch int) (m, k, n int) {
 // gradient evaluation reaches: GradFlops per second of Engine.Gradient at
 // batch 24 ("flops/s") over the flops/s of vecmath.Gemm at the model's
 // largest product ("gemm-flops/s"), as "gemm-share". 1.0 would mean the
-// step costs what its matrix products cost.
+// step costs what its matrix products cost. It cycles through benchRotate
+// input batches, as a training step sees fresh data every step.
 func BenchmarkGradEvalShare(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -126,8 +143,11 @@ func BenchmarkGradEvalShare(b *testing.B) {
 			r := rng.New(67)
 			net := c.net
 			params := net.InitParams(r)
-			x := benchRand(r, benchBatch*net.in.Size())
-			labels := randLabels(r, benchBatch, net.classes)
+			xs := benchBatches(r, benchBatch*net.in.Size())
+			labels := make([][]int, benchRotate)
+			for i := range labels {
+				labels[i] = randLabels(r, benchBatch, net.classes)
+			}
 			grad := make([]float64, net.total)
 			eng := NewEngine(net, benchBatch)
 
@@ -135,15 +155,45 @@ func BenchmarkGradEvalShare(b *testing.B) {
 			ga, gb, gc := benchRand(r, m*k), benchRand(r, k*n), make([]float64, m*n)
 			gemmFlops := bestRate(float64(2*m*k*n), func() { vecmath.Gemm(gc, ga, gb, m, k, n, false) })
 
-			eng.Gradient(params, x, labels, grad) // size the lazy buffers
+			eng.Gradient(params, xs[0], labels[0], grad) // size the lazy buffers
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.Gradient(params, x, labels, grad)
+				eng.Gradient(params, xs[i%benchRotate], labels[i%benchRotate], grad)
 			}
 			gradFlops := float64(net.GradFlops(benchBatch)) * float64(b.N) / b.Elapsed().Seconds()
 			b.ReportMetric(gradFlops, "flops/s")
 			b.ReportMetric(gemmFlops, "gemm-flops/s")
 			b.ReportMetric(gradFlops/gemmFlops, "gemm-share")
+		})
+	}
+}
+
+// BenchmarkMaxPool times the 2×2 max-pool forward pass at float64 on the
+// fmnist CNN's two pooling layers at batch 24 (6×8×8 → 6×4×4 after conv1,
+// 12×4×4 → 12×2×2 after conv2), in ns per output window. The inputs are
+// benchRotate batches of rectified normals, what the pool sees behind the
+// ReLU: half the taps are +0 ties and the winner's position is random.
+func BenchmarkMaxPool(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		in   Shape
+	}{
+		{"fmnist-pool1", Shape{C: 6, H: 8, W: 8}},
+		{"fmnist-pool2", Shape{C: 12, H: 4, W: 4}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			l := &maxPool2d{in: c.in, out: Shape{C: c.in.C, H: c.in.H / 2, W: c.in.W / 2}, k: 2}
+			xs := benchBatches(rng.New(71), benchBatch*l.in.Size())
+			for _, x := range xs {
+				vecmath.ReLU(x, x)
+			}
+			y := make([]float64, benchBatch*l.out.Size())
+			var sc scratch[float64]
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				maxPoolForward(l, xs[i%benchRotate], y, benchBatch, &sc)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(y)), "ns/window")
 		})
 	}
 }

@@ -167,9 +167,7 @@ func convForward[F Float](l *conv2d, params, x, y []F, batch int, sc *scratch[F]
 		ys := y[s*outSize : (s+1)*outSize]
 		// ys is outC×N row-major, exactly the GEMM output layout.
 		vecmath.Gemm(ys, w, col, l.outC, kp, n, false)
-		for oc := 0; oc < l.outC; oc++ {
-			addConstF(bias[oc], ys[oc*n:(oc+1)*n])
-		}
+		vecmath.AddColVector(ys, bias, l.outC, n)
 	}
 }
 

@@ -76,13 +76,6 @@ func backward[F Float](l layer, params, x, y, dy, dx, dparams []F, batch int, sc
 	}
 }
 
-// addConstF computes x[i] += alpha in place.
-func addConstF[F Float](alpha F, x []F) {
-	for i := range x {
-		x[i] += alpha
-	}
-}
-
 // sumF returns the sum of the elements of x, accumulated in F.
 func sumF[F Float](x []F) F {
 	var s F

@@ -76,44 +76,19 @@ func maxPoolForward[F Float](l *maxPool2d, x, y []F, batch int, sc *scratch[F]) 
 	}
 }
 
-// maxPool2x2Forward is the fast path for the ubiquitous 2×2 window: the window loops unroll into three compares over two adjacent
-// input rows (no −Inf sentinel, no per-tap index arithmetic), which
-// roughly halves the pooling cost on the CNN models. Tie-breaking keeps
-// the generic loop's first-wins order (row-major within the window), so
-// the recorded argmax — and therefore the backward routing — is
-// identical.
+// maxPool2x2Forward is the fast path for the ubiquitous 2×2 window: one
+// vecmath.MaxPool2x2 call per sample, which treats the sample's planes as
+// one stack of row pairs. Its window chain starts at the first tap instead
+// of a −Inf sentinel but keeps the generic loop's first-wins order
+// (row-major within the window), so on finite windows the value and the
+// recorded argmax — and therefore the backward routing — are the generic
+// loop's. The float64 body is branch-free: on activations the
+// winner's position is random, and a compare-and-branch loop mispredicts
+// about once per window.
 func maxPool2x2Forward[F Float](l *maxPool2d, x, y []F, arg []int, batch int) {
-	inH, inW := l.in.H, l.in.W
-	outH, outW := l.out.H, l.out.W
 	inSize, outSize := l.in.Size(), l.out.Size()
 	for s := 0; s < batch; s++ {
-		xs := x[s*inSize : (s+1)*inSize]
-		ys := y[s*outSize : (s+1)*outSize]
-		args := arg[s*outSize : (s+1)*outSize]
-		for c := 0; c < l.in.C; c++ {
-			base := c * inH * inW
-			for oy := 0; oy < outH; oy++ {
-				r0 := base + (2*oy)*inW
-				r1 := r0 + inW
-				o := (c*outH + oy) * outW
-				for ox := 0; ox < outW; ox++ {
-					i0 := r0 + 2*ox
-					i1 := r1 + 2*ox
-					bi, bv := i0, xs[i0]
-					if v := xs[i0+1]; v > bv {
-						bi, bv = i0+1, v
-					}
-					if v := xs[i1]; v > bv {
-						bi, bv = i1, v
-					}
-					if v := xs[i1+1]; v > bv {
-						bi, bv = i1+1, v
-					}
-					ys[o+ox] = bv
-					args[o+ox] = bi
-				}
-			}
-		}
+		vecmath.MaxPool2x2(y[s*outSize:(s+1)*outSize], arg[s*outSize:(s+1)*outSize], x[s*inSize:(s+1)*inSize], l.in.W)
 	}
 }
 

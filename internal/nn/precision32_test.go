@@ -185,3 +185,21 @@ func TestEngine32GradientAllocFree(t *testing.T) {
 		t.Fatalf("Engine[float32].Gradient allocates %v times per call after warm-up", n)
 	}
 }
+
+// TestCNNGradientAllocFree holds the fmnist CNN's float64 gradient — the
+// path through the vecmath table's pooling and bias entries, which are
+// called through function values that escape analysis cannot see into —
+// to no allocation after warm-up.
+func TestCNNGradientAllocFree(t *testing.T) {
+	net := CNN(Shape{C: 1, H: 8, W: 8}, 10)
+	r := rng.New(11)
+	params := net.InitParams(r)
+	x := randInput(r, 24*net.InShape().Size())
+	labels := randLabels(r, 24, net.OutSize())
+	e := NewEngine(net, 24)
+	grad := make([]float64, net.NumParams())
+	e.Gradient(params, x, labels, grad)
+	if n := testing.AllocsPerRun(10, func() { e.Gradient(params, x, labels, grad) }); n != 0 {
+		t.Fatalf("CNN Engine.Gradient allocates %v times per call after warm-up", n)
+	}
+}

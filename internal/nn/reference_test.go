@@ -17,8 +17,10 @@ import (
 // dense, conv, LSTM and residual backward passes that always computed
 // their input gradient, and the residual block's hand-inlined rectifiers
 // — driven by referenceGradient, which still allocates and fills the
-// input-gradient buffer of the first layer. Layers the change did not
-// touch (dense/LSTM forward, pooling, tanh, the loss) and the vecmath
+// input-gradient buffer of the first layer. The compare-and-branch 2×2
+// max-pool and the conv bias loop are frozen too, as they stood before
+// their vector bodies. Layers no change touched (dense/LSTM forward, the
+// k×k pool and the pooling backward pass, tanh, the loss) and the vecmath
 // products are shared with the engine. TestGradientMatchesFrozenReference
 // requires the engine's gradient and loss to be bit-equal to this.
 //
@@ -31,6 +33,12 @@ func refForward[F Float](l layer, params, x, y []F, batch int, sc *scratch[F]) {
 		refReLUForward(x, y, batch*l.in.Size())
 	case *conv2d:
 		refConvForward(l, params, x, y, batch, sc)
+	case *maxPool2d:
+		if l.k != 2 {
+			forward(l, params, x, y, batch, sc)
+			break
+		}
+		refMaxPool2x2Forward(l, x, y, sc.intBuf(batch*l.out.Size()), batch)
 	case *residualBlock:
 		refResidualForward(l, params, x, y, batch, sc)
 	default:
@@ -241,7 +249,7 @@ func refConvForward[F Float](l *conv2d, params, x, y []F, batch int, sc *scratch
 		// ys is outC×N row-major, exactly the GEMM output layout.
 		vecmath.Gemm(ys, w, col, l.outC, kp, n, false)
 		for oc := 0; oc < l.outC; oc++ {
-			addConstF(bias[oc], ys[oc*n:(oc+1)*n])
+			refAddConst(bias[oc], ys[oc*n:(oc+1)*n])
 		}
 	}
 }
@@ -420,12 +428,54 @@ func refResidualBackward[F Float](l *residualBlock, params, x, y, dy, dx, dparam
 	vecmath.Add(dx[:n], dxc[:n], dz[:n])
 }
 
+func refAddConst[F Float](alpha F, x []F) {
+	for i := range x {
+		x[i] += alpha
+	}
+}
+
+func refMaxPool2x2Forward[F Float](l *maxPool2d, x, y []F, arg []int, batch int) {
+	inH, inW := l.in.H, l.in.W
+	outH, outW := l.out.H, l.out.W
+	inSize, outSize := l.in.Size(), l.out.Size()
+	for s := 0; s < batch; s++ {
+		xs := x[s*inSize : (s+1)*inSize]
+		ys := y[s*outSize : (s+1)*outSize]
+		args := arg[s*outSize : (s+1)*outSize]
+		for c := 0; c < l.in.C; c++ {
+			base := c * inH * inW
+			for oy := 0; oy < outH; oy++ {
+				r0 := base + (2*oy)*inW
+				r1 := r0 + inW
+				o := (c*outH + oy) * outW
+				for ox := 0; ox < outW; ox++ {
+					i0 := r0 + 2*ox
+					i1 := r1 + 2*ox
+					bi, bv := i0, xs[i0]
+					if v := xs[i0+1]; v > bv {
+						bi, bv = i0+1, v
+					}
+					if v := xs[i1]; v > bv {
+						bi, bv = i1, v
+					}
+					if v := xs[i1+1]; v > bv {
+						bi, bv = i1+1, v
+					}
+					ys[o+ox] = bv
+					args[o+ox] = bi
+				}
+			}
+		}
+	}
+}
+
 // --- end of the frozen bodies ---
 
 // frozenCases lists the architectures the reference is compared on: the
-// four model families, and every convolution geometry of the gradcheck
-// suite twice — as the first layer (no input gradient) and behind a ReLU,
-// where its col2im runs.
+// four model families, every convolution geometry of the gradcheck suite
+// twice — as the first layer (no input gradient) and behind a ReLU, where
+// its col2im runs — and a 2×2 pool over 6×6 planes, whose odd output width
+// no vector pooling body takes.
 func frozenCases() map[string]*Network {
 	cases := map[string]*Network{
 		"MLP":        MLP(14, 2),
@@ -435,6 +485,8 @@ func frozenCases() map[string]*Network {
 		"LSTM-inner": NewBuilder(Vec(12)).Dense(12).LSTM(3, 4, 5).Dense(3).MustBuild(),
 		"Residual-first": NewBuilder(Shape{C: 2, H: 4, W: 4}).
 			Residual().Residual().GlobalAvgPool().Dense(3).MustBuild(),
+		"pool-6x6": NewBuilder(Shape{C: 2, H: 6, W: 6}).
+			Conv2D(3, 3, 1, 1).ReLU().MaxPool2D(2).Dense(4).MustBuild(),
 	}
 	for _, c := range []struct {
 		name                 string
@@ -470,7 +522,13 @@ func TestGradientMatchesFrozenReference(t *testing.T) {
 
 func testAgainstFrozen[F Float](t *testing.T, net *Network, batch int) {
 	r := rng.New(uint64(53 + batch))
-	params := toF[F](net.InitParams(r))
+	// InitParams zeroes every bias, and adding +0 hides how a bias is
+	// added; nudge every parameter so the bias paths carry values.
+	p64 := net.InitParams(r)
+	for i := range p64 {
+		p64[i] += 0.1 * r.Normal(0, 1)
+	}
+	params := toF[F](p64)
 	x := toF[F](randInput(r, batch*net.in.Size()))
 	labels := randLabels(r, batch, net.classes)
 

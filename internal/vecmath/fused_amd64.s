@@ -144,3 +144,31 @@ subloop:
 
 	VZEROUPPER
 	RET
+
+// func addColKernel(a, v *float64, m, n int)
+// a[i*n+j] += v[i], one row of four-lane adds per bias; a stays the first
+// operand of each add, as it is in the scalar loop.
+TEXT ·addColKernel(SB), NOSPLIT, $0-32
+	MOVQ a+0(FP), DI
+	MOVQ v+8(FP), R8
+	MOVQ m+16(FP), DX
+	MOVQ n+24(FP), BX
+
+addcolrow:
+	VBROADCASTSD (R8), Y0
+	MOVQ         BX, CX
+
+addcolloop:
+	VMOVUPD (DI), Y1
+	VADDPD  Y0, Y1, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JNZ     addcolloop
+
+	ADDQ $8, R8
+	DECQ DX
+	JNZ  addcolrow
+
+	VZEROUPPER
+	RET

@@ -58,6 +58,13 @@ type kernels[F Float] struct {
 	widen    func(x *float32, y *float64, n int)
 	narrow   func(x *float64, y *float32, n int)
 	quantize func(x, u *float64, inv float64, q *int8, n int)
+
+	// The CNN's per-sample bodies, float64 only. addCol adds v[i] to the n
+	// elements of row i for each of m rows (n a positive multiple of
+	// wide/2), one add per element as the scalar loop does. pool2 is n
+	// blocks of the 2×2 max-pool (pool.go).
+	addCol func(a, v *F, m, n int)
+	pool2  func(x, y *F, arg *int, lanes *[4]int, inW, n int)
 }
 
 // kernelsFor returns the table of the instantiating precision.

@@ -34,6 +34,8 @@ func avxKernels() (k64 kernels[float64], k32 kernels[float32]) {
 		widen:    widenKernel,
 		narrow:   narrowKernel,
 		quantize: quantizeKernel,
+		addCol:   addColKernel,
+		pool2:    pool2Kernel,
 	}
 	k32 = kernels[float32]{
 		wide:      16,

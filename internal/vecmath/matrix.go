@@ -629,18 +629,30 @@ func AddRowVector[F Float](a, v []F, m, n int) {
 	}
 }
 
-// SumRows accumulates the column sums of the m×n matrix a into the length-n
-// vector dst (dst[j] = Σ_i a[i][j]).
-func SumRows(dst, a []float64, m, n int) {
-	checkDims("SumRows dst", len(dst), n)
-	Zero(dst)
-	SumRowsAcc(dst, a, m, n)
+// AddColVector adds v[i] to every element of row i of the m×n matrix a in
+// place: a convolution's per-channel bias over its outC×N output. The
+// float64 body takes all m rows in one call when n is a multiple of four;
+// each element gets the one add the scalar loop gives it.
+func AddColVector[F Float](a, v []F, m, n int) {
+	checkDims("AddColVector A", len(a), m*n)
+	checkDims("AddColVector v", len(v), m)
+	kn := kernelsFor[F]()
+	if kn.addCol != nil && m > 0 && n > 0 && n%(kn.wide/2) == 0 {
+		kn.addCol(&a[0], &v[0], m, n)
+		return
+	}
+	for i, vi := range v {
+		row := a[i*n : (i+1)*n]
+		for j := range row {
+			row[j] += vi
+		}
+	}
 }
 
-// SumRowsAcc is SumRows without the initial clear: dst[j] += Σ_i a[i][j],
-// one in-place row Add at a time, so every column sees the same add
-// sequence whichever body runs. Layers use it to fold bias gradients
-// straight into the gradient vector.
+// SumRowsAcc accumulates the column sums of the m×n matrix a into the
+// length-n vector dst (dst[j] += Σ_i a[i][j]), one in-place row Add at a
+// time, so every column sees the same add sequence whichever body runs.
+// Layers use it to fold bias gradients straight into the gradient vector.
 func SumRowsAcc[F Float](dst, a []F, m, n int) {
 	checkDims("SumRowsAcc A", len(a), m*n)
 	checkDims("SumRowsAcc dst", len(dst), n)

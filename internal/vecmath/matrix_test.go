@@ -249,14 +249,6 @@ func TestAddRowVector(t *testing.T) {
 	matricesClose(t, a, want, "AddRowVector")
 }
 
-func TestSumRows(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5, 6} // 2×3
-	dst := make([]float64, 3)
-	SumRows(dst, a, 2, 3)
-	want := []float64{5, 7, 9}
-	matricesClose(t, dst, want, "SumRows")
-}
-
 func TestMatMulDimensionPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

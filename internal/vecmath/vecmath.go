@@ -15,10 +15,11 @@
 // microkernels (gemm_amd64.s, gemm32_amd64.s), detected once via CPUID;
 // everywhere else, and for tile remainders, pure-Go 2×4 register tiles
 // are used. The level-1 drivers the local-training loop calls at both
-// precisions (Zero, Add, Sub, AXPY, AXPYPY, SubScale, ReLU, ReLUGrad) are
-// generic over the same table; everything the server side runs (norms, cosine
-// similarity, sparse aggregation) is float64 only, because client updates
-// are widened once at the upload boundary.
+// precisions (Zero, Add, Sub, AXPY, AXPYPY, SubScale, ReLU, ReLUGrad,
+// AddColVector, MaxPool2x2) are generic over the same table; everything
+// the server side runs (norms, cosine similarity, sparse aggregation) is
+// float64 only, because client updates are widened once at the upload
+// boundary.
 //
 // The tunable knobs are the constants in matrix.go: gemmKC
 // (reduction-dimension cache block of the pure-Go Gemm) and
@@ -56,13 +57,6 @@ func checkLen(op string, a, b int) {
 func Zero[F Float](x []F) {
 	for i := range x {
 		x[i] = 0
-	}
-}
-
-// Fill sets every element of x to v.
-func Fill(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
 	}
 }
 
@@ -124,14 +118,6 @@ func AXPY[F Float](alpha F, x, y []F) {
 func Scale(alpha float64, x []float64) {
 	for i := range x {
 		x[i] *= alpha
-	}
-}
-
-// ScaleTo computes dst[i] = alpha * x[i]. dst may alias x.
-func ScaleTo(dst []float64, alpha float64, x []float64) {
-	checkLen("ScaleTo", len(dst), len(x))
-	for i, xi := range x {
-		dst[i] = alpha * xi
 	}
 }
 
@@ -219,31 +205,6 @@ func CosineSimilarity(a, b []float64) float64 {
 		return 0
 	}
 	return Clamp(dot/(math.Sqrt(na)*math.Sqrt(nb)), -1, 1)
-}
-
-// WeightedSum computes dst = Σ_i weights[i] * vecs[i]. All vectors must share
-// dst's length. Zero weights skip their vector entirely, so expelled clients
-// cost nothing.
-func WeightedSum(dst []float64, weights []float64, vecs [][]float64) {
-	checkLen("WeightedSum", len(weights), len(vecs))
-	Zero(dst)
-	for i, w := range weights {
-		if w == 0 {
-			continue
-		}
-		AXPY(w, vecs[i], dst)
-	}
-}
-
-// L2DistanceSquared returns ||a-b||^2 without allocating.
-func L2DistanceSquared(a, b []float64) float64 {
-	checkLen("L2DistanceSquared", len(a), len(b))
-	var s float64
-	for i, ai := range a {
-		d := ai - b[i]
-		s += d * d
-	}
-	return s
 }
 
 // Clamp returns v limited to the closed interval [lo, hi].

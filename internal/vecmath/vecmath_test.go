@@ -13,22 +13,6 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
 }
 
-func TestZeroAndFill(t *testing.T) {
-	x := []float64{1, 2, 3}
-	Zero(x)
-	for i, v := range x {
-		if v != 0 {
-			t.Fatalf("Zero: x[%d] = %v, want 0", i, v)
-		}
-	}
-	Fill(x, 2.5)
-	for i, v := range x {
-		if v != 2.5 {
-			t.Fatalf("Fill: x[%d] = %v, want 2.5", i, v)
-		}
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := Clone(x)
@@ -92,15 +76,6 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestScaleTo(t *testing.T) {
-	x := []float64{1, 2}
-	dst := make([]float64, 2)
-	ScaleTo(dst, 3, x)
-	if dst[0] != 3 || dst[1] != 6 {
-		t.Fatalf("ScaleTo: got %v", dst)
-	}
-}
-
 func TestDotNorm(t *testing.T) {
 	a := []float64{3, 4}
 	if got := Dot(a, a); got != 25 {
@@ -158,24 +133,6 @@ func TestCosineSimilarityBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWeightedSum(t *testing.T) {
-	vecs := [][]float64{{1, 0}, {0, 1}, {1, 1}}
-	w := []float64{2, 3, 0}
-	dst := make([]float64, 2)
-	WeightedSum(dst, w, vecs)
-	if dst[0] != 2 || dst[1] != 3 {
-		t.Fatalf("WeightedSum = %v, want [2 3]", dst)
-	}
-}
-
-func TestL2DistanceSquared(t *testing.T) {
-	a := []float64{1, 2}
-	b := []float64{4, 6}
-	if got := L2DistanceSquared(a, b); got != 25 {
-		t.Fatalf("L2DistanceSquared = %v, want 25", got)
 	}
 }
 
