@@ -182,12 +182,12 @@ func TestF32SteadyStateAllocs(t *testing.T) {
 			defer s.pool.close()
 			round := 0
 			for ; round < 5; round++ {
-				if halt, err := s.syncRound(round); err != nil || halt {
+				if halt, err := s.round(round); err != nil || halt {
 					t.Fatalf("warmup round %d: halt=%v err=%v", round, halt, err)
 				}
 			}
 			allocs := testing.AllocsPerRun(30, func() {
-				halt, err := s.syncRound(round)
+				halt, err := s.round(round)
 				if err != nil || halt {
 					t.Fatalf("round %d: halt=%v err=%v", round, halt, err)
 				}

@@ -232,7 +232,6 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 		partRNG:   partRNG,
 		plan:      plan,
 		ids:       make([]int, 0, n),
-		include:   make([]int, 0, n),
 		updates:   make([]Update, n),
 		measured:  make([]float64, n),
 	}

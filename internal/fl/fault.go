@@ -152,8 +152,18 @@ type dispatchOutcome struct {
 	rel       float64
 }
 
+// faultsOf returns client id's compiled fault state: nil when no
+// dispatch fault applies to it, or the run declares no plan at all.
+func (s *scheduler) faultsOf(id int) *clientFaults {
+	if s.plan == nil {
+		return nil
+	}
+	return s.plan.perClient[id]
+}
+
 // resolveDispatch plays out client id's dispatch at modeled time at
-// under the fault plan. Each attempt draws, in fixed order, its crash,
+// under the fault plan; a client no fault applies to delivers at its
+// fault-free finish time. Each attempt draws, in fixed order, its crash,
 // drop, and slow faults (one draw per compiled spec); an attempt fails
 // when a crash or drop fired, or when a latency spike pushed its
 // completion past the timeout budget (timeoutFactor × the attempt's
@@ -162,7 +172,7 @@ type dispatchOutcome struct {
 // retried client retransmits the update computed at dispatch — retries
 // are modeled in time only, never in extra local training.
 func (s *scheduler) resolveDispatch(id int, at float64) dispatchOutcome {
-	cf := s.plan.perClient[id]
+	cf := s.faultsOf(id)
 	if cf == nil {
 		return dispatchOutcome{delivered: true, rel: s.finishRel(id, at)}
 	}
@@ -194,21 +204,25 @@ func (s *scheduler) resolveDispatch(id int, at float64) dispatchOutcome {
 
 // asyncOutcome is one resolved async dispatch attempt. Unlike the
 // sync/deadline path, async retries re-dispatch — and recompute against
-// the then-current model — so only a single attempt is drawn here.
+// the then-current model — so only a single attempt is drawn here;
+// attempt is its 0-based position in the client's retry chain.
 type asyncOutcome struct {
-	failed bool
-	dup    bool
-	finish float64
+	failed  bool
+	dup     bool
+	finish  float64
+	attempt int
 }
 
 // resolveAsyncDispatch draws one dispatch attempt for client id at
-// modeled time at. A failed attempt's finish is the moment the server's
+// modeled time at; a client no fault applies to finishes at its
+// fault-free time. A failed attempt's finish is the moment the server's
 // timeout budget expires and it notices the loss.
 func (s *scheduler) resolveAsyncDispatch(id int, at float64) asyncOutcome {
-	cf := s.plan.perClient[id]
+	cf := s.faultsOf(id)
 	if cf == nil {
 		return asyncOutcome{finish: s.env.Devices[id].Availability.NextAvailable(at) + s.finishDur(id)}
 	}
+	attempt := s.attempts[id]
 	wait := s.env.Devices[id].Availability.NextAvailable(at) - at
 	base := s.finishDur(id)
 	crash := drawProb(cf.r, cf.crash, at)
@@ -217,9 +231,9 @@ func (s *scheduler) resolveAsyncDispatch(id int, at float64) asyncOutcome {
 	budget := s.plan.timeoutFactor * (wait + base)
 	dur := base * slowF
 	if crash || drop || wait+dur > budget {
-		return asyncOutcome{failed: true, finish: at + budget}
+		return asyncOutcome{failed: true, finish: at + budget, attempt: attempt}
 	}
-	return asyncOutcome{dup: drawProb(cf.r, cf.dup, at), finish: at + wait + dur}
+	return asyncOutcome{dup: drawProb(cf.r, cf.dup, at), finish: at + wait + dur, attempt: attempt}
 }
 
 // degraded reports whether a sync/deadline round that delivered
@@ -245,7 +259,7 @@ func (s *scheduler) payloadBytes(u *Update) int64 {
 // dup[j] marks updates[j] as delivered twice.
 func (s *scheduler) dupBytes(updates []Update, dup []bool) int64 {
 	var extra int64
-	for i := range dup {
+	for i := range updates {
 		if dup[i] {
 			extra += s.payloadBytes(&updates[i])
 		}

@@ -22,7 +22,7 @@ import (
 
 // referenceRun is a frozen copy of the engine's pre-scheduler lock-step
 // round loop (the Run of the GEMM-substrate revision). It is the golden
-// oracle for the synchronous policy: syncRound must reproduce it
+// oracle for the synchronous policy: the round body must reproduce it
 // bit-identically — same RNG derivation order, same update ordering,
 // same aggregation arithmetic. Do not "fix" or modernize this function;
 // divergence from it is the bug.

@@ -134,19 +134,14 @@ func TestSteadyStateAllocs(t *testing.T) {
 				}
 				defer s.pool.close()
 
-				round := 0
-				var step func() (bool, error)
-				switch policy {
-				case PolicyDeadline:
-					step = func() (bool, error) { return s.deadlineRound(round) }
-				case PolicyAsync:
+				if policy == PolicyAsync {
 					if err := s.setupAsync(); err != nil {
 						t.Fatal(err)
 					}
-					step = func() (bool, error) { return s.asyncStep(round) }
-				default:
-					step = func() (bool, error) { return s.syncRound(round) }
 				}
+				round := 0
+				policyStep := s.step()
+				step := func() (bool, error) { return policyStep(round) }
 
 				// Warm up: first rounds grow the delta ring, the engines'
 				// backward buffers, and the metric history's capacity.
@@ -311,7 +306,7 @@ func TestSlotPoolMemoryFootprint(t *testing.T) {
 		}
 		defer s.pool.close()
 		for round := 0; round < 3; round++ {
-			if halt, err := s.syncRound(round); err != nil || halt {
+			if halt, err := s.round(round); err != nil || halt {
 				t.Fatalf("round %d: halt=%v err=%v", round, halt, err)
 			}
 		}
@@ -395,7 +390,7 @@ func TestSlotPoolF32Footprint(t *testing.T) {
 		// Three rounds force the lazily allocated state (engine gradient
 		// buffers, delta ring) to its steady-state high-water mark.
 		for round := 0; round < 3; round++ {
-			if halt, err := s.syncRound(round); err != nil || halt {
+			if halt, err := s.round(round); err != nil || halt {
 				t.Fatalf("round %d: halt=%v err=%v", round, halt, err)
 			}
 		}
@@ -440,7 +435,7 @@ func TestDeltaRingReuse(t *testing.T) {
 	}
 	defer s.pool.close()
 	for round := 0; round < 3; round++ {
-		if halt, err := s.syncRound(round); err != nil || halt {
+		if halt, err := s.round(round); err != nil || halt {
 			t.Fatalf("round %d: halt=%v err=%v", round, halt, err)
 		}
 	}
@@ -449,7 +444,7 @@ func TestDeltaRingReuse(t *testing.T) {
 		t.Fatalf("delta ring holds %d buffers after full-participation rounds, want 8", high)
 	}
 	for round := 3; round < 6; round++ {
-		if halt, err := s.syncRound(round); err != nil || halt {
+		if halt, err := s.round(round); err != nil || halt {
 			t.Fatalf("round %d: halt=%v err=%v", round, halt, err)
 		}
 	}

@@ -69,9 +69,9 @@ type scheduler struct {
 	permBuf []int32
 	picked  []int
 
-	// Reusable per-round state (capacity n, sliced per round).
+	// Reusable per-round state (capacity n, sliced per round). The
+	// admission rules compact ids in place into the admitted cohort.
 	ids      []int
-	include  []int
 	updates  []Update
 	measured []float64
 	server   ServerCtx
@@ -101,11 +101,12 @@ type scheduler struct {
 	bufMeasured float64
 
 	// Fault-injection and recovery state (fault.go, checkpoint.go). plan
-	// is nil for zero-fault configs, which keeps every fault branch off
-	// the golden-pinned path. dupFlags marks delivered-twice updates per
-	// include position; attempts tracks async per-client consecutive
-	// failed dispatch attempts. All are sized at setup so fault-enabled
-	// steady-state rounds still allocate nothing.
+	// is nil for zero-fault configs, whose dispatches then resolve to the
+	// fault-free outcome without a draw. dupFlags marks delivered-twice
+	// updates per admitted position (nil without dispatch faults);
+	// attempts tracks async per-client consecutive failed dispatch
+	// attempts. All are sized at setup so fault-enabled steady-state
+	// rounds still allocate nothing.
 	plan     *faultPlan
 	dupFlags []bool
 	attempts []int
@@ -236,23 +237,6 @@ func (s *scheduler) recordWeightMass(updates []Update) {
 	}
 }
 
-// stackStats returns the last aggregation's stage statistics (all zero
-// without a stack).
-func (s *scheduler) stackStats() (zeroed, clipped int, clipNorm float64) {
-	if s.stack == nil {
-		return 0, 0, 0
-	}
-	return s.stack.stackStats()
-}
-
-// clearStackStats resets the stage statistics for rounds that never
-// aggregated (alongside the honest/corrupt weight reset).
-func (s *scheduler) clearStackStats() {
-	if s.stack != nil {
-		s.stack.clearStackStats()
-	}
-}
-
 // releaseDeltas returns the round's upload buffers (dense deltas and
 // encoded payloads) to the slot-pool ring once the server has consumed
 // them.
@@ -282,18 +266,43 @@ func (s *scheduler) uplink(updates []Update) (bytes int64, ratio float64) {
 	return enc, float64(dense*int64(len(updates))) / float64(enc)
 }
 
-// recordAccuracy fills rec.Accuracy per the evaluation cadence.
-// Evaluation uses the algorithm's output model: Definition 2 calls z_t
-// "the final model output after communication round t", and by Lemma 2
-// the z sequence advances by the plain averaged mini-batch gradient
-// (z^{t+1} = z^t − ηg·˜∆^t), cancelling the momentum in the w sequence.
-// For every other algorithm FinalModel is w itself.
-func (s *scheduler) recordAccuracy(t int, rec *metrics.Round) {
+// record starts the server step's metric record with the fields every
+// policy fills the same way: loss, uplink, the algorithm's mean α, the
+// honest/corrupt weight split and the aggregation stack's statistics.
+// The caller adds its timing and fault tallies, then commits it.
+func (s *scheduler) record(t int, trainLoss float64, upBytes int64, upRatio float64) metrics.Round {
+	rec := metrics.Round{
+		Index:            t,
+		TrainLoss:        trainLoss,
+		MeanAlpha:        s.alg.MeanAlpha(),
+		HonestWeight:     s.lastHonestW,
+		CorruptWeight:    s.lastCorruptW,
+		UplinkBytes:      upBytes,
+		CompressionRatio: upRatio,
+	}
+	if s.stack != nil {
+		rec.ZeroedUpdates, rec.ClippedUpdates, rec.ClipNorm = s.stack.stackStats()
+	}
+	return rec
+}
+
+// commit folds the executor's failover counters since the last step
+// (always zero in process) and the evaluation into rec, and appends it.
+// Evaluation follows the cadence and uses the algorithm's output model:
+// Definition 2 calls z_t "the final model output after communication
+// round t", and by Lemma 2 the z sequence advances by the plain averaged
+// mini-batch gradient (z^{t+1} = z^t − ηg·˜∆^t), cancelling the momentum
+// in the w sequence. For every other algorithm FinalModel is w itself.
+func (s *scheduler) commit(t int, rec *metrics.Round) {
+	if rx, ok := s.exec.(*remoteExec); ok {
+		rec.ReassignedDispatches, rec.WorkerReconnects = rx.drainRecovery()
+	}
 	if (t+1)%s.cfg.evalEvery() == 0 || t == s.cfg.Rounds-1 {
 		rec.Accuracy = s.evalEng.Accuracy(s.alg.FinalModel(s.params), s.test.X, s.test.Y)
 	} else if len(s.run.Rounds) > 0 {
 		rec.Accuracy = s.run.Rounds[len(s.run.Rounds)-1].Accuracy
 	}
+	s.run.Append(*rec)
 }
 
 // slowestHonest returns the largest measured wall time among training
@@ -323,14 +332,16 @@ func (s *scheduler) runAll(resumed bool) error {
 			return err
 		}
 	}
-	switch s.cfg.Policy {
-	case PolicyDeadline:
-		return s.runRounds(s.deadlineRound)
-	case PolicyAsync:
-		return s.runRounds(s.asyncStep)
-	default:
-		return s.runRounds(s.syncRound)
+	return s.runRounds(s.step())
+}
+
+// step returns the configured policy's step function: one async server
+// step, or one sync/deadline round.
+func (s *scheduler) step() func(int) (bool, error) {
+	if s.cfg.Policy == PolicyAsync {
+		return s.asyncStep
 	}
+	return s.round
 }
 
 // wantCheckpoints reports whether the run snapshots state: periodically
@@ -445,14 +456,6 @@ func (s *scheduler) canRollback() bool {
 	return !remote
 }
 
-// drainRecoveryInto folds the executor's failover counters since the
-// last round into the round record (always zero for in-process runs).
-func (s *scheduler) drainRecoveryInto(rec *metrics.Round) {
-	if rx, ok := s.exec.(*remoteExec); ok {
-		rec.ReassignedDispatches, rec.WorkerReconnects = rx.drainRecovery()
-	}
-}
-
 // compactLost drops updates whose worker connection was lost with
 // failover exhausted (serve.go marks their ring entries lost): the
 // entries are released and the kept updates left-compacted in place
@@ -479,50 +482,112 @@ func (s *scheduler) compactLost(include []int, updates []Update, measured []floa
 	return kept, lost
 }
 
-// syncRound executes one synchronous round; halt reports divergence.
-// Under a fault plan, each participant's dispatch is resolved first
-// (crash/drop/slow/dup draws plus retry chains, in client-id order from
-// the scheduler goroutine); only the delivering clients train, and the
-// server's wait covers the losers' full timeout chains.
-func (s *scheduler) syncRound(t int) (halt bool, err error) {
+// admission is what a sync or deadline rule decided about one round's
+// cohort: include lists the admitted clients in ascending ID order, dup[j]
+// marks include[j] delivered twice (nil without dispatch faults), and dur
+// is the round's modeled duration. retries counts re-dispatches, dropped
+// the dispatches that never delivered, dups the duplicated deliveries,
+// and cut the delivered stragglers the deadline turned away.
+type admission struct {
+	include                     []int
+	dup                         []bool
+	dur                         float64
+	retries, dropped, dups, cut int
+}
+
+// admit appends client id to the admitted cohort.
+func (a *admission) admit(id int, dup bool) {
+	a.include = append(a.include, id)
+	if a.dup != nil {
+		a.dup = append(a.dup, dup)
+	}
+	if dup {
+		a.dups++
+	}
+}
+
+// admitSync is the synchronous rule: every delivered dispatch is
+// admitted, and the server waits for the slowest honest device, the
+// losers' full timeout chains included. Fabricating adversaries
+// (freeloaders, sybils) do no work, so they count as instant. Both rules
+// compact ids in place: position j is read before any write to it.
+func (s *scheduler) admitSync(ids []int) admission {
+	a := admission{include: ids[:0], dup: s.dupFlags[:0]}
+	for _, id := range ids {
+		out := s.resolveDispatch(id, s.now)
+		a.retries += out.retries
+		if s.clients[id].fabricatorAt(s.now) == nil && out.rel > a.dur {
+			a.dur = out.rel
+		}
+		if out.delivered {
+			a.admit(id, out.dup)
+		} else {
+			a.dropped++
+		}
+	}
+	return a
+}
+
+// admitDeadline is the deadline rule: a delivered dispatch finishing
+// within RoundDeadlineSec of the round start is admitted, a later one is
+// cut as a straggler (the server will not wait; it retries next round).
+// If nobody made it, the earliest straggler is admitted so the round
+// aggregates at least one update. The round lasts until its slowest
+// admitted finish, or the full deadline when anyone was cut or nothing
+// was delivered.
+func (s *scheduler) admitDeadline(ids []int) admission {
+	a := admission{include: ids[:0], dup: s.dupFlags[:0]}
+	earliest, earliestRel, earliestDup := -1, math.Inf(1), false
+	for _, id := range ids {
+		out := s.resolveDispatch(id, s.now)
+		a.retries += out.retries
+		switch {
+		case !out.delivered:
+			a.dropped++
+		case out.rel <= s.cfg.RoundDeadlineSec:
+			a.admit(id, out.dup)
+			if out.rel > a.dur {
+				a.dur = out.rel
+			}
+		default:
+			a.cut++
+			if out.rel < earliestRel {
+				earliest, earliestRel, earliestDup = id, out.rel, out.dup
+			}
+		}
+	}
+	if len(a.include) == 0 && earliest >= 0 {
+		a.admit(earliest, earliestDup)
+		a.cut--
+		a.dur = earliestRel
+	} else if a.cut > 0 || len(a.include) == 0 {
+		a.dur = s.cfg.RoundDeadlineSec
+	}
+	return a
+}
+
+// round executes one sync or deadline round; halt reports divergence.
+// The policy's admission rule resolves every participant's dispatch
+// first (fault draws and retry chains, in client-id order from the
+// scheduler goroutine) and only the admitted clients train. Updates whose
+// worker was lost with failover exhausted are dropped after training. A
+// round is degraded when a dispatch fault is declared or a worker was
+// lost, and it aggregated less than the quorum of its cohort (DESIGN §8).
+func (s *scheduler) round(t int) (halt bool, err error) {
 	ids, err := s.participants(t)
 	if err != nil {
 		return false, err
 	}
-	faulty := s.plan != nil && s.plan.anyDispatch
-	include := ids
-	var (
-		slowestModeled                        float64
-		dup                                   []bool
-		roundRetries, roundDropped, roundDups int
-		degraded                              bool
-	)
-	if faulty {
-		include = s.include[:0]
-		dup = s.dupFlags[:0]
-		for _, id := range ids {
-			out := s.resolveDispatch(id, s.now)
-			roundRetries += out.retries
-			if s.clients[id].fabricatorAt(s.now) == nil && out.rel > slowestModeled {
-				slowestModeled = out.rel
-			}
-			if !out.delivered {
-				roundDropped++
-				continue
-			}
-			include = append(include, id)
-			dup = append(dup, out.dup)
-			if out.dup {
-				roundDups++
-			}
-		}
-		s.include = include[:0]
-		s.dupFlags = dup[:0]
-		degraded = s.degraded(len(include), len(ids))
+	var a admission
+	if s.cfg.Policy == PolicyDeadline {
+		a = s.admitDeadline(ids)
+	} else {
+		a = s.admitSync(ids)
 	}
-
+	include := a.include
 	updates := s.updates[:len(include)]
 	measured := s.measured[:len(include)]
+	lost := 0
 	if len(include) > 0 {
 		if err := s.exec.runRound(&s.cfg, s.alg, s.clients, include, t, s.now, s.params, s.wPrev, updates, measured); err != nil {
 			return false, err
@@ -530,70 +595,37 @@ func (s *scheduler) syncRound(t int) (halt bool, err error) {
 		if err := s.exec.settle(updates, measured); err != nil {
 			return false, err
 		}
-		if kept, lost := s.compactLost(include, updates, measured, dup); lost > 0 {
-			include = include[:kept]
-			updates = updates[:kept]
-			measured = measured[:kept]
-			if dup != nil {
-				dup = dup[:kept]
-			}
-			roundDropped += lost
-			degraded = s.degraded(len(include), len(ids))
-		}
+		var kept int
+		kept, lost = s.compactLost(include, updates, measured, a.dup)
+		include, updates, measured = include[:kept], updates[:kept], measured[:kept]
+		a.dropped += lost
 	}
-
-	if !faulty {
-		// The synchronous server waits for the slowest honest device.
-		for _, id := range ids {
-			if s.clients[id].fabricatorAt(s.now) != nil {
-				continue
-			}
-			if m := s.finishRel(id, s.now); m > slowestModeled {
-				slowestModeled = m
-			}
-		}
-	}
-	slowestMeasured := s.slowestHonest(include, measured, s.now)
-
 	if len(include) > 0 {
 		halt = s.aggregate(t, updates)
 	} else {
 		// Every update was lost: the model does not move this round.
 		s.lastHonestW, s.lastCorruptW = 0, 0
-		s.clearStackStats()
+		if s.stack != nil {
+			s.stack.clearStackStats()
+		}
 	}
+	slowestMeasured := s.slowestHonest(include, measured, s.now)
 	trainLoss := meanLoss(updates)
 	upBytes, upRatio := s.uplink(updates)
-	if roundDups > 0 {
-		upBytes += s.dupBytes(updates, dup)
+	if a.dups > 0 {
+		upBytes += s.dupBytes(updates, a.dup)
 	}
 	s.releaseDeltas(updates)
 	if halt {
 		return true, nil
 	}
-	zeroed, clipped, clipNorm := s.stackStats()
-	rec := metrics.Round{
-		Index:              t,
-		TrainLoss:          trainLoss,
-		SlowestModeledSec:  slowestModeled,
-		SlowestMeasuredSec: slowestMeasured,
-		MeanAlpha:          s.alg.MeanAlpha(),
-		HonestWeight:       s.lastHonestW,
-		CorruptWeight:      s.lastCorruptW,
-		Retries:            roundRetries,
-		DroppedUpdates:     roundDropped,
-		DupUpdates:         roundDups,
-		Degraded:           degraded,
-		ZeroedUpdates:      zeroed,
-		ClippedUpdates:     clipped,
-		ClipNorm:           clipNorm,
-		UplinkBytes:        upBytes,
-		CompressionRatio:   upRatio,
-	}
-	s.drainRecoveryInto(&rec)
-	s.recordAccuracy(t, &rec)
-	s.run.Append(rec)
-	s.now += slowestModeled
+	faulty := s.plan != nil && s.plan.anyDispatch
+	rec := s.record(t, trainLoss, upBytes, upRatio)
+	rec.SlowestModeledSec, rec.SlowestMeasuredSec = a.dur, slowestMeasured
+	rec.Retries, rec.DroppedUpdates, rec.DupUpdates, rec.DroppedClients = a.retries, a.dropped, a.dups, a.cut
+	rec.Degraded = (faulty || lost > 0) && s.degraded(len(include), len(ids))
+	s.commit(t, &rec)
+	s.now += a.dur
 	return false, nil
 }
 
@@ -605,144 +637,6 @@ func (s *scheduler) syncRound(t int) (halt bool, err error) {
 func (s *scheduler) finishRel(id int, now float64) float64 {
 	wait := s.env.Devices[id].Availability.NextAvailable(now) - now
 	return wait + s.finishDur(id)
-}
-
-// deadlineRound executes one deadline round; halt reports divergence.
-// Under a fault plan each dispatch is fault-resolved first; a dispatch
-// whose retry budget is exhausted counts as a dropped *update* (the
-// client never delivered), while a delivered update past the deadline
-// counts as a dropped *client* (the classic straggler cut).
-func (s *scheduler) deadlineRound(t int) (halt bool, err error) {
-	ids, err := s.participants(t)
-	if err != nil {
-		return false, err
-	}
-	faulty := s.plan != nil && s.plan.anyDispatch
-	include := s.include[:0]
-	var dup []bool
-	if faulty {
-		dup = s.dupFlags[:0]
-	}
-	var roundDur float64
-	dropped := 0
-	var roundRetries, roundDropped, roundDups int
-	earliest, earliestRel := -1, math.Inf(1)
-	earliestDup := false
-	for _, id := range ids {
-		var rel float64
-		isDup := false
-		if faulty {
-			out := s.resolveDispatch(id, s.now)
-			roundRetries += out.retries
-			if !out.delivered {
-				roundDropped++
-				continue
-			}
-			rel, isDup = out.rel, out.dup
-		} else {
-			rel = s.finishRel(id, s.now)
-		}
-		if rel <= s.cfg.RoundDeadlineSec {
-			include = append(include, id)
-			if faulty {
-				dup = append(dup, isDup)
-				if isDup {
-					roundDups++
-				}
-			}
-			if rel > roundDur {
-				roundDur = rel
-			}
-		} else {
-			dropped++
-			if rel < earliestRel {
-				earliest, earliestRel, earliestDup = id, rel, isDup
-			}
-		}
-	}
-	if len(include) == 0 && earliest >= 0 {
-		include = append(include, earliest)
-		if faulty {
-			dup = append(dup, earliestDup)
-			if earliestDup {
-				roundDups++
-			}
-		}
-		dropped--
-		roundDur = earliestRel
-	} else if dropped > 0 || (faulty && len(include) == 0) {
-		// Stragglers were cut off (or every update was lost), so the
-		// server waited out the full deadline before closing the round.
-		roundDur = s.cfg.RoundDeadlineSec
-	}
-	s.include = include[:0]
-	if faulty {
-		s.dupFlags = dup[:0]
-	}
-
-	updates := s.updates[:len(include)]
-	measured := s.measured[:len(include)]
-	lostN := 0
-	if len(include) > 0 {
-		if err := s.exec.runRound(&s.cfg, s.alg, s.clients, include, t, s.now, s.params, s.wPrev, updates, measured); err != nil {
-			return false, err
-		}
-		if err := s.exec.settle(updates, measured); err != nil {
-			return false, err
-		}
-		var kept int
-		kept, lostN = s.compactLost(include, updates, measured, dup)
-		if lostN > 0 {
-			include = include[:kept]
-			updates = updates[:kept]
-			measured = measured[:kept]
-			if dup != nil {
-				dup = dup[:kept]
-			}
-			roundDropped += lostN
-		}
-	}
-	if len(include) > 0 {
-		halt = s.aggregate(t, updates)
-	} else {
-		s.lastHonestW, s.lastCorruptW = 0, 0
-		s.clearStackStats()
-	}
-	trainLoss := meanLoss(updates)
-	slowestMeasured := s.slowestHonest(include, measured, s.now)
-	upBytes, upRatio := s.uplink(updates)
-	if roundDups > 0 {
-		upBytes += s.dupBytes(updates, dup)
-	}
-	s.releaseDeltas(updates)
-	if halt {
-		return true, nil
-	}
-	zeroed, clipped, clipNorm := s.stackStats()
-	rec := metrics.Round{
-		Index:              t,
-		TrainLoss:          trainLoss,
-		SlowestModeledSec:  roundDur,
-		SlowestMeasuredSec: slowestMeasured,
-		MeanAlpha:          s.alg.MeanAlpha(),
-		HonestWeight:       s.lastHonestW,
-		CorruptWeight:      s.lastCorruptW,
-		DroppedClients:     dropped,
-		Retries:            roundRetries,
-		DroppedUpdates:     roundDropped,
-		DupUpdates:         roundDups,
-		Degraded:           (faulty || lostN > 0) && s.degraded(len(include), len(ids)),
-		ZeroedUpdates:      zeroed,
-		ClippedUpdates:     clipped,
-		ClipNorm:           clipNorm,
-		UplinkBytes:        upBytes,
-		CompressionRatio:   upRatio,
-	}
-	s.drainRecoveryInto(&rec)
-	s.recordAccuracy(t, &rec)
-	s.run.Append(rec)
-	s.now += roundDur
-	return false, nil
 }
 
 // flight is one client's in-progress local round under the async policy:
@@ -781,21 +675,17 @@ func (s *scheduler) dispatch(ids []int, at float64) error {
 		return err
 	}
 	for j, id := range ids {
-		f := flight{
+		out := s.resolveAsyncDispatch(id, at)
+		s.pending[id] = flight{
 			update:   updates[j],
 			measured: measured[j],
-			finish:   s.env.Devices[id].Availability.NextAvailable(at) + s.finishDur(id),
+			finish:   out.finish,
 			version:  s.version,
 			live:     true,
+			failed:   out.failed,
+			dup:      out.dup,
+			attempt:  out.attempt,
 		}
-		if s.plan != nil && s.plan.anyDispatch {
-			out := s.resolveAsyncDispatch(id, at)
-			f.finish = out.finish
-			f.failed = out.failed
-			f.dup = out.dup
-			f.attempt = s.attempts[id]
-		}
-		s.pending[id] = f
 	}
 	return nil
 }
@@ -924,29 +814,13 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 			return false, err
 		}
 	}
-	zeroed, clipped, clipNorm := s.stackStats()
-	rec := metrics.Round{
-		Index:              t,
-		TrainLoss:          trainLoss,
-		SlowestModeledSec:  s.now - s.lastAgg,
-		SlowestMeasuredSec: s.bufMeasured,
-		MeanAlpha:          s.alg.MeanAlpha(),
-		HonestWeight:       s.lastHonestW,
-		CorruptWeight:      s.lastCorruptW,
-		MeanStaleness:      float64(staleSum) / float64(len(s.buffer)),
-		MaxStaleness:       staleMax,
-		Retries:            s.stepRetries,
-		DroppedUpdates:     s.stepDropped,
-		DupUpdates:         s.stepDups,
-		ZeroedUpdates:      zeroed,
-		ClippedUpdates:     clipped,
-		ClipNorm:           clipNorm,
-		UplinkBytes:        upBytes + s.stepDupBytes,
-		CompressionRatio:   upRatio,
-	}
-	s.drainRecoveryInto(&rec)
-	s.recordAccuracy(t, &rec)
-	s.run.Append(rec)
+	// The record is read after the trigger's re-dispatch, so MeanAlpha
+	// sees the state that local round left.
+	rec := s.record(t, trainLoss, upBytes+s.stepDupBytes, upRatio)
+	rec.SlowestModeledSec, rec.SlowestMeasuredSec = s.now-s.lastAgg, s.bufMeasured
+	rec.MeanStaleness, rec.MaxStaleness = float64(staleSum)/float64(len(s.buffer)), staleMax
+	rec.Retries, rec.DroppedUpdates, rec.DupUpdates = s.stepRetries, s.stepDropped, s.stepDups
+	s.commit(t, &rec)
 	s.lastAgg = s.now
 	s.buffer = s.buffer[:0]
 	s.bufMeasured = 0
