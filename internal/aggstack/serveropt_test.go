@@ -202,3 +202,31 @@ func TestOptimizerGrowNoRealloc(t *testing.T) {
 		t.Fatal("Grow reallocated the moment buffer")
 	}
 }
+
+// TestOptimizerStepAllocFree: after Grow, a Step of every optimizer kind
+// allocates nothing (the 0-alloc steady-state contract; fl's
+// TestSteadyStateAllocs runs the stack with adam only).
+func TestOptimizerStepAllocFree(t *testing.T) {
+	const d = 256
+	r := rng.New(29)
+	wPrev, w := make([]float64, d), make([]float64, d)
+	for i := range wPrev {
+		wPrev[i] = r.Normal(0, 1)
+	}
+	for _, kind := range []OptKind{OptFedSGD, OptAdagrad, OptAdam, OptYogi} {
+		opt, err := NewOptimizer(OptSpec{Kind: kind, LR: 0.1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Grow(d)
+		allocs := testing.AllocsPerRun(20, func() {
+			for i := range w {
+				w[i] = wPrev[i] + 0.01
+			}
+			opt.Step(wPrev, w)
+		})
+		if allocs != 0 {
+			t.Errorf("%s Step allocates %v times per call", kind, allocs)
+		}
+	}
+}

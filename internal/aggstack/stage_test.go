@@ -192,3 +192,61 @@ func TestStackedZeroingThenClip(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkAggStack measures the per-round server cost the composable
+// aggregation stack adds (DESIGN.md §9): the stage pipeline over a
+// fleet's worth of update norms, and one FedOpt moment update at a
+// model-sized parameter vector (the O(d) work FedAdam/FedYogi add per
+// round).
+func BenchmarkAggStack(b *testing.B) {
+	stack, err := ParseStack("zeroing|clip")
+	if err != nil {
+		b.Fatal(err)
+	}
+	stages, err := NewStages(stack)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 1024
+	r := rng.New(13)
+	baseNorms := make([]float64, n)
+	for i := range baseNorms {
+		baseNorms[i] = math.Exp(r.Normal(0, 1))
+	}
+	norms := make([]float64, n)
+	mult := make([]float64, n)
+	b.Run("stages-n1024", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(norms, baseNorms)
+			for j := range mult {
+				mult[j] = 1
+			}
+			for _, st := range stages {
+				st.Apply(norms, mult)
+			}
+		}
+	})
+
+	const d = 65536
+	wPrev := make([]float64, d)
+	w0 := make([]float64, d)
+	w := make([]float64, d)
+	for i := range wPrev {
+		wPrev[i] = r.Normal(0, 1)
+		w0[i] = wPrev[i] + 0.01*r.Normal(0, 1)
+	}
+	for _, kind := range []string{"adam", "yogi"} {
+		b.Run(kind+"-step-d65536", func(b *testing.B) {
+			opt, err := NewOptimizer(OptSpec{Kind: OptKind(kind), LR: 0.1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			opt.Grow(d)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(w, w0)
+				opt.Step(wPrev, w)
+			}
+		})
+	}
+}

@@ -107,6 +107,63 @@ func TestRegistryIDs(t *testing.T) {
 	}
 }
 
+// TestArtifactsRender runs, at ScaleBench, each registered experiment
+// that no shape test in this file renders and that fits a 15 s budget,
+// and requires every artifact it returns to render. The seconds are each
+// ID's cost with a fresh Runner, measured on a 2-core AVX2 Xeon: the
+// rendered ones total ≈ 11 s, and adding any left-out one breaks the
+// budget (table5, fig2, fig4 and fig5 draw on one cached sweep, so
+// together they cost what table5 or fig4 costs alone). Render those with
+// `go run ./cmd/flsim -experiment <id> -scale bench`.
+func TestArtifactsRender(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains every cheap experiment at bench scale")
+	}
+	shapeTested := []string{"compression", "faults", "fedopt", "robustness", "straggler", "table1", "table3"}
+	rendered := map[string]float64{"table2": 1.1, "table6": 2.6, "table8": 3.1, "fig6": 3.4, "scale1k": 0.9, "scale100k": 0.1}
+	leftOut := map[string]float64{"table5": 20.9, "fig2": 6.3, "fig4": 21.2, "fig5": 14.3, "fig7": 5.0, "table7": 15.4}
+
+	covered := map[string]bool{}
+	for _, id := range shapeTested {
+		covered[id] = true
+	}
+	for _, m := range []map[string]float64{rendered, leftOut} {
+		for id := range m {
+			covered[id] = true
+		}
+	}
+	for _, id := range IDs() {
+		if !covered[id] {
+			t.Errorf("experiment %q is neither rendered nor left out here", id)
+		}
+	}
+	r := NewRunner(ScaleBench)
+	for _, id := range IDs() {
+		if sec, ok := leftOut[id]; ok {
+			t.Logf("left out %s: %.1f s at ScaleBench", id, sec)
+		}
+		if _, ok := rendered[id]; !ok {
+			continue
+		}
+		t.Run(id, func(t *testing.T) {
+			arts, err := Run(id, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(arts) == 0 {
+				t.Fatal("no artifact")
+			}
+			for _, a := range arts {
+				var sb strings.Builder
+				a.Render(&sb)
+				if sb.Len() == 0 {
+					t.Fatal("artifact rendered nothing")
+				}
+			}
+		})
+	}
+}
+
 // TestTable1Artifact runs the cheapest full experiment end to end and
 // checks the rendered shape.
 func TestTable1Artifact(t *testing.T) {
@@ -294,16 +351,6 @@ func TestSuppressedClients(t *testing.T) {
 		if f {
 			t.Fatal("zero-mass run must flag nobody")
 		}
-	}
-}
-
-func TestMicroGradBenchmark(t *testing.T) {
-	d, err := MicroGradBenchmark("adult", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d <= 0 {
-		t.Fatalf("non-positive duration %v", d)
 	}
 }
 

@@ -2,13 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/fl"
-	"repro/internal/nn"
 	"repro/internal/report"
-	"repro/internal/rng"
 	"repro/internal/simclock"
 )
 
@@ -138,29 +134,4 @@ func Table3(r *Runner) (*report.Table, error) {
 		"paper shape: only TACO covers all three capabilities at near-FedAvg cost",
 		"(paper: TACO 4.81s vs FedAvg 4.50s, +6.9%; STEM 6.48s, +44%).")
 	return t, nil
-}
-
-// MicroGradBenchmark measures one mini-batch gradient evaluation for the
-// named dataset's model — the building block of every timing artifact.
-// Exposed for the benchmark harness.
-func MicroGradBenchmark(dsName string, batch int) (time.Duration, error) {
-	net, err := dataset.Model(dsName)
-	if err != nil {
-		return 0, err
-	}
-	train, _, err := dataset.Standard(dsName, dataset.ScaleSmall, 1)
-	if err != nil {
-		return 0, err
-	}
-	r := rng.New(3)
-	params := net.InitParams(r)
-	eng := nn.NewEngine(net, batch)
-	sampler := dataset.NewSampler(train, r)
-	x := make([]float64, batch*train.In.Size())
-	y := make([]int, batch)
-	grad := make([]float64, net.NumParams())
-	sampler.Batch(x, y)
-	start := time.Now()
-	eng.Gradient(params, x, y, grad)
-	return time.Since(start), nil
 }

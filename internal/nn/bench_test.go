@@ -92,6 +92,34 @@ func BenchmarkConvLayer(b *testing.B) {
 	}
 }
 
+// BenchmarkIm2col tracks the exported patch-packing entry point at the conv
+// shapes of the model zoo. Im2col resolves the geometry into its offset
+// table on every call; a conv layer does that once at construction, so the
+// layer's own packing cost is read from BenchmarkConvLayer.
+func BenchmarkIm2col(b *testing.B) {
+	cases := []struct {
+		name                          string
+		inC, inH, inW, k, stride, pad int
+	}{
+		{"residual-8ch-8x8", 8, 8, 8, 3, 1, 1},
+		{"residual-16ch-4x4", 16, 4, 4, 3, 1, 1},
+		{"transition-s2", 8, 8, 8, 3, 2, 1},
+	}
+	r := rng.New(9)
+	for _, c := range cases {
+		outH := (c.inH+2*c.pad-c.k)/c.stride + 1
+		outW := (c.inW+2*c.pad-c.k)/c.stride + 1
+		x := benchRand(r, c.inC*c.inH*c.inW)
+		dst := make([]float64, c.inC*c.k*c.k*outH*outW)
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Im2col(dst, x, c.inC, c.inH, c.inW, c.k, c.stride, c.pad, outH, outW)
+			}
+			b.ReportMetric(float64(len(dst))*float64(b.N)/b.Elapsed().Seconds(), "elems/s")
+		})
+	}
+}
+
 // largestProduct returns the dimensions of the biggest matrix product of
 // one forward pass, a convolution counted as the single outC × K × batch·N
 // product it would be if lowered per batch (the convention of
@@ -128,7 +156,10 @@ func largestProduct(net *Network, batch int) (m, k, n int) {
 // batch 24 ("flops/s") over the flops/s of vecmath.Gemm at the model's
 // largest product ("gemm-flops/s"), as "gemm-share". 1.0 would mean the
 // step costs what its matrix products cost. It cycles through benchRotate
-// input batches, as a training step sees fresh data every step.
+// input batches, as a training step sees fresh data every step. The -f32
+// legs run the same evaluation on Engine[float32] (fl's DType "f32")
+// against Gemm at float32; a model's flops/s over its -f32 leg's is the
+// fp32 training speedup for that model family.
 func BenchmarkGradEvalShare(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -139,33 +170,47 @@ func BenchmarkGradEvalShare(b *testing.B) {
 		{"cifar100-ResNetLite", ResNetLite(Shape{C: 3, H: 8, W: 8}, 100, 1)},
 		{"shakespeare-CharLSTM", CharLSTM(8, 12, 16)},
 	} {
-		b.Run(c.name, func(b *testing.B) {
-			r := rng.New(67)
-			net := c.net
-			params := net.InitParams(r)
-			xs := benchBatches(r, benchBatch*net.in.Size())
-			labels := make([][]int, benchRotate)
-			for i := range labels {
-				labels[i] = randLabels(r, benchBatch, net.classes)
-			}
-			grad := make([]float64, net.total)
-			eng := NewEngine(net, benchBatch)
-
-			m, k, n := largestProduct(net, benchBatch)
-			ga, gb, gc := benchRand(r, m*k), benchRand(r, k*n), make([]float64, m*n)
-			gemmFlops := bestRate(float64(2*m*k*n), func() { vecmath.Gemm(gc, ga, gb, m, k, n, false) })
-
-			eng.Gradient(params, xs[0], labels[0], grad) // size the lazy buffers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.Gradient(params, xs[i%benchRotate], labels[i%benchRotate], grad)
-			}
-			gradFlops := float64(net.GradFlops(benchBatch)) * float64(b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(gradFlops, "flops/s")
-			b.ReportMetric(gemmFlops, "gemm-flops/s")
-			b.ReportMetric(gradFlops/gemmFlops, "gemm-share")
-		})
+		b.Run(c.name, func(b *testing.B) { benchGradEvalShare[float64](b, c.net) })
+		b.Run(c.name+"-f32", func(b *testing.B) { benchGradEvalShare[float32](b, c.net) })
 	}
+}
+
+func benchGradEvalShare[F Float](b *testing.B, net *Network) {
+	r := rng.New(67)
+	params := convert[F](net.InitParams(r))
+	xs := make([][]F, benchRotate)
+	for i, x := range benchBatches(r, benchBatch*net.in.Size()) {
+		xs[i] = convert[F](x)
+	}
+	labels := make([][]int, benchRotate)
+	for i := range labels {
+		labels[i] = randLabels(r, benchBatch, net.classes)
+	}
+	grad := make([]F, net.total)
+	eng := newEngine[F](net, benchBatch)
+
+	m, k, n := largestProduct(net, benchBatch)
+	ga, gb, gc := convert[F](benchRand(r, m*k)), convert[F](benchRand(r, k*n)), make([]F, m*n)
+	gemmFlops := bestRate(float64(2*m*k*n), func() { vecmath.Gemm(gc, ga, gb, m, k, n, false) })
+
+	eng.Gradient(params, xs[0], labels[0], grad) // size the lazy buffers
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Gradient(params, xs[i%benchRotate], labels[i%benchRotate], grad)
+	}
+	gradFlops := float64(net.GradFlops(benchBatch)) * float64(b.N) / b.Elapsed().Seconds()
+	b.ReportMetric(gradFlops, "flops/s")
+	b.ReportMetric(gemmFlops, "gemm-flops/s")
+	b.ReportMetric(gradFlops/gemmFlops, "gemm-share")
+}
+
+// convert returns x rounded to precision F.
+func convert[F Float](x []float64) []F {
+	out := make([]F, len(x))
+	for i, v := range x {
+		out[i] = F(v)
+	}
+	return out
 }
 
 // BenchmarkMaxPool times the 2×2 max-pool forward pass at float64 on the

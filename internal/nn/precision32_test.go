@@ -203,3 +203,36 @@ func TestCNNGradientAllocFree(t *testing.T) {
 		t.Fatalf("CNN Engine.Gradient allocates %v times per call after warm-up", n)
 	}
 }
+
+// TestModelZooGradientAllocFree extends the two tests above to the other
+// model families at both precisions: after warm-up, Gradient on the adult
+// MLP, ResNetLite and CharLSTM allocates nothing.
+func TestModelZooGradientAllocFree(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		net  *Network
+	}{
+		{"MLP", MLP(20, 2)},
+		{"ResNetLite", ResNetLite(Shape{C: 3, H: 8, W: 8}, 10, 1)},
+		{"CharLSTM", CharLSTM(8, 12, 16)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := rng.New(13)
+			params := c.net.InitParams(r)
+			x := randInput(r, 8*c.net.InShape().Size())
+			labels := randLabels(r, 8, c.net.OutSize())
+			gradientAllocs[float64](t, c.net, params, x, labels)
+			gradientAllocs[float32](t, c.net, params, x, labels)
+		})
+	}
+}
+
+func gradientAllocs[F Float](t *testing.T, net *Network, params64, x64 []float64, labels []int) {
+	params, x := convert[F](params64), convert[F](x64)
+	e := newEngine[F](net, len(labels))
+	grad := make([]F, net.NumParams())
+	e.Gradient(params, x, labels, grad)
+	if n := testing.AllocsPerRun(10, func() { e.Gradient(params, x, labels, grad) }); n != 0 {
+		t.Errorf("Engine[%T].Gradient allocates %v times per call after warm-up", F(0), n)
+	}
+}

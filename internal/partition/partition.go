@@ -87,7 +87,8 @@ func IID(d *dataset.Dataset, n int, r *rng.RNG) (*Partition, error) {
 // The partition is materialized in two passes over preallocated flat
 // backing arrays — per-class buckets first, then exact-sized per-client
 // shards — so building a partition costs a handful of allocations instead
-// of O(classes·clients) append regrowth (BenchmarkDirichletPartition).
+// of O(classes·clients) append regrowth (BenchmarkDirichletPartition in
+// this package's tests).
 // The random draws (per-class shuffle, then Dirichlet weights, in class
 // order) are identical to the original incremental construction, so
 // partitions are bit-for-bit unchanged.

@@ -342,3 +342,17 @@ func TestValidateDetectsProblems(t *testing.T) {
 		t.Fatal("expected out-of-range detection")
 	}
 }
+
+// BenchmarkDirichletPartition measures the non-IID partitioner.
+func BenchmarkDirichletPartition(b *testing.B) {
+	train, _, err := dataset.Standard("mnist", dataset.ScaleSmall, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Dirichlet(train, 20, 0.2, rng.New(uint64(i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

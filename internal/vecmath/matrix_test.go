@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // naiveMatMul is the reference implementation used to validate the kernels.
@@ -350,4 +352,68 @@ func testGemmABTSummationOrder[F Float](t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkGEMM tracks the matrix-product kernels every layer lowers
+// onto, at the shapes the substrate actually runs: square references plus
+// the skinny products of the dense and LSTM layers and the im2col conv
+// products (W·col, dW, and dX shapes). flops/s is the metric to watch
+// when touching the kernels or their knobs (see DESIGN.md §2).
+func BenchmarkGEMM(b *testing.B) {
+	shapes := []struct {
+		name    string
+		m, k, n int
+	}{
+		{"square64", 64, 64, 64},
+		{"square128", 128, 128, 128},
+		{"dense-fwd-24x256x64", 24, 256, 64},
+		{"lstm-gates-24x16x64", 24, 16, 64},
+		{"conv-fwd-8x72x64", 8, 72, 64},
+		{"conv-fwd-16x144x16", 16, 144, 16},
+	}
+	r := rng.New(7)
+	for _, s := range shapes {
+		a := make([]float64, s.m*s.k)
+		bb := make([]float64, s.k*s.n)
+		c := make([]float64, s.m*s.n)
+		for i := range a {
+			a[i] = r.Normal(0, 1)
+		}
+		for i := range bb {
+			bb[i] = r.Normal(0, 1)
+		}
+		flops := float64(2 * s.m * s.k * s.n)
+		b.Run("Gemm/"+s.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Gemm(c, a, bb, s.m, s.k, s.n, false)
+			}
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds(), "flops/s")
+		})
+	}
+	// The transposed products at their gradient shapes: dW += Xᵀ·dY and
+	// dX = dY·Wᵀ for the batch-24 dense layer above.
+	const m, k, n = 24, 256, 64
+	x := make([]float64, m*k)
+	dy := make([]float64, m*n)
+	for i := range x {
+		x[i] = r.Normal(0, 1)
+	}
+	for i := range dy {
+		dy[i] = r.Normal(0, 1)
+	}
+	b.Run("GemmATB/dW-24x256x64", func(b *testing.B) {
+		dw := make([]float64, k*n)
+		for i := 0; i < b.N; i++ {
+			GemmATB(dw, x, dy, m, k, n, true)
+		}
+		b.ReportMetric(float64(2*m*k*n)*float64(b.N)/b.Elapsed().Seconds(), "flops/s")
+	})
+	b.Run("GemmABT/dX-24x64x256", func(b *testing.B) {
+		w := make([]float64, k*n)
+		dx := make([]float64, m*k)
+		for i := 0; i < b.N; i++ {
+			GemmABT(dx, dy, w, m, n, k, false)
+		}
+		b.ReportMetric(float64(2*m*k*n)*float64(b.N)/b.Elapsed().Seconds(), "flops/s")
+	})
 }

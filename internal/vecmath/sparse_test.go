@@ -116,6 +116,46 @@ func TestScatterGatherAgainstDense(t *testing.T) {
 	}
 }
 
+// BenchmarkDenseAggregate is the dense baseline BenchmarkSparse's legs
+// are read against: one aggregation pass over 32 uploads of a d=65536
+// model, AXPYing every coordinate of every update, at float64 and at
+// float32 (half the memory traffic for a memory-bound kernel, so ~2x is
+// the expected ratio). A top-k pass scatters only k of the d coordinates
+// per upload, the O(n·k)-vs-O(n·d) win the codec buys the scheduler.
+func BenchmarkDenseAggregate(b *testing.B) {
+	const d, n = 65536, 32
+	r := rng.New(11)
+	dst := make([]float64, d)
+	dense := make([][]float64, n)
+	for u := range dense {
+		dense[u] = make([]float64, d)
+		for i := range dense[u] {
+			dense[u][i] = r.Normal(0, 1)
+		}
+	}
+	b.Run("f64", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for u := range dense {
+				AXPY(1.0/n, dense[u], dst)
+			}
+		}
+	})
+	b.Run("f32", func(b *testing.B) {
+		dst32 := make([]float32, d)
+		dense32 := make([][]float32, n)
+		for u := range dense32 {
+			dense32[u] = make([]float32, d)
+			Narrow(dense32[u], dense[u])
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for u := range dense32 {
+				AXPY(1.0/n, dense32[u], dst32)
+			}
+		}
+	})
+}
+
 func BenchmarkSparse(b *testing.B) {
 	r := rng.New(7)
 	const d = 65536

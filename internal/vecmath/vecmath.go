@@ -25,10 +25,9 @@
 // (reduction-dimension cache block of the pure-Go Gemm) and
 // gemmATBPanelMin (reduction length at which the pure-Go GemmATB switches
 // to rank-1 row panels); gemmMR/gemmNR merely document the fixed 2×4 tile
-// shape baked into the unrolled loop bodies. After changing a knob,
-// re-run at the repository root
+// shape baked into the unrolled loop bodies. After changing a knob, run
 //
-//	go test ./internal/vecmath/ && go test -bench 'BenchmarkGEMM|BenchmarkGradEval' -benchtime 1x .
+//	go test ./internal/vecmath/ && go test -run '^$' -bench 'BenchmarkGEMM|BenchmarkGradEvalShare' ./internal/vecmath/ ./internal/nn/
 //
 // to re-validate numerics and measure the effect; BenchmarkGEMM reports
 // flops/s for the shapes the substrate actually runs. DESIGN.md §2

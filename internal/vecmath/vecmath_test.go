@@ -5,6 +5,8 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 const eps = 1e-12
@@ -133,6 +135,57 @@ func TestCosineSimilarityBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKernelsAllocFree holds the server-side and GEMM kernels to no
+// allocation per call, the contract the 0-allocs-per-round scheduler
+// builds on: the three GEMM forms at a dense layer's shapes, AXPY at both
+// precisions, the Eq. (7) cosine and the sparse scatter/gather pair.
+func TestKernelsAllocFree(t *testing.T) {
+	r := rng.New(5)
+	const m, k, n, d = 24, 256, 64, 4096
+	a, bm, c := make([]float64, m*k), make([]float64, k*n), make([]float64, m*n)
+	x, y := make([]float64, d), make([]float64, d)
+	for _, v := range [][]float64{a, bm, x, y} {
+		for i := range v {
+			v[i] = r.Normal(0, 1)
+		}
+	}
+	x32, y32 := make([]float32, d), make([]float32, d)
+	Narrow(x32, x)
+	idx, val, _ := sparseCase(r, d, d/100, false)
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"Gemm", func() { Gemm(c, a, bm, m, k, n, false) }},
+		{"GemmATB", func() { GemmATB(bm, a, c, m, k, n, true) }},
+		{"GemmABT", func() { GemmABT(a, c, bm, m, n, k, false) }},
+		{"AXPY", func() { AXPY(0.5, x, y) }},
+		{"AXPY-f32", func() { AXPY(0.5, x32, y32) }},
+		{"CosineSimilarity", func() { CosineSimilarity(x, y) }},
+		{"ScatterAXPY", func() { ScatterAXPY(0.5, idx, val, y) }},
+		{"GatherDot", func() { GatherDot(idx, val, y) }},
+	} {
+		if allocs := testing.AllocsPerRun(20, tc.op); allocs != 0 {
+			t.Errorf("%s allocates %v times per call", tc.name, allocs)
+		}
+	}
+}
+
+// BenchmarkCosineSimilarity measures the Eq. (7) direction factor.
+func BenchmarkCosineSimilarity(b *testing.B) {
+	r := rng.New(3)
+	x := make([]float64, 4096)
+	y := make([]float64, 4096)
+	for i := range x {
+		x[i] = r.Normal(0, 1)
+		y[i] = r.Normal(0, 1)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		CosineSimilarity(x, y)
 	}
 }
 

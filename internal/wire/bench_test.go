@@ -1,7 +1,4 @@
-// Wire-path benchmarks: the payload and frame marshalling kernels the
-// benchdiff gate pins, plus loopback throughput runs at fleet scale
-// (deliberately unpinned — socket scheduling noise, not kernel signal).
-package taco_test
+package wire
 
 import (
 	"bytes"
@@ -9,11 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/compress"
-	"repro/internal/experiments"
-	"repro/internal/fl"
 	"repro/internal/rng"
-	"repro/internal/wire"
 )
+
+// Wire-path benchmarks: the payload and frame marshalling kernels, plus a
+// loopback throughput run at fleet scale (socket scheduling noise shows
+// in it, not only codec cost).
 
 // BenchmarkWirePayload measures one payload marshal+unmarshal round trip
 // per wire form at a model-sized vector — the per-update serialization
@@ -40,18 +38,17 @@ func BenchmarkWirePayload(b *testing.B) {
 			var p, out compress.Payload
 			c.Grow(&p, d)
 			c.Encode(&p, x, rng.New(9), scratch)
-			buf := wire.AppendPayload(nil, &p)
-			defer recordBench(b)()
+			buf := AppendPayload(nil, &p)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf = wire.AppendPayload(buf[:0], &p)
-				if _, err := wire.UnmarshalPayload(&out, buf); err != nil {
+				buf = AppendPayload(buf[:0], &p)
+				if _, err := UnmarshalPayload(&out, buf); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(8*d)*float64(b.N)/1e6/b.Elapsed().Seconds(), "MB/s")
 			if k := len(p.Idx); k > 0 {
-				recordBenchMetric(b, "wire_bytes_per_coord", float64(len(buf))/float64(k))
+				b.ReportMetric(float64(len(buf))/float64(k), "wire_bytes_per_coord")
 			}
 		})
 	}
@@ -66,19 +63,18 @@ func BenchmarkWireFrame(b *testing.B) {
 	}
 	var buf bytes.Buffer
 	var wbuf []byte
-	var fr wire.Frame
+	var fr Frame
 	rd := bytes.NewReader(nil)
-	defer recordBench(b)()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
 		var err error
-		wbuf, err = wire.WriteFrame(&buf, wire.FrameUpdates, body, wbuf)
+		wbuf, err = WriteFrame(&buf, FrameUpdates, body, wbuf)
 		if err != nil {
 			b.Fatal(err)
 		}
 		rd.Reset(buf.Bytes())
-		if err := wire.ReadFrame(rd, &fr); err != nil {
+		if err := ReadFrame(rd, &fr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,8 +85,7 @@ func BenchmarkWireFrame(b *testing.B) {
 // update entries (the flserver Updates-frame layout: id, loss, measured,
 // payload) through a loopback TCP socket, batched 256 per frame, and
 // decodes every payload on the receiver — the server's ingest path
-// without training attached. updates_per_sec is the figure the 100k
-// study quotes.
+// without training attached, in decoded updates_per_sec.
 func BenchmarkWireThroughput(b *testing.B) {
 	const d, k, batch = 1024, 16, 256
 	codec := &compress.TopK{Frac: float64(k) / d}
@@ -102,10 +97,10 @@ func BenchmarkWireThroughput(b *testing.B) {
 	var p compress.Payload
 	codec.Grow(&p, d)
 	codec.Encode(&p, x, rng.New(9), make([]float64, d))
-	entry := wire.AppendUvarint(nil, 42)
-	entry = wire.AppendF64(entry, 0.5)
-	entry = wire.AppendF64(entry, 0.01)
-	entry = wire.AppendPayload(entry, &p)
+	entry := AppendUvarint(nil, 42)
+	entry = AppendF64(entry, 0.5)
+	entry = AppendF64(entry, 0.01)
+	entry = AppendPayload(entry, &p)
 
 	for _, tc := range []struct {
 		name    string
@@ -127,12 +122,12 @@ func BenchmarkWireThroughput(b *testing.B) {
 					return
 				}
 				defer conn.Close()
-				frame := wire.BeginFrame(nil, wire.FrameUpdates)
-				frame = wire.AppendUvarint(frame, batch)
+				frame := BeginFrame(nil, FrameUpdates)
+				frame = AppendUvarint(frame, batch)
 				for j := 0; j < batch; j++ {
 					frame = append(frame, entry...)
 				}
-				wire.EndFrame(frame, 0)
+				EndFrame(frame, 0)
 				for i := 0; i < b.N; i++ {
 					for f := 0; f < frames; f++ {
 						if _, err := conn.Write(frame); err != nil {
@@ -147,23 +142,22 @@ func BenchmarkWireThroughput(b *testing.B) {
 			}
 			defer conn.Close()
 
-			defer recordBench(b)()
-			var fr wire.Frame
+			var fr Frame
 			var out compress.Payload
 			total := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for f := 0; f < frames; f++ {
-					if err := wire.ReadFrame(conn, &fr); err != nil {
+					if err := ReadFrame(conn, &fr); err != nil {
 						b.Fatal(err)
 					}
-					dec := wire.Dec{B: fr.Body}
-					cnt := dec.Count(wire.MaxElems, 1)
+					dec := Dec{B: fr.Body}
+					cnt := dec.Count(MaxElems, 1)
 					for j := 0; j < cnt; j++ {
 						dec.Uvarint()
 						dec.F64()
 						dec.F64()
-						if err := wire.DecodePayload(&out, &dec); err != nil {
+						if err := DecodePayload(&out, &dec); err != nil {
 							b.Fatal(err)
 						}
 						total++
@@ -173,60 +167,8 @@ func BenchmarkWireThroughput(b *testing.B) {
 					}
 				}
 			}
-			recordBenchMetric(b, "updates_per_sec", float64(total)/b.Elapsed().Seconds())
+			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "updates_per_sec")
 			b.SetBytes(int64(frames) * int64(batch) * int64(len(entry)))
 		})
-	}
-}
-
-// BenchmarkThroughput100k trains the tiled 100,000-client fleet of the
-// scale100k study (100 Dirichlet shards × 1000, 0.1% participation,
-// FedAvg) and reports whole-system server throughput: rounds_per_sec
-// and aggregated updates_per_sec, with per-round O(fleet) bookkeeping
-// included. This is the committed fleet-scale figure; kernel regressions
-// are gated separately by the pinned micro-benchmarks.
-func BenchmarkThroughput100k(b *testing.B) {
-	profile, err := experiments.ProfileFor("adult", experiments.ScaleBench)
-	if err != nil {
-		b.Fatal(err)
-	}
-	profile.Clients = 100
-	profile.FleetMultiplier = 1000
-	profile.Partition = experiments.PartDirichlet
-	profile.DirPhi = 0.3
-	profile.Rounds = 3
-	profile.LocalSteps = 3
-	cfg, shards, test, _, err := profile.Materialize(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg.ParticipationFraction = 0.001
-	network, err := profile.Model()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer recordBench(b)()
-	b.ResetTimer()
-	rounds, updates := 0, 0
-	for i := 0; i < b.N; i++ {
-		alg, err := experiments.NewAlgorithm("FedAvg")
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := fl.Run(*cfg, alg, network, shards, test)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds += len(res.Run.Rounds)
-		// Dense uplink charges exactly 8d bytes per aggregated update, so
-		// the ledger recovers the update count.
-		updates += int(res.Run.TotalUplinkBytes()) / (8 * network.NumParams())
-	}
-	sec := b.Elapsed().Seconds()
-	recordBenchMetric(b, "rounds_per_sec", float64(rounds)/sec)
-	recordBenchMetric(b, "updates_per_sec", float64(updates)/sec)
-	recordBenchMetric(b, "simulated_clients", float64(len(shards)))
-	if len(shards) != 100_000 {
-		b.Fatalf("fleet is %d clients, want 100000", len(shards))
 	}
 }

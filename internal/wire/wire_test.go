@@ -234,6 +234,26 @@ func TestReadFrameReusesBody(t *testing.T) {
 	}
 }
 
+// TestWriteFrameReusesBuffer: WriteFrame into a warm scratch buffer and a
+// warm writer allocates nothing.
+func TestWriteFrameReusesBuffer(t *testing.T) {
+	body := make([]byte, 4096)
+	var net bytes.Buffer
+	scratch, err := WriteFrame(&net, FrameUpdates, body, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		net.Reset()
+		if scratch, err = WriteFrame(&net, FrameUpdates, body, scratch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm WriteFrame allocated %.1f times", allocs)
+	}
+}
+
 // f64Specials are the float64 bit patterns the bulk codec must carry
 // untouched: quiet and signalling NaNs with payload bits, ±0, ±Inf,
 // subnormals and ±MaxFloat64.
