@@ -1,12 +1,41 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/fl"
 	"repro/internal/metrics"
 )
+
+// render runs experiment id and returns what flsim writes to
+// results/<id>.txt: every artifact followed by a blank line.
+func render(t *testing.T, id string, r *Runner) string {
+	t.Helper()
+	arts, err := Run(id, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(arts) == 0 {
+		t.Fatal("no artifact")
+	}
+	var sb strings.Builder
+	for _, a := range arts {
+		a.Render(&sb)
+		sb.WriteString("\n")
+	}
+	return sb.String()
+}
+
+// labels lists an axis's level labels.
+func labels(a Axis) []string {
+	out := make([]string, len(a))
+	for i, l := range a {
+		out[i] = l.Label
+	}
+	return out
+}
 
 func TestProfilesForAllDatasets(t *testing.T) {
 	for _, name := range append(SweepDatasets(), "mnist", "femnist") {
@@ -78,21 +107,23 @@ func TestNewAlgorithmNames(t *testing.T) {
 
 func TestRunnerCaches(t *testing.T) {
 	r := NewRunner(ScaleQuick)
-	tweak := func(cfg *fl.Config, _ fl.Algorithm) {
-		cfg.Rounds = 2
-		cfg.LocalSteps = 2
-		cfg.BatchSize = 8
-	}
-	a, err := r.RunOne("cache-test", "adult", "FedAvg", tweak)
+	g := &Grid{ID: "cache-test", Mutate: func(s *Setup) {
+		s.Profile.Rounds, s.Profile.LocalSteps, s.Profile.BatchSize = 2, 2, 8
+	}}
+	point := []Level{{Data: "adult", Method: "FedAvg"}}
+	a, err := r.cell(g, point)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.RunOne("cache-test", "adult", "FedAvg", tweak)
+	b, err := r.cell(g, point)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
+	if a.Result != b.Result {
 		t.Fatal("identical keys must return the cached result")
+	}
+	if a.Run.Rounds[len(a.Run.Rounds)-1].Index != 1 {
+		t.Fatal("Mutate's round budget did not reach the run")
 	}
 }
 
@@ -107,9 +138,10 @@ func TestRegistryIDs(t *testing.T) {
 	}
 }
 
-// TestArtifactsRender runs, at ScaleBench, each registered experiment
-// that no shape test in this file renders and that fits a 15 s budget,
-// and requires every artifact it returns to render. The seconds are each
+// TestArtifactsRender runs, at ScaleBench and seed 1, each registered
+// experiment that no shape test in this file renders and that fits a 15 s
+// budget, and requires its render to equal the committed
+// results/bench/<id>.txt byte for byte. The seconds are each
 // ID's cost with a fresh Runner, measured on a 2-core AVX2 Xeon: the
 // rendered ones total ≈ 11 s, and adding any left-out one breaks the
 // budget (table5, fig2, fig4 and fig5 draw on one cached sweep, so
@@ -146,19 +178,12 @@ func TestArtifactsRender(t *testing.T) {
 			continue
 		}
 		t.Run(id, func(t *testing.T) {
-			arts, err := Run(id, r)
+			want, err := os.ReadFile(filepath.Join("..", "..", "results", "bench", id+".txt"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(arts) == 0 {
-				t.Fatal("no artifact")
-			}
-			for _, a := range arts {
-				var sb strings.Builder
-				a.Render(&sb)
-				if sb.Len() == 0 {
-					t.Fatal("artifact rendered nothing")
-				}
+			if got := render(t, id, r); got != string(want) {
+				t.Fatalf("render differs from results/bench/%s.txt:\n%s", id, got)
 			}
 		})
 	}
@@ -170,12 +195,7 @@ func TestTable1Artifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measures local updates")
 	}
-	r := NewRunner(ScaleQuick)
-	tbl, err := Table1(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tbl.String()
+	s := render(t, "table1", NewRunner(ScaleQuick))
 	for _, frag := range []string{"Table I", "fmnist", "svhn", "modeled", "measured", "STEM"} {
 		if !strings.Contains(s, frag) {
 			t.Fatalf("Table I render missing %q:\n%s", frag, s)
@@ -185,12 +205,7 @@ func TestTable1Artifact(t *testing.T) {
 
 // TestTable3Artifact checks the capability matrix without training runs.
 func TestTable3Artifact(t *testing.T) {
-	r := NewRunner(ScaleQuick)
-	tbl, err := Table3(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tbl.String()
+	s := render(t, "table3", NewRunner(ScaleQuick))
 	for _, frag := range []string{"TACO", "yes", "no", "Freeloader"} {
 		if !strings.Contains(s, frag) {
 			t.Fatalf("Table III render missing %q:\n%s", frag, s)
@@ -214,15 +229,10 @@ func TestRobustnessArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the attack grid")
 	}
-	r := NewRunner(ScaleBench)
-	tbl, err := Robustness(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tbl.String()
-	for _, atk := range robustnessAttacks() {
-		if !strings.Contains(s, atk.name) {
-			t.Fatalf("robustness render missing attack %q:\n%s", atk.name, s)
+	s := render(t, "robustness", NewRunner(ScaleBench))
+	for _, atk := range labels(attacks) {
+		if !strings.Contains(s, atk) {
+			t.Fatalf("robustness render missing attack %q:\n%s", atk, s)
 		}
 	}
 	for _, frag := range []string{"FedAvg", "Scaffold", "FG", "TACO", "det P/R", "|0."} {
@@ -258,15 +268,10 @@ func TestCompressionArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the codec grid")
 	}
-	r := NewRunner(ScaleBench)
-	tbl, err := Compression(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tbl.String()
-	for _, codec := range compressionCodecs() {
-		if !strings.Contains(s, codec.name) {
-			t.Fatalf("compression render missing codec %q:\n%s", codec.name, s)
+	s := render(t, "compression", NewRunner(ScaleBench))
+	for _, codec := range labels(compression.Rows[0]) {
+		if !strings.Contains(s, codec) {
+			t.Fatalf("compression render missing codec %q:\n%s", codec, s)
 		}
 	}
 	for _, frag := range []string{"FedAvg", "Scaffold", "TACO", "Uplink", "Ratio", "MiB", "1.0x"} {
@@ -283,15 +288,11 @@ func TestFaultsArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains 45 small runs")
 	}
-	r := NewRunner(ScaleBench)
-	tbl, err := Faults(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tbl.String()
-	for _, cond := range faultConditions() {
-		if !strings.Contains(s, cond.name) {
-			t.Fatalf("faults render missing condition %q:\n%s", cond.name, s)
+	s := render(t, "faults", NewRunner(ScaleBench))
+	conds := labels(faults.Rows[0])
+	for _, cond := range conds {
+		if !strings.Contains(s, cond) {
+			t.Fatalf("faults render missing condition %q:\n%s", cond, s)
 		}
 	}
 	for _, frag := range []string{"FedAvg", "Scaffold", "TACO", "degr", "lost", "retry"} {
@@ -300,9 +301,9 @@ func TestFaultsArtifact(t *testing.T) {
 		}
 	}
 	// 5 conditions × 3 methods.
-	for _, cond := range faultConditions() {
-		if strings.Count(s, cond.name) < 3 {
-			t.Fatalf("condition %s missing rows:\n%s", cond.name, s)
+	for _, cond := range conds {
+		if strings.Count(s, cond) < 3 {
+			t.Fatalf("condition %s missing rows:\n%s", cond, s)
 		}
 	}
 }
@@ -315,15 +316,10 @@ func TestFedOptArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the fedopt grid")
 	}
-	r := NewRunner(ScaleBench)
-	tbl, err := FedOpt(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tbl.String()
-	for _, atk := range fedoptAttacks() {
-		if !strings.Contains(s, atk.name) {
-			t.Fatalf("fedopt render missing attack %q:\n%s", atk.name, s)
+	s := render(t, "fedopt", NewRunner(ScaleBench))
+	for _, atk := range labels(fedopt.Rows[0]) {
+		if !strings.Contains(s, atk) {
+			t.Fatalf("fedopt render missing attack %q:\n%s", atk, s)
 		}
 	}
 	for _, frag := range []string{"FedAvg", "Scaffold", "TACO", "bare", "+zeroing|clip", "+stack+adam", "zeroed/clipped", "|0."} {
@@ -332,7 +328,7 @@ func TestFedOptArtifact(t *testing.T) {
 		}
 	}
 	// Every (attack, alg) row carries the stacked run's engagement tally.
-	if strings.Count(s, "/") < len(fedoptAttacks())*len(fedoptAlgs()) {
+	if strings.Count(s, "/") < len(fedopt.Rows[0])*len(scenarioMethods) {
 		t.Fatalf("fedopt render missing engagement tallies:\n%s", s)
 	}
 }
@@ -382,12 +378,7 @@ func TestStragglerArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains 27 small runs")
 	}
-	r := NewRunner(ScaleBench)
-	tbl, err := Straggler(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tbl.String()
+	s := render(t, "straggler", NewRunner(ScaleBench))
 	for _, frag := range []string{"uniform", "mild", "extreme", "TACO", "Scaffold", "drops", "stale", "t_wall"} {
 		if !strings.Contains(s, frag) {
 			t.Fatalf("straggler render missing %q:\n%s", frag, s)

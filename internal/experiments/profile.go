@@ -1,8 +1,9 @@
 // Package experiments configures and runs every reproduced table and
-// figure of the paper. Each experiment has an id (table5, fig2, ...), a
-// runner that produces the underlying FL runs (cached, so experiments
-// sharing runs — Table V, Fig. 4, Fig. 5 — compute them once), and a
-// renderer that prints the paper's rows or series via internal/report.
+// figure of the paper. Each experiment has an id (table5, fig2, ...). Most
+// are a Grid: axes whose cross product is a set of training runs, each
+// cached by the Runner (so experiments sharing runs — Table V and Fig. 2,
+// 4, 5 and 6 — compute them once) and formatted into the paper's rows or
+// series via internal/report. Table I, II and III are written by hand.
 package experiments
 
 import (
@@ -31,17 +32,6 @@ const (
 	// ScaleFull is the larger CLI profile.
 	ScaleFull
 )
-
-func (s Scale) String() string {
-	switch s {
-	case ScaleFull:
-		return "full"
-	case ScaleBench:
-		return "bench"
-	default:
-		return "quick"
-	}
-}
 
 // PartitionKind names the non-IID regime of a profile.
 type PartitionKind string

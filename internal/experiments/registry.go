@@ -14,54 +14,32 @@ type Artifact interface {
 // Runnable produces one experiment's artifacts given a Runner.
 type Runnable func(*Runner) ([]Artifact, error)
 
-// registry maps experiment ids to runners. Fig. 1 and Fig. 3 are
-// conceptual diagrams with no data; their geometry is property-tested in
-// internal/core instead.
+// registry maps experiment ids to runners: a grid's Run, or one of the
+// three tables that train nothing through the grid (Table I and III time
+// and cost the methods, Table II reads TACO's α history). Fig. 1 and
+// Fig. 3 are conceptual diagrams with no data; their geometry is
+// property-tested in internal/core instead.
 var registry = map[string]Runnable{
-	"table1": func(r *Runner) ([]Artifact, error) { return one(Table1(r)) },
-	"table2": func(r *Runner) ([]Artifact, error) { return one(Table2(r)) },
-	"table3": func(r *Runner) ([]Artifact, error) { return one(Table3(r)) },
-	"table5": func(r *Runner) ([]Artifact, error) { return one(Table5(r)) },
-	"table6": func(r *Runner) ([]Artifact, error) { return one(Table6(r)) },
-	"table7": func(r *Runner) ([]Artifact, error) { return one(Table7(r)) },
-	"table8": func(r *Runner) ([]Artifact, error) { return one(Table8(r)) },
-	"fig2": func(r *Runner) ([]Artifact, error) {
-		figs, err := Fig2(r)
-		return figArtifacts(figs, err)
-	},
-	"fig4": func(r *Runner) ([]Artifact, error) { return one(Fig4(r)) },
-	"fig5": func(r *Runner) ([]Artifact, error) { return one(Fig5(r)) },
-	"fig6": func(r *Runner) ([]Artifact, error) {
-		figs, err := Fig6(r)
-		return figArtifacts(figs, err)
-	},
-	"fig7": func(r *Runner) ([]Artifact, error) { return one(Fig7(r)) },
+	"table1": table1,
+	"table2": table2,
+	"table3": table3,
+	"table5": table5.Run,
+	"table6": table6.Run,
+	"table7": table7.Run,
+	"table8": table8.Run,
+	"fig2":   fig2.Run,
+	"fig4":   fig4.Run,
+	"fig5":   fig5.Run,
+	"fig6":   fig6.Run,
+	"fig7":   fig7.Run,
 	// Scenario studies beyond the paper's artifacts.
-	"straggler":   func(r *Runner) ([]Artifact, error) { return one(Straggler(r)) },
-	"scale1k":     func(r *Runner) ([]Artifact, error) { return one(Scale1k(r)) },
-	"scale100k":   func(r *Runner) ([]Artifact, error) { return one(Scale100k(r)) },
-	"robustness":  func(r *Runner) ([]Artifact, error) { return one(Robustness(r)) },
-	"compression": func(r *Runner) ([]Artifact, error) { return one(Compression(r)) },
-	"faults":      func(r *Runner) ([]Artifact, error) { return one(Faults(r)) },
-	"fedopt":      func(r *Runner) ([]Artifact, error) { return one(FedOpt(r)) },
-}
-
-func one[T Artifact](t T, err error) ([]Artifact, error) {
-	if err != nil {
-		return nil, err
-	}
-	return []Artifact{t}, nil
-}
-
-func figArtifacts[T Artifact](figs []T, err error) ([]Artifact, error) {
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Artifact, len(figs))
-	for i, f := range figs {
-		out[i] = f
-	}
-	return out, nil
+	"straggler":   straggler.Run,
+	"scale1k":     scale1k.Run,
+	"scale100k":   scale100k.Run,
+	"robustness":  robustness.Run,
+	"compression": compression.Run,
+	"faults":      faults.Run,
+	"fedopt":      fedopt.Run,
 }
 
 // IDs returns all experiment ids in sorted order.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"sync"
@@ -9,6 +10,8 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/fl"
+	"repro/internal/nn"
+	"repro/internal/simclock"
 )
 
 // AlgorithmNames lists the compared methods in the paper's column order.
@@ -45,8 +48,8 @@ func NewAlgorithm(name string) (fl.Algorithm, error) {
 }
 
 // Runner executes experiments at one scale with a shared run cache, so
-// artifacts that reuse the same training runs (Table V, Fig. 2, Fig. 4,
-// Fig. 5) pay for them once per process.
+// grids that read the same training runs (Table V and Fig. 2, 4, 5 and 6
+// all read the sweep) pay for them once per process.
 type Runner struct {
 	Scale Scale
 	// Seed is the base seed; every run derives from it deterministically.
@@ -63,85 +66,95 @@ func NewRunner(scale Scale) *Runner {
 	return &Runner{Scale: scale, Seed: 1}
 }
 
-// RunOne trains the named algorithm on the named dataset's profile.
-// Results are cached under key; pass distinct keys for distinct setups.
-// The optional tweak hook mutates the engine config or algorithm before
-// the run; use RunOneWithProfile to also adjust the dataset profile.
-func (r *Runner) RunOne(key, dsName, algName string, tweak func(cfg *fl.Config, alg fl.Algorithm)) (*fl.Result, error) {
-	return r.RunOneWithProfile(key, dsName, algName, nil, tweak)
+// Setup is one grid cell's training run before it starts.
+type Setup struct {
+	Scale  Scale
+	Seed   uint64
+	Method string
+	// Profile is the cell's dataset profile at Scale, as the grid edits it.
+	Profile Profile
+	// Config holds the engine knobs the profile does not fix. Its Rounds,
+	// LocalSteps, BatchSize, LocalLR and Seed are the profile's.
+	Config fl.Config
+	// TACO builds the algorithm when Method is "TACO".
+	TACO core.Config
+
+	net *nn.Network
 }
 
-// RunOneWithProfile is RunOne with an extra hook that adjusts the dataset
-// profile (partition kind, Dirichlet level, client count) before the data
-// is materialized.
-func (r *Runner) RunOneWithProfile(key, dsName, algName string, profTweak func(*Profile), tweak func(cfg *fl.Config, alg fl.Algorithm)) (*fl.Result, error) {
-	r.mu.Lock()
-	if r.cache == nil {
-		r.cache = make(map[string]*fl.Result)
-	}
-	if res, ok := r.cache[key]; ok {
-		r.mu.Unlock()
-		return res, nil
-	}
-	r.mu.Unlock()
+// nominal is one modeled plain-SGD round of the cell's model: the unit of
+// the deadline policy's cut and of the extreme fleet's availability period.
+func (s *Setup) nominal() float64 {
+	return simclock.RoundSeconds(s.net.GradFlops(s.Profile.BatchSize), s.Profile.LocalSteps, simclock.Plain())
+}
 
-	profile, err := ProfileFor(dsName, r.Scale)
+// cell builds the Setup that one grid point describes and trains it. The
+// run is cached under the grid's ID, the dataset, the method and the label
+// of every level that edits the Setup, so a cell with the same key in any
+// grid reuses it.
+func (r *Runner) cell(g *Grid, point []Level) (*Cell, error) {
+	s := Setup{Scale: r.Scale, Seed: r.Seed, TACO: core.Recommended()}
+	var data string
+	for _, l := range point {
+		data = cmp.Or(l.Data, data)
+		s.Method = cmp.Or(l.Method, s.Method)
+	}
+	var err error
+	if s.Profile, err = ProfileFor(data, r.Scale); err != nil {
+		return nil, err
+	}
+	if s.net, err = s.Profile.Model(); err != nil {
+		return nil, err
+	}
+	key := g.ID + "/" + data + "/" + s.Method
+	for _, l := range point {
+		if l.Set != nil {
+			l.Set(&s)
+			key += "/" + l.Label
+		}
+	}
+	if b, ok := roundBudgets[g.ID]; ok {
+		s.Profile.Rounds = b[s.Scale-1]
+	}
+	if g.Mutate != nil {
+		g.Mutate(&s)
+	}
+	c := &Cell{Setup: s}
+	r.mu.Lock()
+	c.Result = r.cache[key]
+	r.mu.Unlock()
+	if c.Result != nil {
+		return c, nil
+	}
+	p, shards, test, _, err := s.Profile.Materialize(s.Seed)
 	if err != nil {
 		return nil, err
 	}
-	if profTweak != nil {
-		profTweak(&profile)
-	}
-	cfg, shards, test, _, err := profile.Materialize(r.Seed)
-	if err != nil {
-		return nil, err
-	}
-	alg, err := NewAlgorithm(algName)
-	if err != nil {
-		return nil, err
-	}
-	if tweak != nil {
-		tweak(cfg, alg)
-	}
-	net, err := profile.Model()
-	if err != nil {
+	cfg := s.Config
+	cfg.Rounds, cfg.LocalSteps, cfg.BatchSize, cfg.LocalLR, cfg.Seed = p.Rounds, p.LocalSteps, p.BatchSize, p.LocalLR, p.Seed
+	var alg fl.Algorithm
+	if s.Method == "TACO" {
+		alg = core.New(s.TACO)
+	} else if alg, err = NewAlgorithm(s.Method); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	res, err := fl.Run(*cfg, alg, net, shards, test)
-	if err != nil {
+	if c.Result, err = fl.Run(cfg, alg, s.net, shards, test); err != nil {
 		return nil, fmt.Errorf("run %s: %w", key, err)
 	}
 	if r.Progress != nil {
 		status := ""
-		if res.Run.Diverged {
-			status = fmt.Sprintf(" DIVERGED@%d", res.Run.DivergedRound)
+		if c.Run.Diverged {
+			status = fmt.Sprintf(" DIVERGED@%d", c.Run.DivergedRound)
 		}
 		fmt.Fprintf(r.Progress, "  [%s] final=%.4f best=%.4f (%.1fs)%s\n",
-			key, res.Run.FinalAccuracy(), res.Run.BestAccuracy(), time.Since(start).Seconds(), status)
+			key, c.Run.FinalAccuracy(), c.Run.BestAccuracy(), time.Since(start).Seconds(), status)
 	}
 	r.mu.Lock()
-	r.cache[key] = res
-	r.mu.Unlock()
-	return res, nil
-}
-
-// SweepKey names the cached run for one (dataset, algorithm) cell of the
-// main comparison sweep.
-func SweepKey(ds, alg string) string { return "sweep/" + ds + "/" + alg }
-
-// Sweep runs the Table V matrix: every algorithm on every sweep dataset.
-func (r *Runner) Sweep(datasets, algorithms []string) (map[string]*fl.Result, error) {
-	out := make(map[string]*fl.Result, len(datasets)*len(algorithms))
-	for _, ds := range datasets {
-		for _, alg := range algorithms {
-			key := SweepKey(ds, alg)
-			res, err := r.RunOne(key, ds, alg, nil)
-			if err != nil {
-				return nil, err
-			}
-			out[key] = res
-		}
+	if r.cache == nil {
+		r.cache = make(map[string]*fl.Result)
 	}
-	return out, nil
+	r.cache[key] = c.Result
+	r.mu.Unlock()
+	return c, nil
 }

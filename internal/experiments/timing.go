@@ -8,57 +8,65 @@ import (
 	"repro/internal/simclock"
 )
 
-// Table1 reproduces "Computation time per 100 local updates (CNN)" on the
+// table1 reproduces "Computation time per 100 local updates (CNN)" on the
 // FMNIST and SVHN models. The modeled column is the deterministic cost
 // model; the measured column times 100 real local updates of each
 // algorithm in this Go implementation.
-func Table1(r *Runner) (*report.Table, error) {
-	t := &report.Table{Title: "Table I: Computation time per 100 local updates (CNN)"}
-	t.Columns = []string{"Dataset", "Metric", "FedAvg/FG", "FedProx", "Scaffold", "STEM", "FedACG"}
-	algs := []string{"FedAvg", "FedProx", "Scaffold", "STEM", "FedACG"}
+func table1(r *Runner) ([]Artifact, error) {
+	t := &report.Table{Title: "Table I: Computation time per 100 local updates (CNN)",
+		Columns: []string{"Dataset", "Metric", "FedAvg/FG", "FedProx", "Scaffold", "STEM", "FedACG"}}
 	for _, ds := range []string{"fmnist", "svhn"} {
-		p, err := ProfileFor(ds, r.Scale)
+		p, flops, err := gradFlops(ds, r.Scale)
 		if err != nil {
 			return nil, err
 		}
-		net, err := p.Model()
-		if err != nil {
-			return nil, err
-		}
-		gradFlops := net.GradFlops(p.BatchSize)
-
-		modeled := make([]float64, len(algs))
-		measured := make([]float64, len(algs))
-		for i, name := range algs {
+		var modeled, measured []float64
+		for _, name := range []string{"FedAvg", "FedProx", "Scaffold", "STEM", "FedACG"} {
 			alg, err := NewAlgorithm(name)
 			if err != nil {
 				return nil, err
 			}
-			modeled[i] = simclock.Per100Steps(gradFlops, alg.Costs())
 			sec, err := measure100Steps(p, alg)
 			if err != nil {
 				return nil, err
 			}
-			measured[i] = sec
+			modeled = append(modeled, simclock.Per100Steps(flops, alg.Costs()))
+			measured = append(measured, sec)
 		}
-		rowFor := func(metric string, vals []float64) []string {
-			row := []string{ds, metric}
-			for i, v := range vals {
-				overhead := ""
-				if i > 0 && vals[0] > 0 {
-					overhead = fmt.Sprintf(" (+%.1f%%)", 100*(v-vals[0])/vals[0])
-				}
-				row = append(row, fmt.Sprintf("%.3fs%s", v, overhead))
-			}
-			return row
-		}
-		t.AddRow(rowFor("modeled", modeled)...)
-		t.AddRow(rowFor("measured", measured)...)
+		t.AddRow(overheads(ds, "modeled", modeled)...)
+		t.AddRow(overheads(ds, "measured", measured)...)
 	}
-	t.Notes = append(t.Notes,
+	t.Notes = []string{
 		"modeled overheads are calibrated to the paper's Table I (FMNIST column);",
-		"measured times show this implementation's real relative cost (STEM pays a full second gradient).")
-	return t, nil
+		"measured times show this implementation's real relative cost (STEM pays a full second gradient)."}
+	return []Artifact{t}, nil
+}
+
+// overheads renders one Table I row: each method's seconds and its
+// overhead over the first (FedAvg).
+func overheads(ds, metric string, secs []float64) []string {
+	row := []string{ds, metric}
+	for i, v := range secs {
+		cell := fmt.Sprintf("%.3fs", v)
+		if i > 0 && secs[0] > 0 {
+			cell += fmt.Sprintf(" (+%.1f%%)", 100*(v-secs[0])/secs[0])
+		}
+		row = append(row, cell)
+	}
+	return row
+}
+
+// gradFlops is the flops of one gradient of ds's model at its batch size.
+func gradFlops(ds string, s Scale) (Profile, int64, error) {
+	p, err := ProfileFor(ds, s)
+	if err != nil {
+		return p, 0, err
+	}
+	net, err := p.Model()
+	if err != nil {
+		return p, 0, err
+	}
+	return p, net.GradFlops(p.BatchSize), nil
 }
 
 // measure100Steps times 100 local SGD steps for one client under the given
@@ -71,67 +79,50 @@ func measure100Steps(p Profile, alg fl.Algorithm) (float64, error) {
 	cfg.Rounds = 1
 	cfg.LocalSteps = 100
 	cfg.EvalEvery = 10 // skip evaluation cost inside the measurement
-	// Restrict to one client so the measured time is a single client's.
-	one := shards[:1]
 	net, err := p.Model()
 	if err != nil {
 		return 0, err
 	}
-	res, err := fl.Run(*cfg, alg, net, one, test)
+	// Restrict to one client so the measured time is a single client's.
+	res, err := fl.Run(*cfg, alg, net, shards[:1], test)
 	if err != nil {
 		return 0, err
 	}
 	return res.Run.Rounds[0].SlowestMeasuredSec, nil
 }
 
-// Table3 reproduces the capability matrix "Comparison with pioneering FL
+// table3 reproduces the capability matrix "Comparison with pioneering FL
 // algorithms", including modeled client computation time per round for the
 // CIFAR-100 (ResNet) profile.
-func Table3(r *Runner) (*report.Table, error) {
-	p, err := ProfileFor("cifar100", r.Scale)
+func table3(r *Runner) ([]Artifact, error) {
+	p, flops, err := gradFlops("cifar100", r.Scale)
 	if err != nil {
 		return nil, err
 	}
-	net, err := p.Model()
-	if err != nil {
-		return nil, err
-	}
-	gradFlops := net.GradFlops(p.BatchSize)
-	t := &report.Table{Title: "Table III: Capability comparison (client time per round, cifar100-ResNet)"}
-	t.Columns = []string{"Method", "Local Corr.", "Agg. Corr.", "Freeloader Det.", "Client time/round"}
-	caps := []struct {
-		name            string
-		local, agg, det bool
-	}{
-		{"FedAvg", false, false, false},
-		{"FedProx", true, false, false},
-		{"Scaffold", true, false, false},
-		{"FG", false, true, false},
-		{"STEM", true, true, false},
-		{"FedACG", true, true, false},
-		{"TACO", true, true, true},
-	}
+	t := &report.Table{Title: "Table III: Capability comparison (client time per round, cifar100-ResNet)",
+		Columns: []string{"Method", "Local Corr.", "Agg. Corr.", "Freeloader Det.", "Client time/round"}}
 	var base float64
-	for _, c := range caps {
-		alg, err := NewAlgorithm(c.name)
+	for _, row := range [][]string{
+		{"FedAvg", "no", "no", "no"},
+		{"FedProx", "yes", "no", "no"},
+		{"Scaffold", "yes", "no", "no"},
+		{"FG", "no", "yes", "no"},
+		{"STEM", "yes", "yes", "no"},
+		{"FedACG", "yes", "yes", "no"},
+		{"TACO", "yes", "yes", "yes"},
+	} {
+		alg, err := NewAlgorithm(row[0])
 		if err != nil {
 			return nil, err
 		}
-		sec := simclock.RoundSeconds(gradFlops, p.LocalSteps, alg.Costs())
-		if c.name == "FedAvg" {
-			base = sec
+		sec := simclock.RoundSeconds(flops, p.LocalSteps, alg.Costs())
+		if base == 0 {
+			base = sec // FedAvg
 		}
-		mark := func(b bool) string {
-			if b {
-				return "yes"
-			}
-			return "no"
-		}
-		t.AddRow(c.name, mark(c.local), mark(c.agg), mark(c.det),
-			fmt.Sprintf("%.3fs (%+.1f%%)", sec, 100*(sec-base)/base))
+		t.AddRow(append(row, fmt.Sprintf("%.3fs (%+.1f%%)", sec, 100*(sec-base)/base))...)
 	}
-	t.Notes = append(t.Notes,
+	t.Notes = []string{
 		"paper shape: only TACO covers all three capabilities at near-FedAvg cost",
-		"(paper: TACO 4.81s vs FedAvg 4.50s, +6.9%; STEM 6.48s, +44%).")
-	return t, nil
+		"(paper: TACO 4.81s vs FedAvg 4.50s, +6.9%; STEM 6.48s, +44%)."}
+	return []Artifact{t}, nil
 }
