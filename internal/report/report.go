@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a simple column-aligned text table.
@@ -28,12 +29,12 @@ func (t *Table) AddRow(cells ...string) {
 func (t *Table) Render(w io.Writer) {
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
-		widths[i] = len(c)
+		widths[i] = utf8.RuneCountInString(c)
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(cell))
 			}
 		}
 	}
@@ -72,11 +73,13 @@ func (t *Table) String() string {
 	return b.String()
 }
 
+// pad right-fills s with spaces to width characters (runes, not bytes:
+// cells such as "×" or "0.12±0.03" take one column per rune).
 func pad(s string, width int) string {
-	if len(s) >= width {
-		return s
+	if n := utf8.RuneCountInString(s); n < width {
+		return s + strings.Repeat(" ", width-n)
 	}
-	return s + strings.Repeat(" ", width-len(s))
+	return s
 }
 
 // Series is one labelled curve of a reproduced figure: y values over x.

@@ -1,36 +1,58 @@
 package report
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
 func TestTableRender(t *testing.T) {
-	tbl := &Table{
-		Title:   "Demo",
-		Columns: []string{"Method", "Acc"},
-		Notes:   []string{"a note"},
+	for _, c := range []struct {
+		name    string
+		columns []string
+		rows    [][]string
+	}{
+		{"ascii", []string{"Method", "Acc"}, [][]string{{"FedAvg", "78.88%"}, {"TACO", "83.80%"}}},
+		// Cells the experiments print: a diverged run, mean±std, the γ and
+		// κ axes, and a detector that flagged nobody.
+		{"non-ascii", []string{"γ", "κ", "Acc", "α"}, [][]string{
+			{"0.1", "0.6", "×", "0.12±0.03"},
+			{"1", "1.0", "83.80%", "— (0 flagged)"},
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tbl := &Table{Title: "Demo", Columns: c.columns, Notes: []string{"a note"}}
+			for _, row := range c.rows {
+				tbl.AddRow(row...)
+			}
+			s := tbl.String()
+			for _, frag := range append([]string{"Demo", "note: a note"}, c.rows[1]...) {
+				if !strings.Contains(s, frag) {
+					t.Fatalf("render missing %q:\n%s", frag, s)
+				}
+			}
+			// Column alignment: header, separator and rows put their pipes
+			// at the same character positions.
+			lines := strings.Split(strings.TrimSpace(s), "\n")
+			want := pipes(lines[1])
+			for _, line := range lines[2 : 3+len(c.rows)] {
+				if got := pipes(line); !slices.Equal(got, want) {
+					t.Fatalf("misaligned table: pipes at %v, header at %v:\n%s", got, want, s)
+				}
+			}
+		})
 	}
-	tbl.AddRow("FedAvg", "78.88%")
-	tbl.AddRow("TACO", "83.80%")
-	s := tbl.String()
-	for _, frag := range []string{"Demo", "Method", "FedAvg", "83.80%", "note: a note"} {
-		if !strings.Contains(s, frag) {
-			t.Fatalf("render missing %q:\n%s", frag, s)
+}
+
+// pipes lists the rune offsets of the '|' characters in line.
+func pipes(line string) []int {
+	var at []int
+	for i, r := range []rune(line) {
+		if r == '|' {
+			at = append(at, i)
 		}
 	}
-	// Column alignment: header and rows share the same pipe positions.
-	lines := strings.Split(strings.TrimSpace(s), "\n")
-	var widths []int
-	for _, line := range lines[1:4] {
-		if len(widths) == 0 {
-			widths = []int{len(line)}
-			continue
-		}
-		if len(line) != widths[0] {
-			t.Fatalf("misaligned table:\n%s", s)
-		}
-	}
+	return at
 }
 
 func TestFigureRender(t *testing.T) {
