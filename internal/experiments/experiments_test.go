@@ -201,6 +201,10 @@ func TestTable1Artifact(t *testing.T) {
 			t.Fatalf("Table I render missing %q:\n%s", frag, s)
 		}
 	}
+	// A method measured faster than FedAvg reads (-x%), not (+-x%).
+	if strings.Contains(s, "+-") {
+		t.Fatalf("Table I render signs an overhead twice:\n%s", s)
+	}
 }
 
 // TestTable3Artifact checks the capability matrix without training runs.

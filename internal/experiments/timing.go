@@ -49,7 +49,7 @@ func overheads(ds, metric string, secs []float64) []string {
 	for i, v := range secs {
 		cell := fmt.Sprintf("%.3fs", v)
 		if i > 0 && secs[0] > 0 {
-			cell += fmt.Sprintf(" (+%.1f%%)", 100*(v-secs[0])/secs[0])
+			cell += fmt.Sprintf(" (%+.1f%%)", 100*(v-secs[0])/secs[0])
 		}
 		row = append(row, cell)
 	}
