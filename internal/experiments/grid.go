@@ -33,17 +33,17 @@ type Grid struct {
 	Notes   []string
 }
 
-// roundBudgets is the round budget at the bench, quick and full scales of
-// the grids listed by ID, in place of their datasets' profile: each shares
-// dozens of runs, or trains a large fleet, so each run stays small.
-var roundBudgets = map[string][3]int{
-	"compression": {5, 10, 16},
-	"faults":      {5, 10, 20},
-	"straggler":   {5, 10, 20},
-	"robustness":  {5, 8, 16},
-	"fedopt":      {5, 8, 16},
-	"scale1k":     {5, 8, 8},
-	"scale100k":   {4, 6, 6},
+// roundBudgets is the round budget at each scale of the grids listed by
+// ID, in place of their datasets' profile: each shares dozens of runs, or
+// trains a large fleet, so each run stays small.
+var roundBudgets = map[string][ScaleFull + 1]int{
+	"compression": {ScaleBench: 5, ScaleQuick: 10, ScaleFull: 16},
+	"faults":      {ScaleBench: 5, ScaleQuick: 10, ScaleFull: 20},
+	"straggler":   {ScaleBench: 5, ScaleQuick: 10, ScaleFull: 20},
+	"robustness":  {ScaleBench: 5, ScaleQuick: 8, ScaleFull: 16},
+	"fedopt":      {ScaleBench: 5, ScaleQuick: 8, ScaleFull: 16},
+	"scale1k":     {ScaleBench: 5, ScaleQuick: 8, ScaleFull: 8},
+	"scale100k":   {ScaleBench: 4, ScaleQuick: 6, ScaleFull: 6},
 }
 
 // Axis is one dimension of a grid.

@@ -179,6 +179,7 @@ var table6 = &Grid{
 		"the tailored aggregation, and the full combination is best."},
 }
 
+// tailored switches TACO's tailored correction and aggregation on or off.
 func tailored(label string, corr, agg bool) Level {
 	return Level{Label: label, Set: func(s *Setup) {
 		s.TACO.DisableTailoredCorrection, s.TACO.DisableTailoredAggregation = !corr, !agg
@@ -249,6 +250,7 @@ var fig7 = &Grid{
 		"the best column entry should sit near γ=1/K for each dataset's K."},
 }
 
+// localSteps trains ds with K = k local steps a round.
 func localSteps(ds string, k int) Level {
 	return Level{Label: fmt.Sprint(k), Data: ds, Set: func(s *Setup) { s.Profile.LocalSteps = k }}
 }

@@ -114,7 +114,7 @@ func (r *Runner) cell(g *Grid, point []Level) (*Cell, error) {
 		}
 	}
 	if b, ok := roundBudgets[g.ID]; ok {
-		s.Profile.Rounds = b[s.Scale-1]
+		s.Profile.Rounds = b[s.Scale]
 	}
 	if g.Mutate != nil {
 		g.Mutate(&s)
