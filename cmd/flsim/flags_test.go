@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"io"
-	"strconv"
 	"testing"
 
 	"repro/internal/adversary"
@@ -54,19 +53,19 @@ func TestBuildAttack(t *testing.T) {
 	if len(advs) != 1 || advs[0].Kind != adversary.KindSignFlip || advs[0].Frac != 0.25 {
 		t.Fatalf("default spec = %+v", advs)
 	}
-	// Dedicated flags override the inline parts.
-	advs = mustSpec(t, "-attack", "scale:0.1:9", "-attack-frac", "0.5", "-attack-scale", "2").Adversaries
-	if len(advs) != 1 || advs[0].Frac != 0.5 || advs[0].Scale != 2 {
-		t.Fatalf("overridden spec = %+v", advs)
+	// The spec string is the one setter of the fraction and the scale.
+	advs = mustSpec(t, "-attack", "scale:0.5:2").Adversaries
+	if len(advs) != 1 || advs[0].Kind != adversary.KindScale || advs[0].Frac != 0.5 || advs[0].Scale != 2 {
+		t.Fatalf("-attack scale:0.5:2 = %+v", advs)
 	}
 	// Freeloaders come first, so freeloading settles before the attack.
 	advs = mustSpec(t, "-freeloaders", "2", "-attack", "signflip").Adversaries
 	if len(advs) != 2 || advs[0].Kind != adversary.KindFreeloader || len(advs[0].Clients) != 2 || advs[0].Clients[0] != 18 {
 		t.Fatalf("freeloaders + attack = %+v", advs)
 	}
-	reject(t, "-attack-frac", "0.5")
+	reject(t, "-attack", ":0.5") // a fraction without a kind
 	reject(t, "-attack", "nope")
-	reject(t, "-attack", "signflip", "-attack-frac", "2")
+	reject(t, "-attack", "signflip:2")
 	reject(t, "-freeloaders", "20")
 }
 
@@ -77,18 +76,18 @@ func TestBuildCompress(t *testing.T) {
 	if c := mustSpec(t, "-compress", "topk").Compress; c.Kind != compress.KindTopK || c.TopKFrac != 0 {
 		t.Fatalf("-compress topk = %+v", c)
 	}
-	// The dedicated flag overrides the inline fraction.
-	if c := mustSpec(t, "-compress", "topk:0.5", "-topk", "0.02").Compress; c.TopKFrac != 0.02 {
-		t.Fatalf("overridden spec = %+v", c)
+	// The spec string is the one setter of the fraction.
+	if c := mustSpec(t, "-compress", "topk:0.02").Compress; c.Kind != compress.KindTopK || c.TopKFrac != 0.02 {
+		t.Fatalf("-compress topk:0.02 = %+v", c)
 	}
 	if c := mustSpec(t, "-compress", "int8:128").Compress; c.Chunk != 128 {
 		t.Fatalf("-compress int8:128 = %+v", c)
 	}
 	reject(t, "-compress", "gzip")
 	reject(t, "-compress", "topk:2")
-	reject(t, "-compress", "topk", "-topk", "1.5")
-	reject(t, "-compress", "int8", "-topk", "0.1") // -topk without a topk codec
-	reject(t, "-topk", "0.01")
+	reject(t, "-compress", "topk:1.5")
+	reject(t, "-compress", "int8:0.1") // a fraction for a codec that takes a chunk
+	reject(t, "-compress", ":0.01")    // a fraction without a codec
 }
 
 func TestBuildFaults(t *testing.T) {
@@ -132,115 +131,6 @@ func TestBuildServerOpt(t *testing.T) {
 	for _, bad := range []string{"momentum", "adam:-1", "adam:0.1:2"} {
 		reject(t, "-serveropt", bad)
 	}
-}
-
-// accepted runs args through the spec half and reports whether they were
-// accepted; a flag-set parse failure counts as a rejection.
-func accepted(args ...string) (*fl.Config, bool) {
-	fs := flag.NewFlagSet("flsim", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	r := runflag.Register(fs, runflag.Sim)
-	if fs.Parse(args) != nil {
-		return nil, false
-	}
-	cfg, _, _, err := r.Spec()
-	return cfg, err == nil
-}
-
-// FuzzAttackFlag: the -attack flags never panic and anything they accept
-// is a valid, compilable spec.
-func FuzzAttackFlag(f *testing.F) {
-	f.Add("signflip", 0.0, 0.0)
-	f.Add("scale:0.3", 0.5, 2.0)
-	f.Add("sybil:0.25:2", 0.0, 0.0)
-	f.Add(":::", -1.0, 1e308)
-	f.Fuzz(func(t *testing.T, attack string, frac, scale float64) {
-		args := []string{"-attack", attack}
-		if frac != 0 {
-			args = append(args, "-attack-frac", strconv.FormatFloat(frac, 'g', -1, 64))
-		}
-		if scale != 0 {
-			args = append(args, "-attack-scale", strconv.FormatFloat(scale, 'g', -1, 64))
-		}
-		cfg, ok := accepted(args...)
-		if !ok {
-			return
-		}
-		if attack != "" && len(cfg.Adversaries) != 1 {
-			t.Fatalf("%q accepted with adversaries %+v", args, cfg.Adversaries)
-		}
-		for _, spec := range cfg.Adversaries {
-			if err := spec.Validate(); err != nil || spec.Behavior() == nil {
-				t.Fatalf("%q: accepted adversary %+v (validate: %v)", args, spec, err)
-			}
-		}
-	})
-}
-
-// FuzzFaultFlag: the -fault flag never panics and anything it accepts is
-// a valid spec list.
-func FuzzFaultFlag(f *testing.F) {
-	f.Add("crash")
-	f.Add("crash:0.2,drop:0.1,dup:0.3,slow:0.5:4")
-	f.Add("servercrash:10")
-	f.Add(":::,,,")
-	f.Fuzz(func(t *testing.T, s string) {
-		cfg, ok := accepted("-fault", s)
-		if !ok {
-			return
-		}
-		for _, spec := range cfg.Faults {
-			if err := spec.Validate(); err != nil {
-				t.Fatalf("-fault %q: accepted invalid spec %+v: %v", s, spec, err)
-			}
-		}
-	})
-}
-
-// FuzzStackFlag: the -aggstack/-serveropt flags never panic and anything
-// they accept is a valid, buildable spec.
-func FuzzStackFlag(f *testing.F) {
-	f.Add("zeroing|clip", "adam")
-	f.Add("clip:5", "fedsgd:1")
-	f.Add("none", "yogi:0.01")
-	f.Add(":::||", ":::")
-	f.Fuzz(func(t *testing.T, stack, opt string) {
-		if cfg, ok := accepted("-aggstack", stack); ok {
-			if _, err := aggstack.NewStages(cfg.AggStack); err != nil {
-				t.Fatalf("-aggstack %q: accepted stack %+v does not build: %v", stack, cfg.AggStack, err)
-			}
-		}
-		if cfg, ok := accepted("-serveropt", opt); ok {
-			if _, err := aggstack.NewOptimizer(cfg.ServerOpt); err != nil {
-				t.Fatalf("-serveropt %q: accepted optimizer %+v does not build: %v", opt, cfg.ServerOpt, err)
-			}
-		}
-	})
-}
-
-// FuzzDTypeFlag: the -dtype flag never panics, and the only values
-// Config.Validate lets through are the documented precision table ("",
-// "f64", "f32") — a new entry added to the table without updating the
-// flag's contract shows up here.
-func FuzzDTypeFlag(f *testing.F) {
-	f.Add("f64")
-	f.Add("f32")
-	f.Add("")
-	f.Add("f16")
-	f.Fuzz(func(t *testing.T, s string) {
-		cfg, ok := accepted("-dtype", s)
-		if !ok {
-			t.Fatalf("-dtype %q rejected before validation", s)
-		}
-		err := cfg.Validate()
-		valid := s == "" || s == "f64" || s == "f32"
-		if valid && err != nil {
-			t.Fatalf("valid dtype %q rejected: %v", s, err)
-		}
-		if !valid && err == nil {
-			t.Fatalf("invalid dtype %q accepted", s)
-		}
-	})
 }
 
 // TestDTypeFlagValues: the -dtype value is forwarded verbatim and

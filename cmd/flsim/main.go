@@ -8,8 +8,8 @@
 //	flsim -dataset fmnist -alg TACO -clients 20 -rounds 25 -k 10 -lr 0.05
 //	flsim -dataset adult -alg Scaffold -partition dir -phi 0.1
 //	flsim -dataset fmnist -alg TACO -freeloaders 8 -detect
-//	flsim -dataset adult -alg FG -attack signflip -attack-frac 0.3
-//	flsim -dataset fmnist -alg TACO -compress topk -topk 0.01
+//	flsim -dataset adult -alg FG -attack signflip:0.3
+//	flsim -dataset fmnist -alg TACO -compress topk:0.01
 //	flsim -dataset adult -alg TACO -fault servercrash:10 -checkpoint-every 5
 //	flsim -dataset adult -alg FedAvg -attack scale:0.25:20 -aggstack zeroing|clip -serveropt adam
 //	flsim -experiment table5 -scale bench -seed 1

@@ -23,10 +23,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/simclock"
+	"repro/internal/spec"
 )
 
 // Kind names one corruption primitive.
@@ -209,31 +208,18 @@ func (s Spec) Behavior() Behavior {
 	}
 }
 
-// ParseAttack parses the flsim -attack syntax "kind[:frac[:scale]]", e.g.
-// "signflip", "scale:0.3", "sybil:0.25:2". The returned spec always
-// passes Validate.
+// grammar is the -attack kind table: the arguments each kind takes.
+var grammar = spec.Grammar{Pkg: "adversary", Fields: map[string][]string{
+	"labelflip": {"fraction"}, "signflip": {"fraction"}, "freeload": {"fraction"},
+	"labelnoise": {"fraction", "scale"}, "scale": {"fraction", "scale"},
+	"deltanoise": {"fraction", "scale"}, "sybil": {"fraction", "scale"},
+}}
+
+// ParseAttack parses the flsim -attack syntax "kind[:frac[:scale]]"
+// (DESIGN.md §6's spec grammar), e.g. "signflip", "scale:0.3",
+// "sybil:0.25:2". The returned spec always passes Validate.
 func ParseAttack(s string) (Spec, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) > 3 {
-		return Spec{}, fmt.Errorf("adversary: attack %q has more than kind:frac:scale parts", s)
-	}
-	spec := Spec{Kind: Kind(strings.TrimSpace(parts[0])), Frac: 0.25}
-	if len(parts) > 1 {
-		f, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err != nil {
-			return Spec{}, fmt.Errorf("adversary: attack fraction %q: %v", parts[1], err)
-		}
-		spec.Frac = f
-	}
-	if len(parts) > 2 {
-		v, err := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
-		if err != nil {
-			return Spec{}, fmt.Errorf("adversary: attack scale %q: %v", parts[2], err)
-		}
-		spec.Scale = v
-	}
-	if err := spec.Validate(); err != nil {
-		return Spec{}, err
-	}
-	return spec, nil
+	e := grammar.Entry(s)
+	out := Spec{Kind: Kind(e.Kind), Frac: 0.25}
+	return spec.Fill(e, &out, &out.Frac, &out.Scale)
 }

@@ -19,8 +19,9 @@ package aggstack
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
+
+	"repro/internal/spec"
 )
 
 // StageKind names a pre-aggregation stage family.
@@ -99,39 +100,34 @@ func (s StackSpec) String() string {
 	return strings.Join(parts, "|")
 }
 
-// ParseStack parses the CLI syntax "stage[:norm]|stage[:norm]|...", e.g.
-// "zeroing|clip" (both adaptive), "zeroing:20|clip:5" (fixed bounds), or
-// "" / "none" for the empty stack. It mirrors compress.ParseSpec /
-// fault.ParseFault: every parse round-trips through String.
+// stages is the -aggstack kind table: the arguments each stage takes.
+var stages = spec.Grammar{Pkg: "aggstack", Fields: map[string][]string{
+	"zeroing": {"norm"}, "clip": {"norm"},
+}}
+
+// ParseStack parses the CLI syntax "stage[:norm]|stage[:norm]|..."
+// (DESIGN.md §6's spec grammar), e.g. "zeroing|clip" (both adaptive),
+// "zeroing:20|clip:5" (fixed bounds), or "" / "none" for the empty
+// stack. It mirrors compress.ParseSpec / fault.ParseFault: every parse
+// round-trips through String.
 func ParseStack(s string) (StackSpec, error) {
-	s = strings.TrimSpace(s)
-	if s == "" || s == "none" {
+	if spec.None(s) {
 		return StackSpec{}, nil
 	}
-	var spec StackSpec
-	for _, field := range strings.Split(s, "|") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			return StackSpec{}, fmt.Errorf("aggstack: empty stage in stack %q", s)
-		}
-		kind, param, hasParam := strings.Cut(field, ":")
-		st := StageSpec{Kind: StageKind(kind)}
-		if hasParam {
-			v, err := strconv.ParseFloat(param, 64)
-			if err != nil {
-				return StackSpec{}, fmt.Errorf("aggstack: stage %q: bad norm %q: %v", kind, param, err)
-			}
-			if v == 0 {
-				return StackSpec{}, fmt.Errorf("aggstack: stage %q: explicit norm must be positive (omit it for adaptive quantile matching)", kind)
-			}
-			st.Norm = v
-		}
-		if err := st.Validate(); err != nil {
-			return StackSpec{}, err
-		}
-		spec.Stages = append(spec.Stages, st)
+	list, err := spec.List(s, "|", parseStage)
+	return StackSpec{Stages: list}, err
+}
+
+// parseStage parses one ParseStack stage. A norm of 0 means adaptive, and
+// that is spelled by leaving the norm out, so an explicit 0 is an error.
+func parseStage(s string) (StageSpec, error) {
+	e := stages.Entry(s)
+	st := StageSpec{Kind: StageKind(e.Kind)}
+	st, err := spec.Fill(e, &st, &st.Norm)
+	if err == nil && len(e.Args) > 0 && st.Norm == 0 {
+		return StageSpec{}, fmt.Errorf("aggstack: stage %s: explicit norm must be positive (omit it for adaptive quantile matching)", e.Kind)
 	}
-	return spec, nil
+	return st, err
 }
 
 // OptKind names a server-optimizer family.
@@ -233,27 +229,25 @@ func (s OptSpec) String() string {
 	return fmt.Sprintf("%s:%g", s.Kind, s.LR)
 }
 
-// ParseServerOpt parses the CLI syntax "kind[:lr]", e.g. "adam",
-// "adam:0.05", "fedsgd:1", or "" / "none" for no optimizer.
+// optimizers is the -serveropt kind table: the arguments each
+// optimizer takes.
+var optimizers = spec.Grammar{Pkg: "aggstack", Fields: map[string][]string{
+	"fedsgd": {"lr"}, "adagrad": {"lr"}, "adam": {"lr"}, "yogi": {"lr"},
+}}
+
+// ParseServerOpt parses the CLI syntax "kind[:lr]" (DESIGN.md §6's spec
+// grammar), e.g. "adam", "adam:0.05", "fedsgd:1", or "" / "none" for no
+// optimizer. An explicit lr of 0 is an error: 0 is the kind's default,
+// spelled by leaving the lr out.
 func ParseServerOpt(s string) (OptSpec, error) {
-	s = strings.TrimSpace(s)
-	if s == "" || s == "none" {
+	if spec.None(s) {
 		return OptSpec{}, nil
 	}
-	kind, param, hasParam := strings.Cut(s, ":")
-	spec := OptSpec{Kind: OptKind(kind)}
-	if hasParam {
-		v, err := strconv.ParseFloat(param, 64)
-		if err != nil {
-			return OptSpec{}, fmt.Errorf("aggstack: optimizer %q: bad lr %q: %v", kind, param, err)
-		}
-		if v == 0 {
-			return OptSpec{}, fmt.Errorf("aggstack: optimizer %q: explicit lr must be positive (omit it for the default)", kind)
-		}
-		spec.LR = v
+	e := optimizers.Entry(s)
+	o := OptSpec{Kind: OptKind(e.Kind)}
+	o, err := spec.Fill(e, &o, &o.LR)
+	if err == nil && len(e.Args) > 0 && o.LR == 0 {
+		return OptSpec{}, fmt.Errorf("aggstack: optimizer %s: explicit lr must be positive (omit it for the default)", e.Kind)
 	}
-	if err := spec.Validate(); err != nil {
-		return OptSpec{}, err
-	}
-	return spec, nil
+	return o, err
 }

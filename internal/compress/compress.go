@@ -18,10 +18,9 @@ package compress
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
 	"repro/internal/rng"
+	"repro/internal/spec"
 	"repro/internal/vecmath"
 )
 
@@ -140,43 +139,23 @@ func (s Spec) String() string {
 	}
 }
 
-// ParseSpec parses the flag syntax "kind[:param]": "none" (or ""),
-// "topk[:frac]", "int8[:chunk]".
+// grammar is the -compress kind table: the arguments each codec takes.
+var grammar = spec.Grammar{Pkg: "compress", Fields: map[string][]string{
+	"topk": {"fraction"}, "int8": {"chunk"},
+}}
+
+// ParseSpec parses the flag syntax "kind[:param]" (DESIGN.md §6's spec
+// grammar): "none" (or blank), "topk[:frac]", "int8[:chunk]".
 func ParseSpec(s string) (Spec, error) {
-	name, param, hasParam := strings.Cut(s, ":")
-	var spec Spec
-	switch name {
-	case "", "none":
-		spec.Kind = KindNone
-	case "topk":
-		spec.Kind = KindTopK
-	case "int8":
-		spec.Kind = KindInt8
-	default:
-		return Spec{}, fmt.Errorf("compress: unknown codec %q (valid: %v)", name, KindNames())
+	if spec.None(s) {
+		return Spec{}, nil
 	}
-	if hasParam {
-		switch spec.Kind {
-		case KindTopK:
-			frac, err := strconv.ParseFloat(param, 64)
-			if err != nil {
-				return Spec{}, fmt.Errorf("compress: topk fraction %q: %w", param, err)
-			}
-			spec.TopKFrac = frac
-		case KindInt8:
-			chunk, err := strconv.Atoi(param)
-			if err != nil {
-				return Spec{}, fmt.Errorf("compress: int8 chunk %q: %w", param, err)
-			}
-			spec.Chunk = chunk
-		default:
-			return Spec{}, fmt.Errorf("compress: codec %q takes no parameter", name)
-		}
+	e := grammar.Entry(s)
+	out := Spec{Kind: Kind(e.Kind)}
+	if out.Kind == KindInt8 {
+		return spec.Fill(e, &out, &out.Chunk)
 	}
-	if err := spec.Validate(); err != nil {
-		return Spec{}, err
-	}
-	return spec, nil
+	return spec.Fill(e, &out, &out.TopKFrac)
 }
 
 // Payload is one encoded upload. Which fields are populated depends on

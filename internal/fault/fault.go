@@ -17,10 +17,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
-	"strings"
 
 	"repro/internal/simclock"
+	"repro/internal/spec"
 )
 
 // Kind names one failure mode.
@@ -170,8 +169,14 @@ func (s Spec) String() string {
 	return out
 }
 
-// ParseFault parses the CLI syntax "kind[:frac[:param]]", mirroring
-// adversary.ParseAttack:
+// grammar is the -fault kind table: the arguments each kind takes.
+var grammar = spec.Grammar{Pkg: "fault", Fields: map[string][]string{
+	"crash": {"fraction"}, "drop": {"fraction"}, "dup": {"fraction"},
+	"slow": {"fraction", "factor"}, "servercrash": {"round"},
+}}
+
+// ParseFault parses the CLI syntax "kind[:frac[:param]]" (DESIGN.md §6's
+// spec grammar), mirroring adversary.ParseAttack:
 //
 //	crash:0.2        each dispatch of every client crashes w.p. 0.2
 //	drop             uplink loss at the default 0.25 per dispatch
@@ -179,59 +184,19 @@ func (s Spec) String() string {
 //	slow:0.3:4       30% of dispatches take 4× their modeled time
 //	servercrash:5    the server dies at the start of round 5
 func ParseFault(s string) (Spec, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) > 3 {
-		return Spec{}, fmt.Errorf("fault: %q has too many fields (want kind[:frac[:param]])", s)
+	e := grammar.Entry(s)
+	out := Spec{Kind: Kind(e.Kind), Frac: 0.25}
+	switch out.Kind {
+	case KindServerCrash:
+		out.Frac, out.Round = 0, 1
+		return spec.Fill(e, &out, &out.Round)
+	case KindSlow:
+		out.Param = 4
 	}
-	spec := Spec{Kind: Kind(strings.TrimSpace(parts[0])), Frac: 0.25}
-	if spec.Kind == KindSlow {
-		spec.Param = 4
-	}
-	if spec.Kind == KindServerCrash {
-		spec.Frac = 0
-		if len(parts) > 2 {
-			return Spec{}, fmt.Errorf("fault: %q: servercrash takes a single round number", s)
-		}
-		if len(parts) == 2 {
-			r, err := strconv.Atoi(strings.TrimSpace(parts[1]))
-			if err != nil {
-				return Spec{}, fmt.Errorf("fault: bad servercrash round %q: %w", parts[1], err)
-			}
-			spec.Round = r
-		} else {
-			spec.Round = 1
-		}
-		return spec, spec.Validate()
-	}
-	if len(parts) >= 2 && strings.TrimSpace(parts[1]) != "" {
-		f, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err != nil {
-			return Spec{}, fmt.Errorf("fault: bad fraction %q: %w", parts[1], err)
-		}
-		spec.Frac = f
-	}
-	if len(parts) == 3 && strings.TrimSpace(parts[2]) != "" {
-		p, err := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
-		if err != nil {
-			return Spec{}, fmt.Errorf("fault: bad parameter %q: %w", parts[2], err)
-		}
-		spec.Param = p
-	}
-	return spec, spec.Validate()
+	return spec.Fill(e, &out, &out.Frac, &out.Param)
 }
 
 // ParseFaults parses a comma-separated list of ParseFault specs.
 func ParseFaults(s string) ([]Spec, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var specs []Spec
-	for _, field := range strings.Split(s, ",") {
-		spec, err := ParseFault(field)
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, spec)
-	}
-	return specs, nil
+	return spec.List(s, ",", ParseFault)
 }

@@ -29,14 +29,13 @@ import (
 
 // Run holds the value of every run flag.
 type Run struct {
-	Dataset, Alg, Partition, Scale, Policy, Hetero, DType      string
-	Compress, Attack, Fault, AggStack, ServerOpt               string
-	Clients, Rounds, LocalSteps, Batch, Freeloaders, Buffer    int
-	CheckpointEvery, Parallelism                               int
-	LR, GlobalLR, Phi, Deadline, TopK, AttackFrac, AttackScale float64
-	Quorum, Participation                                      float64
-	Seed                                                       uint64
-	Detect, WeightByData                                       bool
+	Dataset, Alg, Partition, Scale, Policy, Hetero, DType   string
+	Compress, Attack, Fault, AggStack, ServerOpt            string
+	Clients, Rounds, LocalSteps, Batch, Freeloaders, Buffer int
+	CheckpointEvery, Parallelism                            int
+	LR, GlobalLR, Phi, Deadline, Quorum, Participation      float64
+	Seed                                                    uint64
+	Detect, WeightByData                                    bool
 }
 
 // Sim is flsim's defaults: the paper's fmnist/TACO setting over the
@@ -80,10 +79,7 @@ func Register(fs *flag.FlagSet, def Run) *Run {
 	fs.StringVar(&r.Hetero, "hetero", def.Hetero, "device fleet: "+strings.Join(simclock.FleetNames(), "|"))
 	fs.StringVar(&r.DType, "dtype", def.DType, "client compute precision: f64|f32 (f32 halves training memory and speeds up local steps; aggregation and metrics stay float64)")
 	fs.StringVar(&r.Compress, "compress", def.Compress, "uplink codec: none|topk[:frac]|int8[:chunk] (default dense uploads)")
-	fs.Float64Var(&r.TopK, "topk", def.TopK, "kept-coordinate fraction for -compress topk (0 = the codec's, default 0.01)")
 	fs.StringVar(&r.Attack, "attack", def.Attack, "corrupt clients: kind[:frac[:scale]], kind one of "+strings.Join(adversary.KindNames(), "|"))
-	fs.Float64Var(&r.AttackFrac, "attack-frac", def.AttackFrac, "fraction of clients corrupted by -attack (0 = the spec's, default 0.25)")
-	fs.Float64Var(&r.AttackScale, "attack-scale", def.AttackScale, "magnitude of -attack (0 = the kind's default)")
 	fs.StringVar(&r.Fault, "fault", def.Fault, "inject faults: comma-separated kind[:frac[:param]], kind one of "+strings.Join(fault.KindNames(), "|"))
 	fs.StringVar(&r.AggStack, "aggstack", def.AggStack, `robust pre-aggregation stack: "|"-separated kind[:norm] stages, kind one of zeroing|clip (e.g. "zeroing|clip", "clip:5"; no norm = adaptive quantile bound)`)
 	fs.StringVar(&r.ServerOpt, "serveropt", def.ServerOpt, "server optimizer: kind[:lr], kind one of fedsgd|adagrad|adam|yogi (default vanilla apply)")
@@ -147,7 +143,7 @@ func (r *Run) Spec() (*fl.Config, fl.Algorithm, *nn.Network, error) {
 	alg, errs[0] = r.algorithm()
 	cfg.Policy, errs[1] = fl.ParsePolicy(r.Policy)
 	cfg.Devices, errs[2] = simclock.FleetByName(r.Hetero, r.Clients, nominal, r.Seed)
-	cfg.Compress, errs[3] = r.codec()
+	cfg.Compress, errs[3] = compress.ParseSpec(r.Compress)
 	cfg.Adversaries, errs[4] = r.adversaries()
 	cfg.Faults, errs[5] = fault.ParseFaults(r.Fault)
 	cfg.AggStack, errs[6] = aggstack.ParseStack(r.AggStack)
@@ -181,26 +177,9 @@ func (r *Run) algorithm() (fl.Algorithm, error) {
 	return experiments.NewAlgorithm(r.Alg)
 }
 
-// codec reads -compress in compress.ParseSpec syntax; a nonzero -topk
-// overrides the inline fraction.
-func (r *Run) codec() (compress.Spec, error) {
-	s, err := compress.ParseSpec(r.Compress)
-	if err != nil {
-		return s, err
-	}
-	if r.TopK != 0 {
-		if s.Kind != compress.KindTopK {
-			return s, fmt.Errorf("-topk needs -compress topk")
-		}
-		s.TopKFrac = r.TopK
-	}
-	return s, s.Validate()
-}
-
 // adversaries turns -freeloaders (the last N clients, listed first so
 // freeloading settles before anything composes on a client) and -attack
-// (adversary.ParseAttack syntax, with nonzero -attack-frac and
-// -attack-scale overriding the inline parts) into adversary specs.
+// (adversary.ParseAttack syntax) into adversary specs.
 func (r *Run) adversaries() ([]adversary.Spec, error) {
 	var specs []adversary.Spec
 	if r.Freeloaders > 0 {
@@ -214,21 +193,11 @@ func (r *Run) adversaries() ([]adversary.Spec, error) {
 		specs = append(specs, adversary.Freeloaders(ids))
 	}
 	if r.Attack == "" {
-		if r.AttackFrac != 0 || r.AttackScale != 0 {
-			return nil, fmt.Errorf("-attack-frac/-attack-scale need -attack")
-		}
 		return specs, nil
 	}
 	spec, err := adversary.ParseAttack(r.Attack)
 	if err != nil {
 		return nil, err
 	}
-	if r.AttackFrac != 0 {
-		spec.Clients = nil
-		spec.Frac = r.AttackFrac
-	}
-	if r.AttackScale != 0 {
-		spec.Scale = r.AttackScale
-	}
-	return append(specs, spec), spec.Validate()
+	return append(specs, spec), nil
 }

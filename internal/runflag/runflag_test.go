@@ -14,16 +14,17 @@ import (
 )
 
 // FuzzRunFlags: argv through Register and the spec half of Build never
-// panics, and every spec it accepts is valid — adversaries compile to a
-// behavior, stacks and optimizers build, and Config.Validate lets through
-// no precision outside the documented table ("", "f64", "f32"). argv is
-// one string, "\n"-separated, so flag values may hold any other byte.
+// panics, and every spec it accepts is valid — -freeloaders and -attack
+// each add exactly one adversary, which compiles to a behavior, stacks
+// and optimizers build, and Config.Validate lets through no precision
+// outside the documented table ("", "f64", "f32"). argv is one string,
+// "\n"-separated, so flag values may hold any other byte.
 func FuzzRunFlags(f *testing.F) {
 	for _, argv := range [][]string{
 		{"-attack", "signflip"},
-		{"-attack", "scale:0.3", "-attack-frac", "0.5", "-attack-scale", "2"},
+		{"-attack", "scale:0.5:2"},
 		{"-attack", "sybil:0.25:2"},
-		{"-attack", ":::", "-attack-frac", "-1", "-attack-scale", "1e308"},
+		{"-attack", ":-1:1e308"},
 		{"-fault", "crash"},
 		{"-fault", "crash:0.2,drop:0.1,dup:0.3,slow:0.5:4"},
 		{"-fault", "servercrash:10"},
@@ -50,6 +51,16 @@ func FuzzRunFlags(f *testing.F) {
 		cfg, _, _, err := r.Spec()
 		if err != nil {
 			return
+		}
+		want := 0
+		if r.Freeloaders > 0 {
+			want++
+		}
+		if r.Attack != "" {
+			want++
+		}
+		if len(cfg.Adversaries) != want {
+			t.Fatalf("%q: accepted with %d adversaries, want %d", argv, len(cfg.Adversaries), want)
 		}
 		for _, spec := range cfg.Adversaries {
 			if err := spec.Validate(); err != nil || spec.Behavior() == nil {

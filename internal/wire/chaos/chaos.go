@@ -17,12 +17,11 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/rng"
+	"repro/internal/spec"
 	"repro/internal/wire"
 )
 
@@ -85,8 +84,14 @@ func (s Spec) String() string {
 	}
 }
 
-// Parse parses one spec in the CLI syntax "kind[:frac[:param]]",
-// mirroring fault.ParseFault:
+// grammar is the chaos kind table: the arguments each kind takes.
+var grammar = spec.Grammar{Pkg: "chaos", Fields: map[string][]string{
+	"reset": {"frac"}, "truncate": {"frac"}, "reorder": {"frac"},
+	"slow": {"frac", "param"}, "partition": {"frac", "param"},
+}}
+
+// Parse parses one spec in the CLI syntax "kind[:frac[:param]]"
+// (DESIGN.md §6's spec grammar), mirroring fault.ParseFault:
 //
 //	reset:0.01          1% of frames reset the connection
 //	slow:0.3:0.05       30% of frames are delayed 50ms
@@ -94,51 +99,20 @@ func (s Spec) String() string {
 //	partition:0.005:2   0.5% of frames stall the direction for 2s
 //	reorder:0.1         10% of frames are swapped with their successor
 func Parse(s string) (Spec, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) > 3 {
-		return Spec{}, fmt.Errorf("chaos: %q has too many fields (want kind[:frac[:param]])", s)
-	}
-	spec := Spec{Kind: Kind(strings.TrimSpace(parts[0])), Frac: 0.1}
-	switch spec.Kind {
+	e := grammar.Entry(s)
+	out := Spec{Kind: Kind(e.Kind), Frac: 0.1}
+	switch out.Kind {
 	case KindSlow:
-		spec.Param = 0.05
+		out.Param = 0.05
 	case KindPartition:
-		spec.Param = 1
+		out.Param = 1
 	}
-	if len(parts) >= 2 {
-		f, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err != nil {
-			return Spec{}, fmt.Errorf("chaos: bad frac %q: %w", parts[1], err)
-		}
-		spec.Frac = f
-	}
-	if len(parts) == 3 {
-		p, err := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
-		if err != nil {
-			return Spec{}, fmt.Errorf("chaos: bad param %q: %w", parts[2], err)
-		}
-		spec.Param = p
-	}
-	if err := spec.Validate(); err != nil {
-		return Spec{}, err
-	}
-	return spec, nil
+	return spec.Fill(e, &out, &out.Frac, &out.Param)
 }
 
 // ParseList parses a comma-separated list of specs.
 func ParseList(s string) ([]Spec, error) {
-	var specs []Spec
-	for _, part := range strings.Split(s, ",") {
-		if strings.TrimSpace(part) == "" {
-			continue
-		}
-		sp, err := Parse(part)
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, sp)
-	}
-	return specs, nil
+	return spec.List(s, ",", Parse)
 }
 
 // Proxy forwards framed connections to an upstream address, injecting

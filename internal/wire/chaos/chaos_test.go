@@ -30,7 +30,7 @@ func TestParse(t *testing.T) {
 			t.Fatalf("Parse(%q) = %+v, want %+v", tc.in, got, tc.want)
 		}
 	}
-	for _, bad := range []string{"", "reset:0", "reset:1.5", "slow:0.5:0", "explode:0.1", "reset:0.1:2:3", "reset:x"} {
+	for _, bad := range []string{"", "reset:0", "reset:1.5", "slow:0.5:0", "explode:0.1", "reset:0.1:2:3", "reset:x", "reset:0.1:2"} {
 		if _, err := Parse(bad); err == nil {
 			t.Fatalf("Parse(%q) unexpectedly succeeded", bad)
 		}
