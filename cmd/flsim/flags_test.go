@@ -147,3 +147,105 @@ func TestDTypeFlagValues(t *testing.T) {
 		}
 	}
 }
+
+// accepted runs args through the spec half and reports whether they were
+// accepted; a flag-set parse failure counts as a rejection.
+func accepted(args ...string) (*fl.Config, bool) {
+	fs := flag.NewFlagSet("flsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	r := runflag.Register(fs, runflag.Sim)
+	if fs.Parse(args) != nil {
+		return nil, false
+	}
+	cfg, _, _, err := r.Spec()
+	return cfg, err == nil
+}
+
+// FuzzAttackFlag: the -attack flag never panics and anything it accepts
+// is exactly one valid, compilable adversary.
+func FuzzAttackFlag(f *testing.F) {
+	f.Add("signflip")
+	f.Add("scale:0.5:2")
+	f.Add("sybil:0.25:2")
+	f.Add(":-1:1e308")
+	f.Fuzz(func(t *testing.T, attack string) {
+		cfg, ok := accepted("-attack", attack)
+		if !ok {
+			return
+		}
+		if attack != "" && len(cfg.Adversaries) != 1 {
+			t.Fatalf("-attack %q accepted with adversaries %+v", attack, cfg.Adversaries)
+		}
+		for _, spec := range cfg.Adversaries {
+			if err := spec.Validate(); err != nil || spec.Behavior() == nil {
+				t.Fatalf("-attack %q: accepted adversary %+v (validate: %v)", attack, spec, err)
+			}
+		}
+	})
+}
+
+// FuzzFaultFlag: the -fault flag never panics and anything it accepts is
+// a valid spec list.
+func FuzzFaultFlag(f *testing.F) {
+	f.Add("crash")
+	f.Add("crash:0.2,drop:0.1,dup:0.3,slow:0.5:4")
+	f.Add("servercrash:10")
+	f.Add(":::,,,")
+	f.Fuzz(func(t *testing.T, s string) {
+		cfg, ok := accepted("-fault", s)
+		if !ok {
+			return
+		}
+		for _, spec := range cfg.Faults {
+			if err := spec.Validate(); err != nil {
+				t.Fatalf("-fault %q: accepted invalid spec %+v: %v", s, spec, err)
+			}
+		}
+	})
+}
+
+// FuzzStackFlag: the -aggstack/-serveropt flags never panic and anything
+// they accept is a valid, buildable spec.
+func FuzzStackFlag(f *testing.F) {
+	f.Add("zeroing|clip", "adam")
+	f.Add("clip:5", "fedsgd:1")
+	f.Add("none", "yogi:0.01")
+	f.Add(":::||", ":::")
+	f.Fuzz(func(t *testing.T, stack, opt string) {
+		if cfg, ok := accepted("-aggstack", stack); ok {
+			if _, err := aggstack.NewStages(cfg.AggStack); err != nil {
+				t.Fatalf("-aggstack %q: accepted stack %+v does not build: %v", stack, cfg.AggStack, err)
+			}
+		}
+		if cfg, ok := accepted("-serveropt", opt); ok {
+			if _, err := aggstack.NewOptimizer(cfg.ServerOpt); err != nil {
+				t.Fatalf("-serveropt %q: accepted optimizer %+v does not build: %v", opt, cfg.ServerOpt, err)
+			}
+		}
+	})
+}
+
+// FuzzDTypeFlag: the -dtype flag never panics, and the only values
+// Config.Validate lets through are the documented precision table ("",
+// "f64", "f32") — a new entry added to the table without updating the
+// flag's contract shows up here.
+func FuzzDTypeFlag(f *testing.F) {
+	f.Add("f64")
+	f.Add("f32")
+	f.Add("")
+	f.Add("f16")
+	f.Fuzz(func(t *testing.T, s string) {
+		cfg, ok := accepted("-dtype", s)
+		if !ok {
+			t.Fatalf("-dtype %q rejected before validation", s)
+		}
+		err := cfg.Validate()
+		valid := s == "" || s == "f64" || s == "f32"
+		if valid && err != nil {
+			t.Fatalf("valid dtype %q rejected: %v", s, err)
+		}
+		if !valid && err == nil {
+			t.Fatalf("invalid dtype %q accepted", s)
+		}
+	})
+}

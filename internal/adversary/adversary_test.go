@@ -341,6 +341,26 @@ func TestParseAttack(t *testing.T) {
 	}
 }
 
+// FuzzParseAttack: the parser never panics, and anything it accepts is a
+// valid spec.
+func FuzzParseAttack(f *testing.F) {
+	for _, seed := range []string{"signflip", "scale:0.3", "sybil:0.25:2", "freeload:1", "x:y:z", ":::", "labelnoise:0.5:0.9"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseAttack(s)
+		if err != nil {
+			return
+		}
+		if verr := spec.Validate(); verr != nil {
+			t.Fatalf("ParseAttack(%q) returned invalid spec %+v: %v", s, spec, verr)
+		}
+		if got := spec.Behavior(); got == nil {
+			t.Fatalf("ParseAttack(%q) spec compiles to nil behavior", s)
+		}
+	})
+}
+
 // TestFreeloaders pins the helper the CLI, the freeload experiments and
 // the example build their leading spec with: ids sorted and deduplicated
 // without touching the caller's slice, a negative id rejected by Validate,

@@ -102,6 +102,60 @@ func TestOptSpecDefaults(t *testing.T) {
 	}
 }
 
+// FuzzParseStack: the parser never panics, and every accepted spec
+// validates and round-trips through String bit-exactly.
+func FuzzParseStack(f *testing.F) {
+	for _, seed := range []string{"", "none", "zeroing", "clip:5", "zeroing:20|clip", "zeroing|zeroing|clip:0.1", "a:b", "|", "clip:1e300"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseStack(s)
+		if err != nil {
+			return
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("ParseStack(%q) accepted an invalid spec: %v", s, err)
+		}
+		rt, err := ParseStack(spec.String())
+		if err != nil {
+			t.Fatalf("round-trip ParseStack(%q): %v", spec.String(), err)
+		}
+		if rt.String() != spec.String() {
+			t.Fatalf("round-trip %q -> %q", spec.String(), rt.String())
+		}
+		if _, err := NewStages(spec); err != nil {
+			t.Fatalf("NewStages(%q): %v", spec.String(), err)
+		}
+	})
+}
+
+// FuzzParseServerOpt: parser never panics; accepted specs validate,
+// round-trip, and construct.
+func FuzzParseServerOpt(f *testing.F) {
+	for _, seed := range []string{"", "none", "fedsgd", "adam:0.1", "yogi:2", "adagrad", "x:y", ":", "adam:1e-300"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseServerOpt(s)
+		if err != nil {
+			return
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("ParseServerOpt(%q) accepted an invalid spec: %v", s, err)
+		}
+		rt, err := ParseServerOpt(spec.String())
+		if err != nil {
+			t.Fatalf("round-trip ParseServerOpt(%q): %v", spec.String(), err)
+		}
+		if rt != spec {
+			t.Fatalf("round-trip %v -> %v", spec, rt)
+		}
+		if _, err := NewOptimizer(spec); err != nil {
+			t.Fatalf("NewOptimizer(%v): %v", spec, err)
+		}
+	})
+}
+
 // Sanity: strings.Contains guard so a future syntax change that drops the
 // "|" separator trips a test, not just docs.
 func TestStackStringSeparator(t *testing.T) {

@@ -119,3 +119,31 @@ func TestString(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseFault: the parser never panics, and every accepted spec
+// validates, names subjects when it acts per dispatch, and re-parses to the
+// same kind from its String form.
+func FuzzParseFault(f *testing.F) {
+	for _, seed := range []string{"crash", "crash:0.2", "drop:0.5", "dup:1", "slow:0.3:4", "servercrash:5", "x:y:z", ""} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseFault(s)
+		if err != nil {
+			return
+		}
+		if verr := spec.Validate(); verr != nil {
+			t.Fatalf("ParseFault(%q) accepted a spec that fails Validate: %v", s, verr)
+		}
+		if len(spec.Subjects(8)) == 0 && spec.PerDispatch() {
+			t.Fatalf("ParseFault(%q): per-dispatch spec with no subjects", s)
+		}
+		round, err := ParseFault(spec.String())
+		if err != nil {
+			t.Fatalf("ParseFault(String(%q)=%q): %v", s, spec.String(), err)
+		}
+		if round.Kind != spec.Kind {
+			t.Fatalf("round-trip kind mismatch: %q vs %q", round.Kind, spec.Kind)
+		}
+	})
+}
