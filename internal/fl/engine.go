@@ -51,7 +51,7 @@ func Run(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.Dataset, 
 	if err != nil {
 		return nil, err
 	}
-	defer s.exec.close()
+	defer s.close()
 
 	if err := s.runAll(false); err != nil {
 		return nil, err
@@ -71,7 +71,7 @@ func Resume(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.Datase
 	if err != nil {
 		return nil, err
 	}
-	defer s.exec.close()
+	defer s.close()
 
 	if err := s.restore(checkpoint, true); err != nil {
 		return nil, err
@@ -80,6 +80,15 @@ func Resume(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.Datase
 		return nil, err
 	}
 	return s.result(), nil
+}
+
+// close ends the run's goroutines: the cohort draw-ahead helper, after
+// joining a draw still in flight, and the executor's. Run, Resume, Serve
+// and ServeResume all end through it.
+func (s *scheduler) close() {
+	s.ahead.stop()
+	s.ahead = nil
+	s.exec.close()
 }
 
 // result packages the scheduler's final state.

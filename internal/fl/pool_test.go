@@ -132,7 +132,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer s.pool.close()
+				defer s.close()
 
 				if policy == PolicyAsync {
 					if err := s.setupAsync(); err != nil {
@@ -169,6 +169,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 // 100k fleet's shape — 100 shards tiled by pointer to 100 000 clients,
 // fraction 1e-4, so 10 clients a round: one Fisher–Yates pass over the
 // active set in the reused buffer, then the cohort's sort and mapping.
+// Rounds 1 leaves no next round to draw ahead, so every draw is serial and
+// the benchmark reads the draw's CPU cost, which a sync or deadline run
+// spends off the round's critical path.
 func BenchmarkParticipants(b *testing.B) {
 	net, base, test := poolSetup(b, 100)
 	shards := make([]*dataset.Dataset, 100_000)
@@ -180,7 +183,7 @@ func BenchmarkParticipants(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.pool.close()
+	defer s.close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -294,32 +297,51 @@ func TestSlotPoolMemoryFootprint(t *testing.T) {
 		ParticipationFraction: 0.1,
 	}
 
-	footprint := func(parallelism int) uint64 {
+	// liveHeap settles the heap before reading, as in
+	// TestSlotPoolF32Footprint: garbage left by earlier tests is collected
+	// before the first reading, not between the two.
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	// footprint is the live heap a run adds, as a signed delta: a heap that
+	// shrinks between the readings reads ≤ 0 instead of wrapping around.
+	footprint := func(parallelism int) int64 {
 		c := cfg
 		c.Parallelism = parallelism
-		runtime.GC()
-		var m0 runtime.MemStats
-		runtime.ReadMemStats(&m0)
+		before := liveHeap()
 		s, err := newScheduler(c, goldenFedAvg{}, net, shards, test)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.pool.close()
+		defer s.close()
 		for round := 0; round < 3; round++ {
 			if halt, err := s.round(round); err != nil || halt {
 				t.Fatalf("round %d: halt=%v err=%v", round, halt, err)
 			}
 		}
-		runtime.GC()
-		var m1 runtime.MemStats
-		runtime.ReadMemStats(&m1)
-		live := m1.HeapAlloc - m0.HeapAlloc
+		live := liveHeap() - before
 		runtime.KeepAlive(s)
 		return live
 	}
+	// measure re-measures a delta that reads ≤ 0 — the heap lost more
+	// unrelated garbage than the run added — and fails if it keeps doing so.
+	measure := func(parallelism int) int64 {
+		const attempts = 3
+		for i := 0; i < attempts; i++ {
+			if live := footprint(parallelism); live > 0 {
+				return live
+			}
+		}
+		t.Fatalf("P=%d live-heap delta read ≤ 0 in %d attempts: the heap shrank between the readings, so the footprint cannot be measured", parallelism, attempts)
+		return 0
+	}
 
-	pooled := footprint(8)
-	perClient := footprint(500)
+	pooled := measure(8)
+	perClient := measure(500)
 	t.Logf("500-client live heap: P=8 pooled %.2f MiB, P=500 per-client %.2f MiB (%.1fx)",
 		float64(pooled)/(1<<20), float64(perClient)/(1<<20), float64(perClient)/float64(pooled))
 	if float64(perClient) < 5*float64(pooled) {
@@ -386,7 +408,7 @@ func TestSlotPoolF32Footprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.pool.close()
+		defer s.close()
 		// Three rounds force the lazily allocated state (engine gradient
 		// buffers, delta ring) to its steady-state high-water mark.
 		for round := 0; round < 3; round++ {
@@ -433,7 +455,7 @@ func TestDeltaRingReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.pool.close()
+	defer s.close()
 	for round := 0; round < 3; round++ {
 		if halt, err := s.round(round); err != nil || halt {
 			t.Fatalf("round %d: halt=%v err=%v", round, halt, err)
@@ -472,7 +494,7 @@ func TestSnapshotAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.pool.close()
+		defer s.close()
 		if err := s.setupAsync(); err != nil {
 			t.Fatal(err)
 		}

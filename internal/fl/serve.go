@@ -109,11 +109,11 @@ func (o ServeOptions) grace() float64 {
 // clients their in-flight dispatches are dropped through the quorum
 // path and the round commits Degraded.
 func Serve(ln net.Listener, opt ServeOptions, cfg Config, alg Algorithm, network *nn.Network, shards []*dataset.Dataset, test *dataset.Dataset) (*Result, error) {
-	s, ex, err := newServeScheduler(ln, opt, cfg, alg, network, shards, test)
+	s, _, err := newServeScheduler(ln, opt, cfg, alg, network, shards, test)
 	if err != nil {
 		return nil, err
 	}
-	defer ex.close()
+	defer s.close()
 	if err := s.runAll(false); err != nil {
 		return nil, err
 	}
@@ -133,7 +133,7 @@ func ServeResume(ln net.Listener, opt ServeOptions, checkpoint []byte, cfg Confi
 	if err != nil {
 		return nil, err
 	}
-	defer ex.close()
+	defer s.close()
 	if err := s.restore(checkpoint, true); err != nil {
 		return nil, err
 	}
