@@ -3,6 +3,7 @@ package fl
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 
 	"repro/internal/compress"
@@ -245,6 +246,9 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 		measured:  make([]float64, n),
 	}
 	s.exec = pool
+	// The draw ahead needs a core the round's training leaves idle: on
+	// one, a sync or deadline run draws serially.
+	s.prefetch = cfg.Policy != PolicyAsync && runtime.GOMAXPROCS(0) > 1
 	s.activeIDs = make([]int, 0, n)
 	s.rebuildActive()
 	if take, sampled := s.cohort(n); sampled {

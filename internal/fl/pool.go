@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"runtime"
 	"sync"
 	"time"
 
@@ -185,7 +186,8 @@ func (c *compressor) compress(u *Update, sl *slot) {
 // pinned to one long-lived worker goroutine (worker 0's slot also serves
 // one-client rounds on the caller's goroutine), so a run's training memory
 // is O(P·d) for the heavy state instead of O(n·d): a thousand-client
-// fleet no longer owns a thousand engines (DESIGN.md §5).
+// fleet no longer owns a thousand engines (DESIGN.md §5). A wire worker
+// that replays history grows up to GOMAXPROCS−P more (runWide).
 //
 // The pool also owns the delta ring: uploads (Update.Delta and the
 // encoded Update.Payload) must outlive the slot that produced them —
@@ -209,7 +211,25 @@ type slotPool struct {
 	free      []*upload // delta ring free list
 	numParams int
 	slots     int
+
+	// The replay width (DESIGN.md §12). A wire worker trains an Adopt
+	// sub-batch on width slots: its own slots plus width−slots extra ones,
+	// grown by the first runWide. The first extra slot (own) serves the
+	// calling goroutine, the rest pin goroutines that read only wide, so
+	// live rounds keep exactly slots. width is 0 until the first runWide;
+	// widened counts the sub-batches that ran on more than one slot.
+	net     *nn.Network
+	batch   int
+	f32     bool
+	width   int
+	own     *slot
+	wide    chan int
+	widened int
 }
+
+// drainWide is the job a runWide sends each pinned worker: help drain
+// wide instead of running one client.
+const drainWide = -1
 
 // newSlotPool creates the pool and starts its worker goroutines. Close
 // must be called when the run ends to stop them.
@@ -219,47 +239,77 @@ func newSlotPool(net *nn.Network, cfg Config, n int) *slotPool {
 		jobs:      make(chan int, n),
 		numParams: net.NumParams(),
 		slots:     workers,
+		net:       net,
+		batch:     cfg.BatchSize,
+		f32:       cfg.isF32(),
 	}
-	inSize := net.InShape().Size()
 	for w := 0; w < workers; w++ {
-		sl := &slot{
-			w0:      make([]float64, p.numParams),
-			w:       make([]float64, p.numParams),
-			grad:    make([]float64, p.numParams),
-			scratch: make([]float64, p.numParams),
-			batchX:  make([]float64, cfg.BatchSize*inSize),
-			batchY:  make([]int, cfg.BatchSize),
-		}
-		if cfg.isF32() {
-			sl.eng32 = nn.NewEngine32(net, cfg.BatchSize)
-			sl.w32 = make([]float32, p.numParams)
-			sl.grad32 = make([]float32, p.numParams)
-			sl.corr32 = make([]float32, p.numParams)
-			sl.batchX32 = make([]float32, cfg.BatchSize*inSize)
-		} else {
-			sl.eng = nn.NewEngine(net, cfg.BatchSize)
-		}
+		sl := p.newSlot()
 		if w == 0 {
 			p.first = sl
 		}
-		go p.worker(sl)
+		go p.worker(p.jobs, sl)
 	}
 	return p
 }
 
-// worker drains jobs onto its pinned slot until the pool closes.
-func (p *slotPool) worker(sl *slot) {
-	for j := range p.jobs {
-		p.task.run(j, sl)
+// newSlot allocates one slot's engine and buffers.
+func (p *slotPool) newSlot() *slot {
+	inSize := p.net.InShape().Size()
+	sl := &slot{
+		w0:      make([]float64, p.numParams),
+		w:       make([]float64, p.numParams),
+		grad:    make([]float64, p.numParams),
+		scratch: make([]float64, p.numParams),
+		batchX:  make([]float64, p.batch*inSize),
+		batchY:  make([]int, p.batch),
+	}
+	if p.f32 {
+		sl.eng32 = nn.NewEngine32(p.net, p.batch)
+		sl.w32 = make([]float32, p.numParams)
+		sl.grad32 = make([]float32, p.numParams)
+		sl.corr32 = make([]float32, p.numParams)
+		sl.batchX32 = make([]float32, p.batch*inSize)
+	} else {
+		sl.eng = nn.NewEngine(p.net, p.batch)
+	}
+	return sl
+}
+
+// worker drains jobs onto its pinned slot until the channel closes.
+func (p *slotPool) worker(jobs <-chan int, sl *slot) {
+	for j := range jobs {
+		if j == drainWide {
+			p.drain(sl, cap(p.wide))
+		} else {
+			p.task.run(j, sl)
+		}
 		p.wg.Done()
 	}
 }
 
-// close stops the worker goroutines. The pool must be idle. A ring-only
-// pool (newRingPool) has no workers to stop.
+// drain runs wide's queued jobs on sl until none is left or it has run
+// limit of them.
+func (p *slotPool) drain(sl *slot, limit int) {
+	for range limit {
+		select {
+		case j := <-p.wide:
+			p.task.run(j, sl)
+			p.wg.Done()
+		default:
+			return
+		}
+	}
+}
+
+// close stops the worker goroutines, the extra slots' included. The pool
+// must be idle. A ring-only pool (newRingPool) has no workers to stop.
 func (p *slotPool) close() {
 	if p.jobs != nil {
 		close(p.jobs)
+	}
+	if p.wide != nil {
+		close(p.wide)
 	}
 }
 
@@ -289,6 +339,64 @@ func newRingPool(numParams int) *slotPool {
 // only producer of jobs and waits for every job it queues, and which slot
 // serves a client is invisible in the results.
 func (p *slotPool) runRound(cfg *Config, alg Algorithm, clients []*client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) error {
+	p.prepare(cfg, alg, clients, ids, round, now, global, prevGlobal, updates, measured)
+	if len(ids) == 1 {
+		p.task.run(0, p.first)
+		return nil
+	}
+	p.wg.Add(len(ids))
+	for j := range ids {
+		p.jobs <- j
+	}
+	p.wg.Wait()
+	return nil
+}
+
+// runWide is runRound for a wire worker's Adopt sub-batch (DESIGN.md
+// §12): history that is trained and discarded while the server waits for
+// it, so it runs on every core the process may use instead of the
+// Parallelism slots live rounds keep. The first call observes
+// runtime.GOMAXPROCS and grows the extra slots. Each call queues the
+// sub-batch on wide and sends every pinned worker a drainWide; the
+// caller (on own), the pinned workers and the extra slots then take jobs
+// until none is left, so no slot idles while the queue is not empty. The
+// extra slots check ring entries out of, and back into, this pool's one
+// ring and read its comp. The clients of a frame are distinct and every
+// stream and residual is per client, so the width is invisible in the
+// results.
+func (p *slotPool) runWide(cfg *Config, alg Algorithm, clients []*client, ids []int, round int, global []float64, updates []Update, measured []float64) error {
+	if p.width == 0 {
+		p.width = max(p.slots, min(runtime.GOMAXPROCS(0), cap(p.jobs)))
+		if p.width > p.slots {
+			p.own = p.newSlot()
+			p.wide = make(chan int, cap(p.jobs))
+			for range p.width - p.slots - 1 {
+				go p.worker(p.wide, p.newSlot())
+			}
+		}
+	}
+	if p.own == nil || len(ids) == 1 {
+		return p.runRound(cfg, alg, clients, ids, round, 0, global, global, updates, measured)
+	}
+	p.prepare(cfg, alg, clients, ids, round, 0, global, global, updates, measured)
+	p.wg.Add(len(ids) + p.slots)
+	for j := range ids {
+		p.wide <- j
+	}
+	for range p.slots {
+		p.jobs <- drainWide
+	}
+	// The caller leaves at least one job to the other slots, so every
+	// sub-batch widened counts ran on more than one slot.
+	p.drain(p.own, len(ids)-1)
+	p.widened++
+	p.wg.Wait()
+	return nil
+}
+
+// prepare checks a ring entry out for each update of a round and writes
+// the round's task for the slots to read.
+func (p *slotPool) prepare(cfg *Config, alg Algorithm, clients []*client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) {
 	for j, id := range ids {
 		u := p.getUpload()
 		updates[j] = Update{
@@ -315,16 +423,6 @@ func (p *slotPool) runRound(cfg *Config, alg Algorithm, clients []*client, ids [
 		measured:   measured,
 		now:        now,
 	}
-	if len(ids) == 1 {
-		p.task.run(0, p.first)
-		return nil
-	}
-	p.wg.Add(len(ids))
-	for j := range ids {
-		p.jobs <- j
-	}
-	p.wg.Wait()
-	return nil
 }
 
 // getUpload checks a ring entry (delta buffer + sized encode buffer) out

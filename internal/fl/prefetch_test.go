@@ -3,6 +3,8 @@ package fl
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/fault"
@@ -39,7 +41,13 @@ func (a nanOnceFedAvg) Aggregate(s *ServerCtx, updates []Update) {
 //
 // The goldens (fedavg-partial*) and TestServerCrashRestoresActiveSet pin
 // that the draws stay bit-identical either way.
+//
+// The counts hold on more than one core, so the test runs at GOMAXPROCS
+// ≥ 2. Each row repeats at GOMAXPROCS 1 (suffix -procs1), where no core
+// is left for the helper: it never starts, every draw is serial, and
+// every aggregation sees the same cohort as on more cores.
 func TestCohortPrefetch(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	net, shards, test := poolSetup(t, 8)
 	cases := []struct {
 		name               string
@@ -71,22 +79,25 @@ func TestCohortPrefetch(t *testing.T) {
 	for _, c := range cases {
 		for _, policy := range []AggregationPolicy{PolicySync, PolicyDeadline} {
 			for _, p := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s-%s-P%d", c.name, policy, p), func(t *testing.T) {
-					cfg := Config{
-						Rounds: 20, LocalSteps: 2, BatchSize: 8, LocalLR: 0.05, Seed: 11, EvalEvery: 1000,
-						Policy: policy, Parallelism: p, ParticipationFraction: 0.5,
-					}
-					if policy == PolicyDeadline {
-						cfg.RoundDeadlineSec = 10 * simclock.RoundSeconds(net.GradFlops(cfg.BatchSize), cfg.LocalSteps, simclock.Plain())
-					}
-					if c.opt != nil {
-						c.opt(&cfg)
-					}
-					s, err := newScheduler(cfg, c.alg(), net, shards, test)
+				cfg := Config{
+					Rounds: 20, LocalSteps: 2, BatchSize: 8, LocalLR: 0.05, Seed: 11, EvalEvery: 1000,
+					Policy: policy, Parallelism: p, ParticipationFraction: 0.5,
+				}
+				if policy == PolicyDeadline {
+					cfg.RoundDeadlineSec = 10 * simclock.RoundSeconds(net.GradFlops(cfg.BatchSize), cfg.LocalSteps, simclock.Plain())
+				}
+				if c.opt != nil {
+					c.opt(&cfg)
+				}
+				// run drives one run and returns its scheduler and the cohort
+				// of every aggregation.
+				run := func(t *testing.T) (*scheduler, [][]int) {
+					var cohorts [][]int
+					s, err := newScheduler(cfg, cohortLog{c.alg(), &cohorts}, net, shards, test)
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer s.close()
+					t.Cleanup(s.close)
 					if err := s.runAll(false); err != nil {
 						t.Fatal(err)
 					}
@@ -94,14 +105,47 @@ func TestCohortPrefetch(t *testing.T) {
 						t.Fatalf("%d rounds, %d recovered, %d rollbacks; want %d, %d, %d",
 							len(s.run.Rounds), s.recovered, s.rollbacks, cfg.Rounds, c.recovered, c.rolled)
 					}
+					return s, cohorts
+				}
+				name := fmt.Sprintf("%s-%s-P%d", c.name, policy, p)
+				var cohorts [][]int
+				t.Run(name, func(t *testing.T) {
+					var s *scheduler
+					s, cohorts = run(t)
 					if s.ahead.adopted != c.adopted || s.ahead.discarded != c.discarded {
 						t.Fatalf("draw ahead adopted %d and discarded %d, want %d and %d",
 							s.ahead.adopted, s.ahead.discarded, c.adopted, c.discarded)
 					}
 				})
+				t.Run(name+"-procs1", func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+					s, serial := run(t)
+					if s.ahead != nil {
+						t.Fatalf("GOMAXPROCS 1 started the draw-ahead helper (adopted %d, discarded %d)", s.ahead.adopted, s.ahead.discarded)
+					}
+					if cohorts == nil || !reflect.DeepEqual(serial, cohorts) {
+						t.Fatalf("cohorts at GOMAXPROCS 1 differ from the prefetching run's:\n%v\n%v", serial, cohorts)
+					}
+				})
 			}
 		}
 	}
+}
+
+// cohortLog wraps an algorithm and records the clients of every
+// Aggregate call, in update order.
+type cohortLog struct {
+	Algorithm
+	cohorts *[][]int
+}
+
+func (l cohortLog) Aggregate(s *ServerCtx, updates []Update) {
+	ids := make([]int, len(updates))
+	for i, u := range updates {
+		ids[i] = u.Client
+	}
+	*l.cohorts = append(*l.cohorts, ids)
+	l.Algorithm.Aggregate(s, updates)
 }
 
 // TestCohortPrefetchAsyncDrawsOnce pins the scope: the async policy draws

@@ -66,11 +66,14 @@ type scheduler struct {
 	// Partial-participation sampler buffers, sized at setup: permBuf is
 	// the Fisher–Yates scratch over active positions, picked the cohort's
 	// sampled positions. While a draw ahead is in flight they belong to
-	// its helper goroutine (ahead, started by the first sampled sync or
-	// deadline round; nil otherwise).
-	permBuf []int32
-	picked  []int
-	ahead   *drawAhead
+	// its helper goroutine (ahead, started by the first sampled round of
+	// a prefetch run; nil otherwise). prefetch is fixed when the
+	// scheduler is built: a sync or deadline run on more than one core
+	// (runtime.GOMAXPROCS).
+	permBuf  []int32
+	picked   []int
+	ahead    *drawAhead
+	prefetch bool
 
 	// Reusable per-round state (capacity n, sliced per round). The
 	// admission rules compact ids in place into the admitted cohort.
@@ -145,9 +148,10 @@ type scheduler struct {
 // participation sampler, and errors when every client has been expelled.
 // The sample is Perm(active)[:take] drawn into the reused buffers, sorted,
 // and mapped through activeIDs, so ids stays ascending. A sync or
-// deadline round then hands the next round's draw to the helper, which
-// makes it while this round trains; the next call adopts that draw when
-// it is the one this call would make, and draws serially otherwise.
+// deadline round on more than one core then hands the next round's draw
+// to the helper, which makes it while this round trains; the next call
+// adopts that draw when it is the one this call would make, and draws
+// serially otherwise.
 func (s *scheduler) participants(t int) ([]int, error) {
 	act := s.activeIDs
 	if len(act) == 0 {
@@ -167,7 +171,7 @@ func (s *scheduler) participants(t int) ([]int, error) {
 	for j, p := range picked {
 		ids[j] = act[p]
 	}
-	if s.cfg.Policy != PolicyAsync && t+1 < s.cfg.Rounds {
+	if s.prefetch && t+1 < s.cfg.Rounds {
 		if s.ahead == nil {
 			s.ahead = newDrawAhead(s.picked, s.permBuf)
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -165,6 +166,7 @@ func (u *updatesWriter) frames() int {
 // batch: then the 32 clients that arrived replay as Adopt and the other
 // 8 as a live Dispatch.
 func TestServeFailoverKillWorker(t *testing.T) {
+	fl.CheckGoroutines(t)
 	for _, tc := range failoverCodecs {
 		t.Run(tc.name, func(t *testing.T) {
 			// Dies after the third inbound frame (dispatches for rounds 0,
@@ -187,6 +189,17 @@ func runKillWorker(t *testing.T, spec compress.Spec, clients, wantRe int, kill f
 	t.Helper()
 	cfg := quickConfig()
 	cfg.Compress = spec
+	wired := serveKilled(t, cfg, clients, kill)
+	if re, _ := totalRecovery(wired.Run); re != wantRe {
+		t.Fatalf("%d dispatches reassigned, want %d (0: failover never engaged)", re, wantRe)
+	}
+}
+
+// serveKilled runs cfg over two workers of clients/2 clients each, worker
+// 1's connection wrapped by kill and never re-dialed, requires the run to
+// equal fl.Run, and returns it.
+func serveKilled(t *testing.T, cfg fl.Config, clients int, kill func(net.Conn) net.Conn) *fl.Result {
+	t.Helper()
 	network, shards, test := testSetup(t, clients)
 	local, err := fl.Run(cfg, baselines.NewFedAvg(), network, shards, test)
 	if err != nil {
@@ -232,9 +245,7 @@ func runKillWorker(t *testing.T, spec compress.Spec, clients, wantRe int, kill f
 		t.Fatal("killed worker returned nil — the kill never fired")
 	}
 	assertSameRun(t, local, wired)
-	if re, _ := totalRecovery(wired.Run); re != wantRe {
-		t.Fatalf("%d dispatches reassigned, want %d (0: failover never engaged)", re, wantRe)
-	}
+	return wired
 }
 
 // TestServeStreamsSubBatches pins the worker's upload streaming: a
@@ -332,6 +343,7 @@ func (r *inboundRecorder) trainFrames() (perRound map[int]int, adopts int) {
 // Dispatch frame for the round still in flight), not one frame per
 // dispatched client.
 func TestServeFailoverReconnect(t *testing.T) {
+	fl.CheckGoroutines(t)
 	rows := []struct {
 		name   string
 		mutate func(*fl.Config)
@@ -356,66 +368,7 @@ func TestServeFailoverReconnect(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := quickConfig()
 			row.mutate(&cfg)
-			network, shards, test := testSetup(t, 8)
-			local, err := fl.Run(cfg, baselines.NewFedAvg(), network, shards, test)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			errs := make([]error, 2)
-			var redialed *inboundRecorder
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				conn, err := net.Dial("tcp", ln.Addr().String())
-				if err != nil {
-					errs[0] = err
-					return
-				}
-				errs[0] = fl.RunWorker(conn, 0, 2, cfg, baselines.NewFedAvg(), network, shards, test.Name)
-			}()
-			go func() {
-				defer wg.Done()
-				conn, err := net.Dial("tcp", ln.Addr().String())
-				if err != nil {
-					errs[1] = err
-					return
-				}
-				kc := &killAfterFrames{Conn: conn, remain: row.kill}
-				if err := fl.RunWorkerOpts(kc, fl.WorkerOptions{Index: 1, Workers: 2}, cfg, baselines.NewFedAvg(), network, shards, test.Name); err == nil {
-					errs[1] = errors.New("killed worker returned nil — the kill never fired")
-					return
-				}
-				conn2, err := net.Dial("tcp", ln.Addr().String())
-				if err != nil {
-					errs[1] = err
-					return
-				}
-				redialed = &inboundRecorder{Conn: conn2}
-				errs[1] = fl.RunWorkerOpts(redialed, fl.WorkerOptions{Index: 1, Workers: 2, Attach: 1}, cfg, baselines.NewFedAvg(), network, shards, test.Name)
-			}()
-			opt := fl.ServeOptions{Workers: 2, HeartbeatSec: -1, DisableReassign: true, FailoverGraceSec: 30}
-			wired, serveErr := fl.Serve(ln, opt, cfg, baselines.NewFedAvg(), network, shards, test)
-			ln.Close()
-			wg.Wait()
-			if serveErr != nil {
-				t.Fatal(serveErr)
-			}
-			for i, e := range errs {
-				if e != nil {
-					t.Fatalf("worker %d: %v", i, e)
-				}
-			}
-			assertSameRun(t, local, wired)
-			re, rc := totalRecovery(wired.Run)
-			if rc == 0 || re == 0 {
-				t.Fatalf("reassigned %d, reconnects %d — re-admission never engaged", re, rc)
-			}
+			redialed := serveRedialed(t, cfg, 8, row.kill)
 			perRound, adopts := redialed.trainFrames()
 			if (adopts > 0) != row.settled {
 				t.Fatalf("the re-dialed worker received %d Adopt frames; settled history: %v", adopts, row.settled)
@@ -434,11 +387,82 @@ func TestServeFailoverReconnect(t *testing.T) {
 	}
 }
 
+// serveRedialed runs cfg over two workers of clients/2 clients each with
+// reassignment disabled and a grace window. Worker 1's first connection
+// is closed after kill inbound frames and re-dials with Attach 1. The run
+// must equal fl.Run with re-admission engaged; serveRedialed returns the
+// re-dialed connection's record of what the server sent it.
+func serveRedialed(t *testing.T, cfg fl.Config, clients, kill int) *inboundRecorder {
+	t.Helper()
+	network, shards, test := testSetup(t, clients)
+	local, err := fl.Run(cfg, baselines.NewFedAvg(), network, shards, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	var redialed *inboundRecorder
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			errs[0] = err
+			return
+		}
+		errs[0] = fl.RunWorker(conn, 0, 2, cfg, baselines.NewFedAvg(), network, shards, test.Name)
+	}()
+	go func() {
+		defer wg.Done()
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			errs[1] = err
+			return
+		}
+		kc := &killAfterFrames{Conn: conn, remain: kill}
+		if err := fl.RunWorkerOpts(kc, fl.WorkerOptions{Index: 1, Workers: 2}, cfg, baselines.NewFedAvg(), network, shards, test.Name); err == nil {
+			errs[1] = errors.New("killed worker returned nil — the kill never fired")
+			return
+		}
+		conn2, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			errs[1] = err
+			return
+		}
+		redialed = &inboundRecorder{Conn: conn2}
+		errs[1] = fl.RunWorkerOpts(redialed, fl.WorkerOptions{Index: 1, Workers: 2, Attach: 1}, cfg, baselines.NewFedAvg(), network, shards, test.Name)
+	}()
+	opt := fl.ServeOptions{Workers: 2, HeartbeatSec: -1, DisableReassign: true, FailoverGraceSec: 30}
+	wired, serveErr := fl.Serve(ln, opt, cfg, baselines.NewFedAvg(), network, shards, test)
+	ln.Close()
+	wg.Wait()
+	if serveErr != nil {
+		t.Fatal(serveErr)
+	}
+	for i, e := range errs {
+		if e != nil {
+			t.Fatalf("worker %d: %v", i, e)
+		}
+	}
+	assertSameRun(t, local, wired)
+	re, rc := totalRecovery(wired.Run)
+	if rc == 0 || re == 0 {
+		t.Fatalf("reassigned %d, reconnects %d — re-admission never engaged", re, rc)
+	}
+	return redialed
+}
+
 // TestServeServerCrashReplay extends the in-process crash-replay pin
 // over the loopback wire: a servercrash fault restores the last
 // checkpoint mid-run, workers are rewound by a reset-and-replay, and
 // the re-executed rounds are bit-identical to a clean run.
 func TestServeServerCrashReplay(t *testing.T) {
+	fl.CheckGoroutines(t)
 	for _, tc := range failoverCodecs {
 		t.Run(tc.name, func(t *testing.T) {
 			clean := quickConfig()
@@ -467,6 +491,7 @@ func TestServeServerCrashReplay(t *testing.T) {
 // from the checkpoint (ServeResume, fresh listener, re-attaching
 // workers) finishes the run bit-identical to an uninterrupted fl.Run.
 func TestServeResumeRestart(t *testing.T) {
+	fl.CheckGoroutines(t)
 	for _, tc := range failoverCodecs {
 		t.Run(tc.name, func(t *testing.T) {
 			clean := quickConfig()
@@ -566,6 +591,7 @@ func TestServeResumeRestart(t *testing.T) {
 // lost — the run survives, committing sub-quorum rounds as Degraded
 // with the losses counted as dropped updates.
 func TestServeDegradedLostWorker(t *testing.T) {
+	fl.CheckGoroutines(t)
 	cfg := quickConfig()
 	cfg.Faults = []fault.Spec{{Kind: fault.KindDup, Frac: 0.01}}
 	cfg.Quorum = 0.6
@@ -619,4 +645,87 @@ func TestServeDegradedLostWorker(t *testing.T) {
 	if len(res.Run.Rounds) != cfg.Rounds {
 		t.Fatalf("run stopped early: %d/%d rounds", len(res.Run.Rounds), cfg.Rounds)
 	}
+}
+
+// TestAdoptReplayWide pins the replay width on any host. At GOMAXPROCS 4
+// a worker of Parallelism 1 trains its Adopt sub-batches on four slots,
+// its own and three extra ones, on each path that replays history:
+// re-admission of a re-dialed worker, reassignment onto the survivor,
+// and the resync after a servercrash restore. Every run ends
+// bit-identical to fl.Run under dense, top-k, async and deadline; the
+// wire refuses checkpoints under async, so the resync path has no async
+// row. The fleet has 80 clients, so a replayed round reaches a worker as
+// 32- and 8-client sub-batches, long enough for the other slots to take
+// a share. At GOMAXPROCS 1 no extra slot is grown.
+func TestAdoptReplayWide(t *testing.T) {
+	fl.CheckGoroutines(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const clients = 80
+	modes := []struct {
+		name   string
+		mutate func(*fl.Config)
+		// kill is how many inbound frames worker 1's connection delivers
+		// before it is closed: two rounds under sync, deadline and top-k,
+		// and under async the initial dispatch plus one step's three.
+		kill int
+	}{
+		{"dense", func(*fl.Config) {}, 3},
+		{"topk", func(c *fl.Config) { c.Compress = compress.Spec{Kind: compress.KindTopK, TopKFrac: 0.25} }, 3},
+		{"async", func(c *fl.Config) { c.Policy, c.AsyncBuffer, c.Rounds = fl.PolicyAsync, 3, 40 }, 6},
+		{"deadline", func(c *fl.Config) { c.Policy, c.RoundDeadlineSec = fl.PolicyDeadline, 1e6 }, 3},
+	}
+	paths := []struct {
+		name string
+		run  func(t *testing.T, cfg fl.Config, kill int)
+	}{
+		{"reconnect", func(t *testing.T, cfg fl.Config, kill int) { serveRedialed(t, cfg, clients, kill) }},
+		{"kill", func(t *testing.T, cfg fl.Config, kill int) {
+			wired := serveKilled(t, cfg, clients, func(c net.Conn) net.Conn { return &killAfterFrames{Conn: c, remain: kill} })
+			if re, _ := totalRecovery(wired.Run); re == 0 {
+				t.Fatal("no dispatch reassigned: failover never engaged")
+			}
+		}},
+		{"servercrash", func(t *testing.T, cfg fl.Config, _ int) {
+			network, shards, test := testSetup(t, clients)
+			local, err := fl.Run(cfg, baselines.NewFedAvg(), network, shards, test)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Faults = []fault.Spec{{Kind: fault.KindServerCrash, Round: 3}}
+			cfg.CheckpointEvery = 2
+			wired := runWireClients(t, cfg, clients, 2, fl.ServeOptions{})
+			if wired.Run.RecoveredRounds == 0 {
+				t.Fatal("RecoveredRounds = 0: the crash never fired")
+			}
+			assertSameRun(t, local, wired)
+		}},
+	}
+	for _, path := range paths {
+		for _, mode := range modes {
+			if path.name == "servercrash" && mode.name == "async" {
+				continue
+			}
+			t.Run(path.name+"-"+mode.name, func(t *testing.T) {
+				width := fl.ObserveReplayWidth(t)
+				cfg := quickConfig()
+				cfg.Parallelism = 1
+				mode.mutate(&cfg)
+				path.run(t, cfg, mode.kill)
+				extra, widened := width()
+				if extra == 0 || widened == 0 {
+					t.Fatalf("%d extra slots grown, %d Adopt sub-batches ran on more than one slot; want both > 0", extra, widened)
+				}
+			})
+		}
+	}
+	t.Run("procs1", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		width := fl.ObserveReplayWidth(t)
+		cfg := quickConfig()
+		cfg.Parallelism = 1
+		serveRedialed(t, cfg, clients, 3)
+		if extra, widened := width(); extra != 0 || widened != 0 {
+			t.Fatalf("GOMAXPROCS 1 grew %d extra slots and widened %d sub-batches, want 0 and 0", extra, widened)
+		}
+	})
 }

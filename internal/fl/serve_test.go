@@ -22,7 +22,13 @@ import (
 // fail the test.
 func runWire(t *testing.T, cfg fl.Config, workers int, opt fl.ServeOptions) *fl.Result {
 	t.Helper()
-	network, shards, test := testSetup(t, 8)
+	return runWireClients(t, cfg, 8, workers, opt)
+}
+
+// runWireClients is runWire over a fleet of the given size.
+func runWireClients(t *testing.T, cfg fl.Config, clients, workers int, opt fl.ServeOptions) *fl.Result {
+	t.Helper()
+	network, shards, test := testSetup(t, clients)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

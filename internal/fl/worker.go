@@ -111,6 +111,9 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 	// range: failover can adopt any client onto this worker.
 	pool := newSlotPool(network, cfg, n)
 	defer pool.close()
+	if workerObserve != nil {
+		workerObserve(pool)
+	}
 
 	clients := make([]*client, n)
 	// reset (re)builds every client-held rng stream by replaying the
@@ -192,7 +195,15 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 		for lo := 0; lo < k; lo += uploadBatch {
 			ids := m.ids[lo:min(lo+uploadBatch, k)]
 			ups, meas := updates[:len(ids)], measured[:len(ids)]
-			if err := pool.runRound(&cfg, alg, clients, ids, m.round, 0, m.global, m.global, ups, meas); err != nil {
+			// Adopted history trains on every core (runWide); a live
+			// batch keeps the Parallelism slots.
+			var err error
+			if m.adopt {
+				err = pool.runWide(&cfg, alg, clients, ids, m.round, m.global, ups, meas)
+			} else {
+				err = pool.runRound(&cfg, alg, clients, ids, m.round, 0, m.global, m.global, ups, meas)
+			}
+			if err != nil {
 				return err
 			}
 			// Adopted history is trained and discarded: the training
@@ -224,6 +235,11 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 	}
 	return w.readErr()
 }
+
+// workerObserve is a test hook: when set, RunWorkerOpts hands it the
+// worker's slot pool, whose replay-width fields the test reads after the
+// worker returns.
+var workerObserve func(*slotPool)
 
 // uploadBatch is how many clients of a dispatched batch a worker trains
 // before it sends their Updates frame. Rounds/s on the dense loopback
