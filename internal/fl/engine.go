@@ -192,7 +192,7 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 	if remote {
 		pool = newRingPool(numParams)
 	} else {
-		pool = newSlotPool(net, cfg, n)
+		pool = newSlotPool(net, cfg, n, cfg.Policy == PolicyAsync)
 	}
 	if cfg.Compress.Kind != compress.KindNone {
 		// Quantization streams derive after every honest and adversary

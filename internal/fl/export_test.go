@@ -3,6 +3,9 @@ package fl
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/nn"
 )
 
 // CheckGoroutines lends the package's goroutine-leak check to the
@@ -31,4 +34,24 @@ func ObserveReplayWidth(t *testing.T) func() (extra, widened int) {
 		}
 		return extra, widened
 	}
+}
+
+// RunLaterCounts is Run, or Resume when checkpoint is not nil, that also
+// returns how many of the one-client rounds the run queued on its pool
+// (slotPool.runLater) ran on the caller's slot and on the workers' slots.
+func RunLaterCounts(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.Dataset, test *dataset.Dataset, checkpoint []byte) (res *Result, helped, offloaded int, err error) {
+	s, err := newScheduler(cfg, alg, net, shards, test)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	defer s.close()
+	if checkpoint != nil {
+		if err := s.restore(checkpoint, true); err != nil {
+			return nil, 0, 0, err
+		}
+	}
+	if err := s.runAll(checkpoint != nil); err != nil {
+		return nil, 0, 0, err
+	}
+	return s.result(), s.pool.helped, s.pool.offloaded, nil
 }

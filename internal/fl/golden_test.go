@@ -46,7 +46,7 @@ func referenceRun(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.
 	// now pooled, but the local-update arithmetic and ordering it pins are
 	// unchanged (runRound fills updates[j] for ids[j] exactly as the old
 	// per-client engines did).
-	pool := newSlotPool(net, cfg, n)
+	pool := newSlotPool(net, cfg, n, false)
 	defer pool.close()
 
 	env := &Env{

@@ -113,11 +113,37 @@ type upload struct {
 	// accounting needs, since the owner table may have moved the client
 	// to another worker after dispatch.
 	via *serveConn
+	// later is the queued one-client round still filling this upload
+	// (runLater), nil once settleOne has joined it. Only the caller's
+	// goroutine reads or writes it.
+	later *laterJob
+}
+
+// laterJob is one one-client round that runLater queued on the pool's
+// slots: a copy of the round task over the job's own client id, update
+// and measured time, because the pool's task and the scheduler's per-
+// dispatch buffers are reused by the next dispatch. done receives once
+// when the job has run; ranOn is the slot that ran it.
+type laterJob struct {
+	task  roundTask
+	id    [1]int
+	upd   [1]Update
+	meas  [1]float64
+	done  chan struct{}
+	ranOn *slot
+}
+
+// run trains the job on sl and signals done.
+func (j *laterJob) run(sl *slot) {
+	j.task.run(0, sl)
+	j.ranOn = sl
+	j.done <- struct{}{}
 }
 
 // executor runs dispatched local rounds and hands their results back to
 // the scheduler. The in-process implementation is the slot pool, which
-// computes updates synchronously inside runRound; the remote
+// computes updates inside runRound (or, for an async one-client dispatch,
+// queues them with runLater); the remote
 // implementation (serve.go) serializes dispatch frames to socket-
 // connected workers inside runRound and defers the results, which is
 // what lets round r+1's dispatch overlap round r's aggregation. The
@@ -184,10 +210,11 @@ func (c *compressor) compress(u *Update, sl *slot) {
 // slotPool decouples per-client identity from per-client training
 // resources. Exactly P = min(Parallelism, clients) slots exist, each
 // pinned to one long-lived worker goroutine (worker 0's slot also serves
-// one-client rounds on the caller's goroutine), so a run's training memory
-// is O(P·d) for the heavy state instead of O(n·d): a thousand-client
-// fleet no longer owns a thousand engines (DESIGN.md §5). A wire worker
-// that replays history grows up to GOMAXPROCS−P more (runWide).
+// one-client rounds and the later queue on the caller's goroutine), so a
+// run's training memory is O(P·d) for the heavy state instead of O(n·d):
+// a thousand-client fleet no longer owns a thousand engines (DESIGN.md
+// §5). A wire worker that replays history grows up to GOMAXPROCS−P more
+// (runWide).
 //
 // The pool also owns the delta ring: uploads (Update.Delta and the
 // encoded Update.Payload) must outlive the slot that produced them —
@@ -200,7 +227,8 @@ type slotPool struct {
 	wg   sync.WaitGroup
 	task roundTask
 	// first is worker 0's slot, which runRound borrows to run a
-	// one-client round on the calling goroutine.
+	// one-client round on the calling goroutine, and settleOne to help
+	// drain the later queue.
 	first *slot
 	// comp is the uplink codec state, nil for dense transport (the
 	// entire compression path is skipped, bit-identical to the
@@ -225,6 +253,20 @@ type slotPool struct {
 	own     *slot
 	wide    chan int
 	widened int
+
+	// The later queue (runLater): one-client async rounds queued for the
+	// slots of workers 1..P−1, which the caller helps drain on first
+	// while it waits in settleOne. It exists only in an async pool with
+	// more than one slot. laterJobs holds one job per client, since a
+	// client has at most one round in flight; unsettled counts the queued
+	// jobs no settleOne has joined yet, and helped/offloaded count the
+	// settled ones by whether first or a worker's slot ran them. All but
+	// the channel belong to the caller's goroutine.
+	later     chan *laterJob
+	laterJobs []laterJob
+	unsettled int
+	helped    int
+	offloaded int
 }
 
 // drainWide is the job a runWide sends each pinned worker: help drain
@@ -232,8 +274,10 @@ type slotPool struct {
 const drainWide = -1
 
 // newSlotPool creates the pool and starts its worker goroutines. Close
-// must be called when the run ends to stop them.
-func newSlotPool(net *nn.Network, cfg Config, n int) *slotPool {
+// must be called when the run ends to stop them. later asks for the later
+// queue, which an in-process async run uses and a pool of one slot never
+// starts.
+func newSlotPool(net *nn.Network, cfg Config, n int, later bool) *slotPool {
 	workers := min(cfg.parallelism(), n)
 	p := &slotPool{
 		jobs:      make(chan int, n),
@@ -243,12 +287,23 @@ func newSlotPool(net *nn.Network, cfg Config, n int) *slotPool {
 		batch:     cfg.BatchSize,
 		f32:       cfg.isF32(),
 	}
+	if later && workers > 1 {
+		// A client is in flight at most once, so at most n jobs wait.
+		p.later = make(chan *laterJob, n)
+		p.laterJobs = make([]laterJob, n)
+		for i := range p.laterJobs {
+			p.laterJobs[i].done = make(chan struct{}, 1)
+		}
+	}
 	for w := 0; w < workers; w++ {
 		sl := p.newSlot()
 		if w == 0 {
+			// The caller drains the later queue on worker 0's slot.
 			p.first = sl
+			go p.worker(p.jobs, nil, sl)
+		} else {
+			go p.worker(p.jobs, p.later, sl)
 		}
-		go p.worker(p.jobs, sl)
 	}
 	return p
 }
@@ -276,15 +331,24 @@ func (p *slotPool) newSlot() *slot {
 	return sl
 }
 
-// worker drains jobs onto its pinned slot until the channel closes.
-func (p *slotPool) worker(jobs <-chan int, sl *slot) {
-	for j := range jobs {
-		if j == drainWide {
-			p.drain(sl, cap(p.wide))
-		} else {
-			p.task.run(j, sl)
+// worker drains jobs, and later when it is not nil, onto its pinned slot
+// until jobs closes.
+func (p *slotPool) worker(jobs <-chan int, later <-chan *laterJob, sl *slot) {
+	for {
+		select {
+		case j, ok := <-jobs:
+			if !ok {
+				return
+			}
+			if j == drainWide {
+				p.drain(sl, cap(p.wide))
+			} else {
+				p.task.run(j, sl)
+			}
+			p.wg.Done()
+		case lj := <-later:
+			lj.run(sl)
 		}
-		p.wg.Done()
 	}
 }
 
@@ -303,7 +367,8 @@ func (p *slotPool) drain(sl *slot, limit int) {
 }
 
 // close stops the worker goroutines, the extra slots' included. The pool
-// must be idle. A ring-only pool (newRingPool) has no workers to stop.
+// must be idle, every queued later job settled. A ring-only pool
+// (newRingPool) has no workers to stop.
 func (p *slotPool) close() {
 	if p.jobs != nil {
 		close(p.jobs)
@@ -316,8 +381,29 @@ func (p *slotPool) close() {
 // settle implements executor: runRound already computed everything.
 func (p *slotPool) settle([]Update, []float64) error { return nil }
 
-// settleOne implements executor: runRound already computed everything.
-func (p *slotPool) settleOne(*Update, *float64) error { return nil }
+// settleOne implements executor: a no-op unless runLater queued the
+// update's round, which it then joins — running queued jobs on first
+// while the one it waits for is not done — and whose train loss and
+// measured time it copies out.
+func (p *slotPool) settleOne(u *Update, measured *float64) error {
+	if u.ring == nil || u.ring.later == nil {
+		return nil
+	}
+	j := u.ring.later
+	u.ring.later = nil
+	p.join(j)
+	u.TrainLoss = j.upd[0].TrainLoss
+	if measured != nil {
+		*measured = j.meas[0]
+	}
+	if j.ranOn == p.first {
+		p.helped++
+	} else {
+		p.offloaded++
+	}
+	p.unsettled--
+	return nil
+}
 
 // newRingPool creates a pool that owns only the delta ring — no slots,
 // no worker goroutines, no engines. The remote executor (serve.go) uses
@@ -333,11 +419,12 @@ func newRingPool(numParams int) *slotPool {
 // ids[j]). It returns once every client's update is written; the error
 // is always nil (the executor seam's remote implementation can fail).
 //
-// A one-client round — every async dispatch, and a one-client wire frame —
-// runs on the calling goroutine in worker 0's slot instead of waking a
-// worker and waiting for it: the slot is idle, because runRound is the
-// only producer of jobs and waits for every job it queues, and which slot
-// serves a client is invisible in the results.
+// A one-client round — an async trigger's re-dispatch, any async dispatch
+// of a one-slot pool, and a one-client wire frame — runs on the calling
+// goroutine in worker 0's slot instead of waking a worker and waiting for
+// it: the slot is idle, because runRound is the only producer of jobs and
+// waits for every job it queues, worker 0 never takes a later job, and
+// which slot serves a client is invisible in the results.
 func (p *slotPool) runRound(cfg *Config, alg Algorithm, clients []*client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) error {
 	p.prepare(cfg, alg, clients, ids, round, now, global, prevGlobal, updates, measured)
 	if len(ids) == 1 {
@@ -350,6 +437,45 @@ func (p *slotPool) runRound(cfg *Config, alg Algorithm, clients []*client, ids [
 	}
 	p.wg.Wait()
 	return nil
+}
+
+// join waits until j has run, running queued jobs on first meanwhile.
+func (p *slotPool) join(j *laterJob) {
+	for {
+		select {
+		case <-j.done:
+			return
+		default:
+		}
+		select {
+		case <-j.done:
+			return
+		case k := <-p.later:
+			k.run(p.first)
+		}
+	}
+}
+
+// runLater is runRound for one async client dispatched between two
+// server steps (DESIGN.md §5): with a later queue, the round goes on it
+// for the slots instead of training inline, and returns at once, its
+// update and measured time pending until settleOne. The job copies the
+// round task, so it reads the global, prevGlobal and algorithm state the
+// caller holds unchanged until it has settled every job it queued. Without
+// a queue (one slot) it is runRound.
+func (p *slotPool) runLater(cfg *Config, alg Algorithm, clients []*client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) {
+	p.prepare(cfg, alg, clients, ids, round, now, global, prevGlobal, updates, measured)
+	if p.later == nil {
+		p.task.run(0, p.first)
+		return
+	}
+	j := &p.laterJobs[ids[0]]
+	j.task = p.task
+	j.id[0], j.upd[0] = ids[0], updates[0]
+	j.task.ids, j.task.updates, j.task.measured = j.id[:], j.upd[:], j.meas[:]
+	updates[0].ring.later = j
+	p.unsettled++
+	p.later <- j
 }
 
 // runWide is runRound for a wire worker's Adopt sub-batch (DESIGN.md
@@ -371,7 +497,7 @@ func (p *slotPool) runWide(cfg *Config, alg Algorithm, clients []*client, ids []
 			p.own = p.newSlot()
 			p.wide = make(chan int, cap(p.jobs))
 			for range p.width - p.slots - 1 {
-				go p.worker(p.wide, p.newSlot())
+				go p.worker(p.wide, nil, p.newSlot())
 			}
 		}
 	}

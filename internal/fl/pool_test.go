@@ -127,6 +127,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 					cfg.RoundDeadlineSec = 10 * simclock.RoundSeconds(net.GradFlops(cfg.BatchSize), cfg.LocalSteps, simclock.Plain())
 				case PolicyAsync:
 					cfg.AsyncBuffer = 3
+					// Two slots on any host, so the pool's later queue
+					// (runLater) is live and held to 0 allocations too.
+					cfg.Parallelism = 2
 				}
 				s, err := newScheduler(cfg, goldenFedAvg{}, net, shards, test)
 				if err != nil {

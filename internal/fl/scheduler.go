@@ -19,14 +19,16 @@ import (
 // drops, arrival order, staleness — is a pure function of the config and
 // therefore bit-reproducible at any parallelism level.
 //
-// Local computation is executed when a client is *dispatched*, not when
-// its modeled finish event fires: the algorithm state a client reads
-// (correction vectors, control variates) is exactly the state at its
-// dispatch version, which is what makes stale-correction dynamics
-// faithful without racing the server's aggregation step. Per-client
-// algorithm state written by EndLocal therefore reflects the client's
-// latest dispatched round, which under the async policy may be ahead of
-// an update still waiting in the server buffer.
+// Local computation reads the state of the server version a client was
+// *dispatched* at, not the state when its modeled finish event fires: the
+// algorithm state a client reads (correction vectors, control variates)
+// is exactly the state at its dispatch version, which is what makes
+// stale-correction dynamics faithful without racing the server's
+// aggregation step. It runs at dispatch, or — an async arrival's
+// re-dispatch — on the pool's later queue before the next aggregate.
+// Per-client algorithm state written by EndLocal therefore reflects the
+// client's latest dispatched round, which under the async policy may be
+// ahead of an update still waiting in the server buffer.
 //
 // Steady-state rounds are allocation-free: the per-round ids/updates/
 // measured slices, the participant sampler's buffers, the aggregation
@@ -747,10 +749,10 @@ func (s *scheduler) finishRel(id int, now float64) float64 {
 }
 
 // flight is one client's in-progress local round under the async policy:
-// the update it will upload (already computed — see the scheduler doc
-// comment), the server version it trained from, and its modeled
-// completion time. Flights live in the scheduler's fixed pending table;
-// live distinguishes in-flight entries from consumed ones.
+// the update it will upload (computed from its dispatch version — see
+// the scheduler doc comment), the server version it trained from, and its
+// modeled completion time. Flights live in the scheduler's fixed pending
+// table; live distinguishes in-flight entries from consumed ones.
 type flight struct {
 	update   Update
 	measured float64
@@ -768,17 +770,23 @@ type flight struct {
 }
 
 // dispatch starts a local round for the given clients at virtual time at:
-// the update is computed now (execute-at-dispatch semantics) and parked
-// in the pending table until its modeled finish event fires. The upload
-// delta is a ring buffer owned by the flight until the server consumes or
-// discards it. Under remote execution the update's results are still in
-// flight when dispatch returns — asyncStep settles each flight before
-// reading it — which is what overlaps worker compute with the server's
-// aggregation and evaluation of earlier rounds.
-func (s *scheduler) dispatch(ids []int, at float64) error {
+// the update is computed from the state of this server version
+// (execute-at-dispatch semantics) and parked in the pending table until
+// its modeled finish event fires. The upload delta is a ring buffer owned
+// by the flight until the server consumes or discards it. Under remote
+// execution the update's results are still in flight when dispatch
+// returns — asyncStep settles each flight before reading it — which is
+// what overlaps worker compute with the server's aggregation and
+// evaluation of earlier rounds. later marks a one-client dispatch from
+// asyncStep's arrival loop, which the in-process pool may queue for its
+// slots (slotPool.runLater): asyncStep joins every such job before the
+// state it reads moves.
+func (s *scheduler) dispatch(ids []int, at float64, later bool) error {
 	updates := s.updates[:len(ids)]
 	measured := s.measured[:len(ids)]
-	if err := s.exec.runRound(&s.cfg, s.alg, s.clients, ids, s.version, at, s.params, s.wPrev, updates, measured); err != nil {
+	if later && s.exec == executor(s.pool) {
+		s.pool.runLater(&s.cfg, s.alg, s.clients, ids, s.version, at, s.params, s.wPrev, updates, measured)
+	} else if err := s.exec.runRound(&s.cfg, s.alg, s.clients, ids, s.version, at, s.params, s.wPrev, updates, measured); err != nil {
 		return err
 	}
 	for j, id := range ids {
@@ -805,98 +813,24 @@ func (s *scheduler) setupAsync() error {
 	if err != nil {
 		return err
 	}
-	return s.dispatch(ids, 0)
+	return s.dispatch(ids, 0, false)
 }
 
-// asyncStep drains arrivals in virtual-time order (ties broken by client
-// ID) until the buffer triggers one server step; halt reports divergence.
+// asyncStep drains arrivals until the buffer triggers one server step;
+// halt reports divergence. The one-client rounds the arrivals dispatched
+// may still be training on the pool's slots: they are joined, and their
+// results settled into the pending table, before anything reads or moves
+// the state they train from — the aggregate, or on an error the run's
+// end. The trigger's re-dispatch after the aggregate trains inline, so no
+// job is in flight when the step returns (record, snapshot, restore,
+// pause, rollback and close all see a quiet pool).
 func (s *scheduler) asyncStep(t int) (halt bool, err error) {
-	bufK := s.cfg.asyncBuffer()
-	trigger := -1
-	for len(s.buffer) < bufK {
-		id := -1
-		for i := range s.pending {
-			if s.pending[i].live && (id == -1 || s.pending[i].finish < s.pending[id].finish) {
-				id = i
-			}
-		}
-		if id == -1 {
-			return false, fmt.Errorf("fl: no client updates in flight at async step %d (all clients expelled)", t)
-		}
-		f := &s.pending[id]
-		f.live = false
-		s.now = f.finish
-		// Remote execution defers results past dispatch: block here, at the
-		// modeled finish event, until this flight's reply has landed (no-op
-		// in process). Discarded flights settle too — their ring entries
-		// must not be recycled while an in-flight reply could still write
-		// into them.
-		if err := s.exec.settleOne(&f.update, &f.measured); err != nil {
-			return false, err
-		}
-		if f.update.ring != nil && f.update.ring.lost {
-			// A worker died with this dispatch in flight and nobody could
-			// adopt it. The async pipeline cannot drop it (the buffer
-			// trigger accounting would diverge from the modeled clock), so
-			// this is fatal — sync and deadline runs degrade instead.
-			s.exec.release(&f.update)
-			return false, fmt.Errorf("fl: worker lost with client %d in flight (the async policy cannot drop in-flight updates; use sync or deadline for degraded operation)", id)
-		}
-		if !s.active[id] {
-			// Expelled while in flight: upload discarded, ring entry recycled.
-			s.exec.release(&f.update)
-			continue
-		}
-		if f.failed {
-			// Crash, uplink loss, or timeout: the computed update never
-			// arrives — the delta-ring entry returns to the pool and the
-			// client is re-dispatched after its deterministic backoff
-			// (recomputing against the then-current model), or rejoins
-			// fresh once its retry budget is exhausted.
-			s.exec.release(&f.update)
-			s.failStreak++
-			if s.failStreak > (s.plan.retries+2)*max(64, 8*len(s.clients)) {
-				return false, fmt.Errorf("fl: faults starved the async buffer at step %d (%d consecutive failed dispatches)", t, s.failStreak)
-			}
-			attempt := f.attempt
-			s.oneID[0] = id
-			if attempt < s.plan.retries {
-				s.attempts[id] = attempt + 1
-				s.stepRetries++
-				err = s.dispatch(s.oneID[:1], s.now+s.plan.backoff(attempt, s.plan.perClient[id].r))
-			} else {
-				s.attempts[id] = 0
-				s.stepDropped++
-				err = s.dispatch(s.oneID[:1], s.now)
-			}
-			if err != nil {
-				return false, err
-			}
-			continue
-		}
-		s.failStreak = 0
-		if s.attempts != nil {
-			s.attempts[id] = 0
-		}
-		if f.dup {
-			// Duplicated delivery: the server is idempotent — count it,
-			// charge its bytes, aggregate the update once.
-			s.stepDups++
-			s.stepDupBytes += s.payloadBytes(&f.update)
-		}
-		f.update.Staleness = s.version - f.version
-		s.buffer = append(s.buffer, f.update)
-		if f.measured > s.bufMeasured {
-			s.bufMeasured = f.measured
-		}
-		if len(s.buffer) < bufK {
-			s.oneID[0] = id
-			if err := s.dispatch(s.oneID[:1], s.now); err != nil {
-				return false, err
-			}
-		} else {
-			trigger = id
-		}
+	trigger, err := s.arrivals(t)
+	if jerr := s.settleLater(); err == nil {
+		err = jerr
+	}
+	if err != nil {
+		return false, err
 	}
 
 	var staleSum, staleMax int
@@ -917,12 +851,14 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 	s.version++
 	if trigger >= 0 && s.active[trigger] {
 		s.oneID[0] = trigger
-		if err := s.dispatch(s.oneID[:1], s.now); err != nil {
+		if err := s.dispatch(s.oneID[:1], s.now, false); err != nil {
 			return false, err
 		}
 	}
-	// The record is read after the trigger's re-dispatch, so MeanAlpha
-	// sees the state that local round left.
+	// The trigger trained inline on the new model, after the join, so the
+	// record, the snapshot that may follow and the next step's arrivals
+	// find no job in flight. The record's algorithm fields (MeanAlpha,
+	// the stack statistics) are written only by Setup and Aggregate.
 	rec := s.record(t, trainLoss, upBytes+s.stepDupBytes, upRatio)
 	rec.SlowestModeledSec, rec.SlowestMeasuredSec = s.now-s.lastAgg, s.bufMeasured
 	rec.MeanStaleness, rec.MaxStaleness = float64(staleSum)/float64(len(s.buffer)), staleMax
@@ -933,6 +869,116 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 	s.bufMeasured = 0
 	s.stepRetries, s.stepDropped, s.stepDups, s.stepDupBytes = 0, 0, 0, 0
 	return false, nil
+}
+
+// arrivals drains arrivals in virtual-time order (ties broken by client
+// ID) into the buffer until it holds AsyncBuffer updates, and returns the
+// client whose arrival filled it. Every other delivered arrival, and
+// every failed dispatch, is re-dispatched at once, through the pool's
+// later queue when it has one.
+func (s *scheduler) arrivals(t int) (trigger int, err error) {
+	bufK := s.cfg.asyncBuffer()
+	for {
+		id := -1
+		for i := range s.pending {
+			if s.pending[i].live && (id == -1 || s.pending[i].finish < s.pending[id].finish) {
+				id = i
+			}
+		}
+		if id == -1 {
+			return -1, fmt.Errorf("fl: no client updates in flight at async step %d (all clients expelled)", t)
+		}
+		f := &s.pending[id]
+		f.live = false
+		s.now = f.finish
+		// Results may arrive after dispatch — a wire reply, or a round
+		// queued on the pool: block here, at the modeled finish event,
+		// until this flight's results have landed. Discarded flights settle too — their ring
+		// entries must not be recycled while a reply or a queued round could
+		// still write into them.
+		if err := s.exec.settleOne(&f.update, &f.measured); err != nil {
+			return -1, err
+		}
+		if f.update.ring != nil && f.update.ring.lost {
+			// A worker died with this dispatch in flight and nobody could
+			// adopt it. The async pipeline cannot drop it (the buffer
+			// trigger accounting would diverge from the modeled clock), so
+			// this is fatal — sync and deadline runs degrade instead.
+			s.exec.release(&f.update)
+			return -1, fmt.Errorf("fl: worker lost with client %d in flight (the async policy cannot drop in-flight updates; use sync or deadline for degraded operation)", id)
+		}
+		if !s.active[id] {
+			// Expelled while in flight: upload discarded, ring entry recycled.
+			s.exec.release(&f.update)
+			continue
+		}
+		if f.failed {
+			// Crash, uplink loss, or timeout: the computed update never
+			// arrives — the delta-ring entry returns to the pool and the
+			// client is re-dispatched after its deterministic backoff
+			// (recomputing against the then-current model), or rejoins
+			// fresh once its retry budget is exhausted.
+			s.exec.release(&f.update)
+			s.failStreak++
+			if s.failStreak > (s.plan.retries+2)*max(64, 8*len(s.clients)) {
+				return -1, fmt.Errorf("fl: faults starved the async buffer at step %d (%d consecutive failed dispatches)", t, s.failStreak)
+			}
+			attempt := f.attempt
+			s.oneID[0] = id
+			if attempt < s.plan.retries {
+				s.attempts[id] = attempt + 1
+				s.stepRetries++
+				err = s.dispatch(s.oneID[:1], s.now+s.plan.backoff(attempt, s.plan.perClient[id].r), true)
+			} else {
+				s.attempts[id] = 0
+				s.stepDropped++
+				err = s.dispatch(s.oneID[:1], s.now, true)
+			}
+			if err != nil {
+				return -1, err
+			}
+			continue
+		}
+		s.failStreak = 0
+		if s.attempts != nil {
+			s.attempts[id] = 0
+		}
+		if f.dup {
+			// Duplicated delivery: the server is idempotent — count it,
+			// charge its bytes, aggregate the update once.
+			s.stepDups++
+			s.stepDupBytes += s.payloadBytes(&f.update)
+		}
+		f.update.Staleness = s.version - f.version
+		s.buffer = append(s.buffer, f.update)
+		if f.measured > s.bufMeasured {
+			s.bufMeasured = f.measured
+		}
+		if len(s.buffer) == bufK {
+			return id, nil
+		}
+		s.oneID[0] = id
+		if err := s.dispatch(s.oneID[:1], s.now, true); err != nil {
+			return -1, err
+		}
+	}
+}
+
+// settleLater joins every one-client round the arrival loop queued on
+// the pool and copies its train loss and measured time into its flight.
+// A flight that already arrived was settled then.
+func (s *scheduler) settleLater() error {
+	if s.pool.unsettled == 0 {
+		return nil
+	}
+	for id := range s.pending {
+		if f := &s.pending[id]; f.live {
+			if err := s.pool.settleOne(&f.update, &f.measured); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // finishDur returns client id's modeled compute duration. Freeloaders

@@ -252,6 +252,7 @@ func serveKilled(t *testing.T, cfg fl.Config, clients int, kill func(net.Conn) n
 // 40-client batch arrives as two Updates frames (32 + 8), not one per
 // batch, and the run still equals fl.Run.
 func TestServeStreamsSubBatches(t *testing.T) {
+	fl.CheckGoroutines(t)
 	cfg := quickConfig()
 	network, shards, test := testSetup(t, 80)
 	local, err := fl.Run(cfg, baselines.NewFedAvg(), network, shards, test)

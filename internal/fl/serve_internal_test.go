@@ -27,6 +27,7 @@ func (wireAvg) WireSafe()                                {}
 // them (the run completes), and the result still matches the in-process
 // run bit-for-bit: backpressure is flow control, never data loss.
 func TestServeBackpressureHolds(t *testing.T) {
+	checkGoroutines(t)
 	train, test, err := dataset.Standard("adult", dataset.ScaleSmall, 3)
 	if err != nil {
 		t.Fatal(err)

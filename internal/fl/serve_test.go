@@ -111,6 +111,7 @@ func assertWireGolden(t *testing.T, cfg fl.Config, workers int) {
 // losses, same accuracies, same uplink accounting — under every payload
 // wire form (dense, varint-delta TopK, chunked int8).
 func TestServeGoldenCodecs(t *testing.T) {
+	fl.CheckGoroutines(t)
 	for _, tc := range []struct {
 		name string
 		spec compress.Spec
@@ -132,6 +133,7 @@ func TestServeGoldenCodecs(t *testing.T) {
 // overlapping dispatch), plus partial participation's sparse dispatch
 // IDs, and an uneven three-way worker split.
 func TestServeGoldenPolicies(t *testing.T) {
+	fl.CheckGoroutines(t)
 	t.Run("deadline", func(t *testing.T) {
 		cfg := quickConfig()
 		cfg.Policy = fl.PolicyDeadline
@@ -160,6 +162,7 @@ func TestServeGoldenPolicies(t *testing.T) {
 // uplink bytes — all decided from server-owned rng streams the workers
 // never see.
 func TestServeGoldenFaults(t *testing.T) {
+	fl.CheckGoroutines(t)
 	cfg := quickConfig()
 	cfg.Faults = []fault.Spec{
 		{Kind: fault.KindCrash, Frac: 0.3},
@@ -172,6 +175,7 @@ func TestServeGoldenFaults(t *testing.T) {
 // async-policy checkpointing cannot run over the wire and must fail
 // loudly up front.
 func TestServeRejectsUnsafe(t *testing.T) {
+	fl.CheckGoroutines(t)
 	network, shards, test := testSetup(t, 8)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -204,6 +208,7 @@ func TestServeRejectsUnsafe(t *testing.T) {
 // or only in its data split (shards from another Dirichlet φ under the
 // same config).
 func TestServeFingerprintMismatch(t *testing.T) {
+	fl.CheckGoroutines(t)
 	network, shards, test := testSetup(t, 8)
 	train, _, err := dataset.Standard("adult", dataset.ScaleSmall, 3)
 	if err != nil {

@@ -109,7 +109,7 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 
 	// The pool is sized for the whole fleet, not just the initially owned
 	// range: failover can adopt any client onto this worker.
-	pool := newSlotPool(network, cfg, n)
+	pool := newSlotPool(network, cfg, n, false)
 	defer pool.close()
 	if workerObserve != nil {
 		workerObserve(pool)
