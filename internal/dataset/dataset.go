@@ -34,7 +34,8 @@ type Dataset struct {
 func (d *Dataset) Len() int { return len(d.Y) }
 
 // Gather copies the samples at the given indices into x (row-major) and y.
-// Buffers must hold len(indices) samples.
+// Buffers must hold len(indices) samples. indices may be y itself: each
+// index is read before its label overwrites it.
 func (d *Dataset) Gather(indices []int, x []float64, y []int) {
 	size := d.In.Size()
 	for i, idx := range indices {
@@ -100,15 +101,25 @@ func (d *Dataset) Validate() error {
 // Sampler draws uniform mini-batches from a dataset, matching the paper's
 // "uniformly at random samples a mini batch" local-update model. It owns
 // its RNG so concurrent clients sample independently and deterministically.
+// It holds no buffers, so a fleet's samplers fit in one slab (NewSamplers).
 type Sampler struct {
 	data *Dataset
 	r    *rng.RNG
-	idx  []int
 }
 
 // NewSampler creates a mini-batch sampler over data.
 func NewSampler(data *Dataset, r *rng.RNG) *Sampler {
 	return &Sampler{data: data, r: r}
+}
+
+// NewSamplers creates one sampler per dataset in a single slab:
+// samplers[i] draws from data[i] with streams[i], which must outlive it.
+func NewSamplers(data []*Dataset, streams []rng.RNG) []Sampler {
+	out := make([]Sampler, len(data))
+	for i := range out {
+		out[i] = Sampler{data: data[i], r: &streams[i]}
+	}
+	return out
 }
 
 // Stream exposes the sampler's random stream so checkpointing code can
@@ -117,18 +128,15 @@ func (s *Sampler) Stream() *rng.RNG { return s.r }
 
 // Batch fills x and y with a uniformly sampled mini-batch of size
 // len(y). When the dataset is smaller than the batch, samples repeat.
+// The indices are drawn into y and gathered in place, so a batch
+// allocates nothing.
 func (s *Sampler) Batch(x []float64, y []int) {
 	n := s.data.Len()
 	if n == 0 {
 		panic("dataset: sampling from an empty dataset")
 	}
-	batch := len(y)
-	if cap(s.idx) < batch {
-		s.idx = make([]int, batch)
+	for i := range y {
+		y[i] = s.r.IntN(n)
 	}
-	idx := s.idx[:batch]
-	for i := range idx {
-		idx[i] = s.r.IntN(n)
-	}
-	s.data.Gather(idx, x, y)
+	s.data.Gather(y, x, y)
 }

@@ -262,6 +262,50 @@ func TestCharSeqWalksShareChains(t *testing.T) {
 
 // trainCentrally runs plain centralized SGD and returns test accuracy; the
 // learnability gate for every generator.
+// TestSamplerBatchInPlace pins Batch's in-place gather to the plain
+// form — indices drawn from a twin stream into their own buffer, then
+// gathered — batch after batch, over a slab from NewSamplers, and checks
+// that a batch allocates nothing.
+func TestSamplerBatchInPlace(t *testing.T) {
+	train, _, err := Standard("adult", ScaleSmall, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := train.In.Size()
+	shards := []*Dataset{train.Subset([]int{4, 8, 15, 16, 23, 42}), train}
+	streams := rng.New(21).DeriveN("sampler", len(shards))
+	twins := rng.New(21).DeriveN("sampler", len(shards))
+	slab := NewSamplers(shards, streams)
+	for i := range slab {
+		for _, batch := range []int{1, 7, 8, 32} {
+			x, y := make([]float64, batch*size), make([]int, batch)
+			wantX, wantY, idx := make([]float64, batch*size), make([]int, batch), make([]int, batch)
+			slab[i].Batch(x, y)
+			for j := range idx {
+				idx[j] = twins[i].IntN(shards[i].Len())
+			}
+			shards[i].Gather(idx, wantX, wantY)
+			for j := range y {
+				if y[j] != wantY[j] {
+					t.Fatalf("shard %d batch %d: y[%d] = %d, plain gather gives %d", i, batch, j, y[j], wantY[j])
+				}
+			}
+			for j := range x {
+				if x[j] != wantX[j] {
+					t.Fatalf("shard %d batch %d: x[%d] = %v, plain gather gives %v", i, batch, j, x[j], wantX[j])
+				}
+			}
+		}
+	}
+	x, y := make([]float64, 32*size), make([]int, 32)
+	if a := testing.AllocsPerRun(100, func() { slab[1].Batch(x, y) }); a != 0 {
+		t.Fatalf("Batch allocates %v times per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(10, func() { _ = NewSamplers(shards, streams) }); a != 1 {
+		t.Fatalf("NewSamplers allocates %v times, want 1 (the slab)", a)
+	}
+}
+
 func trainCentrally(t *testing.T, name string, steps int, lr float64) float64 {
 	t.Helper()
 	train, test, err := Standard(name, ScaleSmall, 11)

@@ -116,7 +116,7 @@ func (c *client) injectDelta(cfg *Config, delta []float64, round int, now float6
 // root, so adversarial streams never perturb honest ones; specs are
 // processed in declaration order and members in ascending ID order, so
 // setup (including which invalid ID an error reports) is deterministic.
-func setupAdversaries(cfg *Config, clients []*client, root *rng.RNG) error {
+func setupAdversaries(cfg *Config, clients []client, root *rng.RNG) error {
 	for si, spec := range cfg.Adversaries {
 		members := spec.Members(len(clients))
 		b := spec.Behavior()
@@ -124,7 +124,7 @@ func setupAdversaries(cfg *Config, clients []*client, root *rng.RNG) error {
 			if id < 0 || id >= len(clients) {
 				return fmt.Errorf("fl: adversary %d (%s): client id %d outside [0,%d)", si, spec.Kind, id, len(clients))
 			}
-			c := clients[id]
+			c := &clients[id]
 			if c.adv == nil {
 				c.adv = &advClient{r: root.Derive("adversary", id)}
 			}

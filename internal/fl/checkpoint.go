@@ -174,15 +174,16 @@ func (s *scheduler) walk(c *ckpt.Codec, round *int, applyRNG bool) {
 	c.Section("run history")
 	walkRunHistory(c, s.run, s.cfg.Rounds)
 
-	// rng cursors, in the derivation order of newScheduler.
+	// rng cursors, in the derivation order of newFleet.
 	c.Section("participation stream")
 	c.Cursor(s.partRNG, applyRNG)
 	c.Section("client samplers")
-	for _, cl := range s.clients {
-		c.Cursor(cl.sampler.Stream(), applyRNG)
+	for i := range s.clients {
+		c.Cursor(s.clients[i].sampler.Stream(), applyRNG)
 	}
 	c.Section("adversary streams")
-	for _, cl := range s.clients {
+	for i := range s.clients {
+		cl := &s.clients[i]
 		if !c.Expect(cl.adv != nil, "adversary") {
 			continue
 		}
@@ -195,8 +196,8 @@ func (s *scheduler) walk(c *ckpt.Codec, round *int, applyRNG bool) {
 	c.Section("quantization streams")
 	comp := s.pool.comp
 	if c.Expect(comp != nil, "compression") {
-		for _, st := range comp.streams {
-			c.Cursor(st, applyRNG)
+		for i := range comp.streams {
+			c.Cursor(&comp.streams[i], applyRNG)
 		}
 		// EF residuals are algorithm state, not stream cursors: restored
 		// unconditionally so a rollback rewinds the error feedback too.
@@ -211,9 +212,9 @@ func (s *scheduler) walk(c *ckpt.Codec, round *int, applyRNG bool) {
 	}
 	c.Section("fault streams")
 	if c.Expect(s.plan != nil, "fault-plan") {
-		for _, cf := range s.plan.perClient {
-			if c.Expect(cf != nil, "client fault-stream") {
-				c.Cursor(cf.r, applyRNG)
+		for i := range s.plan.perClient {
+			if cf := &s.plan.perClient[i]; c.Expect(cf.subject(), "client fault-stream") {
+				c.Cursor(&cf.r, applyRNG)
 			}
 		}
 	}

@@ -35,12 +35,82 @@ type Result struct {
 // Training resources (engine, parameter buffers) live in the slot pool
 // (pool.go), so a client costs O(1) model-sized memory when idle. adv is
 // the compiled corruption state (adversary.go), nil for honest clients.
+// Clients live in one flat slice indexed by id (newFleet); sampler points
+// into the fleet's sampler slab.
 type client struct {
 	id       int
 	data     *dataset.Dataset
 	sampler  *dataset.Sampler
 	lastLoss float64
 	adv      *advClient
+}
+
+// fleet is the per-client state a run derives from its seed: the client
+// records, the init and participation streams, the compressor with its
+// quantization streams, and the fault plan with its fault streams. Every
+// per-client structure is one slab indexed by client id, so building a
+// fleet takes the same number of allocations at any size.
+type fleet struct {
+	clients []client
+	initRNG rng.RNG
+	partRNG rng.RNG
+	comp    *compressor // nil without a codec
+	plan    *faultPlan  // nil without faults, and always on a worker
+}
+
+// newFleet is the one place a fleet's streams are derived, and its order
+// is the determinism contract every wire worker replays: init, every
+// client's sampler, participation, the adversary streams, every
+// quantization stream, the fault streams. Each family derives after
+// every earlier one, so a config without adversaries, a codec or faults
+// draws nothing for them and the streams before stay bit-identical. A
+// worker (server false) stops after the quantization streams: the
+// adversary and fault streams are the server's, and a wire run declares
+// no adversaries (validateWire), so the streams it keeps equal their
+// in-process twins. baseRound prices the fault plan's backoff.
+func newFleet(cfg *Config, shards []*dataset.Dataset, baseRound float64, server bool) (*fleet, error) {
+	n := len(shards)
+	f := &fleet{clients: make([]client, n)}
+	root := rng.New(cfg.Seed)
+	root.DeriveInto(&f.initRNG, "init", 0)
+	samplers := dataset.NewSamplers(shards, root.DeriveN("sampler", n))
+	for i := range f.clients {
+		f.clients[i] = client{id: i, data: shards[i], sampler: &samplers[i]}
+	}
+	root.DeriveInto(&f.partRNG, "participation", 0)
+	if server {
+		if err := setupAdversaries(cfg, f.clients, root); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.Compress.Kind != compress.KindNone {
+		codec, err := cfg.Compress.Codec()
+		if err != nil {
+			return nil, fmt.Errorf("fl: %w", err)
+		}
+		f.comp = &compressor{codec: codec, streams: root.DeriveN("compress", n)}
+		if cfg.isF32() {
+			f.comp.resid32 = make([][]float32, n)
+		} else {
+			f.comp.resid = make([][]float64, n)
+		}
+	}
+	if server {
+		f.plan = newFaultPlan(cfg, n, baseRound, root)
+	}
+	return f, nil
+}
+
+// shardSizes returns each client's sample count, rejecting an empty
+// shard.
+func shardSizes(shards []*dataset.Dataset) ([]int, error) {
+	sizes := make([]int, len(shards))
+	for i, s := range shards {
+		if sizes[i] = s.Len(); sizes[i] == 0 {
+			return nil, fmt.Errorf("fl: client %d has no data", i)
+		}
+	}
+	return sizes, nil
 }
 
 // Run trains net with the given algorithm over the client shards and
@@ -114,10 +184,11 @@ func newScheduler(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.
 // explicit: remote builds a ring-only pool (no slots, no training
 // goroutines — clients train in worker processes) and leaves s.exec for
 // the caller to swap to the remote executor. Every rng derivation
-// happens identically in both modes — the derivation ORDER is the
-// determinism contract workers replay (worker.go) — so a wire run's
-// fault plan, participation draws, and quantization streams are
-// bit-identical to the in-process run's.
+// happens identically in both modes — newFleet owns the derivation
+// ORDER, the determinism contract workers replay through the same
+// constructor (worker.go) — so a wire run's fault plan, participation
+// draws, and quantization streams are bit-identical to the in-process
+// run's.
 func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.Dataset, test *dataset.Dataset, remote bool) (*scheduler, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -126,10 +197,9 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 	if n == 0 {
 		return nil, fmt.Errorf("fl: no client shards")
 	}
-	for i, s := range shards {
-		if s.Len() == 0 {
-			return nil, fmt.Errorf("fl: client %d has no data", i)
-		}
+	dataSizes, err := shardSizes(shards)
+	if err != nil {
+		return nil, err
 	}
 	if len(cfg.Devices) > 0 && len(cfg.Devices) != n {
 		return nil, fmt.Errorf("fl: %d device profiles for %d clients", len(cfg.Devices), n)
@@ -142,25 +212,10 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 		}
 	}
 
-	root := rng.New(cfg.Seed)
-	params := net.InitParams(root.Derive("init", 0))
-	numParams := net.NumParams()
-
-	clients := make([]*client, n)
-	dataSizes := make([]int, n)
-	for i, shard := range shards {
-		clients[i] = &client{
-			id:      i,
-			data:    shard,
-			sampler: dataset.NewSampler(shard, root.Derive("sampler", i)),
-		}
-		dataSizes[i] = shard.Len()
-	}
-
 	env := &Env{
 		Net:        net,
 		NumClients: n,
-		NumParams:  numParams,
+		NumParams:  net.NumParams(),
 		DataSizes:  dataSizes,
 		Devices:    cfg.devices(n),
 		Cfg:        cfg,
@@ -168,67 +223,35 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 	// Compose the robust-aggregation stack and server optimizer around
 	// the algorithm (stack.go); a zero-valued AggStack/ServerOpt returns
 	// alg unchanged, keeping the unstacked path untouched.
-	alg, err := wrapStack(alg, &cfg)
+	alg, err = wrapStack(alg, &cfg)
 	if err != nil {
 		return nil, err
 	}
 	alg.Setup(env)
 
+	baseRound := simclock.RoundSeconds(net.GradFlops(cfg.BatchSize), cfg.LocalSteps, alg.Costs())
+	f, err := newFleet(&cfg, shards, baseRound, true)
+	if err != nil {
+		return nil, err
+	}
+	params := net.InitParams(&f.initRNG)
+
 	active := make([]bool, n)
 	for i := range active {
 		active[i] = true
 	}
-
-	// Corruption streams derive strictly after every honest stream
-	// (init, samplers, participation below is taken from the same root
-	// before this point in the reference loop — see setupAdversaries),
-	// so declaring adversaries never perturbs honest clients' draws.
-	partRNG := root.Derive("participation", 0)
-	if err := setupAdversaries(&cfg, clients, root); err != nil {
-		return nil, err
-	}
-
 	var pool *slotPool
 	if remote {
-		pool = newRingPool(numParams)
+		pool = newRingPool(env.NumParams)
 	} else {
 		pool = newSlotPool(net, cfg, n, cfg.Policy == PolicyAsync)
 	}
-	if cfg.Compress.Kind != compress.KindNone {
-		// Quantization streams derive after every honest and adversary
-		// stream, so a dense-transport config draws nothing here and
-		// stays bit-identical to the pre-codec engine (the sync golden
-		// pins this).
-		codec, err := cfg.Compress.Codec()
-		if err != nil {
-			pool.close()
-			return nil, fmt.Errorf("fl: %w", err)
-		}
-		comp := &compressor{
-			codec:   codec,
-			streams: make([]*rng.RNG, n),
-		}
-		if cfg.isF32() {
-			comp.resid32 = make([][]float32, n)
-		} else {
-			comp.resid = make([][]float64, n)
-		}
-		for i := range comp.streams {
-			comp.streams[i] = root.Derive("compress", i)
-		}
-		pool.comp = comp
-	}
-
-	baseRound := simclock.RoundSeconds(net.GradFlops(cfg.BatchSize), cfg.LocalSteps, alg.Costs())
-	// Fault streams derive last of all (after compression), so a
-	// zero-fault config draws nothing here and stays bit-identical to
-	// the fault-free golden.
-	plan := newFaultPlan(&cfg, n, baseRound, root)
+	pool.comp = f.comp
 
 	s := &scheduler{
 		cfg:       cfg,
 		alg:       alg,
-		clients:   clients,
+		clients:   f.clients,
 		env:       env,
 		pool:      pool,
 		params:    params,
@@ -239,11 +262,9 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 		evalEng:   nn.NewEngine(net, min(256, max(1, test.Len()))),
 		test:      test,
 		baseRound: baseRound,
-		partRNG:   partRNG,
-		plan:      plan,
+		partRNG:   &f.partRNG,
+		plan:      f.plan,
 		ids:       make([]int, 0, n),
-		updates:   make([]Update, n),
-		measured:  make([]float64, n),
 	}
 	s.exec = pool
 	// The draw ahead needs a core the round's training leaves idle: on
@@ -251,21 +272,27 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 	s.prefetch = cfg.Policy != PolicyAsync && runtime.GOMAXPROCS(0) > 1
 	s.activeIDs = make([]int, 0, n)
 	s.rebuildActive()
-	if take, sampled := s.cohort(n); sampled {
+	// No dispatch is larger than a full cohort: a round trains a subset of
+	// its participants, and an async step re-dispatches one client at a
+	// time.
+	take, sampled := s.cohort(n)
+	s.updates = make([]Update, take)
+	s.measured = make([]float64, take)
+	if sampled {
 		// The active set only shrinks from n, and a restore refills it to at
 		// most n, so these bounds hold for the whole run.
 		s.permBuf = make([]int32, n)
 		s.picked = make([]int, take)
 	}
 	s.stack, _ = alg.(*stackedAlg)
-	if plan != nil && plan.anyDispatch {
+	if s.plan != nil && s.plan.anyDispatch {
 		s.dupFlags = make([]bool, 0, n)
 		if cfg.Policy == PolicyAsync {
 			s.attempts = make([]int, n)
 		}
 	}
-	for _, c := range clients {
-		if c.corrupt() {
+	for i := range s.clients {
+		if s.clients[i].corrupt() {
 			s.anyAdv = true
 			break
 		}

@@ -37,13 +37,20 @@ type gatedSlow struct {
 }
 
 // clientFaults is one client's compiled fault state and its dedicated
-// draw stream.
+// draw stream. Its spec lists are windows into the plan's per-kind
+// slabs; a client no dispatch fault applies to has none and an unseeded
+// stream.
 type clientFaults struct {
 	crash []gatedProb
 	drop  []gatedProb
 	dup   []gatedProb
 	slow  []gatedSlow
-	r     *rng.RNG
+	r     rng.RNG
+}
+
+// subject reports whether any dispatch fault applies to the client.
+func (cf *clientFaults) subject() bool {
+	return len(cf.crash)+len(cf.drop)+len(cf.dup)+len(cf.slow) > 0
 }
 
 // drawProb consumes one draw per spec and reports whether any fired
@@ -72,10 +79,11 @@ func drawSlow(r *rng.RNG, specs []gatedSlow, at float64) float64 {
 
 // faultPlan is the run's compiled fault model.
 type faultPlan struct {
-	// perClient holds each client's compiled fault state; nil entries
-	// mark clients not subject to any fault (their dispatches draw
-	// nothing and behave exactly as in a fault-free run).
-	perClient []*clientFaults
+	// perClient holds each client's compiled fault state, indexed by
+	// client id; clients not subject to any fault (their dispatches draw
+	// nothing and behave exactly as in a fault-free run) hold a zero
+	// entry.
+	perClient []clientFaults
 	// anyDispatch flags at least one per-dispatch fault (everything but
 	// a pure servercrash config).
 	anyDispatch bool
@@ -90,45 +98,61 @@ type faultPlan struct {
 // newFaultPlan compiles cfg.Faults for n clients, deriving the fault
 // streams from root last of all (after init, samplers, participation,
 // adversary, and compression streams) in client-id order. Returns nil
-// for a zero-fault config, which therefore derives nothing.
+// for a zero-fault config, which therefore derives nothing. It makes a
+// fixed number of allocations per spec, none per client: client by
+// client, each spec that names the client (subject lists are sorted, so
+// one cursor per spec finds them) appends its entry, in spec order, to
+// the slab of its kind, and the client's lists are what it appended.
 func newFaultPlan(cfg *Config, n int, baseRound float64, root *rng.RNG) *faultPlan {
 	if len(cfg.Faults) == 0 {
 		return nil
 	}
 	p := &faultPlan{
-		perClient:     make([]*clientFaults, n),
+		perClient:     make([]clientFaults, n),
 		crashRound:    -1,
 		retries:       cfg.faultRetries(),
 		timeoutFactor: cfg.faultTimeoutFactor(),
 		backoffSec:    cfg.faultBackoff(baseRound),
 	}
-	for _, spec := range cfg.Faults {
+	subjects := make([][]int, len(cfg.Faults))
+	entries := make(map[fault.Kind]int, 4) // slab sizes
+	for si, spec := range cfg.Faults {
 		if spec.Kind == fault.KindServerCrash {
 			p.crashRound = spec.Round
 			continue
 		}
 		p.anyDispatch = true
-		for _, id := range spec.Subjects(n) {
-			cf := p.perClient[id]
-			if cf == nil {
-				cf = &clientFaults{}
-				p.perClient[id] = cf
+		subjects[si] = spec.Subjects(n)
+		entries[spec.Kind] += len(subjects[si])
+	}
+	crash := make([]gatedProb, 0, entries[fault.KindCrash])
+	drop := make([]gatedProb, 0, entries[fault.KindDrop])
+	dup := make([]gatedProb, 0, entries[fault.KindDup])
+	slow := make([]gatedSlow, 0, entries[fault.KindSlow])
+	next := make([]int, len(cfg.Faults)) // each spec's cursor into its subjects
+	for id := range p.perClient {
+		c0, d0, u0, s0 := len(crash), len(drop), len(dup), len(slow)
+		for si, spec := range cfg.Faults {
+			sub := subjects[si]
+			if next[si] == len(sub) || sub[next[si]] != id {
+				continue
 			}
+			next[si]++
 			switch spec.Kind {
 			case fault.KindCrash:
-				cf.crash = append(cf.crash, gatedProb{spec.Frac, spec.Window})
+				crash = append(crash, gatedProb{spec.Frac, spec.Window})
 			case fault.KindDrop:
-				cf.drop = append(cf.drop, gatedProb{spec.Frac, spec.Window})
+				drop = append(drop, gatedProb{spec.Frac, spec.Window})
 			case fault.KindDup:
-				cf.dup = append(cf.dup, gatedProb{spec.Frac, spec.Window})
+				dup = append(dup, gatedProb{spec.Frac, spec.Window})
 			case fault.KindSlow:
-				cf.slow = append(cf.slow, gatedSlow{spec.Frac, spec.Param, spec.Window})
+				slow = append(slow, gatedSlow{spec.Frac, spec.Param, spec.Window})
 			}
 		}
-	}
-	for i, cf := range p.perClient {
-		if cf != nil {
-			cf.r = root.Derive("fault", i)
+		cf := &p.perClient[id]
+		cf.crash, cf.drop, cf.dup, cf.slow = crash[c0:], drop[d0:], dup[u0:], slow[s0:]
+		if cf.subject() {
+			root.DeriveInto(&cf.r, "fault", id)
 		}
 	}
 	return p
@@ -158,7 +182,10 @@ func (s *scheduler) faultsOf(id int) *clientFaults {
 	if s.plan == nil {
 		return nil
 	}
-	return s.plan.perClient[id]
+	if cf := &s.plan.perClient[id]; cf.subject() {
+		return cf
+	}
+	return nil
 }
 
 // resolveDispatch plays out client id's dispatch at modeled time at
@@ -181,15 +208,15 @@ func (s *scheduler) resolveDispatch(id int, at float64) dispatchOutcome {
 		start := at + elapsed
 		wait := s.env.Devices[id].Availability.NextAvailable(start) - start
 		base := s.finishDur(id)
-		crash := drawProb(cf.r, cf.crash, start)
-		drop := drawProb(cf.r, cf.drop, start)
-		slowF := drawSlow(cf.r, cf.slow, start)
+		crash := drawProb(&cf.r, cf.crash, start)
+		drop := drawProb(&cf.r, cf.drop, start)
+		slowF := drawSlow(&cf.r, cf.slow, start)
 		budget := s.plan.timeoutFactor * (wait + base)
 		dur := base * slowF
 		if !crash && !drop && wait+dur <= budget {
 			return dispatchOutcome{
 				delivered: true,
-				dup:       drawProb(cf.r, cf.dup, start),
+				dup:       drawProb(&cf.r, cf.dup, start),
 				retries:   a,
 				rel:       elapsed + wait + dur,
 			}
@@ -198,7 +225,7 @@ func (s *scheduler) resolveDispatch(id int, at float64) dispatchOutcome {
 		if a == s.plan.retries {
 			return dispatchOutcome{retries: a, rel: elapsed}
 		}
-		elapsed += s.plan.backoff(a, cf.r)
+		elapsed += s.plan.backoff(a, &cf.r)
 	}
 }
 
@@ -225,15 +252,15 @@ func (s *scheduler) resolveAsyncDispatch(id int, at float64) asyncOutcome {
 	attempt := s.attempts[id]
 	wait := s.env.Devices[id].Availability.NextAvailable(at) - at
 	base := s.finishDur(id)
-	crash := drawProb(cf.r, cf.crash, at)
-	drop := drawProb(cf.r, cf.drop, at)
-	slowF := drawSlow(cf.r, cf.slow, at)
+	crash := drawProb(&cf.r, cf.crash, at)
+	drop := drawProb(&cf.r, cf.drop, at)
+	slowF := drawSlow(&cf.r, cf.slow, at)
 	budget := s.plan.timeoutFactor * (wait + base)
 	dur := base * slowF
 	if crash || drop || wait+dur > budget {
 		return asyncOutcome{failed: true, finish: at + budget, attempt: attempt}
 	}
-	return asyncOutcome{dup: drawProb(cf.r, cf.dup, at), finish: at + wait + dur, attempt: attempt}
+	return asyncOutcome{dup: drawProb(&cf.r, cf.dup, at), finish: at + wait + dur, attempt: attempt}
 }
 
 // degraded reports whether a sync/deadline round that delivered

@@ -32,10 +32,10 @@ func referenceRun(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.
 	params := net.InitParams(root.Derive("init", 0))
 	numParams := net.NumParams()
 
-	clients := make([]*client, n)
+	clients := make([]client, n)
 	dataSizes := make([]int, n)
 	for i, shard := range shards {
-		clients[i] = &client{
+		clients[i] = client{
 			id:      i,
 			data:    shard,
 			sampler: dataset.NewSampler(shard, root.Derive("sampler", i)),

@@ -45,7 +45,7 @@ type roundTask struct {
 	cfg        *Config
 	alg        Algorithm
 	pool       *slotPool
-	clients    []*client
+	clients    []client
 	ids        []int
 	round      int
 	global     []float64
@@ -68,7 +68,7 @@ type roundTask struct {
 // decoded view so every aggregation rule sees exactly what arrived on the
 // wire.
 func (t *roundTask) run(j int, sl *slot) {
-	c := t.clients[t.ids[j]]
+	c := &t.clients[t.ids[j]]
 	start := time.Now()
 	if fab := c.fabricatorAt(t.now); fab != nil {
 		c.fabricate(fab, t.cfg, t.updates[j].Delta, t.round, t.global, t.prevGlobal)
@@ -153,7 +153,7 @@ func (j *laterJob) run(sl *slot) {
 // settleOne (one update) has returned for it, and every settled update
 // must eventually be released.
 type executor interface {
-	runRound(cfg *Config, alg Algorithm, clients []*client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) error
+	runRound(cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) error
 	// settle blocks until every update of the round has its results in
 	// place (position j of measured matches updates[j]).
 	settle(updates []Update, measured []float64) error
@@ -176,7 +176,7 @@ type compressor struct {
 	codec   compress.Codec
 	resid   [][]float64 // error-feedback residuals; nil rows until first use
 	resid32 [][]float32 // fp32 residuals under DType "f32" (resid stays nil)
-	streams []*rng.RNG
+	streams []rng.RNG   // indexed by client id
 }
 
 // compress runs the error-feedback encode step for one upload on the
@@ -196,7 +196,7 @@ func (c *compressor) compress(u *Update, sl *slot) {
 			e = make([]float32, len(u.Delta))
 			c.resid32[id] = e
 		}
-		compress.EncodeEF32(c.codec, u.Payload, u.Delta, e, c.streams[id], sl.scratch)
+		compress.EncodeEF32(c.codec, u.Payload, u.Delta, e, &c.streams[id], sl.scratch)
 		return
 	}
 	e := c.resid[id]
@@ -204,7 +204,7 @@ func (c *compressor) compress(u *Update, sl *slot) {
 		e = make([]float64, len(u.Delta))
 		c.resid[id] = e
 	}
-	compress.EncodeEF(c.codec, u.Payload, u.Delta, e, c.streams[id], sl.scratch)
+	compress.EncodeEF(c.codec, u.Payload, u.Delta, e, &c.streams[id], sl.scratch)
 }
 
 // slotPool decouples per-client identity from per-client training
@@ -425,7 +425,7 @@ func newRingPool(numParams int) *slotPool {
 // it: the slot is idle, because runRound is the only producer of jobs and
 // waits for every job it queues, worker 0 never takes a later job, and
 // which slot serves a client is invisible in the results.
-func (p *slotPool) runRound(cfg *Config, alg Algorithm, clients []*client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) error {
+func (p *slotPool) runRound(cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) error {
 	p.prepare(cfg, alg, clients, ids, round, now, global, prevGlobal, updates, measured)
 	if len(ids) == 1 {
 		p.task.run(0, p.first)
@@ -463,7 +463,7 @@ func (p *slotPool) join(j *laterJob) {
 // round task, so it reads the global, prevGlobal and algorithm state the
 // caller holds unchanged until it has settled every job it queued. Without
 // a queue (one slot) it is runRound.
-func (p *slotPool) runLater(cfg *Config, alg Algorithm, clients []*client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) {
+func (p *slotPool) runLater(cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) {
 	p.prepare(cfg, alg, clients, ids, round, now, global, prevGlobal, updates, measured)
 	if p.later == nil {
 		p.task.run(0, p.first)
@@ -490,7 +490,7 @@ func (p *slotPool) runLater(cfg *Config, alg Algorithm, clients []*client, ids [
 // ring and read its comp. The clients of a frame are distinct and every
 // stream and residual is per client, so the width is invisible in the
 // results.
-func (p *slotPool) runWide(cfg *Config, alg Algorithm, clients []*client, ids []int, round int, global []float64, updates []Update, measured []float64) error {
+func (p *slotPool) runWide(cfg *Config, alg Algorithm, clients []client, ids []int, round int, global []float64, updates []Update, measured []float64) error {
 	if p.width == 0 {
 		p.width = max(p.slots, min(runtime.GOMAXPROCS(0), cap(p.jobs)))
 		if p.width > p.slots {
@@ -522,7 +522,7 @@ func (p *slotPool) runWide(cfg *Config, alg Algorithm, clients []*client, ids []
 
 // prepare checks a ring entry out for each update of a round and writes
 // the round's task for the slots to read.
-func (p *slotPool) prepare(cfg *Config, alg Algorithm, clients []*client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) {
+func (p *slotPool) prepare(cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) {
 	for j, id := range ids {
 		u := p.getUpload()
 		updates[j] = Update{

@@ -1,8 +1,12 @@
 package fl
 
 import (
+	"fmt"
+	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
+	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/compress"
@@ -70,6 +74,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		quorum   float64
 		stacked  bool
 		partial  float64
+		fleet    int // client identities, the shards tiled by pointer; 0 keeps the 8 shards
 	}{
 		{name: "", adv: false},
 		{name: "-injectors", adv: true},
@@ -88,6 +93,10 @@ func TestSteadyStateAllocs(t *testing.T) {
 		// Fisher–Yates buffer and maps through its kept active-id list.
 		// Validate rejects it under async, which has no rounds to sample.
 		{name: "-partial", partial: 0.25},
+		// A fresh cohort: ten of 2 000 identities a round, so nearly
+		// every participant trains for the first time, and a client's
+		// first batch must allocate nothing either.
+		{name: "-fresh-cohort", partial: 0.005, fleet: 2000},
 	}
 	for _, v := range variants {
 		for _, policy := range []AggregationPolicy{PolicySync, PolicyDeadline, PolicyAsync} {
@@ -131,7 +140,11 @@ func TestSteadyStateAllocs(t *testing.T) {
 					// (runLater) is live and held to 0 allocations too.
 					cfg.Parallelism = 2
 				}
-				s, err := newScheduler(cfg, goldenFedAvg{}, net, shards, test)
+				fleet := shards
+				if v.fleet > 0 {
+					fleet = tile(shards, v.fleet)
+				}
+				s, err := newScheduler(cfg, goldenFedAvg{}, net, fleet, test)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -177,10 +190,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 // spends off the round's critical path.
 func BenchmarkParticipants(b *testing.B) {
 	net, base, test := poolSetup(b, 100)
-	shards := make([]*dataset.Dataset, 100_000)
-	for i := range shards {
-		shards[i] = base[i%len(base)]
-	}
+	shards := tile(base, 100_000)
 	cfg := Config{Rounds: 1, LocalSteps: 1, BatchSize: 8, LocalLR: 0.05, Seed: 11, ParticipationFraction: 1e-4}
 	s, err := newScheduler(cfg, goldenFedAvg{}, net, shards, test)
 	if err != nil {
@@ -195,6 +205,124 @@ func BenchmarkParticipants(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/round")
+}
+
+// tile repeats shards by pointer into a fleet of n client identities.
+func tile(shards []*dataset.Dataset, n int) []*dataset.Dataset {
+	fleet := make([]*dataset.Dataset, n)
+	for i := range fleet {
+		fleet[i] = shards[i%len(shards)]
+	}
+	return fleet
+}
+
+// TestFleetSetupAllocs pins fleet construction to a fixed number of
+// allocations: newScheduler, and newFleet as a worker's reset calls it,
+// allocate exactly as often for 100 000 clients as for 1 000 — every
+// per-client structure is one slab.
+func TestFleetSetupAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 100 000-client fleets")
+	}
+	net, base, test := poolSetup(t, 8)
+	// The cases: partial participation (the sampler buffers), async (the
+	// flight table is built by setupAsync, not here; one slot, because a
+	// later queue makes a done channel per client), and an int8 codec with
+	// every dispatch fault (quantization streams, residual rows, fault
+	// slabs and streams). Parallelism is fixed so the slot count does not
+	// follow the host's cores.
+	fleetConfigs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"sync-partial", Config{Rounds: 1, LocalSteps: 1, BatchSize: 8, LocalLR: 0.05, Seed: 11, Parallelism: 2, ParticipationFraction: 1e-3}},
+		{"async", Config{Rounds: 1, LocalSteps: 1, BatchSize: 8, LocalLR: 0.05, Seed: 11, Policy: PolicyAsync, AsyncBuffer: 3, Parallelism: 1}},
+		{"int8-faults", Config{Rounds: 4, LocalSteps: 1, BatchSize: 8, LocalLR: 0.05, Seed: 11, Parallelism: 2,
+			Compress: compress.Spec{Kind: compress.KindInt8, Chunk: 256},
+			Faults: []fault.Spec{
+				{Kind: fault.KindCrash, Frac: 0.2},
+				{Kind: fault.KindDrop, Frac: 0.1, Clients: []int{3, 1, 99_999}},
+				{Kind: fault.KindDup, Frac: 0.2},
+				{Kind: fault.KindSlow, Frac: 0.3, Param: 3},
+				{Kind: fault.KindCrash, Frac: 0.05, Clients: []int{1, 500}},
+				{Kind: fault.KindServerCrash, Round: 2},
+			}, CheckpointEvery: 1}},
+	}
+	for _, fc := range fleetConfigs {
+		t.Run(fc.name, func(t *testing.T) {
+			var sched, worker [2]uint64
+			for k, n := range []int{1000, 100_000} {
+				shards := tile(base, n)
+				sched[k] = setupMallocs(func() {
+					s, err := newScheduler(fc.cfg, goldenFedAvg{}, net, shards, test)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.close()
+				})
+				worker[k] = setupMallocs(func() {
+					if _, err := newFleet(&fc.cfg, shards, 0, false); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if sched[0] != sched[1] {
+				t.Errorf("newScheduler makes %d allocations for 1 000 clients, %d for 100 000", sched[0], sched[1])
+			}
+			if worker[0] != worker[1] {
+				t.Errorf("a worker's reset makes %d allocations for 1 000 clients, %d for 100 000", worker[0], worker[1])
+			}
+			t.Logf("newScheduler %d allocations, worker reset %d", sched[0], worker[0])
+		})
+	}
+}
+
+// setupMallocs counts the heap allocations of one call to f, the fewest
+// of three. The collector is paused during each call, because a cycle
+// started by a large slab makes allocations of its own; the pause before
+// it lets the cleanups of the previous cycle finish. One P keeps exited
+// goroutine records on the free list the next go statement takes from,
+// so the slot pool's workers allocate none after the first call; the
+// minimum drops what the runtime still allocates only sometimes.
+func setupMallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fewest := uint64(math.MaxUint64)
+	for range 3 {
+		runtime.GC()
+		time.Sleep(2 * time.Millisecond)
+		old := debug.SetGCPercent(-1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		debug.SetGCPercent(old)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
+}
+
+// BenchmarkFleetSetup times newScheduler — fleet construction plus the
+// slot pool, eval engine and scheduler buffers — on the 100k fleet's shape
+// (shards tiled by pointer, fraction 1e-4) at 1 000 and 100 000 clients,
+// with allocs/op and ns per client. Its close is inside the loop, so the
+// pool's goroutines do not pile up.
+func BenchmarkFleetSetup(b *testing.B) {
+	net, base, test := poolSetup(b, 100)
+	cfg := Config{Rounds: 1, LocalSteps: 1, BatchSize: 8, LocalLR: 0.05, Seed: 11, ParticipationFraction: 1e-4}
+	for _, n := range []int{1000, 100_000} {
+		shards := tile(base, n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := newScheduler(cfg, goldenFedAvg{}, net, shards, test)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.close()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/client")
+		})
+	}
 }
 
 // TestSlotPoolStressBitIdentity is the n ≫ P stress regression: with 32

@@ -38,7 +38,7 @@ import (
 type scheduler struct {
 	cfg     Config
 	alg     Algorithm
-	clients []*client
+	clients []client
 	env     *Env
 	pool    *slotPool
 	// exec runs dispatched local rounds: the slot pool itself for an
@@ -928,7 +928,7 @@ func (s *scheduler) arrivals(t int) (trigger int, err error) {
 			if attempt < s.plan.retries {
 				s.attempts[id] = attempt + 1
 				s.stepRetries++
-				err = s.dispatch(s.oneID[:1], s.now+s.plan.backoff(attempt, s.plan.perClient[id].r), true)
+				err = s.dispatch(s.oneID[:1], s.now+s.plan.backoff(attempt, &s.plan.perClient[id].r), true)
 			} else {
 				s.attempts[id] = 0
 				s.stepDropped++

@@ -521,7 +521,7 @@ func (e *remoteExec) supervise() {
 // marked lost immediately (no history entry — the batch was never sent);
 // a write failure mid-round closes that connection and leaves its
 // entries pending for failover to re-dispatch.
-func (e *remoteExec) runRound(cfg *Config, alg Algorithm, clients []*client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) error {
+func (e *remoteExec) runRound(cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) error {
 	e.recoverMu.Lock()
 	defer e.recoverMu.Unlock()
 	e.mu.Lock()

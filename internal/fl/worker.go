@@ -7,10 +7,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/compress"
 	"repro/internal/dataset"
 	"repro/internal/nn"
-	"repro/internal/rng"
 	"repro/internal/wire"
 )
 
@@ -53,15 +51,15 @@ func RunWorker(conn net.Conn, index, workers int, cfg Config, alg Algorithm, net
 // the results back in one Updates frame per uploadBatch clients. The
 // connection is closed when it returns.
 //
-// Bit-identity with fl.Run rests on the derivation ORDER contract
-// (newSchedulerExec): the worker derives init, then every client
-// sampler, then participation, then every compression stream — exactly
-// the in-process sequence — and discards the streams the server owns
-// (init, participation). Adversary and fault streams derive after these
-// on the server, so skipping them here leaves every worker-held stream
-// bit-identical to its in-process twin. Given identical streams and
-// identical training code, every delta, loss, and encoded payload
-// matches the in-process run to the bit.
+// Bit-identity with fl.Run rests on the derivation ORDER contract, which
+// the worker replays through the server's own constructor (newFleet):
+// init, every client sampler, participation, every compression stream —
+// exactly the in-process sequence — leaving unused the streams the
+// server owns (init, participation). A wire run declares no adversaries,
+// and fault streams derive last, so skipping both here leaves every
+// worker-held stream bit-identical to its in-process twin. Given
+// identical streams and identical training code, every delta, loss, and
+// encoded payload matches the in-process run to the bit.
 //
 // Failover (DESIGN.md §12) extends the contract across worker loss: the
 // worker derives streams for ALL n clients but only advances the ones it
@@ -87,21 +85,19 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 	n := len(shards)
 	fp := serveFingerprint(&cfg, alg.Name(), dsName, shards, network.NumParams())
 
+	dataSizes, err := shardSizes(shards)
+	if err != nil {
+		return err
+	}
 	env := &Env{
 		Net:        network,
 		NumClients: n,
 		NumParams:  network.NumParams(),
-		DataSizes:  make([]int, n),
+		DataSizes:  dataSizes,
 		Devices:    cfg.devices(n),
 		Cfg:        cfg,
 	}
-	for i, shard := range shards {
-		if shard.Len() == 0 {
-			return fmt.Errorf("fl: client %d has no data", i)
-		}
-		env.DataSizes[i] = shard.Len()
-	}
-	alg, err := wrapStack(alg, &cfg)
+	alg, err = wrapStack(alg, &cfg)
 	if err != nil {
 		return err
 	}
@@ -115,37 +111,17 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 		workerObserve(pool)
 	}
 
-	clients := make([]*client, n)
+	var clients []client
 	// reset (re)builds every client-held rng stream by replaying the
-	// derivation order from a fresh root — the worker's freshly-started
-	// state, which a Restore frame rewinds to before a history replay.
+	// derivation order from a fresh root (newFleet) — the worker's
+	// freshly-started state, which a Restore frame rewinds to before a
+	// history replay.
 	reset := func() error {
-		root := rng.New(cfg.Seed)
-		_ = root.Derive("init", 0)
-		for i, shard := range shards {
-			clients[i] = &client{
-				id:      i,
-				data:    shard,
-				sampler: dataset.NewSampler(shard, root.Derive("sampler", i)),
-			}
+		f, err := newFleet(&cfg, shards, 0, false)
+		if err != nil {
+			return err
 		}
-		_ = root.Derive("participation", 0)
-		if cfg.Compress.Kind != compress.KindNone {
-			codec, err := cfg.Compress.Codec()
-			if err != nil {
-				return fmt.Errorf("fl: %w", err)
-			}
-			comp := &compressor{codec: codec, streams: make([]*rng.RNG, n)}
-			if cfg.isF32() {
-				comp.resid32 = make([][]float32, n)
-			} else {
-				comp.resid = make([][]float64, n)
-			}
-			for i := range comp.streams {
-				comp.streams[i] = root.Derive("compress", i)
-			}
-			pool.comp = comp
-		}
+		clients, pool.comp = f.clients, f.comp
 		return nil
 	}
 	if err := reset(); err != nil {

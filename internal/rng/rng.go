@@ -11,7 +11,6 @@
 package rng
 
 import (
-	"hash/fnv"
 	"math"
 	"math/bits"
 	"math/rand/v2"
@@ -21,20 +20,34 @@ import (
 // repository needs beyond math/rand/v2. It owns its PCG (pcg.go) so the
 // stream cursor can be checkpointed (MarshalBinary, AppendBinary) and
 // restored (UnmarshalBinary) for bit-identical resume, and so the hot
-// draws (Uint64, Float64, Float64s, SampleInto) skip the Rand→Source
-// interface call; src wraps the same PCG for the stdlib's samplers.
+// draws (Uint64, Float64, Float64s, IntN, SampleInto) skip the
+// Rand→Source interface call. src is the stdlib's view of the same PCG,
+// for its samplers (Normal, Perm, Shuffle, Gamma). It is held by value,
+// so an RNG is one object: DeriveN lays out a whole fleet's streams in
+// one slab, and DeriveInto seeds one in place.
+//
+// An RNG must not be copied by value: its src points at its own PCG, so a
+// copy would draw the stdlib samplers from the original's cursor. Share
+// it by pointer. The zero RNG is unseeded; New, Derive, DeriveInto and
+// DeriveN return or seed usable ones.
 type RNG struct {
 	pcg pcg
-	src *rand.Rand
+	src rand.Rand
 }
 
 // New returns an RNG seeded with the given seed.
 func New(seed uint64) *RNG {
-	// The second PCG word is a fixed golden-ratio constant so that nearby
-	// seeds still produce decorrelated streams.
-	r := &RNG{pcg: pcg{hi: seed, lo: seed ^ 0x9e3779b97f4a7c15}}
-	r.src = rand.New(&r.pcg)
+	r := &RNG{}
+	r.seed(seed)
 	return r
+}
+
+// seed sets the cursor New(seed) starts from and points src at it. The
+// second PCG word is a fixed golden-ratio constant so that nearby seeds
+// still produce decorrelated streams.
+func (r *RNG) seed(seed uint64) {
+	r.pcg = pcg{hi: seed, lo: seed ^ 0x9e3779b97f4a7c15}
+	r.src = *rand.New(&r.pcg)
 }
 
 // MarshalBinary captures the stream cursor. Every sampler in this package
@@ -57,16 +70,54 @@ func (r *RNG) UnmarshalBinary(data []byte) error { return r.pcg.UnmarshalBinary(
 // call Derive for all children before any of them starts consuming
 // randomness.
 func (r *RNG) Derive(label string, index int) *RNG {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(label))
-	var buf [8]byte
+	c := &RNG{}
+	r.DeriveInto(c, label, index)
+	return c
+}
+
+// DeriveInto reseeds dst as the stream Derive(label, index) would
+// return, drawing the same one value from r, so a caller that owns the
+// storage — a slab indexed by client id — derives without allocating.
+func (r *RNG) DeriveInto(dst *RNG, label string, index int) {
+	dst.seed(r.pcg.Uint64() ^ mixIndex(hashLabel(label), index))
+}
+
+// DeriveN returns n streams equal to Derive(label, 0), …,
+// Derive(label, n-1) called in that order, laid out in one slab.
+func (r *RNG) DeriveN(label string, n int) []RNG {
+	out := make([]RNG, n)
+	h := hashLabel(label)
+	for i := range out {
+		out[i].seed(r.pcg.Uint64() ^ mixIndex(h, i))
+	}
+	return out
+}
+
+// FNV-1a (64-bit) parameters, as in hash/fnv.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// hashLabel is the FNV-1a hash of label's bytes.
+func hashLabel(label string) uint64 {
+	h := uint64(fnvOffset)
+	for i := 0; i < len(label); i++ {
+		h ^= uint64(label[i])
+		h *= fnvPrime
+	}
+	return h
+}
+
+// mixIndex continues the FNV-1a hash h over index's eight little-endian
+// bytes: the derivation mix of a (label, index) pair.
+func mixIndex(h uint64, index int) uint64 {
 	v := uint64(index)
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
+		h ^= v >> (8 * i) & 0xff
+		h *= fnvPrime
 	}
-	_, _ = h.Write(buf[:])
-	mix := h.Sum64()
-	return New(r.pcg.Uint64() ^ mix)
+	return h
 }
 
 // Uint64 returns a uniformly distributed 64-bit value.
@@ -80,8 +131,14 @@ func (r *RNG) Float64() float64 { return unit(r.pcg.Uint64()) }
 // arithmetic alone.
 func (r *RNG) Float64s(dst []float64) { r.pcg.float64s(dst) }
 
-// IntN returns a uniform value in [0, n). It panics if n <= 0.
-func (r *RNG) IntN(n int) int { return r.src.IntN(n) }
+// IntN returns a uniform value in [0, n), drawing exactly what
+// math/rand/v2's Rand.IntN would. It panics if n <= 0.
+func (r *RNG) IntN(n int) int {
+	if n <= 0 {
+		panic("invalid argument to IntN")
+	}
+	return int(r.uint64n(uint64(n)))
+}
 
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
@@ -235,7 +292,8 @@ func (r *RNG) SampleInto(dst []int, scratch []int32, n int) {
 // power of two, else the high word of a 128-bit product with Lemire's
 // rejection — drawn from the PCG directly, so each draw skips the
 // Rand→Source interface call. It must stay draw-for-draw equal to
-// Rand.IntN (pinned by TestSampleIntoMatchesPerm).
+// Rand.IntN (pinned by TestIntNMatchesStdlib and
+// TestSampleIntoMatchesPerm).
 func (r *RNG) uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.pcg.Uint64() & (n - 1)

@@ -9,8 +9,9 @@ import (
 
 // TestPCGMatchesStdlib pins the package's own PCG to math/rand/v2's:
 // for many seeds, a random mix of every draw the package makes —
-// Uint64, Float64, bulk Float64s, and the stdlib samplers run over the
-// owned PCG (IntN, Perm, NormFloat64) — must equal the same calls on a
+// Uint64, Float64, bulk Float64s, IntN, and the stdlib samplers run
+// over the owned PCG through the package's own API (Perm, Normal) —
+// must equal the same calls on a
 // Rand over rand.NewPCG with the same seed words, draw for draw. The
 // cursors must marshal to the same bytes, and each type must restore
 // from the other's bytes and continue in step.
@@ -53,8 +54,8 @@ func TestPCGMatchesStdlib(t *testing.T) {
 					}
 				}
 			case 5:
-				if g, w := got.src.NormFloat64(), want.NormFloat64(); g != w {
-					t.Fatalf("seed %d step %d: NormFloat64 %v, stdlib %v", seed, step, g, w)
+				if g, w := got.Normal(0, 1), want.NormFloat64(); g != w {
+					t.Fatalf("seed %d step %d: Normal(0, 1) %v, stdlib NormFloat64 %v", seed, step, g, w)
 				}
 			case 6:
 				g, err := got.MarshalBinary()
@@ -86,6 +87,123 @@ func TestPCGMatchesStdlib(t *testing.T) {
 		if bad.UnmarshalBinary(data) == nil || rand.NewPCG(0, 0).UnmarshalBinary(data) == nil {
 			t.Fatalf("UnmarshalBinary(%q) accepted a malformed cursor", data)
 		}
+	}
+}
+
+// TestIntNMatchesStdlib pins IntN to math/rand/v2's Rand.IntN for bounds
+// on both sides of the power-of-two mask branch and deep into Lemire's
+// rejection loop (1<<62+1 rejects about a quarter of its draws): the
+// same values draw for draw, and the same cursor afterwards.
+func TestIntNMatchesStdlib(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 8, 1000, 1 << 31, 1<<32 + 3, 1<<62 + 1} {
+		for seed := uint64(0); seed < 8; seed++ {
+			got := New(seed)
+			want := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+			for i := 0; i < 500; i++ {
+				if g, w := got.IntN(n), want.IntN(n); g != w {
+					t.Fatalf("n=%d seed=%d draw %d: IntN %d, stdlib %d", n, seed, i, g, w)
+				}
+			}
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("n=%d seed=%d: next draw %x, stdlib %x", n, seed, g, w)
+			}
+		}
+	}
+	for _, n := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("IntN(%d) did not panic", n)
+				}
+			}()
+			New(1).IntN(n)
+		}()
+	}
+}
+
+// deriveIndices is the order TestDeriveFrozen derives children in, one
+// parent per (seed, label) row: low and high bytes of the index, and -1
+// for all eight.
+var deriveIndices = [...]int{0, 1, 255, 256, 99999, -1}
+
+// deriveFrozen holds each child's first draw, computed with the
+// hash/fnv-based Derive this package used before the mix was inlined.
+var deriveFrozen = []struct {
+	seed  uint64
+	label string
+	first [len(deriveIndices)]uint64
+	next  uint64 // the parent's draw after its six derivations
+}{
+	{0, "", [...]uint64{0x942762eb2b59d060, 0x61ea491f2332a37c, 0xb7cc9c1e90832c17, 0x0a80776ce0356984, 0xec67c5965094eb41, 0xcb4f4e1b627f7ceb}, 0xc0c6594f8b0716a3},
+	{1, "init", [...]uint64{0x8a6df7fa91bb9c69, 0x509c3dd323454b7f, 0x85649ba44a854ab0, 0xb7223ecbc361ca06, 0xb6f544c31664e437, 0xb601e90865244bff}, 0xa4f9243384528c5a},
+	{1, "sampler", [...]uint64{0xae503810d0375805, 0xeca06ae65f62da4a, 0x08860c8ed689715a, 0x47e5173cdc919a41, 0xb64c40b0b8650646, 0x2c26273626f0dfdc}, 0xa4f9243384528c5a},
+	{1, "compress", [...]uint64{0xeba434b72ca3a85a, 0x648370e2ce4ba7aa, 0xa947bfbd9d6b501e, 0x353b9f22d7c8c8e9, 0x225e2d13bbca610c, 0x9720cf7db1592e34}, 0xa4f9243384528c5a},
+	{1, "fault", [...]uint64{0x609a17dc068d18cc, 0x6cfb6b5d2d79ab0d, 0x24e25c8ea79653b7, 0x1c54e56d746fb0b7, 0x20fcd29074e3a62e, 0x9f8628de3070ece3}, 0xa4f9243384528c5a},
+	{7, "sampler", [...]uint64{0x27c4856a0e1d562f, 0xebb060c4407004b0, 0x8c13d79b8fc43d98, 0x71c85fe79f0e2636, 0x35b8deaa738186e2, 0x78aeaa6cb360610c}, 0x7a5eefb48d711260},
+	{1 << 63, "fault", [...]uint64{0xec1129fb879ba852, 0xe5ce1c07615bfbb6, 0xcebbf18d83d044cb, 0xf026c4a936a23c07, 0xfdad098258375eb8, 0xdb9d6690d83bf3f0}, 0x581e24db75e7593f},
+}
+
+// TestDeriveFrozen pins the inline FNV-1a mix: Derive and DeriveInto must
+// reproduce the first draws of the frozen table and leave the parent at
+// the same cursor.
+func TestDeriveFrozen(t *testing.T) {
+	for _, row := range deriveFrozen {
+		viaNew, viaInto := New(row.seed), New(row.seed)
+		dst := New(99)
+		for i, idx := range deriveIndices {
+			child := viaNew.Derive(row.label, idx)
+			if g := child.Uint64(); g != row.first[i] {
+				t.Fatalf("seed %d: Derive(%q, %d) first draw %#x, frozen %#x", row.seed, row.label, idx, g, row.first[i])
+			}
+			dst.Perm(3) // a used stream, reseeded in place
+			viaInto.DeriveInto(dst, row.label, idx)
+			if g := dst.Uint64(); g != row.first[i] {
+				t.Fatalf("seed %d: DeriveInto(%q, %d) first draw %#x, frozen %#x", row.seed, row.label, idx, g, row.first[i])
+			}
+			if g, w := dst.Normal(0, 1), child.Normal(0, 1); g != w {
+				t.Fatalf("seed %d: DeriveInto(%q, %d) Normal %v, Derive's stream %v", row.seed, row.label, idx, g, w)
+			}
+		}
+		if g := viaNew.Uint64(); g != row.next {
+			t.Fatalf("seed %d %q: parent's next draw %#x, frozen %#x", row.seed, row.label, g, row.next)
+		}
+		if g := viaInto.Uint64(); g != row.next {
+			t.Fatalf("seed %d %q: parent's next draw after DeriveInto %#x, frozen %#x", row.seed, row.label, g, row.next)
+		}
+	}
+}
+
+// TestDeriveNMatchesDerive pins the batch form to n successive Derive
+// calls — the frozen sequence for seed 3, whole streams beyond the first
+// draw, the stdlib samplers included — and the parent's cursor after
+// them. It must allocate the slab and nothing else.
+func TestDeriveNMatchesDerive(t *testing.T) {
+	frozen := []uint64{0x76c15d5992cba774, 0x681595aad5932e4f, 0x465298a22587166d, 0xf598051964fae5f0, 0x18cd2d00c53773c5, 0xa4164beac45d3e33}
+	batch, serial := New(3), New(3)
+	got := batch.DeriveN("sampler", len(frozen))
+	for i := range got {
+		want := serial.Derive("sampler", i)
+		if g := got[i].Uint64(); g != frozen[i] || g != want.Uint64() {
+			t.Fatalf("DeriveN[%d] first draw %#x, frozen %#x", i, g, frozen[i])
+		}
+		for k := 0; k < 20; k++ {
+			if g, w := got[i].Normal(0, 1), want.Normal(0, 1); g != w {
+				t.Fatalf("DeriveN[%d] draw %d: Normal %v, Derive's stream %v", i, k, g, w)
+			}
+			if g, w := got[i].IntN(1000), want.IntN(1000); g != w {
+				t.Fatalf("DeriveN[%d] draw %d: IntN %d, Derive's stream %d", i, k, g, w)
+			}
+		}
+	}
+	if g, w := batch.Uint64(), serial.Uint64(); g != w || g != 0x1b8b0d4d00bf678 {
+		t.Fatalf("parent's next draw %#x after DeriveN, %#x after Derive, frozen %#x", g, w, 0x1b8b0d4d00bf678)
+	}
+	r, dst := New(5), New(6)
+	if a := testing.AllocsPerRun(100, func() { _ = r.DeriveN("sampler", 1000) }); a != 1 {
+		t.Fatalf("DeriveN(1000) makes %v allocations, want 1 (the slab)", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { r.DeriveInto(dst, "fault", 7); _ = dst.IntN(10) + int(dst.Normal(0, 1)) }); a != 0 {
+		t.Fatalf("DeriveInto + IntN + Normal makes %v allocations, want 0", a)
 	}
 }
 
