@@ -179,7 +179,7 @@ func TestF32SteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer s.close()
+			defer s.exec.close()
 			round := 0
 			for ; round < 5; round++ {
 				if halt, err := s.round(round); err != nil || halt {

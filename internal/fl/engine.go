@@ -3,7 +3,6 @@ package fl
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 
 	"repro/internal/compress"
@@ -122,7 +121,7 @@ func Run(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.Dataset, 
 	if err != nil {
 		return nil, err
 	}
-	defer s.close()
+	defer s.exec.close()
 
 	if err := s.runAll(false); err != nil {
 		return nil, err
@@ -142,7 +141,7 @@ func Resume(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.Datase
 	if err != nil {
 		return nil, err
 	}
-	defer s.close()
+	defer s.exec.close()
 
 	if err := s.restore(checkpoint, true); err != nil {
 		return nil, err
@@ -151,15 +150,6 @@ func Resume(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.Datase
 		return nil, err
 	}
 	return s.result(), nil
-}
-
-// close ends the run's goroutines: the cohort draw-ahead helper, after
-// joining a draw still in flight, and the executor's. Run, Resume, Serve
-// and ServeResume all end through it.
-func (s *scheduler) close() {
-	s.ahead.stop()
-	s.ahead = nil
-	s.exec.close()
 }
 
 // result packages the scheduler's final state.
@@ -267,9 +257,6 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 		ids:       make([]int, 0, n),
 	}
 	s.exec = pool
-	// The draw ahead needs a core the round's training leaves idle: on
-	// one, a sync or deadline run draws serially.
-	s.prefetch = cfg.Policy != PolicyAsync && runtime.GOMAXPROCS(0) > 1
 	s.activeIDs = make([]int, 0, n)
 	s.rebuildActive()
 	// No dispatch is larger than a full cohort: a round trains a subset of
@@ -280,9 +267,8 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 	s.measured = make([]float64, take)
 	if sampled {
 		// The active set only shrinks from n, and a restore refills it to at
-		// most n, so these bounds hold for the whole run.
-		s.permBuf = make([]int32, n)
-		s.picked = make([]int, take)
+		// most n, so this bound holds for the whole run.
+		s.mark = make([]uint64, (n+63)/64)
 	}
 	s.stack, _ = alg.(*stackedAlg)
 	if s.plan != nil && s.plan.anyDispatch {

@@ -44,7 +44,7 @@ func RunLaterCounts(cfg Config, alg Algorithm, net *nn.Network, shards []*datase
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	defer s.close()
+	defer s.exec.close()
 	if checkpoint != nil {
 		if err := s.restore(checkpoint, true); err != nil {
 			return nil, 0, 0, err

@@ -89,9 +89,21 @@ func referenceRun(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.
 		}
 		if f := cfg.ParticipationFraction; f > 0 && f < 1 {
 			take := max(int(f*float64(len(ids))+0.5), 1)
-			// Drawn with the stdlib's Perm, not the engine's sampler, so
-			// the oracle stays independent of the code it checks.
-			picked := participationRNG.Perm(len(ids))[:take]
+			// Floyd's algorithm as Bentley & Floyd state it (CACM 1987):
+			// for j from n−take to n−1, draw t uniform in [0, j]; add t to
+			// the sample unless it is there already, else add j. A map
+			// holds the sample, not the engine's bitset sampler, so the
+			// oracle stays independent of the code it checks.
+			inSample := make(map[int]bool, take)
+			picked := make([]int, 0, take)
+			for j := len(ids) - take; j < len(ids); j++ {
+				v := participationRNG.IntN(j + 1)
+				if inSample[v] {
+					v = j
+				}
+				inSample[v] = true
+				picked = append(picked, v)
+			}
 			sort.Ints(picked)
 			sampled := make([]int, take)
 			for j, p := range picked {

@@ -10,9 +10,10 @@ import (
 
 // checkGoroutines records the running goroutine count and, when the test
 // ends, polls runtime.NumGoroutine back down to it: a run's goroutines
-// (slot-pool workers, a replaying worker's extra slots, the cohort
-// draw-ahead helper, the wire executor's readers) exit asynchronously after their close, so the check waits up
-// to five seconds before it reports the stacks of what is still running.
+// (slot-pool workers, a replaying worker's extra slots, the wire
+// executor's readers) exit asynchronously after their close, so the check
+// waits up to five seconds before it reports the stacks of what is still
+// running.
 func checkGoroutines(t *testing.T) {
 	t.Helper()
 	base := runtime.NumGoroutine()
@@ -45,9 +46,8 @@ func (expelEveryone) Aggregate(s *ServerCtx, updates []Update) {
 }
 
 // TestNoGoroutineLeak runs each way a partial-participation run can end
-// under checkGoroutines: Run, Resume, the all-clients-expelled error (a
-// cohort draw is in flight when it surfaces), and a loopback Serve with
-// one RunWorkerOpts worker.
+// under checkGoroutines: Run, Resume, the all-clients-expelled error, and
+// a loopback Serve with one RunWorkerOpts worker.
 func TestNoGoroutineLeak(t *testing.T) {
 	network, shards, test := poolSetup(t, 8)
 	cfg := Config{Rounds: 6, LocalSteps: 2, BatchSize: 8, LocalLR: 0.05, Seed: 11, ParticipationFraction: 0.5}

@@ -148,7 +148,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer s.close()
+				defer s.exec.close()
 
 				if policy == PolicyAsync {
 					if err := s.setupAsync(); err != nil {
@@ -181,30 +181,37 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkParticipants times the round's participant sample alone on the
-// 100k fleet's shape — 100 shards tiled by pointer to 100 000 clients,
-// fraction 1e-4, so 10 clients a round: one Fisher–Yates pass over the
-// active set in the reused buffer, then the cohort's sort and mapping.
-// Rounds 1 leaves no next round to draw ahead, so every draw is serial and
-// the benchmark reads the draw's CPU cost, which a sync or deadline run
-// spends off the round's critical path.
+// BenchmarkParticipants times the round's participant sample alone:
+// Floyd's draw of the cohort's positions into the reused ids buffer
+// (rng.FloydInto over the scheduler's mark bitset), then its sort and
+// mapping through the active list. Two shapes: the 100k fleet's — 100
+// shards tiled by pointer to 100 000 clients, fraction 1e-4, so 10
+// clients a round — and the wire workloads', 500 of 1 000 clients. The
+// draw costs O(cohort), whatever the fleet size.
 func BenchmarkParticipants(b *testing.B) {
 	net, base, test := poolSetup(b, 100)
-	shards := tile(base, 100_000)
-	cfg := Config{Rounds: 1, LocalSteps: 1, BatchSize: 8, LocalLR: 0.05, Seed: 11, ParticipationFraction: 1e-4}
-	s, err := newScheduler(cfg, goldenFedAvg{}, net, shards, test)
-	if err != nil {
-		b.Fatal(err)
+	for _, shape := range []struct{ n, take int }{{100_000, 10}, {1_000, 500}} {
+		b.Run(fmt.Sprintf("n=%d/take=%d", shape.n, shape.take), func(b *testing.B) {
+			frac := float64(shape.take) / float64(shape.n)
+			cfg := Config{Rounds: 1, LocalSteps: 1, BatchSize: 8, LocalLR: 0.05, Seed: 11, ParticipationFraction: frac}
+			s, err := newScheduler(cfg, goldenFedAvg{}, net, tile(base, shape.n), test)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.exec.close()
+			if take, _ := s.cohort(shape.n); take != shape.take {
+				b.Fatalf("cohort of %d, want %d", take, shape.take)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.participants(i); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/round")
+		})
 	}
-	defer s.close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.participants(i); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/round")
 }
 
 // tile repeats shards by pointer into a fleet of n client identities.
@@ -258,7 +265,7 @@ func TestFleetSetupAllocs(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					s.close()
+					s.exec.close()
 				})
 				worker[k] = setupMallocs(func() {
 					if _, err := newFleet(&fc.cfg, shards, 0, false); err != nil {
@@ -318,7 +325,7 @@ func BenchmarkFleetSetup(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				s.close()
+				s.exec.close()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/client")
 		})
@@ -448,7 +455,7 @@ func TestSlotPoolMemoryFootprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.close()
+		defer s.exec.close()
 		for round := 0; round < 3; round++ {
 			if halt, err := s.round(round); err != nil || halt {
 				t.Fatalf("round %d: halt=%v err=%v", round, halt, err)
@@ -539,7 +546,7 @@ func TestSlotPoolF32Footprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.close()
+		defer s.exec.close()
 		// Three rounds force the lazily allocated state (engine gradient
 		// buffers, delta ring) to its steady-state high-water mark.
 		for round := 0; round < 3; round++ {
@@ -586,7 +593,7 @@ func TestDeltaRingReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.close()
+	defer s.exec.close()
 	for round := 0; round < 3; round++ {
 		if halt, err := s.round(round); err != nil || halt {
 			t.Fatalf("round %d: halt=%v err=%v", round, halt, err)
@@ -625,7 +632,7 @@ func TestSnapshotAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.close()
+		defer s.exec.close()
 		if err := s.setupAsync(); err != nil {
 			t.Fatal(err)
 		}

@@ -65,17 +65,10 @@ type scheduler struct {
 	// aggregate and the load direction of the checkpoint walk — so a
 	// round reads it instead of walking the fleet's flags.
 	activeIDs []int
-	// Partial-participation sampler buffers, sized at setup: permBuf is
-	// the Fisher–Yates scratch over active positions, picked the cohort's
-	// sampled positions. While a draw ahead is in flight they belong to
-	// its helper goroutine (ahead, started by the first sampled round of
-	// a prefetch run; nil otherwise). prefetch is fixed when the
-	// scheduler is built: a sync or deadline run on more than one core
-	// (runtime.GOMAXPROCS).
-	permBuf  []int32
-	picked   []int
-	ahead    *drawAhead
-	prefetch bool
+	// mark is the partial-participation sampler's bitset over active
+	// positions (rng.FloydInto), sized at setup to the fleet; nil when
+	// every active client takes part.
+	mark []uint64
 
 	// Reusable per-round state (capacity n, sliced per round). The
 	// admission rules compact ids in place into the admitted cohort.
@@ -148,12 +141,9 @@ type scheduler struct {
 // participants collects the round's participating clients in ID order
 // into the scheduler's reusable ids buffer, applying the partial-
 // participation sampler, and errors when every client has been expelled.
-// The sample is Perm(active)[:take] drawn into the reused buffers, sorted,
-// and mapped through activeIDs, so ids stays ascending. A sync or
-// deadline round on more than one core then hands the next round's draw
-// to the helper, which makes it while this round trains; the next call
-// adopts that draw when it is the one this call would make, and draws
-// serially otherwise.
+// The sample is take distinct active positions drawn with Floyd's
+// algorithm into ids, sorted, and mapped through activeIDs in place, so
+// ids stays ascending.
 func (s *scheduler) participants(t int) ([]int, error) {
 	act := s.activeIDs
 	if len(act) == 0 {
@@ -164,111 +154,13 @@ func (s *scheduler) participants(t int) ([]int, error) {
 		// Callers compact ids in place, so they get a copy, never the list.
 		return append(s.ids[:0], act...), nil
 	}
-	picked := s.picked[:take]
-	if !s.ahead.adopt(s.partRNG, len(act)) {
-		s.partRNG.SampleInto(picked, s.permBuf, len(act))
-	}
-	slices.Sort(picked)
 	ids := s.ids[:take]
-	for j, p := range picked {
+	s.partRNG.FloydInto(ids, s.mark, len(act))
+	slices.Sort(ids)
+	for j, p := range ids {
 		ids[j] = act[p]
 	}
-	if s.prefetch && t+1 < s.cfg.Rounds {
-		if s.ahead == nil {
-			s.ahead = newDrawAhead(s.picked, s.permBuf)
-		}
-		s.ahead.start(s.partRNG, len(act), take)
-	}
 	return ids, nil
-}
-
-// drawAhead is the scheduler's one helper goroutine for the partial-
-// participation draw. start hands it the committed cursor and the active
-// count; it runs the unchanged SampleInto from a copy of that cursor into
-// the scheduler's picked and permBuf while the round trains, and keeps
-// the cursor the draw ends at. The draw is a pure function of (cursor,
-// n), so adopt takes it only when the committed cursor and the active
-// count still equal the ones it started from: an expulsion changes the
-// count and a restore the cursor, and either just fails the comparison —
-// no hook is needed. A divergence rollback keeps the live cursor, so it
-// keeps adopting. Cursors travel in fixed 20-byte buffers, so a round's
-// handoff allocates nothing.
-type drawAhead struct {
-	req, done chan struct{}
-	rng       *rng.RNG // the helper's stream, set to from before each draw
-	picked    []int
-	perm      []int32
-	n, take   int
-	busy      bool     // a draw is in flight: picked and perm are the helper's
-	from, to  [20]byte // the cursor a draw starts from, and ends at
-	cur       [20]byte // the committed cursor, read by adopt
-	adopted   int      // joins that took the helper's draw
-	discarded int      // joins that drew serially instead
-}
-
-// newDrawAhead starts the helper goroutine over the scheduler's sampler
-// buffers. The scheduler's close stops it.
-func newDrawAhead(picked []int, perm []int32) *drawAhead {
-	d := &drawAhead{
-		req:    make(chan struct{}, 1),
-		done:   make(chan struct{}, 1),
-		rng:    rng.New(0),
-		picked: picked,
-		perm:   perm,
-	}
-	go d.loop()
-	return d
-}
-
-// loop is the helper goroutine: one draw per request, until stop.
-func (d *drawAhead) loop() {
-	defer close(d.done)
-	for range d.req {
-		// from was written by AppendBinary, so it always unmarshals.
-		_ = d.rng.UnmarshalBinary(d.from[:])
-		d.rng.SampleInto(d.picked[:d.take], d.perm, d.n)
-		_, _ = d.rng.AppendBinary(d.to[:0])
-		d.done <- struct{}{}
-	}
-}
-
-// start hands the helper the draw of take of n active positions from
-// committed's cursor.
-func (d *drawAhead) start(committed *rng.RNG, n, take int) {
-	_, _ = committed.AppendBinary(d.from[:0])
-	d.n, d.take, d.busy = n, take, true
-	d.req <- struct{}{}
-}
-
-// adopt joins the draw in flight, if any, and reports whether it is the
-// draw of n active positions from committed's cursor; if so, picked holds
-// it and committed moves to the cursor the draw ended at. A nil helper
-// adopts nothing.
-func (d *drawAhead) adopt(committed *rng.RNG, n int) bool {
-	if d == nil || !d.busy {
-		return false
-	}
-	<-d.done
-	d.busy = false
-	cur, _ := committed.AppendBinary(d.cur[:0])
-	if d.n != n || !bytes.Equal(cur, d.from[:]) {
-		d.discarded++
-		return false
-	}
-	d.adopted++
-	_ = committed.UnmarshalBinary(d.to[:])
-	return true
-}
-
-// stop joins the draw in flight, if any, and ends the helper goroutine.
-// A nil helper has nothing to stop.
-func (d *drawAhead) stop() {
-	if d == nil {
-		return
-	}
-	close(d.req)
-	for range d.done {
-	}
 }
 
 // cohort returns how many of nActive active clients a round takes and

@@ -113,7 +113,7 @@ func Serve(ln net.Listener, opt ServeOptions, cfg Config, alg Algorithm, network
 	if err != nil {
 		return nil, err
 	}
-	defer s.close()
+	defer s.exec.close()
 	if err := s.runAll(false); err != nil {
 		return nil, err
 	}
@@ -133,7 +133,7 @@ func ServeResume(ln net.Listener, opt ServeOptions, checkpoint []byte, cfg Confi
 	if err != nil {
 		return nil, err
 	}
-	defer s.close()
+	defer s.exec.close()
 	if err := s.restore(checkpoint, true); err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ import (
 // repository needs beyond math/rand/v2. It owns its PCG (pcg.go) so the
 // stream cursor can be checkpointed (MarshalBinary, AppendBinary) and
 // restored (UnmarshalBinary) for bit-identical resume, and so the hot
-// draws (Uint64, Float64, Float64s, IntN, SampleInto) skip the
+// draws (Uint64, Float64, Float64s, IntN, SampleInto, FloydInto) skip the
 // Rand→Source interface call. src is the stdlib's view of the same PCG,
 // for its samplers (Normal, Perm, Shuffle, Gamma). It is held by value,
 // so an RNG is one object: DeriveN lays out a whole fleet's streams in
@@ -285,6 +285,34 @@ func (r *RNG) SampleInto(dst []int, scratch []int32, n int) {
 	}
 	for i := range dst {
 		dst[i] = int(p[i])
+	}
+}
+
+// FloydInto fills dst with k = len(dst) distinct values of [0, n), every
+// k-subset equally likely, by Floyd's algorithm (Bentley & Floyd, CACM
+// 1987): the i-th value is v = IntN(j+1) with j = n−k+i, or j when v is
+// taken already. It makes exactly k draws. mark is a caller-owned all-zero
+// bitset of at least n bits that tells taken values; it is zero again on
+// return. It panics when len(dst) > n or mark is too short.
+func (r *RNG) FloydInto(dst []int, mark []uint64, n int) {
+	k := len(dst)
+	if k > n {
+		panic("rng: FloydInto requires len(dst) <= n")
+	}
+	if len(mark) < (n+63)/64 {
+		panic("rng: FloydInto requires a mark bitset of n bits")
+	}
+	for i := range dst {
+		j := n - k + i
+		v := int(r.uint64n(uint64(j + 1)))
+		if mark[v>>6]&(1<<(v&63)) != 0 {
+			v = j
+		}
+		mark[v>>6] |= 1 << (v & 63)
+		dst[i] = v
+	}
+	for _, v := range dst {
+		mark[v>>6] = 0
 	}
 }
 

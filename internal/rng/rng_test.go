@@ -443,3 +443,132 @@ func TestPermIsPermutation(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+// TestFloydIntoAccounting pins FloydInto's draw order exactly: a twin
+// stream making k successive IntN(n−k+i+1) calls gives every value, with
+// j = n−k+i in place of a draw that is already in dst[:i], and ends at
+// the same cursor. The values are distinct and in [0, n), and the mark
+// bitset is all zero again afterwards. The sizes cover k = 0, k = n and
+// n = 1, both uint64n branches, and bitsets whose last word is partial.
+func TestFloydIntoAccounting(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 8, 63, 64, 65, 1000, 100_000} {
+		mark := make([]uint64, (n+63)/64)
+		for _, k := range []int{0, 1, (n + 9) / 10, n / 2, n} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				got, twin := New(seed), New(seed)
+				dst := make([]int, k)
+				got.FloydInto(dst, mark, n)
+				seen := make(map[int]bool, k)
+				for i, v := range dst {
+					j := n - k + i
+					want := twin.IntN(j + 1)
+					if seen[want] {
+						want = j
+					}
+					if v != want {
+						t.Fatalf("n=%d k=%d seed=%d: dst[%d] = %d, the twin stream gives %d", n, k, seed, i, v, want)
+					}
+					if v < 0 || v >= n || seen[v] {
+						t.Fatalf("n=%d k=%d seed=%d: dst[%d] = %d repeats or leaves [0, %d)", n, k, seed, i, v, n)
+					}
+					seen[v] = true
+				}
+				gc, _ := got.MarshalBinary()
+				tc, _ := twin.MarshalBinary()
+				if !bytes.Equal(gc, tc) {
+					t.Fatalf("n=%d k=%d seed=%d: cursor %x after the draw, %x after %d IntN calls", n, k, seed, gc, tc, k)
+				}
+				for w, bits := range mark {
+					if bits != 0 {
+						t.Fatalf("n=%d k=%d seed=%d: mark word %d left at %x", n, k, seed, w, bits)
+					}
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		k, n, m int
+	}{{"k>n", 4, 3, 1}, {"short mark", 1, 65, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: FloydInto(k=%d, %d mark words, n=%d) did not panic", c.name, c.k, c.m, c.n)
+				}
+			}()
+			New(1).FloydInto(make([]int, c.k), make([]uint64, c.m), c.n)
+		}()
+	}
+}
+
+// TestFloydIntoUniform checks FloydInto against the uniform law on
+// k-subsets of [0, n), an oracle outside the sampler: every value is in
+// the sample with probability k/n, and every pair with probability
+// k(k−1)/(n(n−1)). Fixed before the first run: 200 000 draws from one
+// stream, New(1987), per shape, and critical values of the χ² law at
+// p = 1e-6.
+//
+//   - Singles at (n, k) = (50, 5) and (1000, 10). The inclusion counts
+//     sum to trials·k, and their covariance is a·(I − J/n) with
+//     a = trials·k(n−k)/(n(n−1)), so Σ(c − E)²/a is χ² with n−1 degrees
+//     of freedom: critical values 111.1 (df 49) and 1226.0 (df 999).
+//   - Pairs at (50, 5): Pearson's Σ(c − E)²/E over the 1 225 pairs,
+//     against 1473.7 (df 1224). Its mean under the law is 1 215.
+func TestFloydIntoUniform(t *testing.T) {
+	const trials = 200_000
+	for _, c := range []struct {
+		n, k          int
+		single, pairs float64 // critical values; 0 skips the pair test
+	}{
+		{50, 5, 111.1, 1473.7},
+		{1000, 10, 1226.0, 0},
+	} {
+		r := New(1987)
+		mark := make([]uint64, (c.n+63)/64)
+		dst := make([]int, c.k)
+		singles := make([]float64, c.n)
+		var pairs []float64 // [u*n+v] for u < v
+		if c.pairs != 0 {
+			pairs = make([]float64, c.n*c.n)
+		}
+		for range trials {
+			r.FloydInto(dst, mark, c.n)
+			for i, u := range dst {
+				singles[u]++
+				if c.pairs == 0 {
+					continue
+				}
+				for _, v := range dst[i+1:] {
+					pairs[min(u, v)*c.n+max(u, v)]++
+				}
+			}
+		}
+		n, k := float64(c.n), float64(c.k)
+		e := trials * k / n
+		a := trials * k * (n - k) / (n * (n - 1))
+		var chi float64
+		for _, cnt := range singles {
+			chi += (cnt - e) * (cnt - e) / a
+		}
+		t.Logf("(n, k) = (%d, %d): singles χ² = %.1f on df %d (critical %.1f)", c.n, c.k, chi, c.n-1, c.single)
+		if chi > c.single {
+			t.Errorf("(n, k) = (%d, %d): single-inclusion χ² = %.1f exceeds %.1f", c.n, c.k, chi, c.single)
+		}
+		if c.pairs == 0 {
+			continue
+		}
+		e = trials * k * (k - 1) / (n * (n - 1))
+		chi = 0
+		for u := 0; u < c.n; u++ {
+			for v := u + 1; v < c.n; v++ {
+				cnt := pairs[u*c.n+v]
+				chi += (cnt - e) * (cnt - e) / e
+			}
+		}
+		df := c.n*(c.n-1)/2 - 1
+		t.Logf("(n, k) = (%d, %d): pairs χ² = %.1f on df %d (critical %.1f)", c.n, c.k, chi, df, c.pairs)
+		if chi > c.pairs {
+			t.Errorf("(n, k) = (%d, %d): pairwise-inclusion χ² = %.1f exceeds %.1f", c.n, c.k, chi, c.pairs)
+		}
+	}
+}
