@@ -124,8 +124,8 @@ func run() error {
 	run := res.Run
 	accs := make([]float64, len(run.Rounds))
 	for i, rec := range run.Rounds {
-		fmt.Printf("round %3d  acc %.4f  loss %.4f  t_model %.3fs  t_real %.3fs",
-			rec.Index+1, rec.Accuracy, rec.TrainLoss, rec.SlowestModeledSec, rec.SlowestMeasuredSec)
+		fmt.Printf("round %3d  acc %.4f  top %.3f  loss %.4f  t_model %.3fs  t_real %.3fs",
+			rec.Index+1, rec.Accuracy, rec.TopClassShare, rec.TrainLoss, rec.SlowestModeledSec, rec.SlowestMeasuredSec)
 		if cfg.Policy != fl.PolicySync {
 			fmt.Printf("  stale %.2f/%d  drop %d", rec.MeanStaleness, rec.MaxStaleness, rec.DroppedClients)
 		}

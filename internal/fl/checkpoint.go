@@ -33,7 +33,7 @@ import (
 
 // The magic names the format; a blob of any older format is rejected by
 // the magic check rather than silently misparsed.
-var runCkptMagic = [8]byte{'F', 'L', 'C', 'K', 'P', 'T', '0', '4'}
+var runCkptMagic = [8]byte{'F', 'L', 'C', 'K', 'P', 'T', '0', '5'}
 
 // StatefulAlgorithm is implemented by algorithms that carry cross-round
 // state a checkpoint must capture — control variates (Scaffold), client
@@ -64,6 +64,7 @@ func (s *scheduler) fingerprint() uint64 {
 // into the reusable checkpoint buffer, retains it for in-run recovery,
 // and hands it to the OnCheckpoint callback when one is set.
 func (s *scheduler) snapshot(t int) error {
+	s.joinEval()
 	if len(s.buffer) != 0 {
 		return fmt.Errorf("fl: checkpoint at round %d with %d buffered async updates (not a round boundary)", t, len(s.buffer))
 	}
@@ -102,6 +103,7 @@ func (s *scheduler) restoreLast(applyRNG bool) (int, error) {
 // (enforced by the header fingerprint). With applyRNG false the stream
 // cursors in the checkpoint are consumed but not applied.
 func (s *scheduler) restore(data []byte, applyRNG bool) error {
+	s.joinEval()
 	r := bytes.NewReader(data)
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -347,6 +349,7 @@ func walkRunHistory(c *ckpt.Codec, run *metrics.Run, maxRounds int) {
 func walkRound(c *ckpt.Codec, rec *metrics.Round) {
 	c.Int(&rec.Index)
 	c.F64(&rec.Accuracy)
+	c.F64(&rec.TopClassShare)
 	c.F64(&rec.TrainLoss)
 	c.F64(&rec.SlowestModeledSec)
 	c.F64(&rec.SlowestMeasuredSec)

@@ -3,6 +3,7 @@ package fl
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 
 	"repro/internal/compress"
@@ -98,6 +99,49 @@ func newFleet(cfg *Config, shards []*dataset.Dataset, baseRound float64, server 
 		f.plan = newFaultPlan(cfg, n, baseRound, root)
 	}
 	return f, nil
+}
+
+// compressor is the slot pool's uplink codec state (DESIGN.md §7): the
+// shared stateless codec plus the per-client mutable pieces — the
+// error-feedback residual, allocated lazily on first participation like
+// Scaffold's control variates (nil = zero vector), and the deterministic
+// quantization stream, derived after every honest stream at setup so a
+// codec-free config's draws are untouched. A client is in flight at most
+// once at any instant under every policy, so workers touch disjoint
+// residuals and streams without locking.
+type compressor struct {
+	codec   compress.Codec
+	resid   [][]float64 // error-feedback residuals; nil rows until first use
+	resid32 [][]float32 // fp32 residuals under DType "f32" (resid stays nil)
+	streams []rng.RNG   // indexed by client id
+}
+
+// compress runs the error-feedback encode step for one upload on the
+// checkout path: u.Delta is folded with the client's residual, encoded
+// into the ring buffer's payload, and replaced by the decoded
+// server-visible update; the residual keeps the mass the codec dropped
+// for the client's next round (compress.EncodeEF).
+func (c *compressor) compress(u *Update, sl *slot) {
+	id := u.Client
+	if c.resid32 != nil {
+		// fp32 mode: the residual rides the slot dtype — it carries
+		// client-local dropped mass, the same precision class as the
+		// client's training state — while the encode/decode arithmetic
+		// stays float64 on the widened delta (compress.EncodeEF32).
+		e := c.resid32[id]
+		if e == nil {
+			e = make([]float32, len(u.Delta))
+			c.resid32[id] = e
+		}
+		compress.EncodeEF32(c.codec, u.Payload, u.Delta, e, &c.streams[id], sl.scratch)
+		return
+	}
+	e := c.resid[id]
+	if e == nil {
+		e = make([]float64, len(u.Delta))
+		c.resid[id] = e
+	}
+	compress.EncodeEF(c.codec, u.Payload, u.Delta, e, &c.streams[id], sl.scratch)
 }
 
 // shardSizes returns each client's sample count, rejecting an empty
@@ -234,7 +278,7 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 	if remote {
 		pool = newRingPool(env.NumParams)
 	} else {
-		pool = newSlotPool(net, cfg, n, cfg.Policy == PolicyAsync)
+		pool = newSlotPool(net, cfg, min(cfg.parallelism(), n), n, cfg.Policy == PolicyAsync)
 	}
 	pool.comp = f.comp
 
@@ -249,8 +293,7 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 		active:    active,
 		expelled:  make(map[int]int),
 		run:       &metrics.Run{Algorithm: alg.Name(), Dataset: test.Name},
-		evalEng:   nn.NewEngine(net, min(256, max(1, test.Len()))),
-		test:      test,
+		eval:      newEvalTask(net, test, min(len(pool.slots), runtime.GOMAXPROCS(0))),
 		baseRound: baseRound,
 		partRNG:   &f.partRNG,
 		plan:      f.plan,
@@ -289,6 +332,54 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 	s.run.Rounds = make([]metrics.Round, 0, cfg.Rounds)
 	s.server = ServerCtx{Env: env, Active: active}
 	return s, nil
+}
+
+// slot bundles the training resources one in-flight local round needs: an
+// execution engine (activation/gradient arenas sized for the batch), the
+// w0/w/grad/scratch parameter buffers and the mini-batch staging buffers.
+// Slots carry no client identity — every buffer is fully overwritten by
+// each local round, so which slot serves which client is invisible in the
+// results (the P=1-vs-P=8 bit-identity tests pin this).
+type slot struct {
+	eng                  *nn.Engine[float64] // float64 engine; nil under DType "f32"
+	w0, w, grad, scratch []float64
+	batchX               []float64
+	batchY               []int
+	// The float32 compute path (Config.DType "f32", DESIGN.md §10): the
+	// fp32 engine replaces the fp64 one and the four fp32 twins bridge the
+	// hot loop; w0/w/grad/scratch stay the float64 views every algorithm
+	// hook reads, kept in sync by localUpdate32.
+	eng32    *nn.Engine[float32]
+	w32      []float32
+	grad32   []float32
+	corr32   []float32 // narrowed fused-correction vector
+	batchX32 []float32
+	// ctx is the slot's reusable StepCtx: the interface call to GradAdjust
+	// would otherwise force a fresh one to escape every round.
+	ctx StepCtx
+}
+
+// newSlot allocates one slot's engine and buffers.
+func newSlot(net *nn.Network, cfg Config) *slot {
+	d, inSize, batch := net.NumParams(), net.InShape().Size(), cfg.BatchSize
+	sl := &slot{
+		w0:      make([]float64, d),
+		w:       make([]float64, d),
+		grad:    make([]float64, d),
+		scratch: make([]float64, d),
+		batchX:  make([]float64, batch*inSize),
+		batchY:  make([]int, batch),
+	}
+	if cfg.isF32() {
+		sl.eng32 = nn.NewEngine32(net, batch)
+		sl.w32 = make([]float32, d)
+		sl.grad32 = make([]float32, d)
+		sl.corr32 = make([]float32, d)
+		sl.batchX32 = make([]float32, batch*inSize)
+	} else {
+		sl.eng = nn.NewEngine(net, batch)
+	}
+	return sl
 }
 
 // localUpdate runs the K-step local loop of Eq. (4) with the algorithm's

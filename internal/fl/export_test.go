@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,10 +14,11 @@ import (
 var CheckGoroutines = checkGoroutines
 
 // ObserveReplayWidth hooks every RunWorkerOpts started during the test
-// and returns a reader of two sums over their slot pools, valid once the
-// workers have returned: the extra slots grown for history replay, and
-// the Adopt sub-batches that ran on more than one slot.
-func ObserveReplayWidth(t *testing.T) func() (extra, widened int) {
+// and returns a reader of the client rounds their pools' worker
+// goroutines ran, valid once the workers have returned. A worker's live
+// rounds are Parallelism wide, so at Parallelism 1 only adopted history
+// reaches its worker goroutines.
+func ObserveReplayWidth(t *testing.T) func() (offloaded int) {
 	var mu sync.Mutex
 	var pools []*slotPool
 	workerObserve = func(p *slotPool) {
@@ -25,33 +27,55 @@ func ObserveReplayWidth(t *testing.T) func() (extra, widened int) {
 		mu.Unlock()
 	}
 	t.Cleanup(func() { workerObserve = nil })
-	return func() (extra, widened int) {
+	return func() (offloaded int) {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, p := range pools {
-			extra += max(0, p.width-p.slots)
-			widened += p.widened
+			offloaded += int(p.offloaded.Load())
 		}
-		return extra, widened
+		return offloaded
 	}
 }
 
 // RunLaterCounts is Run, or Resume when checkpoint is not nil, that also
-// returns how many of the one-client rounds the run queued on its pool
-// (slotPool.runLater) ran on the caller's slot and on the workers' slots.
-func RunLaterCounts(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.Dataset, test *dataset.Dataset, checkpoint []byte) (res *Result, helped, offloaded int, err error) {
+// returns how many client rounds the pool's worker goroutines ran.
+func RunLaterCounts(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.Dataset, test *dataset.Dataset, checkpoint []byte) (res *Result, offloaded int, err error) {
 	s, err := newScheduler(cfg, alg, net, shards, test)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	defer s.exec.close()
 	if checkpoint != nil {
 		if err := s.restore(checkpoint, true); err != nil {
-			return nil, 0, 0, err
+			return nil, 0, err
 		}
 	}
 	if err := s.runAll(checkpoint != nil); err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
-	return s.result(), s.pool.helped, s.pool.offloaded, nil
+	return s.result(), int(s.pool.offloaded.Load()), nil
 }
+
+// naiveEval recounts a model's test accuracy and top-class share over
+// Engine.Predict, one batch after another, with the evaluation's batch
+// size.
+func naiveEval(net *nn.Network, w []float64, test *dataset.Dataset) (acc, top float64) {
+	batch, in := min(256, max(1, test.Len())), net.InShape().Size()
+	eng, preds, classes := nn.NewEngine(net, batch), make([]int, batch), make([]int, net.OutSize())
+	correct := 0
+	for start := 0; start < test.Len(); start += batch {
+		end := min(start+batch, test.Len())
+		eng.Predict(w, test.X[start*in:end*in], end-start, preds)
+		for k, c := range preds[:end-start] {
+			classes[c]++
+			if c == test.Y[start+k] {
+				correct++
+			}
+		}
+	}
+	n := float64(max(1, test.Len()))
+	return float64(correct) / n, float64(slices.Max(classes)) / n
+}
+
+// NaiveEval lends naiveEval to the external tests.
+var NaiveEval = naiveEval

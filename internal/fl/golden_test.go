@@ -46,7 +46,7 @@ func referenceRun(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.
 	// now pooled, but the local-update arithmetic and ordering it pins are
 	// unchanged (runRound fills updates[j] for ids[j] exactly as the old
 	// per-client engines did).
-	pool := newSlotPool(net, cfg, n, false)
+	pool := newSlotPool(net, cfg, min(cfg.parallelism(), n), n, false)
 	defer pool.close()
 
 	env := &Env{
@@ -167,10 +167,14 @@ func referenceRun(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.
 			UplinkBytes:      8 * int64(numParams) * int64(len(updates)),
 			CompressionRatio: 1,
 		}
+		// The reference loop predates the top-class share; it recounts it
+		// naively over the same model.
 		if (t+1)%cfg.evalEvery() == 0 || t == cfg.Rounds-1 {
 			rec.Accuracy = evalEng.Accuracy(alg.FinalModel(params), test.X, test.Y)
+			_, rec.TopClassShare = naiveEval(net, alg.FinalModel(params), test)
 		} else if len(run.Rounds) > 0 {
 			rec.Accuracy = run.Rounds[len(run.Rounds)-1].Accuracy
+			rec.TopClassShare = run.Rounds[len(run.Rounds)-1].TopClassShare
 		}
 		run.Append(rec)
 	}

@@ -10,8 +10,7 @@ import (
 
 // checkGoroutines records the running goroutine count and, when the test
 // ends, polls runtime.NumGoroutine back down to it: a run's goroutines
-// (slot-pool workers, a replaying worker's extra slots, the wire
-// executor's readers) exit asynchronously after their close, so the check
+// (slot-pool workers, the wire executor's readers) exit asynchronously after their close, so the check
 // waits up to five seconds before it reports the stacks of what is still
 // running.
 func checkGoroutines(t *testing.T) {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,8 +48,10 @@ func poolSetup(t testing.TB, n int) (*nn.Network, []*dataset.Dataset, *dataset.D
 // provisioned at setup, and with an uplink codec live (top-k or int8),
 // whose payload buffers ride the delta ring and whose error-feedback
 // residuals are lazily allocated during warmup. Evaluation is pushed
-// past the measured window (EvalEvery) because test-set accuracy is on
-// the eval cadence, not the per-round hot path. Fault injection rides
+// past the measured window (EvalEvery) except in the -eval variants,
+// whose every round queues its evaluation job on the pool: its shards'
+// engines, prediction buffers and class tallies exist after the first
+// evaluation, so it allocates nothing either. Fault injection rides
 // the same contract: the fault plan, dup flags, and retry tables are all
 // provisioned at setup, so fault-resolved rounds (crash/drop/dup/slow
 // draws, retry chains, quorum checks) allocate nothing either —
@@ -75,8 +79,10 @@ func TestSteadyStateAllocs(t *testing.T) {
 		stacked  bool
 		partial  float64
 		fleet    int // client identities, the shards tiled by pointer; 0 keeps the 8 shards
+		eval     bool
 	}{
 		{name: "", adv: false},
+		{name: "-eval", eval: true},
 		{name: "-injectors", adv: true},
 		{name: "-topk", compress: compress.Spec{Kind: compress.KindTopK, TopKFrac: 0.1}},
 		{name: "-int8", compress: compress.Spec{Kind: compress.KindInt8, Chunk: 256}},
@@ -115,6 +121,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 					Policy:     policy,
 					Compress:   v.compress,
 				}
+				if v.eval {
+					cfg.EvalEvery = 1
+				}
 				cfg.ParticipationFraction = v.partial
 				if v.adv {
 					cfg.Adversaries = injectors
@@ -136,8 +145,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 					cfg.RoundDeadlineSec = 10 * simclock.RoundSeconds(net.GradFlops(cfg.BatchSize), cfg.LocalSteps, simclock.Plain())
 				case PolicyAsync:
 					cfg.AsyncBuffer = 3
-					// Two slots on any host, so the pool's later queue
-					// (runLater) is live and held to 0 allocations too.
+					// Two slots on any host, so queued rounds (runLater)
+					// train on a worker goroutine and are held to 0
+					// allocations too.
 					cfg.Parallelism = 2
 				}
 				fleet := shards
@@ -233,8 +243,8 @@ func TestFleetSetupAllocs(t *testing.T) {
 	}
 	net, base, test := poolSetup(t, 8)
 	// The cases: partial participation (the sampler buffers), async (the
-	// flight table is built by setupAsync, not here; one slot, because a
-	// later queue makes a done channel per client), and an int8 codec with
+	// flight table is built by setupAsync, not here; one slot, so no
+	// queued-round table), and an int8 codec with
 	// every dispatch fault (quantization streams, residual rows, fault
 	// slabs and streams). Parallelism is fixed so the slot count does not
 	// follow the host's cores.
@@ -548,10 +558,20 @@ func TestSlotPoolF32Footprint(t *testing.T) {
 		}
 		defer s.exec.close()
 		// Three rounds force the lazily allocated state (engine gradient
-		// buffers, delta ring) to its steady-state high-water mark.
+		// buffers, delta ring) to its steady-state high-water mark. A round
+		// need not reach every slot, so each one then trains once more.
 		for round := 0; round < 3; round++ {
 			if halt, err := s.round(round); err != nil || halt {
 				t.Fatalf("round %d: halt=%v err=%v", round, halt, err)
+			}
+		}
+		delta := make([]float64, net.NumParams())
+		for _, sl := range s.pool.slots {
+			c := &s.clients[0]
+			if s.cfg.isF32() {
+				localUpdate32(&s.cfg, s.alg, c, sl, delta, 3, s.params, c.sampler)
+			} else {
+				localUpdate(&s.cfg, s.alg, c, sl, delta, 3, s.params, c.sampler)
 			}
 		}
 		live := liveHeap() - before
@@ -581,6 +601,56 @@ func TestSlotPoolF32Footprint(t *testing.T) {
 	if slot64 > 1317<<10 || slot32 > 832<<10 {
 		t.Fatalf("per-slot heap f64 %.1f KiB / f32 %.1f KiB: above the 1317 / 832 KiB a slot without an input-gradient buffer stays under",
 			slot64/(1<<10), slot32/(1<<10))
+	}
+}
+
+// barrierJob is a pool job whose first width positions each wait until
+// all width of them are running, and which records the slot every
+// position ran on.
+type barrierJob struct {
+	progress
+	width   int
+	arrived atomic.Int32
+	all     chan struct{}
+	mu      sync.Mutex
+	ran     map[*slot]bool
+	late    atomic.Bool
+}
+
+func (b *barrierJob) run(i int, sl *slot) {
+	if i < b.width {
+		if int(b.arrived.Add(1)) == b.width {
+			close(b.all)
+		}
+		select {
+		case <-b.all:
+		case <-time.After(10 * time.Second):
+			b.late.Store(true)
+		}
+	}
+	b.mu.Lock()
+	b.ran[sl] = true
+	b.mu.Unlock()
+}
+
+// TestSlotPoolRoundWidth pins a round's width on the one queue: a job of
+// width w queued with w−1 jobs is run by the caller's join and w−1 worker
+// goroutines at once, each on its own slot, and by no other runner,
+// whatever the pool's size. Its first w positions meet at a barrier, so
+// a job spread over fewer runners would stall there.
+func TestSlotPoolRoundWidth(t *testing.T) {
+	checkGoroutines(t)
+	net, _, _ := poolSetup(t, 8)
+	p := newSlotPool(net, Config{BatchSize: 8}, 4, 8, false)
+	defer p.close()
+	for width := 1; width <= 4; width++ {
+		b := &barrierJob{width: width, all: make(chan struct{}), ran: map[*slot]bool{}}
+		b.done = make(chan struct{}, 1)
+		p.start(b, 4*width, width-1)
+		p.join(b)
+		if b.late.Load() || len(b.ran) != width || !b.ran[p.own] {
+			t.Fatalf("width %d ran on %d slots (own %v, barrier timed out %v), want %d including the caller's", width, len(b.ran), b.ran[p.own], b.late.Load(), width)
+		}
 	}
 }
 

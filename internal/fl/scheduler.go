@@ -6,9 +6,7 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/dataset"
 	"repro/internal/metrics"
-	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/vecmath"
 )
@@ -25,7 +23,7 @@ import (
 // is exactly the state at its dispatch version, which is what makes
 // stale-correction dynamics faithful without racing the server's
 // aggregation step. It runs at dispatch, or — an async arrival's
-// re-dispatch — on the pool's later queue before the next aggregate.
+// re-dispatch — queued on the pool and joined before the next aggregate.
 // Per-client algorithm state written by EndLocal therefore reflects the
 // client's latest dispatched round, which under the async policy may be
 // ahead of an update still waiting in the server buffer.
@@ -52,8 +50,10 @@ type scheduler struct {
 	active   []bool
 	expelled map[int]int
 	run      *metrics.Run
-	evalEng  *nn.Engine[float64]
-	test     *dataset.Dataset
+	// eval is the evaluation job commit queues on the pool; evalPending
+	// marks the last record as awaiting its result.
+	eval        *evalTask
+	evalPending bool
 	// baseRound is the nominal-device modeled duration of one local round
 	// (K steps with the algorithm's cost profile); per-client durations
 	// scale it by the device's speed factor.
@@ -136,6 +136,28 @@ type scheduler struct {
 	// checks it at every round boundary and stops with a final checkpoint
 	// instead of running to Rounds (ServeOptions.Interrupt).
 	interrupt <-chan struct{}
+}
+
+// executor runs dispatched local rounds and hands their results back to
+// the scheduler. The in-process implementation is the slot pool, which
+// computes updates inside runRound (or, for an async one-client dispatch,
+// queues them with runLater); the remote implementation (serve.go) sends
+// dispatch frames to socket-connected workers inside runRound and defers
+// the results, so round r+1's dispatch overlaps round r's aggregation.
+// The contract: runRound fills updates with ring-backed buffers that MAY
+// still be empty; no field of an update nor its measured time may be read
+// until settle (whole round) or settleOne (one update) has returned for
+// it, and every settled update must eventually be released.
+type executor interface {
+	runRound(cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) error
+	// settle blocks until every update of the round has its results in
+	// place (position j of measured matches updates[j]).
+	settle(updates []Update, measured []float64) error
+	// settleOne blocks until one update's results are in place; measured
+	// may be nil when the caller only needs the update itself.
+	settleOne(u *Update, measured *float64) error
+	release(u *Update)
+	close()
 }
 
 // participants collects the round's participating clients in ID order
@@ -288,22 +310,42 @@ func (s *scheduler) record(t int, trainLoss float64, upBytes int64, upRatio floa
 }
 
 // commit folds the executor's failover counters since the last step
-// (always zero in process) and the evaluation into rec, and appends it.
-// Evaluation follows the cadence and uses the algorithm's output model:
-// Definition 2 calls z_t "the final model output after communication
-// round t", and by Lemma 2 the z sequence advances by the plain averaged
-// mini-batch gradient (z^{t+1} = z^t − ηg·˜∆^t), cancelling the momentum
-// in the w sequence. For every other algorithm FinalModel is w itself.
+// (always zero in process) into rec and appends it. Evaluation follows the
+// cadence and uses the algorithm's output model: Definition 2 calls z_t
+// "the final model output after communication round t", and by Lemma 2
+// the z sequence advances by the plain averaged mini-batch gradient
+// (z^{t+1} = z^t − ηg·˜∆^t), cancelling the momentum in the w sequence.
+// For every other algorithm FinalModel is w itself. The model is copied
+// into the evaluation's snapshot and evaluated on the pool while the next
+// round runs; joinEval fills the record in.
 func (s *scheduler) commit(t int, rec *metrics.Round) {
 	if rx, ok := s.exec.(*remoteExec); ok {
 		rec.ReassignedDispatches, rec.WorkerReconnects = rx.drainRecovery()
 	}
+	s.joinEval()
 	if (t+1)%s.cfg.evalEvery() == 0 || t == s.cfg.Rounds-1 {
-		rec.Accuracy = s.evalEng.Accuracy(s.alg.FinalModel(s.params), s.test.X, s.test.Y)
-	} else if len(s.run.Rounds) > 0 {
-		rec.Accuracy = s.run.Rounds[len(s.run.Rounds)-1].Accuracy
+		copy(s.eval.w, s.alg.FinalModel(s.params))
+		s.pool.start(s.eval, len(s.eval.shards), len(s.eval.shards))
+		s.evalPending = true
+	} else if n := len(s.run.Rounds); n > 0 {
+		rec.Accuracy, rec.TopClassShare = s.run.Rounds[n-1].Accuracy, s.run.Rounds[n-1].TopClassShare
 	}
 	s.run.Append(*rec)
+}
+
+// joinEval waits for the evaluation commit queued, if one is pending, and
+// writes its accuracy and top-class share into the last record, the one
+// it belongs to. Everything that reads or replaces the run's records —
+// the next commit, a snapshot, a restore, a pause, the run's end — joins
+// first.
+func (s *scheduler) joinEval() {
+	if !s.evalPending {
+		return
+	}
+	s.pool.join(s.eval)
+	rec := &s.run.Rounds[len(s.run.Rounds)-1]
+	rec.Accuracy, rec.TopClassShare = s.eval.result()
+	s.evalPending = false
 }
 
 // slowestHonest returns the largest measured wall time among training
@@ -361,6 +403,7 @@ func (s *scheduler) wantCheckpoints() bool {
 // cursors — so the replay draws fresh batches — instead of halting,
 // up to maxRollbacks times).
 func (s *scheduler) runRounds(step func(int) (bool, error)) error {
+	defer s.joinEval()
 	if s.wantCheckpoints() && s.lastCkpt == nil {
 		if err := s.snapshot(s.startRound); err != nil {
 			return err
@@ -431,6 +474,7 @@ func (s *scheduler) runRounds(step func(int) (bool, error)) error {
 // done (they surface ErrServerPaused and re-attach to the restarted
 // server).
 func (s *scheduler) pause(t int) error {
+	s.joinEval()
 	if s.wantCheckpoints() && t != s.lastCkptRound {
 		if err := s.snapshot(t); err != nil {
 			return err
@@ -670,9 +714,9 @@ type flight struct {
 // returns — asyncStep settles each flight before reading it — which is
 // what overlaps worker compute with the server's aggregation and
 // evaluation of earlier rounds. later marks a one-client dispatch from
-// asyncStep's arrival loop, which the in-process pool may queue for its
-// slots (slotPool.runLater): asyncStep joins every such job before the
-// state it reads moves.
+// asyncStep's arrival loop, which the in-process pool queues
+// (slotPool.runLater): asyncStep joins every such round before the state
+// it reads moves.
 func (s *scheduler) dispatch(ids []int, at float64, later bool) error {
 	updates := s.updates[:len(ids)]
 	measured := s.measured[:len(ids)]
@@ -713,14 +757,11 @@ func (s *scheduler) setupAsync() error {
 // may still be training on the pool's slots: they are joined, and their
 // results settled into the pending table, before anything reads or moves
 // the state they train from — the aggregate, or on an error the run's
-// end. The trigger's re-dispatch after the aggregate trains inline, so no
-// job is in flight when the step returns (record, snapshot, restore,
-// pause, rollback and close all see a quiet pool).
+// end. The trigger's re-dispatch after the aggregate is joined at once,
+// so only the step's evaluation is in flight when it returns.
 func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 	trigger, err := s.arrivals(t)
-	if jerr := s.settleLater(); err == nil {
-		err = jerr
-	}
+	s.settleLater()
 	if err != nil {
 		return false, err
 	}
@@ -747,9 +788,9 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 			return false, err
 		}
 	}
-	// The trigger trained inline on the new model, after the join, so the
-	// record, the snapshot that may follow and the next step's arrivals
-	// find no job in flight. The record's algorithm fields (MeanAlpha,
+	// The trigger trained on the new model, after the join, so the record,
+	// the snapshot that may follow and the next step's arrivals find no
+	// client round in flight. The record's algorithm fields (MeanAlpha,
 	// the stack statistics) are written only by Setup and Aggregate.
 	rec := s.record(t, trainLoss, upBytes+s.stepDupBytes, upRatio)
 	rec.SlowestModeledSec, rec.SlowestMeasuredSec = s.now-s.lastAgg, s.bufMeasured
@@ -766,8 +807,8 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 // arrivals drains arrivals in virtual-time order (ties broken by client
 // ID) into the buffer until it holds AsyncBuffer updates, and returns the
 // client whose arrival filled it. Every other delivered arrival, and
-// every failed dispatch, is re-dispatched at once, through the pool's
-// later queue when it has one.
+// every failed dispatch, is re-dispatched at once, queued on the pool
+// when it has worker goroutines.
 func (s *scheduler) arrivals(t int) (trigger int, err error) {
 	bufK := s.cfg.asyncBuffer()
 	for {
@@ -785,9 +826,9 @@ func (s *scheduler) arrivals(t int) (trigger int, err error) {
 		s.now = f.finish
 		// Results may arrive after dispatch — a wire reply, or a round
 		// queued on the pool: block here, at the modeled finish event,
-		// until this flight's results have landed. Discarded flights settle too — their ring
-		// entries must not be recycled while a reply or a queued round could
-		// still write into them.
+		// until they have landed. Discarded flights settle too: their ring
+		// entries must not be recycled while something could still write
+		// into them.
 		if err := s.exec.settleOne(&f.update, &f.measured); err != nil {
 			return -1, err
 		}
@@ -858,19 +899,14 @@ func (s *scheduler) arrivals(t int) (trigger int, err error) {
 
 // settleLater joins every one-client round the arrival loop queued on
 // the pool and copies its train loss and measured time into its flight.
-// A flight that already arrived was settled then.
-func (s *scheduler) settleLater() error {
-	if s.pool.unsettled == 0 {
-		return nil
-	}
+// A flight that already arrived was settled then; the pool's settleOne
+// cannot fail.
+func (s *scheduler) settleLater() {
 	for id := range s.pending {
 		if f := &s.pending[id]; f.live {
-			if err := s.pool.settleOne(&f.update, &f.measured); err != nil {
-				return err
-			}
+			_ = s.pool.settleOne(&f.update, &f.measured)
 		}
 	}
-	return nil
 }
 
 // finishDur returns client id's modeled compute duration. Freeloaders

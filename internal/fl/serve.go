@@ -626,6 +626,9 @@ func (e *remoteExec) settleOne(u *Update, measured *float64) error {
 	if u.ring == nil {
 		return nil
 	}
+	// The ring pool has no workers: the caller runs the evaluation queued
+	// on it while the replies are still on their way.
+	e.ring.help()
 	id := u.Client
 	e.mu.Lock()
 	for e.err == nil && e.pend[id] != nil && !e.arrived[id] && !e.pend[id].lost {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -104,8 +105,10 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 	alg.Setup(env)
 
 	// The pool is sized for the whole fleet, not just the initially owned
-	// range: failover can adopt any client onto this worker.
-	pool := newSlotPool(network, cfg, n, false)
+	// range: failover can adopt any client onto this worker. Live rounds
+	// train on Parallelism slots, adopted history on every core the
+	// process may use (DESIGN.md §12).
+	pool := newSlotPool(network, cfg, min(max(cfg.parallelism(), runtime.GOMAXPROCS(0)), n), n, false)
 	defer pool.close()
 	if workerObserve != nil {
 		workerObserve(pool)
@@ -171,17 +174,11 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 		for lo := 0; lo < k; lo += uploadBatch {
 			ids := m.ids[lo:min(lo+uploadBatch, k)]
 			ups, meas := updates[:len(ids)], measured[:len(ids)]
-			// Adopted history trains on every core (runWide); a live
-			// batch keeps the Parallelism slots.
-			var err error
-			if m.adopt {
-				err = pool.runWide(&cfg, alg, clients, ids, m.round, m.global, ups, meas)
-			} else {
-				err = pool.runRound(&cfg, alg, clients, ids, m.round, 0, m.global, m.global, ups, meas)
+			width := len(pool.slots)
+			if !m.adopt {
+				width = min(cfg.parallelism(), n)
 			}
-			if err != nil {
-				return err
-			}
+			pool.train(width, &cfg, alg, clients, ids, m.round, 0, m.global, m.global, ups, meas)
 			// Adopted history is trained and discarded: the training
 			// advanced this worker's streams (and EF residuals) exactly as
 			// the original run did, and the server already holds the

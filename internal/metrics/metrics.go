@@ -11,6 +11,10 @@ type Round struct {
 	Index int
 	// Accuracy is the global model's test accuracy after this round.
 	Accuracy float64
+	// TopClassShare is the share of the test predictions that go to the
+	// most-predicted class: 1 for a model that predicts one class for
+	// every input, whatever its accuracy.
+	TopClassShare float64
 	// TrainLoss is the mean local training loss reported by clients.
 	TrainLoss float64
 	// SlowestModeledSec is the modeled computation time of the slowest
