@@ -3,7 +3,6 @@ package fl
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 
 	"repro/internal/compress"
@@ -293,7 +292,7 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 		active:    active,
 		expelled:  make(map[int]int),
 		run:       &metrics.Run{Algorithm: alg.Name(), Dataset: test.Name},
-		eval:      newEvalTask(net, test, min(len(pool.slots), runtime.GOMAXPROCS(0))),
+		eval:      newEvalTask(net, test, pool.evalWidth()),
 		baseRound: baseRound,
 		partRNG:   &f.partRNG,
 		plan:      f.plan,

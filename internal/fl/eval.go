@@ -7,22 +7,23 @@ import (
 
 // evalTask is the evaluation job: the test accuracy of a model snapshot
 // and the share of test predictions that go to the most-predicted class.
-// Shard i takes test batches i, i+S, …, with Engine.Accuracy's batch
-// boundaries, and counts on its own engine into its own integer tallies,
-// so the result is Engine.Accuracy's whichever runner takes which shard.
+// Shard i counts test batches i, i+S, … on its own engine into its own
+// integer tallies (nn.Engine.CountCorrect, whose batch bounds
+// Engine.Accuracy's shards share), so the result is Engine.Accuracy's
+// whichever runner takes which shard.
 type evalTask struct {
 	progress
 	w      []float64 // the snapshot, written before the job is queued
 	net    *nn.Network
 	test   *dataset.Dataset
+	batch  int
 	shards []evalShard
 }
 
-// evalShard is one shard's prediction buffer and tallies, sized at setup,
-// and its engine, built then for shard 0 and on first use for the rest.
+// evalShard is one shard's class tallies, sized at setup, and its engine,
+// built then for shard 0 and on first use for the rest.
 type evalShard struct {
 	eng     *nn.Engine[float64]
-	preds   []int
 	classes []int // predictions per class
 	correct int
 }
@@ -30,10 +31,10 @@ type evalShard struct {
 // newEvalTask sizes an evaluation of test in at most shards shards.
 func newEvalTask(net *nn.Network, test *dataset.Dataset, shards int) *evalTask {
 	batch := min(256, max(1, test.Len()))
-	e := &evalTask{w: make([]float64, net.NumParams()), net: net, test: test}
+	e := &evalTask{w: make([]float64, net.NumParams()), net: net, test: test, batch: batch}
 	e.shards = make([]evalShard, max(1, min(shards, (test.Len()+batch-1)/batch)))
 	for i := range e.shards {
-		e.shards[i] = evalShard{preds: make([]int, batch), classes: make([]int, net.OutSize())}
+		e.shards[i].classes = make([]int, net.OutSize())
 	}
 	e.shards[0].eng = nn.NewEngine(net, batch)
 	e.done = make(chan struct{}, 1)
@@ -42,23 +43,12 @@ func newEvalTask(net *nn.Network, test *dataset.Dataset, shards int) *evalTask {
 
 // run counts shard i.
 func (e *evalTask) run(i int, _ *slot) {
-	sh, x, y := &e.shards[i], e.test.X, e.test.Y
-	batch, in := len(sh.preds), e.net.InShape().Size()
+	sh := &e.shards[i]
 	if sh.eng == nil {
-		sh.eng = nn.NewEngine(e.net, batch)
+		sh.eng = nn.NewEngine(e.net, e.batch)
 	}
 	clear(sh.classes)
-	sh.correct = 0
-	for lo := i * batch; lo < len(y); lo += len(e.shards) * batch {
-		hi := min(lo+batch, len(y))
-		sh.eng.Predict(e.w, x[lo*in:hi*in], hi-lo, sh.preds)
-		for k, c := range sh.preds[:hi-lo] {
-			sh.classes[c]++
-			if c == y[lo+k] {
-				sh.correct++
-			}
-		}
-	}
+	sh.correct = sh.eng.CountCorrect(e.w, e.test.X, e.test.Y, i, len(e.shards), sh.classes)
 }
 
 // result sums the shards' tallies into the accuracy and the top-class

@@ -14,11 +14,11 @@ import (
 var CheckGoroutines = checkGoroutines
 
 // ObserveReplayWidth hooks every RunWorkerOpts started during the test
-// and returns a reader of the client rounds their pools' worker
-// goroutines ran, valid once the workers have returned. A worker's live
-// rounds are Parallelism wide, so at Parallelism 1 only adopted history
-// reaches its worker goroutines.
-func ObserveReplayWidth(t *testing.T) func() (offloaded int) {
+// and returns a reader of two sums over their slot pools, valid once the
+// workers have returned: the slots grown past Parallelism for history
+// replay, and the clients that trained off the caller's slot, which at
+// Parallelism 1 are adopted clients of widened sub-batches.
+func ObserveReplayWidth(t *testing.T) func() (extra, widened int) {
 	var mu sync.Mutex
 	var pools []*slotPool
 	workerObserve = func(p *slotPool) {
@@ -27,33 +27,35 @@ func ObserveReplayWidth(t *testing.T) func() (offloaded int) {
 		mu.Unlock()
 	}
 	t.Cleanup(func() { workerObserve = nil })
-	return func() (offloaded int) {
+	return func() (extra, widened int) {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, p := range pools {
-			offloaded += int(p.offloaded.Load())
+			extra += max(0, len(p.slots)-p.cfg.parallelism())
+			widened += int(p.offloaded.Load())
 		}
-		return offloaded
+		return extra, widened
 	}
 }
 
 // RunLaterCounts is Run, or Resume when checkpoint is not nil, that also
-// returns how many client rounds the pool's worker goroutines ran.
-func RunLaterCounts(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.Dataset, test *dataset.Dataset, checkpoint []byte) (res *Result, offloaded int, err error) {
+// returns how many of the one-client rounds the run queued on its pool
+// (slotPool.runLater) ran on the caller's slot and on the workers' slots.
+func RunLaterCounts(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.Dataset, test *dataset.Dataset, checkpoint []byte) (res *Result, helped, offloaded int, err error) {
 	s, err := newScheduler(cfg, alg, net, shards, test)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	defer s.exec.close()
 	if checkpoint != nil {
 		if err := s.restore(checkpoint, true); err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 	}
 	if err := s.runAll(checkpoint != nil); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	return s.result(), int(s.pool.offloaded.Load()), nil
+	return s.result(), s.pool.helped, s.pool.queued - s.pool.helped, nil
 }
 
 // naiveEval recounts a model's test accuracy and top-class share over

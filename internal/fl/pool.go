@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,10 +30,17 @@ type progress struct {
 	done chan struct{}
 }
 
-// claim hands out the task's next position, if one is left.
-func (w *progress) claim() (int, bool) {
-	i := w.next.Add(1) - 1
-	return int(i), i < w.n
+// claim hands out the task's next position below limit, if one is left.
+func (w *progress) claim(limit int32) (int, bool) {
+	for {
+		i := w.next.Load()
+		if i >= limit {
+			return 0, false
+		}
+		if w.next.CompareAndSwap(i, i+1) {
+			return int(i), true
+		}
+	}
 }
 
 // finish counts one position run, or one queued job taken.
@@ -98,6 +106,8 @@ func (t *roundTask) run(j int, sl *slot) {
 	t.updates[j].TrainLoss = c.lastLoss
 	if sl != t.pool.own {
 		t.pool.offloaded.Add(1)
+	} else if t != &t.pool.round {
+		t.pool.helped++ // only the caller runs on own
 	}
 }
 
@@ -130,9 +140,9 @@ type upload struct {
 
 // slotPool decouples per-client identity from per-client training
 // resources, and runs every job of a run on one queue (DESIGN.md §5). Its
-// slots are sized once — the caller's and one per worker goroutine — so
-// training memory is O(slots·d), not O(n·d). A round's width is how many
-// of them may train it at once: the caller plus width−1 queued jobs.
+// slots — the caller's and one per worker goroutine — keep training
+// memory at O(slots·d), not O(n·d). A round's width is how many of them
+// may train it at once: the caller plus width−1 queued jobs.
 //
 // The pool also owns the delta ring: uploads outlive the slot that
 // produced them, until the server consumes them, so they are checked out
@@ -146,15 +156,21 @@ type slotPool struct {
 	own   *slot
 	round roundTask
 	// later holds one queued round per client (runLater) in an async pool
-	// with workers; offloaded counts the client rounds workers ran.
-	later     []roundTask
-	offloaded atomic.Int64
+	// with workers. offloaded counts the client rounds worker goroutines
+	// ran; queued and helped count the rounds runLater queued and those of
+	// them the caller ran itself.
+	later          []roundTask
+	offloaded      atomic.Int64
+	queued, helped int
 	// comp is the uplink codec state, nil for dense transport.
 	comp *compressor
 
 	mu        sync.Mutex
 	free      []*upload // delta ring free list
 	numParams int
+	// net and cfg build the slots a wider round grows (train).
+	net *nn.Network
+	cfg Config
 }
 
 // newSlotPool creates a pool of slots slots and starts a worker goroutine
@@ -162,11 +178,11 @@ type slotPool struct {
 // over n clients, which an in-process async run uses. close must be
 // called when the run ends to stop the workers.
 func newSlotPool(net *nn.Network, cfg Config, slots, n int, later bool) *slotPool {
-	p := &slotPool{numParams: net.NumParams(), slots: make([]*slot, slots)}
-	// At most a round's width−1 jobs, an evaluation's shards (no more than
-	// the slots) and one job per queued client round wait at once; a
-	// client is in flight at most once, so at most n rounds are queued.
-	queued := 2 * slots
+	p := &slotPool{numParams: net.NumParams(), net: net, cfg: cfg}
+	// A round's width−1 jobs and an evaluation's shards (no more than the
+	// slots or cores) fit, plus one job per queued client round; a client
+	// is in flight at most once, so at most n rounds are queued.
+	queued := 2 * max(slots, runtime.GOMAXPROCS(0))
 	p.round.done = make(chan struct{}, 1)
 	if later && slots > 1 {
 		p.later = make([]roundTask, n)
@@ -176,14 +192,22 @@ func newSlotPool(net *nn.Network, cfg Config, slots, n int, later bool) *slotPoo
 		queued += n
 	}
 	p.queue = make(chan job, queued)
-	for i := range p.slots {
-		p.slots[i] = newSlot(net, cfg)
-		if i > 0 {
-			go p.worker(p.slots[i])
-		}
-	}
-	p.own = p.slots[0]
+	p.grow(slots)
 	return p
+}
+
+// grow adds slots until the pool has width, each pinned to a new worker
+// goroutine but the first, which is the caller's own.
+func (p *slotPool) grow(width int) {
+	for len(p.slots) < width {
+		sl := newSlot(p.net, p.cfg)
+		if p.own == nil {
+			p.own = sl
+		} else {
+			go p.worker(sl)
+		}
+		p.slots = append(p.slots, sl)
+	}
 }
 
 // newRingPool creates a pool with no slots and no worker goroutines: the
@@ -191,7 +215,23 @@ func newSlotPool(net *nn.Network, cfg Config, slots, n int, later bool) *slotPoo
 // decoded uploads workers send back, and whose caller runs the
 // evaluations queued on it.
 func newRingPool(numParams int) *slotPool {
-	return &slotPool{queue: make(chan job, 1), numParams: numParams}
+	return &slotPool{queue: make(chan job, runtime.GOMAXPROCS(0)), numParams: numParams}
+}
+
+// evalWidth returns how many shards an evaluation queued on the pool is
+// split into: one per slot, up to the cores. A pool that never queues a
+// client round — a ring pool, or one of one slot — first starts
+// GOMAXPROCS−1 slot-less runners, so its evaluations still use every
+// core; such a pool must not be trained wider than one slot.
+func (p *slotPool) evalWidth() int {
+	g := runtime.GOMAXPROCS(0)
+	if len(p.slots) > 1 {
+		return min(len(p.slots), g)
+	}
+	for range g - 1 {
+		go p.worker(nil)
+	}
+	return g
 }
 
 // worker runs queued jobs on its pinned slot until the queue closes.
@@ -205,11 +245,17 @@ func (p *slotPool) worker(sl *slot) {
 // counts the job taken.
 func runJob(j job, sl *slot) {
 	w := j.work()
-	for i, ok := w.claim(); ok; i, ok = w.claim() {
+	runPositions(j, sl, w.n)
+	w.finish()
+}
+
+// runPositions runs j's unclaimed positions below limit on sl.
+func runPositions(j job, sl *slot, limit int32) {
+	w := j.work()
+	for i, ok := w.claim(limit); ok; i, ok = w.claim(limit) {
 		j.run(i, sl)
 		w.finish()
 	}
-	w.finish()
 }
 
 // start opens j's n positions and queues jobs jobs for it.
@@ -224,14 +270,14 @@ func (p *slotPool) start(j job, n, jobs int) {
 }
 
 // join is the pool's one join: the caller runs j's unclaimed positions on
-// own, then runs queued jobs of any task on own until j is done.
-func (p *slotPool) join(j job) {
+// own, then runs queued jobs of any task on own until j is done. With
+// keep > 0 the caller leaves j's last keep positions to the jobs it
+// queued for j, and only waits once its share is run, so the task
+// always spreads past the caller's slot.
+func (p *slotPool) join(j job, keep int) {
 	w := j.work()
-	for i, ok := w.claim(); ok; i, ok = w.claim() {
-		j.run(i, p.own)
-		w.finish()
-	}
-	for w.left.Load() > 0 {
+	runPositions(j, p.own, w.n-int32(keep))
+	for keep == 0 && w.left.Load() > 0 {
 		select {
 		case <-w.done:
 			return
@@ -262,17 +308,25 @@ func (p *slotPool) close() { close(p.queue) }
 // runRound implements executor: it trains the round on every slot and
 // returns when every update is written.
 func (p *slotPool) runRound(cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) error {
-	p.train(len(p.slots), cfg, alg, clients, ids, round, now, global, prevGlobal, updates, measured)
+	p.train(len(p.slots), false, cfg, alg, clients, ids, round, now, global, prevGlobal, updates, measured)
 	return nil
 }
 
-// train is runRound at the given width: a wire worker's live rounds keep
-// Parallelism slots (DESIGN.md §12).
-func (p *slotPool) train(width int, cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) {
-	t := &p.round
+// train is runRound at the given width, growing a slot and its worker
+// goroutine for each position of width the pool lacks: a wire worker
+// keeps Parallelism slots until its first wide Adopt sub-batch (DESIGN.md
+// §12). A wide round's caller leaves the last client to the jobs it
+// queued, so the round always trains on more than one slot.
+func (p *slotPool) train(width int, wide bool, cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) {
+	width = min(width, len(ids))
+	p.grow(width)
+	t, keep := &p.round, 0
+	if wide && width > 1 {
+		keep = 1
+	}
 	p.prepare(t, cfg, alg, clients, ids, round, now, global, prevGlobal, updates, measured)
-	p.start(t, len(ids), min(width, len(ids))-1)
-	p.join(t)
+	p.start(t, len(ids), width-1)
+	p.join(t, keep)
 }
 
 // settle implements executor: runRound already computed everything.
@@ -286,7 +340,7 @@ func (p *slotPool) settle([]Update, []float64) error { return nil }
 // it has settled every round it queued. A pool of one slot trains it now.
 func (p *slotPool) runLater(cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) {
 	if p.later == nil {
-		p.train(1, cfg, alg, clients, ids, round, now, global, prevGlobal, updates, measured)
+		p.train(1, false, cfg, alg, clients, ids, round, now, global, prevGlobal, updates, measured)
 		return
 	}
 	t := &p.later[ids[0]]
@@ -294,6 +348,7 @@ func (p *slotPool) runLater(cfg *Config, alg Algorithm, clients []client, ids []
 	p.prepare(t, cfg, alg, clients, t.id[:], round, now, global, prevGlobal, t.upd[:], t.meas[:])
 	updates[0] = t.upd[0]
 	updates[0].ring.queued = t
+	p.queued++
 	p.start(t, 1, 1)
 }
 
@@ -306,7 +361,7 @@ func (p *slotPool) settleOne(u *Update, measured *float64) error {
 	}
 	t := u.ring.queued
 	u.ring.queued = nil
-	p.join(t)
+	p.join(t, 0)
 	u.TrainLoss = t.upd[0].TrainLoss
 	if measured != nil {
 		*measured = t.meas[0]

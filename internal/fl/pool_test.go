@@ -606,7 +606,7 @@ func TestSlotPoolF32Footprint(t *testing.T) {
 
 // barrierJob is a pool job whose first width positions each wait until
 // all width of them are running, and which records the slot every
-// position ran on.
+// position ran on and the one its last position ran on.
 type barrierJob struct {
 	progress
 	width   int
@@ -614,6 +614,7 @@ type barrierJob struct {
 	all     chan struct{}
 	mu      sync.Mutex
 	ran     map[*slot]bool
+	last    *slot
 	late    atomic.Bool
 }
 
@@ -630,6 +631,9 @@ func (b *barrierJob) run(i int, sl *slot) {
 	}
 	b.mu.Lock()
 	b.ran[sl] = true
+	if i == int(b.n)-1 {
+		b.last = sl
+	}
 	b.mu.Unlock()
 }
 
@@ -637,7 +641,8 @@ func (b *barrierJob) run(i int, sl *slot) {
 // width w queued with w−1 jobs is run by the caller's join and w−1 worker
 // goroutines at once, each on its own slot, and by no other runner,
 // whatever the pool's size. Its first w positions meet at a barrier, so
-// a job spread over fewer runners would stall there.
+// a job spread over fewer runners would stall there. A caller that keeps
+// the last position for the jobs it queued (a wide round) never runs it.
 func TestSlotPoolRoundWidth(t *testing.T) {
 	checkGoroutines(t)
 	net, _, _ := poolSetup(t, 8)
@@ -647,9 +652,18 @@ func TestSlotPoolRoundWidth(t *testing.T) {
 		b := &barrierJob{width: width, all: make(chan struct{}), ran: map[*slot]bool{}}
 		b.done = make(chan struct{}, 1)
 		p.start(b, 4*width, width-1)
-		p.join(b)
+		p.join(b, 0)
 		if b.late.Load() || len(b.ran) != width || !b.ran[p.own] {
 			t.Fatalf("width %d ran on %d slots (own %v, barrier timed out %v), want %d including the caller's", width, len(b.ran), b.ran[p.own], b.late.Load(), width)
+		}
+	}
+	for range 50 {
+		b := &barrierJob{width: 1, all: make(chan struct{}), ran: map[*slot]bool{}}
+		b.done = make(chan struct{}, 1)
+		p.start(b, 8, 3)
+		p.join(b, 1)
+		if b.last == nil || b.last == p.own {
+			t.Fatalf("a kept last position ran on slot %p, want a worker goroutine's (own %p)", b.last, p.own)
 		}
 	}
 }

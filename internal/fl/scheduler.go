@@ -342,7 +342,7 @@ func (s *scheduler) joinEval() {
 	if !s.evalPending {
 		return
 	}
-	s.pool.join(s.eval)
+	s.pool.join(s.eval, 0)
 	rec := &s.run.Rounds[len(s.run.Rounds)-1]
 	rec.Accuracy, rec.TopClassShare = s.eval.result()
 	s.evalPending = false

@@ -106,9 +106,9 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 
 	// The pool is sized for the whole fleet, not just the initially owned
 	// range: failover can adopt any client onto this worker. Live rounds
-	// train on Parallelism slots, adopted history on every core the
-	// process may use (DESIGN.md §12).
-	pool := newSlotPool(network, cfg, min(max(cfg.parallelism(), runtime.GOMAXPROCS(0)), n), n, false)
+	// train on Parallelism slots; adopted history grows the pool to every
+	// core the process may use (DESIGN.md §12).
+	pool := newSlotPool(network, cfg, min(cfg.parallelism(), n), n, false)
 	defer pool.close()
 	if workerObserve != nil {
 		workerObserve(pool)
@@ -174,11 +174,11 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 		for lo := 0; lo < k; lo += uploadBatch {
 			ids := m.ids[lo:min(lo+uploadBatch, k)]
 			ups, meas := updates[:len(ids)], measured[:len(ids)]
-			width := len(pool.slots)
-			if !m.adopt {
-				width = min(cfg.parallelism(), n)
+			width := cfg.parallelism()
+			if m.adopt {
+				width = max(width, runtime.GOMAXPROCS(0))
 			}
-			pool.train(width, &cfg, alg, clients, ids, m.round, 0, m.global, m.global, ups, meas)
+			pool.train(width, m.adopt, &cfg, alg, clients, ids, m.round, 0, m.global, m.global, ups, meas)
 			// Adopted history is trained and discarded: the training
 			// advanced this worker's streams (and EF residuals) exactly as
 			// the original run did, and the server already holds the

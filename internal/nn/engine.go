@@ -22,7 +22,7 @@ type Engine[F Float] struct {
 	dacts    [][]F // gradient buffers per boundary, same layout (dacts[0] stays nil: no input gradient)
 	scratch  []scratch[F]
 	evalPool []*Engine[F] // lazily grown worker engines for parallel Accuracy
-	preds    []int        // countCorrect's per-batch predictions, sized on first evaluation
+	preds    []int        // CountCorrect's per-batch predictions, sized on first evaluation
 	counts   []int        // accuracyWorkers' per-worker tallies
 }
 
@@ -155,7 +155,7 @@ func (e *Engine[F]) accuracyWorkers(params, xs []F, labels []int, maxWorkers int
 	numBatches := (n + e.maxBatch - 1) / e.maxBatch
 	workers := min(maxWorkers, numBatches)
 	if workers <= 1 {
-		return float64(e.countCorrect(params, xs, labels, 0, 1)) / float64(n)
+		return float64(e.CountCorrect(params, xs, labels, 0, 1, nil)) / float64(n)
 	}
 	for len(e.evalPool) < workers-1 {
 		e.evalPool = append(e.evalPool, newEngine[F](e.net, e.maxBatch))
@@ -169,10 +169,10 @@ func (e *Engine[F]) accuracyWorkers(params, xs []F, labels []int, maxWorkers int
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			counts[w] = e.evalPool[w-1].countCorrect(params, xs, labels, w, workers)
+			counts[w] = e.evalPool[w-1].CountCorrect(params, xs, labels, w, workers, nil)
 		}(w)
 	}
-	counts[0] = e.countCorrect(params, xs, labels, 0, workers)
+	counts[0] = e.CountCorrect(params, xs, labels, 0, workers, nil)
 	wg.Wait()
 	correct := 0
 	for _, c := range counts {
@@ -181,9 +181,13 @@ func (e *Engine[F]) accuracyWorkers(params, xs []F, labels []int, maxWorkers int
 	return float64(correct) / float64(n)
 }
 
-// countCorrect evaluates every stride-th batch starting at batch index
-// first and returns how many predictions match the labels.
-func (e *Engine[F]) countCorrect(params, xs []F, labels []int, first, stride int) int {
+// CountCorrect evaluates every stride-th batch of the engine's batch size,
+// starting at batch index first, and returns how many predictions match
+// the labels. With classes non-nil it also adds each prediction to its
+// class's tally. Accuracy's shards, and any caller that splits an
+// evaluation the same way, share these batch bounds, so integer counts
+// summed over first = 0..stride−1 equal one sequential pass.
+func (e *Engine[F]) CountCorrect(params, xs []F, labels []int, first, stride int, classes []int) int {
 	n := len(labels)
 	inSize := e.net.in.Size()
 	if e.preds == nil {
@@ -195,9 +199,12 @@ func (e *Engine[F]) countCorrect(params, xs []F, labels []int, first, stride int
 		end := min(start+e.maxBatch, n)
 		b := end - start
 		e.Predict(params, xs[start*inSize:end*inSize], b, preds)
-		for i := 0; i < b; i++ {
-			if preds[i] == labels[start+i] {
+		for i, c := range preds[:b] {
+			if c == labels[start+i] {
 				correct++
+			}
+			if classes != nil {
+				classes[c]++
 			}
 		}
 	}
