@@ -261,10 +261,14 @@ func (None) Decode(dst []float64, p *Payload) { copy(dst, p.Val) }
 // recovers as soon as its uploads are finite again.
 //
 // e == nil disables the feedback (plain lossy compression). scratch must
-// be a distinct buffer with at least len(x) capacity; it doubles as the
-// codec's selection workspace and the decode target, and holds the
-// decoded update on return.
+// be a distinct buffer with at least len(x) capacity; it is the codec's
+// workspace, and what it holds on return is unspecified. With a residual,
+// *TopK takes its fused two-pass step (emit), bit for bit the same.
 func EncodeEF(c Codec, p *Payload, x, e []float64, r *rng.RNG, scratch []float64) {
+	if tk, ok := c.(*TopK); ok && e != nil {
+		emit(tk, p, x, e, scratch)
+		return
+	}
 	if e != nil {
 		vecmath.Add(x, x, e)
 	}
@@ -273,17 +277,22 @@ func EncodeEF(c Codec, p *Payload, x, e []float64, r *rng.RNG, scratch []float64
 	c.Decode(dec, p)
 	if e != nil {
 		vecmath.Sub(e, x, dec)
-		for i, v := range e {
-			if nonFinite(v) {
-				e[i] = 0
-			}
-		}
+		zeroNonFinite(e)
 	}
 	copy(x, dec)
 }
 
-// expMask selects a float64's exponent field.
-const expMask = 0x7ff0_0000_0000_0000
+// zeroNonFinite resets the NaN and ±Inf elements of v to 0.
+func zeroNonFinite(v []float64) {
+	for i, x := range v {
+		if nonFinite(x) {
+			v[i] = 0
+		}
+	}
+}
+
+// expMask selects a float64's exponent field (+Inf), signBit its sign.
+const expMask, signBit = 0x7ff0_0000_0000_0000, 1 << 63
 
 // nonFinite reports whether v is NaN or ±Inf — exactly the values whose
 // exponent is all ones — in one compare.
@@ -298,20 +307,20 @@ func nonFinite(v float64) bool { return math.Float64bits(v)&expMask == expMask }
 // e32 must be non-nil and len(x) long; non-finite residual coordinates
 // reset to zero exactly as in EncodeEF, and the narrowing to fp32 happens
 // after that guard so an Inf produced by the subtraction itself is also
-// caught.
+// caught. Other codecs fold and subtract through the vecmath table: e32
+// is widened into scratch, and the residual is formed in x and narrowed.
 func EncodeEF32(c Codec, p *Payload, x []float64, e32 []float32, r *rng.RNG, scratch []float64) {
-	for i, v := range e32 {
-		x[i] += float64(v)
+	if tk, ok := c.(*TopK); ok {
+		emit(tk, p, x, e32, scratch)
+		return
 	}
-	c.Encode(p, x, r, scratch)
 	dec := scratch[:len(x)]
+	vecmath.Widen(dec, e32)
+	vecmath.Add(x, x, dec)
+	c.Encode(p, x, r, scratch)
 	c.Decode(dec, p)
-	for i := range e32 {
-		v := x[i] - dec[i]
-		if nonFinite(v) {
-			v = 0
-		}
-		e32[i] = float32(v)
-	}
+	vecmath.Sub(x, x, dec)
+	zeroNonFinite(x)
+	vecmath.Narrow(e32, x)
 	copy(x, dec)
 }

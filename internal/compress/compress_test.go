@@ -2,6 +2,7 @@ package compress
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/rng"
@@ -482,4 +483,71 @@ func TestTopKDropsNaN(t *testing.T) {
 	if len(p.Idx) != 1 || p.Idx[0] != 1 || !math.IsInf(p.Val[0], 1) {
 		t.Fatalf("Inf not selected: idx %v val %v", p.Idx, p.Val)
 	}
+}
+
+// efBench is BenchmarkEncodeEF's fixture, built once per process: 64
+// Normal deltas and 500 clients' residuals, each warmed by 200
+// error-feedback steps so that x+e has the steady-state magnitude profile
+// the candidate bound sees in a long run.
+var efBench = sync.OnceValue(func() (f struct{ deltas, resid [][]float64 }) {
+	const d, clients, warm = 1354, 500, 200
+	g := rng.New(3)
+	f.deltas = make([][]float64, 64)
+	for i := range f.deltas {
+		f.deltas[i] = make([]float64, d)
+		for j := range f.deltas[i] {
+			f.deltas[i][j] = g.Normal(0, 0.01)
+		}
+	}
+	c := &TopK{Frac: 0.05}
+	var p Payload
+	x, scratch := make([]float64, d), make([]float64, d)
+	f.resid = make([][]float64, clients)
+	for ci := range f.resid {
+		f.resid[ci] = make([]float64, d)
+		for s := 0; s < warm; s++ {
+			copy(x, f.deltas[(ci+s)%len(f.deltas)])
+			EncodeEF(c, &p, x, f.resid[ci], nil, scratch)
+		}
+	}
+	return f
+})
+
+// BenchmarkEncodeEF reports the top-k error-feedback step's cost per
+// coordinate at the failover workload's shape: d = 1 354, Frac .05, and
+// 500 clients visited in rotation, so the fold reads a residual that has
+// left the cache, as on a worker serving 500 clients. Each call first
+// refills x from one of the 64 deltas; that copy is part of the figure.
+// The f32 leg runs EncodeEF32 over the same residuals narrowed to float32.
+func BenchmarkEncodeEF(b *testing.B) {
+	f := efBench()
+	d := len(f.deltas[0])
+	c := &TopK{Frac: 0.05}
+	var p Payload
+	c.Grow(&p, d)
+	x, scratch := make([]float64, d), make([]float64, d)
+	run := func(b *testing.B, step func(i int)) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(x, f.deltas[i%len(f.deltas)])
+			step(i % len(f.resid))
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(d), "ns/coord")
+	}
+	b.Run("f64", func(b *testing.B) {
+		resid := make([][]float64, len(f.resid))
+		for i, e := range f.resid {
+			resid[i] = append([]float64(nil), e...)
+		}
+		run(b, func(i int) { EncodeEF(c, &p, x, resid[i], nil, scratch) })
+	})
+	b.Run("f32", func(b *testing.B) {
+		resid := make([][]float32, len(f.resid))
+		for i, e := range f.resid {
+			resid[i] = make([]float32, d)
+			vecmath.Narrow(resid[i], e)
+		}
+		run(b, func(i int) { EncodeEF32(c, &p, x, resid[i], nil, scratch) })
+	})
 }

@@ -3,6 +3,7 @@ package compress
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -300,6 +301,53 @@ func refMedianOf3(a, b, c float64) float64 {
 	return b
 }
 
+// The frozen reference error-feedback steps: EncodeEF and EncodeEF32 over
+// a top-k codec as they stood before the fold, the selection, the
+// residual and the decode were fused into two passes — a fold loop, the
+// reference encoder above, a decode over zeros, the subtraction, the
+// non-finite reset and the copy. TestEncodeEFMatchesFrozenReference and
+// FuzzCodecRoundtrip require the live steps to produce the same payload,
+// the same residual bits and the same decoded-x bits.
+//
+// Do not modernize these two bodies either.
+
+func refEncodeEF(frac float64, p *Payload, x, e []float64) {
+	for i := range x {
+		x[i] += e[i]
+	}
+	refTopKEncode(frac, p, x)
+	dec := make([]float64, len(x))
+	for j, i := range p.Idx {
+		dec[i] = p.Val[j]
+	}
+	for i := range e {
+		e[i] = x[i] - dec[i]
+		if math.IsNaN(e[i]) || math.IsInf(e[i], 0) {
+			e[i] = 0
+		}
+	}
+	copy(x, dec)
+}
+
+func refEncodeEF32(frac float64, p *Payload, x []float64, e32 []float32) {
+	for i := range x {
+		x[i] += float64(e32[i])
+	}
+	refTopKEncode(frac, p, x)
+	dec := make([]float64, len(x))
+	for j, i := range p.Idx {
+		dec[i] = p.Val[j]
+	}
+	for i := range e32 {
+		v := x[i] - dec[i]
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			v = 0
+		}
+		e32[i] = float32(v)
+	}
+	copy(x, dec)
+}
+
 // sameTopK compares a live top-k payload with the reference's: the
 // header, the int8 fields an earlier encode may have left behind, every
 // index, and the bits of every value.
@@ -512,6 +560,93 @@ func TestTopKEncodeMatchesFrozenReference(t *testing.T) {
 			codec.Encode(run.p, c.x, nil, run.scratch)
 			if err := sameTopK(run.p, &want); err != nil {
 				t.Fatalf("%s (%s payload): %v", c.name, run.name, err)
+			}
+		}
+	}
+}
+
+// sameEF runs one live and one reference error-feedback step of top-k at
+// frac over copies of x and of the residual e (float64 or float32), into
+// p and a fresh payload, and reports the first difference in the payload,
+// the residual bits or the decoded-x bits. The live step's residual is
+// left in e.
+func sameEF[E float64 | float32](frac float64, p *Payload, x []float64, e []E, scratch []float64) error {
+	gx, wx, we := slices.Clone(x), slices.Clone(x), slices.Clone(e)
+	var want Payload
+	switch e := any(e).(type) {
+	case []float64:
+		EncodeEF(&TopK{Frac: frac}, p, gx, e, nil, scratch)
+		refEncodeEF(frac, &want, wx, any(we).([]float64))
+	case []float32:
+		EncodeEF32(&TopK{Frac: frac}, p, gx, e, nil, scratch)
+		refEncodeEF32(frac, &want, wx, any(we).([]float32))
+	}
+	if err := sameTopK(p, &want); err != nil {
+		return err
+	}
+	for i := range e {
+		if g, w := math.Float64bits(float64(e[i])), math.Float64bits(float64(we[i])); g != w {
+			return fmt.Errorf("residual[%d] = %#x, reference %#x", i, g, w)
+		}
+	}
+	for i := range gx {
+		if g, w := math.Float64bits(gx[i]), math.Float64bits(wx[i]); g != w {
+			return fmt.Errorf("decoded x[%d] = %#x, reference %#x", i, g, w)
+		}
+	}
+	return nil
+}
+
+// efResiduals builds the residuals TestEncodeEFMatchesFrozenReference
+// starts each case from, as float64: zero; Normal; the residual 50
+// reference steps over the case's vector leave; and a Normal one seeded
+// with NaN, ±Inf and −0.
+func efResiduals(c topkCase, g *rng.RNG) []struct {
+	kind string
+	e    []float64
+} {
+	d := len(c.x)
+	normal := make([]float64, d)
+	for i := range normal {
+		normal[i] = g.Normal(0, 0.01)
+	}
+	accumulated := make([]float64, d)
+	var p Payload
+	for step := 0; step < 50; step++ {
+		refEncodeEF(c.frac, &p, slices.Clone(c.x), accumulated)
+	}
+	seeded := slices.Clone(normal)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	for i := 0; i < d; i += 3 {
+		seeded[i] = specials[i/3%len(specials)]
+	}
+	return []struct {
+		kind string
+		e    []float64
+	}{{"zero", make([]float64, d)}, {"normal", normal}, {"accumulated", accumulated}, {"seeded", seeded}}
+}
+
+// TestEncodeEFMatchesFrozenReference pins the top-k error-feedback steps
+// to the frozen references above on every case of topkReferenceCases
+// (k ∈ {1, d−1, d} and three fractions over every vector family), from
+// each residual of efResiduals, with float64 residuals (EncodeEF) and
+// float32 ones (EncodeEF32, the residual narrowed). The live steps run
+// into one reused payload with one reused scratch.
+func TestEncodeEFMatchesFrozenReference(t *testing.T) {
+	var p Payload
+	scratch := make([]float64, 4096)
+	g := rng.New(303)
+	for _, c := range topkReferenceCases() {
+		for _, r := range efResiduals(c, g) {
+			if err := sameEF(c.frac, &p, c.x, slices.Clone(r.e), scratch); err != nil {
+				t.Fatalf("%s, %s residual, f64: %v", c.name, r.kind, err)
+			}
+			e32 := make([]float32, len(r.e))
+			for i, v := range r.e {
+				e32[i] = float32(v)
+			}
+			if err := sameEF(c.frac, &p, c.x, e32, scratch); err != nil {
+				t.Fatalf("%s, %s residual, f32: %v", c.name, r.kind, err)
 			}
 		}
 	}

@@ -10,11 +10,11 @@ import (
 
 // TopK keeps the k = max(1, round(Frac·d)) largest-magnitude coordinates
 // of the update as (index, value) pairs, in ascending index order. The
-// selection is fully deterministic: the k-th magnitude τ is found by
+// selection is fully deterministic: the k-th magnitude τ is found by a
 // median-of-three quickselect over the magnitudes at or above a sampled
-// lower bound (all of them when the bound fails or d is small), copied
-// into a caller-provided scratch, and ties at τ are broken by the
-// smallest index.
+// lower bound (all of them when the bound fails or d is small), gathered
+// into a caller-provided scratch, and ties at τ are broken by the smallest
+// index.
 //
 // Non-finite contract: NaN coordinates are dropped — never selected,
 // never transmitted — so one poisoned coordinate cannot claim a top-k
@@ -39,9 +39,9 @@ func (c *TopK) K(d int) int {
 	return min(max(k, 1), d)
 }
 
-// Grow implements Codec.
+// Grow implements Codec, with room for one pair past k (see emit).
 func (c *TopK) Grow(p *Payload, d int) {
-	k := c.K(d)
+	k := c.K(d) + 1
 	if cap(p.Idx) < k {
 		p.Idx = make([]int32, 0, k)
 	}
@@ -50,69 +50,144 @@ func (c *TopK) Grow(p *Payload, d int) {
 	}
 }
 
-// absTotal maps a coordinate to its selection magnitude under a total
-// order: NaN maps to 0 so the selection's comparisons stay consistent
-// (no NaN ever reaches the comparison loops). NaN coordinates are
-// additionally skipped by every emit loop — a zero magnitude could still
-// win a tie slot when the threshold is 0 — which implements the drop-NaN
-// contract documented on TopK.
-func absTotal(v float64) float64 {
-	if math.IsNaN(v) {
-		return 0
-	}
-	return math.Abs(v)
+// Encode implements Codec. scratch must have len(x) capacity; it holds
+// the candidates and magnitudes the selection sees.
+func (c *TopK) Encode(p *Payload, x []float64, _ *rng.RNG, scratch []float64) {
+	emit[float64](c, p, x, nil, scratch)
 }
 
-// Encode implements Codec. scratch must have len(x) capacity; it holds
-// the magnitude copy the selection permutes.
-func (c *TopK) Encode(p *Payload, x []float64, _ *rng.RNG, scratch []float64) {
+// emit writes the kept coordinates of x into p in ascending index order:
+// every magnitude above τ, then those at τ while tie slots remain. Given a
+// residual e (threshold folded it into x), it zeroes e where a coordinate
+// is kept and decodes p into x. Each candidate is written into the next
+// slot, which advances when it is kept, so only a tie at τ takes a branch.
+func emit[E float64 | float32](c *TopK, p *Payload, x []float64, e []E, scratch []float64) {
+	tau, ties, cand := threshold(c, p, x, e, scratch)
+	idx, val := p.Idx[:cap(p.Idx)], p.Val[:cap(p.Val)]
+	j := 0
+	for _, w := range cand {
+		i := math.Float64bits(w)
+		v := x[i]
+		m := math.Abs(v)
+		keep := m > tau
+		if m == tau {
+			if ties == 0 {
+				continue
+			}
+			ties, keep = ties-1, true
+		}
+		idx[j], val[j] = int32(i), v
+		if keep {
+			j++
+		}
+	}
+	p.Idx, p.Val = idx[:j], val[:j]
+	if e != nil {
+		for _, i := range p.Idx {
+			e[i] = 0
+		}
+		c.Decode(x, p)
+	}
+}
+
+const topkSample = 128 // magnitudes threshold samples to bound τ
+
+// threshold readies p for k = K(d) pairs and returns τ, the k-th largest
+// magnitude of x+e with NaN as 0; how many coordinates at τ are kept; and
+// the candidates, ascending indices (as float64 bits, in scratch) that
+// cover every magnitude ≥ τ and no NaN. A non-nil e is folded into x.
+//
+// The bound t0 is the r-th largest of a strided sample of x+e, r =
+// 2km/d + 4, or 0 for small d or k. τ is the k-th largest magnitude of the
+// compacted indices, gathered beside them (or over them, and compacted
+// again at τ). If fewer than k reach t0 > 0, t0 = 0 keeps every non-NaN
+// coordinate; NaN's zeros rank below them all, so τ = 0 if that is ≤ k.
+func threshold[E float64 | float32](c *TopK, p *Payload, x []float64, e []E, scratch []float64) (tau float64, ties int, cand []float64) {
 	d := len(x)
 	k := c.K(d)
 	c.Grow(p, d)
 	p.Form, p.N, p.ChunkLen = KindTopK, d, 0
 	p.Q, p.Scale = p.Q[:0], p.Scale[:0]
-	idx, val := p.Idx[:0], p.Val[:0]
-	if k == d {
-		for i, v := range x {
-			if math.IsNaN(v) {
-				continue
+	scratch = scratch[:d]
+	t0 := 0.0
+	if r := 2*k*topkSample/max(d, 1) + 4; d >= 4*topkSample && r < topkSample {
+		var s [topkSample]float64
+		for j := range s {
+			i := j * d / topkSample
+			v := x[i]
+			if e != nil {
+				v += float64(e[i])
 			}
-			idx = append(idx, int32(i))
-			val = append(val, v)
+			if a := math.Abs(v); a == a {
+				s[j] = a // NaN stays at 0 here and never reaches compact's set
+			}
 		}
-		p.Idx, p.Val = idx, val
-		return
+		t0 = kthLargest(s[:], r)
 	}
-
-	// cand holds every magnitude ≥ tau, so counting over it counts over x.
-	cand := candidates(x, k, scratch[:d])
-	tau := kthLargest(cand, k)
-	above := 0
-	for _, m := range cand {
+	var n int
+	if e != nil {
+		n = foldCompact(x, e, t0, scratch)
+	} else {
+		n = compact(x, t0, scratch)
+	}
+	if n < k && t0 > 0 {
+		t0, n = 0, compact(x, 0, scratch)
+	}
+	if cand = scratch[:n]; t0 == 0 && n <= k {
+		return 0, k, cand
+	}
+	mags := scratch[n:min(2*n, d)]
+	if 2*n > d {
+		mags = cand
+	}
+	for j, w := range cand {
+		mags[j] = math.Abs(x[math.Float64bits(w)])
+	}
+	tau, ties = kthLargest(mags[:n], k), k
+	for _, m := range mags[:n] {
 		if m > tau {
-			above++
+			ties--
 		}
 	}
-	// Keep everything strictly above the threshold and fill the remaining
-	// slots with threshold-magnitude coordinates in index order; the scan
-	// emits ascending indices. Most coordinates fall below tau, so one
-	// compare rejects them. A NaN holds a rank (its 0 magnitude went
-	// through the selection) but is dropped here — the compare is false
-	// for |NaN| — so the payload may carry fewer than k pairs.
-	ties := k - above
+	if 2*n > d {
+		cand = scratch[:compact(x, tau, scratch)]
+	}
+	return tau, ties, cand
+}
+
+// compact writes the indices (as float64 bits) of the coordinates of x
+// whose magnitude bits b satisfy t0 ≤ b ≤ +Inf (b − t0 ≤ +Inf − t0; NaN
+// fails) to the front of cand, advancing by the compare, and counts them.
+func compact(x []float64, t0 float64, cand []float64) int {
+	lo, n := math.Float64bits(t0), 0
 	for i, v := range x {
-		if m := math.Abs(v); m >= tau {
-			if m == tau {
-				if ties == 0 {
-					continue
-				}
-				ties--
-			}
-			idx = append(idx, int32(i))
-			val = append(val, v)
+		cand[n] = math.Float64frombits(uint64(i))
+		if math.Float64bits(v)&^signBit-lo <= expMask-lo {
+			n++
 		}
 	}
-	p.Idx, p.Val = idx, val
+	return n
+}
+
+// foldCompact is compact over x+e; it stores x+e into x and, reset to 0
+// where it is not finite, into e.
+func foldCompact[E float64 | float32](x []float64, e []E, t0 float64, cand []float64) int {
+	e = e[:len(x)]
+	lo, n := math.Float64bits(t0), 0
+	for i, v := range x {
+		v += float64(e[i])
+		x[i] = v
+		cand[n] = math.Float64frombits(uint64(i))
+		b := math.Float64bits(v) &^ signBit
+		if b-lo <= expMask-lo {
+			n++
+		}
+		if b >= expMask {
+			v = 0
+		}
+		e[i] = E(v)
+	}
+	return n
 }
 
 // Decode implements Codec: scatter the kept coordinates over zeros.
@@ -123,95 +198,51 @@ func (c *TopK) Decode(dst []float64, p *Payload) {
 	}
 }
 
-// topkSample is how many magnitudes candidates samples to bound the
-// threshold from below.
-const topkSample = 128
-
-// candidates returns the magnitudes the threshold selection must see: a
-// prefix of mags (len(x) long) that holds every magnitude at or above the
-// k-th largest, and at least k of them. For d ≥ 4·topkSample it takes a
-// strided sample of topkSample magnitudes, keeps the sample's r-th
-// largest as a lower bound t0 with r = 2km/d + 4 (twice the sample's
-// expected share of the top k, plus a margin), and compacts the
-// magnitudes ≥ t0 in one pass — about 12 % of d at Frac .05. Every
-// magnitude is a candidate when d is small, when k is near d/2, when t0
-// is 0 (NaN counts as magnitude 0, and the compaction drops NaN), or when
-// fewer than k magnitudes reach t0 (an unlucky sample).
-func candidates(x []float64, k int, mags []float64) []float64 {
-	d := len(x)
-	if r := 2*k*topkSample/d + 4; d >= 4*topkSample && r < topkSample {
-		var s [topkSample]float64
-		for j := range s {
-			s[j] = absTotal(x[j*d/topkSample])
-		}
-		if t0 := kthLargest(s[:], r); t0 > 0 {
-			n := 0
-			for _, v := range x {
-				a := math.Abs(v)
-				mags[n] = a
-				if a >= t0 {
-					n++
-				}
-			}
-			if n >= k {
-				return mags[:n]
-			}
-		}
-	}
-	for i, v := range x {
-		mags[i] = absTotal(v)
-	}
-	return mags
-}
-
 // kthLargest returns the k-th largest element of a (1 ≤ k ≤ len(a)),
-// permuting a in place. Elements must compare under a total order (no
-// NaNs — see absTotal). Deterministic: median-of-three pivots and a Hoare
-// partition whose scans stop on pivot-equal elements, so a
-// duplicate-heavy range still splits near its middle, with a swap only
-// for each out-of-place pair.
+// permuting a in place. The elements are magnitudes (not NaN), whose bits
+// order as they do. Median-of-three pivots and one Lomuto pass a level
+// split off the elements at or below the pivot; a range with none above
+// it takes a second pass that splits off the pivot-equal run, so
+// duplicates still shrink the range. At most 16 left, insertion sort.
 func kthLargest(a []float64, k int) float64 {
 	target := len(a) - k // rank in ascending order
-	lo, hi := 0, len(a)-1
-	for lo < hi {
-		pivot := medianOf3(a[lo], a[lo+(hi-lo)/2], a[hi])
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < pivot {
-				i++
-			}
-			for a[j] > pivot {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		// a[lo..j] ≤ pivot ≤ a[i..hi]; anything between equals pivot.
+	lo, hi := 0, len(a)
+	for hi-lo > 16 {
+		x, y, z := math.Float64bits(a[lo]), math.Float64bits(a[lo+(hi-lo)/2]), math.Float64bits(a[hi-1])
+		bits := max(min(x, y), min(max(x, y), z))
+		le := lo + lomuto(a[lo:hi], bits+1)
 		switch {
-		case target <= j:
-			hi = j
-		case target >= i:
-			lo = i
+		case target >= le:
+			lo = le
+		case le < hi:
+			hi = le
 		default:
-			return pivot
+			lt := lo + lomuto(a[lo:hi], bits)
+			if target >= lt {
+				return math.Float64frombits(bits)
+			}
+			hi = lt
 		}
+	}
+	for i := lo + 1; i < hi; i++ {
+		v, j := a[i], i
+		for ; j > lo && a[j-1] > v; j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = v
 	}
 	return a[target]
 }
 
-// medianOf3 returns the median of its arguments.
-func medianOf3(a, b, c float64) float64 {
-	if a > b {
-		a, b = b, a
+// lomuto moves the elements of a whose bits are below bound to its front
+// and returns their count: each is swapped with the store slot, which
+// advances by the borrow of bits − bound (both < 2⁶³), not by a branch.
+func lomuto(a []float64, bound uint64) int {
+	s := 0
+	for i, v := range a {
+		a[i] = a[s]
+		a[s] = v
+		s += int((math.Float64bits(v) - bound) >> 63)
 	}
-	if b > c {
-		b = c
-	}
-	if a > b {
-		b = a
-	}
-	return b
+	return s
 }

@@ -55,8 +55,9 @@ func TestDTypeF64Explicit(t *testing.T) {
 // TestF32BitIdentityAcrossParallelism is the fp32 twin of the slot-pool
 // stress regression: 32 clients over 1 vs 8 slots, fp32 local compute,
 // results bit-identical. The fused-correction variant exercises the
-// per-step corr32 narrowing; the int8 variant exercises EncodeEF32 and
-// the fp32 residual rows under slot multiplexing.
+// per-step corr32 narrowing; the int8 and top-k variants exercise
+// EncodeEF32's generic and fused steps and the fp32 residual rows under
+// slot multiplexing.
 func TestF32BitIdentityAcrossParallelism(t *testing.T) {
 	net, shards, test := poolSetup(t, 32)
 	base := Config{
@@ -76,6 +77,9 @@ func TestF32BitIdentityAcrossParallelism(t *testing.T) {
 		{name: "fusedcorr", mk: func() Algorithm { return &fusedCorrAlg{} }},
 		{name: "fedavg-int8", mk: func() Algorithm { return goldenFedAvg{} }, mod: func(c *Config) {
 			c.Compress = compress.Spec{Kind: compress.KindInt8, Chunk: 256}
+		}},
+		{name: "fedavg-topk", mk: func() Algorithm { return goldenFedAvg{} }, mod: func(c *Config) {
+			c.Compress = compress.Spec{Kind: compress.KindTopK, TopKFrac: 0.05}
 		}},
 	}
 	for _, v := range variants {
@@ -100,6 +104,37 @@ func TestF32BitIdentityAcrossParallelism(t *testing.T) {
 				t.Fatalf("FinalParams differ across slot counts: %016x vs %016x", ha, hb)
 			}
 		})
+	}
+}
+
+// TestTopKErrorFeedbackGolden pins a short top-k run with error feedback
+// by value, once with float64 residuals (EncodeEF) and once with float32
+// ones (EncodeEF32): the FNV-1a hash of the final parameters must equal
+// the one the unfused step (Add, Encode, Decode, Sub, reset, copy)
+// produced. Each run has two pinned hashes, one for the assembly kernels
+// and one for the pure-Go loops (-tags noasm, or a CPU without AVX2),
+// because training rounds differently on the two; a change to the error
+// feedback step gives neither. The other top-k tests compare the engine
+// with itself.
+func TestTopKErrorFeedbackGolden(t *testing.T) {
+	net, shards, test := poolSetup(t, 8)
+	for _, c := range []struct {
+		dtype       string
+		asm, scalar uint64
+	}{
+		{"f64", 0xb493fdee23713086, 0x2c9cd4c8602f2e42},
+		{"f32", 0x7176ea47e1a9994a, 0x56fa7ecf914f3ea4},
+	} {
+		cfg := compressConfig(13)
+		cfg.DType = c.dtype
+		cfg.Compress = compress.Spec{Kind: compress.KindTopK, TopKFrac: 0.05}
+		res, err := Run(cfg, goldenFedAvg{}, net, shards, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := paramsHash(res.FinalParams); got != c.asm && got != c.scalar {
+			t.Errorf("%s top-k run: FinalParams hash %016x, want %016x (assembly) or %016x (pure Go)", c.dtype, got, c.asm, c.scalar)
+		}
 	}
 }
 
@@ -157,6 +192,7 @@ func TestF32SteadyStateAllocs(t *testing.T) {
 		{name: "plain", mk: func() Algorithm { return goldenFedAvg{} }},
 		{name: "fused", mk: func() Algorithm { return &fusedCorrAlg{} }},
 		{name: "int8", mk: func() Algorithm { return goldenFedAvg{} }, compress: compress.Spec{Kind: compress.KindInt8, Chunk: 256}},
+		{name: "topk", mk: func() Algorithm { return goldenFedAvg{} }, compress: compress.Spec{Kind: compress.KindTopK, TopKFrac: 0.05}},
 		{name: "stack", mk: func() Algorithm { return goldenFedAvg{} }, stacked: true},
 	}
 	for _, v := range variants {
