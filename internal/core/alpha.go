@@ -13,57 +13,24 @@ import (
 	"repro/internal/vecmath"
 )
 
-// ComputeAlphas evaluates Eq. (7) for one round's uploaded deltas:
+// computeAlphasUpdates evaluates Eq. (7) for one round's updates:
 //
 //	α_i = (1 − ‖∆_i‖/Σ_j‖∆_j‖) · max(cos(∆_i, ∆̄), 0)
 //
-// where ∆̄ is the unweighted mean of the deltas. mean and out must have
-// the right sizes (len(deltas[0]) and len(deltas)); mean is overwritten.
-//
-// The two factors implement the geometry of the paper's Fig. 3: clients
-// whose update disagrees in direction with the crowd (small cosine) or is
+// where ∆̄ is the unweighted mean of the deltas, written into mean
+// (len = d); norms and out hold one entry per update. The two factors
+// implement the geometry of the paper's Fig. 3: clients whose update
+// disagrees in direction with the crowd (small cosine) or is
 // disproportionately large in magnitude get a small α — and therefore a
 // large correction factor 1−α in Eq. (8).
-func ComputeAlphas(deltas [][]float64, mean []float64, out []float64) {
-	computeAlphas(deltas, mean, make([]float64, len(deltas)), out)
-}
-
-// computeAlphas is ComputeAlphas with a caller-provided norms scratch
-// (len(deltas)), so per-round coefficient updates allocate nothing.
-func computeAlphas(deltas [][]float64, mean, norms, out []float64) {
-	n := len(deltas)
-	if n == 0 {
-		return
-	}
-	vecmath.Zero(mean)
-	var normSum float64
-	for i, d := range deltas {
-		vecmath.AXPY(1/float64(n), d, mean)
-		norms[i] = vecmath.Norm2Safe(d)
-		normSum += norms[i]
-	}
-	for i, d := range deltas {
-		if normSum == 0 || math.IsInf(normSum, 0) || math.IsNaN(normSum) {
-			// Degenerate uploads (all zero, or magnitudes beyond float64
-			// range) carry no usable geometry.
-			out[i] = 0
-			continue
-		}
-		cosine := vecmath.CosineSimilarity(d, mean)
-		if cosine < 0 {
-			cosine = 0
-		}
-		out[i] = (1 - norms[i]/normSum) * cosine
-	}
-}
-
-// computeAlphasUpdates is computeAlphas over the round's updates, routed
-// through the payload-aware views: a sparse (top-k) upload contributes
-// its mean mass via an O(k) scatter, its norm over the k kept values
-// (the dropped coordinates are exact zeros), and its Eq. (7) inner
-// product via an O(k) gather against the mean — whose own rescaled norm
-// is computed once, not per update. Dense uploads take the exact code
-// path of computeAlphas, bit-identically.
+//
+// The updates are read through their payload-aware views: a sparse
+// (top-k) upload contributes its mean mass via an O(k) scatter, its norm
+// over the k kept values (the dropped coordinates are exact zeros), and
+// its inner product via an O(k) gather against the mean — whose own
+// rescaled norm is computed once, not per update. Degenerate uploads
+// (all zero, or magnitudes beyond float64 range) carry no usable
+// geometry and get α = 0.
 func computeAlphasUpdates(updates []fl.Update, mean, norms, out []float64) {
 	n := len(updates)
 	if n == 0 {
@@ -98,23 +65,30 @@ func computeAlphasUpdates(updates []fl.Update, mean, norms, out []float64) {
 }
 
 // AlphaTracker maintains per-client correction coefficients across rounds
-// for TACO and the TACO-enhanced hybrids. Coefficients for clients that do
-// not participate in a round (expelled) keep their last value.
+// for TACO and the TACO-enhanced hybrids: the state Algorithm 2 reads,
+// α_i^t (Eq. 7–10) and the participants' mean α_t (Eq. 14/15).
+// Coefficients for clients that do not participate in a round (expelled)
+// keep their last value.
 type AlphaTracker struct {
-	alphas  []float64
-	history [][]float64
-	mean    []float64
+	alphas []float64
+	// meanAlpha is Eq. (14)'s α_t over the last update's participants.
+	meanAlpha float64
+	// delta, scratch and norms are reusable computeAlphasUpdates buffers:
+	// the round's mean delta, the fresh estimates and the update norms.
+	delta   []float64
 	scratch []float64
-	norms   []float64 // reusable computeAlphas scratch
+	norms   []float64
 }
 
 // NewAlphaTracker creates a tracker for n clients of a numParams-sized
-// model, starting every coefficient at initial (Algorithm 2 uses 0.1).
+// model, starting every coefficient, and the mean, at initial (Algorithm
+// 2 uses 0.1).
 func NewAlphaTracker(n, numParams int, initial float64) *AlphaTracker {
 	t := &AlphaTracker{
-		alphas:  make([]float64, n),
-		mean:    make([]float64, numParams),
-		scratch: make([]float64, n),
+		alphas:    make([]float64, n),
+		meanAlpha: initial,
+		delta:     make([]float64, numParams),
+		scratch:   make([]float64, n),
 	}
 	for i := range t.alphas {
 		t.alphas[i] = initial
@@ -123,9 +97,10 @@ func NewAlphaTracker(n, numParams int, initial float64) *AlphaTracker {
 }
 
 // Update recomputes coefficients from the round's updates (Algorithm 2
-// line 9) and appends a snapshot to the history. Smoothing ∈ [0,1) blends
-// the fresh estimate with the previous round's value: α ← s·α_old +
-// (1−s)·α_new. 0 reproduces the paper's memoryless rule.
+// line 9) and their mean over the updates' clients (0 for none).
+// Smoothing ∈ [0,1) blends the fresh estimate with the previous round's
+// value: α ← s·α_old + (1−s)·α_new. 0 reproduces the paper's memoryless
+// rule.
 func (t *AlphaTracker) Update(updates []fl.Update, smoothing float64) {
 	if cap(t.norms) < len(updates) {
 		t.norms = make([]float64, len(updates))
@@ -137,29 +112,20 @@ func (t *AlphaTracker) Update(updates []fl.Update, smoothing float64) {
 		t.scratch = make([]float64, len(updates))
 	}
 	out := t.scratch[:len(updates)]
-	computeAlphasUpdates(updates, t.mean, t.norms[:len(updates)], out)
+	computeAlphasUpdates(updates, t.delta, t.norms[:len(updates)], out)
 	for i, u := range updates {
 		t.alphas[u.Client] = smoothing*t.alphas[u.Client] + (1-smoothing)*out[i]
-	}
-	t.history = append(t.history, vecmath.Clone(t.alphas))
-}
-
-// Alpha returns client i's current coefficient α_i^t.
-func (t *AlphaTracker) Alpha(i int) float64 { return t.alphas[i] }
-
-// MeanOver returns the mean coefficient over the given updates' clients —
-// Eq. (14)'s α_t restricted to participants.
-func (t *AlphaTracker) MeanOver(updates []fl.Update) float64 {
-	if len(updates) == 0 {
-		return 0
 	}
 	var sum float64
 	for _, u := range updates {
 		sum += t.alphas[u.Client]
 	}
-	return sum / float64(len(updates))
+	t.meanAlpha = sum / float64(max(len(updates), 1))
 }
 
-// History returns per-round snapshots of all coefficients (row t holds
-// every client's α after round t). The caller must not mutate the rows.
-func (t *AlphaTracker) History() [][]float64 { return t.history }
+// Alpha returns client i's current coefficient α_i^t.
+func (t *AlphaTracker) Alpha(i int) float64 { return t.alphas[i] }
+
+// Mean returns Eq. (14)'s α_t restricted to the last update's
+// participants.
+func (t *AlphaTracker) Mean() float64 { return t.meanAlpha }

@@ -4,16 +4,183 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/compress"
 	"repro/internal/fl"
 	"repro/internal/rng"
 	"repro/internal/vecmath"
 )
 
+// computeAlphasFor runs Eq. (7) over dense uploads through the path TACO
+// runs, computeAlphasUpdates.
 func computeAlphasFor(deltas [][]float64) []float64 {
 	out := make([]float64, len(deltas))
-	mean := make([]float64, len(deltas[0]))
-	ComputeAlphas(deltas, mean, out)
+	computeAlphasUpdates(denseUpdates(deltas), make([]float64, len(deltas[0])), make([]float64, len(deltas)), out)
 	return out
+}
+
+func denseUpdates(deltas [][]float64) []fl.Update {
+	updates := make([]fl.Update, len(deltas))
+	for i, d := range deltas {
+		updates[i] = fl.Update{Client: i, Delta: d}
+	}
+	return updates
+}
+
+// refAlphas is Eq. (7) written from the paper's formula with plain loops,
+// reading nothing from vecmath or from fl.Update's payload views:
+//
+//	∆̄ = (1/n) Σ_j ∆_j,   α_i = (1 − ‖∆_i‖/Σ_j ‖∆_j‖) · max(cos(∆_i, ∆̄), 0).
+//
+// Every norm and inner product is taken in the overflow-safe form that
+// uploaded deltas need: each vector is divided by its largest magnitude
+// first. A vector of zeros has cosine 0, and a round whose norm sum is 0
+// or not finite has no geometry, so every α is 0.
+// Do not modernize: this is the oracle the production path is held to.
+func refAlphas(deltas [][]float64) []float64 {
+	n, d := len(deltas), len(deltas[0])
+	inv := 1 / float64(n)
+	mean := make([]float64, d)
+	for _, delta := range deltas {
+		for j := 0; j < d; j++ {
+			mean[j] += inv * delta[j]
+		}
+	}
+	maxAbs := func(x []float64) float64 {
+		m := 0.0
+		for j := 0; j < len(x); j++ {
+			if math.Abs(x[j]) > m {
+				m = math.Abs(x[j])
+			}
+		}
+		return m
+	}
+	norm := func(x []float64) float64 {
+		m := maxAbs(x)
+		if m == 0 || math.IsInf(m, 0) {
+			return m
+		}
+		s := 0.0
+		for j := 0; j < len(x); j++ {
+			s += (x[j] * (1 / m)) * (x[j] * (1 / m))
+		}
+		return m * math.Sqrt(s)
+	}
+	cos := func(x, y []float64) float64 {
+		mx, my := maxAbs(x), maxAbs(y)
+		if mx == 0 || my == 0 {
+			return 0
+		}
+		var dot, nx, ny float64
+		for j := 0; j < len(x); j++ {
+			sx, sy := x[j]*(1/mx), y[j]*(1/my)
+			dot += sx * sy
+			nx += sx * sx
+			ny += sy * sy
+		}
+		if nx == 0 || ny == 0 {
+			return 0
+		}
+		return math.Max(-1, math.Min(1, dot/(math.Sqrt(nx)*math.Sqrt(ny))))
+	}
+	norms := make([]float64, n)
+	normSum := 0.0
+	for i := 0; i < n; i++ {
+		norms[i] = norm(deltas[i])
+		normSum += norms[i]
+	}
+	alphas := make([]float64, n)
+	if normSum == 0 || math.IsInf(normSum, 0) || math.IsNaN(normSum) {
+		return alphas
+	}
+	for i := 0; i < n; i++ {
+		alphas[i] = (1 - norms[i]/normSum) * math.Max(cos(deltas[i], mean), 0)
+	}
+	return alphas
+}
+
+// oracleRounds draws Eq. (7) rounds: random Normal deltas, then the
+// degenerate shapes — every update zero, some updates zero, and ±Inf, NaN
+// and huge coordinates planted in one update.
+func oracleRounds() [][][]float64 {
+	r := rng.New(17)
+	var rounds [][][]float64
+	draw := func(n, d int) [][]float64 {
+		deltas := make([][]float64, n)
+		for i := range deltas {
+			deltas[i] = make([]float64, d)
+			for j := range deltas[i] {
+				deltas[i][j] = r.Normal(0, 1) * math.Pow(10, float64(r.IntN(5)-2))
+			}
+		}
+		return deltas
+	}
+	for trial := 0; trial < 300; trial++ {
+		rounds = append(rounds, draw(1+r.IntN(12), 1+r.IntN(40)))
+	}
+	for _, plant := range []float64{0, math.Inf(1), math.Inf(-1), math.NaN(), 1e300, -1e308} {
+		for trial := 0; trial < 20; trial++ {
+			deltas := draw(2+r.IntN(8), 2+r.IntN(30))
+			if plant == 0 && trial%2 == 0 {
+				for _, d := range deltas {
+					vecmath.Zero(d)
+				}
+			}
+			victim := deltas[r.IntN(len(deltas))]
+			if plant == 0 {
+				vecmath.Zero(victim)
+			}
+			victim[r.IntN(len(victim))] = plant
+			rounds = append(rounds, deltas)
+		}
+	}
+	return rounds
+}
+
+// TestComputeAlphasMatchesOracle holds Eq. (7)'s production path to
+// refAlphas: dense uploads bit for bit, top-k uploads (the payload-aware
+// scatter, norm and gather) within 1e-12 of the oracle run on their
+// decoded dense deltas.
+func TestComputeAlphasMatchesOracle(t *testing.T) {
+	r := rng.New(23)
+	for ri, deltas := range oracleRounds() {
+		want := refAlphas(deltas)
+		if got := computeAlphasFor(deltas); !bitsEqual(got, want) {
+			t.Fatalf("round %d, dense: got %v, want %v (deltas %v)", ri, got, want, deltas)
+		}
+		// Keep k of d coordinates of each upload; the decoded delta is the
+		// dense vector with the rest zeroed, as a top-k upload arrives.
+		updates := make([]fl.Update, len(deltas))
+		decoded := make([][]float64, len(deltas))
+		for i, d := range deltas {
+			p := &compress.Payload{Form: compress.KindTopK, N: len(d)}
+			decoded[i] = make([]float64, len(d))
+			for j, v := range d {
+				if r.IntN(3) == 0 {
+					p.Idx = append(p.Idx, int32(j))
+					p.Val = append(p.Val, v)
+					decoded[i][j] = v
+				}
+			}
+			updates[i] = fl.Update{Client: i, Delta: decoded[i], Payload: p}
+		}
+		want = refAlphas(decoded)
+		got := make([]float64, len(deltas))
+		computeAlphasUpdates(updates, make([]float64, len(deltas[0])), make([]float64, len(deltas)), got)
+		for i := range got {
+			if !(math.Abs(got[i]-want[i]) <= 1e-12) {
+				t.Fatalf("round %d, top-k client %d: got %v, want %v", ri, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func bitsEqual(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
 }
 
 func TestComputeAlphasBounds(t *testing.T) {
@@ -159,26 +326,28 @@ func TestAlphaTrackerSmoothing(t *testing.T) {
 	}
 }
 
-func TestAlphaTrackerHistoryAndMean(t *testing.T) {
+// TestAlphaTrackerStoresMean: Update stores Eq. (14)'s α_t over the
+// round's participants, which TACO's Eq. (15) and the hybrids read back.
+func TestAlphaTrackerStoresMean(t *testing.T) {
 	tr := NewAlphaTracker(3, 2, 0.1)
+	if tr.Mean() != 0.1 {
+		t.Fatalf("initial mean = %v, want the initial coefficient 0.1", tr.Mean())
+	}
 	updates := []fl.Update{
 		{Client: 0, Delta: []float64{1, 0}},
 		{Client: 2, Delta: []float64{1, 0}},
 	}
 	tr.Update(updates, 0)
-	if len(tr.History()) != 1 {
-		t.Fatalf("history length %d, want 1", len(tr.History()))
-	}
 	// Client 1 did not participate: keeps its initial value.
 	if tr.Alpha(1) != 0.1 {
 		t.Fatalf("non-participant alpha = %v, want 0.1", tr.Alpha(1))
 	}
-	mean := tr.MeanOver(updates)
 	want := (tr.Alpha(0) + tr.Alpha(2)) / 2
-	if math.Abs(mean-want) > 1e-12 {
-		t.Fatalf("MeanOver = %v, want %v", mean, want)
+	if tr.Mean() != want {
+		t.Fatalf("Mean = %v, want %v", tr.Mean(), want)
 	}
-	if tr.MeanOver(nil) != 0 {
-		t.Fatal("MeanOver(nil) must be 0")
+	tr.Update(nil, 0)
+	if tr.Mean() != 0 {
+		t.Fatal("mean over no updates must be 0")
 	}
 }

@@ -19,7 +19,6 @@ type FedProxTACO struct {
 	Zeta float64
 
 	tracker *AlphaTracker
-	mean    float64
 }
 
 // NewFedProxTACO returns the FedProx(TACO) hybrid of Fig. 6a.
@@ -33,7 +32,6 @@ func (a *FedProxTACO) Name() string { return "FedProx(TACO)" }
 // Setup implements fl.Algorithm.
 func (a *FedProxTACO) Setup(env *fl.Env) {
 	a.tracker = NewAlphaTracker(env.NumClients, env.NumParams, 0.1)
-	a.mean = 0.1
 }
 
 // GradAdjust adds the tailored proximal gradient ζ(1−α_i)(w_{i,k} − w^t).
@@ -48,12 +46,11 @@ func (a *FedProxTACO) GradAdjust(ctx *fl.StepCtx) {
 // coefficients from the round's deltas.
 func (a *FedProxTACO) Aggregate(s *fl.ServerCtx, updates []fl.Update) {
 	a.tracker.Update(updates, 0)
-	a.mean = a.tracker.MeanOver(updates)
 	fl.FedAvgStep(s, updates)
 }
 
 // MeanAlpha implements fl.Algorithm.
-func (a *FedProxTACO) MeanAlpha() float64 { return a.mean }
+func (a *FedProxTACO) MeanAlpha() float64 { return a.tracker.Mean() }
 
 // Costs implements fl.Algorithm: same in-loss proximal term as FedProx.
 func (a *FedProxTACO) Costs() simclock.Costs {
@@ -66,7 +63,6 @@ type ScaffoldTACO struct {
 	fl.Base
 
 	tracker *AlphaTracker
-	mean    float64
 	c       []float64
 	ci      [][]float64 // per-client control variates, allocated lazily
 	corr    [][]float64
@@ -88,7 +84,6 @@ func (a *ScaffoldTACO) Name() string { return "Scaffold(TACO)" }
 // O(d) only for clients that actually train.
 func (a *ScaffoldTACO) Setup(env *fl.Env) {
 	a.tracker = NewAlphaTracker(env.NumClients, env.NumParams, 0.1)
-	a.mean = 0.1
 	a.c = make([]float64, env.NumParams)
 	a.ci = make([][]float64, env.NumClients)
 	a.corr = make([][]float64, env.NumClients)
@@ -130,7 +125,6 @@ func (a *ScaffoldTACO) EndLocal(clientID, _ int, delta []float64) {
 // tailored coefficients.
 func (a *ScaffoldTACO) Aggregate(s *fl.ServerCtx, updates []fl.Update) {
 	a.tracker.Update(updates, 0)
-	a.mean = a.tracker.MeanOver(updates)
 	fl.FedAvgStep(s, updates)
 	vecmath.Zero(a.c)
 	for _, u := range updates {
@@ -143,7 +137,7 @@ func (a *ScaffoldTACO) Aggregate(s *fl.ServerCtx, updates []fl.Update) {
 }
 
 // MeanAlpha implements fl.Algorithm.
-func (a *ScaffoldTACO) MeanAlpha() float64 { return a.mean }
+func (a *ScaffoldTACO) MeanAlpha() float64 { return a.tracker.Mean() }
 
 // Costs implements fl.Algorithm: Scaffold's per-step control-variate add.
 func (a *ScaffoldTACO) Costs() simclock.Costs {

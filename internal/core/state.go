@@ -7,12 +7,13 @@ import (
 	"repro/internal/fl"
 )
 
-// Checkpoint hooks (DESIGN.md §8). TACO's cross-round state is the
-// coefficient tracker (current α_i and the per-round history behind
-// Table II), the broadcast correction ∆^t, the output model z_t, the
-// freeloader strike counts, and the round-mean coefficient; the hybrids
-// carry subsets plus Scaffold-style control variates. Each algorithm
-// describes its state once, in a walk that runs in both directions.
+// Checkpoint hooks (DESIGN.md §8). TACO's cross-round state is what
+// Algorithm 2 reads: the coefficient tracker (current α_i and the
+// participants' mean α_t), the broadcast correction ∆^t, the output model
+// z_t and the freeloader strike counts; the hybrids carry the tracker
+// plus, for Scaffold(TACO), its control variates. None of it grows with
+// the round count. Each algorithm describes its state once, in a walk
+// that runs in both directions.
 
 var (
 	_ fl.StatefulAlgorithm = (*TACO)(nil)
@@ -20,29 +21,14 @@ var (
 	_ fl.StatefulAlgorithm = (*ScaffoldTACO)(nil)
 )
 
-// walk covers the tracker's coefficients and history, for a tracker
-// created for the same fleet size. The history grows by one row a round,
-// so its row count is data; on load the rows are allocated one at a time
-// as their values arrive.
-func (t *AlphaTracker) walk(c *ckpt.Codec) {
+// walk covers the tracker's coefficients and their mean, for a tracker
+// created for the same fleet size. It is FedProx(TACO)'s whole state.
+func (t *AlphaTracker) walk(c *ckpt.Codec) error {
 	c.Section("alphas")
 	c.F64s(t.alphas)
-	c.Section("alpha history")
-	n := len(t.history)
-	c.Int(&n)
-	if n < 0 || n > ckpt.MaxElems {
-		c.Failf("%d rows out of range", n)
-		return
-	}
-	if c.Loading() {
-		t.history = t.history[:0]
-	}
-	for i := 0; i < n && c.Err() == nil; i++ {
-		if c.Loading() {
-			t.history = append(t.history, make([]float64, len(t.alphas)))
-		}
-		c.F64s(t.history[i])
-	}
+	c.Section("alpha mean")
+	c.F64(&t.meanAlpha)
+	return c.Err()
 }
 
 func (a *TACO) walk(c *ckpt.Codec) error {
@@ -56,8 +42,6 @@ func (a *TACO) walk(c *ckpt.Codec) error {
 	for i := range a.strikes {
 		c.Int(&a.strikes[i])
 	}
-	c.Section("taco mean")
-	c.F64(&a.mean)
 	return c.Err()
 }
 
@@ -67,23 +51,14 @@ func (a *TACO) SaveState(w io.Writer) error { return a.walk(ckpt.Save(w)) }
 // LoadState implements fl.StatefulAlgorithm.
 func (a *TACO) LoadState(r io.Reader) error { return a.walk(ckpt.Load(r)) }
 
-func (a *FedProxTACO) walk(c *ckpt.Codec) error {
-	a.tracker.walk(c)
-	c.Section("fedprox(taco) mean")
-	c.F64(&a.mean)
-	return c.Err()
-}
-
 // SaveState implements fl.StatefulAlgorithm.
-func (a *FedProxTACO) SaveState(w io.Writer) error { return a.walk(ckpt.Save(w)) }
+func (a *FedProxTACO) SaveState(w io.Writer) error { return a.tracker.walk(ckpt.Save(w)) }
 
 // LoadState implements fl.StatefulAlgorithm.
-func (a *FedProxTACO) LoadState(r io.Reader) error { return a.walk(ckpt.Load(r)) }
+func (a *FedProxTACO) LoadState(r io.Reader) error { return a.tracker.walk(ckpt.Load(r)) }
 
 func (a *ScaffoldTACO) walk(c *ckpt.Codec) error {
 	a.tracker.walk(c)
-	c.Section("scaffold(taco) mean")
-	c.F64(&a.mean)
 	c.Section("scaffold(taco) c")
 	c.F64s(a.c)
 	c.Section("scaffold(taco) ci")

@@ -76,7 +76,6 @@ type TACO struct {
 	strikes []int
 	k       int
 	lr      float64
-	mean    float64
 	// weights is the reusable normalized Eq. (9) weight buffer, reported
 	// to the server each round for the defense metrics (honest-vs-corrupt
 	// weight mass).
@@ -112,7 +111,6 @@ func (a *TACO) Setup(env *fl.Env) {
 	a.strikes = make([]int, env.NumClients)
 	a.k = env.Cfg.LocalSteps
 	a.lr = env.Cfg.LocalLR
-	a.mean = a.cfg.InitialAlpha
 	a.weights = make([]float64, env.NumClients)
 }
 
@@ -136,7 +134,6 @@ func (a *TACO) GradAdjust(ctx *fl.StepCtx) {
 // (Eq. 10).
 func (a *TACO) Aggregate(s *fl.ServerCtx, updates []fl.Update) {
 	a.tracker.Update(updates, a.cfg.AlphaSmoothing)
-	a.mean = a.tracker.MeanOver(updates)
 
 	// Eq. (9): ∆^{t+1} = Σ α_i ∆_i / (K·ηl·Σα_i), with weights optionally
 	// floored (see Config.AggFloor) and damped by each update's staleness
@@ -190,7 +187,7 @@ func (a *TACO) Aggregate(s *fl.ServerCtx, updates []fl.Update) {
 		a.z = make([]float64, len(s.W))
 	}
 	for j := range a.z {
-		a.z[j] = s.W[j] + (1-a.mean)*(s.W[j]-s.WPrev[j])
+		a.z[j] = s.W[j] + (1-a.tracker.Mean())*(s.W[j]-s.WPrev[j])
 	}
 
 	// Eq. (10): strike clients whose coefficient crosses κ; expel after λ.
@@ -215,15 +212,12 @@ func (a *TACO) FinalModel(w []float64) []float64 {
 }
 
 // MeanAlpha implements fl.Algorithm.
-func (a *TACO) MeanAlpha() float64 { return a.mean }
+func (a *TACO) MeanAlpha() float64 { return a.tracker.Mean() }
 
 // Alphas returns the current per-client coefficients (a copy).
 func (a *TACO) Alphas() []float64 {
 	return vecmath.Clone(a.tracker.alphas)
 }
-
-// AlphaHistory exposes per-round coefficient snapshots for Table II.
-func (a *TACO) AlphaHistory() [][]float64 { return a.tracker.History() }
 
 // Corr returns the current broadcast correction ∆^t (a copy), the
 // aggregated global gradient of Eq. (9). Diagnostic accessor.

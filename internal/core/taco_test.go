@@ -85,8 +85,10 @@ func TestTACOTrainsAndTracksAlpha(t *testing.T) {
 			t.Fatalf("alpha[%d] = %v outside [0,1]", i, a)
 		}
 	}
-	if len(alg.AlphaHistory()) != tacoConfig().Rounds {
-		t.Fatalf("history rounds %d, want %d", len(alg.AlphaHistory()), tacoConfig().Rounds)
+	// Every client trains every round, so the stored Eq. (14) mean is the
+	// mean of all six coefficients.
+	if m := alg.MeanAlpha(); math.Abs(m-vecmath.Mean(alphas)) > 1e-12 {
+		t.Fatalf("mean alpha %v, want the participants' mean %v", m, vecmath.Mean(alphas))
 	}
 	if m := alg.MeanAlpha(); m <= 0 || m >= 1 {
 		t.Fatalf("mean alpha %v out of (0,1)", m)

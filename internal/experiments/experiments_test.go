@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -395,6 +397,71 @@ func TestStragglerArtifact(t *testing.T) {
 	for _, fleet := range []string{"uniform", "mild", "extreme"} {
 		if strings.Count(s, fleet) < 3 {
 			t.Fatalf("fleet %s missing rows:\n%s", fleet, s)
+		}
+	}
+}
+
+// stripPrior removes what the prior notes add to a render: the ≡ markers
+// and the "prior:" note lines. Table rows compare cell by cell, trimmed,
+// since a marker widens its column's padding and separator.
+func stripPrior(text string) string {
+	var out []string
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "note: prior: ") {
+			continue
+		}
+		line = strings.ReplaceAll(line, "≡", "")
+		if strings.HasPrefix(line, "|") {
+			cells := strings.Split(line, "|")
+			for i, c := range cells {
+				if cells[i] = strings.TrimSpace(c); strings.Trim(cells[i], "-") == "" {
+					cells[i] = strings.TrimLeft(cells[i], "-")
+				}
+			}
+			line = strings.Join(cells, "|")
+		}
+		out = append(out, line)
+	}
+	return strings.Join(out, "\n")
+}
+
+// TestRendersDifferFromParentOnlyByPrior: once its ≡ markers and prior
+// notes are stripped, every committed render without wall-clock columns
+// reads as it did before the notes existed. The FNV-1a hashes are of the
+// stripped texts as committed just before the prior notes were added.
+func TestRendersDifferFromParentOnlyByPrior(t *testing.T) {
+	want := map[string]string{
+		"bench/compression.txt": "6cc439d861965c48",
+		"bench/faults.txt":      "4d36eef2cbcfb92e",
+		"bench/fedopt.txt":      "12d67ab320552824",
+		"bench/fig2.txt":        "0ba104a423211e5a",
+		"bench/fig4.txt":        "b070f7043acf0001",
+		"bench/fig6.txt":        "1d5a3a4fabdd5783",
+		"bench/fig7.txt":        "9cf392ac59d2b0f5",
+		"bench/robustness.txt":  "6e3c90f88487c417",
+		"bench/scale100k.txt":   "453ce1b172c84fd8",
+		"bench/scale1k.txt":     "171a2dad71abbcb1",
+		"bench/straggler.txt":   "e6323c3596b9de8a",
+		"bench/table2.txt":      "dcff9701bb9b1f00",
+		"bench/table3.txt":      "8a524adf6cebd3cd",
+		"bench/table5.txt":      "ac4639e7f7a3ba24",
+		"bench/table6.txt":      "2c90c82240f60680",
+		"bench/table7.txt":      "3649bdeba88d9347",
+		"bench/table8.txt":      "43377b74e45cd418",
+		"compression.txt":       "7e8579888f643a4b",
+		"faults.txt":            "2934f6faa3b73947",
+		"robustness.txt":        "fe094347e5a9b7a3",
+		"straggler.txt":         "5c114b9ed7ef647c",
+	}
+	for path, sum := range want {
+		text, err := os.ReadFile(filepath.Join("..", "..", "results", path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write([]byte(stripPrior(string(text))))
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != sum {
+			t.Errorf("%s: stripped text hashes to %s, want %s", path, got, sum)
 		}
 	}
 }

@@ -26,7 +26,8 @@ func freeloaderIDs(clients int) []int {
 // table2 reproduces "Average value of α_i of different groups of clients":
 // TACO's correction coefficients grouped by label diversity (Groups A/B/C)
 // plus freeloaders, on four image datasets. It stays outside the grid
-// because it reads the trained TACO's α history, not a run's metrics.
+// because it reads the trained TACO's per-round α (alphaLog), not a run's
+// metrics.
 func table2(r *Runner) ([]Artifact, error) {
 	datasets := []string{"mnist", "fmnist", "svhn", "cifar10"}
 	t := &report.Table{Title: "Table II: Mean TACO α per client group (mean±std over rounds)",
@@ -49,15 +50,14 @@ func table2(r *Runner) ([]Artifact, error) {
 		cfg.Adversaries = []adversary.Spec{adversary.Freeloaders(frees)}
 		// Detection off: Table II observes α including freeloaders for the
 		// whole run, without expelling anyone.
-		taco := core.New(core.Recommended())
+		taco := &alphaLog{TACO: core.New(core.Recommended())}
 		if _, err := fl.Run(*cfg, taco, net, shards, test); err != nil {
 			return nil, err
 		}
 		vals := make([][]float64, len(t.Rows))
-		history := taco.AlphaHistory()
 		// Skip the first quarter of rounds: α needs a few rounds to reflect
 		// the clients' data rather than the 0.1 initialization.
-		for _, alphas := range history[len(history)/4:] {
+		for _, alphas := range taco.rounds[len(taco.rounds)/4:] {
 			for id, alpha := range alphas {
 				row := min(groupOf[id], 2) // Group A, B or C
 				if slices.Contains(frees, id) {
@@ -75,4 +75,17 @@ func table2(r *Runner) ([]Artifact, error) {
 		"paper shape: α rises with label diversity (A < B < C) and freeloaders stand far above",
 		"all honest groups (paper: 0.75-0.88), enabling threshold detection (Eq. 10)."}
 	return []Artifact{t}, nil
+}
+
+// alphaLog is TACO that copies every client's α after each Aggregate: the
+// per-round snapshots Table II averages over. Its runs take no checkpoint,
+// so no rollback rewinds the log.
+type alphaLog struct {
+	*core.TACO
+	rounds [][]float64
+}
+
+func (a *alphaLog) Aggregate(s *fl.ServerCtx, updates []fl.Update) {
+	a.TACO.Aggregate(s, updates)
+	a.rounds = append(a.rounds, a.Alphas())
 }

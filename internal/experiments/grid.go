@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/fl"
@@ -66,6 +67,50 @@ type Cell struct {
 	*fl.Result
 	// Top is the cell atop this one's grid column.
 	Top *Cell
+	// prior is the cell's test set's; shown records that the cell printed
+	// an accuracy, so its grid notes the prior.
+	prior *prior
+	shown bool
+}
+
+// prior is a test set's class counts and size: a one-class predictor of
+// class k scores counts[k]/n.
+type prior struct {
+	counts []int
+	n      float64
+}
+
+// pct is report.Pct of an accuracy, marked ≡ when it lies within one test
+// sample of a one-class predictor's.
+func (c *Cell) pct(a float64) string {
+	c.shown = true
+	for _, k := range c.prior.counts {
+		if math.Abs(math.Round(a*c.prior.n)-float64(k)) <= 1 {
+			return report.Pct(a) + "≡"
+		}
+	}
+	return report.Pct(a)
+}
+
+// priorNotes states, for each dataset whose accuracy the cells printed,
+// the majority class's share of the test set (and the minority's for a
+// binary set): what a one-class predictor scores.
+func priorNotes(cells [][]*Cell) (notes []string) {
+	seen := map[string]bool{}
+	for _, c := range slices.Concat(cells...) {
+		if ds, p := c.Profile.Dataset, c.prior; c.shown && !seen[ds] {
+			seen[ds] = true
+			note := fmt.Sprintf("prior: %s majority %s", ds, report.Pct(float64(slices.Max(p.counts))/p.n))
+			if len(p.counts) == 2 {
+				note += ", minority " + report.Pct(float64(slices.Min(p.counts))/p.n)
+			}
+			notes = append(notes, note)
+		}
+	}
+	if notes != nil {
+		notes = append(notes, "prior: ≡ marks a cell within one test sample of a one-class predictor")
+	}
+	return notes
 }
 
 // Run trains every cell of the grid and renders it.
@@ -111,6 +156,7 @@ func (g *Grid) Run(r *Runner) ([]Artifact, error) {
 		}
 		t.AddRow(line...)
 	}
+	t.Notes = append(slices.Clip(t.Notes), priorNotes(cells)...)
 	return append(out, t), nil
 }
 
@@ -159,7 +205,7 @@ func acc(c *Cell) string {
 	if c.Run.Diverged {
 		return "×"
 	}
-	return report.Pct(c.Run.FinalAccuracy())
+	return c.pct(c.Run.FinalAccuracy())
 }
 
 func accCell(c *Cell) []string { return []string{acc(c)} }

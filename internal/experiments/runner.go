@@ -57,8 +57,9 @@ type Runner struct {
 	// Progress, when non-nil, receives one line per completed run.
 	Progress io.Writer
 
-	mu    sync.Mutex
-	cache map[string]*fl.Result
+	mu     sync.Mutex
+	cache  map[string]*fl.Result
+	priors map[string]*prior // by dataset/seed
 }
 
 // NewRunner creates a Runner with the default base seed.
@@ -120,8 +121,9 @@ func (r *Runner) cell(g *Grid, point []Level) (*Cell, error) {
 		g.Mutate(&s)
 	}
 	c := &Cell{Setup: s}
+	pk := fmt.Sprintf("%s/%d", s.Profile.Dataset, s.Seed)
 	r.mu.Lock()
-	c.Result = r.cache[key]
+	c.Result, c.prior = r.cache[key], r.priors[pk]
 	r.mu.Unlock()
 	if c.Result != nil {
 		return c, nil
@@ -152,9 +154,16 @@ func (r *Runner) cell(g *Grid, point []Level) (*Cell, error) {
 	}
 	r.mu.Lock()
 	if r.cache == nil {
-		r.cache = make(map[string]*fl.Result)
+		r.cache, r.priors = make(map[string]*fl.Result), make(map[string]*prior)
 	}
 	r.cache[key] = c.Result
+	if r.priors[pk] == nil {
+		r.priors[pk] = &prior{counts: make([]int, test.Classes), n: float64(test.Len())}
+		for _, y := range test.Y {
+			r.priors[pk].counts[y]++
+		}
+	}
+	c.prior = r.priors[pk]
 	r.mu.Unlock()
 	return c, nil
 }

@@ -377,5 +377,5 @@ func accBest(c *Cell) []string {
 	if c.Run.Diverged {
 		return []string{"×"}
 	}
-	return []string{report.Pct(c.Run.FinalAccuracy()) + " / " + report.Pct(c.Run.BestAccuracy())}
+	return []string{c.pct(c.Run.FinalAccuracy()) + " / " + c.pct(c.Run.BestAccuracy())}
 }

@@ -169,8 +169,10 @@ func (u *Update) CosineWithNorm(y []float64, my, ny float64) float64 {
 	if nv == 0 {
 		return 0
 	}
-	if dot := vecmath.GatherDot(p.Idx, p.Val, y); !math.IsNaN(dot) && !math.IsInf(dot, 0) {
-		if c := dot / (nv * my * ny); !math.IsNaN(c) && !math.IsInf(c, 0) {
+	// A product of norms beyond float64 range would read as cosine 0, so
+	// it takes the rescaled path too.
+	if dot, den := vecmath.GatherDot(p.Idx, p.Val, y), nv*my*ny; !math.IsNaN(dot) && !math.IsInf(dot, 0) && !math.IsInf(den, 0) {
+		if c := dot / den; !math.IsNaN(c) && !math.IsInf(c, 0) {
 			return vecmath.Clamp(c, -1, 1)
 		}
 	}

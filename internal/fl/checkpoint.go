@@ -33,12 +33,12 @@ import (
 
 // The magic names the format; a blob of any older format is rejected by
 // the magic check rather than silently misparsed.
-var runCkptMagic = [8]byte{'F', 'L', 'C', 'K', 'P', 'T', '0', '5'}
+var runCkptMagic = [8]byte{'F', 'L', 'C', 'K', 'P', 'T', '0', '6'}
 
 // StatefulAlgorithm is implemented by algorithms that carry cross-round
 // state a checkpoint must capture — control variates (Scaffold), client
-// momentum (STEM), server momentum (FedACG), or TACO's correction state
-// and alpha history. Stateless algorithms (FedAvg, FedProx, FoolsGold)
+// momentum (STEM), server momentum (FedACG), or TACO's coefficients and
+// correction state. Stateless algorithms (FedAvg, FedProx, FoolsGold)
 // need no hooks: their runs resume bit-identically from the model alone.
 type StatefulAlgorithm interface {
 	Algorithm

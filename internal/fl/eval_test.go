@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/baselines"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/fault"
@@ -259,25 +260,28 @@ func TestTopClassShareMatchesRecount(t *testing.T) {
 }
 
 // TestCheckpointRefusesOldMagic pins the format bump: a blob that carries
-// the previous format's magic (no top-class share in its records) is
-// refused, not misread.
+// the previous format's magic (whose TACO state still held the per-round
+// α history and a separate mean) is refused, not misread.
 func TestCheckpointRefusesOldMagic(t *testing.T) {
 	net, shards, test := testSetup(t, 8)
 	cfg := quickConfig()
 	cfg.CheckpointEvery = 2
 	c := &ckptCapture{}
 	cfg.OnCheckpoint = c.hook()
-	if _, err := fl.Run(cfg, baselines.NewFedAvg(), net, shards, test); err != nil {
+	if _, err := fl.Run(cfg, core.New(core.Recommended()), net, shards, test); err != nil {
 		t.Fatal(err)
 	}
 	cfg.OnCheckpoint = nil
 	blob := slices.Clone(c.at(4))
-	if string(blob[:8]) != "FLCKPT05" {
-		t.Fatalf("magic %q, want FLCKPT05", blob[:8])
+	if string(blob[:8]) != "FLCKPT06" {
+		t.Fatalf("magic %q, want FLCKPT06", blob[:8])
 	}
-	copy(blob, "FLCKPT04")
-	_, err := fl.Resume(cfg, baselines.NewFedAvg(), net, shards, test, blob)
+	if _, err := fl.Resume(cfg, core.New(core.Recommended()), net, shards, test, blob); err != nil {
+		t.Fatalf("Resume of the current format: %v", err)
+	}
+	copy(blob, "FLCKPT05")
+	_, err := fl.Resume(cfg, core.New(core.Recommended()), net, shards, test, blob)
 	if err == nil || !strings.Contains(err.Error(), "bad magic") {
-		t.Fatalf("Resume of a FLCKPT04 blob: err = %v, want bad magic", err)
+		t.Fatalf("Resume of a FLCKPT05 blob: err = %v, want bad magic", err)
 	}
 }

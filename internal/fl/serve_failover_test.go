@@ -127,13 +127,16 @@ func totalRecovery(run *metrics.Run) (re, rc int) {
 
 // updatesWriter wraps a worker-side connection and counts the Updates
 // frames the worker writes; with killAt > 0 it closes the connection
-// right after the killAt-th one. The worker writes every frame with one
-// Write call, so a write's third byte is its frame type.
+// right after the killAt-th one (only its write side with halfClose, so
+// the server reads every frame written before the cut). The worker writes
+// every frame with one Write call, so a write's third byte is its frame
+// type.
 type updatesWriter struct {
 	net.Conn
-	mu      sync.Mutex
-	updates int
-	killAt  int
+	mu        sync.Mutex
+	updates   int
+	killAt    int
+	halfClose bool
 }
 
 func (u *updatesWriter) Write(p []byte) (int, error) {
@@ -143,7 +146,9 @@ func (u *updatesWriter) Write(p []byte) (int, error) {
 		u.updates++
 		kill := u.updates == u.killAt
 		u.mu.Unlock()
-		if kill {
+		if kill && u.halfClose {
+			u.Conn.(*net.TCPConn).CloseWrite()
+		} else if kill {
 			u.Conn.Close()
 		}
 	}
@@ -369,7 +374,7 @@ func TestServeFailoverReconnect(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := quickConfig()
 			row.mutate(&cfg)
-			redialed := serveRedialed(t, cfg, 8, row.kill)
+			redialed := serveRedialed(t, cfg, 8, func(c net.Conn) net.Conn { return &killAfterFrames{Conn: c, remain: row.kill} })
 			perRound, adopts := redialed.trainFrames()
 			if (adopts > 0) != row.settled {
 				t.Fatalf("the re-dialed worker received %d Adopt frames; settled history: %v", adopts, row.settled)
@@ -389,11 +394,11 @@ func TestServeFailoverReconnect(t *testing.T) {
 }
 
 // serveRedialed runs cfg over two workers of clients/2 clients each with
-// reassignment disabled and a grace window. Worker 1's first connection
-// is closed after kill inbound frames and re-dials with Attach 1. The run
+// reassignment disabled and a grace window. Worker 1's first connection,
+// wrapped by cut, is closed and re-dials with Attach 1. The run
 // must equal fl.Run with re-admission engaged; serveRedialed returns the
 // re-dialed connection's record of what the server sent it.
-func serveRedialed(t *testing.T, cfg fl.Config, clients, kill int) *inboundRecorder {
+func serveRedialed(t *testing.T, cfg fl.Config, clients int, cut func(net.Conn) net.Conn) *inboundRecorder {
 	t.Helper()
 	network, shards, test := testSetup(t, clients)
 	local, err := fl.Run(cfg, baselines.NewFedAvg(), network, shards, test)
@@ -425,8 +430,7 @@ func serveRedialed(t *testing.T, cfg fl.Config, clients, kill int) *inboundRecor
 			errs[1] = err
 			return
 		}
-		kc := &killAfterFrames{Conn: conn, remain: kill}
-		if err := fl.RunWorkerOpts(kc, fl.WorkerOptions{Index: 1, Workers: 2}, cfg, baselines.NewFedAvg(), network, shards, test.Name); err == nil {
+		if err := fl.RunWorkerOpts(cut(conn), fl.WorkerOptions{Index: 1, Workers: 2}, cfg, baselines.NewFedAvg(), network, shards, test.Name); err == nil {
 			errs[1] = errors.New("killed worker returned nil — the kill never fired")
 			return
 		}
@@ -662,31 +666,43 @@ func TestAdoptReplayWide(t *testing.T) {
 	fl.CheckGoroutines(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const clients = 80
+	frames := func(n int) func(net.Conn) net.Conn {
+		return func(c net.Conn) net.Conn { return &killAfterFrames{Conn: c, remain: n} }
+	}
 	modes := []struct {
 		name   string
 		mutate func(*fl.Config)
-		// kill is how many inbound frames worker 1's connection delivers
-		// before it is closed: two rounds under sync, deadline and top-k,
-		// and under async the initial dispatch plus one step's three.
-		kill int
+		// cut wraps worker 1's first connection, which it closes after two
+		// rounds' inbound frames under sync, deadline and top-k. An async
+		// server reads an upload only when its modeled finish time comes
+		// up, so a cut timed by the frames worker 1 reads can land after
+		// the server holds every upload it will read from worker 1 (the run
+		// then ends without a failover, or before the re-dial). Async cuts
+		// the write side after worker 1's first Updates frame instead: the
+		// server reads its 32 uploads (history to replay), 8 of its 40
+		// initial clients are still on it, and all 80 initial uploads
+		// finish before any re-dispatch, so the server waits for those 8
+		// within the first 27 steps.
+		cut func(net.Conn) net.Conn
 	}{
-		{"dense", func(*fl.Config) {}, 3},
-		{"topk", func(c *fl.Config) { c.Compress = compress.Spec{Kind: compress.KindTopK, TopKFrac: 0.25} }, 3},
-		{"async", func(c *fl.Config) { c.Policy, c.AsyncBuffer, c.Rounds = fl.PolicyAsync, 3, 40 }, 6},
-		{"deadline", func(c *fl.Config) { c.Policy, c.RoundDeadlineSec = fl.PolicyDeadline, 1e6 }, 3},
+		{"dense", func(*fl.Config) {}, frames(3)},
+		{"topk", func(c *fl.Config) { c.Compress = compress.Spec{Kind: compress.KindTopK, TopKFrac: 0.25} }, frames(3)},
+		{"async", func(c *fl.Config) { c.Policy, c.AsyncBuffer, c.Rounds = fl.PolicyAsync, 3, 40 },
+			func(c net.Conn) net.Conn { return &updatesWriter{Conn: c, killAt: 1, halfClose: true} }},
+		{"deadline", func(c *fl.Config) { c.Policy, c.RoundDeadlineSec = fl.PolicyDeadline, 1e6 }, frames(3)},
 	}
 	paths := []struct {
 		name string
-		run  func(t *testing.T, cfg fl.Config, kill int)
+		run  func(t *testing.T, cfg fl.Config, cut func(net.Conn) net.Conn)
 	}{
-		{"reconnect", func(t *testing.T, cfg fl.Config, kill int) { serveRedialed(t, cfg, clients, kill) }},
-		{"kill", func(t *testing.T, cfg fl.Config, kill int) {
-			wired := serveKilled(t, cfg, clients, func(c net.Conn) net.Conn { return &killAfterFrames{Conn: c, remain: kill} })
+		{"reconnect", func(t *testing.T, cfg fl.Config, cut func(net.Conn) net.Conn) { serveRedialed(t, cfg, clients, cut) }},
+		{"kill", func(t *testing.T, cfg fl.Config, cut func(net.Conn) net.Conn) {
+			wired := serveKilled(t, cfg, clients, cut)
 			if re, _ := totalRecovery(wired.Run); re == 0 {
 				t.Fatal("no dispatch reassigned: failover never engaged")
 			}
 		}},
-		{"servercrash", func(t *testing.T, cfg fl.Config, _ int) {
+		{"servercrash", func(t *testing.T, cfg fl.Config, _ func(net.Conn) net.Conn) {
 			network, shards, test := testSetup(t, clients)
 			local, err := fl.Run(cfg, baselines.NewFedAvg(), network, shards, test)
 			if err != nil {
@@ -711,7 +727,7 @@ func TestAdoptReplayWide(t *testing.T) {
 				cfg := quickConfig()
 				cfg.Parallelism = 1
 				mode.mutate(&cfg)
-				path.run(t, cfg, mode.kill)
+				path.run(t, cfg, mode.cut)
 				extra, widened := width()
 				if extra == 0 || widened == 0 {
 					t.Fatalf("%d extra slots grown, %d Adopt sub-batches ran on more than one slot; want both > 0", extra, widened)
@@ -724,7 +740,7 @@ func TestAdoptReplayWide(t *testing.T) {
 		width := fl.ObserveReplayWidth(t)
 		cfg := quickConfig()
 		cfg.Parallelism = 1
-		serveRedialed(t, cfg, clients, 3)
+		serveRedialed(t, cfg, clients, frames(3))
 		if extra, widened := width(); extra != 0 || widened != 0 {
 			t.Fatalf("GOMAXPROCS 1 grew %d extra slots and widened %d sub-batches, want 0 and 0", extra, widened)
 		}
