@@ -50,7 +50,6 @@ func run() error {
 		addr    = flag.String("addr", "127.0.0.1:7070", "listen/dial address (a socket path for -network unix)")
 		index   = flag.Int("index", 0, "worker: this worker's index in [0,workers)")
 		workers = flag.Int("workers", 1, "worker process count")
-		intake  = flag.Int("intake", 0, "serve: per-connection intake bound before Hold backpressure (0 = 256)")
 
 		heartbeat  = flag.Float64("heartbeat", 0, "liveness probe seconds (0 = 5, negative disables)")
 		grace      = flag.Float64("grace", 0, "serve: seconds to wait for a dead worker to re-dial before reassigning its clients (0 = don't wait)")
@@ -117,7 +116,6 @@ func run() error {
 		}()
 		opt := fl.ServeOptions{
 			Workers:          *workers,
-			IntakeBound:      *intake,
 			HeartbeatSec:     *heartbeat,
 			FailoverGraceSec: *grace,
 			DisableReassign:  *noReassign,

@@ -465,3 +465,27 @@ func TestRendersDifferFromParentOnlyByPrior(t *testing.T) {
 		}
 	}
 }
+
+// TestPctMarksOneClassPredictors: ≡ needs both a top-class share within
+// one test sample of 1 and an accuracy within one sample of a class's
+// share. An accuracy near a class share from a model that spreads its
+// predictions stays unmarked, as does a one-class model whose accuracy
+// is no class's share.
+func TestPctMarksOneClassPredictors(t *testing.T) {
+	c := &Cell{prior: &prior{counts: []int{36, 964}, n: 1000}}
+	for _, tc := range []struct {
+		acc, top float64
+		want     string
+	}{
+		{0.964, 1, "96.40%≡"},
+		{0.963, 0.999, "96.30%≡"},
+		{0.036, 1, "3.60%≡"},
+		{0.964, 0.998, "96.40%"},
+		{0.035, 0.4, "3.50%"},
+		{0.5, 1, "50.00%"},
+	} {
+		if got := c.pct(metrics.Round{Accuracy: tc.acc, TopClassShare: tc.top}); got != tc.want {
+			t.Errorf("pct(acc %v, top %v) = %q, want %q", tc.acc, tc.top, got, tc.want)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/fl"
+	"repro/internal/metrics"
 	"repro/internal/report"
 )
 
@@ -80,16 +81,40 @@ type prior struct {
 	n      float64
 }
 
-// pct is report.Pct of an accuracy, marked ≡ when it lies within one test
-// sample of a one-class predictor's.
-func (c *Cell) pct(a float64) string {
+// pct is report.Pct of a round's accuracy, marked ≡ when that round's
+// model scores as a one-class predictor within one test sample: its most
+// predicted class takes all test predictions but at most one, and its
+// accuracy lies within one sample of some class's share.
+func (c *Cell) pct(rec metrics.Round) string {
 	c.shown = true
-	for _, k := range c.prior.counts {
-		if math.Abs(math.Round(a*c.prior.n)-float64(k)) <= 1 {
-			return report.Pct(a) + "≡"
+	n := c.prior.n
+	if math.Abs(math.Round(rec.TopClassShare*n)-n) <= 1 {
+		for _, k := range c.prior.counts {
+			if math.Abs(math.Round(rec.Accuracy*n)-float64(k)) <= 1 {
+				return report.Pct(rec.Accuracy) + "≡"
+			}
 		}
 	}
-	return report.Pct(a)
+	return report.Pct(rec.Accuracy)
+}
+
+// final is the run's last round record, and best the first one at its
+// best accuracy: the records behind FinalAccuracy and BestAccuracy (zero
+// when the run has none).
+func (c *Cell) final() (rec metrics.Round) {
+	if n := len(c.Run.Rounds); n > 0 {
+		rec = c.Run.Rounds[n-1]
+	}
+	return rec
+}
+
+func (c *Cell) best() (rec metrics.Round) {
+	for _, r := range c.Run.Rounds {
+		if r.Accuracy > rec.Accuracy {
+			rec = r
+		}
+	}
+	return rec
 }
 
 // priorNotes states, for each dataset whose accuracy the cells printed,
@@ -205,7 +230,7 @@ func acc(c *Cell) string {
 	if c.Run.Diverged {
 		return "×"
 	}
-	return c.pct(c.Run.FinalAccuracy())
+	return c.pct(c.final())
 }
 
 func accCell(c *Cell) []string { return []string{acc(c)} }

@@ -37,7 +37,7 @@ var table5 = &Grid{
 		if n, ok := c.Run.RoundsToAccuracy(c.Profile.TargetAcc); ok {
 			rounds = fmt.Sprintf("%d", n)
 		}
-		return []string{c.pct(c.Run.FinalAccuracy()), rounds}
+		return []string{c.pct(c.final()), rounds}
 	},
 	Notes: []string{
 		"paper shape: TACO attains the best accuracy on every dataset and the fewest rounds to target;",
@@ -173,7 +173,7 @@ var table6 = &Grid{
 	Cols: []Axis{methods("TACO"), {
 		dirichlet("femnist", 0.2), dirichlet("femnist", 0.5), dirichlet("adult", 0.1), dirichlet("adult", 0.5),
 	}},
-	Cell: func(c *Cell) []string { return []string{c.pct(c.Run.FinalAccuracy())} },
+	Cell: func(c *Cell) []string { return []string{c.pct(c.final())} },
 	Notes: []string{
 		"paper shape: both components help; the tailored correction contributes more than",
 		"the tailored aggregation, and the full combination is best."},

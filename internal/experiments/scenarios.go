@@ -377,5 +377,5 @@ func accBest(c *Cell) []string {
 	if c.Run.Diverged {
 		return []string{"×"}
 	}
-	return []string{c.pct(c.Run.FinalAccuracy()) + " / " + c.pct(c.Run.BestAccuracy())}
+	return []string{c.pct(c.final()) + " / " + c.pct(c.best())}
 }

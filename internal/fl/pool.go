@@ -129,10 +129,6 @@ type upload struct {
 	// settle stops waiting for it and the scheduler feeds it through the
 	// quorum/degradation path instead of aborting the run.
 	lost bool
-	// via is the connection that delivered (or will deliver) this upload,
-	// the handle backpressure accounting needs once failover has moved
-	// the client to another worker.
-	via *serveConn
 	// queued is the round runLater queued to fill this upload, nil once
 	// settleOne has joined it; only the caller's goroutine touches it.
 	queued *roundTask
@@ -307,9 +303,8 @@ func (p *slotPool) close() { close(p.queue) }
 
 // runRound implements executor: it trains the round on every slot and
 // returns when every update is written.
-func (p *slotPool) runRound(cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) error {
+func (p *slotPool) runRound(cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) {
 	p.train(len(p.slots), false, cfg, alg, clients, ids, round, now, global, prevGlobal, updates, measured)
-	return nil
 }
 
 // train is runRound at the given width, growing a slot and its worker
@@ -330,7 +325,7 @@ func (p *slotPool) train(width int, wide bool, cfg *Config, alg Algorithm, clien
 }
 
 // settle implements executor: runRound already computed everything.
-func (p *slotPool) settle([]Update, []float64) error { return nil }
+func (p *slotPool) settle([]Update, []float64) {}
 
 // runLater is runRound for one async client dispatched between two
 // server steps (DESIGN.md §5): in a pool with workers, the round is queued
@@ -355,9 +350,9 @@ func (p *slotPool) runLater(cfg *Config, alg Algorithm, clients []client, ids []
 // settleOne implements executor: a no-op unless runLater queued the
 // update's round, which it then joins, copying out its train loss and
 // measured time.
-func (p *slotPool) settleOne(u *Update, measured *float64) error {
+func (p *slotPool) settleOne(u *Update, measured *float64) {
 	if u.ring == nil || u.ring.queued == nil {
-		return nil
+		return
 	}
 	t := u.ring.queued
 	u.ring.queued = nil
@@ -366,7 +361,6 @@ func (p *slotPool) settleOne(u *Update, measured *float64) error {
 	if measured != nil {
 		*measured = t.meas[0]
 	}
-	return nil
 }
 
 // prepare checks a ring entry out for each update of a round and writes
@@ -399,7 +393,7 @@ func (p *slotPool) getUpload() *upload {
 		u := p.free[n-1]
 		p.free = p.free[:n-1]
 		p.mu.Unlock()
-		u.lost, u.via = false, nil
+		u.lost = false
 		return u
 	}
 	p.mu.Unlock()

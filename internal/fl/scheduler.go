@@ -149,13 +149,13 @@ type scheduler struct {
 // until settle (whole round) or settleOne (one update) has returned for
 // it, and every settled update must eventually be released.
 type executor interface {
-	runRound(cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) error
+	runRound(cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64)
 	// settle blocks until every update of the round has its results in
 	// place (position j of measured matches updates[j]).
-	settle(updates []Update, measured []float64) error
+	settle(updates []Update, measured []float64)
 	// settleOne blocks until one update's results are in place; measured
 	// may be nil when the caller only needs the update itself.
-	settleOne(u *Update, measured *float64) error
+	settleOne(u *Update, measured *float64)
 	release(u *Update)
 	close()
 }
@@ -427,9 +427,7 @@ func (s *scheduler) runRounds(step func(int) (bool, error)) error {
 				// The restarted server re-dispatches from the restored
 				// round; workers must be rewound to match (reset plus
 				// full history replay, serve.go).
-				if err := rx.resyncWorkers(); err != nil {
-					return err
-				}
+				rx.resyncWorkers()
 			}
 			s.recovered += t - restored
 			t = restored
@@ -634,12 +632,8 @@ func (s *scheduler) round(t int) (halt bool, err error) {
 	measured := s.measured[:len(include)]
 	lost := 0
 	if len(include) > 0 {
-		if err := s.exec.runRound(&s.cfg, s.alg, s.clients, include, t, s.now, s.params, s.wPrev, updates, measured); err != nil {
-			return false, err
-		}
-		if err := s.exec.settle(updates, measured); err != nil {
-			return false, err
-		}
+		s.exec.runRound(&s.cfg, s.alg, s.clients, include, t, s.now, s.params, s.wPrev, updates, measured)
+		s.exec.settle(updates, measured)
 		var kept int
 		kept, lost = s.compactLost(include, updates, measured, a.dup)
 		include, updates, measured = include[:kept], updates[:kept], measured[:kept]
@@ -717,13 +711,13 @@ type flight struct {
 // asyncStep's arrival loop, which the in-process pool queues
 // (slotPool.runLater): asyncStep joins every such round before the state
 // it reads moves.
-func (s *scheduler) dispatch(ids []int, at float64, later bool) error {
+func (s *scheduler) dispatch(ids []int, at float64, later bool) {
 	updates := s.updates[:len(ids)]
 	measured := s.measured[:len(ids)]
 	if later && s.exec == executor(s.pool) {
 		s.pool.runLater(&s.cfg, s.alg, s.clients, ids, s.version, at, s.params, s.wPrev, updates, measured)
-	} else if err := s.exec.runRound(&s.cfg, s.alg, s.clients, ids, s.version, at, s.params, s.wPrev, updates, measured); err != nil {
-		return err
+	} else {
+		s.exec.runRound(&s.cfg, s.alg, s.clients, ids, s.version, at, s.params, s.wPrev, updates, measured)
 	}
 	for j, id := range ids {
 		out := s.resolveAsyncDispatch(id, at)
@@ -738,7 +732,6 @@ func (s *scheduler) dispatch(ids []int, at float64, later bool) error {
 			attempt:  out.attempt,
 		}
 	}
-	return nil
 }
 
 // setupAsync initializes the async state and dispatches the first wave.
@@ -749,7 +742,8 @@ func (s *scheduler) setupAsync() error {
 	if err != nil {
 		return err
 	}
-	return s.dispatch(ids, 0, false)
+	s.dispatch(ids, 0, false)
+	return nil
 }
 
 // asyncStep drains arrivals until the buffer triggers one server step;
@@ -784,9 +778,7 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 	s.version++
 	if trigger >= 0 && s.active[trigger] {
 		s.oneID[0] = trigger
-		if err := s.dispatch(s.oneID[:1], s.now, false); err != nil {
-			return false, err
-		}
+		s.dispatch(s.oneID[:1], s.now, false)
 	}
 	// The trigger trained on the new model, after the join, so the record,
 	// the snapshot that may follow and the next step's arrivals find no
@@ -829,9 +821,7 @@ func (s *scheduler) arrivals(t int) (trigger int, err error) {
 		// until they have landed. Discarded flights settle too: their ring
 		// entries must not be recycled while something could still write
 		// into them.
-		if err := s.exec.settleOne(&f.update, &f.measured); err != nil {
-			return -1, err
-		}
+		s.exec.settleOne(&f.update, &f.measured)
 		if f.update.ring != nil && f.update.ring.lost {
 			// A worker died with this dispatch in flight and nobody could
 			// adopt it. The async pipeline cannot drop it (the buffer
@@ -861,14 +851,11 @@ func (s *scheduler) arrivals(t int) (trigger int, err error) {
 			if attempt < s.plan.retries {
 				s.attempts[id] = attempt + 1
 				s.stepRetries++
-				err = s.dispatch(s.oneID[:1], s.now+s.plan.backoff(attempt, &s.plan.perClient[id].r), true)
+				s.dispatch(s.oneID[:1], s.now+s.plan.backoff(attempt, &s.plan.perClient[id].r), true)
 			} else {
 				s.attempts[id] = 0
 				s.stepDropped++
-				err = s.dispatch(s.oneID[:1], s.now, true)
-			}
-			if err != nil {
-				return -1, err
+				s.dispatch(s.oneID[:1], s.now, true)
 			}
 			continue
 		}
@@ -891,20 +878,17 @@ func (s *scheduler) arrivals(t int) (trigger int, err error) {
 			return id, nil
 		}
 		s.oneID[0] = id
-		if err := s.dispatch(s.oneID[:1], s.now, true); err != nil {
-			return -1, err
-		}
+		s.dispatch(s.oneID[:1], s.now, true)
 	}
 }
 
 // settleLater joins every one-client round the arrival loop queued on
 // the pool and copies its train loss and measured time into its flight.
-// A flight that already arrived was settled then; the pool's settleOne
-// cannot fail.
+// A flight that already arrived was settled then.
 func (s *scheduler) settleLater() {
 	for id := range s.pending {
 		if f := &s.pending[id]; f.live {
-			_ = s.pool.settleOne(&f.update, &f.measured)
+			s.pool.settleOne(&f.update, &f.measured)
 		}
 	}
 }

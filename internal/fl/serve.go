@@ -22,11 +22,6 @@ type ServeOptions struct {
 	// worker w initially owns the contiguous client range
 	// [w·n/W, (w+1)·n/W); failover may move clients between workers.
 	Workers int
-	// IntakeBound caps, per connection, the updates that have arrived but
-	// not yet been consumed by the scheduler before the server sends a
-	// Hold frame (explicit backpressure; a Resume follows once the
-	// scheduler drains the backlog). 0 means 256.
-	IntakeBound int
 	// HeartbeatSec is the liveness probe cadence: the server Pings every
 	// live connection at this interval and severs one that has been
 	// silent for Config.FaultTimeoutFactor (default 3) heartbeats,
@@ -34,35 +29,22 @@ type ServeOptions struct {
 	// 0 means 5 seconds; negative disables supervision.
 	HeartbeatSec float64
 	// FailoverGraceSec is how long failover waits for a dead worker's
-	// index to re-dial (a Hello with a positive attach counter) before
-	// falling back to reassignment or loss; 0 admits only a reconnect
-	// that is already parked.
+	// index to re-dial before falling back to reassignment or loss; 0
+	// admits only a reconnect that is already parked. Any valid Hello
+	// that arrives during the run is parked as a reconnect of its index,
+	// whatever its attach counter.
 	FailoverGraceSec float64
 	// DisableReassign pins every client to its original worker index:
 	// when that worker dies and no reconnect arrives within the grace
 	// period, its in-flight dispatches are marked lost — the round
 	// commits Degraded through the quorum path — until it re-attaches.
 	DisableReassign bool
-	// DisableFailover restores the strict pre-failover behavior: any
-	// worker connection error aborts the run.
-	DisableFailover bool
 	// Interrupt, when non-nil, stops the run gracefully at the next round
 	// boundary after the channel closes: a final checkpoint is taken when
 	// checkpointing is armed, the result carries HaltReason
 	// "interrupted", and workers receive a pausing Bye (ErrServerPaused)
 	// telling them to re-attach once the server restarts (ServeResume).
 	Interrupt <-chan struct{}
-}
-
-// serveObserve is a test hook: when set, Serve hands it the live remote
-// executor so backpressure tests can read the Hold count.
-var serveObserve func(*remoteExec)
-
-func (o ServeOptions) intakeBound() int {
-	if o.IntakeBound > 0 {
-		return o.IntakeBound
-	}
-	return 256
 }
 
 func (o ServeOptions) heartbeat() float64 {
@@ -87,10 +69,10 @@ func (o ServeOptions) grace() float64 {
 // goroutines. It accepts exactly opt.Workers connections from ln, checks
 // each worker's config fingerprint, and then drives the ordinary
 // event-driven scheduler with a remote executor: dispatches serialize
-// the global model to the owning worker, replies stream back through a
-// bounded per-connection intake with Hold/Resume backpressure, and under
-// the async policy the next dispatch overlaps aggregation and
-// evaluation of earlier rounds.
+// the global model to the owning worker, replies decode straight into
+// the ring entries checked out for them (so the intake is bounded by what
+// was dispatched), and under the async policy the next dispatch overlaps
+// aggregation and evaluation of earlier rounds.
 //
 // The run is bit-identical to fl.Run with the same arguments — final
 // weights, per-round losses, accuracies, and uplink accounting — because
@@ -137,9 +119,7 @@ func ServeResume(ln net.Listener, opt ServeOptions, checkpoint []byte, cfg Confi
 	if err := s.restore(checkpoint, true); err != nil {
 		return nil, err
 	}
-	if err := ex.resyncWorkers(); err != nil {
-		return nil, err
-	}
+	ex.resyncWorkers()
 	if err := s.runAll(true); err != nil {
 		return nil, err
 	}
@@ -168,9 +148,6 @@ func newServeScheduler(ln net.Listener, opt ServeOptions, cfg Config, alg Algori
 	ex.start()
 	s.exec = ex
 	s.interrupt = opt.Interrupt
-	if serveObserve != nil {
-		serveObserve(ex)
-	}
 	return s, ex, nil
 }
 
@@ -182,16 +159,14 @@ type serveConn struct {
 	// connection (atomic; the heartbeat supervisor reads it).
 	lastRecv int64
 	// wmu serializes frame writes: the scheduler goroutine writes
-	// Dispatch/Resume/Bye while an ingest goroutine may write Hold, the
-	// supervisor Pings, and recovery replays history.
+	// Dispatch/Bye while the supervisor Pings and recovery replays
+	// history.
 	wmu  sync.Mutex
 	wbuf []byte
-	// held, unsettled, and dead are guarded by remoteExec.mu. dead is
-	// additionally stable while remoteExec.recoverMu is held: the only
-	// writer (workerDown) holds both.
-	held      bool
-	unsettled int
-	dead      bool
+	// dead is guarded by remoteExec.mu, and stable while
+	// remoteExec.recoverMu is held: the writers (workerDown, readmit)
+	// hold both.
+	dead bool
 }
 
 // write sends one pre-framed buffer.
@@ -235,7 +210,6 @@ type remoteExec struct {
 	codec     compress.Codec // nil for dense transport
 	wantForm  compress.Kind  // payload form every upload must carry
 	numParams int
-	bound     int
 	fp        uint64
 	ln        net.Listener
 
@@ -243,7 +217,6 @@ type remoteExec struct {
 	timeoutFactor float64 // silence budget in heartbeats before severing
 	grace         float64
 	noReassign    bool
-	noFailover    bool
 
 	// recoverMu serializes failure recovery (owner transfer + history
 	// replay) against dispatch-frame writes: runRound holds it across
@@ -259,10 +232,8 @@ type remoteExec struct {
 	cond     *sync.Cond
 	pend     []*upload // client id -> in-flight ring entry (nil when none)
 	arrived  []bool    // client id -> reply landed
-	err      error
 	closed   bool
 	pausing  bool
-	holds    int    // Hold frames sent (observability + backpressure tests)
 	lostConn []bool // index -> worker lost with failover exhausted
 	hist     [][]int
 	globals  map[int][]float64
@@ -286,12 +257,10 @@ func newRemoteExec(ring *slotPool, spec compress.Spec, numClients, numParams int
 		ring:          ring,
 		wantForm:      spec.Kind,
 		numParams:     numParams,
-		bound:         opt.intakeBound(),
 		hb:            opt.heartbeat(),
 		timeoutFactor: timeoutFactor,
 		grace:         opt.grace(),
 		noReassign:    opt.DisableReassign,
-		noFailover:    opt.DisableFailover,
 		conns:         make([]*serveConn, opt.Workers),
 		owner:         make([]int, numClients),
 		pend:          make([]*upload, numClients),
@@ -450,21 +419,6 @@ func (e *remoteExec) setPausing() {
 	e.mu.Unlock()
 }
 
-// fail records the first error and wakes every waiter.
-func (e *remoteExec) fail(err error) error {
-	e.mu.Lock()
-	if e.err == nil && !e.closed {
-		e.err = err
-	}
-	err = e.err
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	if err == nil {
-		err = fmt.Errorf("fl: server shutting down")
-	}
-	return err
-}
-
 // drainRecovery returns and resets the recovery counters accumulated
 // since the last drain; the scheduler folds them into the round record.
 func (e *remoteExec) drainRecovery() (reassigned, reconnects int) {
@@ -521,15 +475,10 @@ func (e *remoteExec) supervise() {
 // marked lost immediately (no history entry — the batch was never sent);
 // a write failure mid-round closes that connection and leaves its
 // entries pending for failover to re-dispatch.
-func (e *remoteExec) runRound(cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) error {
+func (e *remoteExec) runRound(cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) {
 	e.recoverMu.Lock()
 	defer e.recoverMu.Unlock()
 	e.mu.Lock()
-	if e.err != nil {
-		err := e.err
-		e.mu.Unlock()
-		return err
-	}
 	for j, id := range ids {
 		u := e.ring.getUpload()
 		updates[j] = Update{
@@ -593,54 +542,35 @@ func (e *remoteExec) runRound(cfg *Config, alg Algorithm, clients []client, ids 
 		wire.EndFrame(buf, 0)
 		e.dispatchBuf = buf
 		if err := sc.write(buf); err != nil {
-			if e.noFailover {
-				return e.fail(fmt.Errorf("fl: dispatch to worker %d: %w", ci, err))
-			}
 			// Sever and move on: the readLoop observes the closed socket
 			// and failover re-dispatches the still-pending entries.
 			sc.c.Close()
 		}
 	}
-	return nil
 }
 
 // settle implements executor: wait for the whole round's replies.
-func (e *remoteExec) settle(updates []Update, measured []float64) error {
+func (e *remoteExec) settle(updates []Update, measured []float64) {
 	for j := range updates {
-		if err := e.settleOne(&updates[j], &measured[j]); err != nil {
-			return err
-		}
+		e.settleOne(&updates[j], &measured[j])
 	}
-	return nil
 }
 
 // settleOne implements executor: wait for one update's reply, then copy
-// its train loss and measured time out of the ring entry. Liveness under
-// backpressure: the server never sleeps waiting on a connection it is
-// itself holding — the Hold is lifted first, since the scheduler is by
-// definition ready to consume again. The owning connection is re-read
-// every iteration (failover may move the client mid-wait), and an entry
-// marked lost settles immediately with its ring entry's lost flag set
-// for the scheduler's quorum path to compact away.
-func (e *remoteExec) settleOne(u *Update, measured *float64) error {
+// its train loss and measured time out of the ring entry. An entry marked
+// lost settles immediately with its ring entry's lost flag set for the
+// scheduler's quorum path to compact away.
+func (e *remoteExec) settleOne(u *Update, measured *float64) {
 	if u.ring == nil {
-		return nil
+		return
 	}
 	// The ring pool has no workers: the caller runs the evaluation queued
 	// on it while the replies are still on their way.
 	e.ring.help()
 	id := u.Client
 	e.mu.Lock()
-	for e.err == nil && e.pend[id] != nil && !e.arrived[id] && !e.pend[id].lost {
-		if sc := e.conns[e.owner[id]]; sc != nil && sc.held && !sc.dead {
-			e.resumeLocked(sc)
-		}
+	for e.pend[id] != nil && !e.arrived[id] && !e.pend[id].lost {
 		e.cond.Wait()
-	}
-	if e.err != nil {
-		err := e.err
-		e.mu.Unlock()
-		return err
 	}
 	if ring := e.pend[id]; ring != nil {
 		e.pend[id] = nil
@@ -649,12 +579,6 @@ func (e *remoteExec) settleOne(u *Update, measured *float64) error {
 			u.TrainLoss = ring.loss
 			if measured != nil {
 				*measured = ring.measured
-			}
-			if via := ring.via; via != nil {
-				via.unsettled--
-				if via.held && !via.dead && via.unsettled <= e.bound/2 {
-					e.resumeLocked(via)
-				}
 			}
 		} else {
 			// Lost: no result ever arrived. The ring entry keeps its lost
@@ -667,15 +591,6 @@ func (e *remoteExec) settleOne(u *Update, measured *float64) error {
 		}
 	}
 	e.mu.Unlock()
-	return nil
-}
-
-// resumeLocked lifts a connection's Hold (e.mu held).
-func (e *remoteExec) resumeLocked(sc *serveConn) {
-	sc.held = false
-	if err := sc.writeEmpty(wire.FrameResume); err != nil && e.err == nil && !e.closed && e.noFailover {
-		e.err = fmt.Errorf("fl: resume to worker %d: %w", sc.index, err)
-	}
 }
 
 // release implements executor.
@@ -739,70 +654,49 @@ func (e *remoteExec) close() {
 	e.ring.close()
 }
 
-// Holds reports how many Hold frames the server sent (backpressure
-// observability; the loopback tests assert it).
-func (e *remoteExec) Holds() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.holds
-}
-
 // readLoop drains one worker's frames, ingesting Updates bodies straight
 // into the pending ring entries. Any error — a broken socket, a bad
 // frame, a protocol violation — hands the connection to failover
-// (workerDown) instead of aborting the run, unless failover is disabled.
+// (workerDown); none aborts the run.
 func (e *remoteExec) readLoop(sc *serveConn) {
 	defer e.readers.Done()
 	var fr wire.Frame
 	for {
 		if err := wire.ReadFrame(sc.c, &fr); err != nil {
-			if e.isClosed() {
-				return
+			if !e.isClosed() {
+				e.workerDown(sc)
 			}
-			e.down(sc, err)
 			return
 		}
 		atomic.StoreInt64(&sc.lastRecv, time.Now().UnixNano())
 		switch fr.Type {
 		case wire.FrameUpdates:
-			if err := e.ingest(sc, fr.Body); err != nil {
-				e.down(sc, err)
+			if e.ingest(sc, fr.Body) != nil {
+				e.workerDown(sc)
 				return
 			}
 		case wire.FramePong:
 			// Liveness only; lastRecv above is the whole point.
 		default:
-			e.down(sc, fmt.Errorf("worker %d sent unexpected frame type %d", sc.index, fr.Type))
+			e.workerDown(sc)
 			return
 		}
 	}
-}
-
-// down routes a connection failure: fatal without failover, recovered
-// otherwise.
-func (e *remoteExec) down(sc *serveConn, cause error) {
-	if e.noFailover {
-		e.fail(fmt.Errorf("fl: worker %d: %w", sc.index, cause))
-		return
-	}
-	e.workerDown(sc, cause)
 }
 
 // workerDown marks a connection dead and re-homes its clients. It runs
 // on the connection's own reader goroutine — the single place a failure
 // can be observed exactly once — and recoverMu serializes it against
 // concurrent dispatches and other recoveries.
-func (e *remoteExec) workerDown(sc *serveConn, cause error) {
-	_ = cause
+func (e *remoteExec) workerDown(sc *serveConn) {
 	e.recoverMu.Lock()
 	defer e.recoverMu.Unlock()
 	e.mu.Lock()
-	if e.closed || e.err != nil || sc.dead {
+	if e.closed || sc.dead {
 		e.mu.Unlock()
 		return
 	}
 	sc.dead = true
-	sc.held = false
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	sc.c.Close()
@@ -1086,9 +980,9 @@ func groupReplay(ids []int, hist [][]int, live []bool, emit func(round int, fram
 // rewinds each worker to its freshly-started state; the replay marches
 // it forward to exactly the checkpoint's stream cursors and residuals,
 // so the re-executed rounds are bit-identical to the lost ones. Workers
-// that are down stay lost (a later reconnect replays the restored
-// history instead).
-func (e *remoteExec) resyncWorkers() error {
+// that are down stay lost, and one whose replay write fails is severed
+// (a later reconnect replays the restored history instead).
+func (e *remoteExec) resyncWorkers() {
 	e.recoverMu.Lock()
 	defer e.recoverMu.Unlock()
 	for ci, sc := range e.conns {
@@ -1104,13 +998,9 @@ func (e *remoteExec) resyncWorkers() error {
 		}
 		e.mu.Unlock()
 		if err := e.replayTo(sc, ids, true); err != nil {
-			if e.noFailover {
-				return fmt.Errorf("fl: resyncing worker %d: %w", ci, err)
-			}
 			sc.c.Close()
 		}
 	}
-	return nil
 }
 
 // walkWireState covers the dispatch record (per-client histories plus the
@@ -1147,12 +1037,16 @@ func (e *remoteExec) walkWireState(c *ckpt.Codec) {
 }
 
 // ingest decodes one Updates frame into the pending ring entries. The
-// payload decodes outside the lock — the settle contract guarantees the
-// scheduler does not touch a pending entry's buffers until arrived flips
-// — then arrival is published and backpressure evaluated. A dense upload
-// decodes straight into the entry's delta, and only once its form and
-// length have checked out (wire.DecodeDense), so a hostile frame never
-// writes into a pending entry.
+// intake is bounded by dispatch: an entry lands only in the ring entry
+// runRound checked out for its client, and only while that client is in
+// flight, its update has not arrived yet, and sc owns it — so the server
+// holds at most one arrived update per dispatched client, and a worker
+// that streams faster than the scheduler consumes has nowhere to put the
+// excess. The payload decodes outside the lock — the settle contract
+// guarantees the scheduler does not touch a pending entry's buffers until
+// arrived flips. A dense upload decodes straight into the entry's delta,
+// and only once its form and length have checked out (wire.DecodeDense),
+// so a hostile frame never writes into a pending entry.
 func (e *remoteExec) ingest(sc *serveConn, body []byte) error {
 	d := wire.Dec{B: body}
 	cnt := d.Count(wire.MaxElems, 1)
@@ -1163,13 +1057,17 @@ func (e *remoteExec) ingest(sc *serveConn, body []byte) error {
 		if d.Err != nil {
 			break
 		}
-		if id < 0 || id >= len(e.pend) || e.owner[id] != sc.index {
-			return fmt.Errorf("update for client %d not owned by this worker", id)
+		if id < 0 || id >= len(e.pend) {
+			return fmt.Errorf("update for client %d outside the fleet", id)
 		}
 		e.mu.Lock()
 		u := e.pend[id]
+		owned := e.owner[id] == sc.index
 		stale := u == nil || e.arrived[id]
 		e.mu.Unlock()
+		if !owned {
+			return fmt.Errorf("update for client %d not owned by this worker", id)
+		}
 		if stale {
 			return fmt.Errorf("update for client %d is not in flight", id)
 		}
@@ -1191,15 +1089,6 @@ func (e *remoteExec) ingest(sc *serveConn, body []byte) error {
 		e.mu.Lock()
 		e.arrived[id] = true
 		u.lost = false
-		u.via = sc
-		sc.unsettled++
-		if !sc.held && sc.unsettled > e.bound {
-			sc.held = true
-			e.holds++
-			if err := sc.writeEmpty(wire.FrameHold); err != nil && e.err == nil && !e.closed && e.noFailover {
-				e.err = fmt.Errorf("fl: hold to worker %d: %w", sc.index, err)
-			}
-		}
 		e.cond.Broadcast()
 		e.mu.Unlock()
 	}

@@ -3,12 +3,9 @@ package fl
 import (
 	"errors"
 	"math"
-	"net"
 	"testing"
 
 	"repro/internal/compress"
-	"repro/internal/dataset"
-	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/wire"
 )
@@ -21,71 +18,79 @@ func (wireAvg) Name() string                             { return "WireAvg" }
 func (wireAvg) Aggregate(s *ServerCtx, updates []Update) { FedAvgStep(s, updates) }
 func (wireAvg) WireSafe()                                {}
 
-// TestServeBackpressureHolds drives a loopback run with IntakeBound 1 —
-// every multi-update ingest overflows the bound — and asserts the server
-// actually sent Hold frames, the force-resume liveness rule released
-// them (the run completes), and the result still matches the in-process
-// run bit-for-bit: backpressure is flow control, never data loss.
-func TestServeBackpressureHolds(t *testing.T) {
-	checkGoroutines(t)
-	train, test, err := dataset.Standard("adult", dataset.ScaleSmall, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := partition.Dirichlet(train, 8, 0.5, rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	network, err := dataset.Model("adult")
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := part.Shards(train)
-	cfg := Config{Rounds: 3, LocalSteps: 3, BatchSize: 16, LocalLR: 0.05, Seed: 11}
-
-	local, err := Run(cfg, wireAvg{}, network, shards, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	var ex *remoteExec
-	serveObserve = func(e *remoteExec) { ex = e }
-	defer func() { serveObserve = nil }()
-
-	workerErr := make(chan error, 1)
-	go func() {
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			workerErr <- err
-			return
-		}
-		workerErr <- RunWorker(conn, 0, 1, cfg, wireAvg{}, network, shards, test.Name)
-	}()
-
-	res, err := Serve(ln, ServeOptions{Workers: 1, IntakeBound: 1}, cfg, wireAvg{}, network, shards, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if werr := <-workerErr; werr != nil {
-		t.Fatalf("worker: %v", werr)
-	}
-	if ex == nil {
-		t.Fatal("serve hook never fired")
-	}
-	if ex.Holds() == 0 {
-		t.Fatal("IntakeBound 1 never triggered a Hold frame")
-	}
-	for i := range local.FinalParams {
-		if res.FinalParams[i] != local.FinalParams[i] {
-			t.Fatalf("FinalParams[%d]: wire %v != local %v under backpressure", i, res.FinalParams[i], local.FinalParams[i])
+// TestIngestBoundedByDispatch pins the invariant that bounds the server's
+// intake: an Updates entry lands only in the ring entry runRound checked
+// out for its client, while that client is in flight, before its update
+// has arrived, and on the connection that owns it. An entry for a client
+// never dispatched, a second entry for a client whose update already
+// arrived, and an entry for a client another connection owns are each
+// rejected without writing any ring entry or flipping arrived.
+func TestIngestBoundedByDispatch(t *testing.T) {
+	const d = 6
+	// Four clients over two connections: 0 and 1 belong to conn 0, 2 and
+	// 3 to conn 1. Clients 0 and 2 are in flight; 1 and 3 never were.
+	e := newRemoteExec(newRingPool(d), compress.Spec{}, 4, d, ServeOptions{Workers: 2}, 3)
+	sc0, sc1 := &serveConn{index: 0}, &serveConn{index: 1}
+	e.conns[0], e.conns[1] = sc0, sc1
+	canary := math.Float64frombits(0x7ff8_0000_cafe_f00d)
+	ring := map[int]*upload{0: e.ring.getUpload(), 2: e.ring.getUpload()}
+	for id, u := range ring {
+		e.pend[id] = u
+		for i := range u.delta {
+			u.delta[i] = canary
 		}
 	}
+	entry := func(id int, base float64) []byte {
+		vals := make([]float64, d)
+		for i := range vals {
+			vals[i] = base + float64(i)
+		}
+		return appendUpdateEntry(wire.AppendUvarint(nil, 1), &Update{Client: id, Delta: vals, TrainLoss: base}, 0.5)
+	}
+	// want is each ring entry's expected delta[0] and arrived flag.
+	want := map[int]float64{0: canary, 2: canary}
+	check := func(step string) {
+		t.Helper()
+		for id, u := range ring {
+			if math.Float64bits(u.delta[0]) != math.Float64bits(want[id]) {
+				t.Fatalf("%s: client %d delta[0] = %v, want %v", step, id, u.delta[0], want[id])
+			}
+			if got := math.Float64bits(want[id]) != math.Float64bits(canary); e.arrived[id] != got {
+				t.Fatalf("%s: client %d arrived = %v, want %v", step, id, e.arrived[id], got)
+			}
+		}
+		for _, id := range []int{1, 3} {
+			if e.arrived[id] || e.pend[id] != nil {
+				t.Fatalf("%s: client %d, never dispatched, has arrived %v pend %v", step, id, e.arrived[id], e.pend[id])
+			}
+		}
+	}
+
+	if err := e.ingest(sc0, entry(1, 10)); err == nil {
+		t.Fatal("update for a client never dispatched accepted")
+	}
+	check("never dispatched")
+	if err := e.ingest(sc0, entry(2, 20)); err == nil {
+		t.Fatal("update for a client another connection owns accepted")
+	}
+	check("owned elsewhere")
+	if err := e.ingest(sc0, entry(0, 30)); err != nil {
+		t.Fatal(err)
+	}
+	want[0] = 30
+	check("first update")
+	if err := e.ingest(sc0, entry(0, 40)); err == nil {
+		t.Fatal("second update for a client whose update already arrived accepted")
+	}
+	check("already arrived")
+	if ring[0].loss != 30 {
+		t.Fatalf("rejected duplicate overwrote the train loss: %v", ring[0].loss)
+	}
+	if err := e.ingest(sc1, entry(2, 50)); err != nil {
+		t.Fatal(err)
+	}
+	want[2] = 50
+	check("owner's update")
 }
 
 // TestIngestRejectsHostileDense sends Updates frames whose dense payload

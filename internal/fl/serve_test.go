@@ -80,12 +80,19 @@ func stripMeasured(rounds []metrics.Round) []metrics.Round {
 // excluded).
 func assertWireGolden(t *testing.T, cfg fl.Config, workers int) {
 	t.Helper()
-	network, shards, test := testSetup(t, 8)
+	assertWireGoldenClients(t, cfg, 8, workers)
+}
+
+// assertWireGoldenClients is assertWireGolden over a fleet of the given
+// size.
+func assertWireGoldenClients(t *testing.T, cfg fl.Config, clients, workers int) {
+	t.Helper()
+	network, shards, test := testSetup(t, clients)
 	local, err := fl.Run(cfg, baselines.NewFedAvg(), network, shards, test)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wired := runWire(t, cfg, workers, fl.ServeOptions{})
+	wired := runWireClients(t, cfg, clients, workers, fl.ServeOptions{})
 
 	if len(wired.FinalParams) != len(local.FinalParams) {
 		t.Fatalf("param count %d != %d", len(wired.FinalParams), len(local.FinalParams))
@@ -154,6 +161,26 @@ func TestServeGoldenPolicies(t *testing.T) {
 	t.Run("three workers", func(t *testing.T) {
 		assertWireGolden(t, quickConfig(), 3)
 	})
+}
+
+// TestServeGoldenOneWideWorker runs one worker that owns 300 clients,
+// more than a connection ever had to hold before the server's intake was
+// bounded by dispatch alone (ingest): every round streams 300 uploads
+// over one socket, and under async the server reads them only as their
+// modeled finish times come up. Both runs end bit-identical to fl.Run.
+func TestServeGoldenOneWideWorker(t *testing.T) {
+	fl.CheckGoroutines(t)
+	for _, async := range []bool{false, true} {
+		name := "sync"
+		cfg := quickConfig()
+		cfg.Rounds, cfg.LocalSteps = 3, 1
+		if async {
+			name = "async"
+			cfg.Policy = fl.PolicyAsync
+			cfg.AsyncBuffer = 64
+		}
+		t.Run(name, func(t *testing.T) { assertWireGoldenClients(t, cfg, 300, 1) })
+	}
 }
 
 // TestServeGoldenFaults exercises server-side fault resolution over the

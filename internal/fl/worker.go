@@ -27,8 +27,9 @@ type WorkerOptions struct {
 	Index, Workers int
 	// Attach is the re-attach counter sent in Hello: 0 on the first
 	// connection, incremented on every re-dial after a connection loss.
-	// A positive Attach tells the server this worker's rng streams are
-	// fresh and must be rebuilt by a history replay before new dispatches.
+	// The server does not read it: any valid Hello that arrives during a
+	// run is parked as a reconnect of its index, and re-admission rebuilds
+	// the worker's rng streams by a history replay whatever the counter.
 	Attach int
 	// HeartbeatSec bounds read liveness: when positive, the worker arms a
 	// read deadline of FaultTimeoutFactor (default 3) × HeartbeatSec
@@ -191,7 +192,6 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 				}
 				wire.EndFrame(buf, 0)
 				wbuf = buf
-				w.waitResumed()
 				if w.stopped() {
 					// The run ended while this batch trained; the rest is
 					// abandoned, not sent (the server is only waiting for EOF).
@@ -221,11 +221,11 @@ var workerObserve func(*slotPool)
 const uploadBatch = 32
 
 // workerLoop is RunWorker's connection state: the reader goroutine that
-// turns incoming frames into an unbounded dispatch queue (unbounded so
-// the reader NEVER blocks — a Resume frame must get through even while
-// dispatches are queued, or a held worker would deadlock; depth is
-// bounded in practice by the server's pipelining), and the Hold/Resume
-// gate the training loop blocks on before each upload.
+// turns incoming frames into a dispatch queue for the training loop. The
+// queue never blocks the reader, so Pings are answered while dispatches
+// wait. Its depth is bounded by what the server sends: a live dispatch
+// names only clients not already in flight, and a failover replay sends
+// one frame per round of history.
 type workerLoop struct {
 	conn          net.Conn
 	fp            uint64
@@ -241,7 +241,6 @@ type workerLoop struct {
 	cond  *sync.Cond
 	queue []*dispatchMsg
 	done  bool
-	held  bool
 	// paused marks a Bye whose body flags an interrupted (not completed)
 	// run; readErr surfaces it as ErrServerPaused.
 	paused bool
@@ -274,17 +273,6 @@ func (w *workerLoop) next() (*dispatchMsg, bool) {
 	return m, true
 }
 
-// waitResumed blocks while the server holds this worker. Bye releases
-// the gate too: a held connection whose in-flight work the run abandoned
-// gets no Resume.
-func (w *workerLoop) waitResumed() {
-	w.mu.Lock()
-	for w.held && w.err == nil && !w.done {
-		w.cond.Wait()
-	}
-	w.mu.Unlock()
-}
-
 // stopped reports whether the stream has ended.
 func (w *workerLoop) stopped() bool {
 	w.mu.Lock()
@@ -310,16 +298,14 @@ func (w *workerLoop) fail(err error) {
 		w.err = err
 	}
 	w.done = true
-	w.held = false
 	w.cond.Broadcast()
 	w.mu.Unlock()
 }
 
 // readLoop decodes incoming frames until the stream ends. Dispatches and
 // the failover frames (Adopt, Restore) queue up behind the training loop
-// (the queue preserves the server's per-client replay order); Hold/
-// Resume flip the upload gate; Ping is answered immediately; Bye ends
-// the stream cleanly.
+// (the queue preserves the server's per-client replay order); Ping is
+// answered immediately; Bye ends the stream cleanly.
 func (w *workerLoop) readLoop() {
 	var fr wire.Frame
 	for {
@@ -357,15 +343,6 @@ func (w *workerLoop) readLoop() {
 				w.fail(fmt.Errorf("fl: answering ping: %w", err))
 				return
 			}
-		case wire.FrameHold:
-			w.mu.Lock()
-			w.held = true
-			w.mu.Unlock()
-		case wire.FrameResume:
-			w.mu.Lock()
-			w.held = false
-			w.cond.Broadcast()
-			w.mu.Unlock()
 		case wire.FrameBye:
 			w.mu.Lock()
 			w.paused = len(fr.Body) > 0 && fr.Body[0] == byePausing

@@ -48,12 +48,15 @@ const (
 type FrameType byte
 
 // Protocol frame types. Hello/Updates/Pong flow worker→server; Dispatch,
-// the backpressure pair Hold/Resume, Bye, Reject, the liveness probe
-// Ping, and the failover pair Adopt/Restore flow server→worker. Adopt
-// carries a Dispatch-shaped body the worker trains and discards (it
-// advances the worker's per-client rng streams without re-uploading a
-// result the server already holds); Restore is body-less and resets the
-// worker to its freshly-started state before a full history replay.
+// Bye, Reject, the liveness probe Ping, and the failover pair
+// Adopt/Restore flow server→worker. Adopt carries a Dispatch-shaped body
+// the worker trains and discards (it advances the worker's per-client
+// rng streams without re-uploading a result the server already holds);
+// Restore is body-less and resets the worker to its freshly-started
+// state before a full history replay. Hold and Resume are retired: the
+// server's intake is bounded by dispatch, so no server sends them and a
+// worker rejects them as unexpected. They keep their numbers so every
+// later type keeps its own.
 const (
 	FrameHello FrameType = iota + 1
 	FrameDispatch
