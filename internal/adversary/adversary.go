@@ -1,6 +1,6 @@
 // Package adversary models client corruption as a first-class, composable
 // axis of the federated simulation. A corruption is declared as a Spec
-// (which clients, which attack, how strong, and when it is live) and
+// (which clients, which attack, how strong) and
 // compiled into a Behavior — a small strategy object the engine invokes at
 // one of three hook points in the client pipeline (DESIGN.md §6):
 //
@@ -24,7 +24,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/simclock"
 	"repro/internal/spec"
 )
 
@@ -73,9 +72,10 @@ func KindNames() []string {
 }
 
 // Spec declares one corruption: the attack kind, the clients it applies
-// to, its magnitude, and an optional activation window. Specs compose — a
-// client may appear in several specs, stacking a data-level attack with
-// update-level injectors (at most one fabricator per client).
+// to, and its magnitude. A corrupt client is corrupt for the whole run.
+// Specs compose — a client may appear in several specs, stacking a
+// data-level attack with update-level injectors (at most one fabricator
+// per client).
 type Spec struct {
 	// Kind selects the corruption primitive.
 	Kind Kind
@@ -90,13 +90,6 @@ type Spec struct {
 	// Scale is the attack magnitude; its meaning is kind-specific (see
 	// the Kind constants). 0 selects the kind's default.
 	Scale float64
-	// Window optionally gates the corruption to a periodic activation
-	// window over modeled time (simclock.Trace semantics: live during
-	// the first OnFraction of every PeriodSec cycle). The zero value
-	// means always live. Fabricators and update-level injectors check
-	// the window at dispatch time; data-level corruption swaps the
-	// client back to its clean shard while the window is closed.
-	Window simclock.Trace
 }
 
 // Validate reports malformed specs. Client-count-dependent checks (IDs in
@@ -131,9 +124,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Kind == KindLabelNoise && s.Scale > 1 {
 		return fmt.Errorf("adversary: labelnoise rate %v must be in [0,1]", s.Scale)
-	}
-	if err := s.Window.Validate(); err != nil {
-		return fmt.Errorf("adversary: %s window: %w", s.Kind, err)
 	}
 	return nil
 }

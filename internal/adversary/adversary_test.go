@@ -8,7 +8,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/nn"
 	"repro/internal/rng"
-	"repro/internal/simclock"
 )
 
 func randDelta(seed uint64, n int) []float64 {
@@ -261,7 +260,6 @@ func TestSpecValidate(t *testing.T) {
 		{Kind: KindScale, Frac: 0.5, Scale: math.Inf(1)},   // non-finite scale
 		{Kind: KindScale, Frac: 0.5, Scale: -1},            // negative scale
 		{Kind: KindLabelNoise, Frac: 0.5, Scale: 1.5},      // rate above 1
-		{Kind: KindSignFlip, Frac: 0.5, Window: simclock.Trace{PeriodSec: -1}},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -271,7 +269,7 @@ func TestSpecValidate(t *testing.T) {
 	good := []Spec{
 		{Kind: KindSignFlip, Frac: 0.5},
 		{Kind: KindSybil, Clients: []int{0, 4, 9}, Scale: 2},
-		{Kind: KindFreeloader, Frac: 0.4, Window: simclock.Trace{PeriodSec: 10, OnFraction: 0.5}},
+		{Kind: KindFreeloader, Frac: 0.4},
 	}
 	for _, s := range good {
 		if err := s.Validate(); err != nil {

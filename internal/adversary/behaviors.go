@@ -17,8 +17,8 @@ type Behavior interface {
 }
 
 // DataCorruptor rewrites a client's data shard before training (applied
-// once at setup; the engine keeps the clean shard and samples from the
-// corrupted one while the spec's window is live).
+// once at setup; the engine keeps the clean shard and the client samples
+// from the corrupted one).
 type DataCorruptor interface {
 	Behavior
 	// CorruptData returns a corrupted view of shard. Implementations must

@@ -31,7 +31,7 @@ func (a *FedProxTACO) Name() string { return "FedProx(TACO)" }
 
 // Setup implements fl.Algorithm.
 func (a *FedProxTACO) Setup(env *fl.Env) {
-	a.tracker = NewAlphaTracker(env.NumClients, env.NumParams, 0.1)
+	a.tracker = NewAlphaTracker(env.NumClients, env.NumParams, initialAlpha)
 }
 
 // GradAdjust adds the tailored proximal gradient ζ(1−α_i)(w_{i,k} − w^t).
@@ -83,7 +83,7 @@ func (a *ScaffoldTACO) Name() string { return "Scaffold(TACO)" }
 // first participation, so a large fleet with partial participation pays
 // O(d) only for clients that actually train.
 func (a *ScaffoldTACO) Setup(env *fl.Env) {
-	a.tracker = NewAlphaTracker(env.NumClients, env.NumParams, 0.1)
+	a.tracker = NewAlphaTracker(env.NumClients, env.NumParams, initialAlpha)
 	a.c = make([]float64, env.NumParams)
 	a.ci = make([][]float64, env.NumClients)
 	a.corr = make([][]float64, env.NumClients)

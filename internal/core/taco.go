@@ -7,13 +7,15 @@ import (
 	"repro/internal/vecmath"
 )
 
+// initialAlpha seeds every client's α_i^0, in TACO and both hybrids
+// (Algorithm 2 uses 0.1).
+const initialAlpha = 0.1
+
 // Config holds TACO's hyper-parameters (Algorithm 2).
 type Config struct {
 	// Gamma is γ ∈ (0,1], the maximum correction factor in Eq. (8);
 	// 0 selects the paper's default γ = 1/K.
 	Gamma float64
-	// InitialAlpha seeds α_i^0 (Algorithm 2 uses 0.1).
-	InitialAlpha float64
 	// DetectFreeloaders enables the Eq. (10) inspection.
 	DetectFreeloaders bool
 	// Kappa is the suspicion threshold κ (paper default 0.6).
@@ -48,9 +50,6 @@ type Config struct {
 func (c Config) withDefaults(localSteps, rounds int) Config {
 	if c.Gamma == 0 {
 		c.Gamma = 1 / float64(localSteps)
-	}
-	if c.InitialAlpha == 0 {
-		c.InitialAlpha = 0.1
 	}
 	if c.Kappa == 0 {
 		c.Kappa = 0.6
@@ -105,7 +104,7 @@ func (a *TACO) Name() string { return "TACO" }
 // Setup implements fl.Algorithm.
 func (a *TACO) Setup(env *fl.Env) {
 	a.cfg = a.cfg.withDefaults(env.Cfg.LocalSteps, env.Cfg.Rounds)
-	a.tracker = NewAlphaTracker(env.NumClients, env.NumParams, a.cfg.InitialAlpha)
+	a.tracker = NewAlphaTracker(env.NumClients, env.NumParams, initialAlpha)
 	a.corr = make([]float64, env.NumParams)
 	a.z = nil
 	a.strikes = make([]int, env.NumClients)

@@ -45,9 +45,6 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Gamma != 0.01 {
 		t.Fatalf("default gamma = %v, want 1/K = 0.01", cfg.Gamma)
 	}
-	if cfg.InitialAlpha != 0.1 {
-		t.Fatalf("default initial alpha = %v, want 0.1", cfg.InitialAlpha)
-	}
 	if cfg.Kappa != 0.6 {
 		t.Fatalf("default kappa = %v, want 0.6", cfg.Kappa)
 	}
@@ -57,8 +54,8 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestConfigExplicitValuesKept(t *testing.T) {
-	cfg := Config{Gamma: 0.2, Kappa: 0.9, MaxStrikes: 3, InitialAlpha: 0.4}.withDefaults(10, 50)
-	if cfg.Gamma != 0.2 || cfg.Kappa != 0.9 || cfg.MaxStrikes != 3 || cfg.InitialAlpha != 0.4 {
+	cfg := Config{Gamma: 0.2, Kappa: 0.9, MaxStrikes: 3}.withDefaults(10, 50)
+	if cfg.Gamma != 0.2 || cfg.Kappa != 0.9 || cfg.MaxStrikes != 3 {
 		t.Fatalf("explicit values overwritten: %+v", cfg)
 	}
 }

@@ -78,7 +78,6 @@ func measure100Steps(p Profile, alg fl.Algorithm) (float64, error) {
 	}
 	cfg.Rounds = 1
 	cfg.LocalSteps = 100
-	cfg.EvalEvery = 10 // skip evaluation cost inside the measurement
 	net, err := p.Model()
 	if err != nil {
 		return 0, err

@@ -16,9 +16,7 @@ package fault
 import (
 	"fmt"
 	"math"
-	"slices"
 
-	"repro/internal/simclock"
 	"repro/internal/spec"
 )
 
@@ -64,17 +62,14 @@ func KindNames() []string {
 	return names
 }
 
-// Spec declares one fault. The zero value is invalid; construct specs
-// directly or via ParseFault and check Validate.
+// Spec declares one fault. A client fault applies to every client for
+// the whole run. The zero value is invalid; construct specs directly or
+// via ParseFault and check Validate.
 type Spec struct {
 	Kind Kind
-	// Clients optionally restricts which client ids are subject to the
-	// fault. Empty means every client is subject. Ignored by
-	// KindServerCrash.
-	Clients []int
-	// Frac is the per-dispatch probability that the fault fires for a
-	// subject client, drawn once per dispatch attempt from the client's
-	// dedicated fault stream. Crash and drop require Frac < 1 (a certain
+	// Frac is the per-dispatch probability that the fault fires, drawn
+	// once per dispatch attempt from the client's dedicated fault
+	// stream. Crash and drop require Frac < 1 (a certain
 	// failure would livelock the async policy's re-dispatch loop).
 	// Unused by KindServerCrash.
 	Frac float64
@@ -84,17 +79,7 @@ type Spec struct {
 	// Round is the 0-based round at whose start KindServerCrash fires.
 	// Unused by client faults.
 	Round int
-	// Window optionally gates the fault to a periodic modeled-time window
-	// (e.g. a flaky network segment): the fault can only fire at dispatch
-	// times the trace marks available. The zero trace means always.
-	// Draws are consumed regardless of the window, so gating never shifts
-	// the stream. Ignored by KindServerCrash.
-	Window simclock.Trace
 }
-
-// PerDispatch reports whether the spec is resolved per client dispatch
-// (everything except the server crash).
-func (s Spec) PerDispatch() bool { return s.Kind != KindServerCrash }
 
 // Validate reports malformed specs.
 func (s Spec) Validate() error {
@@ -118,43 +103,13 @@ func (s Spec) Validate() error {
 		if s.Round < 1 {
 			return fmt.Errorf("fault: servercrash round %d must be >= 1 (there is nothing to recover before round 1)", s.Round)
 		}
-		if s.Frac != 0 || len(s.Clients) != 0 {
-			return fmt.Errorf("fault: servercrash takes only a round, not clients or a fraction")
+		if s.Frac != 0 {
+			return fmt.Errorf("fault: servercrash takes only a round, not a fraction")
 		}
 	default:
 		return fmt.Errorf("fault: unknown kind %q (valid: %v)", s.Kind, KindNames())
 	}
-	if s.PerDispatch() {
-		for _, id := range s.Clients {
-			if id < 0 {
-				return fmt.Errorf("fault: client id %d must be non-negative", id)
-			}
-		}
-		if err := s.Window.Validate(); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// Subjects returns the sorted client ids subject to the fault in a fleet
-// of n clients: the explicit Clients list (clamped to ids < n), or every
-// client when the list is empty.
-func (s Spec) Subjects(n int) []int {
-	if len(s.Clients) == 0 {
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = i
-		}
-		return ids
-	}
-	ids := slices.Clone(s.Clients)
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
-	for len(ids) > 0 && ids[len(ids)-1] >= n {
-		ids = ids[:len(ids)-1]
-	}
-	return ids
 }
 
 // String renders the spec in ParseFault syntax.

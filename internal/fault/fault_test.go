@@ -1,10 +1,6 @@
 package fault
 
-import (
-	"testing"
-
-	"repro/internal/simclock"
-)
+import "testing"
 
 func TestParseFault(t *testing.T) {
 	cases := []struct {
@@ -57,6 +53,9 @@ func TestParseFaultErrors(t *testing.T) {
 			t.Errorf("ParseFault(%q): expected error", in)
 		}
 	}
+	if err := (Spec{Kind: KindServerCrash, Round: 2, Frac: 0.5}).Validate(); err == nil {
+		t.Error("servercrash with a fraction: expected error")
+	}
 }
 
 func TestParseFaults(t *testing.T) {
@@ -75,39 +74,6 @@ func TestParseFaults(t *testing.T) {
 	}
 }
 
-func TestValidateWindowAndClients(t *testing.T) {
-	s := Spec{Kind: KindCrash, Frac: 0.2, Window: simclock.Trace{PeriodSec: -1}}
-	if err := s.Validate(); err == nil {
-		t.Fatal("negative window period: expected error")
-	}
-	s = Spec{Kind: KindCrash, Frac: 0.2, Clients: []int{3, -1}}
-	if err := s.Validate(); err == nil {
-		t.Fatal("negative client id: expected error")
-	}
-	s = Spec{Kind: KindServerCrash, Round: 2, Clients: []int{1}}
-	if err := s.Validate(); err == nil {
-		t.Fatal("servercrash with clients: expected error")
-	}
-}
-
-func TestSubjects(t *testing.T) {
-	s := Spec{Kind: KindCrash, Frac: 0.2}
-	if got := s.Subjects(4); len(got) != 4 || got[0] != 0 || got[3] != 3 {
-		t.Fatalf("Subjects(4) with empty Clients = %v", got)
-	}
-	s.Clients = []int{5, 1, 3, 1, 9}
-	got := s.Subjects(6)
-	want := []int{1, 3, 5}
-	if len(got) != len(want) {
-		t.Fatalf("Subjects = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Subjects = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestString(t *testing.T) {
 	for _, in := range []string{"crash:0.2", "slow:0.3:8", "servercrash:5"} {
 		spec, err := ParseFault(in)
@@ -121,8 +87,7 @@ func TestString(t *testing.T) {
 }
 
 // FuzzParseFault: the parser never panics, and every accepted spec
-// validates, names subjects when it acts per dispatch, and re-parses to the
-// same kind from its String form.
+// validates and re-parses to the same kind from its String form.
 func FuzzParseFault(f *testing.F) {
 	for _, seed := range []string{"crash", "crash:0.2", "drop:0.5", "dup:1", "slow:0.3:4", "servercrash:5", "x:y:z", ""} {
 		f.Add(seed)
@@ -134,9 +99,6 @@ func FuzzParseFault(f *testing.F) {
 		}
 		if verr := spec.Validate(); verr != nil {
 			t.Fatalf("ParseFault(%q) accepted a spec that fails Validate: %v", s, verr)
-		}
-		if len(spec.Subjects(8)) == 0 && spec.PerDispatch() {
-			t.Fatalf("ParseFault(%q): per-dispatch spec with no subjects", s)
 		}
 		round, err := ParseFault(spec.String())
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/dataset"
 	"repro/internal/rng"
-	"repro/internal/simclock"
 )
 
 // advClient is one corrupt client's compiled corruption state, assembled
@@ -17,17 +16,16 @@ import (
 // and the client-owned RNG stream), keeping warmed-up rounds at zero
 // allocations with update-level injectors live.
 type advClient struct {
-	// alts are the data-level corrupted views of the client's shard, one
-	// per data-level spec, each corrupted from the clean shard and gated
-	// by its own window. At dispatch the last live alternative wins.
-	alts []dataAlt
+	// sampler draws from the client's data-level corrupted shard, the one
+	// the last data-level spec made from the clean shard; nil when no
+	// data-level spec names the client.
+	sampler *dataset.Sampler
 	// injectors is the update-level chain, applied to the outgoing delta
 	// in spec order after local training.
-	injectors []deltaInjector
-	// fab, when set, replaces local training entirely while fabWin is
-	// live (at most one fabricator per client, enforced at setup).
-	fab    adversary.Fabricator
-	fabWin simclock.Trace
+	injectors []adversary.DeltaCorruptor
+	// fab, when set, replaces local training entirely (at most one
+	// fabricator per client, enforced at setup).
+	fab adversary.Fabricator
 	// ctx is the reusable dispatch context for update-level behaviors.
 	ctx adversary.Ctx
 	// r is the client's persistent corruption stream; deriving it at
@@ -36,41 +34,24 @@ type advClient struct {
 	r *rng.RNG
 }
 
-type dataAlt struct {
-	sampler *dataset.Sampler
-	win     simclock.Trace
-}
-
-type deltaInjector struct {
-	b   adversary.DeltaCorruptor
-	win simclock.Trace
-}
-
 // corrupt reports whether the client is designated adversarial by any
 // spec — the ground truth the weight-mass metrics and detection scores
-// are measured against (window-gated attackers count even while dormant).
+// are measured against.
 func (c *client) corrupt() bool { return c.adv != nil }
 
-// fabricatorAt returns the client's fabricator when one is live at
-// modeled time now, else nil.
-func (c *client) fabricatorAt(now float64) adversary.Fabricator {
-	if c.adv == nil || c.adv.fab == nil || !c.adv.fabWin.Available(now) {
+// fabricator returns the client's fabricator, or nil.
+func (c *client) fabricator() adversary.Fabricator {
+	if c.adv == nil {
 		return nil
 	}
 	return c.adv.fab
 }
 
-// samplerAt returns the mini-batch sampler to train from at modeled time
-// now: the last data-level corruption whose window is live, else the
-// clean sampler.
-func (c *client) samplerAt(now float64) *dataset.Sampler {
-	if c.adv == nil {
-		return c.sampler
-	}
-	for i := len(c.adv.alts) - 1; i >= 0; i-- {
-		if c.adv.alts[i].win.Available(now) {
-			return c.adv.alts[i].sampler
-		}
+// trainSampler returns the mini-batch sampler the client trains from:
+// its corrupted shard's, else the clean one.
+func (c *client) trainSampler() *dataset.Sampler {
+	if c.adv != nil && c.adv.sampler != nil {
+		return c.adv.sampler
 	}
 	return c.sampler
 }
@@ -97,17 +78,15 @@ func (c *client) fabricate(fab adversary.Fabricator, cfg *Config, delta []float6
 }
 
 // injectDelta runs the client's update-level injector chain over the
-// trained delta, skipping injectors whose window is closed at now.
-func (c *client) injectDelta(cfg *Config, delta []float64, round int, now float64, global, prevGlobal []float64) {
+// trained delta.
+func (c *client) injectDelta(cfg *Config, delta []float64, round int, global, prevGlobal []float64) {
 	a := c.adv
 	if a == nil || len(a.injectors) == 0 {
 		return
 	}
 	ctx := c.fillCtx(cfg, round, global, prevGlobal)
-	for i := range a.injectors {
-		if a.injectors[i].win.Available(now) {
-			a.injectors[i].b.CorruptDelta(delta, ctx)
-		}
+	for _, b := range a.injectors {
+		b.CorruptDelta(delta, ctx)
 	}
 }
 
@@ -116,6 +95,8 @@ func (c *client) injectDelta(cfg *Config, delta []float64, round int, now float6
 // root, so adversarial streams never perturb honest ones; specs are
 // processed in declaration order and members in ascending ID order, so
 // setup (including which invalid ID an error reports) is deterministic.
+// Each data-level spec corrupts the clean shard and derives its sampler,
+// and the last one's sampler is the one the client keeps.
 func setupAdversaries(cfg *Config, clients []client, root *rng.RNG) error {
 	for si, spec := range cfg.Adversaries {
 		members := spec.Members(len(clients))
@@ -131,18 +112,14 @@ func setupAdversaries(cfg *Config, clients []client, root *rng.RNG) error {
 			switch bb := b.(type) {
 			case adversary.DataCorruptor:
 				shard := bb.CorruptData(c.data, c.adv.r.Derive("data", si))
-				c.adv.alts = append(c.adv.alts, dataAlt{
-					sampler: dataset.NewSampler(shard, c.adv.r.Derive("datasampler", si)),
-					win:     spec.Window,
-				})
+				c.adv.sampler = dataset.NewSampler(shard, c.adv.r.Derive("datasampler", si))
 			case adversary.DeltaCorruptor:
-				c.adv.injectors = append(c.adv.injectors, deltaInjector{b: bb, win: spec.Window})
+				c.adv.injectors = append(c.adv.injectors, bb)
 			case adversary.Fabricator:
 				if c.adv.fab != nil {
 					return fmt.Errorf("fl: adversary %d (%s): client %d already has a fabricator", si, spec.Kind, id)
 				}
 				c.adv.fab = bb
-				c.adv.fabWin = spec.Window
 			default:
 				return fmt.Errorf("fl: adversary %d: kind %q compiles to no behavior", si, spec.Kind)
 			}

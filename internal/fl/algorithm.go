@@ -97,9 +97,9 @@ type Update struct {
 	// updates via StalenessDamp.
 	Staleness int
 	// Corrupt marks an upload from a client designated adversarial by
-	// the run's corruption specs (ground truth for defense metrics;
-	// window-gated attackers are marked even while dormant). Aggregation
-	// rules must NOT read it — defenses only see the update geometry.
+	// the run's corruption specs (ground truth for defense metrics).
+	// Aggregation rules must NOT read it — defenses only see the update
+	// geometry.
 	Corrupt bool
 	// Payload is the encoded on-the-wire form of the upload when the run
 	// compresses updates (nil for dense transport). Delta always holds

@@ -33,7 +33,7 @@ import (
 
 // The magic names the format; a blob of any older format is rejected by
 // the magic check rather than silently misparsed.
-var runCkptMagic = [8]byte{'F', 'L', 'C', 'K', 'P', 'T', '0', '6'}
+var runCkptMagic = [8]byte{'F', 'L', 'C', 'K', 'P', 'T', '0', '7'}
 
 // StatefulAlgorithm is implemented by algorithms that carry cross-round
 // state a checkpoint must capture — control variates (Scaffold), client
@@ -190,9 +190,8 @@ func (s *scheduler) walk(c *ckpt.Codec, round *int, applyRNG bool) {
 			continue
 		}
 		c.Cursor(cl.adv.r, applyRNG)
-		c.ExpectLen(len(cl.adv.alts), "data corruptions")
-		for _, alt := range cl.adv.alts {
-			c.Cursor(alt.sampler.Stream(), applyRNG)
+		if c.Expect(cl.adv.sampler != nil, "data corruption") {
+			c.Cursor(cl.adv.sampler.Stream(), applyRNG)
 		}
 	}
 	c.Section("quantization streams")
@@ -213,11 +212,9 @@ func (s *scheduler) walk(c *ckpt.Codec, round *int, applyRNG bool) {
 		}
 	}
 	c.Section("fault streams")
-	if c.Expect(s.plan != nil, "fault-plan") {
-		for i := range s.plan.perClient {
-			if cf := &s.plan.perClient[i]; c.Expect(cf.subject(), "client fault-stream") {
-				c.Cursor(&cf.r, applyRNG)
-			}
+	if c.Expect(s.plan != nil, "fault-plan") && c.Expect(s.plan.dispatches(), "fault streams") {
+		for i := range s.plan.streams {
+			c.Cursor(&s.plan.streams[i], applyRNG)
 		}
 	}
 

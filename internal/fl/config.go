@@ -109,9 +109,9 @@ type Config struct {
 	// Adversaries declares client corruptions (attack injectors) applied
 	// on top of the honest protocol: data-level label attacks,
 	// update-level delta injectors, freeloaders, and sybil camps, each
-	// optionally gated by an activation window. Specs compose per client
-	// (at most one fabricator each); an empty list is the honest run,
-	// bit-identical to a config without the field.
+	// live for the whole run. Specs compose per client (at most one
+	// fabricator each); an empty list is the honest run, bit-identical to
+	// a config without the field.
 	Adversaries []adversary.Spec
 	// ParticipationFraction selects the fraction of active clients that
 	// train each round (uniformly sampled per round). 0 or 1 means full
@@ -146,21 +146,6 @@ type Config struct {
 	// rng streams derived after every honest, adversary, and compression
 	// stream, so an empty list is bit-identical to the fault-free golden.
 	Faults []fault.Spec
-	// FaultRetries is the number of fault-triggered re-dispatches allowed
-	// per client dispatch on top of the first attempt; 0 means 2, -1
-	// means none. Only meaningful with Faults.
-	FaultRetries int
-	// FaultTimeoutFactor multiplies a dispatch's fault-free modeled
-	// completion time (availability wait + compute) to form its timeout
-	// budget; a dispatch not delivered within the budget is retried.
-	// 0 means 3; must be >= 1 (a sub-unit budget would time out every
-	// dispatch and starve the async policy). Only meaningful with Faults.
-	FaultTimeoutFactor float64
-	// FaultBackoffSec is the base of the deterministic exponential
-	// backoff between retry dispatches (doubled per attempt, jittered
-	// from the client's fault stream); 0 means a quarter of the nominal
-	// modeled round. Only meaningful with Faults.
-	FaultBackoffSec float64
 	// Quorum is the fraction of the round's dispatched updates that must
 	// be delivered for the round to commit cleanly; below it the round
 	// still commits but is recorded as degraded (metrics.Round.Degraded —
@@ -238,24 +223,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fl: %w", err)
 	}
 	if len(c.Faults) == 0 {
-		switch {
-		case c.FaultRetries != 0:
-			return fmt.Errorf("fl: FaultRetries %d is only meaningful with Faults", c.FaultRetries)
-		case c.FaultTimeoutFactor != 0:
-			return fmt.Errorf("fl: FaultTimeoutFactor %v is only meaningful with Faults", c.FaultTimeoutFactor)
-		case c.FaultBackoffSec != 0:
-			return fmt.Errorf("fl: FaultBackoffSec %v is only meaningful with Faults", c.FaultBackoffSec)
-		case c.Quorum != 0:
+		if c.Quorum != 0 {
 			return fmt.Errorf("fl: Quorum %v is only meaningful with Faults", c.Quorum)
 		}
 	} else {
 		switch {
-		case c.FaultRetries < -1:
-			return fmt.Errorf("fl: FaultRetries %d must be >= -1 (-1 disables retries, 0 means the default)", c.FaultRetries)
-		case c.FaultTimeoutFactor < 0 || (c.FaultTimeoutFactor > 0 && c.FaultTimeoutFactor < 1):
-			return fmt.Errorf("fl: FaultTimeoutFactor %v must be >= 1 (a sub-unit budget times out every dispatch)", c.FaultTimeoutFactor)
-		case c.FaultBackoffSec < 0:
-			return fmt.Errorf("fl: FaultBackoffSec %v must be non-negative", c.FaultBackoffSec)
 		case c.Quorum < 0 || c.Quorum > 1:
 			return fmt.Errorf("fl: Quorum %v must be in [0,1]", c.Quorum)
 		case c.Quorum > 0 && c.Policy == PolicyAsync:
@@ -314,35 +286,6 @@ func (c Config) asyncBuffer() int {
 		return c.AsyncBuffer
 	}
 	return 1
-}
-
-// faultRetries resolves the retry-budget default.
-func (c Config) faultRetries() int {
-	switch {
-	case c.FaultRetries > 0:
-		return c.FaultRetries
-	case c.FaultRetries < 0:
-		return 0
-	default:
-		return 2
-	}
-}
-
-// faultTimeoutFactor resolves the timeout-budget default.
-func (c Config) faultTimeoutFactor() float64 {
-	if c.FaultTimeoutFactor > 0 {
-		return c.FaultTimeoutFactor
-	}
-	return 3
-}
-
-// faultBackoff resolves the backoff base default against the nominal
-// modeled round duration.
-func (c Config) faultBackoff(baseRound float64) float64 {
-	if c.FaultBackoffSec > 0 {
-		return c.FaultBackoffSec
-	}
-	return 0.25 * baseRound
 }
 
 // devices resolves the fleet default (n nominal always-available devices).

@@ -313,7 +313,7 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 		s.mark = make([]uint64, (n+63)/64)
 	}
 	s.stack, _ = alg.(*stackedAlg)
-	if s.plan != nil && s.plan.anyDispatch {
+	if s.plan.dispatches() {
 		s.dupFlags = make([]bool, 0, n)
 		if cfg.Policy == PolicyAsync {
 			s.attempts = make([]int, n)
@@ -386,8 +386,8 @@ func newSlot(net *nn.Network, cfg Config) *slot {
 // caller-provided delta buffer. All model-sized scratch comes from the
 // slot; the step itself is fused when the algorithm registers its
 // correction via StepCtx.FuseCorrection (one pass over d instead of two).
-// smp is the mini-batch source — the client's clean sampler, or a
-// corrupted-shard sampler while a data-level attack window is live.
+// smp is the mini-batch source — the client's clean sampler, or its
+// corrupted-shard sampler under a data-level attack.
 func localUpdate(cfg *Config, alg Algorithm, c *client, sl *slot, delta []float64, round int, global []float64, smp *dataset.Sampler) {
 	alg.LocalInit(c.id, round, global, sl.w0)
 	alg.BeginLocal(c.id, round, sl.w0)

@@ -110,9 +110,6 @@ func TestConfigValidate(t *testing.T) {
 		{"adversary negative scale", func(c *fl.Config) {
 			c.Adversaries = []adversary.Spec{{Kind: adversary.KindScale, Frac: 0.5, Scale: -3}}
 		}},
-		{"adversary bad window", func(c *fl.Config) {
-			c.Adversaries = []adversary.Spec{{Kind: adversary.KindSignFlip, Frac: 0.5, Window: simclock.Trace{PeriodSec: 5}}}
-		}},
 		{"unknown codec kind", func(c *fl.Config) {
 			c.Compress = compress.Spec{Kind: "gzip"}
 		}},
@@ -146,8 +143,7 @@ func TestConfigValidate(t *testing.T) {
 		{"adversary stack", func(c *fl.Config) {
 			c.Adversaries = []adversary.Spec{
 				{Kind: adversary.KindLabelFlip, Frac: 0.3},
-				{Kind: adversary.KindSybil, Clients: []int{0, 2}, Scale: 2,
-					Window: simclock.Trace{PeriodSec: 10, OnFraction: 0.5}},
+				{Kind: adversary.KindSybil, Clients: []int{0, 2}, Scale: 2},
 			}
 		}},
 		{"deadline policy", func(c *fl.Config) {
@@ -499,12 +495,12 @@ func TestTACOSuppressesCorruptMass(t *testing.T) {
 // FuzzConfigValidate: Validate never panics and never accepts a config
 // the engine would then choke on for spec-shape reasons.
 func FuzzConfigValidate(f *testing.F) {
-	f.Add(5, 3, 8, 0.05, 0.0, 0, 0.0, 0, "signflip", 0.3, 2.0, 0.0, 0.5)
-	f.Add(1, 1, 1, 1.0, 1.0, 2, 0.0, 3, "freeload", 1.0, 0.0, 10.0, 1.0)
-	f.Add(-1, 0, 0, -0.5, -1.0, 99, -2.0, -1, "nope", -0.5, -1.0, -3.0, 2.0)
+	f.Add(5, 3, 8, 0.05, 0.0, 0, 0.0, 0, "signflip", 0.3, 2.0)
+	f.Add(1, 1, 1, 1.0, 1.0, 2, 0.0, 3, "freeload", 1.0, 0.0)
+	f.Add(-1, 0, 0, -0.5, -1.0, 99, -2.0, -1, "nope", -0.5, -1.0)
 	f.Fuzz(func(t *testing.T, rounds, steps, batch int, lr, glr float64,
 		policy int, deadline float64, buffer int,
-		kind string, frac, scale, winPeriod, winOn float64) {
+		kind string, frac, scale float64) {
 		cfg := fl.Config{
 			Rounds:           rounds,
 			LocalSteps:       steps,
@@ -515,10 +511,9 @@ func FuzzConfigValidate(f *testing.F) {
 			RoundDeadlineSec: deadline,
 			AsyncBuffer:      buffer,
 			Adversaries: []adversary.Spec{{
-				Kind:   adversary.Kind(kind),
-				Frac:   frac,
-				Scale:  scale,
-				Window: simclock.Trace{PeriodSec: winPeriod, OnFraction: winOn},
+				Kind:  adversary.Kind(kind),
+				Frac:  frac,
+				Scale: scale,
 			}},
 		}
 		if err := cfg.Validate(); err != nil {

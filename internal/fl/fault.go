@@ -3,62 +3,45 @@ package fl
 import (
 	"repro/internal/fault"
 	"repro/internal/rng"
-	"repro/internal/simclock"
 )
 
 // Fault injection (DESIGN.md §8). A faultPlan compiles the config's
-// declarative fault.Specs into per-client dispatch draws. Every outcome
-// is resolved in the scheduler goroutine from a dedicated per-client
-// fault stream — derived after all honest, adversary, and compression
-// streams — so fault runs are bit-reproducible at any parallelism and a
-// zero-fault config consumes nothing. All plan state is allocated at
-// setup; resolving a dispatch performs only stream draws, preserving the
-// 0-alloc steady state with faults enabled.
+// declarative fault.Specs, each of which applies to every client, into
+// per-dispatch draws. Every outcome is resolved in the scheduler goroutine
+// from a dedicated per-client fault stream — derived after all honest,
+// adversary, and compression streams — so fault runs are bit-reproducible
+// at any parallelism and a zero-fault config consumes nothing. All plan
+// state is allocated at setup; resolving a dispatch performs only stream
+// draws, preserving the 0-alloc steady state with faults enabled.
 
 // maxRollbacks bounds divergence recoveries per run: past it the run
 // halts with a recorded HaltReason instead of looping on a configuration
 // that keeps blowing up.
 const maxRollbacks = 3
 
-// gatedProb is one compiled probabilistic fault: it fires with
-// probability p per dispatch attempt, gated by a modeled-time window.
-// The draw is always consumed so window gating never shifts the stream.
-type gatedProb struct {
-	p   float64
-	win simclock.Trace
-}
+// The retry chain's timing (DESIGN.md §8): a failed dispatch is retried
+// faultRetries times on top of its first attempt; an attempt times out
+// after faultTimeoutFactor × its fault-free wait and compute; and retry a
+// (0-based) waits faultBackoffShare × the nominal round × 2^a, jittered.
+const (
+	faultRetries       = 2
+	faultTimeoutFactor = 3
+	faultBackoffShare  = 0.25
+)
 
-// gatedSlow is one compiled latency-spike fault: with probability p the
+// slowFault is one compiled latency-spike fault: with probability p the
 // dispatch's compute time is multiplied by factor.
-type gatedSlow struct {
+type slowFault struct {
 	p      float64
 	factor float64
-	win    simclock.Trace
 }
 
-// clientFaults is one client's compiled fault state and its dedicated
-// draw stream. Its spec lists are windows into the plan's per-kind
-// slabs; a client no dispatch fault applies to has none and an unseeded
-// stream.
-type clientFaults struct {
-	crash []gatedProb
-	drop  []gatedProb
-	dup   []gatedProb
-	slow  []gatedSlow
-	r     rng.RNG
-}
-
-// subject reports whether any dispatch fault applies to the client.
-func (cf *clientFaults) subject() bool {
-	return len(cf.crash)+len(cf.drop)+len(cf.dup)+len(cf.slow) > 0
-}
-
-// drawProb consumes one draw per spec and reports whether any fired
-// inside its window at modeled time at.
-func drawProb(r *rng.RNG, specs []gatedProb, at float64) bool {
+// drawProb consumes one draw per probability and reports whether any
+// fired.
+func drawProb(r *rng.RNG, ps []float64) bool {
 	fired := false
-	for _, g := range specs {
-		if r.Float64() < g.p && g.win.Available(at) {
+	for _, p := range ps {
+		if r.Float64() < p {
 			fired = true
 		}
 	}
@@ -67,102 +50,91 @@ func drawProb(r *rng.RNG, specs []gatedProb, at float64) bool {
 
 // drawSlow consumes one draw per spec and returns the product of the
 // firing specs' latency factors (1 when none fired).
-func drawSlow(r *rng.RNG, specs []gatedSlow, at float64) float64 {
+func drawSlow(r *rng.RNG, specs []slowFault) float64 {
 	f := 1.0
 	for _, g := range specs {
-		if r.Float64() < g.p && g.win.Available(at) {
+		if r.Float64() < g.p {
 			f *= g.factor
 		}
 	}
 	return f
 }
 
-// faultPlan is the run's compiled fault model.
+// faultPlan is the run's compiled fault model: the probabilities of each
+// dispatch fault kind in spec order, shared by every client, and one
+// fault stream per client.
 type faultPlan struct {
-	// perClient holds each client's compiled fault state, indexed by
-	// client id; clients not subject to any fault (their dispatches draw
-	// nothing and behave exactly as in a fault-free run) hold a zero
-	// entry.
-	perClient []clientFaults
-	// anyDispatch flags at least one per-dispatch fault (everything but
-	// a pure servercrash config).
-	anyDispatch bool
+	crash, drop, dup []float64
+	slow             []slowFault
+	// streams holds each client's fault stream, indexed by client id;
+	// nil when no dispatch fault is declared (a pure servercrash config).
+	streams []rng.RNG
 	// crashRound is the round at whose start the simulated server crash
 	// fires; -1 when the config declares none.
-	crashRound    int
-	retries       int
-	timeoutFactor float64
-	backoffSec    float64
+	crashRound int
+	backoffSec float64
 }
 
 // newFaultPlan compiles cfg.Faults for n clients, deriving the fault
 // streams from root last of all (after init, samplers, participation,
-// adversary, and compression streams) in client-id order. Returns nil
-// for a zero-fault config, which therefore derives nothing. It makes a
-// fixed number of allocations per spec, none per client: client by
-// client, each spec that names the client (subject lists are sorted, so
-// one cursor per spec finds them) appends its entry, in spec order, to
-// the slab of its kind, and the client's lists are what it appended.
+// adversary, and compression streams) in client-id order, in one slab.
+// Returns nil for a zero-fault config, which therefore derives nothing.
 func newFaultPlan(cfg *Config, n int, baseRound float64, root *rng.RNG) *faultPlan {
 	if len(cfg.Faults) == 0 {
 		return nil
 	}
-	p := &faultPlan{
-		perClient:     make([]clientFaults, n),
-		crashRound:    -1,
-		retries:       cfg.faultRetries(),
-		timeoutFactor: cfg.faultTimeoutFactor(),
-		backoffSec:    cfg.faultBackoff(baseRound),
-	}
-	subjects := make([][]int, len(cfg.Faults))
-	entries := make(map[fault.Kind]int, 4) // slab sizes
-	for si, spec := range cfg.Faults {
-		if spec.Kind == fault.KindServerCrash {
+	p := &faultPlan{crashRound: -1, backoffSec: faultBackoffShare * baseRound}
+	for _, spec := range cfg.Faults {
+		switch spec.Kind {
+		case fault.KindServerCrash:
 			p.crashRound = spec.Round
-			continue
+		case fault.KindCrash:
+			p.crash = append(p.crash, spec.Frac)
+		case fault.KindDrop:
+			p.drop = append(p.drop, spec.Frac)
+		case fault.KindDup:
+			p.dup = append(p.dup, spec.Frac)
+		case fault.KindSlow:
+			p.slow = append(p.slow, slowFault{spec.Frac, spec.Param})
 		}
-		p.anyDispatch = true
-		subjects[si] = spec.Subjects(n)
-		entries[spec.Kind] += len(subjects[si])
 	}
-	crash := make([]gatedProb, 0, entries[fault.KindCrash])
-	drop := make([]gatedProb, 0, entries[fault.KindDrop])
-	dup := make([]gatedProb, 0, entries[fault.KindDup])
-	slow := make([]gatedSlow, 0, entries[fault.KindSlow])
-	next := make([]int, len(cfg.Faults)) // each spec's cursor into its subjects
-	for id := range p.perClient {
-		c0, d0, u0, s0 := len(crash), len(drop), len(dup), len(slow)
-		for si, spec := range cfg.Faults {
-			sub := subjects[si]
-			if next[si] == len(sub) || sub[next[si]] != id {
-				continue
-			}
-			next[si]++
-			switch spec.Kind {
-			case fault.KindCrash:
-				crash = append(crash, gatedProb{spec.Frac, spec.Window})
-			case fault.KindDrop:
-				drop = append(drop, gatedProb{spec.Frac, spec.Window})
-			case fault.KindDup:
-				dup = append(dup, gatedProb{spec.Frac, spec.Window})
-			case fault.KindSlow:
-				slow = append(slow, gatedSlow{spec.Frac, spec.Param, spec.Window})
-			}
-		}
-		cf := &p.perClient[id]
-		cf.crash, cf.drop, cf.dup, cf.slow = crash[c0:], drop[d0:], dup[u0:], slow[s0:]
-		if cf.subject() {
-			root.DeriveInto(&cf.r, "fault", id)
-		}
+	if len(p.crash)+len(p.drop)+len(p.dup)+len(p.slow) > 0 {
+		p.streams = root.DeriveN("fault", n)
 	}
 	return p
 }
 
+// dispatches reports whether the plan declares a dispatch fault; false
+// for a nil plan.
+func (p *faultPlan) dispatches() bool { return p != nil && p.streams != nil }
+
 // backoff returns the deterministic jittered exponential delay before
 // retry attempt a (0-based): base · 2^a · (0.5 + u) with u drawn from
-// the client's fault stream.
-func (p *faultPlan) backoff(a int, r *rng.RNG) float64 {
-	return p.backoffSec * float64(uint64(1)<<min(a, 30)) * (0.5 + r.Float64())
+// client id's fault stream.
+func (p *faultPlan) backoff(a, id int) float64 {
+	return p.backoffSec * float64(uint64(1)<<a) * (0.5 + p.streams[id].Float64())
+}
+
+// attempt draws one dispatch attempt of client id that starts at modeled
+// time start, from the client's fault stream: its crash, drop and slow
+// faults in that order, one draw per spec. The attempt fails when a crash
+// or drop fired, or when a latency spike pushed its completion past its
+// timeout budget, faultTimeoutFactor × its fault-free wait and compute.
+// Only a delivered attempt draws its dup faults. end is from plus the
+// attempt's time: its completion, or the budget after which the server
+// gives up on it.
+func (s *scheduler) attempt(id int, start, from float64) (end float64, delivered, dup bool) {
+	r := &s.plan.streams[id]
+	wait := s.env.Devices[id].Availability.NextAvailable(start) - start
+	base := s.finishDur(id)
+	crash := drawProb(r, s.plan.crash)
+	drop := drawProb(r, s.plan.drop)
+	slowF := drawSlow(r, s.plan.slow)
+	budget := faultTimeoutFactor * (wait + base)
+	if dur := base * slowF; !crash && !drop && wait+dur <= budget {
+		return from + wait + dur, true, drawProb(r, s.plan.dup)
+	}
+	return from + budget, false, false
 }
 
 // dispatchOutcome is one fully resolved sync/deadline dispatch: whether
@@ -176,56 +148,28 @@ type dispatchOutcome struct {
 	rel       float64
 }
 
-// faultsOf returns client id's compiled fault state: nil when no
-// dispatch fault applies to it, or the run declares no plan at all.
-func (s *scheduler) faultsOf(id int) *clientFaults {
-	if s.plan == nil {
-		return nil
-	}
-	if cf := &s.plan.perClient[id]; cf.subject() {
-		return cf
-	}
-	return nil
-}
-
 // resolveDispatch plays out client id's dispatch at modeled time at
-// under the fault plan; a client no fault applies to delivers at its
-// fault-free finish time. Each attempt draws, in fixed order, its crash,
-// drop, and slow faults (one draw per compiled spec); an attempt fails
-// when a crash or drop fired, or when a latency spike pushed its
-// completion past the timeout budget (timeoutFactor × the attempt's
-// fault-free completion time). Failed attempts cost the full budget plus
-// an exponential backoff; the dup draw happens only on delivery. The
-// retried client retransmits the update computed at dispatch — retries
-// are modeled in time only, never in extra local training.
+// under the fault plan; without a dispatch fault it delivers at its
+// fault-free finish time. Attempts are drawn until one delivers or the
+// retries run out; a failed attempt costs its full budget plus an
+// exponential backoff. The retried client retransmits the update computed
+// at dispatch — retries are modeled in time only, never in extra local
+// training.
 func (s *scheduler) resolveDispatch(id int, at float64) dispatchOutcome {
-	cf := s.faultsOf(id)
-	if cf == nil {
+	if !s.plan.dispatches() {
 		return dispatchOutcome{delivered: true, rel: s.finishRel(id, at)}
 	}
 	var elapsed float64
 	for a := 0; ; a++ {
-		start := at + elapsed
-		wait := s.env.Devices[id].Availability.NextAvailable(start) - start
-		base := s.finishDur(id)
-		crash := drawProb(&cf.r, cf.crash, start)
-		drop := drawProb(&cf.r, cf.drop, start)
-		slowF := drawSlow(&cf.r, cf.slow, start)
-		budget := s.plan.timeoutFactor * (wait + base)
-		dur := base * slowF
-		if !crash && !drop && wait+dur <= budget {
-			return dispatchOutcome{
-				delivered: true,
-				dup:       drawProb(&cf.r, cf.dup, start),
-				retries:   a,
-				rel:       elapsed + wait + dur,
-			}
+		end, delivered, dup := s.attempt(id, at+elapsed, elapsed)
+		if delivered {
+			return dispatchOutcome{delivered: true, dup: dup, retries: a, rel: end}
 		}
-		elapsed += budget
-		if a == s.plan.retries {
+		elapsed = end
+		if a == faultRetries {
 			return dispatchOutcome{retries: a, rel: elapsed}
 		}
-		elapsed += s.plan.backoff(a, &cf.r)
+		elapsed += s.plan.backoff(a, id)
 	}
 }
 
@@ -241,26 +185,15 @@ type asyncOutcome struct {
 }
 
 // resolveAsyncDispatch draws one dispatch attempt for client id at
-// modeled time at; a client no fault applies to finishes at its
-// fault-free time. A failed attempt's finish is the moment the server's
-// timeout budget expires and it notices the loss.
+// modeled time at; without a dispatch fault it finishes at its fault-free
+// time. A failed attempt's finish is the moment the server's timeout
+// budget expires and it notices the loss.
 func (s *scheduler) resolveAsyncDispatch(id int, at float64) asyncOutcome {
-	cf := s.faultsOf(id)
-	if cf == nil {
+	if !s.plan.dispatches() {
 		return asyncOutcome{finish: s.env.Devices[id].Availability.NextAvailable(at) + s.finishDur(id)}
 	}
-	attempt := s.attempts[id]
-	wait := s.env.Devices[id].Availability.NextAvailable(at) - at
-	base := s.finishDur(id)
-	crash := drawProb(&cf.r, cf.crash, at)
-	drop := drawProb(&cf.r, cf.drop, at)
-	slowF := drawSlow(&cf.r, cf.slow, at)
-	budget := s.plan.timeoutFactor * (wait + base)
-	dur := base * slowF
-	if crash || drop || wait+dur > budget {
-		return asyncOutcome{failed: true, finish: at + budget, attempt: attempt}
-	}
-	return asyncOutcome{dup: drawProb(&cf.r, cf.dup, at), finish: at + wait + dur, attempt: attempt}
+	end, delivered, dup := s.attempt(id, at, at)
+	return asyncOutcome{failed: !delivered, dup: dup, finish: end, attempt: s.attempts[id]}
 }
 
 // degraded reports whether a sync/deadline round that delivered

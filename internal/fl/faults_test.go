@@ -164,10 +164,9 @@ func TestSlowFaultStretchesRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	slowed := clean
-	// Param 2 with timeout factor 4: the spike doubles compute but stays
-	// inside the budget, so nothing is dropped — rounds just stretch.
+	// Param 2 under the 3× timeout budget: the spike doubles compute but
+	// stays inside the budget, so nothing is dropped — rounds just stretch.
 	slowed.Faults = []fault.Spec{{Kind: fault.KindSlow, Frac: 1, Param: 2}}
-	slowed.FaultTimeoutFactor = 4
 	got, err := fl.Run(slowed, baselines.NewFedAvg(), net, shards, test)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +191,6 @@ func TestFaultConfigValidation(t *testing.T) {
 		name   string
 		mutate func(*fl.Config)
 	}{
-		{"retries without faults", func(c *fl.Config) { c.FaultRetries = 2 }},
 		{"quorum without faults", func(c *fl.Config) { c.Quorum = 0.5 }},
 		{"quorum above one", func(c *fl.Config) {
 			c.Faults = []fault.Spec{{Kind: fault.KindDrop, Frac: 0.5}}

@@ -114,12 +114,12 @@ func referenceRun(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.
 
 		updates := make([]Update, len(ids))
 		measured := make([]float64, len(ids))
-		pool.runRound(&cfg, alg, clients, ids, t, 0, params, wPrev, updates, measured)
+		pool.runRound(&cfg, alg, clients, ids, t, params, wPrev, updates, measured)
 
 		var slowestMeasured float64
 		anyHonest := false
 		for j, id := range ids {
-			if clients[id].fabricatorAt(0) != nil {
+			if clients[id].fabricator() != nil {
 				continue
 			}
 			anyHonest = true

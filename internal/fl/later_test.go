@@ -52,7 +52,6 @@ func TestAsyncDeferredDispatch(t *testing.T) {
 	}{
 		{name: "faults", alg: taco, mutate: func(c *fl.Config) {
 			c.Faults = faults
-			c.FaultRetries = 2
 		}, check: func(t *testing.T, res *fl.Result) {
 			var retries, dups int
 			for _, r := range res.Run.Rounds {

@@ -70,34 +70,31 @@ type roundTask struct {
 	prevGlobal []float64
 	updates    []Update
 	measured   []float64
-	// now is the modeled dispatch time, which gates window-activated
-	// corruption (adversary.go).
-	now float64
 
 	id   [1]int
 	upd  [1]Update
 	meas [1]float64
 }
 
-// run trains position j (the j-th client of the round) on sl. A live
-// fabricator replaces training outright; otherwise the client trains (from
-// its corrupted shard while a data-level window is live) and the
-// update-level injectors mutate the delta in place. With a codec live
-// every outgoing delta is then error-feedback encoded into the ring
-// entry's payload and replaced by the decoded view, so every aggregation
-// rule sees exactly what arrived on the wire.
+// run trains position j (the j-th client of the round) on sl. A
+// fabricator replaces training outright; otherwise the client trains
+// (from its corrupted shard, when it has one) and the update-level
+// injectors mutate the delta in place. With a codec live every outgoing
+// delta is then error-feedback encoded into the ring entry's payload and
+// replaced by the decoded view, so every aggregation rule sees exactly
+// what arrived on the wire.
 func (t *roundTask) run(j int, sl *slot) {
 	c := &t.clients[t.ids[j]]
 	start := time.Now()
-	if fab := c.fabricatorAt(t.now); fab != nil {
+	if fab := c.fabricator(); fab != nil {
 		c.fabricate(fab, t.cfg, t.updates[j].Delta, t.round, t.global, t.prevGlobal)
 	} else {
 		if t.cfg.isF32() {
-			localUpdate32(t.cfg, t.alg, c, sl, t.updates[j].Delta, t.round, t.global, c.samplerAt(t.now))
+			localUpdate32(t.cfg, t.alg, c, sl, t.updates[j].Delta, t.round, t.global, c.trainSampler())
 		} else {
-			localUpdate(t.cfg, t.alg, c, sl, t.updates[j].Delta, t.round, t.global, c.samplerAt(t.now))
+			localUpdate(t.cfg, t.alg, c, sl, t.updates[j].Delta, t.round, t.global, c.trainSampler())
 		}
-		c.injectDelta(t.cfg, t.updates[j].Delta, t.round, t.now, t.global, t.prevGlobal)
+		c.injectDelta(t.cfg, t.updates[j].Delta, t.round, t.global, t.prevGlobal)
 	}
 	if comp := t.pool.comp; comp != nil {
 		comp.compress(&t.updates[j], sl)
@@ -303,8 +300,8 @@ func (p *slotPool) close() { close(p.queue) }
 
 // runRound implements executor: it trains the round on every slot and
 // returns when every update is written.
-func (p *slotPool) runRound(cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) {
-	p.train(len(p.slots), false, cfg, alg, clients, ids, round, now, global, prevGlobal, updates, measured)
+func (p *slotPool) runRound(cfg *Config, alg Algorithm, clients []client, ids []int, round int, global, prevGlobal []float64, updates []Update, measured []float64) {
+	p.train(len(p.slots), false, cfg, alg, clients, ids, round, global, prevGlobal, updates, measured)
 }
 
 // train is runRound at the given width, growing a slot and its worker
@@ -312,14 +309,14 @@ func (p *slotPool) runRound(cfg *Config, alg Algorithm, clients []client, ids []
 // keeps Parallelism slots until its first wide Adopt sub-batch (DESIGN.md
 // §12). A wide round's caller leaves the last client to the jobs it
 // queued, so the round always trains on more than one slot.
-func (p *slotPool) train(width int, wide bool, cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) {
+func (p *slotPool) train(width int, wide bool, cfg *Config, alg Algorithm, clients []client, ids []int, round int, global, prevGlobal []float64, updates []Update, measured []float64) {
 	width = min(width, len(ids))
 	p.grow(width)
 	t, keep := &p.round, 0
 	if wide && width > 1 {
 		keep = 1
 	}
-	p.prepare(t, cfg, alg, clients, ids, round, now, global, prevGlobal, updates, measured)
+	p.prepare(t, cfg, alg, clients, ids, round, global, prevGlobal, updates, measured)
 	p.start(t, len(ids), width-1)
 	p.join(t, keep)
 }
@@ -333,14 +330,14 @@ func (p *slotPool) settle([]Update, []float64) {}
 // loss and measured time pending until settleOne. The round reads the
 // global, prevGlobal and algorithm state the caller holds unchanged until
 // it has settled every round it queued. A pool of one slot trains it now.
-func (p *slotPool) runLater(cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) {
+func (p *slotPool) runLater(cfg *Config, alg Algorithm, clients []client, ids []int, round int, global, prevGlobal []float64, updates []Update, measured []float64) {
 	if p.later == nil {
-		p.train(1, false, cfg, alg, clients, ids, round, now, global, prevGlobal, updates, measured)
+		p.train(1, false, cfg, alg, clients, ids, round, global, prevGlobal, updates, measured)
 		return
 	}
 	t := &p.later[ids[0]]
 	t.id[0] = ids[0]
-	p.prepare(t, cfg, alg, clients, t.id[:], round, now, global, prevGlobal, t.upd[:], t.meas[:])
+	p.prepare(t, cfg, alg, clients, t.id[:], round, global, prevGlobal, t.upd[:], t.meas[:])
 	updates[0] = t.upd[0]
 	updates[0].ring.queued = t
 	p.queued++
@@ -365,7 +362,7 @@ func (p *slotPool) settleOne(u *Update, measured *float64) {
 
 // prepare checks a ring entry out for each update of a round and writes
 // the round into t.
-func (p *slotPool) prepare(t *roundTask, cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) {
+func (p *slotPool) prepare(t *roundTask, cfg *Config, alg Algorithm, clients []client, ids []int, round int, global, prevGlobal []float64, updates []Update, measured []float64) {
 	for j, id := range ids {
 		u := p.getUpload()
 		updates[j] = Update{
@@ -380,7 +377,7 @@ func (p *slotPool) prepare(t *roundTask, cfg *Config, alg Algorithm, clients []c
 		}
 	}
 	t.cfg, t.alg, t.pool, t.clients, t.ids = cfg, alg, p, clients, ids
-	t.round, t.now, t.global, t.prevGlobal = round, now, global, prevGlobal
+	t.round, t.global, t.prevGlobal = round, global, prevGlobal
 	t.updates, t.measured = updates, measured
 }
 

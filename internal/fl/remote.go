@@ -27,7 +27,7 @@ type WireSafe interface {
 // validateWire rejects configurations the wire path cannot execute
 // faithfully. Adversaries and freeloaders are out: their fabricators and
 // injectors run on the dispatch path with server-held state (prevGlobal,
-// window clocks) that workers do not have. Checkpointing — and the
+// the adversary streams) that workers do not have. Checkpointing — and the
 // servercrash fault, which restores from a checkpoint — runs over the
 // wire under the sync and deadline policies, where every dispatch
 // settles inside its round and a snapshot therefore lands on a quiet
@@ -54,6 +54,11 @@ func validateWire(cfg *Config, alg Algorithm) error {
 	}
 	return nil
 }
+
+// silenceHeartbeats is the wire's silence budget: the server severs a
+// connection, and a worker gives up on its server, after this many
+// heartbeats without an inbound frame.
+const silenceHeartbeats = 3
 
 // serveFingerprint hashes everything that must agree between the server
 // and a worker for their replayed rng derivations and local training to

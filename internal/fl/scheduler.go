@@ -149,7 +149,7 @@ type scheduler struct {
 // until settle (whole round) or settleOne (one update) has returned for
 // it, and every settled update must eventually be released.
 type executor interface {
-	runRound(cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64)
+	runRound(cfg *Config, alg Algorithm, clients []client, ids []int, round int, global, prevGlobal []float64, updates []Update, measured []float64)
 	// settle blocks until every update of the round has its results in
 	// place (position j of measured matches updates[j]).
 	settle(updates []Update, measured []float64)
@@ -350,13 +350,11 @@ func (s *scheduler) joinEval() {
 
 // slowestHonest returns the largest measured wall time among training
 // participants (the paper measures the slowest client per round;
-// fabricating adversaries — freeloaders, sybils — do no work). at is the
-// round's dispatch time, which decides whether a windowed fabricator was
-// live.
-func (s *scheduler) slowestHonest(ids []int, measured []float64, at float64) float64 {
+// fabricating adversaries — freeloaders, sybils — do no work).
+func (s *scheduler) slowestHonest(ids []int, measured []float64) float64 {
 	var slowest float64
 	for j, id := range ids {
-		if s.clients[id].fabricatorAt(at) != nil {
+		if s.clients[id].fabricator() != nil {
 			continue
 		}
 		if measured[j] > slowest {
@@ -559,7 +557,7 @@ func (s *scheduler) admitSync(ids []int) admission {
 	for _, id := range ids {
 		out := s.resolveDispatch(id, s.now)
 		a.retries += out.retries
-		if s.clients[id].fabricatorAt(s.now) == nil && out.rel > a.dur {
+		if s.clients[id].fabricator() == nil && out.rel > a.dur {
 			a.dur = out.rel
 		}
 		if out.delivered {
@@ -632,7 +630,7 @@ func (s *scheduler) round(t int) (halt bool, err error) {
 	measured := s.measured[:len(include)]
 	lost := 0
 	if len(include) > 0 {
-		s.exec.runRound(&s.cfg, s.alg, s.clients, include, t, s.now, s.params, s.wPrev, updates, measured)
+		s.exec.runRound(&s.cfg, s.alg, s.clients, include, t, s.params, s.wPrev, updates, measured)
 		s.exec.settle(updates, measured)
 		var kept int
 		kept, lost = s.compactLost(include, updates, measured, a.dup)
@@ -648,7 +646,7 @@ func (s *scheduler) round(t int) (halt bool, err error) {
 			s.stack.clearStackStats()
 		}
 	}
-	slowestMeasured := s.slowestHonest(include, measured, s.now)
+	slowestMeasured := s.slowestHonest(include, measured)
 	trainLoss := meanLoss(updates)
 	upBytes, upRatio := s.uplink(updates)
 	if a.dups > 0 {
@@ -658,7 +656,7 @@ func (s *scheduler) round(t int) (halt bool, err error) {
 	if halt {
 		return true, nil
 	}
-	faulty := s.plan != nil && s.plan.anyDispatch
+	faulty := s.plan.dispatches()
 	rec := s.record(t, trainLoss, upBytes, upRatio)
 	rec.SlowestModeledSec, rec.SlowestMeasuredSec = a.dur, slowestMeasured
 	rec.Retries, rec.DroppedUpdates, rec.DupUpdates, rec.DroppedClients = a.retries, a.dropped, a.dups, a.cut
@@ -715,9 +713,9 @@ func (s *scheduler) dispatch(ids []int, at float64, later bool) {
 	updates := s.updates[:len(ids)]
 	measured := s.measured[:len(ids)]
 	if later && s.exec == executor(s.pool) {
-		s.pool.runLater(&s.cfg, s.alg, s.clients, ids, s.version, at, s.params, s.wPrev, updates, measured)
+		s.pool.runLater(&s.cfg, s.alg, s.clients, ids, s.version, s.params, s.wPrev, updates, measured)
 	} else {
-		s.exec.runRound(&s.cfg, s.alg, s.clients, ids, s.version, at, s.params, s.wPrev, updates, measured)
+		s.exec.runRound(&s.cfg, s.alg, s.clients, ids, s.version, s.params, s.wPrev, updates, measured)
 	}
 	for j, id := range ids {
 		out := s.resolveAsyncDispatch(id, at)
@@ -843,15 +841,15 @@ func (s *scheduler) arrivals(t int) (trigger int, err error) {
 			// fresh once its retry budget is exhausted.
 			s.exec.release(&f.update)
 			s.failStreak++
-			if s.failStreak > (s.plan.retries+2)*max(64, 8*len(s.clients)) {
+			if s.failStreak > (faultRetries+2)*max(64, 8*len(s.clients)) {
 				return -1, fmt.Errorf("fl: faults starved the async buffer at step %d (%d consecutive failed dispatches)", t, s.failStreak)
 			}
 			attempt := f.attempt
 			s.oneID[0] = id
-			if attempt < s.plan.retries {
+			if attempt < faultRetries {
 				s.attempts[id] = attempt + 1
 				s.stepRetries++
-				s.dispatch(s.oneID[:1], s.now+s.plan.backoff(attempt, &s.plan.perClient[id].r), true)
+				s.dispatch(s.oneID[:1], s.now+s.plan.backoff(attempt, id), true)
 			} else {
 				s.attempts[id] = 0
 				s.stepDropped++

@@ -24,7 +24,7 @@ type ServeOptions struct {
 	Workers int
 	// HeartbeatSec is the liveness probe cadence: the server Pings every
 	// live connection at this interval and severs one that has been
-	// silent for Config.FaultTimeoutFactor (default 3) heartbeats,
+	// silent for three heartbeats,
 	// routing it through failover instead of hanging on a read forever.
 	// 0 means 5 seconds; negative disables supervision.
 	HeartbeatSec float64
@@ -140,7 +140,7 @@ func newServeScheduler(ln net.Listener, opt ServeOptions, cfg Config, alg Algori
 	if err != nil {
 		return nil, nil, err
 	}
-	ex := newRemoteExec(s.pool, cfg.Compress, len(shards), network.NumParams(), opt, cfg.faultTimeoutFactor())
+	ex := newRemoteExec(s.pool, cfg.Compress, len(shards), network.NumParams(), opt)
 	if err := ex.accept(ln, fp); err != nil {
 		ex.close()
 		return nil, nil, err
@@ -213,10 +213,9 @@ type remoteExec struct {
 	fp        uint64
 	ln        net.Listener
 
-	hb            float64 // heartbeat cadence in seconds, 0 disabled
-	timeoutFactor float64 // silence budget in heartbeats before severing
-	grace         float64
-	noReassign    bool
+	hb         float64 // heartbeat cadence in seconds, 0 disabled
+	grace      float64
+	noReassign bool
 
 	// recoverMu serializes failure recovery (owner transfer + history
 	// replay) against dispatch-frame writes: runRound holds it across
@@ -252,24 +251,23 @@ type remoteExec struct {
 }
 
 // newRemoteExec builds the executor shell; accept wires the connections.
-func newRemoteExec(ring *slotPool, spec compress.Spec, numClients, numParams int, opt ServeOptions, timeoutFactor float64) *remoteExec {
+func newRemoteExec(ring *slotPool, spec compress.Spec, numClients, numParams int, opt ServeOptions) *remoteExec {
 	e := &remoteExec{
-		ring:          ring,
-		wantForm:      spec.Kind,
-		numParams:     numParams,
-		hb:            opt.heartbeat(),
-		timeoutFactor: timeoutFactor,
-		grace:         opt.grace(),
-		noReassign:    opt.DisableReassign,
-		conns:         make([]*serveConn, opt.Workers),
-		owner:         make([]int, numClients),
-		pend:          make([]*upload, numClients),
-		arrived:       make([]bool, numClients),
-		lostConn:      make([]bool, opt.Workers),
-		hist:          make([][]int, numClients),
-		globals:       make(map[int][]float64),
-		reconnect:     make([]chan *serveConn, opt.Workers),
-		closeCh:       make(chan struct{}),
+		ring:       ring,
+		wantForm:   spec.Kind,
+		numParams:  numParams,
+		hb:         opt.heartbeat(),
+		grace:      opt.grace(),
+		noReassign: opt.DisableReassign,
+		conns:      make([]*serveConn, opt.Workers),
+		owner:      make([]int, numClients),
+		pend:       make([]*upload, numClients),
+		arrived:    make([]bool, numClients),
+		lostConn:   make([]bool, opt.Workers),
+		hist:       make([][]int, numClients),
+		globals:    make(map[int][]float64),
+		reconnect:  make([]chan *serveConn, opt.Workers),
+		closeCh:    make(chan struct{}),
 	}
 	e.cond = sync.NewCond(&e.mu)
 	if ring.comp != nil {
@@ -431,12 +429,12 @@ func (e *remoteExec) drainRecovery() (reassigned, reconnects int) {
 
 // supervise is the heartbeat loop: every hb seconds it Pings each live
 // connection and severs one whose last inbound frame is older than
-// timeoutFactor heartbeats. Severing just closes the socket — the
+// silenceHeartbeats heartbeats. Severing just closes the socket — the
 // connection's readLoop observes the error and failover takes over, so
 // liveness policy and recovery policy stay in one place.
 func (e *remoteExec) supervise() {
 	interval := time.Duration(e.hb * float64(time.Second))
-	timeout := time.Duration(e.timeoutFactor * e.hb * float64(time.Second))
+	timeout := time.Duration(silenceHeartbeats * e.hb * float64(time.Second))
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
@@ -475,7 +473,7 @@ func (e *remoteExec) supervise() {
 // marked lost immediately (no history entry — the batch was never sent);
 // a write failure mid-round closes that connection and leaves its
 // entries pending for failover to re-dispatch.
-func (e *remoteExec) runRound(cfg *Config, alg Algorithm, clients []client, ids []int, round int, now float64, global, prevGlobal []float64, updates []Update, measured []float64) {
+func (e *remoteExec) runRound(cfg *Config, alg Algorithm, clients []client, ids []int, round int, global, prevGlobal []float64, updates []Update, measured []float64) {
 	e.recoverMu.Lock()
 	defer e.recoverMu.Unlock()
 	e.mu.Lock()

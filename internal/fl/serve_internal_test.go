@@ -29,7 +29,7 @@ func TestIngestBoundedByDispatch(t *testing.T) {
 	const d = 6
 	// Four clients over two connections: 0 and 1 belong to conn 0, 2 and
 	// 3 to conn 1. Clients 0 and 2 are in flight; 1 and 3 never were.
-	e := newRemoteExec(newRingPool(d), compress.Spec{}, 4, d, ServeOptions{Workers: 2}, 3)
+	e := newRemoteExec(newRingPool(d), compress.Spec{}, 4, d, ServeOptions{Workers: 2})
 	sc0, sc1 := &serveConn{index: 0}, &serveConn{index: 1}
 	e.conns[0], e.conns[1] = sc0, sc1
 	canary := math.Float64frombits(0x7ff8_0000_cafe_f00d)
@@ -99,7 +99,7 @@ func TestIngestBoundedByDispatch(t *testing.T) {
 // writes into a pending entry. The well-formed frame then lands.
 func TestIngestRejectsHostileDense(t *testing.T) {
 	const d = 12
-	e := newRemoteExec(newRingPool(d), compress.Spec{}, 1, d, ServeOptions{Workers: 1}, 3)
+	e := newRemoteExec(newRingPool(d), compress.Spec{}, 1, d, ServeOptions{Workers: 1})
 	sc := &serveConn{index: 0}
 	e.conns[0] = sc
 	u := e.ring.getUpload()

@@ -32,9 +32,8 @@ type WorkerOptions struct {
 	// the worker's rng streams by a history replay whatever the counter.
 	Attach int
 	// HeartbeatSec bounds read liveness: when positive, the worker arms a
-	// read deadline of FaultTimeoutFactor (default 3) × HeartbeatSec
-	// before every frame read, so a dead server is detected instead of
-	// blocking forever. It should match the server's
+	// read deadline of three HeartbeatSec before every frame read, so a
+	// dead server is detected instead of blocking forever. It should match the server's
 	// ServeOptions.HeartbeatSec (the server's Pings are what keep the
 	// deadline fed between dispatches). 0 disables the deadline.
 	HeartbeatSec float64
@@ -132,7 +131,7 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 		return err
 	}
 
-	w := &workerLoop{conn: conn, fp: fp, heartbeat: opt.HeartbeatSec, timeoutFactor: cfg.faultTimeoutFactor()}
+	w := &workerLoop{conn: conn, fp: fp, heartbeat: opt.HeartbeatSec}
 	w.cond = sync.NewCond(&w.mu)
 
 	hello := wire.BeginFrame(nil, wire.FrameHello)
@@ -179,7 +178,7 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 			if m.adopt {
 				width = max(width, runtime.GOMAXPROCS(0))
 			}
-			pool.train(width, m.adopt, &cfg, alg, clients, ids, m.round, 0, m.global, m.global, ups, meas)
+			pool.train(width, m.adopt, &cfg, alg, clients, ids, m.round, m.global, m.global, ups, meas)
 			// Adopted history is trained and discarded: the training
 			// advanced this worker's streams (and EF residuals) exactly as
 			// the original run did, and the server already holds the
@@ -227,10 +226,9 @@ const uploadBatch = 32
 // names only clients not already in flight, and a failover replay sends
 // one frame per round of history.
 type workerLoop struct {
-	conn          net.Conn
-	fp            uint64
-	heartbeat     float64
-	timeoutFactor float64
+	conn      net.Conn
+	fp        uint64
+	heartbeat float64
 
 	// wmu serializes frame writes: the training loop writes Hello/Updates
 	// while the reader goroutine answers Pings with Pongs.
@@ -310,7 +308,7 @@ func (w *workerLoop) readLoop() {
 	var fr wire.Frame
 	for {
 		if w.heartbeat > 0 {
-			deadline := time.Duration(w.timeoutFactor * w.heartbeat * float64(time.Second))
+			deadline := time.Duration(silenceHeartbeats * w.heartbeat * float64(time.Second))
 			_ = w.conn.SetReadDeadline(time.Now().Add(deadline))
 		}
 		if err := wire.ReadFrame(w.conn, &fr); err != nil {
