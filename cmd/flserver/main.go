@@ -214,5 +214,14 @@ func printSummary(mode string, res *fl.Result) {
 	}
 	fmt.Printf("final acc %.6f  uplink %d B  params fnv1a %016x  (%s)\n",
 		run.FinalAccuracy(), run.TotalUplinkBytes(), h.Sum64(), run.Algorithm)
+	if mode == "serve" {
+		// Why connections were severed, by cause, on stderr: stdout must
+		// stay byte-identical to -mode local.
+		fmt.Fprint(os.Stderr, "severs:")
+		for c, n := range res.Severs {
+			fmt.Fprintf(os.Stderr, " %v %d", fl.SeverCause(c), n)
+		}
+		fmt.Fprintln(os.Stderr)
+	}
 	fmt.Fprintf(os.Stderr, "%s run complete\n", mode)
 }

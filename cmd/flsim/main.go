@@ -127,16 +127,15 @@ func run() error {
 		fmt.Printf("round %3d  acc %.4f  top %.3f  loss %.4f  t_model %.3fs  t_real %.3fs",
 			rec.Index+1, rec.Accuracy, rec.TopClassShare, rec.TrainLoss, rec.SlowestModeledSec, rec.SlowestMeasuredSec)
 		if cfg.Policy != fl.PolicySync {
-			fmt.Printf("  stale %.2f/%d  drop %d", rec.MeanStaleness, rec.MaxStaleness, rec.DroppedClients)
+			fmt.Printf("  stale %.2f/%d", rec.MeanStaleness, rec.MaxStaleness)
 		}
-		if len(cfg.Faults) > 0 {
-			fmt.Printf("  retry %d  lost %d  dup %d", rec.Retries, rec.DroppedUpdates, rec.DupUpdates)
-			if rec.Degraded {
-				fmt.Printf("  DEGRADED")
+		for o, n := range rec.Outcomes {
+			if n > 0 {
+				fmt.Printf("  %v %d", metrics.Outcome(o), n)
 			}
 		}
-		if !cfg.AggStack.Empty() {
-			fmt.Printf("  zeroed %d  clipped %d", rec.ZeroedUpdates, rec.ClippedUpdates)
+		if rec.Degraded {
+			fmt.Printf("  DEGRADED")
 		}
 		if rec.ReassignedDispatches > 0 || rec.WorkerReconnects > 0 {
 			fmt.Printf("  re %d  rc %d", rec.ReassignedDispatches, rec.WorkerReconnects)
@@ -149,9 +148,9 @@ func run() error {
 	fmt.Printf("uplink: %.2f MiB (codec %s, ratio %.1fx)\n",
 		float64(run.TotalUplinkBytes())/(1<<20), cfg.Compress, run.MeanCompressionRatio())
 	if cfg.Policy != fl.PolicySync && len(run.Rounds) > 0 {
-		fmt.Printf("policy %s (fleet %s): t_wall %.3fs, dropped %d, mean staleness %.2f (peak %d)\n",
+		fmt.Printf("policy %s (fleet %s): t_wall %.3fs, cut %d, mean staleness %.2f (peak %d)\n",
 			cfg.Policy, r.Hetero, run.Rounds[len(run.Rounds)-1].CumModeledSec,
-			run.TotalDropped(), run.MeanStaleness(), run.PeakStaleness())
+			run.Total(metrics.Cut), run.MeanStaleness(), run.PeakStaleness())
 	}
 	if attack != nil {
 		fmt.Printf("attack %s: mean corrupt weight mass %.3f (head-count share %.3f)\n",
@@ -199,31 +198,30 @@ func runExperiment(id string, scale experiments.Scale, seed uint64) error {
 	return nil
 }
 
-// printTallies reports what the aggregation stack, the server optimizer
-// and the fault machinery did across the run — suppressed and rescaled
-// updates, the final adaptive clipping bound, retries, losses, recovery —
+// printTallies reports what became of the run's flights — one outcome
+// line summed from the per-round outcome arrays — and what the
+// aggregation stack, the server optimizer and the recovery machinery did,
 // and surfaces a halt loudly: a halted run's final accuracy is the
 // accuracy at the halt, not at the configured horizon.
 func printTallies(cfg *fl.Config, run *metrics.Run) {
-	if !cfg.AggStack.Empty() {
-		last := 0.0
-		for _, rec := range run.Rounds {
-			if rec.ClipNorm > 0 {
-				last = rec.ClipNorm
-			}
+	fmt.Print("outcomes:")
+	for o := metrics.Outcome(0); o < metrics.NumOutcomes; o++ {
+		if n := run.Total(o); n > 0 {
+			fmt.Printf(" %v %d", o, n)
 		}
-		fmt.Printf("aggstack %s: zeroed %d, clipped %d updates", cfg.AggStack, run.TotalZeroedUpdates(), run.TotalClippedUpdates())
-		if last > 0 {
-			fmt.Printf(" (final clip bound %.4g)", last)
+	}
+	if n := run.DegradedRounds(); n > 0 {
+		fmt.Printf(", degraded rounds %d", n)
+	}
+	fmt.Println()
+	for i := len(run.Rounds) - 1; i >= 0; i-- {
+		if b := run.Rounds[i].ClipNorm; b > 0 {
+			fmt.Printf("aggstack %s: final clip bound %.4g\n", cfg.AggStack, b)
+			break
 		}
-		fmt.Println()
 	}
 	if !cfg.ServerOpt.None() {
 		fmt.Printf("server optimizer %s\n", cfg.ServerOpt)
-	}
-	if len(cfg.Faults) > 0 {
-		fmt.Printf("faults %v: retries %d, lost updates %d, duplicates %d, degraded rounds %d\n",
-			cfg.Faults, run.TotalRetries(), run.TotalDroppedUpdates(), run.TotalDupUpdates(), run.DegradedRounds())
 	}
 	if re, rc := run.TotalReassignedDispatches(), run.TotalWorkerReconnects(); re > 0 || rc > 0 {
 		fmt.Printf("failover: reassigned %d in-flight dispatch(es), re-admitted %d worker reconnect(s)\n", re, rc)

@@ -94,6 +94,18 @@ func (c *Codec) U64(v *uint64) {
 	}
 }
 
+// U32s moves a fixed-length uint32 slice, four little-endian bytes each.
+func (c *Codec) U32s(v []uint32) {
+	b := c.buf[:4]
+	for i := range v {
+		binary.LittleEndian.PutUint32(b, v[i])
+		c.move(b)
+		if c.r != nil && c.err == nil {
+			v[i] = binary.LittleEndian.Uint32(b)
+		}
+	}
+}
+
 // Int moves an int as a uint64 (two's complement).
 func (c *Codec) Int(v *int) {
 	u := uint64(*v)

@@ -68,6 +68,32 @@ func TestScalarRoundTrip(t *testing.T) {
 	}
 }
 
+// TestU32sRoundTrip moves a fixed-length uint32 slice as four bytes a
+// value, and a load cut short fails instead of filling in zeros.
+func TestU32sRoundTrip(t *testing.T) {
+	want := []uint32{0, 1, 1 << 31, math.MaxUint32}
+	var b bytes.Buffer
+	w := Save(&b)
+	w.U32s(want)
+	if err := w.Err(); err != nil || b.Len() != 4*len(want) {
+		t.Fatalf("saved %d bytes, err %v; want %d", b.Len(), err, 4*len(want))
+	}
+	got := make([]uint32, len(want))
+	r := Load(bytes.NewReader(b.Bytes()))
+	if r.U32s(got); r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("U32s[%d] = %d, want %d", i, got[i], want[i])
+		}
+	}
+	r = Load(bytes.NewReader(b.Bytes()[:b.Len()-1]))
+	if r.U32s(got); r.Err() == nil {
+		t.Fatal("U32s loaded from a truncated stream")
+	}
+}
+
 func TestSliceRoundTrip(t *testing.T) {
 	f64s := []float64{1.5, -2.25, 0}
 	ints := []int{3, -7, 1 << 33}

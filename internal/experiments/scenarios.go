@@ -51,7 +51,7 @@ var straggler = &Grid{
 			}
 			return []string{acc(c), report.Sec(wall)}
 		case fl.PolicyDeadline:
-			return []string{acc(c), fmt.Sprint(c.Run.TotalDropped())}
+			return []string{acc(c), fmt.Sprint(c.Run.Total(metrics.Cut))}
 		default:
 			return []string{acc(c), fmt.Sprintf("%.1f", c.Run.MeanStaleness())}
 		}

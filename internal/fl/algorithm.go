@@ -101,6 +101,9 @@ type Update struct {
 	// Aggregation rules must NOT read it — defenses only see the update
 	// geometry.
 	Corrupt bool
+	// dup marks an upload the uplink delivered twice: the server bills
+	// both copies (scheduler.uplink) and aggregates one.
+	dup bool
 	// Payload is the encoded on-the-wire form of the upload when the run
 	// compresses updates (nil for dense transport). Delta always holds
 	// the decoded dense view, so the two never disagree; rules that can
@@ -219,6 +222,10 @@ type ServerCtx struct {
 func (s *ServerCtx) Expel(client int) {
 	s.expelled = append(s.expelled, client)
 }
+
+// Expelled returns the clients Expel scheduled during this context's
+// current Aggregate call, in call order.
+func (s *ServerCtx) Expelled() []int { return s.expelled }
 
 // GlobalLR returns ηg with the paper's K·ηl default applied.
 func (s *ServerCtx) GlobalLR() float64 { return s.Env.Cfg.globalLR() }

@@ -33,7 +33,7 @@ import (
 
 // The magic names the format; a blob of any older format is rejected by
 // the magic check rather than silently misparsed.
-var runCkptMagic = [8]byte{'F', 'L', 'C', 'K', 'P', 'T', '0', '7'}
+var runCkptMagic = [8]byte{'F', 'L', 'C', 'K', 'P', 'T', '0', '8'}
 
 // StatefulAlgorithm is implemented by algorithms that carry cross-round
 // state a checkpoint must capture — control variates (Scaffold), client
@@ -125,7 +125,7 @@ func (s *scheduler) restore(data []byte, applyRNG bool) error {
 	if err := c.Err(); err != nil {
 		return fmt.Errorf("fl: checkpoint restore: %w", err)
 	}
-	s.stepRetries, s.stepDropped, s.stepDups, s.stepDupBytes = 0, 0, 0, 0
+	s.rec = metrics.Round{}
 	s.failStreak = 0
 	return nil
 }
@@ -355,13 +355,8 @@ func walkRound(c *ckpt.Codec, rec *metrics.Round) {
 	c.F64(&rec.MeanAlpha)
 	c.F64(&rec.MeanStaleness)
 	c.Int(&rec.MaxStaleness)
-	c.Int(&rec.DroppedClients)
-	c.Int(&rec.Retries)
-	c.Int(&rec.DroppedUpdates)
-	c.Int(&rec.DupUpdates)
 	c.Bool(&rec.Degraded)
-	c.Int(&rec.ZeroedUpdates)
-	c.Int(&rec.ClippedUpdates)
+	c.U32s(rec.Outcomes[:])
 	c.F64(&rec.ClipNorm)
 	c.F64(&rec.HonestWeight)
 	c.F64(&rec.CorruptWeight)

@@ -27,6 +27,9 @@ type Result struct {
 	// derive weight-suppression detection from it: a defended corrupt
 	// client accumulates far less mass than the uniform share.
 	CumWeights []float64
+	// Severs counts the worker connections a wire run severed, by cause
+	// (all zero in process).
+	Severs [NumSeverCauses]int
 }
 
 // client is the engine's per-client identity state: the data shard, the
@@ -197,12 +200,18 @@ func Resume(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.Datase
 
 // result packages the scheduler's final state.
 func (s *scheduler) result() *Result {
-	return &Result{
+	res := &Result{
 		Run:         s.run,
 		FinalParams: vecmath.Clone(s.alg.FinalModel(s.params)),
 		Expelled:    s.expelled,
 		CumWeights:  s.cumWeights,
 	}
+	if rx, ok := s.exec.(*remoteExec); ok {
+		rx.mu.Lock()
+		res.Severs = rx.severs
+		rx.mu.Unlock()
+	}
+	return res
 }
 
 // newScheduler validates the configuration and builds the run state: the

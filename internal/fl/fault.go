@@ -176,7 +176,10 @@ func (s *scheduler) resolveDispatch(id int, at float64) dispatchOutcome {
 // asyncOutcome is one resolved async dispatch attempt. Unlike the
 // sync/deadline path, async retries re-dispatch — and recompute against
 // the then-current model — so only a single attempt is drawn here;
-// attempt is its 0-based position in the client's retry chain.
+// attempt is its 0-based position in the client's retry chain. failed
+// marks a crashed, dropped or timed-out attempt, whose finish is the
+// server's timeout expiry and whose computed update is discarded; dup
+// marks a delivery the uplink duplicated.
 type asyncOutcome struct {
 	failed  bool
 	dup     bool
@@ -204,25 +207,4 @@ func (s *scheduler) degraded(delivered, dispatched int) bool {
 		return true
 	}
 	return s.cfg.Quorum > 0 && float64(delivered) < s.cfg.Quorum*float64(dispatched)
-}
-
-// payloadBytes is one update's cost on the wire (used to charge
-// duplicate deliveries).
-func (s *scheduler) payloadBytes(u *Update) int64 {
-	if u.Payload != nil {
-		return int64(u.Payload.Bytes())
-	}
-	return 8 * int64(len(s.params))
-}
-
-// dupBytes totals the wire cost of the round's duplicate deliveries:
-// dup[j] marks updates[j] as delivered twice.
-func (s *scheduler) dupBytes(updates []Update, dup []bool) int64 {
-	var extra int64
-	for i := range updates {
-		if dup[i] {
-			extra += s.payloadBytes(&updates[i])
-		}
-	}
-	return extra
 }

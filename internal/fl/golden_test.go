@@ -167,6 +167,9 @@ func referenceRun(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.
 			UplinkBytes:      8 * int64(numParams) * int64(len(updates)),
 			CompressionRatio: 1,
 		}
+		// Nor does it know outcomes: every participant it trains is
+		// aggregated.
+		rec.Outcomes[metrics.Aggregated] = uint32(len(updates))
 		// The reference loop predates the top-class share; it recounts it
 		// naively over the same model.
 		if (t+1)%cfg.evalEvery() == 0 || t == cfg.Rounds-1 {

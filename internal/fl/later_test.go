@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fl"
+	"repro/internal/metrics"
 )
 
 // TestAsyncDeferredDispatch pins the pool's queued rounds: an async one-
@@ -55,8 +56,8 @@ func TestAsyncDeferredDispatch(t *testing.T) {
 		}, check: func(t *testing.T, res *fl.Result) {
 			var retries, dups int
 			for _, r := range res.Run.Rounds {
-				retries += r.Retries
-				dups += r.DupUpdates
+				retries += int(r.Outcomes[metrics.Retried])
+				dups += int(r.Outcomes[metrics.DupSuppressed])
 			}
 			if retries == 0 || dups == 0 {
 				t.Fatalf("retries %d, dups %d: the fault mix never fired", retries, dups)

@@ -81,18 +81,21 @@ type scheduler struct {
 	now float64
 
 	// stack is the aggregation-stack wrapper when the config declares one
-	// (nil otherwise); the round records read its per-round zeroed/
-	// clipped statistics through it.
+	// (nil otherwise); aggregate reads each update's fate and the clip
+	// bound through it.
 	stack *stackedAlg
+
+	// rec is the record of the server step under way. settleFlights adds
+	// each flight's outcome to it as the flight ends, aggregate its weight
+	// split and clip bound, the step its timing; commit completes and
+	// appends it and starts the next one.
+	rec metrics.Round
 
 	// Adversary bookkeeping (adversary.go): anyAdv flags a run with at
 	// least one corrupt client; cumWeights accumulates each client's
-	// reported aggregation weight; lastHonestW/lastCorruptW hold the
-	// round's honest-vs-corrupt weight-mass split for the metric record.
-	anyAdv       bool
-	cumWeights   []float64
-	lastHonestW  float64
-	lastCorruptW float64
+	// reported aggregation weight.
+	anyAdv     bool
+	cumWeights []float64
 
 	// Async-policy state (setupAsync/asyncStep).
 	pending     []flight
@@ -111,12 +114,8 @@ type scheduler struct {
 	plan     *faultPlan
 	dupFlags []bool
 	attempts []int
-	// Async per-step fault counters, flushed into each round record.
-	stepRetries  int
-	stepDropped  int
-	stepDups     int
-	stepDupBytes int64
-	failStreak   int
+	// failStreak counts consecutive failed async dispatches.
+	failStreak int
 
 	// Checkpoint/restore state: startRound is the first round to execute
 	// (non-zero after a restore); ckptBuf is the reusable encode scratch
@@ -219,6 +218,14 @@ func (s *scheduler) aggregate(t int, updates []Update) (diverged bool) {
 	s.server.reported = s.server.reported[:0]
 	s.alg.Aggregate(&s.server, updates)
 	s.recordWeightMass(updates)
+	if s.stack != nil {
+		s.rec.ClipNorm = s.stack.lastClipNorm
+		for i := range updates {
+			s.settleFlights(s.stack.fate(i), 1)
+		}
+	} else {
+		s.settleFlights(metrics.Aggregated, len(updates))
+	}
 	changed := false
 	for _, id := range s.server.expelled {
 		if s.active[id] {
@@ -238,23 +245,31 @@ func (s *scheduler) aggregate(t int, updates []Update) (diverged bool) {
 	return false
 }
 
+// settleFlights is the one writer of a record's outcomes: it counts n
+// flights that ended with outcome o in the server step under way. Every
+// dispatch the scheduler starts settles here exactly once, and every
+// duplicate delivery once more as DupSuppressed (DESIGN.md §8).
+func (s *scheduler) settleFlights(o metrics.Outcome, n int) {
+	s.rec.Outcomes[o] += uint32(n)
+}
+
 // recordWeightMass splits the round's reported aggregation weights into
-// honest and corrupt mass and folds them into the per-client cumulative
-// weights — the data behind the defense metrics (how much influence the
-// rule actually granted attackers). Skipped entirely for adversary-free
-// runs (the golden sync trace stays byte-identical) and when the
-// aggregation rule reported nothing for this update set.
+// honest and corrupt mass in the step's record and folds them into the
+// per-client cumulative weights — the data behind the defense metrics
+// (how much influence the rule actually granted attackers). Skipped
+// entirely for adversary-free runs (the golden sync trace stays
+// byte-identical) and when the aggregation rule reported nothing for this
+// update set.
 func (s *scheduler) recordWeightMass(updates []Update) {
-	s.lastHonestW, s.lastCorruptW = 0, 0
 	if !s.anyAdv || len(s.server.reported) != len(updates) {
 		return
 	}
 	for i, u := range updates {
 		w := s.server.reported[i]
 		if u.Corrupt {
-			s.lastCorruptW += w
+			s.rec.CorruptWeight += w
 		} else {
-			s.lastHonestW += w
+			s.rec.HonestWeight += w
 		}
 		s.cumWeights[u.Client] += w
 	}
@@ -270,55 +285,44 @@ func (s *scheduler) releaseDeltas(updates []Update) {
 }
 
 // uplink totals the round's client→server traffic: the encoded payload
-// sizes when a codec is live, the dense 8d cost otherwise. ratio is
-// dense-over-encoded — the round's compression factor, 1 for dense
-// transport.
+// sizes when a codec is live, the dense 8d cost otherwise, twice for an
+// update the uplink duplicated. ratio is dense-over-encoded, duplicates
+// aside — the round's compression factor, 1 for dense transport.
 func (s *scheduler) uplink(updates []Update) (bytes int64, ratio float64) {
 	dense := 8 * int64(len(s.params))
-	var enc int64
+	var enc, dups int64
 	for i := range updates {
+		b := dense
 		if p := updates[i].Payload; p != nil {
-			enc += int64(p.Bytes())
-		} else {
-			enc += dense
+			b = int64(p.Bytes())
+		}
+		enc += b
+		if updates[i].dup {
+			dups += b
 		}
 	}
 	if enc == 0 {
 		return 0, 0
 	}
-	return enc, float64(dense*int64(len(updates))) / float64(enc)
+	return enc + dups, float64(dense*int64(len(updates))) / float64(enc)
 }
 
-// record starts the server step's metric record with the fields every
-// policy fills the same way: loss, uplink, the algorithm's mean α, the
-// honest/corrupt weight split and the aggregation stack's statistics.
-// The caller adds its timing and fault tallies, then commits it.
-func (s *scheduler) record(t int, trainLoss float64, upBytes int64, upRatio float64) metrics.Round {
-	rec := metrics.Round{
-		Index:            t,
-		TrainLoss:        trainLoss,
-		MeanAlpha:        s.alg.MeanAlpha(),
-		HonestWeight:     s.lastHonestW,
-		CorruptWeight:    s.lastCorruptW,
-		UplinkBytes:      upBytes,
-		CompressionRatio: upRatio,
-	}
-	if s.stack != nil {
-		rec.ZeroedUpdates, rec.ClippedUpdates, rec.ClipNorm = s.stack.stackStats()
-	}
-	return rec
-}
-
-// commit folds the executor's failover counters since the last step
-// (always zero in process) into rec and appends it. Evaluation follows the
-// cadence and uses the algorithm's output model: Definition 2 calls z_t
+// commit completes the step's record — the caller has set its timing —
+// with the fields every policy fills the same way (index, loss, uplink,
+// the algorithm's mean α, and the executor's failover counters since the
+// last step, always zero in process), appends it and starts the next
+// one. Evaluation follows the cadence and uses the algorithm's output
+// model: Definition 2 calls z_t
 // "the final model output after communication round t", and by Lemma 2
 // the z sequence advances by the plain averaged mini-batch gradient
 // (z^{t+1} = z^t − ηg·˜∆^t), cancelling the momentum in the w sequence.
 // For every other algorithm FinalModel is w itself. The model is copied
 // into the evaluation's snapshot and evaluated on the pool while the next
 // round runs; joinEval fills the record in.
-func (s *scheduler) commit(t int, rec *metrics.Round) {
+func (s *scheduler) commit(t int, trainLoss float64, upBytes int64, upRatio float64) {
+	rec := &s.rec
+	rec.Index, rec.TrainLoss, rec.MeanAlpha = t, trainLoss, s.alg.MeanAlpha()
+	rec.UplinkBytes, rec.CompressionRatio = upBytes, upRatio
 	if rx, ok := s.exec.(*remoteExec); ok {
 		rec.ReassignedDispatches, rec.WorkerReconnects = rx.drainRecovery()
 	}
@@ -331,6 +335,7 @@ func (s *scheduler) commit(t int, rec *metrics.Round) {
 		rec.Accuracy, rec.TopClassShare = s.run.Rounds[n-1].Accuracy, s.run.Rounds[n-1].TopClassShare
 	}
 	s.run.Append(*rec)
+	s.rec = metrics.Round{}
 }
 
 // joinEval waits for the evaluation commit queued, if one is pending, and
@@ -499,11 +504,11 @@ func (s *scheduler) canRollback() bool {
 
 // compactLost drops updates whose worker connection was lost with
 // failover exhausted (serve.go marks their ring entries lost): the
-// entries are released and the kept updates left-compacted in place
-// alongside their ids, measured times, and dup flags. The survivors'
-// order is unchanged, so the aggregation stays deterministic given
-// which workers were lost.
-func (s *scheduler) compactLost(include []int, updates []Update, measured []float64, dup []bool) (kept, lost int) {
+// entries are released and settled as LostWithWorker, and the kept
+// updates left-compacted in place alongside their ids and measured
+// times. The survivors' order is unchanged, so the aggregation stays
+// deterministic given which workers were lost.
+func (s *scheduler) compactLost(include []int, updates []Update, measured []float64) (kept, lost int) {
 	for j := range updates {
 		if updates[j].ring != nil && updates[j].ring.lost {
 			s.exec.release(&updates[j])
@@ -514,36 +519,33 @@ func (s *scheduler) compactLost(include []int, updates []Update, measured []floa
 			include[kept] = include[j]
 			updates[kept] = updates[j]
 			measured[kept] = measured[j]
-			if dup != nil {
-				dup[kept] = dup[j]
-			}
 		}
 		kept++
 	}
+	s.settleFlights(metrics.LostWithWorker, lost)
 	return kept, lost
 }
 
 // admission is what a sync or deadline rule decided about one round's
 // cohort: include lists the admitted clients in ascending ID order, dup[j]
 // marks include[j] delivered twice (nil without dispatch faults), and dur
-// is the round's modeled duration. retries counts re-dispatches, dropped
-// the dispatches that never delivered, dups the duplicated deliveries,
-// and cut the delivered stragglers the deadline turned away.
+// is the round's modeled duration. The rules settle the retried, dropped
+// and cut dispatches as they decide them.
 type admission struct {
-	include                     []int
-	dup                         []bool
-	dur                         float64
-	retries, dropped, dups, cut int
+	include []int
+	dup     []bool
+	dur     float64
 }
 
-// admit appends client id to the admitted cohort.
-func (a *admission) admit(id int, dup bool) {
+// admit appends client id to the admitted cohort, settling its second
+// copy when the uplink duplicated it.
+func (s *scheduler) admit(a *admission, id int, dup bool) {
 	a.include = append(a.include, id)
 	if a.dup != nil {
 		a.dup = append(a.dup, dup)
 	}
 	if dup {
-		a.dups++
+		s.settleFlights(metrics.DupSuppressed, 1)
 	}
 }
 
@@ -556,14 +558,14 @@ func (s *scheduler) admitSync(ids []int) admission {
 	a := admission{include: ids[:0], dup: s.dupFlags[:0]}
 	for _, id := range ids {
 		out := s.resolveDispatch(id, s.now)
-		a.retries += out.retries
+		s.settleFlights(metrics.Retried, out.retries)
 		if s.clients[id].fabricator() == nil && out.rel > a.dur {
 			a.dur = out.rel
 		}
 		if out.delivered {
-			a.admit(id, out.dup)
+			s.admit(&a, id, out.dup)
 		} else {
-			a.dropped++
+			s.settleFlights(metrics.FaultDropped, 1)
 		}
 	}
 	return a
@@ -579,31 +581,33 @@ func (s *scheduler) admitSync(ids []int) admission {
 func (s *scheduler) admitDeadline(ids []int) admission {
 	a := admission{include: ids[:0], dup: s.dupFlags[:0]}
 	earliest, earliestRel, earliestDup := -1, math.Inf(1), false
+	cut := 0
 	for _, id := range ids {
 		out := s.resolveDispatch(id, s.now)
-		a.retries += out.retries
+		s.settleFlights(metrics.Retried, out.retries)
 		switch {
 		case !out.delivered:
-			a.dropped++
+			s.settleFlights(metrics.FaultDropped, 1)
 		case out.rel <= s.cfg.RoundDeadlineSec:
-			a.admit(id, out.dup)
+			s.admit(&a, id, out.dup)
 			if out.rel > a.dur {
 				a.dur = out.rel
 			}
 		default:
-			a.cut++
+			cut++
 			if out.rel < earliestRel {
 				earliest, earliestRel, earliestDup = id, out.rel, out.dup
 			}
 		}
 	}
 	if len(a.include) == 0 && earliest >= 0 {
-		a.admit(earliest, earliestDup)
-		a.cut--
+		s.admit(&a, earliest, earliestDup)
+		cut--
 		a.dur = earliestRel
-	} else if a.cut > 0 || len(a.include) == 0 {
+	} else if cut > 0 || len(a.include) == 0 {
 		a.dur = s.cfg.RoundDeadlineSec
 	}
+	s.settleFlights(metrics.Cut, cut)
 	return a
 }
 
@@ -632,36 +636,29 @@ func (s *scheduler) round(t int) (halt bool, err error) {
 	if len(include) > 0 {
 		s.exec.runRound(&s.cfg, s.alg, s.clients, include, t, s.params, s.wPrev, updates, measured)
 		s.exec.settle(updates, measured)
+		for j, dup := range a.dup {
+			updates[j].dup = dup
+		}
 		var kept int
-		kept, lost = s.compactLost(include, updates, measured, a.dup)
+		kept, lost = s.compactLost(include, updates, measured)
 		include, updates, measured = include[:kept], updates[:kept], measured[:kept]
-		a.dropped += lost
 	}
+	// A round that lost every update does not move the model.
 	if len(include) > 0 {
 		halt = s.aggregate(t, updates)
-	} else {
-		// Every update was lost: the model does not move this round.
-		s.lastHonestW, s.lastCorruptW = 0, 0
-		if s.stack != nil {
-			s.stack.clearStackStats()
-		}
 	}
 	slowestMeasured := s.slowestHonest(include, measured)
 	trainLoss := meanLoss(updates)
 	upBytes, upRatio := s.uplink(updates)
-	if a.dups > 0 {
-		upBytes += s.dupBytes(updates, a.dup)
-	}
 	s.releaseDeltas(updates)
 	if halt {
 		return true, nil
 	}
 	faulty := s.plan.dispatches()
-	rec := s.record(t, trainLoss, upBytes, upRatio)
+	rec := &s.rec
 	rec.SlowestModeledSec, rec.SlowestMeasuredSec = a.dur, slowestMeasured
-	rec.Retries, rec.DroppedUpdates, rec.DupUpdates, rec.DroppedClients = a.retries, a.dropped, a.dups, a.cut
 	rec.Degraded = (faulty || lost > 0) && s.degraded(len(include), len(ids))
-	s.commit(t, &rec)
+	s.commit(t, trainLoss, upBytes, upRatio)
 	s.now += a.dur
 	return false, nil
 }
@@ -679,22 +676,15 @@ func (s *scheduler) finishRel(id int, now float64) float64 {
 // flight is one client's in-progress local round under the async policy:
 // the update it will upload (computed from its dispatch version — see
 // the scheduler doc comment), the server version it trained from, and its
-// modeled completion time. Flights live in the scheduler's fixed pending
-// table; live distinguishes in-flight entries from consumed ones.
+// resolved attempt with its modeled completion time (fault.go). Flights
+// live in the scheduler's fixed pending table; live distinguishes
+// in-flight entries from consumed ones.
 type flight struct {
 	update   Update
 	measured float64
-	finish   float64
 	version  int
 	live     bool
-	// Fault state (fault.go): failed marks a crashed/lost/timed-out
-	// dispatch — finish is then the server's timeout expiry, the computed
-	// update is discarded (ring entry returned) and the client retried or
-	// rejoined; dup marks a delivery the uplink duplicated; attempt is
-	// the dispatch's 0-based position in its retry chain.
-	failed  bool
-	dup     bool
-	attempt int
+	asyncOutcome
 }
 
 // dispatch starts a local round for the given clients at virtual time at:
@@ -718,16 +708,12 @@ func (s *scheduler) dispatch(ids []int, at float64, later bool) {
 		s.exec.runRound(&s.cfg, s.alg, s.clients, ids, s.version, s.params, s.wPrev, updates, measured)
 	}
 	for j, id := range ids {
-		out := s.resolveAsyncDispatch(id, at)
 		s.pending[id] = flight{
-			update:   updates[j],
-			measured: measured[j],
-			finish:   out.finish,
-			version:  s.version,
-			live:     true,
-			failed:   out.failed,
-			dup:      out.dup,
-			attempt:  out.attempt,
+			update:       updates[j],
+			measured:     measured[j],
+			version:      s.version,
+			live:         true,
+			asyncOutcome: s.resolveAsyncDispatch(id, at),
 		}
 	}
 }
@@ -781,16 +767,22 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 	// The trigger trained on the new model, after the join, so the record,
 	// the snapshot that may follow and the next step's arrivals find no
 	// client round in flight. The record's algorithm fields (MeanAlpha,
-	// the stack statistics) are written only by Setup and Aggregate.
-	rec := s.record(t, trainLoss, upBytes+s.stepDupBytes, upRatio)
+	// the clip bound) are written only by Setup and Aggregate.
+	if t == s.cfg.Rounds-1 {
+		// The flights still pending after the last step are abandoned.
+		for i := range s.pending {
+			if s.pending[i].live {
+				s.settleFlights(metrics.Abandoned, 1)
+			}
+		}
+	}
+	rec := &s.rec
 	rec.SlowestModeledSec, rec.SlowestMeasuredSec = s.now-s.lastAgg, s.bufMeasured
 	rec.MeanStaleness, rec.MaxStaleness = float64(staleSum)/float64(len(s.buffer)), staleMax
-	rec.Retries, rec.DroppedUpdates, rec.DupUpdates = s.stepRetries, s.stepDropped, s.stepDups
-	s.commit(t, &rec)
+	s.commit(t, trainLoss, upBytes, upRatio)
 	s.lastAgg = s.now
 	s.buffer = s.buffer[:0]
 	s.bufMeasured = 0
-	s.stepRetries, s.stepDropped, s.stepDups, s.stepDupBytes = 0, 0, 0, 0
 	return false, nil
 }
 
@@ -826,11 +818,13 @@ func (s *scheduler) arrivals(t int) (trigger int, err error) {
 			// trigger accounting would diverge from the modeled clock), so
 			// this is fatal — sync and deadline runs degrade instead.
 			s.exec.release(&f.update)
+			s.settleFlights(metrics.LostWithWorker, 1)
 			return -1, fmt.Errorf("fl: worker lost with client %d in flight (the async policy cannot drop in-flight updates; use sync or deadline for degraded operation)", id)
 		}
 		if !s.active[id] {
 			// Expelled while in flight: upload discarded, ring entry recycled.
 			s.exec.release(&f.update)
+			s.settleFlights(metrics.ExpelledInFlight, 1)
 			continue
 		}
 		if f.failed {
@@ -848,11 +842,11 @@ func (s *scheduler) arrivals(t int) (trigger int, err error) {
 			s.oneID[0] = id
 			if attempt < faultRetries {
 				s.attempts[id] = attempt + 1
-				s.stepRetries++
+				s.settleFlights(metrics.Retried, 1)
 				s.dispatch(s.oneID[:1], s.now+s.plan.backoff(attempt, id), true)
 			} else {
 				s.attempts[id] = 0
-				s.stepDropped++
+				s.settleFlights(metrics.FaultDropped, 1)
 				s.dispatch(s.oneID[:1], s.now, true)
 			}
 			continue
@@ -864,8 +858,8 @@ func (s *scheduler) arrivals(t int) (trigger int, err error) {
 		if f.dup {
 			// Duplicated delivery: the server is idempotent — count it,
 			// charge its bytes, aggregate the update once.
-			s.stepDups++
-			s.stepDupBytes += s.payloadBytes(&f.update)
+			s.settleFlights(metrics.DupSuppressed, 1)
+			f.update.dup = true
 		}
 		f.update.Staleness = s.version - f.version
 		s.buffer = append(s.buffer, f.update)

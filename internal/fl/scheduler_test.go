@@ -9,6 +9,7 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/fl"
+	"repro/internal/metrics"
 	"repro/internal/simclock"
 )
 
@@ -107,11 +108,11 @@ func TestDeadlinePolicyDropsStragglers(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := res.Run
-	if run.TotalDropped() == 0 {
+	if run.Total(metrics.Cut) == 0 {
 		t.Fatal("expected straggler drops under the deadline policy")
 	}
 	for i, rec := range run.Rounds {
-		if rec.DroppedClients > 0 && rec.SlowestModeledSec > cfg.RoundDeadlineSec {
+		if rec.Outcomes[metrics.Cut] > 0 && rec.SlowestModeledSec > cfg.RoundDeadlineSec {
 			t.Fatalf("round %d waited %.6fs past the %.6fs deadline", i, rec.SlowestModeledSec, cfg.RoundDeadlineSec)
 		}
 		if rec.MeanStaleness != 0 || rec.MaxStaleness != 0 {

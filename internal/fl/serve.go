@@ -151,6 +151,26 @@ func newServeScheduler(ln net.Listener, opt ServeOptions, cfg Config, alg Algori
 	return s, ex, nil
 }
 
+// SeverCause is why the server severed a worker connection (DESIGN.md
+// §12); Result.Severs counts a run's severs by cause.
+type SeverCause uint8
+
+const (
+	SeverRead        SeverCause = iota // socket error or EOF (a failed dispatch write closes the socket too)
+	SeverFrame                         // a frame type no worker sends
+	SeverOutside                       // an update for a client outside the fleet
+	SeverNotOwned                      // an update for a client another connection owns
+	SeverNotInFlight                   // an update for a client not in flight, or already arrived
+	SeverPayload                       // an undecodable payload, or another form or dimension
+	SeverSilence                       // no inbound frame for silenceHeartbeats heartbeats
+	NumSeverCauses
+)
+
+var severNames = [NumSeverCauses]string{"read", "frame", "outside", "not-owned", "not-in-flight", "payload", "silence"}
+
+// String returns the cause's short name.
+func (c SeverCause) String() string { return severNames[c] }
+
 // serveConn is one worker connection on the server side.
 type serveConn struct {
 	c     net.Conn
@@ -158,6 +178,9 @@ type serveConn struct {
 	// lastRecv is the unix-nano time of the last frame read from this
 	// connection (atomic; the heartbeat supervisor reads it).
 	lastRecv int64
+	// silenced is set by the heartbeat supervisor before it closes the
+	// socket, so the read error that follows severs as silence.
+	silenced atomic.Bool
 	// wmu serializes frame writes: the scheduler goroutine writes
 	// Dispatch/Bye while the supervisor Pings and recovery replays
 	// history.
@@ -237,9 +260,11 @@ type remoteExec struct {
 	hist     [][]int
 	globals  map[int][]float64
 	// reassigned/reconnects accumulate between drainRecovery calls (the
-	// scheduler drains them into each round record).
+	// scheduler drains them into each round record); severs counts the
+	// run's severed connections by cause.
 	reassigned int
 	reconnects int
+	severs     [NumSeverCauses]int
 
 	reconnect []chan *serveConn // parked validated reconnects, per index
 	closeCh   chan struct{}
@@ -429,9 +454,10 @@ func (e *remoteExec) drainRecovery() (reassigned, reconnects int) {
 
 // supervise is the heartbeat loop: every hb seconds it Pings each live
 // connection and severs one whose last inbound frame is older than
-// silenceHeartbeats heartbeats. Severing just closes the socket — the
-// connection's readLoop observes the error and failover takes over, so
-// liveness policy and recovery policy stay in one place.
+// silenceHeartbeats heartbeats. Severing marks the connection silenced
+// and closes the socket — the connection's readLoop observes the error
+// and failover takes over, so liveness policy and recovery policy stay in
+// one place.
 func (e *remoteExec) supervise() {
 	interval := time.Duration(e.hb * float64(time.Second))
 	timeout := time.Duration(silenceHeartbeats * e.hb * float64(time.Second))
@@ -458,6 +484,7 @@ func (e *remoteExec) supervise() {
 			}
 			if now-atomic.LoadInt64(&sc.lastRecv) > int64(timeout) {
 				// Silent past the budget: sever; readLoop recovers.
+				sc.silenced.Store(true)
 				sc.c.Close()
 				continue
 			}
@@ -655,38 +682,42 @@ func (e *remoteExec) close() {
 // readLoop drains one worker's frames, ingesting Updates bodies straight
 // into the pending ring entries. Any error — a broken socket, a bad
 // frame, a protocol violation — hands the connection to failover
-// (workerDown); none aborts the run.
+// (workerDown) with its cause; none aborts the run.
 func (e *remoteExec) readLoop(sc *serveConn) {
 	defer e.readers.Done()
 	var fr wire.Frame
 	for {
 		if err := wire.ReadFrame(sc.c, &fr); err != nil {
 			if !e.isClosed() {
-				e.workerDown(sc)
+				cause := SeverRead
+				if sc.silenced.Load() {
+					cause = SeverSilence
+				}
+				e.workerDown(sc, cause)
 			}
 			return
 		}
 		atomic.StoreInt64(&sc.lastRecv, time.Now().UnixNano())
 		switch fr.Type {
 		case wire.FrameUpdates:
-			if e.ingest(sc, fr.Body) != nil {
-				e.workerDown(sc)
+			if cause, err := e.ingest(sc, fr.Body); err != nil {
+				e.workerDown(sc, cause)
 				return
 			}
 		case wire.FramePong:
 			// Liveness only; lastRecv above is the whole point.
 		default:
-			e.workerDown(sc)
+			e.workerDown(sc, SeverFrame)
 			return
 		}
 	}
 }
 
-// workerDown marks a connection dead and re-homes its clients. It runs
-// on the connection's own reader goroutine — the single place a failure
-// can be observed exactly once — and recoverMu serializes it against
-// concurrent dispatches and other recoveries.
-func (e *remoteExec) workerDown(sc *serveConn) {
+// workerDown marks a connection dead, counts its cause and re-homes its
+// clients. It runs on the connection's own reader goroutine — the single
+// place a failure can be observed exactly once — and recoverMu
+// serializes it against concurrent dispatches and other recoveries.
+func (e *remoteExec) workerDown(sc *serveConn, cause SeverCause) {
 	e.recoverMu.Lock()
 	defer e.recoverMu.Unlock()
 	e.mu.Lock()
@@ -695,6 +726,7 @@ func (e *remoteExec) workerDown(sc *serveConn) {
 		return
 	}
 	sc.dead = true
+	e.severs[cause]++
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	sc.c.Close()
@@ -1044,8 +1076,9 @@ func (e *remoteExec) walkWireState(c *ckpt.Codec) {
 // guarantees the scheduler does not touch a pending entry's buffers until
 // arrived flips. A dense upload decodes straight into the entry's delta,
 // and only once its form and length have checked out (wire.DecodeDense),
-// so a hostile frame never writes into a pending entry.
-func (e *remoteExec) ingest(sc *serveConn, body []byte) error {
+// so a hostile frame never writes into a pending entry. A rejection
+// returns the cause the connection severs under.
+func (e *remoteExec) ingest(sc *serveConn, body []byte) (SeverCause, error) {
 	d := wire.Dec{B: body}
 	cnt := d.Count(wire.MaxElems, 1)
 	for i := 0; i < cnt && d.Err == nil; i++ {
@@ -1056,7 +1089,7 @@ func (e *remoteExec) ingest(sc *serveConn, body []byte) error {
 			break
 		}
 		if id < 0 || id >= len(e.pend) {
-			return fmt.Errorf("update for client %d outside the fleet", id)
+			return SeverOutside, fmt.Errorf("update for client %d outside the fleet", id)
 		}
 		e.mu.Lock()
 		u := e.pend[id]
@@ -1064,24 +1097,24 @@ func (e *remoteExec) ingest(sc *serveConn, body []byte) error {
 		stale := u == nil || e.arrived[id]
 		e.mu.Unlock()
 		if !owned {
-			return fmt.Errorf("update for client %d not owned by this worker", id)
+			return SeverNotOwned, fmt.Errorf("update for client %d not owned by this worker", id)
 		}
 		if stale {
-			return fmt.Errorf("update for client %d is not in flight", id)
+			return SeverNotInFlight, fmt.Errorf("update for client %d is not in flight", id)
 		}
 		if e.codec != nil {
 			if err := wire.DecodePayload(&u.pay, &d); err != nil {
-				return err
+				return SeverPayload, err
 			}
 			if u.pay.Form != e.wantForm {
-				return fmt.Errorf("client %d payload form %q, want %q", id, u.pay.Form, e.wantForm)
+				return SeverPayload, fmt.Errorf("client %d payload form %q, want %q", id, u.pay.Form, e.wantForm)
 			}
 			if u.pay.N != e.numParams {
-				return fmt.Errorf("client %d payload dimension %d, want %d", id, u.pay.N, e.numParams)
+				return SeverPayload, fmt.Errorf("client %d payload dimension %d, want %d", id, u.pay.N, e.numParams)
 			}
 			e.codec.Decode(u.delta, &u.pay)
 		} else if err := wire.DecodeDense(u.delta, &d); err != nil {
-			return fmt.Errorf("client %d dense upload: %w", id, err)
+			return SeverPayload, fmt.Errorf("client %d dense upload: %w", id, err)
 		}
 		u.loss, u.measured = loss, meas
 		e.mu.Lock()
@@ -1091,10 +1124,10 @@ func (e *remoteExec) ingest(sc *serveConn, body []byte) error {
 		e.mu.Unlock()
 	}
 	if d.Err != nil {
-		return d.Err
+		return SeverPayload, d.Err
 	}
 	if d.Len() != 0 {
-		return fmt.Errorf("%d trailing bytes in updates frame", d.Len())
+		return SeverPayload, fmt.Errorf("%d trailing bytes in updates frame", d.Len())
 	}
-	return nil
+	return 0, nil
 }

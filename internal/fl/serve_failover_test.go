@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/baselines"
@@ -194,16 +195,60 @@ func runKillWorker(t *testing.T, spec compress.Spec, clients, wantRe int, kill f
 	t.Helper()
 	cfg := quickConfig()
 	cfg.Compress = spec
-	wired := serveKilled(t, cfg, clients, kill)
+	wired := serveKilled(t, cfg, clients, kill, -1)
 	if re, _ := totalRecovery(wired.Run); re != wantRe {
 		t.Fatalf("%d dispatches reassigned, want %d (0: failover never engaged)", re, wantRe)
+	}
+	if wired.Severs[fl.SeverRead] != 1 {
+		t.Fatalf("severs %v, want the one cut connection severed as a read error", wired.Severs)
+	}
+}
+
+// muteAfterFrames is killAfterFrames that, past its threshold, keeps the
+// socket open and reading but drops every write: the server hears
+// nothing more from the worker.
+type muteAfterFrames struct {
+	killAfterFrames
+	muted atomic.Bool
+}
+
+func (m *muteAfterFrames) Read(p []byte) (int, error) {
+	n, err := m.Conn.Read(p)
+	if n > 0 {
+		m.mu.Lock()
+		if m.feed(p[:n]) {
+			m.muted.Store(true)
+		}
+		m.mu.Unlock()
+	}
+	return n, err
+}
+
+func (m *muteAfterFrames) Write(p []byte) (int, error) {
+	if m.muted.Load() {
+		return len(p), nil
+	}
+	return m.Conn.Write(p)
+}
+
+// TestServeSeversSilentWorker: a worker that goes quiet, socket open, is
+// severed by the heartbeat supervisor, counted as silence, and its
+// clients fail over; the run still equals fl.Run.
+func TestServeSeversSilentWorker(t *testing.T) {
+	fl.CheckGoroutines(t)
+	wired := serveKilled(t, quickConfig(), 8, func(c net.Conn) net.Conn {
+		return &muteAfterFrames{killAfterFrames: killAfterFrames{Conn: c, remain: 3}}
+	}, 0.5)
+	if wired.Severs[fl.SeverSilence] != 1 {
+		t.Fatalf("severs %v, want the muted connection severed as silence", wired.Severs)
 	}
 }
 
 // serveKilled runs cfg over two workers of clients/2 clients each, worker
-// 1's connection wrapped by kill and never re-dialed, requires the run to
-// equal fl.Run, and returns it.
-func serveKilled(t *testing.T, cfg fl.Config, clients int, kill func(net.Conn) net.Conn) *fl.Result {
+// 1's connection wrapped by kill and never re-dialed, under heartbeat
+// cadence hb (negative disables it), requires the run to equal fl.Run
+// and to have severed exactly one connection, and returns it.
+func serveKilled(t *testing.T, cfg fl.Config, clients int, kill func(net.Conn) net.Conn, hb float64) *fl.Result {
 	t.Helper()
 	network, shards, test := testSetup(t, clients)
 	local, err := fl.Run(cfg, baselines.NewFedAvg(), network, shards, test)
@@ -236,7 +281,7 @@ func serveKilled(t *testing.T, cfg fl.Config, clients int, kill func(net.Conn) n
 		}
 		errs[1] = fl.RunWorkerOpts(kill(conn), fl.WorkerOptions{Index: 1, Workers: 2}, cfg, baselines.NewFedAvg(), network, shards, test.Name)
 	}()
-	opt := fl.ServeOptions{Workers: 2, HeartbeatSec: -1}
+	opt := fl.ServeOptions{Workers: 2, HeartbeatSec: hb}
 	wired, serveErr := fl.Serve(ln, opt, cfg, baselines.NewFedAvg(), network, shards, test)
 	ln.Close()
 	wg.Wait()
@@ -250,6 +295,13 @@ func serveKilled(t *testing.T, cfg fl.Config, clients int, kill func(net.Conn) n
 		t.Fatal("killed worker returned nil — the kill never fired")
 	}
 	assertSameRun(t, local, wired)
+	severed := 0
+	for _, n := range wired.Severs {
+		severed += n
+	}
+	if severed != 1 {
+		t.Fatalf("severs %v, want exactly one connection severed", wired.Severs)
+	}
 	return wired
 }
 
@@ -644,8 +696,14 @@ func TestServeDegradedLostWorker(t *testing.T) {
 	if got := res.Run.DegradedRounds(); got == 0 {
 		t.Fatal("no Degraded rounds despite half the fleet being lost")
 	}
+	if got := res.Run.Total(metrics.LostWithWorker); got < 4 {
+		t.Fatalf("%d updates lost with their worker, want >= 4 (one worker's clients per lost round)", got)
+	}
 	if got := res.Run.TotalDroppedUpdates(); got < 4 {
 		t.Fatalf("TotalDroppedUpdates = %d, want >= 4 (one worker's clients per lost round)", got)
+	}
+	if res.Severs[fl.SeverRead] != 1 {
+		t.Fatalf("severs %v, want the killed connection severed as a read error", res.Severs)
 	}
 	if len(res.Run.Rounds) != cfg.Rounds {
 		t.Fatalf("run stopped early: %d/%d rounds", len(res.Run.Rounds), cfg.Rounds)
@@ -697,7 +755,7 @@ func TestAdoptReplayWide(t *testing.T) {
 	}{
 		{"reconnect", func(t *testing.T, cfg fl.Config, cut func(net.Conn) net.Conn) { serveRedialed(t, cfg, clients, cut) }},
 		{"kill", func(t *testing.T, cfg fl.Config, cut func(net.Conn) net.Conn) {
-			wired := serveKilled(t, cfg, clients, cut)
+			wired := serveKilled(t, cfg, clients, cut, -1)
 			if re, _ := totalRecovery(wired.Run); re == 0 {
 				t.Fatal("no dispatch reassigned: failover never engaged")
 			}

@@ -3,6 +3,7 @@ package fl
 import (
 	"errors"
 	"math"
+	"net"
 	"testing"
 
 	"repro/internal/compress"
@@ -23,8 +24,10 @@ func (wireAvg) WireSafe()                                {}
 // out for its client, while that client is in flight, before its update
 // has arrived, and on the connection that owns it. An entry for a client
 // never dispatched, a second entry for a client whose update already
-// arrived, and an entry for a client another connection owns are each
-// rejected without writing any ring entry or flipping arrived.
+// arrived, an entry for a client another connection owns, and an entry
+// for a client outside the fleet are each rejected, with the cause the
+// connection severs under, without writing any ring entry or flipping
+// arrived.
 func TestIngestBoundedByDispatch(t *testing.T) {
 	const d = 6
 	// Four clients over two connections: 0 and 1 belong to conn 0, 2 and
@@ -66,27 +69,26 @@ func TestIngestBoundedByDispatch(t *testing.T) {
 		}
 	}
 
-	if err := e.ingest(sc0, entry(1, 10)); err == nil {
-		t.Fatal("update for a client never dispatched accepted")
+	reject := func(step string, sc *serveConn, body []byte, want SeverCause) {
+		t.Helper()
+		if cause, err := e.ingest(sc, body); err == nil || cause != want {
+			t.Fatalf("%s: ingest = %v, %v; want a %v rejection", step, cause, err, want)
+		}
+		check(step)
 	}
-	check("never dispatched")
-	if err := e.ingest(sc0, entry(2, 20)); err == nil {
-		t.Fatal("update for a client another connection owns accepted")
-	}
-	check("owned elsewhere")
-	if err := e.ingest(sc0, entry(0, 30)); err != nil {
+	reject("never dispatched", sc0, entry(1, 10), SeverNotInFlight)
+	reject("owned elsewhere", sc0, entry(2, 20), SeverNotOwned)
+	reject("outside the fleet", sc0, entry(4, 25), SeverOutside)
+	if _, err := e.ingest(sc0, entry(0, 30)); err != nil {
 		t.Fatal(err)
 	}
 	want[0] = 30
 	check("first update")
-	if err := e.ingest(sc0, entry(0, 40)); err == nil {
-		t.Fatal("second update for a client whose update already arrived accepted")
-	}
-	check("already arrived")
+	reject("already arrived", sc0, entry(0, 40), SeverNotInFlight)
 	if ring[0].loss != 30 {
 		t.Fatalf("rejected duplicate overwrote the train loss: %v", ring[0].loss)
 	}
-	if err := e.ingest(sc1, entry(2, 50)); err != nil {
+	if _, err := e.ingest(sc1, entry(2, 50)); err != nil {
 		t.Fatal(err)
 	}
 	want[2] = 50
@@ -125,8 +127,8 @@ func TestIngestRejectsHostileDense(t *testing.T) {
 		{"topk form", frame(&Update{Payload: &topk})},
 		{"truncated", frame(&Update{Delta: vals[:d]})[:8*d]},
 	} {
-		if err := e.ingest(sc, c.body); err == nil {
-			t.Fatalf("%s: hostile dense upload accepted", c.name)
+		if cause, err := e.ingest(sc, c.body); err == nil || cause != SeverPayload {
+			t.Fatalf("%s: hostile dense upload: ingest = %v, %v; want a payload rejection", c.name, cause, err)
 		}
 		if e.arrived[0] {
 			t.Fatalf("%s: rejected upload marked as arrived", c.name)
@@ -137,7 +139,7 @@ func TestIngestRejectsHostileDense(t *testing.T) {
 			}
 		}
 	}
-	if err := e.ingest(sc, frame(&Update{Delta: vals[:d], TrainLoss: 0.75})); err != nil {
+	if _, err := e.ingest(sc, frame(&Update{Delta: vals[:d], TrainLoss: 0.75})); err != nil {
 		t.Fatal(err)
 	}
 	if !e.arrived[0] || u.loss != 0.75 || u.measured != 0.5 {
@@ -298,5 +300,49 @@ func TestGroupReplayContract(t *testing.T) {
 	})
 	if !errors.Is(err, stop) || calls != 1 {
 		t.Fatalf("emit error: groupReplay returned %v after %d calls, want the error after 1", err, calls)
+	}
+}
+
+// TestReadLoopSeverCauses pins the cause readLoop severs a connection
+// under for each way a worker's stream can end: a socket closed on it
+// (EOF), the same after the heartbeat supervisor marked it silenced, a
+// frame of a type no worker sends, and an ingest rejection. The lone
+// worker has no survivor to fail over to, so each sever marks it lost.
+func TestReadLoopSeverCauses(t *testing.T) {
+	const d = 4
+	updates := fuzzFrame(wire.FrameUpdates, appendUpdateEntry(wire.AppendUvarint(nil, 1), &Update{Client: 9, Delta: make([]float64, d)}, 0))
+	for _, c := range []struct {
+		name     string
+		frame    []byte
+		silenced bool
+		want     SeverCause
+	}{
+		{"eof", nil, false, SeverRead},
+		{"silence", nil, true, SeverSilence},
+		{"dispatch frame", fuzzFrame(wire.FrameDispatch, appendDispatch(nil, 0, []int{0}, make([]float64, d))), false, SeverFrame},
+		{"outside the fleet", updates, false, SeverOutside},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := newRemoteExec(newRingPool(d), compress.Spec{}, 2, d, ServeOptions{Workers: 1})
+			srv, wk := net.Pipe()
+			sc := &serveConn{c: srv, index: 0}
+			sc.silenced.Store(c.silenced)
+			e.conns[0] = sc
+			e.readers.Add(1)
+			go e.readLoop(sc)
+			if c.frame != nil {
+				if _, err := wk.Write(c.frame); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wk.Close()
+			e.readers.Wait()
+			e.close()
+			want := [NumSeverCauses]int{}
+			want[c.want] = 1
+			if e.severs != want {
+				t.Fatalf("severs %v, want one %v", e.severs, c.want)
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/aggstack"
 	"repro/internal/ckpt"
+	"repro/internal/metrics"
 	"repro/internal/simclock"
 	"repro/internal/vecmath"
 )
@@ -45,10 +46,9 @@ type stackedAlg struct {
 	keptW       []float64
 	fullW       []float64
 
-	// Per-round stage statistics, read by the scheduler into the round
-	// record (metrics.Round.ZeroedUpdates/ClippedUpdates/ClipNorm).
-	lastZeroed   int
-	lastClipped  int
+	// lastClipNorm is the last Aggregate's clip bound (0 without a clip
+	// stage), read by the scheduler into the round record; mult keeps that
+	// Aggregate's multipliers, which fate reads.
 	lastClipNorm float64
 }
 
@@ -135,7 +135,7 @@ func (a *stackedAlg) MeanAlpha() float64 { return a.inner.MeanAlpha() }
 // Aggregate implements Algorithm: stages → inner rule → weight re-map →
 // server optimizer.
 func (a *stackedAlg) Aggregate(s *ServerCtx, updates []Update) {
-	a.lastZeroed, a.lastClipped, a.lastClipNorm = 0, 0, 0
+	a.lastClipNorm = 0
 	kept := updates
 	if len(a.stages) > 0 {
 		kept = a.applyStages(updates)
@@ -167,12 +167,8 @@ func (a *stackedAlg) applyStages(updates []Update) []Update {
 	}
 	for _, st := range a.stages {
 		bound := st.Bound()
-		affected := st.Apply(norms, mult)
-		switch st.Kind() {
-		case aggstack.StageZeroing:
-			a.lastZeroed += affected
-		case aggstack.StageClipping:
-			a.lastClipped += affected
+		st.Apply(norms, mult)
+		if st.Kind() == aggstack.StageClipping {
 			a.lastClipNorm = bound
 		}
 	}
@@ -233,15 +229,16 @@ func (a *stackedAlg) reportFull(s *ServerCtx, updates, kept []Update) {
 	s.ReportWeights(full)
 }
 
-// stackStats returns the last aggregation's stage statistics.
-func (a *stackedAlg) stackStats() (zeroed, clipped int, clipNorm float64) {
-	return a.lastZeroed, a.lastClipped, a.lastClipNorm
-}
-
-// clearStackStats resets the stage statistics for a round that never
-// reached Aggregate (every update lost in transit).
-func (a *stackedAlg) clearStackStats() {
-	a.lastZeroed, a.lastClipped, a.lastClipNorm = 0, 0, 0
+// fate returns what the last Aggregate did to updates[i], read off its
+// multiplier, so an update two stages touched has one fate.
+func (a *stackedAlg) fate(i int) metrics.Outcome {
+	switch {
+	case len(a.stages) == 0 || a.mult[i] == 1:
+		return metrics.Aggregated
+	case a.mult[i] == 0:
+		return metrics.Zeroed
+	}
+	return metrics.Clipped
 }
 
 // walk covers the stage quantile estimates, the optimizer state, and the

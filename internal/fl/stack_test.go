@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/aggstack"
+	"repro/internal/metrics"
 	"repro/internal/simclock"
 )
 
@@ -188,8 +189,8 @@ func TestZeroingSuppressionWeightMetrics(t *testing.T) {
 		t.Fatalf("TotalZeroedUpdates = %d, want %d (one corrupt drop per round)", got, cfg.Rounds)
 	}
 	for i, rec := range res.Run.Rounds {
-		if rec.ZeroedUpdates != 1 {
-			t.Fatalf("round %d: ZeroedUpdates = %d, want 1", i, rec.ZeroedUpdates)
+		if rec.Outcomes[metrics.Zeroed] != 1 {
+			t.Fatalf("round %d: %d updates zeroed, want 1", i, rec.Outcomes[metrics.Zeroed])
 		}
 		if rec.CorruptWeight != 0 {
 			t.Fatalf("round %d: CorruptWeight = %v, want 0 (update was zeroed)", i, rec.CorruptWeight)

@@ -4,7 +4,35 @@
 // computation time needed to reach it).
 package metrics
 
-import "math"
+import (
+	"math"
+	"slices"
+)
+
+// Outcome is the terminal fate of one dispatch attempt (DESIGN.md §8):
+// the scheduler settles every flight it starts into exactly one, in the
+// record of the server step the flight ended in. DupSuppressed is the
+// exception: it counts the second copy of a delivered update.
+type Outcome uint8
+
+const (
+	Aggregated       Outcome = iota // delivered and aggregated as uploaded
+	Clipped                         // delivered, rescaled onto the clip ball, aggregated
+	Zeroed                          // delivered and dropped past the zeroing bound
+	Retried                         // failed (crash, drop, timeout) and dispatched again
+	FaultDropped                    // the last attempt of its retry chain, failed
+	Cut                             // delivered past the round deadline
+	LostWithWorker                  // in flight when its worker was lost for good
+	ExpelledInFlight                // its client was expelled while it flew (async)
+	Abandoned                       // still in flight when the run ended (async)
+	DupSuppressed                   // a second copy of a delivered update
+	NumOutcomes
+)
+
+var outcomeNames = [NumOutcomes]string{"agg", "clipped", "zeroed", "retry", "lost", "cut", "worker-lost", "expelled", "abandoned", "dup"}
+
+// String returns the outcome's short column name.
+func (o Outcome) String() string { return outcomeNames[o] }
 
 // Round is one communication round's outcome.
 type Round struct {
@@ -34,31 +62,15 @@ type Round struct {
 	// the synchronous and deadline policies.
 	MeanStaleness float64
 	MaxStaleness  int
-	// DroppedClients counts participants dropped past the round deadline
-	// (deadline policy only; 0 otherwise).
-	DroppedClients int
-	// Retries counts fault-triggered re-dispatches this round: timed-out
-	// dispatches (crash, uplink loss, or a latency spike past the timeout
-	// budget) that the server retried. 0 in fault-free runs.
-	Retries int
-	// DroppedUpdates counts dispatches whose retry budget was exhausted —
-	// the client's update never reached this round's aggregate.
-	DroppedUpdates int
-	// DupUpdates counts updates the uplink delivered twice; the server
-	// deduplicates them (charging the duplicate bytes to UplinkBytes) so
-	// each contributes once to the aggregate.
-	DupUpdates int
 	// Degraded marks a round committed below the configured quorum of
 	// delivered updates (including rounds that lost every update and
 	// left the model unchanged). Never silent: the count rolls up via
 	// Run.DegradedRounds.
 	Degraded bool
-	// ZeroedUpdates and ClippedUpdates count what the robust-aggregation
-	// stack did this round: updates dropped for exceeding the zeroing
-	// bound, and updates rescaled onto the clip ball. Both are 0 without
-	// a stack.
-	ZeroedUpdates  int
-	ClippedUpdates int
+	// Outcomes counts the flights that ended in this server step, one
+	// entry per Outcome: every dispatch attempt lands in exactly one
+	// entry, except DupSuppressed, which counts second copies.
+	Outcomes [NumOutcomes]uint32
 	// ClipNorm is the clip bound the stack applied this round (the
 	// adaptive quantile-matched estimate, or the fixed bound); 0 when no
 	// clip stage ran.
@@ -176,103 +188,63 @@ func (r *Run) MeasuredTimeToAccuracy(target float64) (float64, bool) {
 	return math.Inf(1), false
 }
 
-// TotalDropped sums the deadline-dropped participants across all rounds.
-func (r *Run) TotalDropped() int {
-	total := 0
-	for _, rec := range r.Rounds {
-		total += rec.DroppedClients
+// sum adds f over every round of the run.
+func sum[T int | int64 | float64](r *Run, f func(*Round) T) T {
+	var total T
+	for i := range r.Rounds {
+		total += f(&r.Rounds[i])
 	}
 	return total
 }
 
-// TotalRetries sums the fault-triggered re-dispatches across all rounds.
-func (r *Run) TotalRetries() int {
-	total := 0
-	for _, rec := range r.Rounds {
-		total += rec.Retries
-	}
-	return total
+// Total sums one outcome over every round of the run.
+func (r *Run) Total(o Outcome) int {
+	return sum(r, func(rec *Round) int { return int(rec.Outcomes[o]) })
 }
+
+// TotalRetries sums the fault-triggered re-dispatches.
+func (r *Run) TotalRetries() int { return r.Total(Retried) }
+
+// TotalDroppedUpdates sums the updates that never reached an aggregate:
+// retry chains that ran out, and dispatches lost with their worker.
+func (r *Run) TotalDroppedUpdates() int { return r.Total(FaultDropped) + r.Total(LostWithWorker) }
+
+// TotalDupUpdates sums the duplicate deliveries the server deduplicated.
+func (r *Run) TotalDupUpdates() int { return r.Total(DupSuppressed) }
+
+// TotalZeroedUpdates sums the updates the aggregation stack dropped for
+// exceeding the zeroing bound.
+func (r *Run) TotalZeroedUpdates() int { return r.Total(Zeroed) }
+
+// TotalClippedUpdates sums the updates the aggregation stack rescaled
+// onto the clip ball.
+func (r *Run) TotalClippedUpdates() int { return r.Total(Clipped) }
 
 // TotalReassignedDispatches sums the in-flight dispatches re-sent after
 // worker connection losses across all rounds.
 func (r *Run) TotalReassignedDispatches() int {
-	total := 0
-	for _, rec := range r.Rounds {
-		total += rec.ReassignedDispatches
-	}
-	return total
+	return sum(r, func(rec *Round) int { return rec.ReassignedDispatches })
 }
 
 // TotalWorkerReconnects sums the worker re-admissions across all rounds.
 func (r *Run) TotalWorkerReconnects() int {
-	total := 0
-	for _, rec := range r.Rounds {
-		total += rec.WorkerReconnects
-	}
-	return total
-}
-
-// TotalDroppedUpdates sums the updates lost to exhausted retry budgets.
-func (r *Run) TotalDroppedUpdates() int {
-	total := 0
-	for _, rec := range r.Rounds {
-		total += rec.DroppedUpdates
-	}
-	return total
-}
-
-// TotalDupUpdates sums the duplicate deliveries the server deduplicated.
-func (r *Run) TotalDupUpdates() int {
-	total := 0
-	for _, rec := range r.Rounds {
-		total += rec.DupUpdates
-	}
-	return total
-}
-
-// TotalZeroedUpdates sums the updates the aggregation stack dropped for
-// exceeding the zeroing bound.
-func (r *Run) TotalZeroedUpdates() int {
-	total := 0
-	for _, rec := range r.Rounds {
-		total += rec.ZeroedUpdates
-	}
-	return total
-}
-
-// TotalClippedUpdates sums the updates the aggregation stack rescaled
-// onto the clip ball.
-func (r *Run) TotalClippedUpdates() int {
-	total := 0
-	for _, rec := range r.Rounds {
-		total += rec.ClippedUpdates
-	}
-	return total
+	return sum(r, func(rec *Round) int { return rec.WorkerReconnects })
 }
 
 // DegradedRounds counts rounds committed below the delivery quorum.
 func (r *Run) DegradedRounds() int {
-	total := 0
-	for _, rec := range r.Rounds {
+	return sum(r, func(rec *Round) int {
 		if rec.Degraded {
-			total++
+			return 1
 		}
-	}
-	return total
+		return 0
+	})
 }
 
 // MeanStaleness averages the per-round mean update staleness (0 when the
 // run recorded no rounds or ran a policy without staleness).
 func (r *Run) MeanStaleness() float64 {
-	if len(r.Rounds) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, rec := range r.Rounds {
-		sum += rec.MeanStaleness
-	}
-	return sum / float64(len(r.Rounds))
+	return r.meanWhere(func(*Round) bool { return true }, func(rec *Round) float64 { return rec.MeanStaleness })
 }
 
 // PeakStaleness returns the largest per-update staleness seen in any round.
@@ -289,48 +261,39 @@ func (r *Run) PeakStaleness() int {
 // TotalUplinkBytes sums the per-round client→server traffic — the "bytes
 // on wire" a codec is judged by.
 func (r *Run) TotalUplinkBytes() int64 {
-	var total int64
-	for _, rec := range r.Rounds {
-		total += rec.UplinkBytes
+	return sum(r, func(rec *Round) int64 { return rec.UplinkBytes })
+}
+
+// meanWhere averages f over the rounds where keep holds (0 when none
+// does).
+func (r *Run) meanWhere(keep func(*Round) bool, f func(*Round) float64) float64 {
+	var total float64
+	n := 0
+	for i := range r.Rounds {
+		if rec := &r.Rounds[i]; keep(rec) {
+			total += f(rec)
+			n++
+		}
 	}
-	return total
+	if n == 0 {
+		return 0
+	}
+	return total / float64(n)
 }
 
 // MeanCompressionRatio averages the per-round compression ratios over
 // the rounds that aggregated anything (0 when none did).
 func (r *Run) MeanCompressionRatio() float64 {
-	var sum float64
-	n := 0
-	for _, rec := range r.Rounds {
-		if rec.CompressionRatio == 0 {
-			continue
-		}
-		sum += rec.CompressionRatio
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return r.meanWhere(func(rec *Round) bool { return rec.CompressionRatio != 0 },
+		func(rec *Round) float64 { return rec.CompressionRatio })
 }
 
 // MeanCorruptWeight averages the corrupt aggregation-weight mass over the
 // rounds that recorded a weight split (0 when none did — adversary-free
 // runs or rules that report no weights).
 func (r *Run) MeanCorruptWeight() float64 {
-	var sum float64
-	n := 0
-	for _, rec := range r.Rounds {
-		if rec.HonestWeight == 0 && rec.CorruptWeight == 0 {
-			continue
-		}
-		sum += rec.CorruptWeight
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return r.meanWhere(func(rec *Round) bool { return rec.HonestWeight != 0 || rec.CorruptWeight != 0 },
+		func(rec *Round) float64 { return rec.CorruptWeight })
 }
 
 // Detection scores a defense's corrupt-client identification — TACO's
@@ -400,14 +363,8 @@ func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	// Insertion sort: round counts are small.
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
 	n := len(sorted)
 	if n%2 == 1 {
 		return sorted[n/2]

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"testing"
+	"unsafe"
 )
 
 func sampleRun() *Run {
@@ -108,11 +109,11 @@ func TestMeanStd(t *testing.T) {
 
 func TestSchedulerColumns(t *testing.T) {
 	r := &Run{}
-	r.Append(Round{Index: 0, DroppedClients: 2, MeanStaleness: 0, MaxStaleness: 0})
-	r.Append(Round{Index: 1, DroppedClients: 1, MeanStaleness: 1.5, MaxStaleness: 3})
-	r.Append(Round{Index: 2, DroppedClients: 0, MeanStaleness: 0.5, MaxStaleness: 1})
-	if got := r.TotalDropped(); got != 3 {
-		t.Fatalf("TotalDropped = %d, want 3", got)
+	r.Append(Round{Index: 0, Outcomes: [NumOutcomes]uint32{Cut: 2}, MeanStaleness: 0, MaxStaleness: 0})
+	r.Append(Round{Index: 1, Outcomes: [NumOutcomes]uint32{Cut: 1}, MeanStaleness: 1.5, MaxStaleness: 3})
+	r.Append(Round{Index: 2, MeanStaleness: 0.5, MaxStaleness: 1})
+	if got := r.Total(Cut); got != 3 {
+		t.Fatalf("Total(Cut) = %d, want 3", got)
 	}
 	if got := r.MeanStaleness(); got != (0+1.5+0.5)/3 {
 		t.Fatalf("MeanStaleness = %v", got)
@@ -124,8 +125,57 @@ func TestSchedulerColumns(t *testing.T) {
 
 func TestSchedulerColumnsEmptyRun(t *testing.T) {
 	r := &Run{}
-	if r.TotalDropped() != 0 || r.MeanStaleness() != 0 || r.PeakStaleness() != 0 {
+	if r.Total(Cut) != 0 || r.MeanStaleness() != 0 || r.PeakStaleness() != 0 {
 		t.Fatal("empty run must report zero scheduler metrics")
+	}
+}
+
+// TestOutcomeRollups pins the named rollups to the outcome array: a lost
+// update is a retry chain that ran out or a dispatch lost with its
+// worker, and the other names read one outcome each.
+func TestOutcomeRollups(t *testing.T) {
+	var r Run
+	for o := Outcome(0); o < NumOutcomes; o++ {
+		var rec Round
+		rec.Outcomes[o] = uint32(o) + 1
+		r.Append(rec)
+		r.Append(rec)
+	}
+	for o := Outcome(0); o < NumOutcomes; o++ {
+		if got, want := r.Total(o), 2*(int(o)+1); got != want {
+			t.Errorf("Total(%v) = %d, want %d", o, got, want)
+		}
+	}
+	checks := []struct {
+		name      string
+		got, want int
+	}{
+		{"TotalRetries", r.TotalRetries(), r.Total(Retried)},
+		{"TotalDroppedUpdates", r.TotalDroppedUpdates(), r.Total(FaultDropped) + r.Total(LostWithWorker)},
+		{"TotalDupUpdates", r.TotalDupUpdates(), r.Total(DupSuppressed)},
+		{"TotalZeroedUpdates", r.TotalZeroedUpdates(), r.Total(Zeroed)},
+		{"TotalClippedUpdates", r.TotalClippedUpdates(), r.Total(Clipped)},
+	}
+	for _, c := range checks {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	seen := map[string]bool{}
+	for o := Outcome(0); o < NumOutcomes; o++ {
+		if name := o.String(); name == "" || seen[name] {
+			t.Errorf("outcome %d has name %q (empty or repeated)", o, name)
+		} else {
+			seen[name] = true
+		}
+	}
+}
+
+// TestRoundSize holds a round record to 200 B: every checkpoint carries
+// the run's whole history of them.
+func TestRoundSize(t *testing.T) {
+	if got := unsafe.Sizeof(Round{}); got > 200 {
+		t.Fatalf("metrics.Round is %d B, want at most 200", got)
 	}
 }
 
