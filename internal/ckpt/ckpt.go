@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 )
 
 // MaxElems bounds any single decoded slice length. Checkpoints in this
@@ -175,26 +176,36 @@ func (c *Codec) length(n int, what string) int {
 	return int(u)
 }
 
-// floats moves a length-prefixed slice of fixed length in place, as
-// float64 bits whatever F is: widening float32 is exact and narrowing the
-// result is its exact inverse, so fp32 state round-trips bit-identically
-// without a second on-disk format.
+// floats moves a length-prefixed slice of fixed length in place, each
+// value as its own IEEE-754 bits in a word of its own width, 8 bytes for
+// float64 and 4 for float32: no conversion touches a value, so every bit
+// round-trips, NaN payloads included (widening would quiet a signaling
+// NaN).
 func floats[F float32 | float64](c *Codec, v []F) {
 	if n := c.length(len(v), "float slice"); c.err == nil && n != len(v) {
 		c.Failf("ckpt: recorded length %d, destination needs %d", n, len(v))
 	}
+	w := int(unsafe.Sizeof(F(0)))
 	for len(v) > 0 && c.err == nil {
-		k := min(len(v), len(c.buf)/8)
-		b := c.buf[:8*k]
+		k := min(len(v), len(c.buf)/w)
+		b := c.buf[:w*k]
 		if c.w != nil {
 			for i, x := range v[:k] {
-				binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(float64(x)))
+				if w == 4 {
+					binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(float32(x)))
+				} else {
+					binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(float64(x)))
+				}
 			}
 		}
 		c.move(b)
 		if c.r != nil && c.err == nil {
 			for i := range v[:k] {
-				v[i] = F(math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])))
+				if w == 4 {
+					v[i] = F(math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:])))
+				} else {
+					v[i] = F(math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])))
+				}
 			}
 		}
 		v = v[k:]
@@ -240,7 +251,8 @@ func (c *Codec) Row(v *[]float64, width int) { row(c, v, width) }
 // long.
 func (c *Codec) Rows(t [][]float64, width int) { rows(c, t, width) }
 
-// Rows32 is Rows for float32 rows, stored as float64 words.
+// Rows32 is Rows for float32 rows, each value stored as its 4-byte fp32
+// bits.
 func (c *Codec) Rows32(t [][]float32, width int) { rows(c, t, width) }
 
 // Ints moves a length-prefixed int slice of any length; Load replaces *v,

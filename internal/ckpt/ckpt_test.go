@@ -94,6 +94,48 @@ func TestU32sRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRows32Bits moves fp32 rows as their own 4-byte bits: NaNs with
+// payloads (a signaling one too, which a widening conversion would
+// quiet), ±Inf, −0 and subnormals come back bit for bit, and a row of n
+// values costs its presence byte, its length word and 4n bytes. A load
+// cut short fails.
+func TestRows32Bits(t *testing.T) {
+	bits := []uint32{
+		0x7fc00001, // quiet NaN with a payload
+		0xff800001, // negative signaling NaN
+		0x7f800000, // +Inf
+		0xff800000, // -Inf
+		0x80000000, // -0
+		0x00000001, // smallest subnormal
+		0x807fffff, // largest negative subnormal
+		0x3f800000, // 1
+	}
+	row := make([]float32, len(bits))
+	for i, b := range bits {
+		row[i] = math.Float32frombits(b)
+	}
+	var b bytes.Buffer
+	w := Save(&b)
+	w.Rows32([][]float32{row, nil}, len(row))
+	if want := 8 + (1 + 8 + 4*len(row)) + 1; w.Err() != nil || b.Len() != want {
+		t.Fatalf("saved %d bytes, err %v; want %d", b.Len(), w.Err(), want)
+	}
+	got := [][]float32{nil, nil}
+	r := Load(bytes.NewReader(b.Bytes()))
+	if r.Rows32(got, len(row)); r.Err() != nil || got[1] != nil {
+		t.Fatalf("Rows32 = %v, %v", got, r.Err())
+	}
+	for i, want := range bits {
+		if g := math.Float32bits(got[0][i]); g != want {
+			t.Errorf("value %d: bits %#08x, want %#08x", i, g, want)
+		}
+	}
+	r = Load(bytes.NewReader(b.Bytes()[:b.Len()-3]))
+	if r.Rows32(make([][]float32, 2), len(row)); r.Err() == nil {
+		t.Fatal("Rows32 loaded from a truncated stream")
+	}
+}
+
 func TestSliceRoundTrip(t *testing.T) {
 	f64s := []float64{1.5, -2.25, 0}
 	ints := []int{3, -7, 1 << 33}

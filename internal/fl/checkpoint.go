@@ -18,7 +18,9 @@ import (
 // cursor (participation, per-client samplers, adversary streams,
 // quantization streams, fault streams), error-feedback residuals,
 // the algorithm's cross-round state (StatefulAlgorithm), and — under the
-// async policy — every in-flight update, delta included. The header
+// async policy — every in-flight update: its encoded payload when a codec
+// is live (the dense delta is rebuilt from it on load), its delta
+// otherwise. The header
 // carries a fingerprint of the configuration, architecture, and
 // algorithm so a checkpoint cannot silently resume a different run.
 // Everything after the header is described once, by walk functions over a
@@ -33,7 +35,7 @@ import (
 
 // The magic names the format; a blob of any older format is rejected by
 // the magic check rather than silently misparsed.
-var runCkptMagic = [8]byte{'F', 'L', 'C', 'K', 'P', 'T', '0', '8'}
+var runCkptMagic = [8]byte{'F', 'L', 'C', 'K', 'P', 'T', '0', '9'}
 
 // StatefulAlgorithm is implemented by algorithms that carry cross-round
 // state a checkpoint must capture — control variates (Scaffold), client
@@ -60,24 +62,35 @@ func (s *scheduler) fingerprint() uint64 {
 	return h.Sum64()
 }
 
+// blob is the retained checkpoint, written by appending: a snapshot
+// encodes straight into it, reusing its capacity, so the scheduler holds
+// one copy of the newest checkpoint and no encode scratch beside it.
+type blob []byte
+
+func (b *blob) Write(p []byte) (int, error) {
+	*b = append(*b, p...)
+	return len(p), nil
+}
+
 // snapshot serializes the scheduler's state as of the start of round t
-// into the reusable checkpoint buffer, retains it for in-run recovery,
-// and hands it to the OnCheckpoint callback when one is set.
+// over the retained checkpoint, which in-run recovery restores, and hands
+// it to the OnCheckpoint callback when one is set. A failed snapshot
+// drops the retained blob, so what it half overwrote is never restored
+// (every caller ends the run on the error anyway).
 func (s *scheduler) snapshot(t int) error {
 	s.joinEval()
 	if len(s.buffer) != 0 {
 		return fmt.Errorf("fl: checkpoint at round %d with %d buffered async updates (not a round boundary)", t, len(s.buffer))
 	}
-	s.ckptBuf.Reset()
-	s.ckptBuf.Write(runCkptMagic[:])
-	c := ckpt.Save(&s.ckptBuf)
+	s.lastCkpt = append(s.lastCkpt[:0], runCkptMagic[:]...)
+	c := ckpt.Save(&s.lastCkpt)
 	fp := s.fingerprint()
 	c.U64(&fp)
 	s.walk(c, &t, true)
 	if err := c.Err(); err != nil {
+		s.lastCkpt = nil
 		return fmt.Errorf("fl: checkpoint: %w", err)
 	}
-	s.lastCkpt = append(s.lastCkpt[:0], s.ckptBuf.Bytes()...)
 	s.lastCkptRound = t
 	if s.cfg.OnCheckpoint != nil {
 		s.cfg.OnCheckpoint(t, s.lastCkpt)
@@ -250,8 +263,12 @@ func (s *scheduler) walk(c *ckpt.Codec, round *int, applyRNG bool) {
 }
 
 // walkFlights covers the async policy's in-flight table: every live
-// flight with its update — delta and, when a codec is live, the encoded
-// payload — and the per-client retry-attempt table.
+// flight with its update, and the per-client retry-attempt table. With a
+// codec live an update is stored as its encoded payload alone: the
+// encode step (compress.EncodeEF/EncodeEF32, top-k's fused emit) leaves
+// the delta equal to the payload's decode bit for bit, so the load
+// decodes the payload into the flight's fresh ring entry instead of
+// reading a dense copy. Without a codec the delta is stored.
 func (s *scheduler) walkFlights(c *ckpt.Codec) {
 	if c.Loading() {
 		if s.pending == nil {
@@ -289,8 +306,8 @@ func (s *scheduler) walkFlights(c *ckpt.Codec) {
 		u := &f.update
 		c.F64(&u.TrainLoss)
 		c.Bool(&u.Corrupt)
-		c.F64s(u.Delta)
 		if !c.Expect(u.Payload != nil, "in-flight payload") {
+			c.F64s(u.Delta)
 			continue
 		}
 		// The payload travels in its wire encoding (wire.AppendPayload),
@@ -309,6 +326,8 @@ func (s *scheduler) walkFlights(c *ckpt.Codec) {
 				c.Failf("client %d payload: %d trailing bytes", id, len(rest))
 			case u.Payload.Form != s.cfg.Compress.Kind || u.Payload.N != len(s.params):
 				c.Failf("client %d payload is %q over %d coordinates, want %q over %d", id, u.Payload.Form, u.Payload.N, s.cfg.Compress.Kind, len(s.params))
+			default:
+				s.pool.comp.codec.Decode(u.Delta, u.Payload)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package fl_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -221,6 +222,62 @@ func TestCheckpointResumeWithCompression(t *testing.T) {
 			sameParams(t, want.FinalParams, got.FinalParams)
 			sameRounds(t, want.Run.Rounds, got.Run.Rounds)
 		})
+	}
+}
+
+// TestCheckpointCodecFlights pins the flight section's storage of an
+// encoded in-flight update as its payload alone, the dense delta rebuilt
+// by decoding it on load: under async × {int8, top-k} × {f64, f32} with
+// the fault mix live, a Resume from the round-4 blob (which must hold at
+// least one live flight) and a servercrash at round 5 that restores it
+// must both end at the uninterrupted run's final params and round records,
+// outcome arrays included. Top-k aggregation reads only the payload, so
+// only the int8 rows can see a delta the load failed to rebuild.
+func TestCheckpointCodecFlights(t *testing.T) {
+	net, shards, test := testSetup(t, 8)
+	alg := func() fl.Algorithm { return core.New(core.Recommended()) }
+	codecs := []compress.Spec{{Kind: compress.KindInt8, Chunk: 256}, {Kind: compress.KindTopK, TopKFrac: 0.05}}
+	for _, spec := range codecs {
+		for _, dtype := range []string{"f64", "f32"} {
+			t.Run(fmt.Sprintf("%v/%s", spec.Kind, dtype), func(t *testing.T) {
+				cfg := faultedConfig(t, fl.PolicyAsync, 11, net)
+				cfg.Compress, cfg.DType, cfg.CheckpointEvery = spec, dtype, 2
+				cap := &ckptCapture{}
+				cfg.OnCheckpoint = cap.hook()
+				want, err := fl.Run(cfg, alg(), net, shards, test)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.OnCheckpoint = nil
+				blob := cap.at(4)
+				live, err := fl.RestoredFlights(cfg, alg(), net, shards, test, blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if live == 0 {
+					t.Fatal("the round-4 blob holds no live flight")
+				}
+
+				got, err := fl.Resume(cfg, alg(), net, shards, test, blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameParams(t, want.FinalParams, got.FinalParams)
+				sameRounds(t, want.Run.Rounds, got.Run.Rounds)
+
+				crashed := cfg
+				crashed.Faults = append(slices.Clone(cfg.Faults), fault.Spec{Kind: fault.KindServerCrash, Round: 5})
+				got, err = fl.Run(crashed, alg(), net, shards, test)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameParams(t, want.FinalParams, got.FinalParams)
+				sameRounds(t, want.Run.Rounds, got.Run.Rounds)
+				if got.Run.RecoveredRounds != 1 {
+					t.Fatalf("RecoveredRounds = %d, want 1 (crash at 5, checkpoint at 4)", got.Run.RecoveredRounds)
+				}
+			})
+		}
 	}
 }
 
@@ -461,6 +518,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 	f.Add([]byte("FLCKPT04 but then garbage follows the magic bytes here"))
 	f.Add([]byte("FLCKPT05 but then garbage follows the magic bytes here"))
 	f.Add([]byte("FLCKPT07 but then garbage follows the magic bytes here"))
+	f.Add([]byte("FLCKPT08 but then garbage follows the magic bytes here"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = fl.Resume(cfg, alg(), net, shards, test, data)

@@ -172,8 +172,9 @@ type Config struct {
 	// (a servercrash fault still forces an initial one).
 	CheckpointEvery int
 	// OnCheckpoint, when set, receives every serialized checkpoint with
-	// the 0-based round it resumes at. The byte slice is reused by the
-	// next checkpoint; copy it to retain.
+	// the 0-based round it resumes at. The byte slice is the run's
+	// retained blob itself, valid until the next checkpoint overwrites it
+	// in place; copy it to keep it longer.
 	OnCheckpoint func(round int, data []byte)
 }
 

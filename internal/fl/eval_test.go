@@ -260,8 +260,9 @@ func TestTopClassShareMatchesRecount(t *testing.T) {
 }
 
 // TestCheckpointRefusesOldMagic pins the format bump: a blob that carries
-// the previous format's magic (whose round records held six int fate
-// counters where they now hold one outcome array) is refused, not misread.
+// the previous format's magic (which stored an encoded flight's dense
+// delta beside its payload and fp32 rows as 8-byte words) is refused, not
+// misread.
 func TestCheckpointRefusesOldMagic(t *testing.T) {
 	net, shards, test := testSetup(t, 8)
 	cfg := quickConfig()
@@ -273,15 +274,15 @@ func TestCheckpointRefusesOldMagic(t *testing.T) {
 	}
 	cfg.OnCheckpoint = nil
 	blob := slices.Clone(c.at(4))
-	if string(blob[:8]) != "FLCKPT08" {
-		t.Fatalf("magic %q, want FLCKPT08", blob[:8])
+	if string(blob[:8]) != "FLCKPT09" {
+		t.Fatalf("magic %q, want FLCKPT09", blob[:8])
 	}
 	if _, err := fl.Resume(cfg, core.New(core.Recommended()), net, shards, test, blob); err != nil {
 		t.Fatalf("Resume of the current format: %v", err)
 	}
-	copy(blob, "FLCKPT07")
+	copy(blob, "FLCKPT08")
 	_, err := fl.Resume(cfg, core.New(core.Recommended()), net, shards, test, blob)
 	if err == nil || !strings.Contains(err.Error(), "bad magic") {
-		t.Fatalf("Resume of a FLCKPT07 blob: err = %v, want bad magic", err)
+		t.Fatalf("Resume of a FLCKPT08 blob: err = %v, want bad magic", err)
 	}
 }

@@ -58,6 +58,26 @@ func RunLaterCounts(cfg Config, alg Algorithm, net *nn.Network, shards []*datase
 	return s.result(), s.pool.helped, s.pool.queued - s.pool.helped, nil
 }
 
+// RestoredFlights restores checkpoint into a fresh scheduler built from
+// the same arguments and returns how many async flights it holds live.
+func RestoredFlights(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.Dataset, test *dataset.Dataset, checkpoint []byte) (int, error) {
+	s, err := newScheduler(cfg, alg, net, shards, test)
+	if err != nil {
+		return 0, err
+	}
+	defer s.exec.close()
+	if err := s.restore(checkpoint, true); err != nil {
+		return 0, err
+	}
+	live := 0
+	for i := range s.pending {
+		if s.pending[i].live {
+			live++
+		}
+	}
+	return live, nil
+}
+
 // naiveEval recounts a model's test accuracy and top-class share over
 // Engine.Predict, one batch after another, with the evaluation's batch
 // size.

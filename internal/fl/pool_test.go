@@ -757,3 +757,56 @@ func TestSnapshotAllocBudget(t *testing.T) {
 		t.Errorf("snapshot allocated %.0f times, budget %d", late, budget)
 	}
 }
+
+// TestSnapshotAllocBytes pins that a warm snapshot encodes into the
+// retained blob and allocates no blob-sized buffer beside it: over 20
+// steps of a 32-client async int8 f32 run, each followed by a snapshot
+// (so the blob grows with the history as in a run), the snapshots
+// allocate under 64 KB each on average, a fraction of the blob.
+func TestSnapshotAllocBytes(t *testing.T) {
+	net, shards, test := poolSetup(t, 32)
+	cfg := Config{
+		Rounds: 100, LocalSteps: 3, BatchSize: 8, LocalLR: 0.05, Seed: 11, EvalEvery: 1000,
+		Policy: PolicyAsync, AsyncBuffer: 3, DType: "f32",
+		Compress: compress.Spec{Kind: compress.KindInt8, Chunk: 256},
+	}
+	s, err := newScheduler(cfg, goldenFedAvg{}, net, shards, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.exec.close()
+	if err := s.setupAsync(); err != nil {
+		t.Fatal(err)
+	}
+	step := func(round int) {
+		if _, err := s.asyncStep(round); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const warm, steps, budget = 40, 20, 64 << 10
+	for round := 0; round < warm; round++ {
+		step(round)
+	}
+	if err := s.snapshot(warm); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	var total uint64
+	for round := warm; round < warm+steps; round++ {
+		step(round)
+		runtime.ReadMemStats(&before)
+		if err := s.snapshot(round + 1); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	per := total / steps
+	t.Logf("%d B allocated per snapshot of a %d B blob", per, len(s.lastCkpt))
+	if per >= budget {
+		t.Errorf("a snapshot allocated %d B on average (blob %d B), budget %d", per, len(s.lastCkpt), budget)
+	}
+	if len(s.lastCkpt) < 2*budget {
+		t.Errorf("blob of %d B is too small for the %d B budget to tell a blob-sized buffer", len(s.lastCkpt), budget)
+	}
+}

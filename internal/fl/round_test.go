@@ -15,18 +15,24 @@ import (
 )
 
 // countingFedAvg is goldenFedAvg that records how many updates each
-// server step aggregated, by round, counts the local rounds it started,
-// and expels victims[round] at that round.
+// server step aggregated, by round, counts the local rounds it started
+// (sinceAggregate: since the latest Aggregate), and expels
+// victims[round] at that round.
 type countingFedAvg struct {
 	goldenFedAvg
-	aggregated map[int]int
-	victims    map[int]int
-	begun      atomic.Int64
+	aggregated     map[int]int
+	victims        map[int]int
+	begun          atomic.Int64
+	sinceAggregate atomic.Int64
 }
 
-func (a *countingFedAvg) BeginLocal(int, int, []float64) { a.begun.Add(1) }
+func (a *countingFedAvg) BeginLocal(int, int, []float64) {
+	a.begun.Add(1)
+	a.sinceAggregate.Add(1)
+}
 
 func (a *countingFedAvg) Aggregate(s *ServerCtx, updates []Update) {
+	a.sinceAggregate.Store(0)
 	a.aggregated[s.Round] = len(updates)
 	if id, ok := a.victims[s.Round]; ok {
 		s.Expel(id)
@@ -50,11 +56,15 @@ func settled(r *metrics.Round, except ...metrics.Outcome) int {
 // updates are exactly the ones the inner Aggregate received; under sync
 // and deadline every cohort member of a round settles once, retries and
 // duplicates aside; under async every local round started settles once
-// over the run, duplicates aside. n is the fleet size.
+// over the run, duplicates aside. No local round begins after the last
+// Aggregate: nothing could aggregate it. n is the fleet size.
 func checkConservation(t *testing.T, cfg *Config, n int, alg *countingFedAvg, res *Result) {
 	t.Helper()
 	if len(res.Run.Rounds) != cfg.Rounds {
 		t.Fatalf("recorded %d rounds, want %d", len(res.Run.Rounds), cfg.Rounds)
+	}
+	if late := alg.sinceAggregate.Load(); late != 0 {
+		t.Errorf("%d local rounds began after the last Aggregate", late)
 	}
 	flights := 0
 	for i := range res.Run.Rounds {

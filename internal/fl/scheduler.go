@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -118,8 +117,8 @@ type scheduler struct {
 	failStreak int
 
 	// Checkpoint/restore state: startRound is the first round to execute
-	// (non-zero after a restore); ckptBuf is the reusable encode scratch
-	// and lastCkpt the retained copy of the newest checkpoint.
+	// (non-zero after a restore); lastCkpt is the newest checkpoint, which
+	// the next snapshot overwrites in place.
 	// serverCrashed latches the one-shot servercrash fault; recovered and
 	// rollbacks count replayed rounds and divergence rollbacks — they
 	// live outside the checkpointed state so restores cannot erase them.
@@ -127,8 +126,7 @@ type scheduler struct {
 	serverCrashed bool
 	recovered     int
 	rollbacks     int
-	ckptBuf       bytes.Buffer
-	lastCkpt      []byte
+	lastCkpt      blob
 	lastCkptRound int
 
 	// interrupt, when non-nil, requests a graceful pause: the round loop
@@ -678,12 +676,14 @@ func (s *scheduler) finishRel(id int, now float64) float64 {
 // the scheduler doc comment), the server version it trained from, and its
 // resolved attempt with its modeled completion time (fault.go). Flights
 // live in the scheduler's fixed pending table; live distinguishes
-// in-flight entries from consumed ones.
+// in-flight entries from consumed ones. deferred marks a flight the run's
+// last step scheduled (redispatch) whose round has not trained yet.
 type flight struct {
 	update   Update
 	measured float64
 	version  int
 	live     bool
+	deferred bool
 	asyncOutcome
 }
 
@@ -736,7 +736,8 @@ func (s *scheduler) setupAsync() error {
 // results settled into the pending table, before anything reads or moves
 // the state they train from — the aggregate, or on an error the run's
 // end. The trigger's re-dispatch after the aggregate is joined at once,
-// so only the step's evaluation is in flight when it returns.
+// so only the step's evaluation is in flight when it returns. The run's
+// last step starts no round that cannot arrive within it (redispatch).
 func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 	trigger, err := s.arrivals(t)
 	s.settleLater()
@@ -760,7 +761,7 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 		return true, nil
 	}
 	s.version++
-	if trigger >= 0 && s.active[trigger] {
+	if trigger >= 0 && s.active[trigger] && t < s.cfg.Rounds-1 {
 		s.oneID[0] = trigger
 		s.dispatch(s.oneID[:1], s.now, false)
 	}
@@ -769,9 +770,10 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 	// client round in flight. The record's algorithm fields (MeanAlpha,
 	// the clip bound) are written only by Setup and Aggregate.
 	if t == s.cfg.Rounds-1 {
-		// The flights still pending after the last step are abandoned.
+		// The flights still pending after the last step are abandoned; the
+		// ones it scheduled never started, and settle nowhere.
 		for i := range s.pending {
-			if s.pending[i].live {
+			if f := &s.pending[i]; f.live && !f.deferred {
 				s.settleFlights(metrics.Abandoned, 1)
 			}
 		}
@@ -789,8 +791,8 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 // arrivals drains arrivals in virtual-time order (ties broken by client
 // ID) into the buffer until it holds AsyncBuffer updates, and returns the
 // client whose arrival filled it. Every other delivered arrival, and
-// every failed dispatch, is re-dispatched at once, queued on the pool
-// when it has worker goroutines.
+// every failed dispatch, is re-dispatched at once (redispatch), except at
+// the run's last step.
 func (s *scheduler) arrivals(t int) (trigger int, err error) {
 	bufK := s.cfg.asyncBuffer()
 	for {
@@ -806,6 +808,11 @@ func (s *scheduler) arrivals(t int) (trigger int, err error) {
 		f := &s.pending[id]
 		f.live = false
 		s.now = f.finish
+		if f.deferred {
+			s.oneID[0] = id
+			s.exec.runRound(&s.cfg, s.alg, s.clients, s.oneID[:1], f.version, s.params, s.wPrev, s.updates[:1], s.measured[:1])
+			f.update, f.measured, f.deferred = s.updates[0], s.measured[0], false
+		}
 		// Results may arrive after dispatch — a wire reply, or a round
 		// queued on the pool: block here, at the modeled finish event,
 		// until they have landed. Discarded flights settle too: their ring
@@ -839,15 +846,14 @@ func (s *scheduler) arrivals(t int) (trigger int, err error) {
 				return -1, fmt.Errorf("fl: faults starved the async buffer at step %d (%d consecutive failed dispatches)", t, s.failStreak)
 			}
 			attempt := f.attempt
-			s.oneID[0] = id
 			if attempt < faultRetries {
 				s.attempts[id] = attempt + 1
 				s.settleFlights(metrics.Retried, 1)
-				s.dispatch(s.oneID[:1], s.now+s.plan.backoff(attempt, id), true)
+				s.redispatch(t, id, s.now+s.plan.backoff(attempt, id))
 			} else {
 				s.attempts[id] = 0
 				s.settleFlights(metrics.FaultDropped, 1)
-				s.dispatch(s.oneID[:1], s.now, true)
+				s.redispatch(t, id, s.now)
 			}
 			continue
 		}
@@ -869,9 +875,22 @@ func (s *scheduler) arrivals(t int) (trigger int, err error) {
 		if len(s.buffer) == bufK {
 			return id, nil
 		}
-		s.oneID[0] = id
-		s.dispatch(s.oneID[:1], s.now, true)
+		s.redispatch(t, id, s.now)
 	}
+}
+
+// redispatch starts client id's next local round from the arrival loop of
+// step t, at virtual time at. The run's last step only resolves the
+// attempt, keeping the modeled clock and the fault draws: arrivals trains
+// the round if it arrives within the step, from the same model and
+// version, and nothing trains it if the buffer fills first.
+func (s *scheduler) redispatch(t, id int, at float64) {
+	if t < s.cfg.Rounds-1 {
+		s.oneID[0] = id
+		s.dispatch(s.oneID[:1], at, true)
+		return
+	}
+	s.pending[id] = flight{version: s.version, live: true, deferred: true, asyncOutcome: s.resolveAsyncDispatch(id, at)}
 }
 
 // settleLater joins every one-client round the arrival loop queued on

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/fl"
 	"repro/internal/metrics"
 	"repro/internal/simclock"
@@ -152,6 +153,57 @@ func TestAsyncPolicyTracksStaleness(t *testing.T) {
 	last := run.Rounds[len(run.Rounds)-1]
 	if last.CumModeledSec <= 0 {
 		t.Fatal("async virtual clock did not advance")
+	}
+}
+
+// stepLog wraps an algorithm and keeps a copy of the model after each
+// server step.
+type stepLog struct {
+	fl.Algorithm
+	after map[int][]float64
+}
+
+func (l *stepLog) Aggregate(s *fl.ServerCtx, updates []fl.Update) {
+	l.Algorithm.Aggregate(s, updates)
+	l.after[s.Round] = append([]float64(nil), s.W...)
+}
+
+// TestAsyncLastStepMatchesLongerRun pins that the run's last async step,
+// which defers its re-dispatches until they arrive (and never trains the
+// ones that would not), aggregates what any other step would: a 6-step
+// FedAvg run ends at the model a 9-step run holds after its sixth step,
+// and its records equal that run's first six, abandoned counts and
+// measured times aside (TACO reads Rounds in Setup, so it is left out). The heterogeneous fleet and the fault mix make fast,
+// retried and duplicated clients arrive again within one step, and a
+// 12-update buffer over 8 clients cannot fill without them.
+func TestAsyncLastStepMatchesLongerRun(t *testing.T) {
+	net, shards, test := testSetup(t, 8)
+	faults, err := fault.ParseFaults("crash:0.2,drop:0.15,dup:0.2,slow:0.3:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, buf := range []int{3, 12} {
+		t.Run(fmt.Sprintf("buffer%d", buf), func(t *testing.T) {
+			cfg := policyConfig(t, fl.PolicyAsync, 11)
+			cfg.AsyncBuffer, cfg.Faults, cfg.EvalEvery = buf, faults, 1
+			run := func(rounds int) (*fl.Result, *stepLog) {
+				cfg.Rounds = rounds
+				log := &stepLog{Algorithm: baselines.NewFedAvg(), after: map[int][]float64{}}
+				res, err := fl.Run(cfg, log, net, shards, test)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, log
+			}
+			short, _ := run(6)
+			long, log := run(9)
+			sameParams(t, log.after[5], short.FinalParams)
+			for i := range long.Run.Rounds[:6] {
+				want, got := long.Run.Rounds[i], short.Run.Rounds[i]
+				want.Outcomes[metrics.Abandoned], got.Outcomes[metrics.Abandoned] = 0, 0
+				sameRounds(t, []metrics.Round{want}, []metrics.Round{got})
+			}
+		})
 	}
 }
 
