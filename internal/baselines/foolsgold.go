@@ -49,19 +49,9 @@ func (a *FoolsGold) Aggregate(s *fl.ServerCtx, updates []fl.Update) {
 		updates[i].AddScaled(1/float64(n), a.mean)
 	}
 	weights := make([]float64, n)
+	fl.NormsCosines(updates, a.mean, nil, weights)
 	var total float64
-	// The mean's rescaled norm is hoisted out of the similarity loop so
-	// sparse uploads pay O(k) per cosine, not O(d).
-	meanMax := vecmath.MaxAbs(a.mean)
-	var meanNorm float64
-	if meanMax != 0 {
-		meanNorm = vecmath.Norm2Safe(a.mean) / meanMax
-	}
-	for i := range updates {
-		var rho float64
-		if meanMax != 0 {
-			rho = updates[i].CosineWithNorm(a.mean, meanMax, meanNorm)
-		}
+	for i, rho := range weights {
 		if rho < 0 {
 			rho = 0
 		}

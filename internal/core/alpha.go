@@ -27,35 +27,30 @@ import (
 // The updates are read through their payload-aware views: a sparse
 // (top-k) upload contributes its mean mass via an O(k) scatter, its norm
 // over the k kept values (the dropped coordinates are exact zeros), and
-// its inner product via an O(k) gather against the mean — whose own
-// rescaled norm is computed once, not per update. Degenerate uploads
-// (all zero, or magnitudes beyond float64 range) carry no usable
-// geometry and get α = 0.
+// its inner product via an O(k) gather against the mean. The mean's
+// largest magnitude and rescaled square-sum are taken once per round, and
+// a dense update's norm and cosine come from one pass over it
+// (fl.NormsCosines). Degenerate uploads (all zero, or magnitudes beyond
+// float64 range) carry no usable geometry and get α = 0.
 func computeAlphasUpdates(updates []fl.Update, mean, norms, out []float64) {
 	n := len(updates)
 	if n == 0 {
 		return
 	}
 	vecmath.Zero(mean)
-	var normSum float64
 	for i := range updates {
 		updates[i].AddScaled(1/float64(n), mean)
-		norms[i] = updates[i].Norm()
-		normSum += norms[i]
 	}
-	meanMax := vecmath.MaxAbs(mean)
-	var meanNorm float64
-	if meanMax != 0 && !math.IsInf(meanMax, 0) {
-		meanNorm = vecmath.Norm2Safe(mean) / meanMax
+	// out holds the cosines until the α overwrite them.
+	fl.NormsCosines(updates, mean, norms, out)
+	var normSum float64
+	for _, v := range norms {
+		normSum += v
 	}
-	for i := range updates {
+	for i, cosine := range out {
 		if normSum == 0 || math.IsInf(normSum, 0) || math.IsNaN(normSum) {
 			out[i] = 0
 			continue
-		}
-		var cosine float64
-		if meanMax != 0 {
-			cosine = updates[i].CosineWithNorm(mean, meanMax, meanNorm)
 		}
 		if cosine < 0 {
 			cosine = 0

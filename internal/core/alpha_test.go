@@ -98,9 +98,12 @@ func refAlphas(deltas [][]float64) []float64 {
 	return alphas
 }
 
-// oracleRounds draws Eq. (7) rounds: random Normal deltas, then the
-// degenerate shapes — every update zero, some updates zero, and ±Inf, NaN
-// and huge coordinates planted in one update.
+// oracleRounds draws Eq. (7) rounds: random Normal deltas, the update
+// counts the paired pass splits differently (1, 2, 3, 20 and 21, so a
+// round ends on a pair or on one unpaired update) at lengths around the
+// kernel strides and at the adult MLP's d, then the degenerate shapes —
+// every update zero, some updates zero, and ±Inf, NaN and huge
+// coordinates planted in one update.
 func oracleRounds() [][][]float64 {
 	r := rng.New(17)
 	var rounds [][][]float64
@@ -117,9 +120,18 @@ func oracleRounds() [][][]float64 {
 	for trial := 0; trial < 300; trial++ {
 		rounds = append(rounds, draw(1+r.IntN(12), 1+r.IntN(40)))
 	}
+	for _, n := range []int{1, 2, 3, 20, 21} {
+		for _, d := range []int{1, 7, 8, 9, 33, 1354} {
+			rounds = append(rounds, draw(n, d))
+		}
+	}
 	for _, plant := range []float64{0, math.Inf(1), math.Inf(-1), math.NaN(), 1e300, -1e308} {
-		for trial := 0; trial < 20; trial++ {
-			deltas := draw(2+r.IntN(8), 2+r.IntN(30))
+		for trial := 0; trial < 24; trial++ {
+			n := 2 + r.IntN(8)
+			if trial >= 20 {
+				n = []int{1, 3, 20, 21}[trial-20]
+			}
+			deltas := draw(n, 2+r.IntN(30))
 			if plant == 0 && trial%2 == 0 {
 				for _, d := range deltas {
 					vecmath.Zero(d)
@@ -136,22 +148,31 @@ func oracleRounds() [][][]float64 {
 	return rounds
 }
 
-// TestComputeAlphasMatchesOracle holds Eq. (7)'s production path to
-// refAlphas: dense uploads bit for bit, top-k uploads (the payload-aware
-// scatter, norm and gather) within 1e-12 of the oracle run on their
-// decoded dense deltas.
-func TestComputeAlphasMatchesOracle(t *testing.T) {
-	r := rng.New(23)
-	for ri, deltas := range oracleRounds() {
-		want := refAlphas(deltas)
-		if got := computeAlphasFor(deltas); !bitsEqual(got, want) {
-			t.Fatalf("round %d, dense: got %v, want %v (deltas %v)", ri, got, want, deltas)
-		}
-		// Keep k of d coordinates of each upload; the decoded delta is the
-		// dense vector with the rest zeroed, as a top-k upload arrives.
-		updates := make([]fl.Update, len(deltas))
-		decoded := make([][]float64, len(deltas))
-		for i, d := range deltas {
+// Upload forms of a mixed buffer: the paired pass reads dense and int8
+// uploads through their dense deltas, top-k uploads through their kept
+// values.
+const (
+	formDense = iota
+	formInt8
+	formTopK
+)
+
+// uploads wraps one round's deltas as updates of the given forms (form(i)
+// for update i) with clients drawn by client(i). A top-k upload keeps
+// about a third of its coordinates, and its delta is the decoded dense
+// vector with the rest zeroed, as a top-k upload arrives; an int8 upload
+// carries its payload beside its delta, which Eq. (7) reads. decoded
+// returns the dense deltas the updates stand for.
+func uploads(r *rng.RNG, deltas [][]float64, form, client func(i int) int) (updates []fl.Update, decoded [][]float64) {
+	updates = make([]fl.Update, len(deltas))
+	decoded = make([][]float64, len(deltas))
+	for i, d := range deltas {
+		decoded[i] = d
+		updates[i] = fl.Update{Client: client(i), Delta: d}
+		switch form(i) {
+		case formInt8:
+			updates[i].Payload = &compress.Payload{Form: compress.KindInt8, N: len(d)}
+		case formTopK:
 			p := &compress.Payload{Form: compress.KindTopK, N: len(d)}
 			decoded[i] = make([]float64, len(d))
 			for j, v := range d {
@@ -161,14 +182,51 @@ func TestComputeAlphasMatchesOracle(t *testing.T) {
 					decoded[i][j] = v
 				}
 			}
-			updates[i] = fl.Update{Client: i, Delta: decoded[i], Payload: p}
+			updates[i] = fl.Update{Client: client(i), Delta: decoded[i], Payload: p}
 		}
-		want = refAlphas(decoded)
-		got := make([]float64, len(deltas))
-		computeAlphasUpdates(updates, make([]float64, len(deltas[0])), make([]float64, len(deltas)), got)
-		for i := range got {
-			if !(math.Abs(got[i]-want[i]) <= 1e-12) {
-				t.Fatalf("round %d, top-k client %d: got %v, want %v", ri, i, got[i], want[i])
+	}
+	return updates, decoded
+}
+
+// TestComputeAlphasMatchesOracle holds Eq. (7)'s production path — the
+// fused norm-and-cosine pass over dense updates, two at a time — to
+// refAlphas on three buffers per round: all dense, bit for bit; a buffer
+// that mixes dense, int8 and top-k uploads from clients that repeat (as
+// a buffered async step can hold), bit for bit for the dense and int8
+// entries and within 1e-12 for the top-k ones, whose inner product takes
+// the sparse gather; and all top-k, within 1e-12 — each against the
+// oracle run on the decoded dense deltas.
+func TestComputeAlphasMatchesOracle(t *testing.T) {
+	r := rng.New(23)
+	run := func(updates []fl.Update) []float64 {
+		got := make([]float64, len(updates))
+		computeAlphasUpdates(updates, make([]float64, len(updates[0].Delta)), make([]float64, len(updates)), got)
+		return got
+	}
+	for ri, deltas := range oracleRounds() {
+		want := refAlphas(deltas)
+		if got := computeAlphasFor(deltas); !bitsEqual(got, want) {
+			t.Fatalf("round %d, dense: got %v, want %v (deltas %v)", ri, got, want, deltas)
+		}
+		for _, buf := range []struct {
+			name   string
+			form   func(i int) int
+			client func(i int) int
+		}{
+			{"mixed", func(i int) int { return (i + ri) % 3 }, func(i int) int { return i / 2 }},
+			{"top-k", func(int) int { return formTopK }, func(i int) int { return i }},
+		} {
+			updates, decoded := uploads(r, deltas, buf.form, buf.client)
+			want := refAlphas(decoded)
+			got := run(updates)
+			for i := range got {
+				if buf.form(i) != formTopK {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("round %d, %s buffer, update %d (form %d): got %v, want %v bit for bit", ri, buf.name, i, buf.form(i), got[i], want[i])
+					}
+				} else if !(math.Abs(got[i]-want[i]) <= 1e-12) {
+					t.Fatalf("round %d, %s buffer, top-k update %d: got %v, want %v", ri, buf.name, i, got[i], want[i])
+				}
 			}
 		}
 	}

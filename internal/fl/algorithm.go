@@ -115,12 +115,16 @@ type Update struct {
 	ring *upload
 }
 
+// sparse reports whether the update travels as a top-k payload, whose
+// kept (index, value) pairs the payload-aware views walk instead of Δ_i.
+func (u *Update) sparse() bool { return u.Payload != nil && u.Payload.Sparse() }
+
 // AddScaled accumulates alpha·Δ_i into dst. When the update carries a
 // sparse payload the accumulation scatters the k kept coordinates
 // (vecmath.ScatterAXPY) instead of walking all d, so aggregating a top-k
 // round is O(n·k) server work.
 func (u *Update) AddScaled(alpha float64, dst []float64) {
-	if u.Payload != nil && u.Payload.Sparse() {
+	if u.sparse() {
 		vecmath.ScatterAXPY(alpha, u.Payload.Idx, u.Payload.Val, dst)
 		return
 	}
@@ -132,39 +136,78 @@ func (u *Update) AddScaled(alpha float64, dst []float64) {
 // the dropped coordinates are exact zeros, so the sparse and dense norms
 // agree.
 func (u *Update) Norm() float64 {
-	if u.Payload != nil && u.Payload.Sparse() {
+	if u.sparse() {
 		return vecmath.Norm2Safe(u.Payload.Val)
 	}
 	return vecmath.Norm2Safe(u.Delta)
 }
 
-// CosineWith returns cos(Δ_i, y) under the CosineSimilarity conventions
-// (0 for a degenerate vector, clamped to [−1, 1]). The sparse path costs
-// O(k) beyond y's norm; callers looping over many updates against one
-// reference vector can pass y's precomputed MaxAbs-rescaled norm via
-// CosineWithNorm to stay O(k) per update.
-func (u *Update) CosineWith(y []float64) float64 {
-	if u.Payload == nil || !u.Payload.Sparse() {
-		return vecmath.CosineSimilarity(u.Delta, y)
+// NormsCosines writes every update's Norm into norms (unless norms is nil)
+// and its cosine similarity with y into cos, under the CosineSimilarity
+// conventions: the geometry Eq. (7) and FoolsGold read. y's largest
+// magnitude and rescaled square-sum are taken once. A dense update costs
+// one pass over Δ_i for both values (vecmath.CosineRef), two dense updates
+// share each loop with their add chains interleaved, and a top-k upload
+// costs O(k) (sparseCosine).
+func NormsCosines(updates []Update, y, norms, cos []float64) {
+	ref := vecmath.NewCosineRef(y)
+	my, ny := ref.Max(), ref.ScaledNorm()
+	set := func(i int, n, c float64) {
+		if norms != nil {
+			norms[i] = n
+		}
+		cos[i] = c
 	}
-	my := vecmath.MaxAbs(y)
-	if my == 0 {
-		return 0
-	}
-	return u.CosineWithNorm(y, my, vecmath.Norm2Safe(y)/my)
+	forDensePairs(updates, func(i int) {
+		u := &updates[i]
+		if !u.sparse() {
+			n, c := ref.NormCosine(u.Delta)
+			set(i, n, c)
+			return
+		}
+		var c float64
+		if my != 0 {
+			c = u.sparseCosine(y, my, ny)
+		}
+		set(i, u.Norm(), c)
+	}, func(i, j int) {
+		ni, ci, nj, cj := ref.NormCosinePair(updates[i].Delta, updates[j].Delta)
+		set(i, ni, ci)
+		set(j, nj, cj)
+	})
 }
 
-// CosineWithNorm is CosineWith given y's precomputed largest magnitude
-// my = MaxAbs(y) (non-zero) and rescaled norm ny = ‖y/my‖. The sparse
-// inner product runs through the AVX2 gather kernel (vecmath.GatherDot)
-// and normalizes afterwards; when the raw product overflows, both sides
-// are rescaled by their largest magnitudes first — the same overflow
-// guard CosineSimilarity applies to dense uploads.
-func (u *Update) CosineWithNorm(y []float64, my, ny float64) float64 {
-	p := u.Payload
-	if p == nil || !p.Sparse() {
-		return vecmath.CosineSimilarity(u.Delta, y)
+// forDensePairs hands the dense updates to pair two at a time — equal
+// lengths, so one loop can interleave their reductions — and the rest, the
+// top-k uploads and a last unpaired dense update, to one.
+func forDensePairs(updates []Update, one func(i int), pair func(i, j int)) {
+	held := -1
+	for i := range updates {
+		switch {
+		case updates[i].sparse():
+			one(i)
+		case held < 0:
+			held = i
+		default:
+			pair(held, i)
+			held = -1
+		}
 	}
+	if held >= 0 {
+		one(held)
+	}
+}
+
+// sparseCosine returns cos(Δ_i, y) for a top-k upload in O(k), under the
+// CosineSimilarity conventions (0 for a degenerate vector, clamped to
+// [−1, 1]), given y's largest magnitude my = MaxAbs(y) (non-zero) and
+// rescaled norm ny = ‖y/my‖. The sparse inner product runs through the
+// AVX2 gather kernel (vecmath.GatherDot) and normalizes afterwards; when
+// the raw product overflows, both sides are rescaled by their largest
+// magnitudes first — the same overflow guard CosineSimilarity applies to
+// dense uploads.
+func (u *Update) sparseCosine(y []float64, my, ny float64) float64 {
+	p := u.Payload
 	if ny == 0 || math.IsNaN(ny) {
 		return 0
 	}

@@ -35,7 +35,7 @@ import (
 
 // The magic names the format; a blob of any older format is rejected by
 // the magic check rather than silently misparsed.
-var runCkptMagic = [8]byte{'F', 'L', 'C', 'K', 'P', 'T', '0', '9'}
+var runCkptMagic = [8]byte{'F', 'L', 'C', 'K', 'P', 'T', '1', '0'}
 
 // StatefulAlgorithm is implemented by algorithms that carry cross-round
 // state a checkpoint must capture — control variates (Scaffold), client
@@ -53,13 +53,19 @@ type StatefulAlgorithm interface {
 
 // fingerprint hashes everything a checkpoint must agree on with the
 // scheduler restoring it: the configuration (minus the checkpoint
-// callback), the architecture, the algorithm, and the fleet size.
+// callback), the architecture, the algorithm, and the fleet size. None of
+// them changes after newSchedulerExec, so the hash is taken once per run:
+// printing the configuration walks every device profile, which costs over
+// a thousand allocations on a 200-client fleet.
 func (s *scheduler) fingerprint() uint64 {
-	c := s.cfg
-	c.OnCheckpoint = nil
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v|net=%x|alg=%s|d=%d|n=%d", c, s.env.Net.Fingerprint(), s.alg.Name(), len(s.params), len(s.clients))
-	return h.Sum64()
+	if !s.fpSet {
+		c := s.cfg
+		c.OnCheckpoint = nil
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%+v|net=%x|alg=%s|d=%d|n=%d", c, s.env.Net.Fingerprint(), s.alg.Name(), len(s.params), len(s.clients))
+		s.fp, s.fpSet = h.Sum64(), true
+	}
+	return s.fp
 }
 
 // blob is the retained checkpoint, written by appending: a snapshot
@@ -131,8 +137,8 @@ func (s *scheduler) restore(data []byte, applyRNG bool) error {
 	if err := c.Err(); err != nil {
 		return fmt.Errorf("fl: checkpoint read: %w", err)
 	}
-	if fp != s.fingerprint() {
-		return fmt.Errorf("fl: checkpoint fingerprint %x does not match this run %x (different config, model, or algorithm)", fp, s.fingerprint())
+	if want := s.fingerprint(); fp != want {
+		return fmt.Errorf("fl: checkpoint fingerprint %x does not match this run %x (different config, model, or algorithm)", fp, want)
 	}
 	s.walk(c, &s.startRound, applyRNG)
 	if err := c.Err(); err != nil {
@@ -263,12 +269,15 @@ func (s *scheduler) walk(c *ckpt.Codec, round *int, applyRNG bool) {
 }
 
 // walkFlights covers the async policy's in-flight table: every live
-// flight with its update, and the per-client retry-attempt table. With a
-// codec live an update is stored as its encoded payload alone: the
-// encode step (compress.EncodeEF/EncodeEF32, top-k's fused emit) leaves
-// the delta equal to the payload's decode bit for bit, so the load
-// decodes the payload into the flight's fresh ring entry instead of
-// reading a dense copy. Without a codec the delta is stored.
+// flight with its update, and the per-client retry-attempt table. A
+// failed attempt never delivers — arrivals releases its update unread and
+// re-dispatches the client at its finish — so only its fate, finish and
+// attempt are stored, and on load it gets no ring entry. With a codec
+// live an update is stored as its encoded payload alone: the encode step
+// (compress.EncodeEF/EncodeEF32, top-k's fused emit) leaves the delta
+// equal to the payload's decode bit for bit, so the load decodes the
+// payload into the flight's fresh ring entry instead of reading a dense
+// copy. Without a codec the delta is stored.
 func (s *scheduler) walkFlights(c *ckpt.Codec) {
 	if c.Loading() {
 		if s.pending == nil {
@@ -290,11 +299,14 @@ func (s *scheduler) walkFlights(c *ckpt.Codec) {
 		if !f.live {
 			continue
 		}
+		c.Bool(&f.failed)
+		c.F64(&f.finish)
+		c.Int(&f.attempt)
+		if f.failed {
+			continue
+		}
 		c.Int(&f.version)
 		c.F64(&f.measured)
-		c.F64(&f.finish)
-		c.Bool(&f.failed)
-		c.Int(&f.attempt)
 		c.Bool(&f.dup)
 		if c.Loading() {
 			u := s.pool.getUpload()

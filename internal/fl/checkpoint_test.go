@@ -519,6 +519,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 	f.Add([]byte("FLCKPT05 but then garbage follows the magic bytes here"))
 	f.Add([]byte("FLCKPT07 but then garbage follows the magic bytes here"))
 	f.Add([]byte("FLCKPT08 but then garbage follows the magic bytes here"))
+	f.Add([]byte("FLCKPT09 but then garbage follows the magic bytes here"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = fl.Resume(cfg, alg(), net, shards, test, data)

@@ -260,9 +260,8 @@ func TestTopClassShareMatchesRecount(t *testing.T) {
 }
 
 // TestCheckpointRefusesOldMagic pins the format bump: a blob that carries
-// the previous format's magic (which stored an encoded flight's dense
-// delta beside its payload and fp32 rows as 8-byte words) is refused, not
-// misread.
+// the previous format's magic (which stored a failed async flight's
+// update, payload included) is refused, not misread.
 func TestCheckpointRefusesOldMagic(t *testing.T) {
 	net, shards, test := testSetup(t, 8)
 	cfg := quickConfig()
@@ -274,15 +273,15 @@ func TestCheckpointRefusesOldMagic(t *testing.T) {
 	}
 	cfg.OnCheckpoint = nil
 	blob := slices.Clone(c.at(4))
-	if string(blob[:8]) != "FLCKPT09" {
-		t.Fatalf("magic %q, want FLCKPT09", blob[:8])
+	if string(blob[:8]) != "FLCKPT10" {
+		t.Fatalf("magic %q, want FLCKPT10", blob[:8])
 	}
 	if _, err := fl.Resume(cfg, core.New(core.Recommended()), net, shards, test, blob); err != nil {
 		t.Fatalf("Resume of the current format: %v", err)
 	}
-	copy(blob, "FLCKPT08")
+	copy(blob, "FLCKPT09")
 	_, err := fl.Resume(cfg, core.New(core.Recommended()), net, shards, test, blob)
 	if err == nil || !strings.Contains(err.Error(), "bad magic") {
-		t.Fatalf("Resume of a FLCKPT08 blob: err = %v, want bad magic", err)
+		t.Fatalf("Resume of a FLCKPT09 blob: err = %v, want bad magic", err)
 	}
 }

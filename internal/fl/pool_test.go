@@ -698,12 +698,13 @@ func TestDeltaRingReuse(t *testing.T) {
 }
 
 // TestSnapshotAllocBudget pins what a checkpoint costs once the encode
-// buffers are warm: a fixed overhead (the codec, the fingerprint, the
-// payload scratch) and nothing per rng stream — every cursor is appended
-// into the codec's reused buffer — per recorded round, per in-flight
-// update, or per coordinate. It snapshots fleets of 8 and 32 clients
-// (17 and 65 streams: participation, samplers, quantization) at an early
-// and a late round.
+// buffers are warm: a fixed overhead (the codec, the payload scratch) and
+// nothing per rng stream — every cursor is appended into the codec's
+// reused buffer — per recorded round, per in-flight update, or per
+// coordinate. The configuration's fingerprint is hashed once per run, so
+// after the first snapshot it costs nothing. It snapshots fleets of 8 and
+// 32 clients (17 and 65 streams: participation, samplers, quantization)
+// at an early and a late round.
 func TestSnapshotAllocBudget(t *testing.T) {
 	measure := func(n int) (early, late float64) {
 		net, shards, test := poolSetup(t, n)
@@ -736,15 +737,17 @@ func TestSnapshotAllocBudget(t *testing.T) {
 			return testing.AllocsPerRun(5, snap)
 		}
 		early, late = at(40), at(200)
+		if a := testing.AllocsPerRun(5, func() { s.fingerprint() }); a != 0 {
+			t.Errorf("fingerprint allocated %.0f times after the first snapshot, want 0 (hashed once per run)", a)
+		}
 		t.Logf("%d clients: %.0f allocs per snapshot at round 40, %.0f at round 200 (d=%d)", n, early, late, len(s.params))
 		return early, late
 	}
-	// The slack absorbs fmt's sync.Pool misses in the fingerprint (the race
-	// detector drops pooled items at random). 160 more recorded rounds cost
-	// thousands when a snapshot allocates per round, and 48 more streams
-	// cost 48 when it allocates per cursor. Without the race detector a
-	// snapshot costs 60.
-	const slack, budget = 16, 100
+	// 160 more recorded rounds cost thousands when a snapshot allocates per
+	// round, and 48 more streams cost 48 when it allocates per cursor.
+	// Without the race detector a snapshot costs 11 (60 while every
+	// snapshot printed the configuration for its fingerprint).
+	const slack, budget = 16, 32
 	early8, late8 := measure(8)
 	_, late32 := measure(32)
 	if late8 > early8+slack {

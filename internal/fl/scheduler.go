@@ -118,7 +118,8 @@ type scheduler struct {
 
 	// Checkpoint/restore state: startRound is the first round to execute
 	// (non-zero after a restore); lastCkpt is the newest checkpoint, which
-	// the next snapshot overwrites in place.
+	// the next snapshot overwrites in place, and fp its header's
+	// fingerprint, hashed on the first snapshot or restore (fpSet).
 	// serverCrashed latches the one-shot servercrash fault; recovered and
 	// rollbacks count replayed rounds and divergence rollbacks — they
 	// live outside the checkpointed state so restores cannot erase them.
@@ -128,6 +129,8 @@ type scheduler struct {
 	rollbacks     int
 	lastCkpt      blob
 	lastCkptRound int
+	fp            uint64
+	fpSet         bool
 
 	// interrupt, when non-nil, requests a graceful pause: the round loop
 	// checks it at every round boundary and stops with a final checkpoint

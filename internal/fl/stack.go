@@ -16,7 +16,7 @@ import (
 // around any inner aggregation rule. Per round it
 //
 //  1. computes every update's L2 norm (the payload-aware Update.Norm, so
-//     a sparse round stays O(n·k)),
+//     a sparse round stays O(n·k); updateNorms pairs the dense ones),
 //  2. runs the stage pipeline over (norms, multipliers) — zeroing drops
 //     updates, clipping rescales them in place (both the dense delta and
 //     the sparse payload values, keeping the two views consistent),
@@ -159,10 +159,9 @@ func (a *stackedAlg) Aggregate(s *ServerCtx, updates []Update) {
 // are scaled in place.
 func (a *stackedAlg) applyStages(updates []Update) []Update {
 	n := len(updates)
-	norms := a.norms[:n]
+	norms := updateNorms(updates, a.norms[:n])
 	mult := a.mult[:n]
-	for i := range updates {
-		norms[i] = updates[i].Norm()
+	for i := range mult {
 		mult[i] = 1
 	}
 	for _, st := range a.stages {
@@ -186,6 +185,18 @@ func (a *stackedAlg) applyStages(updates []Update) []Update {
 		a.keptIdx = append(a.keptIdx, i)
 	}
 	return a.kept
+}
+
+// updateNorms writes every update's Norm into norms and returns it. Dense
+// updates go two at a time, their square-sum chains interleaved in one
+// loop (vecmath.Norm2SafePair).
+func updateNorms(updates []Update, norms []float64) []float64 {
+	forDensePairs(updates, func(i int) {
+		norms[i] = updates[i].Norm()
+	}, func(i, j int) {
+		norms[i], norms[j] = vecmath.Norm2SafePair(updates[i].Delta, updates[j].Delta)
+	})
+	return norms
 }
 
 // scaleUpdate rescales an update in place, keeping the dense delta and

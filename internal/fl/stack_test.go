@@ -3,10 +3,14 @@ package fl
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/adversary"
 	"repro/internal/aggstack"
+	"repro/internal/compress"
 	"repro/internal/metrics"
 	"repro/internal/simclock"
 )
@@ -281,7 +285,11 @@ func TestStackedCheckpointResumeBitIdentical(t *testing.T) {
 
 // newFuzzStack builds a wrapped algorithm with the full stack + FedAdam
 // over a tiny environment, for the state-roundtrip fuzz target.
-func newFuzzStack(tb testing.TB) *stackedAlg {
+func newFuzzStack(tb testing.TB) *stackedAlg { return newTestStack(tb, 4, 8) }
+
+// newTestStack builds FedAvg wrapped in zeroing|clip + FedAdam for the
+// given fleet and model size.
+func newTestStack(tb testing.TB, clients, params int) *stackedAlg {
 	tb.Helper()
 	cfg := Config{}
 	var err error
@@ -296,8 +304,157 @@ func newFuzzStack(tb testing.TB) *stackedAlg {
 		tb.Fatal(err)
 	}
 	a := alg.(*stackedAlg)
-	a.Setup(&Env{NumClients: 4, NumParams: 8, Cfg: cfg})
+	a.Setup(&Env{NumClients: clients, NumParams: params, Cfg: cfg})
 	return a
+}
+
+// mixedUpdates draws a buffer of n updates over d coordinates whose forms
+// cycle through dense, int8 and top-k from form0, from clients that
+// repeat (update i comes from client i/2), at lognormal scales with a
+// rare 1e4× outlier, so that zeroing and clipping both engage. A top-k
+// upload keeps about a third of its coordinates; its delta is the
+// decoded dense view.
+func mixedUpdates(r *rand.Rand, n, d, form0 int) []Update {
+	us := make([]Update, n)
+	for i := range us {
+		delta := make([]float64, d)
+		scale := math.Exp(r.NormFloat64())
+		if r.IntN(12) == 0 {
+			scale *= 1e4
+		}
+		for j := range delta {
+			delta[j] = scale * r.NormFloat64()
+		}
+		u := Update{Client: i / 2, Delta: delta, NumSamples: 1 + r.IntN(9)}
+		switch (form0 + i) % 3 {
+		case 1:
+			u.Payload = &compress.Payload{Form: compress.KindInt8, N: d}
+		case 2:
+			p := &compress.Payload{Form: compress.KindTopK, N: d}
+			for j, v := range delta {
+				if r.IntN(3) == 0 {
+					p.Idx = append(p.Idx, int32(j))
+					p.Val = append(p.Val, v)
+				} else {
+					delta[j] = 0
+				}
+			}
+			u.Payload = p
+		}
+		us[i] = u
+	}
+	return us
+}
+
+// cloneUpdates deep-copies a buffer: deltas and payload values, which
+// clipping rescales in place.
+func cloneUpdates(us []Update) []Update {
+	out := slices.Clone(us)
+	for i := range out {
+		out[i].Delta = slices.Clone(us[i].Delta)
+		if p := us[i].Payload; p != nil {
+			q := *p
+			q.Val = slices.Clone(p.Val)
+			out[i].Payload = &q
+		}
+	}
+	return out
+}
+
+// TestStackNormsMatchPerUpdate pins the stack's paired norm pass to the
+// per-update path it replaced: updateNorms equals Update.Norm update by
+// update (bit for bit, NaN as one value) on buffers of 1, 2, 3, 20 and 21
+// mixed dense, int8 and top-k uploads, ±Inf, NaN and 1e300 coordinates
+// included; and over 60 steps of a zeroing|clip stack, whose adaptive
+// bounds carry each step's norms into the next, the multipliers, fates,
+// clip bound and rescaled deltas equal those of a twin stack fed the
+// per-update norms.
+func TestStackNormsMatchPerUpdate(t *testing.T) {
+	const d = 67
+	r := rand.New(rand.NewPCG(61, 67))
+	counts := []int{1, 2, 3, 20, 21}
+	sameBits := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	for step := 0; step < 60; step++ {
+		us := mixedUpdates(r, counts[step%len(counts)], d, step)
+		if step%4 == 3 {
+			u := &us[r.IntN(len(us))]
+			v := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 1e300}[step/4%4]
+			if p := u.Payload; p != nil && p.Sparse() && len(p.Val) > 0 {
+				p.Val[0] = v
+				u.Delta[p.Idx[0]] = v
+			} else {
+				u.Delta[r.IntN(d)] = v
+			}
+		}
+		got := updateNorms(us, make([]float64, len(us)))
+		for i := range us {
+			if want := us[i].Norm(); !sameBits(got[i], want) {
+				t.Fatalf("step %d, update %d of %d (payload %v): paired norm %v, Update.Norm %v", step, i, len(us), us[i].Payload != nil, got[i], want)
+			}
+		}
+	}
+
+	paired, ref := newTestStack(t, 21, d), newTestStack(t, 21, d)
+	var fates [metrics.NumOutcomes]int
+	for step := 0; step < 60; step++ {
+		us := mixedUpdates(r, counts[step%len(counts)], d, step)
+		twin := cloneUpdates(us)
+		kept := paired.applyStages(us)
+
+		n := len(twin)
+		norms, mult := make([]float64, n), make([]float64, n)
+		for i := range twin {
+			norms[i], mult[i] = twin[i].Norm(), 1
+		}
+		var clip float64
+		for _, st := range ref.stages {
+			bound := st.Bound()
+			st.Apply(norms, mult)
+			if st.Kind() == aggstack.StageClipping {
+				clip = bound
+			}
+		}
+		if paired.lastClipNorm != clip {
+			t.Fatalf("step %d: clip bound %v, per-update path %v", step, paired.lastClipNorm, clip)
+		}
+		survivors := 0
+		for i := range twin {
+			if !sameBits(paired.mult[i], mult[i]) {
+				t.Fatalf("step %d, update %d: multiplier %v, per-update path %v", step, i, paired.mult[i], mult[i])
+			}
+			want := metrics.Aggregated
+			switch {
+			case mult[i] == 0:
+				want = metrics.Zeroed
+			case mult[i] != 1:
+				want = metrics.Clipped
+			}
+			if got := paired.fate(i); got != want {
+				t.Fatalf("step %d, update %d: fate %v, per-update path %v", step, i, got, want)
+			}
+			fates[want]++
+			if mult[i] == 0 {
+				continue
+			}
+			survivors++
+			if mult[i] != 1 {
+				scaleUpdate(&twin[i], mult[i])
+			}
+			for j := range twin[i].Delta {
+				if !sameBits(us[i].Delta[j], twin[i].Delta[j]) {
+					t.Fatalf("step %d, update %d, coordinate %d: %v, per-update path %v", step, i, j, us[i].Delta[j], twin[i].Delta[j])
+				}
+			}
+		}
+		if len(kept) != survivors {
+			t.Fatalf("step %d: %d survivors, per-update path %d", step, len(kept), survivors)
+		}
+	}
+	if fates[metrics.Zeroed] == 0 || fates[metrics.Clipped] == 0 {
+		t.Fatalf("the stages never engaged: %d zeroed, %d clipped", fates[metrics.Zeroed], fates[metrics.Clipped])
+	}
 }
 
 // FuzzStackRoundtrip feeds arbitrary bytes to the wrapper's LoadState:

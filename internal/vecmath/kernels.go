@@ -59,6 +59,10 @@ type kernels[F Float] struct {
 	narrow   func(x *float64, y *float32, n int)
 	quantize func(x, u *float64, inv float64, q *int8, n int)
 
+	// maxAbs is MaxAbs over the first n elements (reduce.go), float64
+	// only: the largest |x[i]|, NaN skipped, +0 for none.
+	maxAbs func(x *float64, n int) float64
+
 	// The CNN's per-sample bodies, float64 only. addCol adds v[i] to the n
 	// elements of row i for each of m rows (n a positive multiple of
 	// wide/2), one add per element as the scalar loop does. pool2 is n

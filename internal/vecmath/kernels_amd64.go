@@ -34,6 +34,7 @@ func avxKernels() (k64 kernels[float64], k32 kernels[float32]) {
 		widen:    widenKernel,
 		narrow:   narrowKernel,
 		quantize: quantizeKernel,
+		maxAbs:   maxAbsKernel,
 		addCol:   addColKernel,
 		pool2:    pool2Kernel,
 	}

@@ -135,34 +135,6 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(Dot(x, x))
 }
 
-// Norm2Safe returns the Euclidean norm of x, rescaling by the largest
-// magnitude first so the squared sum cannot overflow. Use it where inputs
-// are not under the caller's control (for example uploaded client deltas).
-func Norm2Safe(x []float64) float64 {
-	m := MaxAbs(x)
-	if m == 0 || math.IsInf(m, 0) {
-		return m
-	}
-	inv := 1 / m
-	var s float64
-	for _, v := range x {
-		sv := v * inv
-		s += sv * sv
-	}
-	return m * math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute element of x (0 for empty x).
-func MaxAbs(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Sum returns the sum of the elements of x.
 func Sum(x []float64) float64 {
 	var s float64
@@ -178,32 +150,6 @@ func Mean(x []float64) float64 {
 		return 0
 	}
 	return Sum(x) / float64(len(x))
-}
-
-// CosineSimilarity returns cos(a, b) = a·b / (||a|| ||b||).
-// When either vector has zero norm the similarity is defined as 0, matching
-// the paper's convention that a degenerate gradient carries no direction.
-// The computation rescales both vectors by their largest magnitude first so
-// the result stays finite even when the raw squared norms would overflow.
-func CosineSimilarity(a, b []float64) float64 {
-	checkLen("CosineSimilarity", len(a), len(b))
-	ma, mb := MaxAbs(a), MaxAbs(b)
-	if ma == 0 || mb == 0 {
-		return 0
-	}
-	invA, invB := 1/ma, 1/mb
-	var dot, na, nb float64
-	for i, ai := range a {
-		sa := ai * invA
-		sb := b[i] * invB
-		dot += sa * sb
-		na += sa * sa
-		nb += sb * sb
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return Clamp(dot/(math.Sqrt(na)*math.Sqrt(nb)), -1, 1)
 }
 
 // Clamp returns v limited to the closed interval [lo, hi].

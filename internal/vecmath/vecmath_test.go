@@ -141,7 +141,9 @@ func TestCosineSimilarityBounded(t *testing.T) {
 // TestKernelsAllocFree holds the server-side and GEMM kernels to no
 // allocation per call, the contract the 0-allocs-per-round scheduler
 // builds on: the three GEMM forms at a dense layer's shapes, AXPY at both
-// precisions, the Eq. (7) cosine and the sparse scatter/gather pair.
+// precisions, the Eq. (7) reductions — MaxAbs, the paired norm, the
+// cosine and its fused and paired forms — and the sparse scatter/gather
+// pair.
 func TestKernelsAllocFree(t *testing.T) {
 	r := rng.New(5)
 	const m, k, n, d = 24, 256, 64, 4096
@@ -164,28 +166,20 @@ func TestKernelsAllocFree(t *testing.T) {
 		{"GemmABT", func() { GemmABT(a, c, bm, m, n, k, false) }},
 		{"AXPY", func() { AXPY(0.5, x, y) }},
 		{"AXPY-f32", func() { AXPY(0.5, x32, y32) }},
+		{"MaxAbs", func() { MaxAbs(x) }},
+		{"Norm2SafePair", func() { Norm2SafePair(x, y) }},
 		{"CosineSimilarity", func() { CosineSimilarity(x, y) }},
+		{"NormCosinePair", func() {
+			ref := NewCosineRef(y)
+			ref.NormCosine(x)
+			ref.NormCosinePair(x, y)
+		}},
 		{"ScatterAXPY", func() { ScatterAXPY(0.5, idx, val, y) }},
 		{"GatherDot", func() { GatherDot(idx, val, y) }},
 	} {
 		if allocs := testing.AllocsPerRun(20, tc.op); allocs != 0 {
 			t.Errorf("%s allocates %v times per call", tc.name, allocs)
 		}
-	}
-}
-
-// BenchmarkCosineSimilarity measures the Eq. (7) direction factor.
-func BenchmarkCosineSimilarity(b *testing.B) {
-	r := rng.New(3)
-	x := make([]float64, 4096)
-	y := make([]float64, 4096)
-	for i := range x {
-		x[i] = r.Normal(0, 1)
-		y[i] = r.Normal(0, 1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CosineSimilarity(x, y)
 	}
 }
 
