@@ -168,9 +168,14 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 			return fmt.Errorf("fl: dispatch of %d clients exceeds fleet size %d", k, n)
 		}
 		// The batch trains and uploads uploadBatch clients at a time, so
-		// the server decodes one sub-batch while the next one trains.
-		// Clients are independent (per-client streams and residuals), so
-		// the split is invisible in the results.
+		// the Updates frame and the update buffers hold one sub-batch, not
+		// the whole batch. Nothing makes the server read a sub-batch while
+		// the next one trains: while training keeps every P busy, Go's
+		// scheduler polls the socket only once a P goes idle, and on the
+		// loopback benchmark about half the frames wait for the end of
+		// training (DESIGN.md §11). Clients are independent (per-client
+		// streams and residuals), so the split is invisible in the
+		// results.
 		for lo := 0; lo < k; lo += uploadBatch {
 			ids := m.ids[lo:min(lo+uploadBatch, k)]
 			ups, meas := updates[:len(ids)], measured[:len(ids)]

@@ -36,26 +36,29 @@ func benchBatches(r *rng.RNG, n int) [][]float64 {
 	return bs
 }
 
+// benchConvs are the convolutions the layer benchmarks time, padded by 1:
+// the two of the fmnist CNN as they sit in the model — conv1 first, so
+// without an input gradient — and ResNetLite's stride-2 transition.
+var benchConvs = []struct {
+	name            string
+	in              Shape
+	outC, k, stride int
+	first           bool
+}{
+	{"fmnist-conv1", Shape{C: 1, H: 8, W: 8}, 6, 3, 1, true},
+	{"fmnist-conv2", Shape{C: 6, H: 4, W: 4}, 12, 3, 1, false},
+	{"resnet-transition-s2", Shape{C: 8, H: 8, W: 8}, 16, 3, 2, false},
+}
+
 // BenchmarkConvLayer measures one convolution's forward and backward pass
 // in flops/s of its matrix products (2·outC·K·N per sample forward; dW and,
-// where the layer is not the network's first, dcol backward), at batch 24:
-// the two convolutions of the fmnist CNN as they sit in the model — conv1
-// first, so without an input gradient — and ResNetLite's stride-2
-// transition. Packing, bias, scatter-add and the GemmABT edges are inside
+// where the layer is not the network's first, dcol backward), at batch 24
+// over benchConvs. Packing, bias, col2im and the GemmABT edges are inside
 // the measurement; that is the point. Forward cycles through benchRotate
 // input batches and backward through as many output gradients.
 func BenchmarkConvLayer(b *testing.B) {
-	for _, c := range []struct {
-		name            string
-		in              Shape
-		outC, k, stride int
-		first           bool
-	}{
-		{"fmnist-conv1", Shape{C: 1, H: 8, W: 8}, 6, 3, 1, true},
-		{"fmnist-conv2", Shape{C: 6, H: 4, W: 4}, 12, 3, 1, false},
-		{"resnet-transition-s2", Shape{C: 8, H: 8, W: 8}, 16, 3, 2, false},
-	} {
-		l, err := newConv2D(c.in, c.outC, c.k, c.stride, 1)
+	for _, c := range benchConvs {
+		l, err := newConv2D(c.in, c.outC, c.k, c.stride, 1, !c.first)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,11 +95,41 @@ func BenchmarkConvLayer(b *testing.B) {
 	}
 }
 
-// BenchmarkIm2col tracks the exported patch-packing entry point at the conv
-// shapes of the model zoo. Im2col resolves the geometry into its offset
-// table on every call; a conv layer does that once at construction, so the
-// layer's own packing cost is read from BenchmarkConvLayer.
+// BenchmarkIm2col times the patch packing in ns per patch-matrix element.
+// The layer legs run a conv layer's own packing (im2col over its gather
+// table) and its adjoint (col2im, GatherSum over the transpose) over
+// benchConvs, cycling through benchRotate samples; conv1 has no adjoint.
+// The exported legs time Im2col, which resolves the geometry into its
+// table on every call, at the zoo's residual shapes.
 func BenchmarkIm2col(b *testing.B) {
+	for _, c := range benchConvs {
+		l, err := newConv2D(c.in, c.outC, c.k, c.stride, 1, !c.first)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := rng.New(67)
+		xs := benchBatches(r, l.in.Size())
+		elems := l.patches.Len()
+		col := make([]float64, elems)
+		staged := make([]float64, l.in.Size()+1)
+		b.Run("layer/"+c.name+"/pack", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				im2col(l.patches, col, xs[i%benchRotate], staged)
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/float64(elems), "ns/elem")
+		})
+		if c.first {
+			continue
+		}
+		dcols := benchBatches(r, elems+1)
+		dx := make([]float64, l.in.Size())
+		b.Run("layer/"+c.name+"/adjoint", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				vecmath.GatherSum(dx, dcols[i%benchRotate], l.adjoint)
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/float64(elems), "ns/elem")
+		})
+	}
 	cases := []struct {
 		name                          string
 		inC, inH, inW, k, stride, pad int
@@ -111,7 +144,7 @@ func BenchmarkIm2col(b *testing.B) {
 		outW := (c.inW+2*c.pad-c.k)/c.stride + 1
 		x := benchRand(r, c.inC*c.inH*c.inW)
 		dst := make([]float64, c.inC*c.k*c.k*outH*outW)
-		b.Run(c.name, func(b *testing.B) {
+		b.Run("exported/"+c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				Im2col(dst, x, c.inC, c.inH, c.inW, c.k, c.stride, c.pad, outH, outW)
 			}

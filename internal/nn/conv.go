@@ -17,25 +17,30 @@ import (
 // K×N patch matrix (K = inC·k·k patch rows, N = outH·outW output
 // positions), so the convolution itself is a dense outC×K×N matrix
 // product. Stride and zero padding are resolved once per layer, into the
-// offset table the packing and its adjoint walk.
+// offset table the packing gathers over and, for a layer whose input
+// gradient is read, its transpose, which the adjoint gathers over.
 type conv2d struct {
 	in          Shape
 	out         Shape
 	outC        int
 	k           int
 	stride, pad int
-	patches     patchTable
+	patches     vecmath.GatherTable
+	adjoint     vecmath.SumTable // zero for the network's first layer
 }
 
 // Conv2D appends a convolution with outC output channels, k×k kernels, the
 // given stride, and symmetric zero padding pad.
 func (b *Builder) Conv2D(outC, k, stride, pad int) *Builder {
 	in := b.cur()
-	l, err := newConv2D(in, outC, k, stride, pad)
+	l, err := newConv2D(in, outC, k, stride, pad, len(b.layers) > 0)
 	return b.add(l, err)
 }
 
-func newConv2D(in Shape, outC, k, stride, pad int) (*conv2d, error) {
+// newConv2D builds the layer and its packing table, and the table's
+// transpose when inputGrad is set: only a layer after the first has its
+// input gradient read.
+func newConv2D(in Shape, outC, k, stride, pad int, inputGrad bool) (*conv2d, error) {
 	if outC <= 0 || k <= 0 || stride <= 0 || pad < 0 {
 		return nil, fmt.Errorf("nn: Conv2D(outC=%d, k=%d, stride=%d, pad=%d) invalid", outC, k, stride, pad)
 	}
@@ -44,15 +49,19 @@ func newConv2D(in Shape, outC, k, stride, pad int) (*conv2d, error) {
 	if oh <= 0 || ow <= 0 {
 		return nil, fmt.Errorf("nn: Conv2D kernel %d does not fit input %v with stride %d pad %d", k, in, stride, pad)
 	}
-	return &conv2d{
+	l := &conv2d{
 		in:      in,
 		out:     Shape{C: outC, H: oh, W: ow},
 		outC:    outC,
 		k:       k,
 		stride:  stride,
 		pad:     pad,
-		patches: newPatchTable(in.C, in.H, in.W, k, stride, pad, oh, ow),
-	}, nil
+		patches: vecmath.NewGatherTable(newPatchTable(in.C, in.H, in.W, k, stride, pad, oh, ow)),
+	}
+	if inputGrad {
+		l.adjoint = l.patches.Adjoint(in.Size())
+	}
+	return l, nil
 }
 
 func (l *conv2d) name() string    { return "conv2d" }
@@ -73,20 +82,18 @@ func (l *conv2d) initParams(params []float64, r *rng.RNG) {
 	vecmath.Zero(params[nw:])
 }
 
-// patchTable is the im2col lowering of one convolution geometry, resolved
-// once: entry r·N+p is the offset within a sample's input volume
+// newPatchTable is the im2col lowering of one convolution geometry,
+// resolved once: entry r·N+p is the offset within a sample's input volume
 // (inC×inH×inW, row-major) that patch row r = (ic·k+ky)·k+kx reads at
 // output position p = oy·outW+ox. A tap that falls in the zero padding
 // holds the volume's size, one past its last element. Stride and padding
-// cost nothing per call, and because the table is walked front to back
-// both the packing and its adjoint touch elements in the order of the
-// definition — row by row, position by position — which fixes the order of
-// every sum col2im forms. It depends on the geometry only, so one table
-// serves every engine at either precision.
-type patchTable []int32
-
-func newPatchTable(inC, inH, inW, k, stride, pad, outH, outW int) patchTable {
-	t := make(patchTable, 0, inC*k*k*outH*outW)
+// cost nothing per call. The adjoint's transpose lists the entries that
+// read each input element in ascending order, the order of the definition
+// — row by row, position by position — which fixes the order of every sum
+// col2im forms. The table depends on the geometry only, so one serves every
+// engine at either precision.
+func newPatchTable(inC, inH, inW, k, stride, pad, outH, outW int) []int32 {
+	t := make([]int32, 0, inC*k*k*outH*outW)
 	padding := int32(inC * inH * inW)
 	for ic := 0; ic < inC; ic++ {
 		for ky := 0; ky < k; ky++ {
@@ -110,32 +117,10 @@ func newPatchTable(inC, inH, inW, k, stride, pad, outH, outW int) patchTable {
 
 // im2col writes the K×N patch matrix of the sample x into dst. staged, one
 // element longer than x, receives x followed by a zero, so that padding
-// taps gather like any other and the loop has no branch to mispredict.
-// Kept out of line: inlined into convForward the loop spills its counter
-// and both bases to the stack on every element.
-//
-//go:noinline
-func im2col[F Float](t patchTable, dst, x, staged []F) {
+// taps gather like any other and the gather has no branch.
+func im2col[F Float](t vecmath.GatherTable, dst, x, staged []F) {
 	staged[copy(staged, x)] = 0
-	dst = dst[:len(t)]
-	for i, off := range t {
-		dst[i] = staged[off]
-	}
-}
-
-// col2im is the adjoint of im2col: it scatter-adds the K×N patch-gradient
-// matrix dcol into the input-gradient volume dx, which the caller must
-// have zeroed. Taps that read padding contribute nothing. Out of line for
-// the same reason as im2col.
-//
-//go:noinline
-func col2im[F Float](t patchTable, dx, dcol []F) {
-	dcol = dcol[:len(t)]
-	for i, off := range t {
-		if int(off) < len(dx) {
-			dx[off] += dcol[i]
-		}
-	}
+	vecmath.Gather(dst[:t.Len()], staged, t)
 }
 
 // Im2col packs one sample's activation volume (inC×inH×inW, row-major)
@@ -147,7 +132,8 @@ func col2im[F Float](t patchTable, dx, dcol []F) {
 // layer does so once, at construction.
 func Im2col[F Float](dst, x []F, inC, inH, inW, k, stride, pad, outH, outW int) {
 	x = x[:inC*inH*inW]
-	im2col(newPatchTable(inC, inH, inW, k, stride, pad, outH, outW), dst, x, make([]F, len(x)+1))
+	t := vecmath.NewGatherTable(newPatchTable(inC, inH, inW, k, stride, pad, outH, outW))
+	im2col(t, dst, x, make([]F, len(x)+1))
 }
 
 func convForward[F Float](l *conv2d, params, x, y []F, batch int, sc *scratch[F]) {
@@ -183,8 +169,9 @@ func convBackward[F Float](l *conv2d, params, dy, dx, dparams []F, batch int, sc
 	cols := sc.colBuf(batch * kp * n) // packed by the preceding forward
 	var dcol []F
 	if dx != nil {
-		dcol = sc.floatBuf(kp * n)
-		vecmath.Zero(dx[:batch*inSize])
+		// One element past the K×N matrix: the zero slot the adjoint's
+		// padding slots read.
+		dcol = sc.floatBuf(kp*n + 1)
 	}
 	for s := 0; s < batch; s++ {
 		col := cols[s*kp*n : (s+1)*kp*n]
@@ -192,14 +179,13 @@ func convBackward[F Float](l *conv2d, params, dy, dx, dparams []F, batch int, sc
 		// dW += dY·colᵀ (outC×N · N×K).
 		vecmath.GemmABT(dw, dys, col, l.outC, n, kp, true)
 		// db[oc] += Σ over output positions of dY[oc].
-		for oc := 0; oc < l.outC; oc++ {
-			db[oc] += sumF(dys[oc*n : (oc+1)*n])
-		}
+		addRowSums(db, dys, n)
 		if dx == nil {
 			continue
 		}
-		// dcol = Wᵀ·dY (K×outC · outC×N), then scatter back to dX.
-		vecmath.GemmATB(dcol, w, dys, l.outC, kp, n, false)
-		col2im(l.patches, dx[s*inSize:(s+1)*inSize], dcol)
+		// dcol = Wᵀ·dY (K×outC · outC×N), then col2im: each dX element
+		// is set to the sum of the dcol entries that read it.
+		vecmath.GemmATB(dcol[:kp*n], w, dys, l.outC, kp, n, false)
+		vecmath.GatherSum(dx[s*inSize:(s+1)*inSize], dcol, l.adjoint)
 	}
 }

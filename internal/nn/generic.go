@@ -85,6 +85,34 @@ func sumF[F Float](x []F) F {
 	return s
 }
 
+// addRowSums adds the sum of each n-element row of a to the matching
+// element of dst, dst[r] += sumF(a[r·n:(r+1)·n]), taking four rows per
+// loop. Each row's chain starts at +0 and runs in index order, as sumF's
+// does; only which chains share a loop changes.
+func addRowSums[F Float](dst, a []F, n int) {
+	r := 0
+	for ; r+4 <= len(dst); r += 4 {
+		a0 := a[r*n : (r+1)*n]
+		a1 := a[(r+1)*n : (r+2)*n][:len(a0)]
+		a2 := a[(r+2)*n : (r+3)*n][:len(a0)]
+		a3 := a[(r+3)*n : (r+4)*n][:len(a0)]
+		var s0, s1, s2, s3 F
+		for i, v := range a0 {
+			s0 += v
+			s1 += a1[i]
+			s2 += a2[i]
+			s3 += a3[i]
+		}
+		dst[r] += s0
+		dst[r+1] += s1
+		dst[r+2] += s2
+		dst[r+3] += s3
+	}
+	for ; r < len(dst); r++ {
+		dst[r] += sumF(a[r*n : (r+1)*n])
+	}
+}
+
 // Scalar transcendentals evaluate in float64 and round once to F: for
 // F=float64 the conversions are identities, so the float64 path is
 // unchanged; for F=float32 one correctly-rounded narrowing replaces a

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/vecmath"
 )
 
 // im2colNaive is the reference packing: walk every (row, position) pair
@@ -79,11 +80,12 @@ func TestCol2imAdjoint(t *testing.T) {
 	n := outH * outW
 
 	x := randInput(r, inC*inH*inW)
-	u := randInput(r, kp*n)
+	u := randInput(r, kp*n+1) // the last element is the adjoint's zero slot
 	col := make([]float64, kp*n)
 	Im2col(col, x, inC, inH, inW, k, stride, pad, outH, outW)
 	back := make([]float64, inC*inH*inW)
-	col2im(newPatchTable(inC, inH, inW, k, stride, pad, outH, outW), back, u)
+	table := vecmath.NewGatherTable(newPatchTable(inC, inH, inW, k, stride, pad, outH, outW))
+	vecmath.GatherSum(back, u, table.Adjoint(len(back)))
 
 	var lhs, rhs float64
 	for i := range col {

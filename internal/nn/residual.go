@@ -24,11 +24,11 @@ type residualBlock struct {
 // input shape.
 func (b *Builder) Residual() *Builder {
 	in := b.cur()
-	c1, err := newConv2D(in, in.C, 3, 1, 1)
+	c1, err := newConv2D(in, in.C, 3, 1, 1, true)
 	if err != nil {
 		return b.add(nil, fmt.Errorf("nn: Residual: %w", err))
 	}
-	c2, err := newConv2D(in, in.C, 3, 1, 1)
+	c2, err := newConv2D(in, in.C, 3, 1, 1, true)
 	if err != nil {
 		return b.add(nil, fmt.Errorf("nn: Residual: %w", err))
 	}

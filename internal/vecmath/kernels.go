@@ -69,6 +69,13 @@ type kernels[F Float] struct {
 	// blocks of the 2×2 max-pool (pool.go).
 	addCol func(a, v *F, m, n int)
 	pool2  func(x, y *F, arg *int, lanes *[4]int, inW, n int)
+
+	// The convolution's packing and its adjoint (gather.go), float64 only.
+	// gather sets dst[i] = src[idx[i]] for i < n, n a positive multiple of
+	// four. gatherSum sums n blocks of four outputs over a SumTable's
+	// lane-interleaved rows, each lane from +0 in slot order.
+	gather    func(dst, src *F, idx *int32, n int)
+	gatherSum func(dst, src *F, rows *int32, slots, n int)
 }
 
 // kernelsFor returns the table of the instantiating precision.

@@ -37,6 +37,9 @@ func avxKernels() (k64 kernels[float64], k32 kernels[float32]) {
 		maxAbs:   maxAbsKernel,
 		addCol:   addColKernel,
 		pool2:    pool2Kernel,
+
+		gather:    gatherKernel,
+		gatherSum: gatherSumKernel,
 	}
 	k32 = kernels[float32]{
 		wide:      16,

@@ -142,8 +142,9 @@ func TestCosineSimilarityBounded(t *testing.T) {
 // allocation per call, the contract the 0-allocs-per-round scheduler
 // builds on: the three GEMM forms at a dense layer's shapes, AXPY at both
 // precisions, the Eq. (7) reductions — MaxAbs, the paired norm, the
-// cosine and its fused and paired forms — and the sparse scatter/gather
-// pair.
+// cosine and its fused and paired forms — the sparse scatter/gather pair,
+// and the convolution's packing and its adjoint at ResNetLite's stride-2
+// transition.
 func TestKernelsAllocFree(t *testing.T) {
 	r := rng.New(5)
 	const m, k, n, d = 24, 256, 64, 4096
@@ -157,6 +158,10 @@ func TestKernelsAllocFree(t *testing.T) {
 	x32, y32 := make([]float32, d), make([]float32, d)
 	Narrow(x32, x)
 	idx, val, _ := sparseCase(r, d, d/100, false)
+	conv, size, _ := convTable(8, 8, 8, 3, 2, 1)
+	patches := NewGatherTable(conv)
+	adjoint := patches.Adjoint(size)
+	col, dcol, dx := make([]float64, len(conv)), make([]float64, len(conv)+1), make([]float64, size)
 	for _, tc := range []struct {
 		name string
 		op   func()
@@ -176,6 +181,8 @@ func TestKernelsAllocFree(t *testing.T) {
 		}},
 		{"ScatterAXPY", func() { ScatterAXPY(0.5, idx, val, y) }},
 		{"GatherDot", func() { GatherDot(idx, val, y) }},
+		{"Gather", func() { Gather(col, x[:size+1], patches) }},
+		{"GatherSum", func() { GatherSum(dx, dcol, adjoint) }},
 	} {
 		if allocs := testing.AllocsPerRun(20, tc.op); allocs != 0 {
 			t.Errorf("%s allocates %v times per call", tc.name, allocs)
