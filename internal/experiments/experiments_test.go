@@ -428,11 +428,14 @@ func stripPrior(text string) string {
 // TestRendersDifferFromParentOnlyByPrior: once its ≡ markers and prior
 // notes are stripped, every committed render without wall-clock columns
 // reads as it did before the notes existed. The FNV-1a hashes are of the
-// stripped texts as committed just before the prior notes were added.
+// stripped texts as committed just before the prior notes were added,
+// except the two faults renders': their hand-written expectation gave way
+// to computed observed: notes, and the quick-scale async column moved when
+// failed async attempts stopped training (CHANGES.md).
 func TestRendersDifferFromParentOnlyByPrior(t *testing.T) {
 	want := map[string]string{
 		"bench/compression.txt": "6cc439d861965c48",
-		"bench/faults.txt":      "4d36eef2cbcfb92e",
+		"bench/faults.txt":      "54cb58620f721a35",
 		"bench/fedopt.txt":      "12d67ab320552824",
 		"bench/fig2.txt":        "0ba104a423211e5a",
 		"bench/fig4.txt":        "b070f7043acf0001",
@@ -449,7 +452,7 @@ func TestRendersDifferFromParentOnlyByPrior(t *testing.T) {
 		"bench/table7.txt":      "3649bdeba88d9347",
 		"bench/table8.txt":      "43377b74e45cd418",
 		"compression.txt":       "7e8579888f643a4b",
-		"faults.txt":            "2934f6faa3b73947",
+		"faults.txt":            "3ae50a92692b5d9b",
 		"robustness.txt":        "fe094347e5a9b7a3",
 		"straggler.txt":         "5c114b9ed7ef647c",
 	}

@@ -33,6 +33,10 @@ type Grid struct {
 	Tail    func(row []*Cell) []string
 	Figures func(row []*Cell) []Artifact
 	Notes   []string
+	// Observe, when set, computes notes from the cells, after Notes: what
+	// the grid shows, where a hand-written note could only say what was
+	// expected. rows holds each table row's levels.
+	Observe func(rows [][]Level, cells [][]*Cell) []string
 }
 
 // roundBudgets is the round budget at each scale of the grids listed by
@@ -81,21 +85,30 @@ type prior struct {
 	n      float64
 }
 
-// pct is report.Pct of a round's accuracy, marked ≡ when that round's
-// model scores as a one-class predictor within one test sample: its most
-// predicted class takes all test predictions but at most one, and its
-// accuracy lies within one sample of some class's share.
+// pct is report.Pct of a round's accuracy, marked ≡ when atPrior.
 func (c *Cell) pct(rec metrics.Round) string {
 	c.shown = true
-	n := c.prior.n
-	if math.Abs(math.Round(rec.TopClassShare*n)-n) <= 1 {
-		for _, k := range c.prior.counts {
-			if math.Abs(math.Round(rec.Accuracy*n)-float64(k)) <= 1 {
-				return report.Pct(rec.Accuracy) + "≡"
-			}
-		}
+	if c.atPrior(rec) {
+		return report.Pct(rec.Accuracy) + "≡"
 	}
 	return report.Pct(rec.Accuracy)
+}
+
+// atPrior reports whether a round's model scores as a one-class predictor
+// within one test sample: its most predicted class takes all test
+// predictions but at most one, and its accuracy lies within one sample of
+// some class's share.
+func (c *Cell) atPrior(rec metrics.Round) bool {
+	n := c.prior.n
+	if math.Abs(math.Round(rec.TopClassShare*n)-n) > 1 {
+		return false
+	}
+	for _, k := range c.prior.counts {
+		if math.Abs(math.Round(rec.Accuracy*n)-float64(k)) <= 1 {
+			return true
+		}
+	}
+	return false
 }
 
 // final is the run's last round record, and best the first one at its
@@ -180,6 +193,9 @@ func (g *Grid) Run(r *Runner) ([]Artifact, error) {
 			line = append(line, g.Tail(row)...)
 		}
 		t.AddRow(line...)
+	}
+	if g.Observe != nil {
+		t.Notes = append(slices.Clip(t.Notes), g.Observe(rows, cells)...)
 	}
 	t.Notes = append(slices.Clip(t.Notes), priorNotes(cells)...)
 	return append(out, t), nil

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"strings"
 
 	"repro/internal/adversary"
 	"repro/internal/aggstack"
@@ -110,11 +112,55 @@ var faults = &Grid{
 		"never received; retry: re-dispatches the retry/backoff machinery issued.",
 		"crash20 and drop20 coincide by construction: both consume the dispatch's",
 		"modeled time and deliver nothing, and equal fracs draw identical outcomes from",
-		"the same per-client fault stream. Expected shape: the retry budget recovers",
-		"most transient faults and quorum keeps sub-cohort rounds honest instead of",
-		"silent; correction-tracking methods (TACO) are more sensitive to thinned",
-		"cohorts than plain averaging — a lost update biases the correction estimate —",
-		"while Scaffold's per-client control variates hold up."},
+		"the same per-client fault stream."},
+	Observe: faultsObserved,
+}
+
+// faultsObserved states, per policy, the best method at each fault level
+// (ties joined by =, "all" when every method ties, ≡ when the best cell
+// is at the prior), the cells at the prior, and the failed flights the
+// runs settled: retried attempts plus retry chains that ran out.
+func faultsObserved(rows [][]Level, cells [][]*Cell) (notes []string) {
+	score := func(c *Cell) float64 {
+		if c.Run.Diverged {
+			return math.Inf(-1)
+		}
+		return c.Run.FinalAccuracy()
+	}
+	for j, top := range cells[0] {
+		var levels []string
+		atPrior, failed := 0, 0
+		for i := 0; i < len(cells); {
+			level, n := rows[i][0].Label, 0
+			var best []string
+			var lead *Cell
+			for ; i < len(cells) && rows[i][0].Label == level; i, n = i+1, n+1 {
+				c := cells[i][j]
+				if !c.Run.Diverged && c.atPrior(c.final()) {
+					atPrior++
+				}
+				failed += c.Run.Total(metrics.Retried) + c.Run.Total(metrics.FaultDropped)
+				switch {
+				case lead == nil || score(c) > score(lead):
+					lead, best = c, []string{c.Method}
+				case score(c) == score(lead):
+					best = append(best, c.Method)
+				}
+			}
+			names := strings.Join(best, "=")
+			if len(best) == n {
+				names = "all"
+			}
+			if !lead.Run.Diverged && lead.atPrior(lead.final()) {
+				names += "≡"
+			}
+			levels = append(levels, level+" "+names)
+		}
+		notes = append(notes,
+			fmt.Sprintf("observed: %v best: %s", top.Config.Policy, strings.Join(levels, ", ")),
+			fmt.Sprintf("observed: %v: %d/%d cells at the prior; %d failed flights settled", top.Config.Policy, atPrior, len(cells), failed))
+	}
+	return notes
 }
 
 // faultMix injects the failures of a -fault flag spec (fault.ParseFaults).

@@ -270,8 +270,7 @@ func (s *scheduler) walk(c *ckpt.Codec, round *int, applyRNG bool) {
 
 // walkFlights covers the async policy's in-flight table: every live
 // flight with its update, and the per-client retry-attempt table. A
-// failed attempt never delivers — arrivals releases its update unread and
-// re-dispatches the client at its finish — so only its fate, finish and
+// failed attempt trained nothing (dispatch), so only its fate, finish and
 // attempt are stored, and on load it gets no ring entry. With a codec
 // live an update is stored as its encoded payload alone: the encode step
 // (compress.EncodeEF/EncodeEF32, top-k's fused emit) leaves the delta

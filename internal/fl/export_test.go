@@ -1,6 +1,9 @@
 package fl
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -77,6 +80,99 @@ func RestoredFlights(cfg Config, alg Algorithm, net *nn.Network, shards []*datas
 	}
 	return live, nil
 }
+
+// RunFailedEnds is Run that also counts the failed async flights that
+// ended Abandoned or ExpelledInFlight, outcomes a delivered flight can end
+// in too. The pending table tells them apart at the run's end: an
+// abandoned one is still live and not deferred, and one expelled in
+// flight was consumed and never replaced, since nothing re-dispatches an
+// expelled client.
+func RunFailedEnds(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.Dataset, test *dataset.Dataset) (*Result, int, error) {
+	s, err := newScheduler(cfg, alg, net, shards, test)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer s.exec.close()
+	if err := s.runAll(false); err != nil {
+		return nil, 0, err
+	}
+	ends := 0
+	for id := range s.pending {
+		if f := &s.pending[id]; f.failed && (f.live && !f.deferred || !f.live && !s.active[id]) {
+			ends++
+		}
+	}
+	return s.result(), ends, nil
+}
+
+// AsyncProbe is an in-process async scheduler stopped between server
+// steps, whose clients a test dispatches by hand.
+type AsyncProbe struct{ s *scheduler }
+
+// NewAsyncProbe builds cfg's scheduler and runs its first steps server
+// steps. Close stops it.
+func NewAsyncProbe(cfg Config, alg Algorithm, net *nn.Network, shards []*dataset.Dataset, test *dataset.Dataset, steps int) (*AsyncProbe, error) {
+	s, err := newScheduler(cfg, alg, net, shards, test)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.setupAsync(); err != nil {
+		s.exec.close()
+		return nil, err
+	}
+	for t := range steps {
+		if _, err := s.asyncStep(t); err != nil {
+			s.exec.close()
+			return nil, err
+		}
+	}
+	return &AsyncProbe{s}, nil
+}
+
+// Dispatch replaces client id's flight with a new dispatch at the
+// scheduler's clock, queued on the pool when later is set, joins its
+// round and releases its update. It reports whether the attempt failed.
+func (p *AsyncProbe) Dispatch(id int, later bool) (failed bool) {
+	s := p.s
+	f := &s.pending[id]
+	s.exec.settleOne(&f.update, nil)
+	s.exec.release(&f.update)
+	s.oneID[0] = id
+	s.dispatch(s.oneID[:1], s.now, later)
+	s.exec.settleOne(&f.update, &f.measured)
+	s.exec.release(&f.update)
+	return f.failed
+}
+
+// State returns client id's sampler and quantization stream cursors and
+// error-feedback residual bits, then the algorithm's saved state, when
+// it has one.
+func (p *AsyncProbe) State(id int) ([]byte, error) {
+	s := p.s
+	out, err := s.clients[id].sampler.Stream().AppendBinary(nil)
+	if err != nil {
+		return nil, err
+	}
+	if comp := s.pool.comp; comp != nil {
+		if out, err = comp.streams[id].AppendBinary(out); err != nil {
+			return nil, err
+		}
+		for _, v := range comp.resid[id] {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+		}
+	}
+	if sa, ok := s.alg.(StatefulAlgorithm); ok {
+		var b bytes.Buffer
+		if err := sa.SaveState(&b); err != nil {
+			return nil, err
+		}
+		out = append(out, b.Bytes()...)
+	}
+	return out, nil
+}
+
+// Close stops the probe's pool.
+func (p *AsyncProbe) Close() { p.s.exec.close() }
 
 // naiveEval recounts a model's test accuracy and top-class share over
 // Engine.Predict, one batch after another, with the evaluation's batch

@@ -178,7 +178,7 @@ func (s *scheduler) resolveDispatch(id int, at float64) dispatchOutcome {
 // the then-current model — so only a single attempt is drawn here;
 // attempt is its 0-based position in the client's retry chain. failed
 // marks a crashed, dropped or timed-out attempt, whose finish is the
-// server's timeout expiry and whose computed update is discarded; dup
+// server's timeout expiry and which trains nothing (dispatch); dup
 // marks a delivery the uplink duplicated.
 type asyncOutcome struct {
 	failed  bool

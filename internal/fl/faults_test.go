@@ -1,6 +1,7 @@
 package fl_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -39,6 +40,56 @@ func TestFaultDeterminismAcrossParallelism(t *testing.T) {
 				sameRounds(t, one.Run.Rounds, eight.Run.Rounds)
 			})
 		}
+	}
+}
+
+// TestAsyncFailedAttemptTrainsNothing pins that an async dispatch
+// resolves its attempt before anything trains: a crashed or dropped
+// attempt leaves its client's sampler cursor, int8 stream cursor, EF
+// residual and Scaffold control variates bit-identical, while a delivered
+// one moves them. The probe stops a Scaffold run after three server steps,
+// so the residuals and c_i are live, and re-dispatches every client ten
+// times, eagerly and queued on the pool.
+func TestAsyncFailedAttemptTrainsNothing(t *testing.T) {
+	net, shards, test := testSetup(t, 8)
+	cfg := policyConfig(t, fl.PolicyAsync, 11)
+	faults, err := fault.ParseFaults("crash:0.3,drop:0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults, cfg.Compress, cfg.Parallelism = faults, compress.Spec{Kind: compress.KindInt8, Chunk: 64}, 2
+	probe, err := fl.NewAsyncProbe(cfg, baselines.NewScaffold(1), net, shards, test, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Close()
+	failed, delivered := 0, 0
+	for i := range 80 {
+		id := i % 8
+		before, err := probe.State(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fail := probe.Dispatch(id, i%16 >= 8)
+		after, err := probe.State(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case fail:
+			failed++
+			if !bytes.Equal(before, after) {
+				t.Errorf("dispatch %d: client %d's failed attempt moved its state", i, id)
+			}
+		default:
+			delivered++
+			if bytes.Equal(before, after) {
+				t.Errorf("dispatch %d: client %d's delivered attempt moved nothing", i, id)
+			}
+		}
+	}
+	if failed == 0 || delivered == 0 {
+		t.Fatalf("%d failed and %d delivered attempts; want both > 0", failed, delivered)
 	}
 }
 

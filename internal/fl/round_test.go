@@ -55,10 +55,13 @@ func settled(r *metrics.Round, except ...metrics.Outcome) int {
 // the algorithm saw: in every server step the aggregated and clipped
 // updates are exactly the ones the inner Aggregate received; under sync
 // and deadline every cohort member of a round settles once, retries and
-// duplicates aside; under async every local round started settles once
-// over the run, duplicates aside. No local round begins after the last
+// duplicates aside; under async the local rounds started are exactly the
+// delivered attempts, since a failed one trains nothing: every flight
+// settled over the run but the retried, the fault-dropped and failedEnds,
+// the failed flights that ended Abandoned or ExpelledInFlight
+// (RunFailedEnds), duplicates aside. No local round begins after the last
 // Aggregate: nothing could aggregate it. n is the fleet size.
-func checkConservation(t *testing.T, cfg *Config, n int, alg *countingFedAvg, res *Result) {
+func checkConservation(t *testing.T, cfg *Config, n int, alg *countingFedAvg, res *Result, failedEnds int) {
 	t.Helper()
 	if len(res.Run.Rounds) != cfg.Rounds {
 		t.Fatalf("recorded %d rounds, want %d", len(res.Run.Rounds), cfg.Rounds)
@@ -92,8 +95,9 @@ func checkConservation(t *testing.T, cfg *Config, n int, alg *countingFedAvg, re
 		}
 	}
 	if cfg.Policy == PolicyAsync {
-		if begun := int(alg.begun.Load()); flights != begun {
-			t.Errorf("async run settled %d flights, but %d local rounds began", flights, begun)
+		failed := res.Run.Total(metrics.Retried) + res.Run.Total(metrics.FaultDropped) + failedEnds
+		if begun := int(alg.begun.Load()); flights-failed != begun {
+			t.Errorf("async run settled %d flights, %d of them failed, but %d local rounds began", flights, failed, begun)
 		}
 	}
 }
@@ -149,7 +153,7 @@ func TestRoundConservation(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						checkConservation(t, &cfg, n, alg, res)
+						checkConservation(t, &cfg, n, alg, res, 0)
 						for _, r := range res.Run.Rounds {
 							agg, dups := int(r.Outcomes[metrics.Aggregated]), int(r.Outcomes[metrics.DupSuppressed])
 							if dups > agg {
@@ -243,13 +247,14 @@ func conservationProduct(t *testing.T) []conservationCase {
 // async buffer, and checks its books. Across the cases the stack must
 // have zeroed or clipped some update, and across the async cases some
 // flight must have been expelled in flight and some abandoned at the end,
-// so none of those paths goes unchecked.
+// and some failed flight must have ended so, so none of those paths goes
+// unchecked.
 func runConservation(t *testing.T, group string, cases []conservationCase) {
 	const n = 8
 	net, shards, test := poolSetup(t, n)
 	base := Config{Rounds: 6, LocalSteps: 2, BatchSize: 8, LocalLR: 0.05, Seed: 5}
 	nominal := simclock.RoundSeconds(net.GradFlops(base.BatchSize), base.LocalSteps, simclock.Plain())
-	var expelled, abandoned, async, stacked, staged int
+	var expelled, abandoned, failedEnded, async, stacked, staged int
 	for _, c := range cases {
 		t.Run(group+"/"+c.name, func(t *testing.T) {
 			cfg := base
@@ -261,11 +266,11 @@ func runConservation(t *testing.T, group string, cases []conservationCase) {
 				cfg.AsyncBuffer = 3
 			}
 			alg := &countingFedAvg{aggregated: map[int]int{}, victims: map[int]int{2: 3}}
-			res, err := Run(cfg, alg, net, shards, test)
+			res, failedEnds, err := RunFailedEnds(cfg, alg, net, shards, test)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkConservation(t, &cfg, n, alg, res)
+			checkConservation(t, &cfg, n, alg, res, failedEnds)
 			if !cfg.AggStack.Empty() {
 				stacked++
 				staged += res.Run.TotalZeroedUpdates() + res.Run.TotalClippedUpdates()
@@ -274,14 +279,15 @@ func runConservation(t *testing.T, group string, cases []conservationCase) {
 				async++
 				expelled += res.Run.Total(metrics.ExpelledInFlight)
 				abandoned += res.Run.Total(metrics.Abandoned)
+				failedEnded += failedEnds
 			}
 		})
 	}
 	if stacked > 0 && staged == 0 {
 		t.Errorf("%d stacked runs zeroed or clipped nothing", stacked)
 	}
-	if async > 0 && (expelled == 0 || abandoned == 0) {
-		t.Errorf("%d async runs: %d flights expelled in flight, %d abandoned; want both > 0", async, expelled, abandoned)
+	if async > 0 && (expelled == 0 || abandoned == 0 || failedEnded == 0) {
+		t.Errorf("%d async runs: %d flights expelled in flight, %d abandoned, %d of them failed; want all > 0", async, expelled, abandoned, failedEnded)
 	}
 }
 

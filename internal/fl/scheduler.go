@@ -24,8 +24,9 @@ import (
 // aggregation step. It runs at dispatch, or — an async arrival's
 // re-dispatch — queued on the pool and joined before the next aggregate.
 // Per-client algorithm state written by EndLocal therefore reflects the
-// client's latest dispatched round, which under the async policy may be
-// ahead of an update still waiting in the server buffer.
+// client's latest delivered round (a failed attempt trains nothing),
+// which under the async policy may be ahead of an update still waiting in
+// the server buffer.
 //
 // Steady-state rounds are allocation-free: the per-round ids/updates/
 // measured slices, the participant sampler's buffers, the aggregation
@@ -675,12 +676,14 @@ func (s *scheduler) finishRel(id int, now float64) float64 {
 }
 
 // flight is one client's in-progress local round under the async policy:
+// its resolved attempt with its modeled completion time (fault.go), the
+// server version it was dispatched at, and — for a delivered attempt —
 // the update it will upload (computed from its dispatch version — see
-// the scheduler doc comment), the server version it trained from, and its
-// resolved attempt with its modeled completion time (fault.go). Flights
-// live in the scheduler's fixed pending table; live distinguishes
-// in-flight entries from consumed ones. deferred marks a flight the run's
-// last step scheduled (redispatch) whose round has not trained yet.
+// the scheduler doc comment). A failed attempt trains nothing, so its
+// flight holds only its fate, finish time and attempt. Flights live in
+// the scheduler's fixed pending table; live distinguishes in-flight
+// entries from consumed ones. deferred marks a flight the run's last step
+// scheduled (redispatch) whose round has not trained yet.
 type flight struct {
 	update   Update
 	measured float64
@@ -690,8 +693,12 @@ type flight struct {
 	asyncOutcome
 }
 
-// dispatch starts a local round for the given clients at virtual time at:
-// the update is computed from the state of this server version
+// dispatch starts a local round for the given clients at virtual time at.
+// It resolves every client's attempt first, as admitSync does, and trains
+// only the delivered ones: a crashed, dropped or timed-out attempt
+// touches no client state, costs no ring entry and, on the wire, sends no
+// Dispatch frame. ids is compacted in place into the delivered clients.
+// A delivered update is computed from the state of this server version
 // (execute-at-dispatch semantics) and parked in the pending table until
 // its modeled finish event fires. The upload delta is a ring buffer owned
 // by the flight until the server consumes or discards it. Under remote
@@ -703,21 +710,26 @@ type flight struct {
 // (slotPool.runLater): asyncStep joins every such round before the state
 // it reads moves.
 func (s *scheduler) dispatch(ids []int, at float64, later bool) {
-	updates := s.updates[:len(ids)]
-	measured := s.measured[:len(ids)]
-	if later && s.exec == executor(s.pool) {
-		s.pool.runLater(&s.cfg, s.alg, s.clients, ids, s.version, s.params, s.wPrev, updates, measured)
-	} else {
-		s.exec.runRound(&s.cfg, s.alg, s.clients, ids, s.version, s.params, s.wPrev, updates, measured)
-	}
-	for j, id := range ids {
-		s.pending[id] = flight{
-			update:       updates[j],
-			measured:     measured[j],
-			version:      s.version,
-			live:         true,
-			asyncOutcome: s.resolveAsyncDispatch(id, at),
+	delivered := ids[:0]
+	for _, id := range ids {
+		out := s.resolveAsyncDispatch(id, at)
+		s.pending[id] = flight{version: s.version, live: true, asyncOutcome: out}
+		if !out.failed {
+			delivered = append(delivered, id)
 		}
+	}
+	if len(delivered) == 0 {
+		return
+	}
+	updates := s.updates[:len(delivered)]
+	measured := s.measured[:len(delivered)]
+	if later && s.exec == executor(s.pool) {
+		s.pool.runLater(&s.cfg, s.alg, s.clients, delivered, s.version, s.params, s.wPrev, updates, measured)
+	} else {
+		s.exec.runRound(&s.cfg, s.alg, s.clients, delivered, s.version, s.params, s.wPrev, updates, measured)
+	}
+	for j, id := range delivered {
+		s.pending[id].update, s.pending[id].measured = updates[j], measured[j]
 	}
 }
 
@@ -794,8 +806,8 @@ func (s *scheduler) asyncStep(t int) (halt bool, err error) {
 // arrivals drains arrivals in virtual-time order (ties broken by client
 // ID) into the buffer until it holds AsyncBuffer updates, and returns the
 // client whose arrival filled it. Every other delivered arrival, and
-// every failed dispatch, is re-dispatched at once (redispatch), except at
-// the run's last step.
+// every failed dispatch, is re-dispatched at once (redispatch); a failed
+// flight trained nothing, so it carries no update to release.
 func (s *scheduler) arrivals(t int) (trigger int, err error) {
 	bufK := s.cfg.asyncBuffer()
 	for {
@@ -811,16 +823,14 @@ func (s *scheduler) arrivals(t int) (trigger int, err error) {
 		f := &s.pending[id]
 		f.live = false
 		s.now = f.finish
-		if f.deferred {
+		if f.deferred && !f.failed {
 			s.oneID[0] = id
 			s.exec.runRound(&s.cfg, s.alg, s.clients, s.oneID[:1], f.version, s.params, s.wPrev, s.updates[:1], s.measured[:1])
 			f.update, f.measured, f.deferred = s.updates[0], s.measured[0], false
 		}
 		// Results may arrive after dispatch — a wire reply, or a round
 		// queued on the pool: block here, at the modeled finish event,
-		// until they have landed. Discarded flights settle too: their ring
-		// entries must not be recycled while something could still write
-		// into them.
+		// until they have landed. A failed flight has none to wait for.
 		s.exec.settleOne(&f.update, &f.measured)
 		if f.update.ring != nil && f.update.ring.lost {
 			// A worker died with this dispatch in flight and nobody could
@@ -838,12 +848,10 @@ func (s *scheduler) arrivals(t int) (trigger int, err error) {
 			continue
 		}
 		if f.failed {
-			// Crash, uplink loss, or timeout: the computed update never
-			// arrives — the delta-ring entry returns to the pool and the
+			// Crash, uplink loss, or timeout: nothing was trained, and the
 			// client is re-dispatched after its deterministic backoff
-			// (recomputing against the then-current model), or rejoins
-			// fresh once its retry budget is exhausted.
-			s.exec.release(&f.update)
+			// (training against the then-current model), or rejoins fresh
+			// once its retry budget is exhausted.
 			s.failStreak++
 			if s.failStreak > (faultRetries+2)*max(64, 8*len(s.clients)) {
 				return -1, fmt.Errorf("fl: faults starved the async buffer at step %d (%d consecutive failed dispatches)", t, s.failStreak)
@@ -885,8 +893,8 @@ func (s *scheduler) arrivals(t int) (trigger int, err error) {
 // redispatch starts client id's next local round from the arrival loop of
 // step t, at virtual time at. The run's last step only resolves the
 // attempt, keeping the modeled clock and the fault draws: arrivals trains
-// the round if it arrives within the step, from the same model and
-// version, and nothing trains it if the buffer fills first.
+// a delivered round if it arrives within the step, from the same model
+// and version, and nothing trains it if the buffer fills first.
 func (s *scheduler) redispatch(t, id int, at float64) {
 	if t < s.cfg.Rounds-1 {
 		s.oneID[0] = id

@@ -75,17 +75,17 @@ func stripMeasured(rounds []metrics.Round) []metrics.Round {
 	return out
 }
 
-// assertWireGolden runs cfg in-process and over loopback and requires
+// assertWireGolden runs cfg in-process and over loopback, requires
 // bit-identical final weights and round metrics (measured wall times
-// excluded).
-func assertWireGolden(t *testing.T, cfg fl.Config, workers int) {
+// excluded), and returns the in-process result.
+func assertWireGolden(t *testing.T, cfg fl.Config, workers int) *fl.Result {
 	t.Helper()
-	assertWireGoldenClients(t, cfg, 8, workers)
+	return assertWireGoldenClients(t, cfg, 8, workers)
 }
 
 // assertWireGoldenClients is assertWireGolden over a fleet of the given
 // size.
-func assertWireGoldenClients(t *testing.T, cfg fl.Config, clients, workers int) {
+func assertWireGoldenClients(t *testing.T, cfg fl.Config, clients, workers int) *fl.Result {
 	t.Helper()
 	network, shards, test := testSetup(t, clients)
 	local, err := fl.Run(cfg, baselines.NewFedAvg(), network, shards, test)
@@ -111,6 +111,7 @@ func assertWireGoldenClients(t *testing.T, cfg fl.Config, clients, workers int) 
 		}
 		t.Fatalf("round counts diverge: local %d, wire %d", len(lr), len(wr))
 	}
+	return local
 }
 
 // TestServeGoldenCodecs pins the tentpole acceptance bar: a socket-backed
@@ -190,12 +191,31 @@ func TestServeGoldenOneWideWorker(t *testing.T) {
 // never see.
 func TestServeGoldenFaults(t *testing.T) {
 	fl.CheckGoroutines(t)
-	cfg := quickConfig()
-	cfg.Faults = []fault.Spec{
-		{Kind: fault.KindCrash, Frac: 0.3},
-		{Kind: fault.KindDup, Frac: 0.5},
-	}
-	assertWireGolden(t, cfg, 2)
+	t.Run("sync", func(t *testing.T) {
+		cfg := quickConfig()
+		cfg.Faults = []fault.Spec{
+			{Kind: fault.KindCrash, Frac: 0.3},
+			{Kind: fault.KindDup, Frac: 0.5},
+		}
+		assertWireGolden(t, cfg, 2)
+	})
+	// A failed async attempt sends no Dispatch frame and trains on no
+	// worker; its client's next delivered round must still train from the
+	// same state in both modes.
+	t.Run("async", func(t *testing.T) {
+		cfg := quickConfig()
+		cfg.Policy, cfg.AsyncBuffer, cfg.Rounds = fl.PolicyAsync, 3, 20
+		cfg.Faults = []fault.Spec{
+			{Kind: fault.KindCrash, Frac: 0.2},
+			{Kind: fault.KindDrop, Frac: 0.2},
+			{Kind: fault.KindDup, Frac: 0.2},
+		}
+		cfg.Compress = compress.Spec{Kind: compress.KindInt8, Chunk: 64}
+		res := assertWireGolden(t, cfg, 2)
+		if res.Run.Total(metrics.Retried) == 0 {
+			t.Fatal("no async attempt was retried")
+		}
+	})
 }
 
 // TestServeRejectsUnsafe pins validateWire: stateful algorithms and

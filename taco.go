@@ -15,7 +15,7 @@
 //	fmt.Println(result.Run.FinalAccuracy())
 //
 // Everything underneath lives in internal/ packages; see DESIGN.md for the
-// system inventory and EXPERIMENTS.md for the reproduced evaluation.
+// system inventory and results/bench/ for the reproduced evaluation.
 package taco
 
 import (
