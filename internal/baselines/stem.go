@@ -33,15 +33,9 @@ type STEM struct {
 func NewSTEM(alphaT float64) *STEM { return &STEM{AlphaT: alphaT} }
 
 var _ fl.Algorithm = (*STEM)(nil)
-var _ fl.RequiresF64Engine = (*STEM)(nil)
 
 // Name implements fl.Algorithm.
 func (a *STEM) Name() string { return "STEM" }
-
-// RequiresF64Engine marks STEM as incompatible with the fp32 compute path:
-// GradAdjust re-evaluates the gradient at the previous round's weights
-// through StepCtx.Eng, which fp32 slots do not carry.
-func (a *STEM) RequiresF64Engine() {}
 
 // Setup implements fl.Algorithm. Per-client momentum is allocated lazily
 // on first participation (BeginLocal), so a large fleet with partial
@@ -82,7 +76,7 @@ func (a *STEM) GradAdjust(ctx *fl.StepCtx) {
 		return
 	}
 	gPrev := ctx.Scratch
-	ctx.Eng.Gradient(a.wPrev[id], ctx.BatchX, ctx.BatchY, gPrev)
+	ctx.GradientAt(a.wPrev[id], gPrev)
 	for j := range ctx.Grad {
 		ctx.Grad[j] += (1 - a.AlphaT) * (v[j] - gPrev[j])
 	}

@@ -251,6 +251,26 @@ func acc(c *Cell) string {
 
 func accCell(c *Cell) []string { return []string{acc(c)} }
 
+// leaders names column j's cells at the best final accuracy, in row order,
+// and returns the first of them; a diverged cell loses to every other.
+func leaders(cells [][]*Cell, j int) (names []string, lead *Cell) {
+	score := func(c *Cell) float64 {
+		if c.Run.Diverged {
+			return math.Inf(-1)
+		}
+		return c.Run.FinalAccuracy()
+	}
+	for _, row := range cells {
+		switch c := row[j]; {
+		case lead == nil || score(c) > score(lead):
+			lead, names = c, []string{c.Method}
+		case score(c) == score(lead):
+			names = append(names, c.Method)
+		}
+	}
+	return names, lead
+}
+
 // must unwraps the parse of a spec literal: a bad one is a bug.
 func must[T any](v T, err error) T {
 	if err != nil {

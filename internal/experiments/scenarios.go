@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/adversary"
@@ -121,34 +120,21 @@ var faults = &Grid{
 // is at the prior), the cells at the prior, and the failed flights the
 // runs settled: retried attempts plus retry chains that ran out.
 func faultsObserved(rows [][]Level, cells [][]*Cell) (notes []string) {
-	score := func(c *Cell) float64 {
-		if c.Run.Diverged {
-			return math.Inf(-1)
-		}
-		return c.Run.FinalAccuracy()
-	}
 	for j, top := range cells[0] {
 		var levels []string
 		atPrior, failed := 0, 0
 		for i := 0; i < len(cells); {
-			level, n := rows[i][0].Label, 0
-			var best []string
-			var lead *Cell
-			for ; i < len(cells) && rows[i][0].Label == level; i, n = i+1, n+1 {
+			level, first := rows[i][0].Label, i
+			for ; i < len(cells) && rows[i][0].Label == level; i++ {
 				c := cells[i][j]
 				if !c.Run.Diverged && c.atPrior(c.final()) {
 					atPrior++
 				}
 				failed += c.Run.Total(metrics.Retried) + c.Run.Total(metrics.FaultDropped)
-				switch {
-				case lead == nil || score(c) > score(lead):
-					lead, best = c, []string{c.Method}
-				case score(c) == score(lead):
-					best = append(best, c.Method)
-				}
 			}
+			best, lead := leaders(cells[first:i], j)
 			names := strings.Join(best, "=")
-			if len(best) == n {
+			if len(best) == i-first {
 				names = "all"
 			}
 			if !lead.Run.Diverged && lead.atPrior(lead.final()) {

@@ -40,23 +40,20 @@ type StepCtx struct {
 	W0 []float64
 	// Grad is the mini-batch gradient g_{i,k}, to be adjusted in place.
 	Grad []float64
-	// BatchX and BatchY are the sampled mini-batch, available to
-	// algorithms that need additional gradient evaluations (STEM).
-	BatchX []float64
-	BatchY []int
-	// Eng is the client's execution engine for extra evaluations. It is
-	// nil under Config.DType "f32"; algorithms that use it must declare
-	// the dependency via RequiresF64Engine so fp32 runs reject them at
-	// setup instead of panicking mid-round.
-	Eng *nn.Engine[float64]
 	// Scratch is a NumParams-sized scratch vector owned by the client.
 	Scratch []float64
 
+	sl *slot // the training slot GradientAt evaluates on
 	// fuseCoeff and fuseVec hold a correction registered by
 	// FuseCorrection for the engine to fold into the SGD step.
 	fuseCoeff float64
 	fuseVec   []float64
 }
+
+// GradientAt evaluates this step's mini-batch at w into grad on the
+// client's own engine, at its precision (Config.DType), and returns the
+// loss; W and Grad are untouched. STEM pays one per step.
+func (c *StepCtx) GradientAt(w, grad []float64) float64 { return c.sl.gradientAt(w, grad) }
 
 // FuseCorrection registers the additive correction coeff·corr for this
 // step: instead of the algorithm mutating Grad (one full pass over d) and
@@ -335,11 +332,8 @@ type Algorithm interface {
 	MeanAlpha() float64
 }
 
-// RequiresF64Engine marks algorithms whose hooks call StepCtx.Eng — the
-// client's float64 engine — for extra evaluations (STEM's previous-round
-// gradient). Runs with Config.DType "f32" carry no float64 engine in
-// their slots, so newScheduler rejects marked algorithms up front with a
-// clear error instead of letting a hook hit a nil engine mid-round.
+// RequiresF64Engine is declared for the benchmark module's decorator; no
+// algorithm implements it and the engine never asks for it.
 type RequiresF64Engine interface {
 	// RequiresF64Engine is a marker; it is never called.
 	RequiresF64Engine()

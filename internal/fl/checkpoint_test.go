@@ -285,23 +285,32 @@ func TestCheckpointCodecFlights(t *testing.T) {
 // servercrash fault kills the run at round 5, the engine restores the
 // round-4 checkpoint with its rng cursors, and the replayed rounds are
 // bit-identical — so the whole run matches a crash-free config exactly,
-// with the detour visible only in RecoveredRounds.
+// with the detour visible only in RecoveredRounds. STEM runs at both
+// precisions: its momentum is float64 algorithm state either way, and its
+// extra gradient runs on the slot's engine.
 func TestServerCrashReplayBitIdentical(t *testing.T) {
 	net, shards, test := testSetup(t, 8)
-	algs := map[string]func() fl.Algorithm{
-		"taco":           func() fl.Algorithm { return core.New(core.Recommended()) },
-		"scaffold":       func() fl.Algorithm { return baselines.NewScaffold(1) },
-		"stem":           func() fl.Algorithm { return baselines.NewSTEM(0.2) },
-		"fedacg":         func() fl.Algorithm { return baselines.NewFedACG(0.85) },
-		"fedprox(taco)":  func() fl.Algorithm { return core.NewFedProxTACO(0.1) },
-		"scaffold(taco)": func() fl.Algorithm { return core.NewScaffoldTACO() },
+	algs := []struct {
+		name  string
+		alg   func() fl.Algorithm
+		dtype string
+	}{
+		{"taco", func() fl.Algorithm { return core.New(core.Recommended()) }, ""},
+		{"scaffold", func() fl.Algorithm { return baselines.NewScaffold(1) }, ""},
+		{"stem", func() fl.Algorithm { return baselines.NewSTEM(0.2) }, ""},
+		{"stem-f32", func() fl.Algorithm { return baselines.NewSTEM(0.2) }, "f32"},
+		{"fedacg", func() fl.Algorithm { return baselines.NewFedACG(0.85) }, ""},
+		{"fedprox(taco)", func() fl.Algorithm { return core.NewFedProxTACO(0.1) }, ""},
+		{"scaffold(taco)", func() fl.Algorithm { return core.NewScaffoldTACO() }, ""},
 	}
 	for _, policy := range []fl.AggregationPolicy{fl.PolicySync, fl.PolicyDeadline, fl.PolicyAsync} {
-		for name, alg := range algs {
-			t.Run(fmt.Sprintf("%v-%s", policy, name), func(t *testing.T) {
+		for _, a := range algs {
+			alg := a.alg
+			t.Run(fmt.Sprintf("%v-%s", policy, a.name), func(t *testing.T) {
 				base := faultedConfig(t, policy, 11, net)
 				base.Faults = nil
 				base.CheckpointEvery = 0
+				base.DType = a.dtype
 				want, err := fl.Run(base, alg(), net, shards, test)
 				if err != nil {
 					t.Fatal(err)

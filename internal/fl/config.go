@@ -96,8 +96,8 @@ type Config struct {
 	// only: uploads are widened to float64 at the aggregation boundary,
 	// so every aggregation rule, robust stage, server optimizer, and
 	// checkpoint runs bit-identical float64 arithmetic under either
-	// setting. Algorithms needing in-step float64 gradient evaluations
-	// (STEM) reject "f32" at setup.
+	// setting. An in-step extra gradient (STEM's, StepCtx.GradientAt) runs
+	// on the client's engine at the same precision.
 	DType string
 	// Parallelism bounds concurrent client execution; 0 means GOMAXPROCS.
 	Parallelism int

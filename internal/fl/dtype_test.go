@@ -1,10 +1,16 @@
 package fl
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/dataset"
+	"repro/internal/nn"
+	"repro/internal/rng"
+	"repro/internal/vecmath"
 )
 
 // Float32-path (Config.DType "f32") engine tests. The precision contract
@@ -140,8 +146,8 @@ func TestTopKErrorFeedbackGolden(t *testing.T) {
 
 // TestF32CheckpointResumeBitIdentical pins the fp32 state through the
 // checkpoint boundary: with int8 compression live, the fp32 EF residuals
-// round-trip through the float64 row format (exact widen on save, exact
-// narrow on restore), so a resumed run replays bit-identically.
+// are stored as their 4-byte bit patterns (ckpt.Rows32) and restored
+// as the same bits, so a resumed run replays bit-identically.
 func TestF32CheckpointResumeBitIdentical(t *testing.T) {
 	net, shards, test := poolSetup(t, 8)
 	cfg := Config{
@@ -178,9 +184,10 @@ func TestF32CheckpointResumeBitIdentical(t *testing.T) {
 }
 
 // TestF32SteadyStateAllocs extends the zero-allocation contract to the
-// fp32 path: warmed-up fp32 rounds — plain, fused-correction, compressed,
-// and stacked — allocate nothing. The only fp32-specific lazy allocation
-// (a client's first EF residual) happens during warmup.
+// fp32 path: warmed-up fp32 rounds — plain, fused-correction, with an
+// extra GradientAt per step, compressed, and stacked — allocate nothing.
+// The fp32-specific lazy allocations (a client's first EF residual, a
+// slot's GradientAt output) happen during warmup.
 func TestF32SteadyStateAllocs(t *testing.T) {
 	net, shards, test := poolSetup(t, 8)
 	variants := []struct {
@@ -191,6 +198,7 @@ func TestF32SteadyStateAllocs(t *testing.T) {
 	}{
 		{name: "plain", mk: func() Algorithm { return goldenFedAvg{} }},
 		{name: "fused", mk: func() Algorithm { return &fusedCorrAlg{} }},
+		{name: "gradientAt", mk: func() Algorithm { return gradAtAlg{} }},
 		{name: "int8", mk: func() Algorithm { return goldenFedAvg{} }, compress: compress.Spec{Kind: compress.KindInt8, Chunk: 256}},
 		{name: "topk", mk: func() Algorithm { return goldenFedAvg{} }, compress: compress.Spec{Kind: compress.KindTopK, TopKFrac: 0.05}},
 		{name: "stack", mk: func() Algorithm { return goldenFedAvg{} }, stacked: true},
@@ -222,6 +230,13 @@ func TestF32SteadyStateAllocs(t *testing.T) {
 					t.Fatalf("warmup round %d: halt=%v err=%v", round, halt, err)
 				}
 			}
+			// A round need not reach every slot, and GradientAt allocates
+			// its fp32 output on a slot's first call, so every slot trains
+			// once more.
+			delta := make([]float64, net.NumParams())
+			for _, sl := range s.pool.slots {
+				localUpdate(&s.cfg, s.alg, &s.clients[0], sl, delta, round, s.params, s.clients[0].sampler)
+			}
 			allocs := testing.AllocsPerRun(30, func() {
 				halt, err := s.round(round)
 				if err != nil || halt {
@@ -236,32 +251,88 @@ func TestF32SteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// f64EngineAlg is a minimal algorithm carrying the RequiresF64Engine
-// marker (as STEM does), for the setup-rejection test.
-type f64EngineAlg struct{ Base }
+// gradAtAlg pays one extra gradient per step through StepCtx.GradientAt,
+// as STEM does: the step descends along the mean of the gradients at w_k
+// and at the round's start w_0, on the same batch.
+type gradAtAlg struct{ Base }
 
-func (f64EngineAlg) Name() string                       { return "needsEng" }
-func (f64EngineAlg) Aggregate(s *ServerCtx, u []Update) { FedAvgStep(s, u) }
-func (f64EngineAlg) RequiresF64Engine()                 {}
+func (gradAtAlg) Name() string                       { return "gradAt" }
+func (gradAtAlg) Aggregate(s *ServerCtx, u []Update) { FedAvgStep(s, u) }
+func (gradAtAlg) GradAdjust(ctx *StepCtx) {
+	ctx.GradientAt(ctx.W0, ctx.Scratch)
+	for i := range ctx.Grad {
+		ctx.Grad[i] = 0.5 * (ctx.Grad[i] + ctx.Scratch[i])
+	}
+}
 
-// TestF32RejectsF64EngineAlgorithms pins the setup-time gate: an
-// algorithm that evaluates gradients through StepCtx.Eng is rejected
-// under DType "f32" with a clear error instead of a nil-engine panic
-// mid-round — including when wrapped in an aggregation stack, since the
-// check runs on the raw algorithm before stacking.
-func TestF32RejectsF64EngineAlgorithms(t *testing.T) {
-	net, shards, test := poolSetup(t, 4)
-	cfg := Config{Rounds: 1, LocalSteps: 1, BatchSize: 8, LocalLR: 0.05, DType: "f32"}
-	if _, err := Run(cfg, f64EngineAlg{}, net, shards, test); err == nil || !strings.Contains(err.Error(), "float64 engine") {
-		t.Fatalf("f32 run with engine-dependent algorithm: err=%v, want float64-engine error", err)
+// TestGradientAtContract pins StepCtx.GradientAt on both slot kinds, with
+// a batch staged as a local step stages it: on a float64 slot it is the
+// engine's own gradient bit for bit; on a float32 slot, at the same
+// fp32-representable weights and batch, it lands within
+// TestEngine32MatchesEngine64's tolerances of the float64 slot and leaves
+// the step's w32 and grad32 as they were.
+func TestGradientAtContract(t *testing.T) {
+	net, shards, _ := poolSetup(t, 4)
+	cfg := Config{Rounds: 1, LocalSteps: 1, BatchSize: 8, LocalLR: 0.05}
+	cfg32 := cfg
+	cfg32.DType = "f32"
+	sl64, sl32 := newSlot(net, cfg), newSlot(net, cfg32)
+	d := net.NumParams()
+
+	// Weights and inputs pass through fp32 first, so both slots see the
+	// same values and only the arithmetic differs.
+	round32 := func(x []float64) {
+		x32 := make([]float32, len(x))
+		vecmath.Narrow(x32, x)
+		vecmath.Widen(x, x32)
 	}
-	cfg.AggStack = mustStack(t, "clip")
-	if _, err := Run(cfg, f64EngineAlg{}, net, shards, test); err == nil || !strings.Contains(err.Error(), "float64 engine") {
-		t.Fatalf("stacked f32 run with engine-dependent algorithm: err=%v, want float64-engine error", err)
+	w0 := net.InitParams(rng.New(5))
+	at := make([]float64, d)
+	for i := range at {
+		at[i] = w0[i] + 0.01*float64(i%7-3)
 	}
-	cfg.AggStack = mustStack(t, "none")
-	cfg.DType = "f64"
-	if _, err := Run(cfg, f64EngineAlg{}, net, shards, test); err != nil {
-		t.Fatalf("f64 run with engine-dependent algorithm failed: %v", err)
+	round32(w0)
+	round32(at)
+	smp := dataset.NewSamplers(shards[:1], rng.New(6).DeriveN("s", 1))[0]
+	smp.Batch(sl64.batchX, sl64.batchY)
+	round32(sl64.batchX)
+	copy(sl32.batchX, sl64.batchX)
+	copy(sl32.batchY, sl64.batchY)
+	for _, sl := range []*slot{sl64, sl32} {
+		copy(sl.w0, w0)
+		sl.load()
+		sl.gradient()
+	}
+
+	g64 := make([]float64, d)
+	loss64 := sl64.ctx.GradientAt(at, g64)
+	ref := make([]float64, d)
+	if want := nn.NewEngine(net, cfg.BatchSize).Gradient(at, sl64.batchX, sl64.batchY, ref); loss64 != want {
+		t.Fatalf("f64 GradientAt loss %v, engine %v", loss64, want)
+	}
+	for i := range ref {
+		if g64[i] != ref[i] {
+			t.Fatalf("f64 GradientAt grad[%d] = %v, engine %v", i, g64[i], ref[i])
+		}
+	}
+
+	w32, grad32 := slices.Clone(sl32.w32), slices.Clone(sl32.grad32)
+	g32 := make([]float64, d)
+	loss32 := sl32.ctx.GradientAt(at, g32)
+	if math.Abs(loss64-loss32) > 1e-4*(math.Abs(loss64)+1) {
+		t.Fatalf("f32 GradientAt loss %v vs f64 %v", loss32, loss64)
+	}
+	var gnorm float64
+	for _, v := range g64 {
+		gnorm += v * v
+	}
+	gnorm = math.Sqrt(gnorm / float64(d))
+	for i := range g64 {
+		if diff := math.Abs(g32[i] - g64[i]); diff > 1e-3*(math.Abs(g64[i])+gnorm) {
+			t.Fatalf("f32 GradientAt grad[%d] = %v vs f64 %v (|diff| %g)", i, g32[i], g64[i], diff)
+		}
+	}
+	if !slices.Equal(w32, sl32.w32) || !slices.Equal(grad32, sl32.grad32) {
+		t.Fatal("f32 GradientAt moved the step's w32 or grad32")
 	}
 }

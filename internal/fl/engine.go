@@ -246,13 +246,6 @@ func newSchedulerExec(cfg Config, alg Algorithm, net *nn.Network, shards []*data
 	if len(cfg.Devices) > 0 && len(cfg.Devices) != n {
 		return nil, fmt.Errorf("fl: %d device profiles for %d clients", len(cfg.Devices), n)
 	}
-	if cfg.isF32() {
-		// Checked on the raw algorithm before stacking: the marker is a
-		// property of the inner algorithm, and wrappers would hide it.
-		if _, ok := alg.(RequiresF64Engine); ok {
-			return nil, fmt.Errorf("fl: algorithm %s needs the float64 engine and does not support DType %q", alg.Name(), cfg.DType)
-		}
-	}
 
 	env := &Env{
 		Net:        net,
@@ -354,16 +347,16 @@ type slot struct {
 	batchX               []float64
 	batchY               []int
 	// The float32 compute path (Config.DType "f32", DESIGN.md §10): the
-	// fp32 engine replaces the fp64 one and the four fp32 twins bridge the
-	// hot loop; w0/w/grad/scratch stay the float64 views every algorithm
-	// hook reads, kept in sync by localUpdate32.
+	// fp32 engine and twins replace the fp64 ones in the hot loop, and
+	// w0/w/grad/scratch stay the float64 views the hooks read.
 	eng32    *nn.Engine[float32]
 	w32      []float32
 	grad32   []float32
 	corr32   []float32 // narrowed fused-correction vector
 	batchX32 []float32
-	// ctx is the slot's reusable StepCtx: the interface call to GradAdjust
-	// would otherwise force a fresh one to escape every round.
+	at32     []float32 // GradientAt's output; allocated on first use
+	// ctx is the slot's StepCtx over its own buffers, reused: the interface
+	// call to GradAdjust would otherwise force a fresh one to escape.
 	ctx StepCtx
 }
 
@@ -387,108 +380,100 @@ func newSlot(net *nn.Network, cfg Config) *slot {
 	} else {
 		sl.eng = nn.NewEngine(net, batch)
 	}
+	sl.ctx = StepCtx{W: sl.w, W0: sl.w0, Grad: sl.grad, Scratch: sl.scratch, sl: sl}
 	return sl
+}
+
+// load starts the trajectory at w0 (narrowed into w32 under fp32).
+func (sl *slot) load() {
+	if sl.eng32 == nil {
+		copy(sl.w, sl.w0)
+		return
+	}
+	vecmath.Narrow(sl.w32, sl.w0)
+}
+
+// gradient evaluates the staged batch at the current weights into grad,
+// under fp32 on w32/grad32 and widened into w and grad for the hooks.
+func (sl *slot) gradient() float64 {
+	if sl.eng32 == nil {
+		return sl.eng.Gradient(sl.w, sl.batchX, sl.batchY, sl.grad)
+	}
+	vecmath.Narrow(sl.batchX32, sl.batchX)
+	loss := sl.eng32.Gradient(sl.w32, sl.batchX32, sl.batchY, sl.grad32)
+	vecmath.Widen(sl.w, sl.w32)
+	vecmath.Widen(sl.grad, sl.grad32)
+	return loss
+}
+
+// gradientAt is StepCtx.GradientAt. Under fp32 w is staged in corr32,
+// which step writes only after GradAdjust returns.
+func (sl *slot) gradientAt(w, grad []float64) float64 {
+	if sl.eng32 == nil {
+		return sl.eng.Gradient(w, sl.batchX, sl.batchY, grad)
+	}
+	if sl.at32 == nil {
+		sl.at32 = make([]float32, len(sl.w32))
+	}
+	vecmath.Narrow(sl.corr32, w)
+	loss := sl.eng32.Gradient(sl.corr32, sl.batchX32, sl.batchY, sl.at32)
+	vecmath.Widen(grad, sl.at32)
+	return loss
+}
+
+// step applies w ← w − ηl·g, fused with a registered correction, and
+// consumes the registration. Under fp32 the fused step reads the raw
+// grad32 (FuseCorrection's contract) and the plain one re-narrows grad,
+// which the hook may have rewritten in place.
+func (sl *slot) step(lr float64, ctx *StepCtx) {
+	switch {
+	case sl.eng32 == nil && ctx.fuseVec != nil:
+		vecmath.AXPYPY(-lr, sl.grad, -lr*ctx.fuseCoeff, ctx.fuseVec, sl.w)
+	case sl.eng32 == nil:
+		vecmath.AXPY(-lr, sl.grad, sl.w)
+	case ctx.fuseVec != nil:
+		vecmath.Narrow(sl.corr32, ctx.fuseVec)
+		vecmath.AXPYPY(-float32(lr), sl.grad32, -float32(lr*ctx.fuseCoeff), sl.corr32, sl.w32)
+	default:
+		vecmath.Narrow(sl.grad32, sl.grad)
+		vecmath.AXPY(-float32(lr), sl.grad32, sl.w32)
+	}
+	ctx.fuseVec = nil
+}
+
+// delta writes Δ = w0 − w_K; under fp32 widen(narrow(w0) − w32), exactly
+// the trajectory the client trained (grad32 is free after the loop).
+func (sl *slot) delta(delta []float64) {
+	if sl.eng32 == nil {
+		vecmath.Sub(delta, sl.w0, sl.w)
+		return
+	}
+	vecmath.Narrow(sl.grad32, sl.w0)
+	vecmath.Sub(sl.grad32, sl.grad32, sl.w32)
+	vecmath.Widen(delta, sl.grad32)
 }
 
 // localUpdate runs the K-step local loop of Eq. (4) with the algorithm's
 // corrections applied, producing Δ_i = w_{i,0} − w_{i,K} (Eq. (5)) in the
 // caller-provided delta buffer. All model-sized scratch comes from the
-// slot; the step itself is fused when the algorithm registers its
-// correction via StepCtx.FuseCorrection (one pass over d instead of two).
-// smp is the mini-batch source — the client's clean sampler, or its
-// corrupted-shard sampler under a data-level attack.
+// slot, whose methods carry the precision (DESIGN.md §5, §10); every hook
+// sees float64. smp is the mini-batch source — the client's clean
+// sampler, or its corrupted-shard sampler under a data-level attack.
 func localUpdate(cfg *Config, alg Algorithm, c *client, sl *slot, delta []float64, round int, global []float64, smp *dataset.Sampler) {
 	alg.LocalInit(c.id, round, global, sl.w0)
 	alg.BeginLocal(c.id, round, sl.w0)
-	copy(sl.w, sl.w0)
+	sl.load()
 	ctx := &sl.ctx
-	*ctx = StepCtx{
-		Client:  c.id,
-		Round:   round,
-		W:       sl.w,
-		W0:      sl.w0,
-		Grad:    sl.grad,
-		BatchX:  sl.batchX,
-		BatchY:  sl.batchY,
-		Eng:     sl.eng,
-		Scratch: sl.scratch,
-	}
+	ctx.Client, ctx.Round = c.id, round
 	var lossSum float64
 	for k := 0; k < cfg.LocalSteps; k++ {
 		smp.Batch(sl.batchX, sl.batchY)
-		lossSum += sl.eng.Gradient(sl.w, sl.batchX, sl.batchY, sl.grad)
+		lossSum += sl.gradient()
 		ctx.Step = k
 		alg.GradAdjust(ctx)
-		if ctx.fuseVec != nil {
-			vecmath.AXPYPY(-cfg.LocalLR, sl.grad, -cfg.LocalLR*ctx.fuseCoeff, ctx.fuseVec, sl.w)
-			ctx.fuseVec = nil
-		} else {
-			vecmath.AXPY(-cfg.LocalLR, sl.grad, sl.w)
-		}
+		sl.step(cfg.LocalLR, ctx)
 	}
-	vecmath.Sub(delta, sl.w0, sl.w)
-	alg.EndLocal(c.id, round, delta)
-	c.lastLoss = lossSum / float64(cfg.LocalSteps)
-}
-
-// localUpdate32 is the float32 twin of localUpdate, selected by
-// Config.DType "f32" (DESIGN.md §10). The client trains on the slot's fp32
-// state (w32/grad32 through the float32 engine), but every algorithm hook still sees
-// float64: the loop widens w32 and grad32 into sl.w and sl.grad before
-// GradAdjust, and applies the hook's correction by narrowing it back to
-// fp32 for the fused step. The uploaded delta is the exact float64
-// widening of the fp32 trajectory difference narrow(w0) − w32, so the
-// aggregation boundary — and everything past it — stays float64.
-//
-// StepCtx.Eng is nil here: slots carry no float64 engine in fp32 mode, and
-// algorithms that need one (RequiresF64Engine) are rejected at setup.
-func localUpdate32(cfg *Config, alg Algorithm, c *client, sl *slot, delta []float64, round int, global []float64, smp *dataset.Sampler) {
-	alg.LocalInit(c.id, round, global, sl.w0)
-	alg.BeginLocal(c.id, round, sl.w0)
-	vecmath.Narrow(sl.w32, sl.w0)
-	ctx := &sl.ctx
-	*ctx = StepCtx{
-		Client:  c.id,
-		Round:   round,
-		W:       sl.w,
-		W0:      sl.w0,
-		Grad:    sl.grad,
-		BatchX:  sl.batchX,
-		BatchY:  sl.batchY,
-		Scratch: sl.scratch,
-	}
-	var lossSum float64
-	for k := 0; k < cfg.LocalSteps; k++ {
-		smp.Batch(sl.batchX, sl.batchY)
-		vecmath.Narrow(sl.batchX32, sl.batchX)
-		lossSum += sl.eng32.Gradient(sl.w32, sl.batchX32, sl.batchY, sl.grad32)
-		vecmath.Widen(sl.w, sl.w32)
-		vecmath.Widen(sl.grad, sl.grad32)
-		ctx.Step = k
-		alg.GradAdjust(ctx)
-		if ctx.fuseVec != nil {
-			// The correction may vary per step (it is a hook-owned
-			// float64 vector), so it is narrowed every iteration; the raw
-			// gradient stays valid in grad32 per the FuseCorrection
-			// contract.
-			vecmath.Narrow(sl.corr32, ctx.fuseVec)
-			vecmath.AXPYPY(-float32(cfg.LocalLR), sl.grad32, -float32(cfg.LocalLR*ctx.fuseCoeff), sl.corr32, sl.w32)
-			ctx.fuseVec = nil
-		} else {
-			// Re-narrow in case the hook rewrote ctx.Grad in place
-			// (clipping, scaling); identity when it did not.
-			vecmath.Narrow(sl.grad32, sl.grad)
-			vecmath.AXPY(-float32(cfg.LocalLR), sl.grad32, sl.w32)
-		}
-	}
-	// Δ = widen(narrow(w0) − w_K): the fp32 trajectory difference, widened
-	// exactly. Subtracting in fp32 first keeps the delta consistent with
-	// the weights the client actually trained (w0's bits below fp32
-	// precision never entered the trajectory). grad32 is free as a temp
-	// after the loop.
-	vecmath.Narrow(sl.grad32, sl.w0)
-	vecmath.Sub(sl.grad32, sl.grad32, sl.w32)
-	vecmath.Widen(delta, sl.grad32)
+	sl.delta(delta)
 	alg.EndLocal(c.id, round, delta)
 	c.lastLoss = lossSum / float64(cfg.LocalSteps)
 }

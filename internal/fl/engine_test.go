@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/adversary"
+	"repro/internal/aggstack"
 	"repro/internal/baselines"
 	"repro/internal/compress"
 	"repro/internal/core"
@@ -193,30 +194,47 @@ func TestRunImprovesAccuracy(t *testing.T) {
 	}
 }
 
+// TestRunDeterministicAcrossParallelism compares 1 and 8 slots bit for
+// bit: FedAvg on the float64 engine, and STEM on the float32 one, whose
+// extra per-step gradient (StepCtx.GradientAt) runs on the slot it trains
+// on.
 func TestRunDeterministicAcrossParallelism(t *testing.T) {
 	net, shards, test := testSetup(t, 8)
-	cfgSerial := quickConfig()
-	cfgSerial.Parallelism = 1
-	cfgParallel := quickConfig()
-	cfgParallel.Parallelism = 8
+	cases := []struct {
+		name  string
+		alg   func() fl.Algorithm
+		dtype string
+	}{
+		{"FedAvg", func() fl.Algorithm { return baselines.NewFedAvg() }, ""},
+		{"STEM-f32", func() fl.Algorithm { return baselines.NewSTEM(0.2) }, "f32"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfgSerial := quickConfig()
+			cfgSerial.Parallelism = 1
+			cfgSerial.DType = c.dtype
+			cfgParallel := cfgSerial
+			cfgParallel.Parallelism = 8
 
-	resA, err := fl.Run(cfgSerial, baselines.NewFedAvg(), net, shards, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB, err := fl.Run(cfgParallel, baselines.NewFedAvg(), net, shards, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range resA.FinalParams {
-		if resA.FinalParams[i] != resB.FinalParams[i] {
-			t.Fatal("parameters differ across parallelism levels")
-		}
-	}
-	for i := range resA.Run.Rounds {
-		if resA.Run.Rounds[i].Accuracy != resB.Run.Rounds[i].Accuracy {
-			t.Fatal("accuracy history differs across parallelism levels")
-		}
+			resA, err := fl.Run(cfgSerial, c.alg(), net, shards, test)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resB, err := fl.Run(cfgParallel, c.alg(), net, shards, test)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range resA.FinalParams {
+				if resA.FinalParams[i] != resB.FinalParams[i] {
+					t.Fatal("parameters differ across parallelism levels")
+				}
+			}
+			for i := range resA.Run.Rounds {
+				if resA.Run.Rounds[i].Accuracy != resB.Run.Rounds[i].Accuracy {
+					t.Fatal("accuracy history differs across parallelism levels")
+				}
+			}
+		})
 	}
 }
 
@@ -285,33 +303,52 @@ func TestRunErrors(t *testing.T) {
 	})
 }
 
+// TestAllAlgorithmsRun trains every algorithm on the easy setup, once on
+// the float64 engine and once on the float32 one (STEM's extra gradient
+// included), and STEM once more under a clip stack at f32.
 func TestAllAlgorithmsRun(t *testing.T) {
 	net, shards, test := testSetup(t, 6)
-	algs := []fl.Algorithm{
-		baselines.NewFedAvg(),
-		baselines.NewFedProx(0.1),
-		baselines.NewFoolsGold(),
-		baselines.NewScaffold(1),
-		baselines.NewSTEM(0.2),
-		baselines.NewFedACG(0.001),
-		core.New(core.Config{}),
-		core.NewFedProxTACO(0.1),
-		core.NewScaffoldTACO(),
+	algs := func() []fl.Algorithm {
+		return []fl.Algorithm{
+			baselines.NewFedAvg(),
+			baselines.NewFedProx(0.1),
+			baselines.NewFoolsGold(),
+			baselines.NewScaffold(1),
+			baselines.NewSTEM(0.2),
+			baselines.NewFedACG(0.001),
+			core.New(core.Config{}),
+			core.NewFedProxTACO(0.1),
+			core.NewScaffoldTACO(),
+		}
 	}
-	for _, alg := range algs {
-		t.Run(alg.Name(), func(t *testing.T) {
-			res, err := fl.Run(quickConfig(), alg, net, shards, test)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Run.Diverged {
-				t.Fatalf("%s diverged on the easy setup", alg.Name())
-			}
-			if res.Run.FinalAccuracy() < 0.55 {
-				t.Fatalf("%s final accuracy %.4f too low", alg.Name(), res.Run.FinalAccuracy())
-			}
-		})
+	check := func(t *testing.T, cfg fl.Config, alg fl.Algorithm) {
+		res, err := fl.Run(cfg, alg, net, shards, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Run.Diverged {
+			t.Fatalf("%s diverged on the easy setup", alg.Name())
+		}
+		if res.Run.FinalAccuracy() < 0.55 {
+			t.Fatalf("%s final accuracy %.4f too low", alg.Name(), res.Run.FinalAccuracy())
+		}
 	}
+	for _, alg := range algs() {
+		t.Run(alg.Name(), func(t *testing.T) { check(t, quickConfig(), alg) })
+	}
+	f32 := quickConfig()
+	f32.DType = "f32"
+	for _, alg := range algs() {
+		t.Run("f32/"+alg.Name(), func(t *testing.T) { check(t, f32, alg) })
+	}
+	t.Run("f32/STEM-clip", func(t *testing.T) {
+		cfg := f32
+		var err error
+		if cfg.AggStack, err = aggstack.ParseStack("clip"); err != nil {
+			t.Fatal(err)
+		}
+		check(t, cfg, baselines.NewSTEM(0.2))
+	})
 }
 
 func TestTimingRecorded(t *testing.T) {

@@ -89,11 +89,7 @@ func (t *roundTask) run(j int, sl *slot) {
 	if fab := c.fabricator(); fab != nil {
 		c.fabricate(fab, t.cfg, t.updates[j].Delta, t.round, t.global, t.prevGlobal)
 	} else {
-		if t.cfg.isF32() {
-			localUpdate32(t.cfg, t.alg, c, sl, t.updates[j].Delta, t.round, t.global, c.trainSampler())
-		} else {
-			localUpdate(t.cfg, t.alg, c, sl, t.updates[j].Delta, t.round, t.global, c.trainSampler())
-		}
+		localUpdate(t.cfg, t.alg, c, sl, t.updates[j].Delta, t.round, t.global, c.trainSampler())
 		c.injectDelta(t.cfg, t.updates[j].Delta, t.round, t.global, t.prevGlobal)
 	}
 	if comp := t.pool.comp; comp != nil {

@@ -568,11 +568,7 @@ func TestSlotPoolF32Footprint(t *testing.T) {
 		delta := make([]float64, net.NumParams())
 		for _, sl := range s.pool.slots {
 			c := &s.clients[0]
-			if s.cfg.isF32() {
-				localUpdate32(&s.cfg, s.alg, c, sl, delta, 3, s.params, c.sampler)
-			} else {
-				localUpdate(&s.cfg, s.alg, c, sl, delta, 3, s.params, c.sampler)
-			}
+			localUpdate(&s.cfg, s.alg, c, sl, delta, 3, s.params, c.sampler)
 		}
 		live := liveHeap() - before
 		runtime.KeepAlive(s)

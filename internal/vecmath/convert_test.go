@@ -151,7 +151,7 @@ func TestQuantizeInt8Contract(t *testing.T) {
 
 // BenchmarkWidenNarrow reports the precision bridge's memory throughput
 // (bytes read plus bytes written per second) at the adult MLP's parameter
-// count, the length localUpdate32 converts several times per local step.
+// count, the length an fp32 slot's local step converts several times.
 func BenchmarkWidenNarrow(b *testing.B) {
 	const n = 1354
 	rng := rand.New(rand.NewPCG(61, 67))
