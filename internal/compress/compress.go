@@ -262,41 +262,14 @@ func (None) Decode(dst []float64, p *Payload) { copy(dst, p.Val) }
 //
 // e == nil disables the feedback (plain lossy compression). scratch must
 // be a distinct buffer with at least len(x) capacity; it is the codec's
-// workspace, and what it holds on return is unspecified. With a residual,
-// *TopK takes its fused two-pass step (emit), bit for bit the same.
+// workspace, and what it holds on return is unspecified. Each codec takes
+// its own step, bit for bit the fold/encode/decode/subtract/reset/copy
+// loops: *TopK its two-pass emit, *Int8 two vector passes per chunk
+// (int8EF), and None, which is lossless, leaves x as x+e and e all zero
+// (x+e − x+e is +0, or NaN where x+e is not finite, which resets to 0).
 func EncodeEF(c Codec, p *Payload, x, e []float64, r *rng.RNG, scratch []float64) {
-	if tk, ok := c.(*TopK); ok && e != nil {
-		emit(tk, p, x, e, scratch)
-		return
-	}
-	if e != nil {
-		vecmath.Add(x, x, e)
-	}
-	c.Encode(p, x, r, scratch)
-	dec := scratch[:len(x)]
-	c.Decode(dec, p)
-	if e != nil {
-		vecmath.Sub(e, x, dec)
-		zeroNonFinite(e)
-	}
-	copy(x, dec)
+	encodeEF(c, p, x, e, r, scratch)
 }
-
-// zeroNonFinite resets the NaN and ±Inf elements of v to 0.
-func zeroNonFinite(v []float64) {
-	for i, x := range v {
-		if nonFinite(x) {
-			v[i] = 0
-		}
-	}
-}
-
-// expMask selects a float64's exponent field (+Inf), signBit its sign.
-const expMask, signBit = 0x7ff0_0000_0000_0000, 1 << 63
-
-// nonFinite reports whether v is NaN or ±Inf — exactly the values whose
-// exponent is all ones — in one compare.
-func nonFinite(v float64) bool { return math.Float64bits(v)&expMask == expMask }
 
 // EncodeEF32 is EncodeEF with a float32 residual, for runs whose client
 // compute state is float32 (fl's DType "f32"): the residual carries
@@ -306,21 +279,43 @@ func nonFinite(v float64) bool { return math.Float64bits(v)&expMask == expMask }
 // server-visible decoded update remain exactly what the codec computes.
 // e32 must be non-nil and len(x) long; non-finite residual coordinates
 // reset to zero exactly as in EncodeEF, and the narrowing to fp32 happens
-// after that guard so an Inf produced by the subtraction itself is also
-// caught. Other codecs fold and subtract through the vecmath table: e32
-// is widened into scratch, and the residual is formed in x and narrowed.
+// after that guard, so a finite residual beyond float32's range narrows
+// to ±Inf as it always has.
 func EncodeEF32(c Codec, p *Payload, x []float64, e32 []float32, r *rng.RNG, scratch []float64) {
-	if tk, ok := c.(*TopK); ok {
-		emit(tk, p, x, e32, scratch)
-		return
+	encodeEF(c, p, x, e32, r, scratch)
+}
+
+// encodeEF is EncodeEF and EncodeEF32 over either residual precision.
+func encodeEF[E float64 | float32](c Codec, p *Payload, x []float64, e []E, r *rng.RNG, scratch []float64) {
+	switch c := c.(type) {
+	case *TopK:
+		if e != nil {
+			emit(c, p, x, e, scratch)
+			return
+		}
+	case *Int8:
+		if e != nil {
+			int8EF(c, p, x, e, r, scratch)
+			return
+		}
+	default: // None: lossless, so the decode is x+e itself
+		if e != nil {
+			fold(x, e, scratch)
+			clear(e)
+		}
 	}
-	dec := scratch[:len(x)]
-	vecmath.Widen(dec, e32)
-	vecmath.Add(x, x, dec)
 	c.Encode(p, x, r, scratch)
-	c.Decode(dec, p)
-	vecmath.Sub(x, x, dec)
-	zeroNonFinite(x)
-	vecmath.Narrow(e32, x)
-	copy(x, dec)
+	c.Decode(x, p)
+}
+
+// fold adds the residual e into x, widening a float32 one through scratch.
+func fold[E float64 | float32](x []float64, e []E, scratch []float64) {
+	switch e := any(e).(type) {
+	case []float64:
+		vecmath.Add(x, x, e)
+	case []float32:
+		w := scratch[:len(x)]
+		vecmath.Widen(w, e)
+		vecmath.Add(x, x, w)
+	}
 }

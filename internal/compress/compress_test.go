@@ -486,11 +486,13 @@ func TestTopKDropsNaN(t *testing.T) {
 }
 
 // efBench is BenchmarkEncodeEF's fixture, built once per process: 64
-// Normal deltas and 500 clients' residuals, each warmed by 200
+// Normal deltas and 500 clients' residuals per codec, each warmed by
 // error-feedback steps so that x+e has the steady-state magnitude profile
-// the candidate bound sees in a long run.
-var efBench = sync.OnceValue(func() (f struct{ deltas, resid [][]float64 }) {
-	const d, clients, warm = 1354, 500, 200
+// a long run gives it: 200 top-k steps (the residual accumulates the
+// dropped coordinates for many rounds) and 20 int8 steps (it stays within
+// one quantization step).
+var efBench = sync.OnceValue(func() (f struct{ deltas, topk, int8 [][]float64 }) {
+	const d, clients = 1354, 500
 	g := rng.New(3)
 	f.deltas = make([][]float64, 64)
 	for i := range f.deltas {
@@ -499,55 +501,70 @@ var efBench = sync.OnceValue(func() (f struct{ deltas, resid [][]float64 }) {
 			f.deltas[i][j] = g.Normal(0, 0.01)
 		}
 	}
-	c := &TopK{Frac: 0.05}
 	var p Payload
 	x, scratch := make([]float64, d), make([]float64, d)
-	f.resid = make([][]float64, clients)
-	for ci := range f.resid {
-		f.resid[ci] = make([]float64, d)
-		for s := 0; s < warm; s++ {
-			copy(x, f.deltas[(ci+s)%len(f.deltas)])
-			EncodeEF(c, &p, x, f.resid[ci], nil, scratch)
+	warm := func(c Codec, steps int) [][]float64 {
+		resid := make([][]float64, clients)
+		for ci := range resid {
+			resid[ci] = make([]float64, d)
+			for s := 0; s < steps; s++ {
+				copy(x, f.deltas[(ci+s)%len(f.deltas)])
+				EncodeEF(c, &p, x, resid[ci], g, scratch)
+			}
 		}
+		return resid
 	}
+	f.topk = warm(&TopK{Frac: 0.05}, 200)
+	f.int8 = warm(&Int8{Chunk: DefaultChunk}, 20)
 	return f
 })
 
-// BenchmarkEncodeEF reports the top-k error-feedback step's cost per
-// coordinate at the failover workload's shape: d = 1 354, Frac .05, and
-// 500 clients visited in rotation, so the fold reads a residual that has
-// left the cache, as on a worker serving 500 clients. Each call first
-// refills x from one of the 64 deltas; that copy is part of the figure.
-// The f32 leg runs EncodeEF32 over the same residuals narrowed to float32.
+// BenchmarkEncodeEF reports the error-feedback step's cost per coordinate
+// at the adult MLP's update length, d = 1 354, with 500 clients visited in
+// rotation, so the fold reads a residual that has left the cache, as on a
+// worker serving 500 clients. Each call first refills x from one of the 64
+// deltas; that copy is part of the figure. The f64 and f32 legs are top-k
+// at Frac .05 (the failover workload's codec), with EncodeEF and with
+// EncodeEF32 over the same residuals narrowed to float32; the int8 legs
+// are the default-chunk int8 step the async workload runs at f32.
 func BenchmarkEncodeEF(b *testing.B) {
 	f := efBench()
 	d := len(f.deltas[0])
-	c := &TopK{Frac: 0.05}
-	var p Payload
-	c.Grow(&p, d)
 	x, scratch := make([]float64, d), make([]float64, d)
-	run := func(b *testing.B, step func(i int)) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			copy(x, f.deltas[i%len(f.deltas)])
-			step(i % len(f.resid))
+	r := rng.New(9)
+	for _, leg := range []struct {
+		name  string
+		c     Codec
+		resid [][]float64
+	}{
+		{"", &TopK{Frac: 0.05}, f.topk},
+		{"int8/", &Int8{Chunk: DefaultChunk}, f.int8},
+	} {
+		var p Payload
+		leg.c.Grow(&p, d)
+		run := func(b *testing.B, step func(i int)) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(x, f.deltas[i%len(f.deltas)])
+				step(i % len(leg.resid))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(d), "ns/coord")
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(d), "ns/coord")
+		b.Run(leg.name+"f64", func(b *testing.B) {
+			resid := make([][]float64, len(leg.resid))
+			for i, e := range leg.resid {
+				resid[i] = append([]float64(nil), e...)
+			}
+			run(b, func(i int) { EncodeEF(leg.c, &p, x, resid[i], r, scratch) })
+		})
+		b.Run(leg.name+"f32", func(b *testing.B) {
+			resid := make([][]float32, len(leg.resid))
+			for i, e := range leg.resid {
+				resid[i] = make([]float32, d)
+				vecmath.Narrow(resid[i], e)
+			}
+			run(b, func(i int) { EncodeEF32(leg.c, &p, x, resid[i], r, scratch) })
+		})
 	}
-	b.Run("f64", func(b *testing.B) {
-		resid := make([][]float64, len(f.resid))
-		for i, e := range f.resid {
-			resid[i] = append([]float64(nil), e...)
-		}
-		run(b, func(i int) { EncodeEF(c, &p, x, resid[i], nil, scratch) })
-	})
-	b.Run("f32", func(b *testing.B) {
-		resid := make([][]float32, len(f.resid))
-		for i, e := range f.resid {
-			resid[i] = make([]float32, d)
-			vecmath.Narrow(resid[i], e)
-		}
-		run(b, func(i int) { EncodeEF32(c, &p, x, resid[i], nil, scratch) })
-	})
 }

@@ -12,8 +12,8 @@ import (
 // length, any bit pattern including NaN and ±Inf — and checks the codec
 // contract: encode/decode never panics, and when the input is entirely
 // finite the decoded vector is entirely finite too. TopK must also equal
-// the frozen reference encoder and error-feedback steps
-// (reference_test.go) bit for bit.
+// the frozen reference encoder, and every codec's error-feedback steps the
+// frozen reference steps (reference_test.go), bit for bit.
 func FuzzCodecRoundtrip(f *testing.F) {
 	f.Add(uint8(0), uint8(50), []byte{})
 	f.Add(uint8(1), uint8(50), []byte{}) // top-k of an empty vector
@@ -104,20 +104,18 @@ func FuzzCodecRoundtrip(f *testing.F) {
 				t.Fatalf("%s: EncodeEF left non-finite residual %v at %d", c.Name(), v, i)
 			}
 		}
-		// TopK's fused error-feedback steps must equal the frozen reference
-		// steps from the residual that step left, with float64 and float32
-		// residuals.
-		if tk, ok := c.(*TopK); ok {
-			e32 := make([]float32, d)
-			for i, v := range e {
-				e32[i] = float32(v)
-			}
-			if err := sameEF(tk.Frac, &p, x, e, scratch); err != nil {
-				t.Fatalf("%s over %d coordinates, f64 residual: %v", c.Name(), d, err)
-			}
-			if err := sameEF(tk.Frac, &p, x, e32, scratch); err != nil {
-				t.Fatalf("%s over %d coordinates, f32 residual: %v", c.Name(), d, err)
-			}
+		// Every codec's error-feedback steps must equal the frozen
+		// reference steps from the residual that step left, with float64
+		// and float32 residuals.
+		e32 := make([]float32, d)
+		for i, v := range e {
+			e32[i] = float32(v)
+		}
+		if err := sameEF(c, &p, x, e, uint64(param), scratch); err != nil {
+			t.Fatalf("%s over %d coordinates, f64 residual: %v", c.Name(), d, err)
+		}
+		if err := sameEF(c, &p, x, e32, uint64(param), scratch); err != nil {
+			t.Fatalf("%s over %d coordinates, f32 residual: %v", c.Name(), d, err)
 		}
 	})
 }

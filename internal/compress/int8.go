@@ -51,6 +51,17 @@ func (c *Int8) Grow(p *Payload, d int) {
 // min(len(x), Chunk) capacity; a shorter scratch (nil) costs one
 // allocation.
 func (c *Int8) Encode(p *Payload, x []float64, r *rng.RNG, scratch []float64) {
+	int8EF[float64](c, p, x, nil, r, scratch)
+}
+
+// int8EF is Int8.Encode (e nil) and its error-feedback step (EncodeEF,
+// EncodeEF32) in two vector passes per chunk. The first folds the residual
+// into x and takes the chunk's max-abs and NaN count (vecmath.FoldMaxAbs);
+// after the chunk's draws, the second quantizes, decodes over x and leaves
+// the reset residual in e (vecmath.QuantizeDecode) — the bits of the
+// fold/encode/decode/subtract/reset/narrow/copy loops, pass for pass.
+// Without a residual the second pass only quantizes and x is unchanged.
+func int8EF[E float64 | float32](c *Int8, p *Payload, x []float64, e []E, r *rng.RNG, scratch []float64) {
 	d := len(x)
 	c.Grow(p, d)
 	p.Form, p.N, p.ChunkLen = KindInt8, d, c.Chunk
@@ -61,51 +72,40 @@ func (c *Int8) Encode(p *Payload, x []float64, r *rng.RNG, scratch []float64) {
 	if need := min(d, c.Chunk); len(u) < need {
 		u = make([]float64, need)
 	}
+	var es []E
 	for base := 0; base < d; base += c.Chunk {
 		end := min(base+c.Chunk, d)
 		xs, qs, us := x[base:end], q[base:end], u[:end-base]
-		m, nans := maxAbsCountNaN(xs)
+		if e != nil {
+			es = e[base:end]
+		}
+		m, nans := vecmath.FoldMaxAbs(xs, es)
 		scale := m / 127
 		if math.IsInf(m, 0) {
 			scale = 0
 		}
 		sc = append(sc, scale)
+		// inv is +Inf when scale is 0 (a zero or infinite maximum, or one
+		// that underflows) or so small that 1/scale overflows: every scaled
+		// value is then 0·Inf, ±Inf or NaN, which rounds to 0 whatever the
+		// uniform, so the chunk is all zeros and takes no draws. Otherwise,
+		// with every non-NaN |x| ≤ m, x·inv stays within a few ulps of
+		// ±127, so the scaled value is non-finite exactly where x is NaN.
 		inv := 1 / scale
-		if math.IsInf(inv, 1) {
-			// scale is 0 (a zero or infinite maximum, or one that
-			// underflows) or so small that 1/scale overflows: every scaled
-			// value is 0·Inf, ±Inf or NaN, so the chunk is all zeros.
-			clear(qs)
-			continue
-		}
-		// With inv finite and every non-NaN |x| ≤ m, x·inv stays within
-		// a few ulps of ±127, so the scaled value is non-finite exactly
-		// where x is NaN.
-		if nans == 0 {
+		switch {
+		case math.IsInf(inv, 1):
+		case nans == 0:
 			r.Float64s(us)
-		} else {
+		default:
 			drawSkippingNaN(r, us, xs, nans)
 		}
-		vecmath.QuantizeInt8(qs, xs, inv, us)
+		if e == nil {
+			vecmath.QuantizeInt8(qs, xs, inv, us)
+		} else {
+			vecmath.QuantizeDecode(qs, xs, es, inv, scale, us)
+		}
 	}
 	p.Q, p.Scale = q, sc
-}
-
-// maxAbsCountNaN returns the largest |x[i]| over the non-NaN coordinates
-// (0 when there are none; a compare with NaN is false) and the number of
-// NaN coordinates. Both branches are predictable — the maximum settles
-// within a few coordinates — which keeps the scan off a serial
-// conditional-move chain.
-func maxAbsCountNaN(x []float64) (m float64, nans int) {
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-		if v != v {
-			nans++
-		}
-	}
-	return m, nans
 }
 
 // drawSkippingNaN fills u[i] with the next draw for every non-NaN x[i], in

@@ -348,6 +348,69 @@ func refEncodeEF32(frac float64, p *Payload, x []float64, e32 []float32) {
 	copy(x, dec)
 }
 
+// The frozen reference error-feedback steps of the other two codecs, as
+// the generic step ran them before int8 took two vector passes per chunk
+// and None its lossless shortcut: the fold, the reference int8 encoder
+// above (or None's copy), a decode, the subtraction, the non-finite reset
+// (before the float32 narrowing) and the copy, one coordinate at a time.
+// Do not modernize these bodies either.
+
+func refInt8EF(chunk int, p *Payload, x, e []float64, r *rng.RNG) {
+	for i := range x {
+		x[i] += e[i]
+	}
+	refInt8Encode(chunk, p, x, r)
+	dec := refInt8Decode(p)
+	for i := range e {
+		e[i] = x[i] - dec[i]
+		if math.IsNaN(e[i]) || math.IsInf(e[i], 0) {
+			e[i] = 0
+		}
+	}
+	copy(x, dec)
+}
+
+func refInt8EF32(chunk int, p *Payload, x []float64, e32 []float32, r *rng.RNG) {
+	for i := range x {
+		x[i] += float64(e32[i])
+	}
+	refInt8Encode(chunk, p, x, r)
+	dec := refInt8Decode(p)
+	for i := range e32 {
+		v := x[i] - dec[i]
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			v = 0
+		}
+		e32[i] = float32(v)
+	}
+	copy(x, dec)
+}
+
+func refInt8Decode(p *Payload) []float64 {
+	dec := make([]float64, p.N)
+	for i := range dec {
+		dec[i] = p.Scale[i/p.ChunkLen] * float64(p.Q[i])
+	}
+	return dec
+}
+
+func refNoneEF[E float64 | float32](p *Payload, x []float64, e []E) {
+	for i := range x {
+		x[i] += float64(e[i])
+	}
+	p.Form, p.N = KindNone, len(x)
+	p.Val = append(p.Val[:0], x...)
+	dec := append([]float64(nil), p.Val...)
+	for i := range e {
+		v := x[i] - dec[i]
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			v = 0
+		}
+		e[i] = E(v)
+	}
+	copy(x, dec)
+}
+
 // sameTopK compares a live top-k payload with the reference's: the
 // header, the int8 fields an earlier encode may have left behind, every
 // index, and the bits of every value.
@@ -565,23 +628,62 @@ func TestTopKEncodeMatchesFrozenReference(t *testing.T) {
 	}
 }
 
-// sameEF runs one live and one reference error-feedback step of top-k at
-// frac over copies of x and of the residual e (float64 or float32), into
-// p and a fresh payload, and reports the first difference in the payload,
-// the residual bits or the decoded-x bits. The live step's residual is
-// left in e.
-func sameEF[E float64 | float32](frac float64, p *Payload, x []float64, e []E, scratch []float64) error {
+// sameEF runs one live and one reference error-feedback step of codec c
+// (top-k, int8 or None) over copies of x and of the residual e (float64 or
+// float32), into p and a fresh payload, with twin streams seeded by seed,
+// and reports the first difference in the payload, the residual bits, the
+// decoded-x bits or the stream cursor. The live step's residual is left
+// in e. None transmits x+e itself, whose NaN payload is the fold's operand
+// order when a NaN meets a NaN, so there a NaN only has to be NaN.
+func sameEF[E float64 | float32](c Codec, p *Payload, x []float64, e []E, seed uint64, scratch []float64) error {
 	gx, wx, we := slices.Clone(x), slices.Clone(x), slices.Clone(e)
+	gr, wr := rng.New(seed), rng.New(seed)
 	var want Payload
 	switch e := any(e).(type) {
 	case []float64:
-		EncodeEF(&TopK{Frac: frac}, p, gx, e, nil, scratch)
-		refEncodeEF(frac, &want, wx, any(we).([]float64))
+		EncodeEF(c, p, gx, e, gr, scratch)
 	case []float32:
-		EncodeEF32(&TopK{Frac: frac}, p, gx, e, nil, scratch)
-		refEncodeEF32(frac, &want, wx, any(we).([]float32))
+		EncodeEF32(c, p, gx, e, gr, scratch)
 	}
-	if err := sameTopK(p, &want); err != nil {
+	switch c := c.(type) {
+	case *TopK:
+		switch we := any(we).(type) {
+		case []float64:
+			refEncodeEF(c.Frac, &want, wx, we)
+		case []float32:
+			refEncodeEF32(c.Frac, &want, wx, we)
+		}
+	case *Int8:
+		switch we := any(we).(type) {
+		case []float64:
+			refInt8EF(c.Chunk, &want, wx, we, wr)
+		case []float32:
+			refInt8EF32(c.Chunk, &want, wx, we, wr)
+		}
+	default:
+		refNoneEF(&want, wx, we)
+	}
+	same := func(g, w float64) bool { return math.Float64bits(g) == math.Float64bits(w) }
+	var err error
+	switch want.Form {
+	case KindTopK:
+		err = sameTopK(p, &want)
+	case KindInt8:
+		err = sameInt8(p, &want)
+	default:
+		same = func(g, w float64) bool {
+			return math.Float64bits(g) == math.Float64bits(w) || math.IsNaN(g) && math.IsNaN(w)
+		}
+		if p.Form != KindNone || p.N != want.N || len(p.Val) != len(want.Val) {
+			err = fmt.Errorf("header (%v, %d, %d values), reference (%v, %d, %d values)", p.Form, p.N, len(p.Val), want.Form, want.N, len(want.Val))
+		}
+		for j := 0; err == nil && j < len(want.Val); j++ {
+			if !same(p.Val[j], want.Val[j]) {
+				err = fmt.Errorf("Val[%d] = %#x, reference %#x", j, math.Float64bits(p.Val[j]), math.Float64bits(want.Val[j]))
+			}
+		}
+	}
+	if err != nil {
 		return err
 	}
 	for i := range e {
@@ -590,33 +692,61 @@ func sameEF[E float64 | float32](frac float64, p *Payload, x []float64, e []E, s
 		}
 	}
 	for i := range gx {
-		if g, w := math.Float64bits(gx[i]), math.Float64bits(wx[i]); g != w {
-			return fmt.Errorf("decoded x[%d] = %#x, reference %#x", i, g, w)
+		if !same(gx[i], wx[i]) {
+			return fmt.Errorf("decoded x[%d] = %#x, reference %#x", i, math.Float64bits(gx[i]), math.Float64bits(wx[i]))
+		}
+	}
+	if g, w := gr.Uint64(), wr.Uint64(); g != w {
+		return fmt.Errorf("stream cursor differs after the step (next draw %x, reference %x)", g, w)
+	}
+	return nil
+}
+
+// sameInt8 compares a live int8 payload with the reference's: the header,
+// the top-k fields an earlier encode may have left behind, every quantum
+// and the bits of every scale.
+func sameInt8(got, want *Payload) error {
+	if got.Form != want.Form || got.N != want.N || got.ChunkLen != want.ChunkLen {
+		return fmt.Errorf("header (%v, %d, %d), reference (%v, %d, %d)", got.Form, got.N, got.ChunkLen, want.Form, want.N, want.ChunkLen)
+	}
+	if len(got.Idx) != 0 || len(got.Val) != 0 {
+		return fmt.Errorf("%d indices and %d values left in an int8 payload", len(got.Idx), len(got.Val))
+	}
+	if len(got.Q) != len(want.Q) || len(got.Scale) != len(want.Scale) {
+		return fmt.Errorf("%d quanta and %d scales, reference %d and %d", len(got.Q), len(got.Scale), len(want.Q), len(want.Scale))
+	}
+	for i := range want.Q {
+		if got.Q[i] != want.Q[i] {
+			return fmt.Errorf("Q[%d] = %d, reference %d", i, got.Q[i], want.Q[i])
+		}
+	}
+	for i := range want.Scale {
+		if math.Float64bits(got.Scale[i]) != math.Float64bits(want.Scale[i]) {
+			return fmt.Errorf("Scale[%d] = %v, reference %v", i, got.Scale[i], want.Scale[i])
 		}
 	}
 	return nil
 }
 
 // efResiduals builds the residuals TestEncodeEFMatchesFrozenReference
-// starts each case from, as float64: zero; Normal; the residual 50
-// reference steps over the case's vector leave; and a Normal one seeded
-// with NaN, ±Inf and −0.
-func efResiduals(c topkCase, g *rng.RNG) []struct {
+// starts each case from, as float64: zero; Normal; the residual that
+// steps reference steps over x leave; and a Normal one seeded with NaN of
+// either sign, ±Inf, −0 and subnormals.
+func efResiduals(x []float64, steps int, step func(x, e []float64), g *rng.RNG) []struct {
 	kind string
 	e    []float64
 } {
-	d := len(c.x)
+	d := len(x)
 	normal := make([]float64, d)
 	for i := range normal {
 		normal[i] = g.Normal(0, 0.01)
 	}
 	accumulated := make([]float64, d)
-	var p Payload
-	for step := 0; step < 50; step++ {
-		refEncodeEF(c.frac, &p, slices.Clone(c.x), accumulated)
+	for s := 0; s < steps; s++ {
+		step(slices.Clone(x), accumulated)
 	}
 	seeded := slices.Clone(normal)
-	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), math.Copysign(math.NaN(), -1), 5e-324, -1e-310}
 	for i := 0; i < d; i += 3 {
 		seeded[i] = specials[i/3%len(specials)]
 	}
@@ -626,29 +756,54 @@ func efResiduals(c topkCase, g *rng.RNG) []struct {
 	}{{"zero", make([]float64, d)}, {"normal", normal}, {"accumulated", accumulated}, {"seeded", seeded}}
 }
 
-// TestEncodeEFMatchesFrozenReference pins the top-k error-feedback steps
-// to the frozen references above on every case of topkReferenceCases
-// (k ∈ {1, d−1, d} and three fractions over every vector family), from
-// each residual of efResiduals, with float64 residuals (EncodeEF) and
-// float32 ones (EncodeEF32, the residual narrowed). The live steps run
-// into one reused payload with one reused scratch.
+// TestEncodeEFMatchesFrozenReference pins the error-feedback steps to the
+// frozen references above, from each residual of efResiduals, with float64
+// residuals (EncodeEF) and float32 ones (EncodeEF32, the residual
+// narrowed): top-k on every case of topkReferenceCases (k ∈ {1, d−1, d} and
+// three fractions over every vector family); int8 and None on every case
+// of int8ReferenceCases — every chunk tail, NaN coordinates that skip
+// their draw, ±Inf, −0 and subnormal coordinates, and chunks whose maximum
+// is 0, infinite, or so small that 1/scale overflows — where int8 must
+// also leave the stream at the reference's cursor. The live steps run
+// into one reused payload with one reused scratch, which the int8 cases
+// share with the top-k ones.
 func TestEncodeEFMatchesFrozenReference(t *testing.T) {
 	var p Payload
 	scratch := make([]float64, 4096)
 	g := rng.New(303)
-	for _, c := range topkReferenceCases() {
-		for _, r := range efResiduals(c, g) {
-			if err := sameEF(c.frac, &p, c.x, slices.Clone(r.e), scratch); err != nil {
-				t.Fatalf("%s, %s residual, f64: %v", c.name, r.kind, err)
+	narrow := func(e []float64) []float32 {
+		e32 := make([]float32, len(e))
+		for i, v := range e {
+			e32[i] = float32(v)
+		}
+		return e32
+	}
+	check := func(c Codec, name string, x []float64, residuals []struct {
+		kind string
+		e    []float64
+	}, seed uint64) {
+		t.Helper()
+		for _, r := range residuals {
+			if err := sameEF(c, &p, x, slices.Clone(r.e), seed, scratch); err != nil {
+				t.Fatalf("%s %s, %s residual, f64: %v", c.Name(), name, r.kind, err)
 			}
-			e32 := make([]float32, len(r.e))
-			for i, v := range r.e {
-				e32[i] = float32(v)
-			}
-			if err := sameEF(c.frac, &p, c.x, e32, scratch); err != nil {
-				t.Fatalf("%s, %s residual, f32: %v", c.name, r.kind, err)
+			if err := sameEF(c, &p, x, narrow(r.e), seed, scratch); err != nil {
+				t.Fatalf("%s %s, %s residual, f32: %v", c.Name(), name, r.kind, err)
 			}
 		}
+	}
+	for _, c := range topkReferenceCases() {
+		var want Payload
+		step := func(x, e []float64) { refEncodeEF(c.frac, &want, x, e) }
+		check(&TopK{Frac: c.frac}, c.name, c.x, efResiduals(c.x, 50, step, g), 0)
+	}
+	for ci, c := range int8ReferenceCases() {
+		var want Payload
+		sr := rng.New(uint64(ci))
+		step := func(x, e []float64) { refInt8EF(c.chunk, &want, x, e, sr) }
+		residuals := efResiduals(c.x, 20, step, g)
+		check(&Int8{Chunk: c.chunk}, c.name, c.x, residuals, uint64(2000+ci))
+		check(None{}, c.name, c.x, residuals, 0)
 	}
 }
 

@@ -246,3 +246,6 @@ func lomuto(a []float64, bound uint64) int {
 	}
 	return s
 }
+
+// expMask selects a float64's exponent field (+Inf), signBit its sign.
+const expMask, signBit = 0x7ff0_0000_0000_0000, 1 << 63

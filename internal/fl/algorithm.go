@@ -110,6 +110,12 @@ type Update struct {
 	Payload *compress.Payload
 	// ring is the pool's buffer-ownership handle (pool.go).
 	ring *upload
+	// scan is a dense Delta's MaxAbs and rescaled square-sum as the
+	// aggregation stack took them for its norm (updateNorms), which Eq. 7's
+	// NormsCosines reads instead of scanning Delta again; scanned says it
+	// is current. The stack clears it on an update it rescales.
+	scan    vecmath.Scan
+	scanned bool
 }
 
 // sparse reports whether the update travels as a top-k payload, whose
@@ -143,9 +149,10 @@ func (u *Update) Norm() float64 {
 // and its cosine similarity with y into cos, under the CosineSimilarity
 // conventions: the geometry Eq. (7) and FoolsGold read. y's largest
 // magnitude and rescaled square-sum are taken once. A dense update costs
-// one pass over Δ_i for both values (vecmath.CosineRef), two dense updates
-// share each loop with their add chains interleaved, and a top-k upload
-// costs O(k) (sparseCosine).
+// one pass over Δ_i for both values (vecmath.CosineRef), or only the dot
+// product's chain when the stack's scan of it is current; two dense
+// updates share each loop with their add chains interleaved, and a top-k
+// upload costs O(k) (sparseCosine).
 func NormsCosines(updates []Update, y, norms, cos []float64) {
 	ref := vecmath.NewCosineRef(y)
 	my, ny := ref.Max(), ref.ScaledNorm()
@@ -157,18 +164,28 @@ func NormsCosines(updates []Update, y, norms, cos []float64) {
 	}
 	forDensePairs(updates, func(i int) {
 		u := &updates[i]
-		if !u.sparse() {
+		switch {
+		case u.scanned:
+			n, c := ref.Cosine(u.Delta, u.scan)
+			set(i, n, c)
+		case !u.sparse():
 			n, c := ref.NormCosine(u.Delta)
 			set(i, n, c)
-			return
+		default:
+			var c float64
+			if my != 0 {
+				c = u.sparseCosine(y, my, ny)
+			}
+			set(i, u.Norm(), c)
 		}
-		var c float64
-		if my != 0 {
-			c = u.sparseCosine(y, my, ny)
-		}
-		set(i, u.Norm(), c)
 	}, func(i, j int) {
-		ni, ci, nj, cj := ref.NormCosinePair(updates[i].Delta, updates[j].Delta)
+		ui, uj := &updates[i], &updates[j]
+		var ni, ci, nj, cj float64
+		if ui.scanned && uj.scanned {
+			ni, ci, nj, cj = ref.CosinePair(ui.Delta, uj.Delta, ui.scan, uj.scan)
+		} else {
+			ni, ci, nj, cj = ref.NormCosinePair(ui.Delta, uj.Delta)
+		}
 		set(i, ni, ci)
 		set(j, nj, cj)
 	})

@@ -16,7 +16,8 @@ import (
 // around any inner aggregation rule. Per round it
 //
 //  1. computes every update's L2 norm (the payload-aware Update.Norm, so
-//     a sparse round stays O(n·k); updateNorms pairs the dense ones),
+//     a sparse round stays O(n·k); updateNorms pairs the dense ones and
+//     keeps their scans, which Eq. 7 reads for an update left unscaled),
 //  2. runs the stage pipeline over (norms, multipliers) — zeroing drops
 //     updates, clipping rescales them in place (both the dense delta and
 //     the sparse payload values, keeping the two views consistent),
@@ -180,6 +181,7 @@ func (a *stackedAlg) applyStages(updates []Update) []Update {
 		}
 		if m != 1 {
 			scaleUpdate(&updates[i], m)
+			updates[i].scanned = false
 		}
 		a.kept = append(a.kept, updates[i])
 		a.keptIdx = append(a.keptIdx, i)
@@ -189,12 +191,21 @@ func (a *stackedAlg) applyStages(updates []Update) []Update {
 
 // updateNorms writes every update's Norm into norms and returns it. Dense
 // updates go two at a time, their square-sum chains interleaved in one
-// loop (vecmath.Norm2SafePair).
+// loop (vecmath.ScanPair), and keep their scan for Eq. 7 (Update.scan).
 func updateNorms(updates []Update, norms []float64) []float64 {
 	forDensePairs(updates, func(i int) {
-		norms[i] = updates[i].Norm()
+		u := &updates[i]
+		if u.sparse() {
+			norms[i] = u.Norm()
+			return
+		}
+		u.scan, u.scanned = vecmath.ScanOf(u.Delta), true
+		norms[i] = u.scan.Norm()
 	}, func(i, j int) {
-		norms[i], norms[j] = vecmath.Norm2SafePair(updates[i].Delta, updates[j].Delta)
+		ui, uj := &updates[i], &updates[j]
+		ui.scan, uj.scan = vecmath.ScanPair(ui.Delta, uj.Delta)
+		ui.scanned, uj.scanned = true, true
+		norms[i], norms[j] = ui.scan.Norm(), uj.scan.Norm()
 	})
 	return norms
 }

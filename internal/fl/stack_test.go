@@ -13,6 +13,7 @@ import (
 	"repro/internal/compress"
 	"repro/internal/metrics"
 	"repro/internal/simclock"
+	"repro/internal/vecmath"
 )
 
 // mustStack parses a stack spec or fails the test.
@@ -454,6 +455,115 @@ func TestStackNormsMatchPerUpdate(t *testing.T) {
 	}
 	if fates[metrics.Zeroed] == 0 || fates[metrics.Clipped] == 0 {
 		t.Fatalf("the stages never engaged: %d zeroed, %d clipped", fates[metrics.Zeroed], fates[metrics.Clipped])
+	}
+}
+
+// scanProbe is FedAvg that checks, in every Aggregate, that each update
+// arriving with the stack's scan carries exactly ScanOf(Delta), and counts
+// the updates that arrive with and without one.
+type scanProbe struct {
+	goldenFedAvg
+	t                *testing.T
+	carried, retaken int
+}
+
+func (a *scanProbe) Aggregate(s *ServerCtx, updates []Update) {
+	for i := range updates {
+		u := &updates[i]
+		if !u.scanned {
+			a.retaken++
+			continue
+		}
+		a.carried++
+		if want := vecmath.ScanOf(u.Delta); math.Float64bits(u.scan.Max) != math.Float64bits(want.Max) || math.Float64bits(u.scan.Sq) != math.Float64bits(want.Sq) {
+			a.t.Fatalf("client %d: carried scan %v, its delta scans to %v", u.Client, u.scan, want)
+		}
+	}
+	a.goldenFedAvg.Aggregate(s, updates)
+}
+
+// TestStackScanCarriedToEq7 pins the scan the stack hands to Eq. 7: on
+// mixed buffers under a zeroing|clip stack, every dense update the stack
+// left at multiplier 1 carries its delta's MaxAbs and Norm2Safe bit for
+// bit, a clipped one carries none (and a zeroed one never reaches the
+// inner rule), and NormsCosines gives the same norms and cosines bits with
+// the scans as with every update rescanned. A run whose sign-flipping
+// clients mutate their deltas before upload, under the same stack, sees
+// only scans of the deltas as mutated; a client that scales its delta past
+// a fixed clip bound arrives without one.
+func TestStackScanCarriedToEq7(t *testing.T) {
+	const d = 67
+	r := rand.New(rand.NewPCG(71, 73))
+	a := newTestStack(t, 21, d)
+	sameBits := func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || math.IsNaN(x) && math.IsNaN(y)
+	}
+	var carried, clipped int
+	for step := 0; step < 60; step++ {
+		us := mixedUpdates(r, []int{1, 2, 3, 20, 21}[step%5], d, step)
+		kept := a.applyStages(us)
+		for j, i := range a.keptIdx {
+			u := &kept[j]
+			switch {
+			case u.sparse():
+				if u.scanned {
+					t.Fatalf("step %d, update %d: a top-k upload carries a scan", step, i)
+				}
+			case a.mult[i] != 1:
+				if u.scanned {
+					t.Fatalf("step %d, update %d: clipped by %v but still carries its scan", step, i, a.mult[i])
+				}
+				clipped++
+			default:
+				if !u.scanned || !sameBits(u.scan.Max, vecmath.MaxAbs(u.Delta)) || !sameBits(u.scan.Norm(), vecmath.Norm2Safe(u.Delta)) {
+					t.Fatalf("step %d, update %d: scan %v (set %v), delta has MaxAbs %v and Norm2Safe %v",
+						step, i, u.scan, u.scanned, vecmath.MaxAbs(u.Delta), vecmath.Norm2Safe(u.Delta))
+				}
+				carried++
+			}
+		}
+		if len(kept) == 0 {
+			continue
+		}
+		y := make([]float64, d)
+		for i := range kept {
+			kept[i].AddScaled(1/float64(len(kept)), y)
+		}
+		rescanned := slices.Clone(kept)
+		for i := range rescanned {
+			rescanned[i].scanned = false
+		}
+		n, c := make([]float64, len(kept)), make([]float64, len(kept))
+		wn, wc := make([]float64, len(kept)), make([]float64, len(kept))
+		NormsCosines(kept, y, n, c)
+		NormsCosines(rescanned, y, wn, wc)
+		for i := range kept {
+			if !sameBits(n[i], wn[i]) || !sameBits(c[i], wc[i]) {
+				t.Fatalf("step %d, kept update %d: (norm, cos) = (%v, %v) with the scan, (%v, %v) rescanned", step, i, n[i], c[i], wn[i], wc[i])
+			}
+		}
+	}
+	if carried == 0 || clipped == 0 {
+		t.Fatalf("the stack carried %d scans and clipped %d updates; both must engage", carried, clipped)
+	}
+
+	// The clip bound is the largest honest norm of a probe run, so the
+	// client that scales its delta by 4 is clipped and the rest are not.
+	net, shards, test := poolSetup(t, 8)
+	cfg := Config{Rounds: 8, LocalSteps: 3, BatchSize: 8, LocalLR: 0.05, Seed: 13}
+	cfg.Adversaries = []adversary.Spec{{Kind: adversary.KindSignFlip, Clients: []int{1, 5}}}
+	norms := &normProbe{}
+	if _, err := Run(cfg, norms, net, shards, test); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Adversaries = append(cfg.Adversaries, adversary.Spec{Kind: adversary.KindScale, Clients: []int{3}, Scale: 4})
+	cfg.AggStack = aggstack.StackSpec{Stages: []aggstack.StageSpec{{Kind: aggstack.StageClipping, Norm: norms.maxNorm}}}
+	probe := &scanProbe{t: t}
+	if _, err := Run(cfg, probe, net, shards, test); err != nil {
+		t.Fatal(err)
+	}
+	if probe.carried == 0 || probe.retaken == 0 {
+		t.Fatalf("%d updates carried a scan and %d did not; both must occur", probe.carried, probe.retaken)
 	}
 }
 

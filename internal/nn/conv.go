@@ -151,9 +151,9 @@ func convForward[F Float](l *conv2d, params, x, y []F, batch int, sc *scratch[F]
 		col := cols[s*kp*n : (s+1)*kp*n]
 		im2col(l.patches, col, x[s*inSize:(s+1)*inSize], staged)
 		ys := y[s*outSize : (s+1)*outSize]
-		// ys is outC×N row-major, exactly the GEMM output layout.
-		vecmath.Gemm(ys, w, col, l.outC, kp, n, false)
-		vecmath.AddColVector(ys, bias, l.outC, n)
+		// ys is outC×N row-major, exactly the GEMM output layout, and
+		// starts from each channel's bias.
+		vecmath.GemmBias(ys, w, col, bias, l.outC, kp, n, true)
 	}
 }
 

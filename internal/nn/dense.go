@@ -45,8 +45,7 @@ func denseForward[F Float](l *dense, params, x, y []F, batch int) {
 	in := l.in.Size()
 	w := params[:in*l.out]
 	bias := params[in*l.out:]
-	vecmath.Gemm(y[:batch*l.out], x[:batch*in], w, batch, in, l.out, false)
-	vecmath.AddRowVector(y[:batch*l.out], bias, batch, l.out)
+	vecmath.GemmBias(y[:batch*l.out], x[:batch*in], w, bias, batch, in, l.out, false)
 }
 
 func denseBackward[F Float](l *dense, params, x, dy, dx, dparams []F, batch int) {

@@ -149,6 +149,147 @@ func TestQuantizeInt8Contract(t *testing.T) {
 	}
 }
 
+// efFoldDef and efDecodeDef are the scalar definitions the int8
+// error-feedback passes are stated against: the generic step's fold, its
+// max-abs and NaN count, and its decode, subtraction, non-finite reset and
+// narrowing, one coordinate at a time.
+func efFoldDef(x, e float64) float64 { return x + e }
+
+func efDecodeDef(x, inv, scale, u float64) (q int8, d, r float64) {
+	q = quantizeDef(x, inv, u)
+	d = float64(scale * float64(q))
+	r = x - d
+	if math.IsNaN(r) || math.IsInf(r, 0) {
+		r = 0
+	}
+	return q, d, r
+}
+
+// sameF64 reports whether got has want's bits, or is NaN where want is a
+// NaN made from two NaN operands, whose payload is the operand order's.
+func sameF64(got, want float64, nanMeetsNaN bool) bool {
+	if nanMeetsNaN && math.IsNaN(want) {
+		return math.IsNaN(got)
+	}
+	return math.Float64bits(got) == math.Float64bits(want)
+}
+
+// TestInt8EFPassesContract pins FoldMaxAbs and QuantizeDecode — the table
+// entries plus the pure-Go tail, and the pure-Go loops alone — to the
+// scalar definitions above at both residual precisions, at every head/tail
+// split and every rotation of the special values through the lanes: NaN
+// of either sign with payloads, ±Inf, ±0, subnormals, ±MaxFloat64 (whose
+// folds overflow), values past MaxFloat32 (whose residuals narrow to
+// ±Inf), under the scales a codec chunk takes (127/m for several m, 0 and
+// a subnormal scale with inv = +Inf) and uniforms on the fraction itself.
+func TestInt8EFPassesContract(t *testing.T) {
+	rng := rand.New(rand.NewPCG(71, 73))
+	xs := narrowPool(rng)
+	xs = append(xs, 1, -1, 0.3, -0.7, 126.9, -127, 5e-324)
+	es := append(narrowPool(rng)[:24], 0.125, -3)
+	us := []float64{0, 0.5, math.Nextafter(1, 0), 0.25}
+	for i := 0; i < 7; i++ {
+		us = append(us, rng.Float64())
+	}
+	type scaled struct{ inv, scale float64 }
+	var scales []scaled
+	for _, m := range []float64{1, 3.7, 1e300, math.MaxFloat64, 1e-300, 1e-310} {
+		scale := m / 127
+		scales = append(scales, scaled{1 / scale, scale})
+	}
+	scales = append(scales, scaled{math.Inf(1), 0}, scaled{math.Inf(1), 5e-324}, scaled{1, 1})
+	for n := 0; n <= convertMaxLen; n++ {
+		for rot := range xs {
+			x, e := make([]float64, n), make([]float64, n)
+			for i := range x {
+				x[i] = xs[(i+rot)%len(xs)]
+				e[i] = es[(i*3+rot)%len(es)]
+			}
+			e32 := make([]float32, n)
+			for i, v := range e {
+				e32[i] = float32(v)
+			}
+
+			// Pass 1: scan, fold a float64 residual, fold a float32 one.
+			for _, c := range []struct {
+				name string
+				run  func(x []float64) (float64, int)
+				add  func(i int) (float64, bool)
+			}{
+				{"scan", func(x []float64) (float64, int) { return FoldMaxAbs[float64](x, nil) },
+					func(int) (float64, bool) { return 0, false }},
+				{"f64", func(x []float64) (float64, int) { return FoldMaxAbs(x, Clone(e)) },
+					func(i int) (float64, bool) { return e[i], true }},
+				{"f32", func(x []float64) (float64, int) { return FoldMaxAbs(x, append([]float32(nil), e32...)) },
+					func(i int) (float64, bool) { return float64(e32[i]), true }},
+			} {
+				got := Clone(x)
+				m, nans := c.run(got)
+				var wm float64
+				wnans := 0
+				for i := range x {
+					want := x[i]
+					ev, fold := c.add(i)
+					if fold {
+						want = efFoldDef(x[i], ev)
+					}
+					if !sameF64(got[i], want, math.IsNaN(x[i]) && math.IsNaN(ev)) {
+						t.Fatalf("n=%d rot=%d %s: x[%d] = %#x, definition %#x (x=%v e=%v)", n, rot, c.name, i, math.Float64bits(got[i]), math.Float64bits(want), x[i], ev)
+					}
+					if math.IsNaN(want) {
+						wnans++
+					} else if a := math.Abs(want); a > wm {
+						wm = a
+					}
+				}
+				if math.Float64bits(m) != math.Float64bits(wm) || nans != wnans {
+					t.Fatalf("n=%d rot=%d %s: FoldMaxAbs = (%v, %d), definition (%v, %d)", n, rot, c.name, m, nans, wm, wnans)
+				}
+			}
+
+			// Pass 2, at both residual precisions, driver and Go loop.
+			u := make([]float64, n)
+			for _, sc := range scales {
+				for i := range u {
+					u[i] = us[(i*7+rot)%len(us)]
+					if (i+rot)%5 == 0 {
+						if v := x[i] * sc.inv; !math.IsNaN(v - v) {
+							u[i] = v - math.Floor(v)
+						}
+					}
+				}
+				check := func(name string, q []int8, gx []float64, r func(i int) float64, narrow bool) {
+					t.Helper()
+					for i := range x {
+						wq, wd, wr := efDecodeDef(x[i], sc.inv, sc.scale, u[i])
+						if narrow {
+							wr = float64(float32(wr))
+						}
+						if q[i] != wq || math.Float64bits(gx[i]) != math.Float64bits(wd) || math.Float64bits(r(i)) != math.Float64bits(wr) {
+							t.Fatalf("n=%d rot=%d inv=%v scale=%v %s i=%d x=%v u=%v: (q, x, e) = (%d, %#x, %#x), definition (%d, %#x, %#x)",
+								n, rot, sc.inv, sc.scale, name, i, x[i], u[i], q[i], math.Float64bits(gx[i]), math.Float64bits(r(i)), wq, math.Float64bits(wd), math.Float64bits(wr))
+						}
+					}
+				}
+				for _, goOnly := range []bool{false, true} {
+					name := map[bool]string{false: "driver", true: "go"}[goOnly]
+					q, gx, ge := make([]int8, n), Clone(x), make([]float64, n)
+					q32, gx32, ge32 := make([]int8, n), Clone(x), make([]float32, n)
+					if goOnly {
+						quantizeDecodeGo(q, gx, ge, sc.inv, sc.scale, u)
+						quantizeDecodeGo(q32, gx32, ge32, sc.inv, sc.scale, u)
+					} else {
+						QuantizeDecode(q, gx, ge, sc.inv, sc.scale, u)
+						QuantizeDecode(q32, gx32, ge32, sc.inv, sc.scale, u)
+					}
+					check(name+"/f64", q, gx, func(i int) float64 { return ge[i] }, false)
+					check(name+"/f32", q32, gx32, func(i int) float64 { return float64(ge32[i]) }, true)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkWidenNarrow reports the precision bridge's memory throughput
 // (bytes read plus bytes written per second) at the adult MLP's parameter
 // count, the length an fp32 slot's local step converts several times.

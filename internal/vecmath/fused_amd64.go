@@ -33,8 +33,8 @@ func addKernel(a, b, dst *float64, n int)
 //go:noescape
 func subKernel(a, b, dst *float64, n int)
 
-// addColKernel adds v[i] to each of the n elements of row i of the m×n
-// matrix a in place, with AVX2; n must be a positive multiple of 4.
+// fillKernel sets the first n elements of dst to v with AVX2; n must be a
+// positive multiple of 8.
 //
 //go:noescape
-func addColKernel(a, v *float64, m, n int)
+func fillKernel(dst *float64, v float64, n int)

@@ -145,30 +145,20 @@ subloop:
 	VZEROUPPER
 	RET
 
-// func addColKernel(a, v *float64, m, n int)
-// a[i*n+j] += v[i], one row of four-lane adds per bias; a stays the first
-// operand of each add, as it is in the scalar loop.
-TEXT ·addColKernel(SB), NOSPLIT, $0-32
-	MOVQ a+0(FP), DI
-	MOVQ v+8(FP), R8
-	MOVQ m+16(FP), DX
-	MOVQ n+24(FP), BX
+// func fillKernel(dst *float64, v float64, n int)
+// dst[i] = v, two broadcast vectors stored per iteration: data movement,
+// the seed GemmBias accumulates a channel's product onto.
+TEXT ·fillKernel(SB), NOSPLIT, $0-24
+	MOVQ         dst+0(FP), DI
+	VBROADCASTSD v+8(FP), Y0
+	MOVQ         n+16(FP), CX
 
-addcolrow:
-	VBROADCASTSD (R8), Y0
-	MOVQ         BX, CX
-
-addcolloop:
-	VMOVUPD (DI), Y1
-	VADDPD  Y0, Y1, Y1
-	VMOVUPD Y1, (DI)
-	ADDQ    $32, DI
-	SUBQ    $4, CX
-	JNZ     addcolloop
-
-	ADDQ $8, R8
-	DECQ DX
-	JNZ  addcolrow
+fillloop:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y0, 32(DI)
+	ADDQ    $64, DI
+	SUBQ    $8, CX
+	JNZ     fillloop
 
 	VZEROUPPER
 	RET

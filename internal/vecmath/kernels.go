@@ -1,5 +1,7 @@
 package vecmath
 
+import "unsafe"
+
 // Float is the compute-precision constraint of the generic drivers.
 // float32 and float64 are distinct gcshapes, so every driver is stencilled
 // once per precision and the float64 instantiation is the same machine
@@ -52,23 +54,27 @@ type kernels[F Float] struct {
 	relu     func(x, y *F, n int)
 	reluGrad func(x, dy, dx *F, n int)
 
-	// The precision bridge and the int8 stochastic rounding (convert.go),
-	// level-1 bodies at the float64 stride. They are filled in the float64
-	// table only: each is one operation, not one per precision.
+	// The precision bridge, the int8 stochastic rounding and the two
+	// passes of the int8 error-feedback step (convert.go), level-1 bodies
+	// at the float64 stride. They are filled in the float64 table only:
+	// each is one operation, not one per precision. foldMax's mode and
+	// quantDec's e32 flag name the residual's precision (e points at
+	// float32 or float64 elements).
 	widen    func(x *float32, y *float64, n int)
 	narrow   func(x *float64, y *float32, n int)
 	quantize func(x, u *float64, inv float64, q *int8, n int)
+	foldMax  func(x *float64, e unsafe.Pointer, mode, n int) (float64, int)
+	quantDec func(x, u *float64, inv, scale float64, q *int8, e unsafe.Pointer, e32 bool, n int)
 
 	// maxAbs is MaxAbs over the first n elements (reduce.go), float64
 	// only: the largest |x[i]|, NaN skipped, +0 for none.
 	maxAbs func(x *float64, n int) float64
 
-	// The CNN's per-sample bodies, float64 only. addCol adds v[i] to the n
-	// elements of row i for each of m rows (n a positive multiple of
-	// wide/2), one add per element as the scalar loop does. pool2 is n
-	// blocks of the 2×2 max-pool (pool.go).
-	addCol func(a, v *F, m, n int)
-	pool2  func(x, y *F, arg *int, lanes *[4]int, inW, n int)
+	// The CNN's per-sample bodies, float64 only: fill stores v into the
+	// first n elements of dst (a channel's bias seed, matrix.go), and
+	// pool2 is n blocks of the 2×2 max-pool (pool.go).
+	fill  func(dst *F, v F, n int)
+	pool2 func(x, y *F, arg *int, lanes *[4]int, inW, n int)
 
 	// The convolution's packing and its adjoint (gather.go), float64 only.
 	// gather sets dst[i] = src[idx[i]] for i < n, n a positive multiple of

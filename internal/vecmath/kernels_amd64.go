@@ -34,8 +34,10 @@ func avxKernels() (k64 kernels[float64], k32 kernels[float32]) {
 		widen:    widenKernel,
 		narrow:   narrowKernel,
 		quantize: quantizeKernel,
+		foldMax:  foldMaxKernel,
+		quantDec: quantDecKernel,
 		maxAbs:   maxAbsKernel,
-		addCol:   addColKernel,
+		fill:     fillKernel,
 		pool2:    pool2Kernel,
 
 		gather:    gatherKernel,

@@ -32,9 +32,8 @@ func level1Pool() []float64 {
 const level1Shift = 5
 
 // TestLevel1F64MatchesScalar pins the float64 AXPY, Add, Sub, AddRowVector,
-// SumRowsAcc, AddColVector and Zero drivers (assembly head plus pure-Go
-// tail, or all pure Go
-// under -tags noasm) to plain Go loops bit for bit, on every special value
+// SumRowsAcc and Zero drivers (assembly head plus pure-Go tail, or all
+// pure Go under -tags noasm) to plain Go loops bit for bit, on every special value
 // at every position of every length that splits differently into head
 // and tail, out of place and exactly aliased. The reference multiplies
 // through an explicit conversion, which the language forbids fusing, so
@@ -106,35 +105,6 @@ func TestLevel1F64MatchesScalar(t *testing.T) {
 			acc := Clone(b)
 			SumRowsAcc(acc, mat, m, n)
 			check("SumRowsAcc", acc, func(i int) float64 { return b[i] + a[i] + a[i] + a[i] })
-
-			// Three rows of a again, each plus its own pool value. A row
-			// meets every pool entry, so here a NaN can meet a NaN; which
-			// payload survives is the compiler's choice of operand order,
-			// so that lane only has to be NaN.
-			mat = mat[:0]
-			for r := 0; r < m; r++ {
-				mat = append(mat, a...)
-			}
-			var bias [m]float64
-			for r := range bias {
-				bias[r] = pool[(r+rot+level1Shift)%len(pool)]
-			}
-			AddColVector(mat, bias[:], m, n)
-			for r, v := range bias {
-				for i, got := range mat[r*n : (r+1)*n] {
-					want := a[i] + v
-					if math.IsNaN(a[i]) && math.IsNaN(v) {
-						if !math.IsNaN(got) {
-							t.Fatalf("n=%d rot=%d row %d i=%d: AddColVector(NaN, NaN) = %v", n, rot, r, i, got)
-						}
-						continue
-					}
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("n=%d rot=%d row %d i=%d a=%v v=%v: AddColVector = %#x, scalar loop gives %#x",
-							n, rot, r, i, a[i], v, math.Float64bits(got), math.Float64bits(want))
-					}
-				}
-			}
 
 			dst = Clone(a)
 			Zero(dst)

@@ -1,6 +1,9 @@
 package vecmath
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Row-major matrix kernels used by the neural-network substrate. A matrix
 // with r rows and c columns is stored as a []F of length r*c with element
@@ -140,6 +143,9 @@ func gemmGeneric[F Float](c, a, b []F, m, k, n int, accumulate bool) {
 		pEnd := min(p0+gemmKC, k)
 		add := accumulate || p0 > 0
 		i := 0
+		if n < gemmNR {
+			i = gemmNarrow(c, a, b, m, k, n, p0, pEnd, add)
+		}
 		for ; i+gemmMR <= m; i += gemmMR {
 			a0 := a[i*k+p0 : i*k+pEnd]
 			a1 := a[(i+1)*k+p0 : (i+1)*k+pEnd]
@@ -245,6 +251,47 @@ func gemmGeneric[F Float](c, a, b []F, m, k, n int, accumulate bool) {
 			}
 		}
 	}
+}
+
+// gemmNarrow is gemmGeneric's tile for C narrower than the 2×4 tile (the
+// MLP's two-logit product): four rows a column at a time, so four add
+// chains are in flight where the 2×1 remainder tile has two. Each element
+// sums its products in the same order as the other tiles. The products are
+// rounded explicitly, so arm64 cannot fuse them into the sums. It returns
+// the number of rows it covered, a multiple of four.
+func gemmNarrow[F Float](c, a, b []F, m, k, n, p0, pEnd int, add bool) int {
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		a0 := a[i*k+p0 : i*k+pEnd]
+		a1 := a[(i+1)*k+p0 : (i+1)*k+pEnd]
+		a2 := a[(i+2)*k+p0 : (i+2)*k+pEnd]
+		a3 := a[(i+3)*k+p0 : (i+3)*k+pEnd]
+		a1, a2, a3 = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)]
+		for j := 0; j < n; j++ {
+			var s0, s1, s2, s3 F
+			idx := p0*n + j
+			for p, a0p := range a0 {
+				bv := b[idx]
+				idx += n
+				s0 += F(a0p * bv)
+				s1 += F(a1[p] * bv)
+				s2 += F(a2[p] * bv)
+				s3 += F(a3[p] * bv)
+			}
+			if add {
+				c[i*n+j] += s0
+				c[(i+1)*n+j] += s1
+				c[(i+2)*n+j] += s2
+				c[(i+3)*n+j] += s3
+			} else {
+				c[i*n+j] = s0
+				c[(i+1)*n+j] = s1
+				c[(i+2)*n+j] = s2
+				c[(i+3)*n+j] = s3
+			}
+		}
+	}
+	return i
 }
 
 // GemmATB computes C = Aᵀ·B (or C += Aᵀ·B when accumulate is true) where
@@ -603,6 +650,86 @@ func abtEdge[F Float](out []F, stride int, rows, y []F, accumulate bool) {
 	}
 }
 
+// GemmBias computes C = A·B + bias for a layer's forward pass: with perRow
+// false bias has n entries, one per column (a dense layer's units), and
+// with perRow true m entries, one per row (a convolution's channels). It
+// seeds C with the bias and accumulates the product onto it, so each
+// element takes one add, the tile's accumulator plus the seed, where a
+// product into zeroed C and a separate bias pass, (0 + acc) + bias, took
+// two adds and one more pass over C. The sums have the same bits except
+// where a −0 accumulator (an FMA tile's, when a negative product
+// underflows) meets a −0 bias, which the zeroed C turned into +0; a NaN
+// meeting a NaN is still NaN. So a bias holding −0 takes the two passes,
+// as does a product whose reduction the pure-Go driver blocks (k >
+// gemmKC), where a seed would enter the sum before its later blocks.
+func GemmBias[F Float](c, a, b, bias []F, m, k, n int, perRow bool) {
+	checkDims("GemmBias C", len(c), m*n)
+	if perRow {
+		checkDims("GemmBias bias", len(bias), m)
+	} else {
+		checkDims("GemmBias bias", len(bias), n)
+	}
+	kn := kernelsFor[F]()
+	_, nTile := kn.tileSpans(kn.gemm4Half != nil, n)
+	if blocked := k > gemmKC && (kn.gemm4 == nil || nTile == 0); blocked || hasNegZero(bias) {
+		Gemm(c, a, b, m, k, n, false)
+		if !perRow {
+			AddRowVector(c, bias, m, n)
+			return
+		}
+		for i, v := range bias {
+			row := c[i*n : (i+1)*n]
+			for j := range row {
+				row[j] += v
+			}
+		}
+		return
+	}
+	if len(c) == 0 {
+		return
+	}
+	if perRow {
+		for i, v := range bias {
+			fill(c[i*n:(i+1)*n], v)
+		}
+	} else {
+		copy(c, bias)
+		repeat(c, n)
+	}
+	Gemm(c, a, b, m, k, n, true)
+}
+
+// fill sets every element of v to x: the table's fill body over the
+// whole-stride head, then a store loop.
+func fill[F Float](v []F, x F) {
+	kn := kernelsFor[F]()
+	if i := kn.head(kn.fill != nil, len(v)); i > 0 {
+		kn.fill(&v[0], x, i)
+		v = v[i:]
+	}
+	for j := range v {
+		v[j] = x
+	}
+}
+
+// repeat copies the first k elements of v over the rest of v, doubling the
+// span each copy covers, so a fill takes log₂(len(v)/k) copies.
+func repeat[F Float](v []F, k int) {
+	for k < len(v) {
+		k += copy(v[k:], v[:k])
+	}
+}
+
+// hasNegZero reports whether v holds a −0.
+func hasNegZero[F Float](v []F) bool {
+	for _, x := range v {
+		if x == 0 && math.Signbit(float64(x)) {
+			return true
+		}
+	}
+	return false
+}
+
 // Gemm32 is Gemm at float32, named for callers outside the module that
 // link it by name.
 func Gemm32(c, a, b []float32, m, k, n int, accumulate bool) {
@@ -610,9 +737,11 @@ func Gemm32(c, a, b []float32, m, k, n int, accumulate bool) {
 }
 
 // AddRowVector adds the length-n vector v to each of the m rows of the
-// m×n matrix a in place. Used to apply biases to a batch. Each row is one
-// in-place Add, with the kernel prefix resolved once for all rows so
-// narrow rows cost no call.
+// m×n matrix a in place: the LSTM's gate bias, added after the two
+// products that sum into its gates (a bias seeded under them, as GemmBias
+// does, would reassociate that sum). Each row is one in-place Add, with
+// the kernel prefix resolved once for all rows so narrow rows cost no
+// call.
 func AddRowVector[F Float](a, v []F, m, n int) {
 	checkDims("AddRowVector A", len(a), m*n)
 	checkDims("AddRowVector v", len(v), n)
@@ -625,26 +754,6 @@ func AddRowVector[F Float](a, v []F, m, n int) {
 		}
 		for j, vj := range v[head:] {
 			row[head+j] += vj
-		}
-	}
-}
-
-// AddColVector adds v[i] to every element of row i of the m×n matrix a in
-// place: a convolution's per-channel bias over its outC×N output. The
-// float64 body takes all m rows in one call when n is a multiple of four;
-// each element gets the one add the scalar loop gives it.
-func AddColVector[F Float](a, v []F, m, n int) {
-	checkDims("AddColVector A", len(a), m*n)
-	checkDims("AddColVector v", len(v), m)
-	kn := kernelsFor[F]()
-	if kn.addCol != nil && m > 0 && n > 0 && n%(kn.wide/2) == 0 {
-		kn.addCol(&a[0], &v[0], m, n)
-		return
-	}
-	for i, vi := range v {
-		row := a[i*n : (i+1)*n]
-		for j := range row {
-			row[j] += vi
 		}
 	}
 }

@@ -77,7 +77,7 @@ func gemmTileEdges[F Float](t *testing.T, form int, eps float64) {
 		}
 		return v
 	}
-	for _, n := range []int{0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33} {
+	for _, n := range []int{0, 1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33} {
 		for m := 0; m <= 11; m++ {
 			for k := 0; k <= 11; k++ {
 				for _, acc := range []bool{false, true} {
@@ -138,6 +138,142 @@ func testGemmTileEdges(t *testing.T, form int) {
 func TestMatMulAgainstNaive(t *testing.T)    { testGemmTileEdges(t, formAB) }
 func TestMatMulATBAgainstNaive(t *testing.T) { testGemmTileEdges(t, formATB) }
 func TestMatMulABTAgainstNaive(t *testing.T) { testGemmTileEdges(t, formABT) }
+
+// gemmSpecials are the special values the bias and narrow-tile tests mix
+// into their operands: NaN of either sign with payloads, ±Inf, ±0, the
+// smallest subnormal, and magnitudes whose products overflow.
+var gemmSpecials = []float64{
+	math.Float64frombits(0x7ff8_0000_0000_0123), math.Float64frombits(0xfff8_0000_0000_0456),
+	math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 5e-324, -5e-324, 1e300, -1e300,
+}
+
+// specialMat returns an n-element operand of Normal values with every
+// third element, from a rotating start, a special value.
+func specialMat[F Float](rng *rand.Rand, n, rot int) []F {
+	v := make([]F, n)
+	for i := range v {
+		if (i+rot)%3 == 0 {
+			v[i] = F(gemmSpecials[(i/3+rot)%len(gemmSpecials)])
+		} else {
+			v[i] = F(rng.NormFloat64())
+		}
+	}
+	return v
+}
+
+// TestGemmNarrowSummationOrder pins Gemm bit for bit, not to a tolerance,
+// where C is narrower than four columns (the pure-Go narrow tile on every
+// build): each element is its products added in reduction order from +0,
+// each product rounded, then stored (or added to C under accumulate), and
+// where the reduction is longer than gemmKC each block's sum is added to
+// C in turn. Operands carry every special value; NaN only has to be NaN.
+func TestGemmNarrowSummationOrder(t *testing.T) {
+	t.Run("f64", testGemmNarrowSummationOrder[float64])
+	t.Run("f32", testGemmNarrowSummationOrder[float32])
+}
+
+func testGemmNarrowSummationOrder[F Float](t *testing.T) {
+	rng := rand.New(rand.NewPCG(83, 89))
+	for n := 1; n <= 3; n++ {
+		for m := 0; m <= 11; m++ {
+			for _, k := range []int{1, 2, 3, 5, 9, gemmKC + 3} {
+				for _, acc := range []bool{false, true} {
+					rot := n + m + k
+					a, b, seed := specialMat[F](rng, m*k, rot), specialMat[F](rng, k*n, rot+1), specialMat[F](rng, m*n, rot+2)
+					c := append([]F(nil), seed...)
+					Gemm(c, a, b, m, k, n, acc)
+					for i := 0; i < m; i++ {
+						for j := 0; j < n; j++ {
+							want := seed[i*n+j]
+							for p0 := 0; p0 < k; p0 += gemmKC {
+								var s F
+								for p := p0; p < min(p0+gemmKC, k); p++ {
+									s += F(a[i*k+p] * b[p*n+j])
+								}
+								if acc || p0 > 0 {
+									want += s
+								} else {
+									want = s
+								}
+							}
+							got := c[i*n+j]
+							if float64(got) != float64(want) && !(got != got && want != want) || math.Signbit(float64(got)) != math.Signbit(float64(want)) && want == want {
+								t.Fatalf("m=%d k=%d n=%d acc=%v: c[%d][%d] = %v, summation order gives %v", m, k, n, acc, i, j, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGemmBiasMatchesProductThenAdd pins GemmBias to the two passes it
+// replaces, Gemm into C followed by the bias added to every element (per
+// column, or per row), bit for bit at both precisions: every row count
+// around the 4-row tiles, k = 1 and a reduction longer than gemmKC, column
+// counts across the narrow tile, the wide tiles and their edges, and
+// operands and biases carrying every special value. Where a NaN product
+// meets a NaN bias the result only has to be NaN: which payload an add of
+// two NaNs keeps is its operand order.
+func TestGemmBiasMatchesProductThenAdd(t *testing.T) {
+	t.Run("f64", testGemmBias[float64])
+	t.Run("f32", testGemmBias[float32])
+}
+
+func testGemmBias[F Float](t *testing.T) {
+	rng := rand.New(rand.NewPCG(97, 101))
+	for _, m := range []int{1, 2, 3, 4, 5, 7, 9} {
+		for _, k := range []int{1, 2, 5, gemmKC + 1} {
+			for _, n := range []int{1, 2, 3, 4, 7, 8, 9, 17, 33} {
+				for _, perRow := range []bool{false, true} {
+					rot := m + k + n
+					a, b := specialMat[F](rng, m*k, rot), specialMat[F](rng, k*n, rot+1)
+					bias := specialMat[F](rng, map[bool]int{false: n, true: m}[perRow], rot+2)
+					got := make([]F, m*n)
+					for i := range got {
+						got[i] = F(rng.NormFloat64()) // GemmBias overwrites C
+					}
+					GemmBias(got, a, b, bias, m, k, n, perRow)
+					prod := make([]F, m*n)
+					Gemm(prod, a, b, m, k, n, false)
+					for i := 0; i < m; i++ {
+						for j := 0; j < n; j++ {
+							var v F
+							if perRow {
+								v = bias[i]
+							} else {
+								v = bias[j]
+							}
+							p := prod[i*n+j]
+							want := p + v
+							g := got[i*n+j]
+							if p != p && v != v {
+								if g == g {
+									t.Fatalf("m=%d k=%d n=%d perRow=%v: c[%d][%d] = %v, want NaN (NaN product plus NaN bias)", m, k, n, perRow, i, j, g)
+								}
+								continue
+							}
+							if !sameFloatBits(g, want) {
+								t.Fatalf("m=%d k=%d n=%d perRow=%v: c[%d][%d] = %v, product %v plus bias %v gives %v", m, k, n, perRow, i, j, g, p, v, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameFloatBits reports whether a and b have the same bits.
+func sameFloatBits[F Float](a, b F) bool {
+	switch a := any(a).(type) {
+	case float32:
+		return math.Float32bits(a) == math.Float32bits(any(b).(float32))
+	default:
+		return math.Float64bits(a.(float64)) == math.Float64bits(any(b).(float64))
+	}
+}
 
 // TestGemmLargeAgainstNaive exercises the blocked paths (register-tile
 // remainders on every edge, k beyond one cache block).

@@ -33,14 +33,32 @@ func MaxAbs(x []float64) float64 {
 // magnitude first so the squared sum cannot overflow. Use it where inputs
 // are not under the caller's control (for example uploaded client deltas).
 func Norm2Safe(x []float64) float64 {
-	r := NewCosineRef(x)
-	return safeNorm(r.max, r.sq)
+	s := ScanOf(x)
+	return s.Norm()
 }
 
-// Norm2SafePair returns Norm2Safe(a) and Norm2Safe(b), the two square-sum
-// chains interleaved in one loop. a and b must have the same length.
-func Norm2SafePair(a, b []float64) (float64, float64) {
-	checkLen("Norm2SafePair", len(a), len(b))
+// Scan is what one pass over a vector leaves for its norm and its cosines:
+// its largest magnitude (MaxAbs) and the square-sum of the vector rescaled
+// by 1/Max. A caller that keeps a vector's Scan can take its cosines later
+// with CosineRef.Cosine, which runs only the dot product's chain.
+type Scan struct{ Max, Sq float64 }
+
+// ScanOf scans x.
+func ScanOf(x []float64) Scan {
+	m := MaxAbs(x)
+	inv := 1 / m
+	var s float64
+	for _, v := range x {
+		sv := v * inv
+		s += float64(sv * sv)
+	}
+	return Scan{m, s}
+}
+
+// ScanPair returns ScanOf(a) and ScanOf(b), the two square-sum chains
+// interleaved in one loop. a and b must have the same length.
+func ScanPair(a, b []float64) (Scan, Scan) {
+	checkLen("ScanPair", len(a), len(b))
 	ma, mb := MaxAbs(a), MaxAbs(b)
 	ia, ib := 1/ma, 1/mb
 	var sa, sb float64
@@ -51,17 +69,16 @@ func Norm2SafePair(a, b []float64) (float64, float64) {
 		sa += float64(va * va)
 		sb += float64(vb * vb)
 	}
-	return safeNorm(ma, sa), safeNorm(mb, sb)
+	return Scan{ma, sa}, Scan{mb, sb}
 }
 
-// safeNorm is Norm2Safe's result from the largest magnitude m and the
-// square-sum s of the vector rescaled by 1/m: m itself when it is 0 or
-// infinite (s is then meaningless).
-func safeNorm(m, s float64) float64 {
-	if m == 0 || math.IsInf(m, 0) {
-		return m
+// Norm returns Norm2Safe of the scanned vector: Max itself when it is 0
+// or infinite (Sq is then meaningless).
+func (s Scan) Norm() float64 {
+	if s.Max == 0 || math.IsInf(s.Max, 0) {
+		return s.Max
 	}
-	return m * math.Sqrt(s)
+	return s.Max * math.Sqrt(s.Sq)
 }
 
 // CosineSimilarity returns cos(a, b) = a·b / (||a|| ||b||).
@@ -87,14 +104,8 @@ type CosineRef struct {
 // NewCosineRef scans v for the reference side of CosineSimilarity(·, v).
 // v must not change while the reference is in use.
 func NewCosineRef(v []float64) CosineRef {
-	m := MaxAbs(v)
-	inv := 1 / m
-	var s float64
-	for _, x := range v {
-		sx := x * inv
-		s += float64(sx * sx)
-	}
-	return CosineRef{v: v, max: m, inv: inv, sq: s}
+	s := ScanOf(v)
+	return CosineRef{v: v, max: s.Max, inv: 1 / s.Max, sq: s.Sq}
 }
 
 // Max returns MaxAbs(v).
@@ -106,7 +117,7 @@ func (r *CosineRef) ScaledNorm() float64 {
 	if r.max == 0 || math.IsInf(r.max, 0) {
 		return 0
 	}
-	return r.max * math.Sqrt(r.sq) / r.max
+	return Scan{r.max, r.sq}.Norm() / r.max
 }
 
 // NormCosine returns Norm2Safe(a) and CosineSimilarity(a, v) in one pass
@@ -149,6 +160,37 @@ func (r *CosineRef) NormCosinePair(a, b []float64) (na, ca, nb, cb float64) {
 	return
 }
 
+// Cosine returns NormCosine(a) given a's Scan s (ScanOf(a), or ScanPair's):
+// only the dot product's chain runs over a.
+func (r *CosineRef) Cosine(a []float64, s Scan) (norm, cos float64) {
+	checkLen("Cosine", len(a), len(r.v))
+	ia, iv := 1/s.Max, r.inv
+	v := r.v[:len(a)]
+	var dot float64
+	for i, x := range a {
+		dot += float64((x * ia) * (v[i] * iv))
+	}
+	return r.result(s.Max, dot, s.Sq)
+}
+
+// CosinePair is Cosine of a and of b, their two dot chains interleaved in
+// one loop that scales each element of v once.
+func (r *CosineRef) CosinePair(a, b []float64, sa, sb Scan) (na, ca, nb, cb float64) {
+	checkLen("CosinePair", len(a), len(r.v))
+	checkLen("CosinePair", len(b), len(r.v))
+	ia, ib, iv := 1/sa.Max, 1/sb.Max, r.inv
+	v, b := r.v[:len(a)], b[:len(a)]
+	var dotA, dotB float64
+	for i, x := range a {
+		sv := v[i] * iv
+		dotA += float64((x * ia) * sv)
+		dotB += float64((b[i] * ib) * sv)
+	}
+	na, ca = r.result(sa.Max, dotA, sa.Sq)
+	nb, cb = r.result(sb.Max, dotB, sb.Sq)
+	return
+}
+
 // result turns one vector's largest magnitude m, rescaled dot product with
 // v and rescaled square-sum into Norm2Safe's and CosineSimilarity's
 // values, degenerate cases included.
@@ -156,7 +198,7 @@ func (r *CosineRef) result(m, dot, sq float64) (norm, cos float64) {
 	if m == 0 {
 		return 0, 0
 	}
-	norm = safeNorm(m, sq)
+	norm = Scan{m, sq}.Norm()
 	if r.max == 0 || sq == 0 || r.sq == 0 {
 		return norm, 0
 	}

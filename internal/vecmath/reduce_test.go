@@ -155,8 +155,9 @@ func reduceVectors(rng *rand.Rand, n int) [][]float64 {
 	return append(vs, make([]float64, n))
 }
 
-// TestReductionsMatchDefinitions pins Norm2Safe, Norm2SafePair,
-// CosineSimilarity and CosineRef's fused and paired forms to the scalar
+// TestReductionsMatchDefinitions pins Norm2Safe, ScanOf, ScanPair,
+// CosineSimilarity and CosineRef's fused, paired and scanned forms (the
+// last given the Scan that ScanOf or ScanPair took) to the scalar
 // definitions bit for bit, every vector against every other, degenerate
 // and overflowing inputs included. A NaN result only has to be NaN: when
 // both operands of a multiply or add are NaN, amd64 returns the first
@@ -186,13 +187,26 @@ func TestReductionsMatchDefinitions(t *testing.T) {
 				what := fmt.Sprintf("n=%d a=v%d b=v%d ref=v%d", n, i, (i+j+1)%len(vs), j)
 				same(what+" Norm2Safe(a)", Norm2Safe(a), norm2SafeDef(a))
 				same(what+" CosineSimilarity", CosineSimilarity(a, ref), cosineDef(a, ref))
-				na, nb := Norm2SafePair(a, b)
-				same(what+" Norm2SafePair a", na, norm2SafeDef(a))
-				same(what+" Norm2SafePair b", nb, norm2SafeDef(b))
-				norm, cos := r.NormCosine(a)
+				sa, sb := ScanPair(a, b)
+				same(what+" ScanPair a", sa.Norm(), norm2SafeDef(a))
+				same(what+" ScanPair b", sb.Norm(), norm2SafeDef(b))
+				same(what+" ScanPair max a", sa.Max, maxAbsDef(a))
+				same(what+" ScanPair max b", sb.Max, maxAbsDef(b))
+				if s := ScanOf(a); math.Float64bits(s.Max) != math.Float64bits(sa.Max) || math.Float64bits(s.Sq) != math.Float64bits(sa.Sq) {
+					t.Fatalf("%s: ScanOf(a) = %v, ScanPair's a %v", what, s, sa)
+				}
+				norm, cos := r.Cosine(a, sa)
+				same(what+" Cosine norm", norm, norm2SafeDef(a))
+				same(what+" Cosine cos", cos, cosineDef(a, ref))
+				na, ca, nb, cb := r.CosinePair(a, b, sa, sb)
+				same(what+" CosinePair norm a", na, norm2SafeDef(a))
+				same(what+" CosinePair cos a", ca, cosineDef(a, ref))
+				same(what+" CosinePair norm b", nb, norm2SafeDef(b))
+				same(what+" CosinePair cos b", cb, cosineDef(b, ref))
+				norm, cos = r.NormCosine(a)
 				same(what+" NormCosine norm", norm, norm2SafeDef(a))
 				same(what+" NormCosine cos", cos, cosineDef(a, ref))
-				na, ca, nb, cb := r.NormCosinePair(a, b)
+				na, ca, nb, cb = r.NormCosinePair(a, b)
 				same(what+" NormCosinePair norm a", na, norm2SafeDef(a))
 				same(what+" NormCosinePair cos a", ca, cosineDef(a, ref))
 				same(what+" NormCosinePair norm b", nb, norm2SafeDef(b))
@@ -205,8 +219,9 @@ func TestReductionsMatchDefinitions(t *testing.T) {
 // BenchmarkReductions reports the server step's reductions in ns per
 // coordinate of each vector reduced, at the adult MLP's parameter count
 // and a larger one: MaxAbs, Norm2Safe and CosineSimilarity as the
-// aggregation rules called them one by one, then the paired norm and the
-// fused and paired norm-and-cosine passes that replace them (the
+// aggregation rules called them one by one, then the paired scan, the
+// fused and paired norm-and-cosine passes that replace them, and the
+// dot-only cosines that a kept scan leaves (the
 // reference side of a cosine is taken once, outside the timed loop). The
 // inputs cycle through 16 random vectors so a branchy loop cannot learn
 // one.
@@ -233,9 +248,9 @@ func BenchmarkReductions(b *testing.B) {
 		run("MaxAbs", 1, func(k int) { sink += MaxAbs(vs[k]) })
 		run("Norm2Safe", 1, func(k int) { sink += Norm2Safe(vs[k]) })
 		run("CosineSimilarity", 1, func(k int) { sink += CosineSimilarity(vs[k], vs[0]) })
-		run("Norm2SafePair", 2, func(k int) {
-			x, y := Norm2SafePair(vs[k], vs[(k+1)%len(vs)])
-			sink += x + y
+		run("ScanPair", 2, func(k int) {
+			x, y := ScanPair(vs[k], vs[(k+1)%len(vs)])
+			sink += x.Sq + y.Sq
 		})
 		run("NormCosine", 1, func(k int) {
 			n, c := ref.NormCosine(vs[k])
@@ -243,6 +258,15 @@ func BenchmarkReductions(b *testing.B) {
 		})
 		run("NormCosinePair", 2, func(k int) {
 			n0, c0, n1, c1 := ref.NormCosinePair(vs[k], vs[(k+1)%len(vs)])
+			sink += n0 + c0 + n1 + c1
+		})
+		scans := make([]Scan, len(vs))
+		for k, v := range vs {
+			scans[k] = ScanOf(v)
+		}
+		run("CosinePair", 2, func(k int) {
+			k1 := (k + 1) % len(vs)
+			n0, c0, n1, c1 := ref.CosinePair(vs[k], vs[k1], scans[k], scans[k1])
 			sink += n0 + c0 + n1 + c1
 		})
 		if math.IsNaN(sink) {

@@ -16,7 +16,7 @@
 // everywhere else, and for tile remainders, pure-Go 2×4 register tiles
 // are used. The level-1 drivers the local-training loop calls at both
 // precisions (Zero, Add, Sub, AXPY, AXPYPY, SubScale, ReLU, ReLUGrad,
-// AddColVector, MaxPool2x2) are generic over the same table; everything
+// GemmBias, MaxPool2x2) are generic over the same table; everything
 // the server side runs (norms, cosine similarity, sparse aggregation) is
 // float64 only, because client updates are widened once at the upload
 // boundary.

@@ -172,12 +172,14 @@ func TestKernelsAllocFree(t *testing.T) {
 		{"AXPY", func() { AXPY(0.5, x, y) }},
 		{"AXPY-f32", func() { AXPY(0.5, x32, y32) }},
 		{"MaxAbs", func() { MaxAbs(x) }},
-		{"Norm2SafePair", func() { Norm2SafePair(x, y) }},
+		{"ScanPair", func() { ScanPair(x, y) }},
 		{"CosineSimilarity", func() { CosineSimilarity(x, y) }},
 		{"NormCosinePair", func() {
 			ref := NewCosineRef(y)
 			ref.NormCosine(x)
 			ref.NormCosinePair(x, y)
+			sx, sy := ScanPair(x, y)
+			ref.CosinePair(x, y, sx, sy)
 		}},
 		{"ScatterAXPY", func() { ScatterAXPY(0.5, idx, val, y) }},
 		{"GatherDot", func() { GatherDot(idx, val, y) }},

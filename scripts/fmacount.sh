@@ -13,7 +13,7 @@
 set -euo pipefail
 
 declare -A ceiling=(
-	[vecmath]=34 [nn]=111 [fl]=129 [core]=116 [baselines]=117 [aggstack]=8 [compress]=4
+	[vecmath]=33 [nn]=111 [fl]=129 [core]=116 [baselines]=117 [aggstack]=8 [compress]=4
 )
 
 status=0
