@@ -222,6 +222,9 @@ func printSummary(mode string, res *fl.Result) {
 			fmt.Fprintf(os.Stderr, " %v %d", fl.SeverCause(c), n)
 		}
 		fmt.Fprintln(os.Stderr)
+		// How re-dialed workers came back: from the state they kept, or
+		// by a history replay.
+		fmt.Fprintf(os.Stderr, "readmits: resumed %d replayed %d\n", res.Resumed, res.Replayed)
 	}
 	fmt.Fprintf(os.Stderr, "%s run complete\n", mode)
 }

@@ -30,6 +30,11 @@ type Result struct {
 	// Severs counts the worker connections a wire run severed, by cause
 	// (all zero in process).
 	Severs [NumSeverCauses]int
+	// Resumed and Replayed split the worker reconnects the round records
+	// count by how the server re-admitted the worker: resumed from the
+	// state it kept, or reset and rebuilt by a history replay (DESIGN.md
+	// §12).
+	Resumed, Replayed int
 }
 
 // client is the engine's per-client identity state: the data shard, the
@@ -209,6 +214,7 @@ func (s *scheduler) result() *Result {
 	if rx, ok := s.exec.(*remoteExec); ok {
 		rx.mu.Lock()
 		res.Severs = rx.severs
+		res.Resumed, res.Replayed = rx.readmits[0], rx.readmits[1]
 		rx.mu.Unlock()
 	}
 	return res

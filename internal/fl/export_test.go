@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/nn"
@@ -197,3 +198,129 @@ func naiveEval(net *nn.Network, w []float64, test *dataset.Dataset) (acc, top fl
 
 // NaiveEval lends naiveEval to the external tests.
 var NaiveEval = naiveEval
+
+// DropKeptState forgets every worker state kept across a lost connection,
+// so the next re-dial behaves like a fresh worker process: the server
+// replays its history.
+func DropKeptState() {
+	kept.Range(func(k, _ any) bool { kept.Delete(k); return true })
+}
+
+// KeptStates returns how many worker states are kept.
+func KeptStates() int {
+	n := 0
+	kept.Range(func(any, any) bool { n++; return true })
+	return n
+}
+
+// ForgeKeptCount adds one trained dispatch of client id to every kept
+// worker state.
+func ForgeKeptCount(id int) {
+	kept.Range(func(_, v any) bool { v.(*keptState).trained[id]++; return true })
+}
+
+// FakeClock is a clock that moves only when Advance is called. It reads
+// the wall clock's time at its creation, so the socket deadlines set from
+// it stay in the future.
+type FakeClock struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	now    time.Time
+	timers []*fakeTimer
+}
+
+type fakeTimer struct {
+	at    time.Time
+	every time.Duration // 0 for a one-shot timer
+	c     chan time.Time
+}
+
+// UseFakeClock installs a FakeClock as the wire path's clock until the
+// test ends.
+func UseFakeClock(t *testing.T) *FakeClock {
+	f := &FakeClock{now: time.Now()}
+	f.cond = sync.NewCond(&f.mu)
+	clk = f
+	t.Cleanup(func() { clk = wallClock{} })
+	return f
+}
+
+func (f *FakeClock) Now() time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.now
+}
+
+func (f *FakeClock) arm(d, every time.Duration) *fakeTimer {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	ft := &fakeTimer{at: f.now.Add(d), every: every, c: make(chan time.Time, 1)}
+	f.timers = append(f.timers, ft)
+	f.cond.Broadcast()
+	return ft
+}
+
+func (f *FakeClock) stop(ft *fakeTimer) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i, x := range f.timers {
+		if x == ft {
+			f.timers = append(f.timers[:i], f.timers[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+func (f *FakeClock) Timer(d time.Duration) (<-chan time.Time, func() bool) {
+	ft := f.arm(d, 0)
+	return ft.c, func() bool { return f.stop(ft) }
+}
+
+func (f *FakeClock) Ticker(d time.Duration) (<-chan time.Time, func()) {
+	ft := f.arm(d, d)
+	return ft.c, func() { f.stop(ft) }
+}
+
+// AwaitTimers blocks until n one-shot timers are armed.
+func (f *FakeClock) AwaitTimers(n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for {
+		armed := 0
+		for _, ft := range f.timers {
+			if ft.every == 0 {
+				armed++
+			}
+		}
+		if armed >= n {
+			return
+		}
+		f.cond.Wait()
+	}
+}
+
+// Advance moves the clock by d and fires every timer that comes due.
+func (f *FakeClock) Advance(d time.Duration) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.now = f.now.Add(d)
+	keep := f.timers[:0]
+	for _, ft := range f.timers {
+		if ft.at.After(f.now) {
+			keep = append(keep, ft)
+			continue
+		}
+		select {
+		case ft.c <- f.now:
+		default:
+		}
+		if ft.every > 0 {
+			for !ft.at.After(f.now) {
+				ft.at = ft.at.Add(ft.every)
+			}
+			keep = append(keep, ft)
+		}
+	}
+	f.timers = keep
+}

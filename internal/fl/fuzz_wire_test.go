@@ -37,10 +37,10 @@ func fuzzFrame(t wire.FrameType, body []byte) []byte {
 // chunks: split frames, truncated frames, concatenated frames, and
 // garbage must all surface as errors, never panics, and every frame
 // accepted before the stream breaks must parse without panicking in the
-// Hello/Dispatch/Updates decoders.
+// Hello/Dispatch/Resume/Updates decoders.
 func FuzzWireStream(f *testing.F) {
-	hello := fuzzFrame(wire.FrameHello, appendHello(nil, 0xfeed, 1, 4, 2))
-	dispatch := fuzzFrame(wire.FrameDispatch, appendDispatch(nil, 3, []int{1, 5}, []float64{0.5, -1, 2}))
+	hello := fuzzFrame(wire.FrameHello, appendHello(nil, 0xfeed, 1, 4, 2, nil))
+	dispatch := fuzzFrame(wire.FrameDispatch, appendDispatch(nil, 3, []int{1, 5}, []float64{0.5, -1, 2}, 0))
 	update := fuzzFrame(wire.FrameUpdates, appendUpdateEntry(nil, &Update{Client: 2, TrainLoss: 0.25, Delta: []float64{1, 2, 3}}, 0.125))
 	f.Add(hello, uint8(1))
 	f.Add(dispatch, uint8(3))
@@ -50,6 +50,12 @@ func FuzzWireStream(f *testing.F) {
 	f.Add(append(append([]byte{}, hello...), dispatch...), uint8(2))
 	f.Add(dispatch[:len(dispatch)-3], uint8(4))
 	f.Add(append(append([]byte{}, update...), 0xff, 0x00, 0xfb), uint8(5))
+	// A Hello that claims kept state (token, trained counts, unsent ids),
+	// the same claim cut short, and a Dispatch carrying a run token.
+	claim := appendHello(nil, 0xfeed, 1, 4, 2, &keptState{token: 0xc0ffee, trained: []int32{0, 3, 0, 1}, unsentIDs: []int{3}})
+	f.Add(fuzzFrame(wire.FrameHello, claim), uint8(6))
+	f.Add(fuzzFrame(wire.FrameHello, claim[:len(claim)-4]), uint8(2))
+	f.Add(fuzzFrame(wire.FrameDispatch, appendDispatch(nil, 7, []int{2}, []float64{1}, 0xc0ffee)), uint8(9))
 
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
 		r := &chunkReader{r: bytes.NewReader(data), chunk: max(int(chunk), 1)}
@@ -63,6 +69,8 @@ func FuzzWireStream(f *testing.F) {
 				parseHello(fr.Body)
 			case wire.FrameDispatch, wire.FrameAdopt:
 				parseDispatch(fr.Body)
+			case wire.FrameResume:
+				parseResume(fr.Body)
 			case wire.FrameUpdates:
 				// Walk the entry stream the way ingest does: id, loss,
 				// measured, then a self-delimiting payload.

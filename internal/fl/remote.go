@@ -18,7 +18,11 @@ import (
 // variates, FedACG's momentum, TACO's α-weights) would silently train
 // against stale state instead of failing loudly, so Serve rejects
 // anything unmarked. The marker belongs on the raw algorithm; stack
-// wrappers are checked through their inner algorithm.
+// wrappers are checked through their inner algorithm. A WireSafe
+// algorithm keeps no per-client state across rounds either, so a
+// worker's whole state is its client samplers and its codec's streams and
+// error-feedback residuals: what a worker keeps across a lost connection
+// (keptState) and what a history replay rebuilds.
 type WireSafe interface {
 	// WireSafe is a marker; it is never called.
 	WireSafe()
@@ -92,42 +96,88 @@ func serveFingerprint(cfg *Config, algName, dsName string, shards []*dataset.Dat
 // endian float64 bits.
 
 // appendHello encodes a worker's Hello: fingerprint, worker index,
-// worker count, and the attach counter — the worker's resume token,
-// 0 on its first connection and incremented on every re-dial, so the
-// server can tell a fresh fleet member from one re-attaching after a
-// connection loss (a re-attaching worker's rng streams restart from
-// zero and must be rebuilt by a history replay).
-func appendHello(dst []byte, fp uint64, index, workers, attach int) []byte {
+// worker count and the attach counter (0 on the first connection,
+// incremented on every re-dial; the server does not read it), then, when
+// the worker kept its state across a lost connection, the claim the
+// server checks before it resumes the worker instead of replaying its
+// history (DESIGN.md §12): the run token the state was trained under, an
+// (id, count) pair for every client with trained dispatches, and the ids
+// of the trained sub-batch whose Updates frame never went out.
+func appendHello(dst []byte, fp uint64, index, workers, attach int, st *keptState) []byte {
 	dst = wire.AppendU64(dst, fp)
 	dst = wire.AppendUvarint(dst, uint64(index))
 	dst = wire.AppendUvarint(dst, uint64(workers))
-	return wire.AppendUvarint(dst, uint64(attach))
+	dst = wire.AppendUvarint(dst, uint64(attach))
+	if st == nil {
+		return dst
+	}
+	dst = wire.AppendU64(dst, st.token)
+	pairs := 0
+	for _, c := range st.trained {
+		if c != 0 {
+			pairs++
+		}
+	}
+	dst = wire.AppendUvarint(dst, uint64(pairs))
+	for id, c := range st.trained {
+		if c != 0 {
+			dst = wire.AppendUvarint(dst, uint64(id))
+			dst = wire.AppendUvarint(dst, uint64(c))
+		}
+	}
+	dst = wire.AppendUvarint(dst, uint64(len(st.unsentIDs)))
+	for _, id := range st.unsentIDs {
+		dst = wire.AppendUvarint(dst, uint64(id))
+	}
+	return dst
 }
 
-// parseHello decodes a Hello body.
-func parseHello(body []byte) (fp uint64, index, workers, attach int, err error) {
+// resumeClaim is the decoded claim of a Hello (appendHello).
+type resumeClaim struct {
+	token  uint64
+	ids    []int // clients with trained dispatches
+	counts []int // counts[j] is ids[j]'s trained dispatches
+	unsent []int
+}
+
+// parseHello decodes a Hello body; claim is nil when it carries none.
+func parseHello(body []byte) (fp uint64, index, workers, attach int, claim *resumeClaim, err error) {
 	d := wire.Dec{B: body}
 	fp = d.U64()
 	index = int(d.Uvarint())
 	workers = int(d.Uvarint())
 	attach = int(d.Uvarint())
 	if d.Err == nil && d.Len() != 0 {
+		claim = &resumeClaim{token: d.U64()}
+		k := d.Count(wire.MaxElems, 2)
+		claim.ids, claim.counts = make([]int, k), make([]int, k)
+		for j := 0; j < k && d.Err == nil; j++ {
+			claim.ids[j], claim.counts[j] = int(d.Uvarint()), int(d.Uvarint())
+		}
+		claim.unsent = make([]int, d.Count(wire.MaxElems, 1))
+		for j := range claim.unsent {
+			claim.unsent[j] = int(d.Uvarint())
+		}
+	}
+	if d.Err == nil && d.Len() != 0 {
 		d.Err = fmt.Errorf("fl: %d trailing bytes in hello", d.Len())
 	}
-	return fp, index, workers, attach, d.Err
+	return fp, index, workers, attach, claim, d.Err
 }
 
 // appendDispatch encodes one dispatch batch: the round (the server
-// version under the async policy), the client IDs to train, and the
-// global model snapshot they train from.
-func appendDispatch(dst []byte, round int, ids []int, global []float64) []byte {
+// version under the async policy), the client IDs to train, the global
+// model snapshot they train from, and the server run's token, which a
+// worker keeps with the state the batch trains.
+func appendDispatch(dst []byte, round int, ids []int, global []float64, token uint64) []byte {
 	dst = wire.AppendUvarint(dst, uint64(round))
 	dst = wire.AppendUvarint(dst, uint64(len(ids)))
 	for _, id := range ids {
 		dst = wire.AppendUvarint(dst, uint64(id))
 	}
 	dst = wire.AppendUvarint(dst, uint64(len(global)))
-	return wire.AppendF64s(dst, global)
+	dst = wire.AppendF64s(dst, global)
+	return wire.AppendU64(dst, token)
 }
 
 // byePausing is the Bye body code for a server that is pausing the run
@@ -140,14 +190,18 @@ const byePausing byte = 1
 // message (workers process dispatches strictly in order, but decode them
 // on the reader goroutine while training runs). adopt marks a replayed
 // batch the worker trains and discards; restore marks a body-less worker
-// reset (both ride the same in-order queue so a replay lands exactly
-// where the server sequenced it).
+// reset, and resume a Resume frame, with resend its body (all ride the
+// same in-order queue so a replay lands exactly where the server
+// sequenced it).
 type dispatchMsg struct {
 	round   int
 	ids     []int
 	global  []float64
+	token   uint64
 	adopt   bool
 	restore bool
+	resume  bool
+	resend  bool
 }
 
 // parseDispatch decodes a dispatch body.
@@ -162,6 +216,7 @@ func parseDispatch(body []byte) (*dispatchMsg, error) {
 	n := d.Count(wire.MaxElems, 8)
 	m.global = make([]float64, n)
 	d.F64s(m.global)
+	m.token = d.U64()
 	if d.Err == nil && d.Len() != 0 {
 		d.Err = fmt.Errorf("fl: %d trailing bytes in dispatch", d.Len())
 	}
@@ -169,6 +224,15 @@ func parseDispatch(body []byte) (*dispatchMsg, error) {
 		return nil, d.Err
 	}
 	return m, nil
+}
+
+// parseResume decodes a Resume body: one byte, 1 when the worker is to
+// resend its unsent Updates frame.
+func parseResume(body []byte) (resend bool, err error) {
+	if len(body) != 1 || body[0] > 1 {
+		return false, fmt.Errorf("fl: resume body %x, want one byte 0 or 1", body)
+	}
+	return body[0] == 1, nil
 }
 
 // appendUpdateEntry encodes one completed client result inside an

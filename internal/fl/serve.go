@@ -3,6 +3,7 @@ package fl
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"net"
 	"sort"
 	"sync"
@@ -85,8 +86,9 @@ func (o ServeOptions) grace() float64 {
 // Worker failure is survived, not fatal (DESIGN.md §12): a connection
 // that errors, times out under the heartbeat, or sends a bad frame is
 // closed and its clients re-homed — onto the same worker if it re-dials
-// within FailoverGraceSec (full history replay rebuilds its rng streams
-// bit-exactly), onto the lowest-index survivor otherwise. A fully
+// within FailoverGraceSec (resumed from the state it kept when its claim
+// checks out, rebuilt bit-exactly by a full history replay otherwise),
+// onto the lowest-index survivor otherwise. A fully
 // recovered run stays bit-identical to fl.Run; when nobody can take the
 // clients their in-flight dispatches are dropped through the quorum
 // path and the round commits Degraded.
@@ -171,6 +173,41 @@ var severNames = [NumSeverCauses]string{"read", "frame", "outside", "not-owned",
 // String returns the cause's short name.
 func (c SeverCause) String() string { return severNames[c] }
 
+// clock is the wire path's time source: Hello, replay and close deadlines,
+// the lastRecv stamps, the heartbeat ticker, the failover grace timer and
+// a worker's read deadline all read it. The slot pool's measured times do
+// not.
+type clock interface {
+	Now() time.Time
+	// Timer returns a channel that receives once d has passed, and a
+	// function that stops the timer.
+	Timer(d time.Duration) (<-chan time.Time, func() bool)
+	// Ticker returns a channel that receives every d, and a function that
+	// stops the ticker.
+	Ticker(d time.Duration) (<-chan time.Time, func())
+}
+
+// wallClock is the real clock.
+type wallClock struct{}
+
+func (wallClock) Now() time.Time { return time.Now() }
+
+func (wallClock) Timer(d time.Duration) (<-chan time.Time, func() bool) {
+	t := time.NewTimer(d)
+	return t.C, t.Stop
+}
+
+func (wallClock) Ticker(d time.Duration) (<-chan time.Time, func()) {
+	t := time.NewTicker(d)
+	return t.C, t.Stop
+}
+
+// clk is the clock every wire-path deadline and timer reads.
+var clk clock = wallClock{}
+
+// aLongTimeAgo is a deadline that has passed on every clock.
+var aLongTimeAgo = time.Unix(1, 0)
+
 // serveConn is one worker connection on the server side.
 type serveConn struct {
 	c     net.Conn
@@ -190,6 +227,8 @@ type serveConn struct {
 	// remoteExec.recoverMu is held: the writers (workerDown, readmit)
 	// hold both.
 	dead bool
+	// claim is what the worker's Hello claims to hold, nil for none.
+	claim *resumeClaim
 }
 
 // write sends one pre-framed buffer.
@@ -200,11 +239,11 @@ func (sc *serveConn) write(frame []byte) error {
 	return err
 }
 
-// writeEmpty sends a body-less frame of the given type.
-func (sc *serveConn) writeEmpty(t wire.FrameType) error {
+// writeFrame sends one frame of the given type and body.
+func (sc *serveConn) writeFrame(t wire.FrameType, body []byte) error {
 	sc.wmu.Lock()
 	var err error
-	sc.wbuf, err = wire.WriteFrame(sc.c, t, nil, sc.wbuf)
+	sc.wbuf, err = wire.WriteFrame(sc.c, t, body, sc.wbuf)
 	sc.wmu.Unlock()
 	return err
 }
@@ -225,15 +264,18 @@ func (sc *serveConn) writeEmpty(t wire.FrameType) error {
 // dispatched round. Together they let the server rebuild ANY worker
 // from a cold start — reset it (FrameRestore) and replay its clients'
 // histories as train-and-discard batches (FrameAdopt) — which is the
-// one mechanism behind reconnect re-admission, cross-worker adoption,
-// and checkpointed restart. The memory cost is O(T·d) for globals plus
-// O(total dispatches) for hist, the price of replayability.
+// one mechanism behind cross-worker adoption and checkpointed restart,
+// and the fallback of reconnect re-admission, which resumes a worker
+// that kept its state when its claim checks out against hist. The memory
+// cost is O(T·d) for globals plus O(total dispatches) for hist, the price
+// of replayability. token tells this run's dispatches from another's.
 type remoteExec struct {
 	ring      *slotPool
 	codec     compress.Codec // nil for dense transport
 	wantForm  compress.Kind  // payload form every upload must carry
 	numParams int
 	fp        uint64
+	token     uint64
 	ln        net.Listener
 
 	hb         float64 // heartbeat cadence in seconds, 0 disabled
@@ -260,10 +302,14 @@ type remoteExec struct {
 	hist     [][]int
 	globals  map[int][]float64
 	// reassigned/reconnects accumulate between drainRecovery calls (the
-	// scheduler drains them into each round record); severs counts the
-	// run's severed connections by cause.
+	// scheduler drains them into each round record), and so does resumed,
+	// the reconnects resumed from kept state; readmits totals the drained
+	// reconnects as resumed and replayed. severs counts the run's severed
+	// connections by cause.
 	reassigned int
 	reconnects int
+	resumed    int
+	readmits   [2]int
 	severs     [NumSeverCauses]int
 
 	reconnect []chan *serveConn // parked validated reconnects, per index
@@ -281,6 +327,7 @@ func newRemoteExec(ring *slotPool, spec compress.Spec, numClients, numParams int
 		ring:       ring,
 		wantForm:   spec.Kind,
 		numParams:  numParams,
+		token:      rand.Uint64() | 1,
 		hb:         opt.heartbeat(),
 		grace:      opt.grace(),
 		noReassign: opt.DisableReassign,
@@ -370,7 +417,7 @@ func (e *remoteExec) start() {
 // it parks the validated connection for failover to re-admit. fatal
 // reports a semantic rejection that should abort initial accept.
 func (e *remoteExec) admit(c net.Conn, running bool) (fatal bool, err error) {
-	_ = c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	_ = c.SetReadDeadline(clk.Now().Add(10 * time.Second))
 	var fr wire.Frame
 	if err := wire.ReadFrame(c, &fr); err != nil {
 		c.Close()
@@ -386,7 +433,7 @@ func (e *remoteExec) admit(c net.Conn, running bool) (fatal bool, err error) {
 	if fr.Type != wire.FrameHello {
 		return true, reject("expected hello, got frame type %d", fr.Type)
 	}
-	gotFP, index, workers, _, err := parseHello(fr.Body)
+	gotFP, index, workers, _, claim, err := parseHello(fr.Body)
 	if err != nil {
 		return true, reject("bad hello: %v", err)
 	}
@@ -398,7 +445,7 @@ func (e *remoteExec) admit(c net.Conn, running bool) (fatal bool, err error) {
 	case gotFP != e.fp:
 		return true, reject("config fingerprint mismatch: worker %016x, server %016x", gotFP, e.fp)
 	}
-	sc := &serveConn{c: c, index: index, lastRecv: time.Now().UnixNano()}
+	sc := &serveConn{c: c, index: index, lastRecv: clk.Now().UnixNano(), claim: claim}
 	if !running {
 		if e.conns[index] != nil {
 			return true, reject("duplicate worker index %d", index)
@@ -447,7 +494,9 @@ func (e *remoteExec) setPausing() {
 func (e *remoteExec) drainRecovery() (reassigned, reconnects int) {
 	e.mu.Lock()
 	reassigned, reconnects = e.reassigned, e.reconnects
-	e.reassigned, e.reconnects = 0, 0
+	e.readmits[0] += e.resumed
+	e.readmits[1] += e.reconnects - e.resumed
+	e.reassigned, e.reconnects, e.resumed = 0, 0, 0
 	e.mu.Unlock()
 	return reassigned, reconnects
 }
@@ -461,13 +510,13 @@ func (e *remoteExec) drainRecovery() (reassigned, reconnects int) {
 func (e *remoteExec) supervise() {
 	interval := time.Duration(e.hb * float64(time.Second))
 	timeout := time.Duration(silenceHeartbeats * e.hb * float64(time.Second))
-	t := time.NewTicker(interval)
-	defer t.Stop()
+	tick, stop := clk.Ticker(interval)
+	defer stop()
 	for {
 		select {
 		case <-e.closeCh:
 			return
-		case <-t.C:
+		case <-tick:
 		}
 		e.mu.Lock()
 		conns := append([]*serveConn(nil), e.conns...)
@@ -477,7 +526,7 @@ func (e *remoteExec) supervise() {
 			}
 		}
 		e.mu.Unlock()
-		now := time.Now().UnixNano()
+		now := clk.Now().UnixNano()
 		for _, sc := range conns {
 			if sc == nil {
 				continue
@@ -488,7 +537,7 @@ func (e *remoteExec) supervise() {
 				sc.c.Close()
 				continue
 			}
-			_ = sc.writeEmpty(wire.FramePing)
+			_ = sc.writeFrame(wire.FramePing, nil)
 		}
 	}
 }
@@ -564,6 +613,7 @@ func (e *remoteExec) runRound(cfg *Config, alg Algorithm, clients []client, ids 
 		}
 		buf = wire.AppendUvarint(buf, uint64(len(global)))
 		buf = wire.AppendF64s(buf, global)
+		buf = wire.AppendU64(buf, e.token)
 		wire.EndFrame(buf, 0)
 		e.dispatchBuf = buf
 		if err := sc.write(buf); err != nil {
@@ -640,7 +690,8 @@ func (e *remoteExec) close() {
 	close(e.closeCh)
 	if e.ln != nil {
 		if d, ok := e.ln.(interface{ SetDeadline(time.Time) error }); ok {
-			_ = d.SetDeadline(time.Now())
+			// A deadline in the past stops Accept at once, whatever clk reads.
+			_ = d.SetDeadline(aLongTimeAgo)
 			e.acceptWG.Wait()
 		}
 	}
@@ -661,7 +712,7 @@ func (e *remoteExec) close() {
 		sc.wmu.Lock()
 		sc.wbuf, _ = wire.WriteFrame(sc.c, wire.FrameBye, byeBody, sc.wbuf)
 		sc.wmu.Unlock()
-		_ = sc.c.SetReadDeadline(time.Now().Add(30 * time.Second))
+		_ = sc.c.SetReadDeadline(clk.Now().Add(30 * time.Second))
 	}
 	e.readers.Wait()
 	for _, sc := range e.conns {
@@ -697,7 +748,7 @@ func (e *remoteExec) readLoop(sc *serveConn) {
 			}
 			return
 		}
-		atomic.StoreInt64(&sc.lastRecv, time.Now().UnixNano())
+		atomic.StoreInt64(&sc.lastRecv, clk.Now().UnixNano())
 		switch fr.Type {
 		case wire.FrameUpdates:
 			if cause, err := e.ingest(sc, fr.Body); err != nil {
@@ -771,12 +822,12 @@ func (e *remoteExec) awaitReconnect(index int) *serveConn {
 			return nil
 		}
 	}
-	t := time.NewTimer(time.Duration(e.grace * float64(time.Second)))
-	defer t.Stop()
+	expired, stop := clk.Timer(time.Duration(e.grace * float64(time.Second)))
+	defer stop()
 	select {
 	case nc := <-e.reconnect[index]:
 		return nc
-	case <-t.C:
+	case <-expired:
 		return nil
 	case <-e.closeCh:
 		return nil
@@ -798,9 +849,10 @@ func (e *remoteExec) liveConn(not int) *serveConn {
 }
 
 // readmit installs a reconnected worker (recoverMu held): replace the
-// dead connection, reset the worker, replay its clients' full dispatch
-// histories to rebuild its rng streams bit-exactly, re-dispatch its
-// in-flight batches live, and start a reader.
+// dead connection, then resume the worker when its claim checks out
+// (resumable), or else reset it and replay its clients' full dispatch
+// histories to rebuild its rng streams bit-exactly, re-dispatching its
+// in-flight batches live; then start a reader.
 func (e *remoteExec) readmit(nc *serveConn) error {
 	idx := nc.index
 	e.mu.Lock()
@@ -819,15 +871,29 @@ func (e *remoteExec) readmit(nc *serveConn) error {
 		}
 	}
 	e.reassigned += live
+	redispatch, resume := e.resumable(nc, ids)
+	if resume {
+		e.resumed++
+	}
 	e.mu.Unlock()
-	if err := e.replayTo(nc, ids, true); err != nil {
+	var err error
+	if resume {
+		resend := byte(0)
+		if len(nc.claim.unsent) > 0 {
+			resend = 1
+		}
+		err = e.sendRecord(nc, wire.FrameResume, []byte{resend}, redispatch, true)
+	} else {
+		err = e.replayTo(nc, ids, true)
+	}
+	if err != nil {
 		e.mu.Lock()
 		nc.dead = true
 		e.mu.Unlock()
 		nc.c.Close()
 		return err
 	}
-	atomic.StoreInt64(&nc.lastRecv, time.Now().UnixNano())
+	atomic.StoreInt64(&nc.lastRecv, clk.Now().UnixNano())
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -838,6 +904,52 @@ func (e *remoteExec) readmit(nc *serveConn) error {
 	e.mu.Unlock()
 	go e.readLoop(nc)
 	return nil
+}
+
+// resumable reports whether nc's claim proves that the worker holds the
+// state the dispatch record gives ids, the clients it owns (e.mu held),
+// and returns the in-flight clients it never trained, which the resume
+// re-dispatches. The claim must carry this run's token. An owned client
+// must have trained its whole history, less its in-flight last entry
+// unless that entry is in the claim's unsent frame; the unsent frame
+// must hold exactly those clients; a client the worker does not own must
+// be untrained. Entries train in history order, so a client that trained
+// k entries holds the state of the history's first k.
+func (e *remoteExec) resumable(nc *serveConn, ids []int) (redispatch []int, ok bool) {
+	c := nc.claim
+	if c == nil || c.token != e.token {
+		return nil, false
+	}
+	n := len(e.owner)
+	count := make([]int, n)
+	for j, id := range c.ids {
+		if id < 0 || id >= n || e.owner[id] != nc.index || count[id] != 0 || c.counts[j] <= 0 {
+			return nil, false
+		}
+		count[id] = c.counts[j]
+	}
+	unsent := make([]bool, n)
+	for _, id := range c.unsent {
+		if id < 0 || id >= n || unsent[id] {
+			return nil, false
+		}
+		unsent[id] = true
+	}
+	resent := 0
+	for _, id := range ids {
+		h := len(e.hist[id])
+		live := e.pend[id] != nil && !e.arrived[id] && !e.pend[id].lost
+		switch {
+		case live && unsent[id] && count[id] == h:
+			resent++
+		case live && !unsent[id] && count[id] == h-1:
+			redispatch = append(redispatch, id)
+		case !live && !unsent[id] && count[id] == h:
+		default:
+			return nil, false
+		}
+	}
+	return redispatch, resent == len(c.unsent)
 }
 
 // reassign adopts a dead worker's clients onto tgt (recoverMu held):
@@ -921,13 +1033,24 @@ func (e *remoteExec) watchRejoin(index int) {
 // Dispatch for the ones still in flight — each frame carrying its
 // round's global once. Per-client order is the only order that matters:
 // rng streams and EF residuals are per-client, so grouping clients that
-// share a round is free as long as no frame names a client twice. The
-// write deadline bounds a wedged target so recovery cannot hang the run.
+// share a round is free as long as no frame names a client twice.
 func (e *remoteExec) replayTo(sc *serveConn, ids []int, restore bool) error {
-	_ = sc.c.SetWriteDeadline(time.Now().Add(60 * time.Second))
-	defer sc.c.SetWriteDeadline(time.Time{})
+	var head wire.FrameType
 	if restore {
-		if err := sc.writeEmpty(wire.FrameRestore); err != nil {
+		head = wire.FrameRestore
+	}
+	return e.sendRecord(sc, head, nil, ids, false)
+}
+
+// sendRecord writes a worker head (unless 0) with body, then ids'
+// dispatch histories grouped by round, or with tail only their last
+// entries, which are all in flight (recoverMu held). The write deadline
+// bounds a wedged target so recovery cannot hang the run.
+func (e *remoteExec) sendRecord(sc *serveConn, head wire.FrameType, body []byte, ids []int, tail bool) error {
+	_ = sc.c.SetWriteDeadline(clk.Now().Add(60 * time.Second))
+	defer sc.c.SetWriteDeadline(time.Time{})
+	if head != 0 {
+		if err := sc.writeFrame(head, body); err != nil {
 			return err
 		}
 	}
@@ -937,6 +1060,9 @@ func (e *remoteExec) replayTo(sc *serveConn, ids []int, restore bool) error {
 	for j, id := range ids {
 		hist[j] = e.hist[id]
 		live[j] = e.pend[id] != nil && !e.arrived[id] && !e.pend[id].lost
+		if tail {
+			hist[j] = hist[j][len(hist[j])-1:]
+		}
 	}
 	e.mu.Unlock()
 	return groupReplay(ids, hist, live, func(round int, frame []int, dispatch bool) error {
@@ -949,7 +1075,7 @@ func (e *remoteExec) replayTo(sc *serveConn, ids []int, restore bool) error {
 			t = wire.FrameDispatch
 		}
 		buf := wire.BeginFrame(e.replayBuf[:0], t)
-		buf = appendDispatch(buf, round, frame, g)
+		buf = appendDispatch(buf, round, frame, g, e.token)
 		wire.EndFrame(buf, 0)
 		e.replayBuf = buf
 		return sc.write(buf)

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/baselines"
 	"repro/internal/compress"
@@ -295,6 +296,7 @@ func serveKilled(t *testing.T, cfg fl.Config, clients int, kill func(net.Conn) n
 		t.Fatal("killed worker returned nil — the kill never fired")
 	}
 	assertSameRun(t, local, wired)
+	checkReadmits(t, wired)
 	severed := 0
 	for _, n := range wired.Severs {
 		severed += n
@@ -355,30 +357,57 @@ func TestServeStreamsSubBatches(t *testing.T) {
 
 // inboundRecorder wraps a worker-side connection and keeps a copy of
 // every byte the server sent through it, for frame-level assertions once
-// the run is over.
+// the run is over. When first is set, it is closed once the first bytes
+// arrive.
 type inboundRecorder struct {
 	net.Conn
-	mu  sync.Mutex
-	buf []byte
+	mu    sync.Mutex
+	buf   []byte
+	first chan struct{}
 }
 
 func (r *inboundRecorder) Read(p []byte) (int, error) {
 	n, err := r.Conn.Read(p)
 	r.mu.Lock()
+	if n > 0 && len(r.buf) == 0 && r.first != nil {
+		close(r.first)
+	}
 	r.buf = append(r.buf, p[:n]...)
 	r.mu.Unlock()
 	return n, err
 }
 
-// trainFrames parses the recorded stream and counts its Adopt and
-// Dispatch frames by the round they carry, and its Adopt frames alone.
-func (r *inboundRecorder) trainFrames() (perRound map[int]int, adopts int) {
+// frames parses the recorded stream and returns its frames in order.
+func (r *inboundRecorder) frames() []wire.Frame {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	perRound = make(map[int]int)
+	var out []wire.Frame
 	in := bytes.NewReader(r.buf)
-	var fr wire.Frame
-	for wire.ReadFrame(in, &fr) == nil {
+	for {
+		var fr wire.Frame
+		if wire.ReadFrame(in, &fr) != nil {
+			return out
+		}
+		out = append(out, fr)
+	}
+}
+
+// count returns how many recorded frames have type typ.
+func (r *inboundRecorder) count(typ wire.FrameType) int {
+	n := 0
+	for _, fr := range r.frames() {
+		if fr.Type == typ {
+			n++
+		}
+	}
+	return n
+}
+
+// trainFrames counts the recorded Adopt and Dispatch frames by the round
+// they carry, and the Adopt frames alone.
+func (r *inboundRecorder) trainFrames() (perRound map[int]int, adopts int) {
+	perRound = make(map[int]int)
+	for _, fr := range r.frames() {
 		if fr.Type != wire.FrameAdopt && fr.Type != wire.FrameDispatch {
 			continue
 		}
@@ -391,43 +420,177 @@ func (r *inboundRecorder) trainFrames() (perRound map[int]int, adopts int) {
 	return perRound, adopts
 }
 
+// checkReadmits requires the run's readmissions, resumed plus replayed,
+// to equal the reconnects its rounds count.
+func checkReadmits(t *testing.T, res *fl.Result) {
+	t.Helper()
+	if got, want := res.Resumed+res.Replayed, res.Run.TotalWorkerReconnects(); got != want {
+		t.Fatalf("resumed %d + replayed %d readmissions, want the %d reconnects the rounds count", res.Resumed, res.Replayed, want)
+	}
+}
+
+// failFirstUpdates wraps a worker-side connection whose first Updates
+// write fails after training, sending nothing and closing the socket.
+type failFirstUpdates struct {
+	net.Conn
+	failed atomic.Bool
+}
+
+func (f *failFirstUpdates) Write(p []byte) (int, error) {
+	if len(p) >= wire.HeaderLen && wire.FrameType(p[2]) == wire.FrameUpdates && f.failed.CompareAndSwap(false, true) {
+		f.Conn.Close()
+		return 0, errors.New("injected write failure")
+	}
+	return f.Conn.Write(p)
+}
+
+// swallowFrame wraps a worker-side connection that delivers the first
+// n-1 inbound frames and closes the socket once the n-th has arrived,
+// without delivering any of it: the server has sent it, and the worker
+// never reads it.
+type swallowFrame struct {
+	net.Conn
+	n       int
+	frames  int    // frames completed
+	header  []byte // the current frame's header bytes so far
+	body    int    // the current frame's body bytes still to come
+	pending []byte // bytes read past the last delivered frame
+}
+
+// scan walks b until a frame completes, returning the bytes it used.
+func (s *swallowFrame) scan(b []byte) (used int) {
+	for used < len(b) {
+		if s.body > 0 {
+			take := min(s.body, len(b)-used)
+			s.body -= take
+			used += take
+		} else {
+			take := min(wire.HeaderLen-len(s.header), len(b)-used)
+			s.header = append(s.header, b[used:used+take]...)
+			used += take
+			if len(s.header) < wire.HeaderLen {
+				return used
+			}
+			s.body = int(binary.LittleEndian.Uint32(s.header[3:]))
+			s.header = s.header[:0]
+		}
+		if s.body == 0 {
+			s.frames++
+			return used
+		}
+	}
+	return used
+}
+
+func (s *swallowFrame) Read(p []byte) (int, error) {
+	if s.frames < s.n-1 {
+		n, err := s.Conn.Read(p)
+		for i := 0; i < n; {
+			i += s.scan(p[i:n])
+			if s.frames == s.n-1 {
+				s.pending = append(s.pending, p[i:n]...)
+				return i, nil
+			}
+		}
+		return n, err
+	}
+	buf := make([]byte, 4096)
+	for {
+		for len(s.pending) > 0 && s.frames < s.n {
+			s.pending = s.pending[s.scan(s.pending):]
+		}
+		if s.frames == s.n {
+			s.Conn.Close()
+			return 0, errors.New("frame swallowed")
+		}
+		n, err := s.Conn.Read(buf)
+		s.pending = append(s.pending, buf[:n]...)
+		if err != nil && n == 0 {
+			return 0, err
+		}
+	}
+}
+
+// swallow returns a cut that swallows the n-th inbound frame.
+func swallow(n int) func(net.Conn) net.Conn {
+	return func(c net.Conn) net.Conn { return &swallowFrame{Conn: c, n: n} }
+}
+
 // TestServeFailoverReconnect pins re-admission: with reassignment
 // disabled and a grace window, a worker that dies mid-run and re-dials
-// (Attach=1) is reset, rebuilt by history replay, and the run still
-// finishes bit-identical to fl.Run — under dense and top-k transport,
-// under the async policy, and for a worker cut at its first Dispatch,
-// whose replay holds no Adopt frame. On the sync rows the re-dialed
-// worker receives its history one frame per round (an Adopt frame, plus a
+// (Attach=1) comes back, and the run still finishes bit-identical to
+// fl.Run — under dense and top-k transport, under the async policy, and
+// for a worker cut at its first Dispatch. The replay rows re-dial as a
+// fresh process would, without the state the worker kept: it is reset
+// and rebuilt by history replay, and a worker cut at its first Dispatch
+// receives no Adopt frame. On the sync replay rows the re-dialed worker
+// receives its history one frame per round (an Adopt frame, plus a
 // Dispatch frame for the round still in flight), not one frame per
-// dispatched client.
+// dispatched client. The resume rows re-dial with the kept state: the
+// worker receives one Resume frame and live Dispatch frames, and no
+// Restore or Adopt frame. On the resend row the worker's first Updates
+// write fails after training, and the frame it kept is what delivers
+// those clients: no Dispatch for that round reaches the re-dialed worker.
 func TestServeFailoverReconnect(t *testing.T) {
 	fl.CheckGoroutines(t)
+	topk := func(c *fl.Config) { c.Compress = compress.Spec{Kind: compress.KindTopK, TopKFrac: 0.25} }
+	async := func(c *fl.Config) { c.Policy, c.AsyncBuffer = fl.PolicyAsync, 3 }
+	frames := func(n int) func(net.Conn) net.Conn {
+		return func(c net.Conn) net.Conn { return &killAfterFrames{Conn: c, remain: n} }
+	}
 	rows := []struct {
 		name   string
 		mutate func(*fl.Config)
-		// kill is how many inbound frames worker 1's first connection
-		// delivers before it is closed.
-		kill int
+		// cut wraps worker 1's first connection.
+		cut func(net.Conn) net.Conn
 		// settled is whether worker 1 held settled history when it died,
 		// so its replay must include Adopt frames.
-		settled, sync bool
+		settled, sync, resume bool
 	}{
 		// Killed at its first Dispatch: the replay is the Restore plus
 		// that live Dispatch alone.
-		{"dense-first-dispatch", func(*fl.Config) {}, 1, false, true},
+		{"dense-first-dispatch", func(*fl.Config) {}, frames(1), false, true, false},
 		// Killed at round 2's Dispatch, with round 1 settled.
-		{"dense", func(*fl.Config) {}, 2, true, true},
-		{"topk", func(c *fl.Config) { c.Compress = compress.Spec{Kind: compress.KindTopK, TopKFrac: 0.25} }, 4, true, true},
+		{"dense", func(*fl.Config) {}, frames(2), true, true, false},
+		{"topk", topk, frames(4), true, true, false},
 		// Async dispatches one client per frame: the fifth follows worker
 		// 1's four initial dispatches, so part of its history has settled.
-		{"async", func(c *fl.Config) { c.Policy, c.AsyncBuffer = fl.PolicyAsync, 3 }, 5, true, false},
+		{"async", async, frames(5), true, false, false},
+		{"resume-dense", func(*fl.Config) {}, frames(2), true, true, true},
+		{"resume-topk", topk, frames(4), true, true, true},
+		{"resume-async", async, frames(5), true, false, true},
+		{"resume-resend", topk, func(c net.Conn) net.Conn { return &failFirstUpdates{Conn: c} }, false, true, true},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := quickConfig()
 			row.mutate(&cfg)
-			redialed := serveRedialed(t, cfg, 8, func(c net.Conn) net.Conn { return &killAfterFrames{Conn: c, remain: row.kill} })
+			var between func()
+			if !row.resume {
+				between = fl.DropKeptState
+			}
+			redialed, wired := serveRedialedWith(t, cfg, 8, []func(net.Conn) net.Conn{row.cut}, between)
 			perRound, adopts := redialed.trainFrames()
+			if row.resume {
+				if wired.Resumed != 1 || wired.Replayed != 0 {
+					t.Fatalf("resumed %d, replayed %d, want one resume", wired.Resumed, wired.Replayed)
+				}
+				if n, m := redialed.count(wire.FrameRestore), redialed.count(wire.FrameResume); n != 0 || adopts != 0 || m != 1 {
+					t.Fatalf("the resumed worker received %d Restore, %d Adopt and %d Resume frames, want 0, 0 and 1", n, adopts, m)
+				}
+				if row.name == "resume-resend" {
+					if body := redialed.frames()[0].Body; len(body) != 1 || body[0] != 1 {
+						t.Fatalf("first frame body %x, want a Resume asking for the unsent frame", body)
+					}
+					if perRound[0] != 0 {
+						t.Fatalf("round 0 was re-dispatched in %d frames; the resent frame should deliver it", perRound[0])
+					}
+				}
+				return
+			}
+			if wired.Resumed != 0 || wired.Replayed != 1 {
+				t.Fatalf("resumed %d, replayed %d, want one replay", wired.Resumed, wired.Replayed)
+			}
 			if (adopts > 0) != row.settled {
 				t.Fatalf("the re-dialed worker received %d Adopt frames; settled history: %v", adopts, row.settled)
 			}
@@ -445,12 +608,225 @@ func TestServeFailoverReconnect(t *testing.T) {
 	}
 }
 
+// TestServeResumeFallback pins the claims the server refuses: each
+// re-dialed worker holds kept state, and each must be reset and rebuilt
+// by a replay instead of resumed. The kept state of an earlier Serve of
+// the same config carries another run's token, although every count in
+// it agrees with the new run's record. A count one short: the client's
+// last entry was marked lost while the worker was away, and it never
+// trained it. And a count for a client the worker does not own.
+func TestServeResumeFallback(t *testing.T) {
+	fl.CheckGoroutines(t)
+	replayed := func(t *testing.T, redialed *inboundRecorder, res *fl.Result) {
+		t.Helper()
+		if res.Resumed != 0 || res.Replayed != 1 {
+			t.Fatalf("resumed %d, replayed %d, want one replay", res.Resumed, res.Replayed)
+		}
+		if fr := redialed.frames(); len(fr) == 0 || fr[0].Type != wire.FrameRestore {
+			t.Fatal("the re-dialed worker's first frame is not a Restore")
+		}
+	}
+	t.Run("token", func(t *testing.T) {
+		fl.DropKeptState()
+		defer fl.DropKeptState()
+		cfg := quickConfig()
+		// The earlier run: worker 1 trains its round-0 clients, fails to
+		// send them and never returns; the survivor adopts them. Worker 1
+		// keeps the four clients trained once and their unsent frame.
+		serveKilled(t, cfg, 8, func(c net.Conn) net.Conn { return &failFirstUpdates{Conn: c} }, -1)
+		if fl.KeptStates() != 1 {
+			t.Fatalf("%d kept states after the earlier run, want 1", fl.KeptStates())
+		}
+		// This run: worker 1 takes the kept state, loses its connection
+		// before it reads its round-0 Dispatch, and puts it back. At the
+		// re-dial the server's record has the same four clients in flight
+		// at round 0, as the claim says, under another token.
+		redialed, res := serveRedialedWith(t, cfg, 8, []func(net.Conn) net.Conn{swallow(1)}, nil)
+		replayed(t, redialed, res)
+	})
+	t.Run("not-owned", func(t *testing.T) {
+		fl.DropKeptState()
+		defer fl.DropKeptState()
+		forge := func() { fl.ForgeKeptCount(0) } // client 0 is worker 0's
+		redialed, res := serveRedialedWith(t, quickConfig(), 8, []func(net.Conn) net.Conn{swallow(3)}, forge)
+		replayed(t, redialed, res)
+	})
+	t.Run("lost", func(t *testing.T) {
+		fl.DropKeptState()
+		defer fl.DropKeptState()
+		cfg := quickConfig()
+		network, shards, test := testSetup(t, 8)
+		// Worker 1 trains round 0 and loses its connection at round 1's
+		// Dispatch. With no grace the server marks round 1's in-flight
+		// entries lost; the third Aggregate (round 2's) waits until the
+		// re-dialed worker has heard from the server.
+		gate := &gatedAvg{FedAvg: baselines.NewFedAvg(), at: 3, reached: make(chan struct{}), release: make(chan struct{})}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		var redialed *inboundRecorder
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				errs[0] = err
+				return
+			}
+			errs[0] = fl.RunWorker(conn, 0, 2, cfg, baselines.NewFedAvg(), network, shards, test.Name)
+		}()
+		go func() {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				errs[1] = err
+				return
+			}
+			if fl.RunWorkerOpts(swallow(2)(conn), fl.WorkerOptions{Index: 1, Workers: 2}, cfg, baselines.NewFedAvg(), network, shards, test.Name) == nil {
+				errs[1] = errors.New("cut worker returned nil")
+				return
+			}
+			<-gate.reached
+			conn2, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				errs[1] = err
+				close(gate.release)
+				return
+			}
+			redialed = &inboundRecorder{Conn: conn2, first: gate.release}
+			errs[1] = fl.RunWorkerOpts(redialed, fl.WorkerOptions{Index: 1, Workers: 2, Attach: 1}, cfg, baselines.NewFedAvg(), network, shards, test.Name)
+		}()
+		opt := fl.ServeOptions{Workers: 2, HeartbeatSec: -1, DisableReassign: true}
+		res, serveErr := fl.Serve(ln, opt, cfg, gate, network, shards, test)
+		ln.Close()
+		wg.Wait()
+		if serveErr != nil {
+			t.Fatal(serveErr)
+		}
+		for i, e := range errs {
+			if e != nil {
+				t.Fatalf("worker %d: %v", i, e)
+			}
+		}
+		replayed(t, redialed, res)
+		checkReadmits(t, res)
+		if got := res.Run.Total(metrics.LostWithWorker); got != 8 {
+			t.Fatalf("%d updates lost with their worker, want 8 (rounds 1 and 2 of worker 1)", got)
+		}
+		if len(res.Run.Rounds) != cfg.Rounds {
+			t.Fatalf("run stopped early: %d/%d rounds", len(res.Run.Rounds), cfg.Rounds)
+		}
+	})
+}
+
+// gatedAvg is FedAvg whose at-th Aggregate call closes reached and waits
+// for release.
+type gatedAvg struct {
+	*baselines.FedAvg
+	at, calls        int
+	reached, release chan struct{}
+}
+
+func (g *gatedAvg) Aggregate(s *fl.ServerCtx, updates []fl.Update) {
+	if g.calls++; g.calls == g.at {
+		close(g.reached)
+		<-g.release
+	}
+	g.FedAvg.Aggregate(s, updates)
+}
+
+// TestServeGraceOnFakeClock expires the failover grace window on a fake
+// clock: a worker cut at round 1's Dispatch never re-dials, the server
+// waits an hour of fake time for it, and the run then goes on without it,
+// its dispatches lost, with no wall-clock wait.
+func TestServeGraceOnFakeClock(t *testing.T) {
+	fl.CheckGoroutines(t)
+	defer fl.DropKeptState()
+	clock := fl.UseFakeClock(t)
+	cfg := quickConfig()
+	network, shards, test := testSetup(t, 8)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			if i == 1 {
+				conn = swallow(2)(conn)
+			}
+			errs[i] = fl.RunWorkerOpts(conn, fl.WorkerOptions{Index: i, Workers: 2}, cfg, baselines.NewFedAvg(), network, shards, test.Name)
+		}(i)
+	}
+	go func() {
+		clock.AwaitTimers(1)
+		clock.Advance(time.Hour)
+	}()
+	opt := fl.ServeOptions{Workers: 2, HeartbeatSec: -1, DisableReassign: true, FailoverGraceSec: 3600}
+	res, serveErr := fl.Serve(ln, opt, cfg, baselines.NewFedAvg(), network, shards, test)
+	ln.Close()
+	wg.Wait()
+	if serveErr != nil {
+		t.Fatal(serveErr)
+	}
+	if errs[0] != nil || errs[1] == nil {
+		t.Fatalf("worker errors %v, want only the cut worker's", errs)
+	}
+	if got := res.Run.Total(metrics.LostWithWorker); got != 4*(cfg.Rounds-1) {
+		t.Fatalf("%d updates lost with their worker, want %d (worker 1's from round 1 on)", got, 4*(cfg.Rounds-1))
+	}
+}
+
+// TestKeptStateTable pins the table of kept worker states: a worker cut
+// twice keeps one state for its slot, not two, and a worker that ends on
+// a clean Bye leaves none.
+func TestKeptStateTable(t *testing.T) {
+	fl.CheckGoroutines(t)
+	fl.DropKeptState()
+	defer fl.DropKeptState()
+	one := func() {
+		if n := fl.KeptStates(); n != 1 {
+			t.Errorf("%d kept states after a cut, want 1", n)
+		}
+	}
+	cut := func(c net.Conn) net.Conn { return &killAfterFrames{Conn: c, remain: 2} }
+	_, res := serveRedialedWith(t, quickConfig(), 8, []func(net.Conn) net.Conn{cut, cut}, one)
+	if n := fl.KeptStates(); n != 0 {
+		t.Fatalf("%d kept states after every worker ended on a clean Bye, want 0", n)
+	}
+	if res.Resumed+res.Replayed != 2 {
+		t.Fatalf("resumed %d, replayed %d, want two readmissions", res.Resumed, res.Replayed)
+	}
+}
+
 // serveRedialed runs cfg over two workers of clients/2 clients each with
 // reassignment disabled and a grace window. Worker 1's first connection,
-// wrapped by cut, is closed and re-dials with Attach 1. The run
-// must equal fl.Run with re-admission engaged; serveRedialed returns the
-// re-dialed connection's record of what the server sent it.
+// wrapped by cut, is closed and re-dials with Attach 1 as a fresh process
+// would, without the state it kept, so the server replays its history.
+// The run must equal fl.Run with re-admission engaged; serveRedialed
+// returns the re-dialed connection's record of what the server sent it.
 func serveRedialed(t *testing.T, cfg fl.Config, clients int, cut func(net.Conn) net.Conn) *inboundRecorder {
+	t.Helper()
+	redialed, _ := serveRedialedWith(t, cfg, clients, []func(net.Conn) net.Conn{cut}, fl.DropKeptState)
+	return redialed
+}
+
+// serveRedialedWith is serveRedialed with worker 1's connections wrapped
+// by cuts in turn, each of which must end it, and between, when not nil,
+// called after each cut worker returns. It returns the last connection's
+// record and the run.
+func serveRedialedWith(t *testing.T, cfg fl.Config, clients int, cuts []func(net.Conn) net.Conn, between func()) (*inboundRecorder, *fl.Result) {
 	t.Helper()
 	network, shards, test := testSetup(t, clients)
 	local, err := fl.Run(cfg, baselines.NewFedAvg(), network, shards, test)
@@ -477,22 +853,27 @@ func serveRedialed(t *testing.T, cfg fl.Config, clients int, cut func(net.Conn) 
 	}()
 	go func() {
 		defer wg.Done()
+		for attach, cut := range cuts {
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				errs[1] = err
+				return
+			}
+			if err := fl.RunWorkerOpts(cut(conn), fl.WorkerOptions{Index: 1, Workers: 2, Attach: attach}, cfg, baselines.NewFedAvg(), network, shards, test.Name); err == nil {
+				errs[1] = errors.New("killed worker returned nil — the kill never fired")
+				return
+			}
+			if between != nil {
+				between()
+			}
+		}
 		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			errs[1] = err
 			return
 		}
-		if err := fl.RunWorkerOpts(cut(conn), fl.WorkerOptions{Index: 1, Workers: 2}, cfg, baselines.NewFedAvg(), network, shards, test.Name); err == nil {
-			errs[1] = errors.New("killed worker returned nil — the kill never fired")
-			return
-		}
-		conn2, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			errs[1] = err
-			return
-		}
-		redialed = &inboundRecorder{Conn: conn2}
-		errs[1] = fl.RunWorkerOpts(redialed, fl.WorkerOptions{Index: 1, Workers: 2, Attach: 1}, cfg, baselines.NewFedAvg(), network, shards, test.Name)
+		redialed = &inboundRecorder{Conn: conn}
+		errs[1] = fl.RunWorkerOpts(redialed, fl.WorkerOptions{Index: 1, Workers: 2, Attach: len(cuts)}, cfg, baselines.NewFedAvg(), network, shards, test.Name)
 	}()
 	opt := fl.ServeOptions{Workers: 2, HeartbeatSec: -1, DisableReassign: true, FailoverGraceSec: 30}
 	wired, serveErr := fl.Serve(ln, opt, cfg, baselines.NewFedAvg(), network, shards, test)
@@ -507,11 +888,12 @@ func serveRedialed(t *testing.T, cfg fl.Config, clients int, cut func(net.Conn) 
 		}
 	}
 	assertSameRun(t, local, wired)
+	checkReadmits(t, wired)
 	re, rc := totalRecovery(wired.Run)
 	if rc == 0 || re == 0 {
 		t.Fatalf("reassigned %d, reconnects %d — re-admission never engaged", re, rc)
 	}
-	return redialed
+	return redialed, wired
 }
 
 // TestServeServerCrashReplay extends the in-process crash-replay pin

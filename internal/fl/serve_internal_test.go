@@ -319,7 +319,7 @@ func TestReadLoopSeverCauses(t *testing.T) {
 	}{
 		{"eof", nil, false, SeverRead},
 		{"silence", nil, true, SeverSilence},
-		{"dispatch frame", fuzzFrame(wire.FrameDispatch, appendDispatch(nil, 0, []int{0}, make([]float64, d))), false, SeverFrame},
+		{"dispatch frame", fuzzFrame(wire.FrameDispatch, appendDispatch(nil, 0, []int{0}, make([]float64, d), 1)), false, SeverFrame},
 		{"outside the fleet", updates, false, SeverOutside},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -28,8 +28,9 @@ type WorkerOptions struct {
 	// Attach is the re-attach counter sent in Hello: 0 on the first
 	// connection, incremented on every re-dial after a connection loss.
 	// The server does not read it: any valid Hello that arrives during a
-	// run is parked as a reconnect of its index, and re-admission rebuilds
-	// the worker's rng streams by a history replay whatever the counter.
+	// run is parked as a reconnect of its index, and re-admission resumes
+	// the worker from the state it kept, or rebuilds its rng streams by a
+	// history replay, by the claim the Hello carries, whatever the counter.
 	Attach int
 	// HeartbeatSec bounds read liveness: when positive, the worker arms a
 	// read deadline of three HeartbeatSec before every frame read, so a
@@ -70,7 +71,10 @@ func RunWorker(conn net.Conn, index, workers int, cfg Config, alg Algorithm, net
 // streams exactly as the original training did). A Restore frame resets
 // the worker to its freshly-started state (fresh root, empty residuals)
 // so the same replay mechanism serves a server restarting from a
-// checkpoint behind live workers.
+// checkpoint behind live workers. A worker whose connection breaks keeps
+// its state (keptState), and the next RunWorkerOpts of its fleet slot
+// claims it in its Hello: the server resumes it with a Resume frame when
+// the claim agrees with the dispatch record, and replays otherwise.
 func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, network *nn.Network, shards []*dataset.Dataset, dsName string) error {
 	defer conn.Close()
 	if err := cfg.Validate(); err != nil {
@@ -114,7 +118,14 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 		workerObserve(pool)
 	}
 
-	var clients []client
+	// claim is the state a previous RunWorkerOpts of this fleet slot kept
+	// when its connection broke. The server's first frame decides: Resume
+	// installs it, anything else drops it for a fresh state. cur is the
+	// state the worker trains.
+	key := keptKey{fp, index}
+	v, _ := kept.LoadAndDelete(key)
+	claim, _ := v.(*keptState)
+	var cur *keptState
 	// reset (re)builds every client-held rng stream by replaying the
 	// derivation order from a fresh root (newFleet) — the worker's
 	// freshly-started state, which a Restore frame rewinds to before a
@@ -124,20 +135,41 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 		if err != nil {
 			return err
 		}
-		clients, pool.comp = f.clients, f.comp
+		if cur == nil {
+			cur = &keptState{trained: make([]int32, n)}
+		}
+		clear(cur.trained)
+		cur.clients, cur.comp, cur.token = f.clients, f.comp, 0
+		pool.comp = f.comp
 		return nil
 	}
-	if err := reset(); err != nil {
-		return err
+	if claim == nil {
+		if err := reset(); err != nil {
+			return err
+		}
 	}
 
 	w := &workerLoop{conn: conn, fp: fp, heartbeat: opt.HeartbeatSec}
 	w.cond = sync.NewCond(&w.mu)
+	// A worker whose connection broke keeps what it would claim on the next
+	// dial: the undecided claim, or the state it trained.
+	sendFailed := false
+	defer func() {
+		if !sendFailed && !w.connLost() {
+			return
+		}
+		if claim != nil {
+			kept.Store(key, claim)
+		} else if cur != nil && cur.token != 0 {
+			kept.Store(key, cur)
+		}
+	}()
 
 	hello := wire.BeginFrame(nil, wire.FrameHello)
-	hello = appendHello(hello, fp, index, workers, opt.Attach)
+	hello = appendHello(hello, fp, index, workers, opt.Attach, claim)
 	wire.EndFrame(hello, 0)
 	if err := w.write(hello); err != nil {
+		sendFailed = true
 		return fmt.Errorf("fl: sending hello: %w", err)
 	}
 	go w.readLoop()
@@ -149,6 +181,30 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 		m, ok := w.next()
 		if !ok {
 			break
+		}
+		if claim != nil {
+			if m.resume {
+				cur, claim = claim, nil
+				pool.comp = cur.comp
+				if m.resend && cur.unsent != nil {
+					if err := w.write(cur.unsent); err != nil {
+						sendFailed = true
+						return fmt.Errorf("fl: resending updates: %w", err)
+					}
+				}
+				cur.unsent, cur.unsentIDs = nil, nil
+				continue
+			}
+			claim = nil
+			if err := reset(); err != nil {
+				return err
+			}
+			if m.restore {
+				continue
+			}
+		}
+		if m.resume {
+			return fmt.Errorf("fl: resume frame with no kept state to resume")
 		}
 		if m.restore {
 			if err := reset(); err != nil {
@@ -167,6 +223,7 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 			// batch larger than the fleet is a protocol violation.
 			return fmt.Errorf("fl: dispatch of %d clients exceeds fleet size %d", k, n)
 		}
+		cur.token = m.token
 		// The batch trains and uploads uploadBatch clients at a time, so
 		// the Updates frame and the update buffers hold one sub-batch, not
 		// the whole batch. Nothing makes the server read a sub-batch while
@@ -183,7 +240,10 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 			if m.adopt {
 				width = max(width, runtime.GOMAXPROCS(0))
 			}
-			pool.train(width, m.adopt, &cfg, alg, clients, ids, m.round, m.global, m.global, ups, meas)
+			pool.train(width, m.adopt, &cfg, alg, cur.clients, ids, m.round, m.global, m.global, ups, meas)
+			for _, id := range ids {
+				cur.trained[id]++
+			}
 			// Adopted history is trained and discarded: the training
 			// advanced this worker's streams (and EF residuals) exactly as
 			// the original run did, and the server already holds the
@@ -198,10 +258,13 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 				wbuf = buf
 				if w.stopped() {
 					// The run ended while this batch trained; the rest is
-					// abandoned, not sent (the server is only waiting for EOF).
+					// abandoned, not sent (the server is only waiting for EOF,
+					// or, when the connection broke, for the claim).
+					cur.unsent, cur.unsentIDs = buf, ids
 					return w.readErr()
 				}
 				if err := w.write(buf); err != nil {
+					cur.unsent, cur.unsentIDs, sendFailed = buf, ids, true
 					return fmt.Errorf("fl: sending updates: %w", err)
 				}
 			}
@@ -212,6 +275,35 @@ func RunWorkerOpts(conn net.Conn, opt WorkerOptions, cfg Config, alg Algorithm, 
 	}
 	return w.readErr()
 }
+
+// keptState is a worker's whole state (WireSafe), kept across a lost
+// connection for the next RunWorkerOpts of the same fleet slot to claim
+// (DESIGN.md §12).
+type keptState struct {
+	clients []client
+	comp    *compressor
+	// trained counts each client's trained dispatches since the last
+	// reset. Entries train in the order of the server's dispatch history,
+	// so k trained entries are the history's first k.
+	trained []int32
+	// token is the server run that dispatched them.
+	token uint64
+	// unsent is the Updates frame of the one trained sub-batch that never
+	// went out, and unsentIDs its clients.
+	unsent    []byte
+	unsentIDs []int
+}
+
+// keptKey is a fleet slot: the config fingerprint and the worker index.
+type keptKey struct {
+	fp    uint64
+	index int
+}
+
+// kept maps a fleet slot (keptKey) to its *keptState: a worker that loses
+// its connection while its process lives on stores its state here, and
+// the next RunWorkerOpts of the slot takes it.
+var kept sync.Map
 
 // workerObserve is a test hook: when set, RunWorkerOpts hands it the
 // worker's slot pool, whose replay-width fields the test reads after the
@@ -247,7 +339,10 @@ type workerLoop struct {
 	// paused marks a Bye whose body flags an interrupted (not completed)
 	// run; readErr surfaces it as ErrServerPaused.
 	paused bool
-	err    error
+	// lost marks a stream that ended on a connection error, not on a
+	// frame: the worker keeps its state for the next dial.
+	lost bool
+	err  error
 }
 
 // write sends one pre-framed buffer under the write lock.
@@ -294,11 +389,19 @@ func (w *workerLoop) readErr() error {
 	return w.err
 }
 
-// fail records the terminal error and releases the training loop.
-func (w *workerLoop) fail(err error) {
+// connLost reports whether the stream ended on a connection error.
+func (w *workerLoop) connLost() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.lost
+}
+
+// fail records the terminal error and releases the training loop; lost
+// marks a connection error.
+func (w *workerLoop) fail(err error, lost bool) {
 	w.mu.Lock()
 	if w.err == nil {
-		w.err = err
+		w.err, w.lost = err, lost
 	}
 	w.done = true
 	w.cond.Broadcast()
@@ -306,44 +409,45 @@ func (w *workerLoop) fail(err error) {
 }
 
 // readLoop decodes incoming frames until the stream ends. Dispatches and
-// the failover frames (Adopt, Restore) queue up behind the training loop
-// (the queue preserves the server's per-client replay order); Ping is
-// answered immediately; Bye ends the stream cleanly.
+// the failover frames (Adopt, Restore, Resume) queue up behind the
+// training loop (the queue preserves the server's per-client replay
+// order); Ping is answered immediately; Bye ends the stream cleanly.
 func (w *workerLoop) readLoop() {
 	var fr wire.Frame
 	for {
 		if w.heartbeat > 0 {
 			deadline := time.Duration(silenceHeartbeats * w.heartbeat * float64(time.Second))
-			_ = w.conn.SetReadDeadline(time.Now().Add(deadline))
+			_ = w.conn.SetReadDeadline(clk.Now().Add(deadline))
 		}
 		if err := wire.ReadFrame(w.conn, &fr); err != nil {
-			w.fail(fmt.Errorf("fl: reading from server: %w", err))
+			w.fail(fmt.Errorf("fl: reading from server: %w", err), true)
 			return
 		}
+		var m *dispatchMsg
 		switch fr.Type {
 		case wire.FrameDispatch, wire.FrameAdopt:
-			m, err := parseDispatch(fr.Body)
-			if err != nil {
-				w.fail(err)
+			var err error
+			if m, err = parseDispatch(fr.Body); err != nil {
+				w.fail(err, false)
 				return
 			}
 			m.adopt = fr.Type == wire.FrameAdopt
-			w.mu.Lock()
-			w.queue = append(w.queue, m)
-			w.cond.Broadcast()
-			w.mu.Unlock()
 		case wire.FrameRestore:
-			w.mu.Lock()
-			w.queue = append(w.queue, &dispatchMsg{restore: true})
-			w.cond.Broadcast()
-			w.mu.Unlock()
+			m = &dispatchMsg{restore: true}
+		case wire.FrameResume:
+			resend, err := parseResume(fr.Body)
+			if err != nil {
+				w.fail(err, false)
+				return
+			}
+			m = &dispatchMsg{resume: true, resend: resend}
 		case wire.FramePing:
 			w.wmu.Lock()
 			var err error
 			w.pongBuf, err = wire.WriteFrame(w.conn, wire.FramePong, nil, w.pongBuf)
 			w.wmu.Unlock()
 			if err != nil {
-				w.fail(fmt.Errorf("fl: answering ping: %w", err))
+				w.fail(fmt.Errorf("fl: answering ping: %w", err), true)
 				return
 			}
 		case wire.FrameBye:
@@ -354,11 +458,17 @@ func (w *workerLoop) readLoop() {
 			w.mu.Unlock()
 			return
 		case wire.FrameReject:
-			w.fail(fmt.Errorf("fl: server rejected worker (this worker's config fingerprint %016x): %s", w.fp, fr.Body))
+			w.fail(fmt.Errorf("fl: server rejected worker (this worker's config fingerprint %016x): %s", w.fp, fr.Body), false)
 			return
 		default:
-			w.fail(fmt.Errorf("fl: unexpected frame type %d from server", fr.Type))
+			w.fail(fmt.Errorf("fl: unexpected frame type %d from server", fr.Type), false)
 			return
+		}
+		if m != nil {
+			w.mu.Lock()
+			w.queue = append(w.queue, m)
+			w.cond.Broadcast()
+			w.mu.Unlock()
 		}
 	}
 }

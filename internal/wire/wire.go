@@ -48,15 +48,18 @@ const (
 type FrameType byte
 
 // Protocol frame types. Hello/Updates/Pong flow worker→server; Dispatch,
-// Bye, Reject, the liveness probe Ping, and the failover pair
-// Adopt/Restore flow server→worker. Adopt carries a Dispatch-shaped body
-// the worker trains and discards (it advances the worker's per-client
+// Bye, Reject, the liveness probe Ping, and the failover frames Adopt,
+// Restore and Resume flow server→worker. Adopt carries a Dispatch-shaped
+// body the worker trains and discards (it advances the worker's per-client
 // rng streams without re-uploading a result the server already holds);
 // Restore is body-less and resets the worker to its freshly-started
-// state before a full history replay. Hold and Resume are retired: the
-// server's intake is bounded by dispatch, so no server sends them and a
-// worker rejects them as unexpected. They keep their numbers so every
-// later type keeps its own.
+// state before a full history replay. Resume answers a re-dialed worker
+// whose Hello claimed the state it kept across the lost connection, when
+// the claim agrees with the server's dispatch record: the worker keeps
+// that state, and a one-byte body of 1 asks it to resend the Updates
+// frame it trained but never sent. Hold is retired: the server's intake
+// is bounded by dispatch, so no server sends it and a worker rejects it
+// as unexpected. It keeps its number so every later type keeps its own.
 const (
 	FrameHello FrameType = iota + 1
 	FrameDispatch
